@@ -34,7 +34,6 @@
      REPRO_SKIP_BENCH3=1                 (skip the cold/warm pair)
      REPRO_SANITIZER_DATASETS=iris       (the slice the sanitizer re-runs)
      REPRO_SKIP_SANITIZER=1              (skip the checked-mode cross-check)
-     REPRO_BENCH4_JSON=path              (default BENCH_4.json)
      REPRO_SKIP_BACKENDS=1               (skip the backend-vs-backend pairs)
      REPRO_BENCH7_JSON=path              (default BENCH_7.json)
 *)
@@ -561,10 +560,10 @@ let sanitizer_benchmarks () =
   Printf.printf "  overhead %.2fx\n\n%!"
     (checked_s /. Float.max unchecked_s 1e-3)
 
-(* {1 Backend benchmarks (BENCH_4)}
+(* {1 Backend benchmarks (BENCH_7)}
 
-   Part 6 — reference-vs-bigarray pairs over identical workloads: the raw
-   matmul and elementwise kernels, the tape-refreshed surrogate batch, the
+   Part 6 — reference-vs-C pairs over identical workloads: the raw matmul
+   and elementwise kernels, the tape-refreshed surrogate batch, the
    variation-aware epoch at the paper's iris size and at a wide pNN size
    (64 inputs -> 48 hidden -> 16 outputs, batch 256) where the matmuls
    dominate dispatch overhead, and one quick single-dataset Table II slice
@@ -668,85 +667,13 @@ let backend_rows be =
     ("table2_quick_iris", t_t2);
   ]
 
-let backend_benchmarks alloc_rows =
-  let startup = Tensor.backend () in
-  let ref_rows = backend_rows Tensor.Reference in
-  let ba_rows = backend_rows Tensor.Bigarray64 in
-  let rows =
-    List.map2
-      (fun (name, ref_us) (_, ba_us) ->
-        (name, ref_us, ba_us, ref_us /. Float.max ba_us 1e-3))
-      ref_rows ba_rows
-  in
-  let pair_rows = (ref_rows, ba_rows) in
-  Printf.printf "== backend benchmarks (reference vs bigarray, scale=%s) ==\n"
-    scale_name;
-  List.iter
-    (fun (name, ref_us, ba_us, speedup) ->
-      Printf.printf "  %-28s %10.2f us  %10.2f us  %5.2fx\n" name ref_us ba_us
-        speedup)
-    rows;
-  print_newline ();
-  (* The reference rows remeasure workloads BENCH_2 just timed in this very
-     process (only meaningful when BENCH_2 itself ran on the reference
-     backend): a large disagreement means the harness, not the kernel,
-     changed. *)
-  (match startup with
-  | Tensor.Reference -> (
-      let bench2_matmul =
-        List.find_map
-          (fun (name, ns, _, _) ->
-            if String.equal name "tensor_matmul_128x64x32_into" then ns
-            else None)
-          alloc_rows
-      in
-      match (bench2_matmul, List.assoc_opt "tensor_matmul_128x64x32" ref_rows) with
-      | Some b2_ns, Some ref_us ->
-          let ratio = ref_us *. 1e3 /. b2_ns in
-          if ratio > 3.0 || ratio < 1.0 /. 3.0 then
-            failwith
-              (Printf.sprintf
-                 "BENCH_4: reference matmul (%.0f us) disagrees with BENCH_2 \
-                  (%.0f us) beyond noise"
-                 ref_us (b2_ns /. 1e3))
-      | _ -> ())
-  | Tensor.Bigarray64 | Tensor.C64 -> ());
-  (rows, pair_rows)
+(* Two checks ride along with the pairs:
 
-let write_bench4_json rows =
-  let path =
-    match Sys.getenv_opt "REPRO_BENCH4_JSON" with
-    | Some p -> p
-    | None -> "BENCH_4.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"BENCH_4\",\n  \"scale\": %S,\n" scale_name;
-  output_string oc "  \"results\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, ref_us, ba_us, speedup) ->
-      Printf.fprintf oc
-        "    { \"name\": %S, \"ref_ns\": %.1f, \"ba_ns\": %.1f, \"speedup\": \
-         %.2f }%s\n"
-        name (ref_us *. 1e3) (ba_us *. 1e3) speedup
-        (if i = n - 1 then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s (%d entries)\n%!" path n
-
-(* {1 Three-way backend benchmarks (BENCH_7)}
-
-   Part 7 — the C-stub backend against both OCaml backends over the same
-   workloads as BENCH_4, plus two checks the C backend introduces:
-
-   - the quick Table II slice rendered with the fused dense kernels must be
-     byte-identical to the decomposed rendering on the same backend (checked
-     mode gates every fused capability off and swaps each kernel for its
-     bounds-checked bigarray twin — bit-identity across that swap is the
-     whole point of the backend contract);
+   - the quick Table II slice on C must render byte-identical with and
+     without checked mode (checked mode only adds length assertions in
+     front of the same stubs, so any difference is a contract break);
    - a batched-serving row (wide pNN, batch 64) measuring the per-batch
-     latency distribution on bigarray vs C, since the fused layer kernel
+     latency distribution on reference vs C, since the fused layer kernel
      targets exactly the serve/train hot path. *)
 
 let with_backend_for_bench be f =
@@ -786,8 +713,8 @@ let bench7_serving_row be =
   Array.sort Float.compare lat;
   (percentile lat 0.50, percentile lat 0.99)
 
-let bench7_fused_byte_equality () =
-  (* quick Table II (iris) on the C backend, fused vs decomposed *)
+let bench7_checked_byte_equality () =
+  (* quick Table II (iris) on the C backend, checked vs unchecked *)
   with_backend_for_bench Tensor.C64 @@ fun () ->
   let sur = Experiments.Setup.surrogate_of_scale scale in
   let data = Datasets.Bench13.load "iris" in
@@ -795,49 +722,45 @@ let bench7_fused_byte_equality () =
     Experiments.Table2.render
       (Experiments.Table2.run ~datasets:[ data ] scale sur)
   in
-  let fused = render () in
-  let decomposed =
+  let unchecked = render () in
+  let checked =
     let prev = Tensor.checked () in
     Tensor.set_checked true;
     Fun.protect ~finally:(fun () -> Tensor.set_checked prev) render
   in
-  if not (String.equal fused decomposed) then
-    failwith "BENCH_7: fused Table II differs from decomposed on backend c";
+  if not (String.equal unchecked checked) then
+    failwith "BENCH_7: checked Table II differs from unchecked on backend c";
   Printf.printf
-    "BENCH_7: quick Table II (iris) byte-equal fused vs decomposed on c\n%!"
+    "BENCH_7: quick Table II (iris) byte-equal checked vs unchecked on c\n%!"
 
-let bench7_benchmarks (ref_rows, ba_rows) =
+let bench7_benchmarks () =
+  let ref_rows = backend_rows Tensor.Reference in
   let c_rows = backend_rows Tensor.C64 in
   let rows =
     List.map2
-      (fun (name, ref_us) ((_, ba_us), (_, c_us)) ->
-        (name, ref_us, ba_us, c_us))
-      ref_rows
-      (List.combine ba_rows c_rows)
+      (fun (name, ref_us) (_, c_us) -> (name, ref_us, c_us))
+      ref_rows c_rows
   in
-  Printf.printf
-    "== backend benchmarks (reference vs bigarray vs c, scale=%s) ==\n"
+  Printf.printf "== backend benchmarks (reference vs c, scale=%s) ==\n"
     scale_name;
   List.iter
-    (fun (name, ref_us, ba_us, c_us) ->
-      Printf.printf
-        "  %-28s %10.2f us  %10.2f us  %10.2f us  (c %5.2fx ref, %5.2fx ba)\n"
-        name ref_us ba_us c_us
-        (ref_us /. Float.max c_us 1e-3)
-        (ba_us /. Float.max c_us 1e-3))
+    (fun (name, ref_us, c_us) ->
+      Printf.printf "  %-28s %10.2f us  %10.2f us  (c %5.2fx ref)\n" name
+        ref_us c_us
+        (ref_us /. Float.max c_us 1e-3))
     rows;
   print_newline ();
-  bench7_fused_byte_equality ();
-  let ba_p50, ba_p99 = bench7_serving_row Tensor.Bigarray64 in
+  bench7_checked_byte_equality ();
+  let ref_p50, ref_p99 = bench7_serving_row Tensor.Reference in
   let c_p50, c_p99 = bench7_serving_row Tensor.C64 in
   Printf.printf
-    "  serve_wide_batch64  bigarray p50 %.1f us p99 %.1f us | c p50 %.1f us \
+    "  serve_wide_batch64  reference p50 %.1f us p99 %.1f us | c p50 %.1f us \
      p99 %.1f us (p99 %.2fx)\n%!"
-    ba_p50 ba_p99 c_p50 c_p99
-    (ba_p99 /. Float.max c_p99 1e-3);
-  (rows, (ba_p50, ba_p99), (c_p50, c_p99))
+    ref_p50 ref_p99 c_p50 c_p99
+    (ref_p99 /. Float.max c_p99 1e-3);
+  (rows, (ref_p50, ref_p99), (c_p50, c_p99))
 
-let write_bench7_json (rows, (ba_p50, ba_p99), (c_p50, c_p99)) =
+let write_bench7_json (rows, (ref_p50, ref_p99), (c_p50, c_p99)) =
   let path =
     match Sys.getenv_opt "REPRO_BENCH7_JSON" with
     | Some p -> p
@@ -848,27 +771,26 @@ let write_bench7_json (rows, (ba_p50, ba_p99), (c_p50, c_p99)) =
   output_string oc "  \"results\": [\n";
   let n = List.length rows in
   List.iteri
-    (fun i (name, ref_us, ba_us, c_us) ->
+    (fun i (name, ref_us, c_us) ->
       Printf.fprintf oc
-        "    { \"name\": %S, \"ref_ns\": %.1f, \"ba_ns\": %.1f, \"c_ns\": \
-         %.1f, \"c_vs_ref\": %.2f, \"c_vs_ba\": %.2f }%s\n"
-        name (ref_us *. 1e3) (ba_us *. 1e3) (c_us *. 1e3)
+        "    { \"name\": %S, \"ref_ns\": %.1f, \"c_ns\": %.1f, \"c_vs_ref\": \
+         %.2f }%s\n"
+        name (ref_us *. 1e3) (c_us *. 1e3)
         (ref_us /. Float.max c_us 1e-3)
-        (ba_us /. Float.max c_us 1e-3)
         (if i = n - 1 then "" else ","))
     rows;
   output_string oc "  ],\n";
-  output_string oc "  \"fused_table2_quick_iris_byte_equal\": true,\n";
+  output_string oc "  \"checked_table2_quick_iris_byte_equal\": true,\n";
   Printf.fprintf oc
     "  \"serving\": [\n\
-    \    { \"name\": \"serve_wide_batch64\", \"backend\": \"bigarray\", \
+    \    { \"name\": \"serve_wide_batch64\", \"backend\": \"reference\", \
      \"p50_us\": %.1f, \"p99_us\": %.1f },\n\
     \    { \"name\": \"serve_wide_batch64\", \"backend\": \"c\", \"p50_us\": \
      %.1f, \"p99_us\": %.1f }\n\
     \  ],\n"
-    ba_p50 ba_p99 c_p50 c_p99;
-  Printf.fprintf oc "  \"serving_p99_speedup_c_vs_bigarray\": %.2f\n}\n"
-    (ba_p99 /. Float.max c_p99 1e-3);
+    ref_p50 ref_p99 c_p50 c_p99;
+  Printf.fprintf oc "  \"serving_p99_speedup_c_vs_reference\": %.2f\n}\n"
+    (ref_p99 /. Float.max c_p99 1e-3);
   close_out oc;
   Printf.printf "wrote %s (%d entries)\n%!" path n
 
@@ -904,14 +826,10 @@ let () =
   let micro = micro_benchmarks () in
   let par = parallel_benchmarks () in
   write_bench_json (micro @ par);
-  let alloc = alloc_benchmarks () in
-  write_bench2_json alloc;
+  write_bench2_json (alloc_benchmarks ());
   (match Sys.getenv_opt "REPRO_SKIP_BACKENDS" with
   | Some "1" -> ()
-  | Some _ | None ->
-      let rows4, pair_rows = backend_benchmarks alloc in
-      write_bench4_json rows4;
-      write_bench7_json (bench7_benchmarks pair_rows));
+  | Some _ | None -> write_bench7_json (bench7_benchmarks ()));
   (match Sys.getenv_opt "REPRO_SKIP_BENCH3" with
   | Some "1" -> ()
   | Some _ | None -> write_bench3_json (cache_benchmarks ()));

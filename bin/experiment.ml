@@ -165,9 +165,8 @@ let backend_arg =
         ~doc:
           (Printf.sprintf
              "tensor kernel backend (%s): $(b,reference) is the bit-identity \
-              oracle, $(b,bigarray) the Bigarray.Float64 fast path, $(b,c) \
-              the vectorized C-stub path; cached results are keyed per \
-              backend"
+              oracle, $(b,c) the vectorized C-stub fast path; cached results \
+              are keyed per backend"
              Tensor.backend_choices))
 
 let datasets_arg =

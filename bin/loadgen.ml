@@ -369,10 +369,8 @@ let time_ns ~runs f =
   done;
   (now () -. t0) /. float_of_int runs *. 1e9
 
-(* The PR 7 satellite: re-measure the elementwise gap after the Kernels_ba
-   unroll (BENCH_4 had tensor_add_128x64 at 0.69x).  [fast] is the fast-path
-   backend under test (bigarray or c), always compared against reference. *)
-let elementwise_row fast =
+(* The elementwise kernel gap between the reference and C backends. *)
+let elementwise_row () =
   let measure backend =
     Tensor.set_backend backend;
     let rng = Rng.create 5 in
@@ -388,8 +386,8 @@ let elementwise_row fast =
     !best
   in
   let ref_ns = measure Tensor.Reference in
-  let fast_ns = measure fast in
-  (ref_ns, fast_ns)
+  let c_ns = measure Tensor.C64 in
+  (ref_ns, c_ns)
 
 let wide_model surrogate =
   Serving.Serve_model.of_network
@@ -405,9 +403,7 @@ type bench_row = {
 
 let bench_config ~surrogate ~backend ~max_batch ~total ~clients ~depth ~mc_every
     ~mc_draws =
-  (match Tensor.backend_of_string backend with
-  | Some b -> Tensor.set_backend b
-  | None -> assert false);
+  Tensor.set_backend backend;
   let model = wide_model surrogate in
   let dir = Filename.temp_file "pnn_bench5" "" in
   Sys.remove dir;
@@ -447,22 +443,13 @@ let json_of_row r =
     r.row_name r.backend r.max_batch r.s.requests r.s.throughput_rps r.s.p50_us
     r.s.p99_us r.s.p999_us r.s.batches (mean_occupancy r.s)
 
-let cmd_bench5 backend total clients depth json_path =
-  (* The fast-path backend compared against reference throughout the rows. *)
-  let fast, fast_name =
-    match Tensor.backend_of_string backend with
-    | Some Tensor.Reference | None ->
-        Printf.eprintf "loadgen: bench5 needs a fast-path backend (use %s)\n%!"
-          Tensor.backend_choices;
-        exit 2
-    | Some b -> (b, Tensor.backend_name b)
-  in
+let cmd_bench5 total clients depth json_path =
   (* Elementwise first, on a quiet compacted heap — the serving runs below
      leave a large major heap behind that would skew a kernel microbench. *)
   Gc.compact ();
-  let ref_ns, fast_ns = elementwise_row fast in
-  Printf.printf "bench5: tensor_add_128x64 ref %.0f ns vs %s %.0f ns (%.2fx)\n%!"
-    ref_ns fast_name fast_ns (ref_ns /. fast_ns);
+  let ref_ns, c_ns = elementwise_row () in
+  Printf.printf "bench5: tensor_add_128x64 ref %.0f ns vs c %.0f ns (%.2fx)\n%!"
+    ref_ns c_ns (ref_ns /. c_ns);
   Printf.printf "bench5: training throwaway surrogate...\n%!";
   let dataset = Surrogate.Pipeline.generate_dataset ~n:250 () in
   let surrogate, _ =
@@ -471,39 +458,38 @@ let cmd_bench5 backend total clients depth json_path =
   in
   let rows = ref [] in
   let add_row row_name backend max_batch ~mc_every ~mc_draws =
-    Printf.printf "bench5: %s (backend %s, max_batch %d)...\n%!" row_name backend
+    let name = Tensor.backend_name backend in
+    Printf.printf "bench5: %s (backend %s, max_batch %d)...\n%!" row_name name
       max_batch;
     let s =
       bench_config ~surrogate ~backend ~max_batch ~total ~clients ~depth
         ~mc_every ~mc_draws
     in
     print_summary (Printf.sprintf "  %s" row_name) s;
-    rows := { row_name; backend; max_batch; s } :: !rows
+    rows := { row_name; backend = name; max_batch; s } :: !rows
   in
-  (* {batch=1, batch=64} x {reference, fast backend}, plus one MC row *)
+  (* {batch=1, batch=64} x {reference, c}, plus one MC row *)
   let named batch = Printf.sprintf "serve_wide_batch%d_%s" batch in
-  add_row (named 1 "reference") "reference" 1 ~mc_every:0 ~mc_draws:0;
-  add_row (named 64 "reference") "reference" 64 ~mc_every:0 ~mc_draws:0;
-  add_row (named 1 fast_name) fast_name 1 ~mc_every:0 ~mc_draws:0;
-  add_row (named 64 fast_name) fast_name 64 ~mc_every:0 ~mc_draws:0;
-  add_row
-    (Printf.sprintf "serve_wide_mc32_%s" fast_name)
-    fast_name 64 ~mc_every:8 ~mc_draws:32;
+  add_row (named 1 "reference") Tensor.Reference 1 ~mc_every:0 ~mc_draws:0;
+  add_row (named 64 "reference") Tensor.Reference 64 ~mc_every:0 ~mc_draws:0;
+  add_row (named 1 "c") Tensor.C64 1 ~mc_every:0 ~mc_draws:0;
+  add_row (named 64 "c") Tensor.C64 64 ~mc_every:0 ~mc_draws:0;
+  add_row "serve_wide_mc32_c" Tensor.C64 64 ~mc_every:8 ~mc_draws:32;
   let rows = List.rev !rows in
   let find name = List.find (fun r -> r.row_name = name) rows in
   let speedup be = (find (named 64 be)).s.throughput_rps /. (find (named 1 be)).s.throughput_rps in
-  Printf.printf "bench5: batching speedup reference %.1fx, %s %.1fx\n%!"
-    (speedup "reference") fast_name (speedup fast_name);
+  Printf.printf "bench5: batching speedup reference %.1fx, c %.1fx\n%!"
+    (speedup "reference") (speedup "c");
   let oc = open_out json_path in
   Printf.fprintf oc "{\n  \"bench\": \"BENCH_5\",\n  \"results\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map json_of_row rows));
   Printf.fprintf oc
-    "  \"batching_speedup\": { \"reference\": %.2f, %S: %.2f },\n"
-    (speedup "reference") fast_name (speedup fast_name);
+    "  \"batching_speedup\": { \"reference\": %.2f, \"c\": %.2f },\n"
+    (speedup "reference") (speedup "c");
   Printf.fprintf oc
     "  \"elementwise\": { \"name\": \"tensor_add_128x64\", \"ref_ns\": %.1f, \
-     \"fast_backend\": %S, \"fast_ns\": %.1f, \"speedup\": %.2f }\n}\n"
-    ref_ns fast_name fast_ns (ref_ns /. fast_ns);
+     \"c_ns\": %.1f, \"speedup\": %.2f }\n}\n"
+    ref_ns c_ns (ref_ns /. c_ns);
   close_out oc;
   Printf.printf "bench5: wrote %s\n%!" json_path
 
@@ -565,23 +551,14 @@ let run_cmd =
       const cmd_run $ socket_arg $ total_arg $ clients_arg $ depth_arg
       $ rate_arg $ mc_every_arg $ mc_draws_arg $ seed_arg)
 
-let backend_arg =
-  Arg.(
-    value & opt string "bigarray"
-    & info [ "backend" ]
-        ~doc:
-          (Printf.sprintf
-             "fast-path tensor backend compared against reference (%s)"
-             Tensor.backend_choices))
-
 let bench5_cmd =
   Cmd.v
     (Cmd.info "bench5"
        ~doc:
          "measure serving throughput/latency across {batch 1, batch 64} x \
-          {reference, fast backend} and write BENCH_5.json")
+          {reference, c} and write BENCH_5.json")
     Term.(
-      const cmd_bench5 $ backend_arg $ total_arg $ bench_clients_arg
+      const cmd_bench5 $ total_arg $ bench_clients_arg
       $ bench_depth_arg $ json_arg)
 
 let main =

@@ -3,7 +3,7 @@
    Examples:
      dune exec bin/serve.exe -- run --model net.pnn --socket /tmp/pnn.sock
      dune exec bin/serve.exe -- run --model net.pnn --socket /tmp/pnn.sock \
-       --backend bigarray --max-batch 64 --linger-us 1000
+       --backend c --max-batch 64 --linger-us 1000
      dune exec bin/serve.exe -- smoke
 *)
 

@@ -134,7 +134,10 @@ val slice_rows : t -> int -> int -> t
 (** {1 Straight-through estimators} *)
 
 val clamp_ste : lo:float -> hi:float -> t -> t
-(** Forward clamps to [\[lo, hi]]; backward passes gradients unchanged. *)
+(** Forward clamps to [\[lo, hi]]; backward passes gradients unchanged.
+    NaN entries pass through the forward unchanged (the comparison chain
+    [if x < lo then lo else if x > hi then hi else x] is false both ways),
+    so a fault is never masked as a bound. *)
 
 val map_ste : (float -> float) -> t -> t
 (** Forward applies an arbitrary elementwise projection; backward identity.

@@ -3,7 +3,7 @@ let format_version = 2
 let schema_tag = Printf.sprintf "%s-%d" magic format_version
 
 (* The active kernel backend is part of the effective numeric schema: the
-   bigarray backend may differ from the reference in the last ulp of matmul
+   C backend may differ from the reference in the last ulp of matmul
    accumulations, so cached experiment results must never cross backends.
    Read at call time (not bound at init) so [Tensor.set_backend] in tests is
    honored. *)

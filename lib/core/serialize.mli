@@ -17,7 +17,7 @@ val schema_tag : string
 
 val cache_schema : unit -> string
 (** {!schema_tag} plus the active kernel backend's tag (e.g.
-    ["pnn-save-2+ref"], ["pnn-save-2+ba64"]) — the schema string experiment
+    ["pnn-save-2+ref"], ["pnn-save-2+c64"]) — the schema string experiment
     cache keys must use, so results computed on one backend are never served
     to a run on another (backends may differ in the last ulp of matmul
     accumulation).  Evaluated at call time: it follows

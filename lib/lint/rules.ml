@@ -51,14 +51,14 @@ let all_rules =
       title = "unsafe accesses carry a SAFETY justification";
       detail =
         "Array.unsafe_get/unsafe_set, Bytes/String.unsafe_* and \
-         Bigarray.Array1.unsafe_get/unsafe_set (including the monomorphic \
-         Array1 shadow in the bigarray kernel backend) skip bounds checks; \
+         Bigarray.Array1.unsafe_get/unsafe_set skip bounds checks; \
          each site must have a (* SAFETY: ... *) comment within 3 lines \
          stating why every index is in range.  The same applies to every \
          external C-stub declaration in lib/tensor (non-% primitives): the \
          stub crosses the FFI with raw buffers, so the declaration must \
          document its bounds/ABI contract.  PNN_CHECKED=1 additionally \
-         swaps lib/tensor kernels to bounds-checked loops.";
+         runs the reference kernels' bounds-checked loops and asserts \
+         buffer lengths before every C stub.";
     };
     {
       id = "R5";
@@ -77,11 +77,11 @@ let all_rules =
       id = "R6";
       title = "no backend-internal storage access outside lib/tensor";
       detail =
-        "Kernels_ref, Kernels_ba, Kernels_c and Tensor_backend are the \
-         tensor library's internal kernel layer (the tensor library is \
-         unwrapped, so they are globally visible); touching them from \
-         outside lib/tensor bypasses the dispatch layer, breaking backend \
-         selection, mixed-storage fallback and checked-mode swapping.  Go \
+        "Kernels_ref, Kernels_c and Tensor_backend are the tensor \
+         library's internal kernel layer (the tensor library is unwrapped, \
+         so they are globally visible); touching them from outside \
+         lib/tensor bypasses the dispatch layer, breaking backend \
+         selection, mixed-storage fallback and shape validation.  Go \
          through the Tensor API; tooling that genuinely needs raw buffers \
          suppresses with a reason.";
     };
@@ -168,7 +168,7 @@ let check_ident ctx lid line =
       f "R5"
         "polymorphic compare; use Int.compare / Float.compare / \
          String.compare or a typed comparator"
-  | ("Kernels_ref" | "Kernels_ba" | "Kernels_c" | "Tensor_backend") :: _
+  | ("Kernels_ref" | "Kernels_c" | "Tensor_backend") :: _
     when Deps.find_substring ctx.file.Source.path "lib/tensor" = None ->
       f "R6"
         (String.concat "." p

@@ -1,50 +1,88 @@
-(* C-stub kernel backend: flat Bigarray.Float64 storage (the same [buf] as
-   {!Kernels_ba}) with the hot kernels implemented as vectorized C foreign
-   stubs in pnn_kernels_stubs.c.
+(* C-stub kernel backend: flat Bigarray.Float64 storage with the kernels
+   implemented as vectorized C foreign stubs in pnn_kernels_stubs.c — the
+   fast path next to the reference oracle.
 
    Numeric contract (see Tensor_backend.KERNELS): the C per-element kernels
    perform the reference backend's floating-point operations in the
    reference order and are bit-identical to it — the stubs are compiled
    with -O2 -fno-fast-math -ffp-contract=off so the C compiler may not
    re-associate or contract into FMA, and tanh/exp/log resolve to the same
-   libm the OCaml runtime links.  Only [matmul]/[matmul_nt] re-associate,
-   deterministically, replicating {!Kernels_ba}'s register-blocked
-   association exactly; the backend still carries its own cache tag (+c64)
-   so cached results never cross backends.
+   libm the OCaml runtime links.  Only [matmul]/[matmul_nt] (and the fused
+   dense forward built on the matmul core) re-associate, deterministically:
+   8-wide output tiles accumulated in pure k order for [matmul], a 4-lane
+   split combined as (s0 + s1) + (s2 + s3) for [matmul_nt].  That
+   association is pinned by output digests in test/test_backend.ml and the
+   backend carries its own cache tag (+c64), so cached results never cross
+   backends and warm +c64 caches stay valid.
 
-   Checked (sanitizer) mode: C stubs cannot bounds-check OCaml-side, so
-   under PNN_CHECKED=1 every kernel delegates to {!Kernels_ba}'s
-   bounds-checked loop body — legal because the storage type is shared and
-   Kernels_ba's checked bodies perform the same float ops in the same
-   order as the stubs (for the matmul family, because the stubs replicate
-   Kernels_ba's association).  Results are bit-identical across modes by
-   construction.
+   Checked (sanitizer) mode: the stubs cannot bounds-check, so under
+   PNN_CHECKED=1 each wrapper first asserts that every buffer holds the
+   elements the stub will touch ([need]), raising [Invalid_argument] before
+   the stub runs.  Both modes then call the same stub, so results are
+   bit-identical across modes by construction.
 
-   Closure-carrying kernels ([map]/[map2]) and the cold edge kernels with
-   delicate NaN/-0.0 select semantics ([min_value]/[max_value]/
-   [argmax_rows], colvec broadcasts) delegate to Kernels_ba's OCaml loops
-   unconditionally: closures cannot cross the FFI, and the edge kernels are
-   not worth a C twin that would have to reproduce IEEE select quirks. *)
+   Closures cannot cross the FFI, so [map] is an OCaml loop; so are the cold
+   edge kernels with delicate NaN/-0.0 select semantics ([min_value]/
+   [max_value]/[argmax_rows]), which are not worth a C twin that would have
+   to reproduce IEEE select quirks.  These loops use bounds-checked access
+   in both modes. *)
 
 open Bigarray
 module TB = Tensor_backend
-module Kb = Kernels_ba
 
 type buf = (float, float64_elt, c_layout) Array1.t
 
-let impl = TB.C64
+(* Monomorphic accessors: the polymorphic [Bigarray.Array1.get] family only
+   compiles to the inline load/store when the element kind and layout are
+   statically known AT THE USE SITE.  The loops below are inferred
+   polymorphic before the signature constraint lands, which would silently
+   send every access through the generic C path (~12x slower).  Shadowing
+   with [buf]-typed externals pins the types where it matters. *)
+module Array1 = struct
+  include Bigarray.Array1
 
-(* storage: identical to the bigarray backend (same [buf]) *)
+  external get : buf -> int -> float = "%caml_ba_ref_1"
+  external set : buf -> int -> float -> unit = "%caml_ba_set_1"
+end
 
-let create = Kb.create
-let length = Kb.length
-let get = Kb.get
-let set = Kb.set
-let fill = Kb.fill
-let blit = Kb.blit
-let of_float_array = Kb.of_float_array
-let to_float_array = Kb.to_float_array
-let load = Kb.load
+(* {2 Storage} *)
+
+let create n =
+  let b = Array1.create float64 c_layout n in
+  Array1.fill b 0.0;
+  b
+
+let length = Array1.dim
+let get = Array1.get
+let set = Array1.set
+
+(* Explicit loops: [Array1.sub] allocates a view struct per call, which is
+   real garbage on the zero-fill/blit hot paths (gradient zeroing, scratch
+   reuse). *)
+let fill b ~pos ~len v =
+  for i = pos to pos + len - 1 do
+    Array1.set b i v
+  done
+
+let blit src src_pos dst dst_pos len =
+  for i = 0 to len - 1 do
+    Array1.set dst (dst_pos + i) (Array1.get src (src_pos + i))
+  done
+
+let of_float_array a = Array1.of_array float64 c_layout a
+
+let to_float_array b =
+  let n = Array1.dim b in
+  let a = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    a.(i) <- Array1.get b i
+  done;
+  a
+
+let load b a =
+  for i = 0 to Array.length a - 1 do
+    Array1.set b i a.(i)
+  done
 
 (* {2 Foreign stubs}
 
@@ -53,8 +91,8 @@ let load = Kb.load
    allocation ([@@noalloc]); each stub has a _byte twin for the bytecode
    calling convention.  Bounds are never checked C-side: every wrapper
    below is called from the Tensor dispatch layer, which validates shapes
-   before dispatch (PNN_CHECKED=1 additionally reroutes every call to
-   Kernels_ba's bounds-checked bodies before the stub is reached). *)
+   before dispatch (PNN_CHECKED=1 additionally asserts every buffer length
+   in the wrapper before the stub is reached). *)
 
 (* SAFETY: dispatch guarantees a, b and dst all have >= n elements; the stub
    touches indices 0..n-1 only, and dst may alias an input (same-index
@@ -92,16 +130,6 @@ external c_scale : (float[@unboxed]) -> buf -> buf -> (int[@untagged]) -> unit
 external c_add_scalar :
   (float[@unboxed]) -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_add_scalar_byte" "pnn_c_add_scalar"
-[@@noalloc]
-
-(* SAFETY: a and dst have >= n elements; indices 0..n-1 only; aliasing ok. *)
-external c_clamp :
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  buf ->
-  buf ->
-  (int[@untagged]) ->
-  unit = "pnn_c_clamp_byte" "pnn_c_clamp"
 [@@noalloc]
 
 (* SAFETY: m and dst have >= rows*cols elements, v has >= cols; row strides
@@ -160,12 +188,6 @@ external c_sum : buf -> (int[@untagged]) -> (float[@unboxed])
 external c_sum_rows :
   buf -> buf -> (int[@untagged]) -> (int[@untagged]) -> unit
   = "pnn_c_sum_rows_byte" "pnn_c_sum_rows"
-[@@noalloc]
-
-(* SAFETY: src is rows*cols, dst has >= rows; dst must not alias src. *)
-external c_sum_cols :
-  buf -> buf -> (int[@untagged]) -> (int[@untagged]) -> unit
-  = "pnn_c_sum_cols_byte" "pnn_c_sum_cols"
 [@@noalloc]
 
 (* SAFETY: src and dst have >= n elements; op is a valid unop code (0..6,
@@ -251,66 +273,138 @@ external c_adam_step_many :
   unit = "pnn_c_adam_step_many_byte" "pnn_c_adam_step_many"
 [@@noalloc]
 
+(* {2 Checked mode} *)
+
+(* [need n b]: under PNN_CHECKED=1, [b] must hold at least [n] elements —
+   one O(1) assertion per buffer, made before the stub touches anything. *)
+let need n b =
+  if Atomic.get TB.checked && Array1.dim b < n then
+    invalid_arg
+      (Printf.sprintf "Kernels_c: buffer of %d elements, kernel needs %d"
+         (Array1.dim b) n)
+
 (* {2 Kernel catalogue} *)
 
-let add a b dst n = if Atomic.get TB.checked then Kb.add a b dst n else c_add a b dst n
-let sub a b dst n = if Atomic.get TB.checked then Kb.sub a b dst n else c_sub a b dst n
-let mul a b dst n = if Atomic.get TB.checked then Kb.mul a b dst n else c_mul a b dst n
-let div a b dst n = if Atomic.get TB.checked then Kb.div a b dst n else c_div a b dst n
-let neg a dst n = if Atomic.get TB.checked then Kb.neg a dst n else c_neg a dst n
+let add a b dst n =
+  need n a;
+  need n b;
+  need n dst;
+  c_add a b dst n
+
+let sub a b dst n =
+  need n a;
+  need n b;
+  need n dst;
+  c_sub a b dst n
+
+let mul a b dst n =
+  need n a;
+  need n b;
+  need n dst;
+  c_mul a b dst n
+
+let div a b dst n =
+  need n a;
+  need n b;
+  need n dst;
+  c_div a b dst n
+
+let neg a dst n =
+  need n a;
+  need n dst;
+  c_neg a dst n
 
 let scale k a dst n =
-  if Atomic.get TB.checked then Kb.scale k a dst n else c_scale k a dst n
+  need n a;
+  need n dst;
+  c_scale k a dst n
 
 let add_scalar k a dst n =
-  if Atomic.get TB.checked then Kb.add_scalar k a dst n else c_add_scalar k a dst n
+  need n a;
+  need n dst;
+  c_add_scalar k a dst n
 
-let clamp ~lo ~hi a dst n =
-  if Atomic.get TB.checked then Kb.clamp ~lo ~hi a dst n else c_clamp lo hi a dst n
-
-(* Closures cannot cross the FFI: map/map2 stay on the OCaml loops. *)
-let map = Kb.map
-let map2 = Kb.map2
+let map f a dst n =
+  for i = 0 to n - 1 do
+    Array1.set dst i (f (Array1.get a i))
+  done
 
 let add_rowvec m v dst rows cols =
-  if Atomic.get TB.checked then Kb.add_rowvec m v dst rows cols
-  else c_add_rowvec m v dst rows cols
+  need (rows * cols) m;
+  need cols v;
+  need (rows * cols) dst;
+  c_add_rowvec m v dst rows cols
 
 let mul_rowvec m v dst rows cols =
-  if Atomic.get TB.checked then Kb.mul_rowvec m v dst rows cols
-  else c_mul_rowvec m v dst rows cols
-
-(* Cold column broadcasts: not on any hot path, OCaml loops are fine. *)
-let add_colvec = Kb.add_colvec
-let mul_colvec = Kb.mul_colvec
-let div_colvec = Kb.div_colvec
+  need (rows * cols) m;
+  need cols v;
+  need (rows * cols) dst;
+  c_mul_rowvec m v dst rows cols
 
 let matmul a b c m k n =
-  if Atomic.get TB.checked then Kb.matmul a b c m k n else c_matmul a b c m k n
+  need (m * k) a;
+  need (k * n) b;
+  need (m * n) c;
+  c_matmul a b c m k n
 
 let matmul_nt a b c m k n =
-  if Atomic.get TB.checked then Kb.matmul_nt a b c m k n else c_matmul_nt a b c m k n
+  need (m * k) a;
+  need (n * k) b;
+  need (m * n) c;
+  c_matmul_nt a b c m k n
 
 let transpose src dst rows cols =
-  if Atomic.get TB.checked then Kb.transpose src dst rows cols
-  else c_transpose src dst rows cols
+  need (rows * cols) src;
+  need (rows * cols) dst;
+  c_transpose src dst rows cols
 
-let dot a b n = if Atomic.get TB.checked then Kb.dot a b n else c_dot a b n
-let sum a n = if Atomic.get TB.checked then Kb.sum a n else c_sum a n
+let dot a b n =
+  need n a;
+  need n b;
+  c_dot a b n
 
-(* IEEE-select edge kernels (NaN keeps the second operand / first-max wins):
-   delegate to the OCaml loops rather than duplicating the quirks in C. *)
-let min_value = Kb.min_value
-let max_value = Kb.max_value
-let argmax_rows = Kb.argmax_rows
+let sum a n =
+  need n a;
+  c_sum a n
+
+(* Monomorphic spellings of the reference backend's
+   [Array.fold_left Stdlib.min/max data.(0) data]: polymorphic min/max on
+   floats are the IEEE selects [if acc <= x then acc else x] (resp. [>=]),
+   where an unordered compare keeps [x] — so a NaN accumulator is displaced
+   by the next element and a NaN element never displaces the accumulator.
+   The i = 0 start replays the fold's seed element, matching the fold
+   bit-for-bit (including all-NaN and -0.0/0.0 inputs). *)
+let min_value b n =
+  let acc = ref (Array1.get b 0) in
+  for i = 0 to n - 1 do
+    let x = Array1.get b i in
+    acc := if !acc <= x then !acc else x
+  done;
+  !acc
+
+let max_value b n =
+  let acc = ref (Array1.get b 0) in
+  for i = 0 to n - 1 do
+    let x = Array1.get b i in
+    acc := if !acc >= x then !acc else x
+  done;
+  !acc
 
 let sum_rows src dst rows cols =
-  if Atomic.get TB.checked then Kb.sum_rows src dst rows cols
-  else c_sum_rows src dst rows cols
+  need (rows * cols) src;
+  need cols dst;
+  c_sum_rows src dst rows cols
 
-let sum_cols src dst rows cols =
-  if Atomic.get TB.checked then Kb.sum_cols src dst rows cols
-  else c_sum_cols src dst rows cols
+(* Strict [>] as in the reference: first maximum wins; NaN never displaces
+   the incumbent (and a NaN in column 0 is never displaced). *)
+let argmax_rows b rows cols =
+  Array.init rows (fun r ->
+      let base = r * cols in
+      let best = ref 0 in
+      for c = 1 to cols - 1 do
+        if Array1.get b (base + c) > Array1.get b (base + !best) then best := c
+      done;
+      !best)
 
 (* Codes match enum pnn_unop in pnn_kernels_stubs.c (declaration order). *)
 let unop_code = function
@@ -323,42 +417,57 @@ let unop_code = function
   | TB.Abs -> 6
 
 let unary op src dst n =
-  if Atomic.get TB.checked then Kb.unary op src dst n
-  else c_unary (unop_code op) src dst n
+  need n src;
+  need n dst;
+  c_unary (unop_code op) src dst n
 
 let unary_bwd op ~x ~y ~g ~s n =
-  if Atomic.get TB.checked then Kb.unary_bwd op ~x ~y ~g ~s n
-  else c_unary_bwd (unop_code op) x y g s n
+  need n x;
+  need n y;
+  need n g;
+  need n s;
+  c_unary_bwd (unop_code op) x y g s n
 
 let softmax_rows src out rows cols =
-  if Atomic.get TB.checked then Kb.softmax_rows src out rows cols
-  else c_softmax_rows src out rows cols
+  need (rows * cols) src;
+  need (rows * cols) out;
+  c_softmax_rows src out rows cols
 
 let ce_loss_sum p y n =
-  if Atomic.get TB.checked then Kb.ce_loss_sum p y n else c_ce_loss_sum p y n
+  need n p;
+  need n y;
+  c_ce_loss_sum p y n
 
 let sgd_step ~lr ~grad ~value n =
-  if Atomic.get TB.checked then Kb.sgd_step ~lr ~grad ~value n
-  else c_sgd_step lr grad value n
+  need n grad;
+  need n value;
+  c_sgd_step lr grad value n
 
+(* The moments are plain float arrays whose lengths the dispatch layer
+   checks in every mode. *)
 let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad ~value n =
-  if Atomic.get TB.checked then
-    Kb.adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad ~value n
-  else c_adam_step lr beta1 beta2 eps bc1 bc2 m v grad value n
+  need n grad;
+  need n value;
+  c_adam_step lr beta1 beta2 eps bc1 bc2 m v grad value n
 
-(* {2 Fused capabilities}
+(* {2 Fused kernels}
 
-   Advertised unconditionally; the dispatch layer only takes the fused
-   route outside checked mode (under PNN_CHECKED=1 it decomposes so every
-   constituent runs its bounds-checked body). *)
+   Bit-identical to the decomposed kernel sequences they replace
+   ([matmul] into [pre], [add_rowvec], [unary]; per-leaf [adam_step]). *)
 
-let matmul_bias_unop =
-  Some
-    (fun op ~x ~w ~b ~pre ~out m k n ->
-      let code = match op with None -> -1 | Some u -> unop_code u in
-      c_matmul_bias_unop code x w b pre out m k n)
+let matmul_bias_unop op ~x ~w ~b ~pre ~out m k n =
+  need (m * k) x;
+  need (k * n) w;
+  need n b;
+  need (m * n) pre;
+  need (m * n) out;
+  let code = match op with None -> -1 | Some u -> unop_code u in
+  c_matmul_bias_unop code x w b pre out m k n
 
-let adam_step_many =
-  Some
-    (fun ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 items ->
-      c_adam_step_many lr beta1 beta2 eps bc1 bc2 items)
+let adam_step_many ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 items =
+  Array.iter
+    (fun (value, grad, _, _, numel) ->
+      need numel value;
+      need numel grad)
+    items;
+  c_adam_step_many lr beta1 beta2 eps bc1 bc2 items

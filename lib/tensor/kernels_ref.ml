@@ -4,8 +4,8 @@
    the pre-backend tensor/autodiff/optimizer modules — same floating-point
    operations in the same order, so every golden trajectory, checkpoint and
    determinism test pinned against the old code stays bit-identical.  Do not
-   "optimize" these loops: the Bigarray64 backend is the fast path; this one
-   is the semantics.
+   "optimize" these loops: the C backend (Kernels_c) is the fast path; this
+   one is the semantics.
 
    Checked (sanitizer) mode: each hot kernel carries two loop bodies
    performing identical floating-point operations in identical order; the
@@ -17,7 +17,6 @@ module TB = Tensor_backend
 
 type buf = float array
 
-let impl = TB.Reference
 let checked () = Atomic.get TB.checked
 let create n = Array.make n 0.0
 let length = Array.length
@@ -115,23 +114,6 @@ let add_scalar k a dst n =
       Array.unsafe_set dst i (k +. Array.unsafe_get a i)
     done
 
-(* NaN passes through: both [x < lo] and [x > hi] are false for an unordered
-   compare, so the final [else x] branch returns NaN unchanged.  This is the
-   documented contract (Tensor.clamp) and both backends implement it. *)
-let clamp ~lo ~hi a dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      let x = a.(i) in
-      dst.(i) <- (if x < lo then lo else if x > hi then hi else x)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      let x = Array.unsafe_get a i in
-      Array.unsafe_set dst i (if x < lo then lo else if x > hi then hi else x)
-    done
-
 let map f a dst n =
   if checked () then
     for i = 0 to n - 1 do
@@ -142,18 +124,6 @@ let map f a dst n =
        array length *)
     for i = 0 to n - 1 do
       Array.unsafe_set dst i (f (Array.unsafe_get a i))
-    done
-
-let map2 f a b dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- f a.(i) b.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (f (Array.unsafe_get a i) (Array.unsafe_get b i))
     done
 
 (* {1 Broadcasts} *)
@@ -195,33 +165,6 @@ let mul_rowvec md vd dst rows cols =
           (Array.unsafe_get md (base + c) *. Array.unsafe_get vd c)
       done
     done
-
-let add_colvec md vd dst rows cols =
-  for r = 0 to rows - 1 do
-    let base = r * cols in
-    let x = vd.(r) in
-    for c = 0 to cols - 1 do
-      dst.(base + c) <- md.(base + c) +. x
-    done
-  done
-
-let mul_colvec md vd dst rows cols =
-  for r = 0 to rows - 1 do
-    let base = r * cols in
-    let x = vd.(r) in
-    for c = 0 to cols - 1 do
-      dst.(base + c) <- md.(base + c) *. x
-    done
-  done
-
-let div_colvec md vd dst rows cols =
-  for r = 0 to rows - 1 do
-    let base = r * cols in
-    let x = vd.(r) in
-    for c = 0 to cols - 1 do
-      dst.(base + c) <- md.(base + c) /. x
-    done
-  done
 
 (* {1 Linear algebra} *)
 
@@ -379,8 +322,8 @@ let sum a n =
 
 (* Polymorphic [Stdlib.min]/[max] specialize to IEEE [<=]/[>=] selects on
    floats: an unordered (NaN) compare keeps the right operand, and -0.0/0.0
-   compare equal so the left one wins.  The Bigarray64 twins spell out the
-   same selects monomorphically — the fold here is the defining order. *)
+   compare equal so the left one wins.  Kernels_c spells out the same
+   selects monomorphically — the fold here is the defining order. *)
 let min_value a _n = Array.fold_left Stdlib.min a.(0) a
 let max_value a _n = Array.fold_left Stdlib.max a.(0) a
 
@@ -402,28 +345,6 @@ let sum_rows src dst rows cols =
         Array.unsafe_set dst c
           (Array.unsafe_get dst c +. Array.unsafe_get src (base + c))
       done
-    done
-
-let sum_cols src dst rows cols =
-  if checked () then
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      let acc = ref 0.0 in
-      for c = 0 to cols - 1 do
-        acc := !acc +. src.(base + c)
-      done;
-      dst.(r) <- !acc
-    done
-  else
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      let acc = ref 0.0 in
-      (* SAFETY: base + c < rows * cols = length src *)
-      for c = 0 to cols - 1 do
-        acc := !acc +. Array.unsafe_get src (base + c)
-      done;
-      (* SAFETY: r < rows = length dst *)
-      Array.unsafe_set dst r !acc
     done
 
 (* Strict [>]: the first maximum wins, and a NaN entry never displaces the
@@ -688,8 +609,3 @@ let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad ~value n =
     let vhat = v.(i) /. bc2 in
     value.(i) <- value.(i) -. (lr *. mhat /. (Stdlib.sqrt vhat +. eps))
   done
-
-(* The reference backend never fuses: the decomposed kernel sequence IS the
-   bit-identity oracle the fused capabilities are specified against. *)
-let matmul_bias_unop = None
-let adam_step_many = None

@@ -16,11 +16,11 @@
  * operations, in the exact order, of the reference backend
  * (lib/tensor/kernels_ref.ml) and are bit-identical to it; libm calls
  * (tanh/exp/log) resolve to the same libm the OCaml runtime links.  Only
- * the matmul family re-associates — deterministically, replicating
- * Kernels_ba's register-blocked association exactly (pure-k-order 8-wide
+ * the matmul family re-associates — deterministically: pure-k-order 8-wide
  * output tiles for matmul, a 4-lane split combined as (s0+s1)+(s2+s3) for
- * matmul_nt), so C results match the bigarray backend bit-for-bit while
- * still carrying their own cache tag (+c64).
+ * matmul_nt.  That association defines the backend's results (pinned by
+ * output digests in test/test_backend.ml, which keeps warm +c64 caches
+ * valid) and must not change.
  *
  * Vectorization is portable: GCC/Clang generic vector extensions (lowered
  * to scalar code on targets without SIMD) behind __GNUC__, with a scalar
@@ -114,24 +114,6 @@ CAMLprim value pnn_c_add_scalar_byte(value vk, value va, value vdst, value vn)
   return pnn_c_add_scalar(Double_val(vk), va, vdst, Long_val(vn));
 }
 
-/* NaN passes through: both unordered compares are false, so the trailing
- * branch returns x unchanged — the documented clamp contract. */
-CAMLprim value pnn_c_clamp(double lo, double hi, value va, value vdst, intnat n)
-{
-  const double *a = BA(va);
-  double *dst = BA(vdst);
-  for (intnat i = 0; i < n; i++) {
-    double x = a[i];
-    dst[i] = x < lo ? lo : (x > hi ? hi : x);
-  }
-  return Val_unit;
-}
-CAMLprim value pnn_c_clamp_byte(value vlo, value vhi, value va, value vdst,
-                                value vn)
-{
-  return pnn_c_clamp(Double_val(vlo), Double_val(vhi), va, vdst, Long_val(vn));
-}
-
 /* ------------------------------------------------- */
 /* Broadcasts (dst may alias the matrix operand md).  */
 /* ------------------------------------------------- */
@@ -175,13 +157,13 @@ CAMLprim value pnn_c_mul_rowvec_byte(value vm, value vv, value vdst,
 }
 
 /* ----------------------------------------------------------------- */
-/* Matmul family: the only kernels allowed to re-associate.  Both    */
-/* replicate Kernels_ba's association exactly (see file header).     */
+/* Matmul family: the only kernels allowed to re-associate.  Their  */
+/* association is pinned (see file header).                          */
 /* ----------------------------------------------------------------- */
 
 /* 8-wide output tile, each lane accumulated in pure k order — the same
- * association as Kernels_ba's 8-accumulator register blocking (and as the
- * reference backend minus its exact-zero skip).  c is overwritten. */
+ * association as an 8-accumulator register blocking (and as the reference
+ * backend minus its exact-zero skip).  c is overwritten. */
 static void matmul_core(const double *ad, const double *bd, double *cd,
                         intnat m, intnat k, intnat n)
 {
@@ -254,8 +236,7 @@ CAMLprim value pnn_c_matmul_byte(value *argv, int argn)
 }
 
 /* A · Bᵀ: 4-lane split over the shared dimension combined as
- * (s0 + s1) + (s2 + s3) with the tail folded in after — exactly
- * Kernels_ba's matmul_nt association. */
+ * (s0 + s1) + (s2 + s3) with the tail folded in after. */
 CAMLprim value pnn_c_matmul_nt(value va, value vb, value vc, intnat m,
                                intnat k, intnat n)
 {
@@ -373,24 +354,6 @@ CAMLprim value pnn_c_sum_rows_byte(value vsrc, value vdst, value vrows,
                                    value vcols)
 {
   return pnn_c_sum_rows(vsrc, vdst, Long_val(vrows), Long_val(vcols));
-}
-
-CAMLprim value pnn_c_sum_cols(value vsrc, value vdst, intnat rows, intnat cols)
-{
-  const double *src = BA(vsrc);
-  double *dst = BA(vdst);
-  for (intnat r = 0; r < rows; r++) {
-    const double *srow = src + r * cols;
-    double acc = 0.0;
-    for (intnat c = 0; c < cols; c++) acc = acc + srow[c];
-    dst[r] = acc;
-  }
-  return Val_unit;
-}
-CAMLprim value pnn_c_sum_cols_byte(value vsrc, value vdst, value vrows,
-                                   value vcols)
-{
-  return pnn_c_sum_cols(vsrc, vdst, Long_val(vrows), Long_val(vcols));
 }
 
 /* --------------------------------------------------------------- */

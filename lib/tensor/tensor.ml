@@ -18,19 +18,14 @@
 
 module TB = Tensor_backend
 module Kr = Kernels_ref
-module Kb = Kernels_ba
 module Kc = Kernels_c
 
-(* B1 and C share the flat Float64 bigarray buffer type; the distinct
-   constructors keep dispatch storage-driven (a C tensor runs C kernels, a
-   bigarray tensor runs the OCaml loops, and B1-meets-C is mixed storage
-   like any other pair). *)
-type storage = F of Kr.buf | B1 of Kb.buf | C of Kc.buf
+type storage = F of Kr.buf | C of Kc.buf
 type t = { rows : int; cols : int; store : storage }
 
 (* {1 Backends} *)
 
-type backend = TB.id = Reference | Bigarray64 | C64
+type backend = TB.id = Reference | C64
 
 let backend () = (Atomic.get TB.current)
 let set_backend b = Atomic.set TB.current b
@@ -40,10 +35,7 @@ let backends = TB.all
 let backend_choices = TB.names_string
 let backend_tag () = TB.tag (Atomic.get TB.current)
 
-let storage_backend = function
-  | F _ -> Reference
-  | B1 _ -> Bigarray64
-  | C _ -> C64
+let storage_backend = function F _ -> Reference | C _ -> C64
 
 let backend_of t = storage_backend t.store
 
@@ -55,53 +47,45 @@ let checked () = (Atomic.get TB.checked)
 let alloc_for b n =
   match b with
   | Reference -> F (Kr.create n)
-  | Bigarray64 -> B1 (Kb.create n)
   | C64 -> C (Kc.create n)
 
 let alloc_active n = alloc_for (Atomic.get TB.current) n
 let alloc_like t n = alloc_for (storage_backend t.store) n
 
-(* B1 and C buffers are the same bigarray type, so the scalar storage
-   helpers share the Kb accessors via or-patterns. *)
-let sget s i = match s with F a -> Kr.get a i | B1 b | C b -> Kb.get b i
-let sset s i v = match s with F a -> Kr.set a i v | B1 b | C b -> Kb.set b i v
+let sget s i = match s with F a -> Kr.get a i | C b -> Kc.get b i
+let sset s i v = match s with F a -> Kr.set a i v | C b -> Kc.set b i v
 
 let sfill s pos len v =
   match s with
   | F a -> Kr.fill a ~pos ~len v
-  | B1 b | C b -> Kb.fill b ~pos ~len v
+  | C b -> Kc.fill b ~pos ~len v
 
 (* exact element copy between any two storages *)
 let sblit src src_pos dst dst_pos len =
   match (src, dst) with
   | F s, F d -> Kr.blit s src_pos d dst_pos len
-  | (B1 s | C s), (B1 d | C d) -> Kb.blit s src_pos d dst_pos len
-  | F s, (B1 d | C d) ->
+  | C s, C d -> Kc.blit s src_pos d dst_pos len
+  | F s, C d ->
       for i = 0 to len - 1 do
-        Kb.set d (dst_pos + i) (Kr.get s (src_pos + i))
+        Kc.set d (dst_pos + i) (Kr.get s (src_pos + i))
       done
-  | (B1 s | C s), F d ->
+  | C s, F d ->
       for i = 0 to len - 1 do
-        Kr.set d (dst_pos + i) (Kb.get s (src_pos + i))
+        Kr.set d (dst_pos + i) (Kc.get s (src_pos + i))
       done
 
 (* Read-only view for the mixed-storage fallback: the F case returns the
    LIVE array (no copy) — callers must not write through it. *)
-let snapshot = function F a -> a | B1 b | C b -> Kb.to_float_array b
-
-let load_into s arr =
-  match s with F d -> Kr.load d arr | B1 b | C b -> Kb.load b arr
-
-let dup_ba b =
-  let n = Kb.length b in
-  let d = Kb.create n in
-  Kb.blit b 0 d 0 n;
-  d
+let snapshot = function F a -> a | C b -> Kc.to_float_array b
+let load_into s arr = match s with F d -> Kr.load d arr | C b -> Kc.load b arr
 
 let dup_store = function
   | F a -> F (Kr.of_float_array a)
-  | B1 b -> B1 (dup_ba b)
-  | C b -> C (dup_ba b)
+  | C b ->
+      let n = Kc.length b in
+      let d = Kc.create n in
+      Kc.blit b 0 d 0 n;
+      C d
 
 (* {1 Shape plumbing} *)
 
@@ -136,7 +120,6 @@ let create rows cols data =
   let store =
     match (Atomic.get TB.current) with
     | Reference -> F data (* wraps without copy, as before the backend split *)
-    | Bigarray64 -> B1 (Kb.of_float_array data)
     | C64 -> C (Kc.of_float_array data)
   in
   { rows; cols; store }
@@ -219,7 +202,7 @@ let row t r =
 let to_array t =
   match t.store with
   | F a -> Array.copy a
-  | B1 b | C b -> Kb.to_float_array b
+  | C b -> Kc.to_float_array b
 
 let to_arrays t =
   let a = to_array t in
@@ -231,30 +214,27 @@ let to_arrays t =
    operands run their backend's kernel; mixed operands take the reference
    fallback described in the header. *)
 
-let ew1 kr kb kc a dst n =
+let ew1 kr kc a dst n =
   match (a.store, dst.store) with
   | F x, F d -> kr x d n
-  | B1 x, B1 d -> kb x d n
   | C x, C d -> kc x d n
   | ax, ds ->
       let d = Array.make n 0.0 in
       kr (snapshot ax) d n;
       load_into ds d
 
-let ew2 kr kb kc a b dst n =
+let ew2 kr kc a b dst n =
   match (a.store, b.store, dst.store) with
   | F x, F y, F d -> kr x y d n
-  | B1 x, B1 y, B1 d -> kb x y d n
   | C x, C y, C d -> kc x y d n
   | ax, by, ds ->
       let d = Array.make n 0.0 in
       kr (snapshot ax) (snapshot by) d n;
       load_into ds d
 
-let bc2 kr kb kc m v dst rows cols =
+let bc2 kr kc m v dst rows cols =
   match (m.store, v.store, dst.store) with
   | F x, F y, F d -> kr x y d rows cols
-  | B1 x, B1 y, B1 d -> kb x y d rows cols
   | C x, C y, C d -> kc x y d rows cols
   | mx, vy, ds ->
       let d = Array.make (rows * cols) 0.0 in
@@ -262,20 +242,18 @@ let bc2 kr kb kc m v dst rows cols =
       load_into ds d
 
 (* matmul-shaped: three ints after the buffers *)
-let mm3 kr kb kc a b dst m k n =
+let mm3 kr kc a b dst m k n =
   match (a.store, b.store, dst.store) with
   | F x, F y, F d -> kr x y d m k n
-  | B1 x, B1 y, B1 d -> kb x y d m k n
   | C x, C y, C d -> kc x y d m k n
   | ax, by, ds ->
       let d = Array.make (m * n) 0.0 in
       kr (snapshot ax) (snapshot by) d m k n;
       load_into ds d
 
-let t2 kr kb kc src dst rows cols =
+let t2 kr kc src dst rows cols =
   match (src.store, dst.store) with
   | F x, F d -> kr x d rows cols
-  | B1 x, B1 d -> kb x d rows cols
   | C x, C d -> kc x d rows cols
   | sx, ds ->
       let d = Array.make (rows * cols) 0.0 in
@@ -284,63 +262,50 @@ let t2 kr kb kc src dst rows cols =
 
 (* {1 Elementwise} *)
 
-let map_disp f a dst n = ew1 (Kr.map f) (Kb.map f) (Kc.map f) a dst n
-let map2_disp f a b dst n = ew2 (Kr.map2 f) (Kb.map2 f) (Kc.map2 f) a b dst n
+let map_disp f a dst n = ew1 (Kr.map f) (Kc.map f) a dst n
 
 let map f t =
   let dst = zeros_as t t.rows t.cols in
   map_disp f t dst (numel t);
   dst
 
-let map2 f a b =
-  if a.rows <> b.rows || a.cols <> b.cols then shape_fail "map2" a b;
-  let dst = zeros_as a a.rows a.cols in
-  map2_disp f a b dst (numel a);
-  dst
-
 let add a b =
   binop_check "add" a b;
   let dst = zeros_as a a.rows a.cols in
-  ew2 Kr.add Kb.add Kc.add a b dst (numel a);
+  ew2 Kr.add Kc.add a b dst (numel a);
   dst
 
 let sub a b =
   binop_check "sub" a b;
   let dst = zeros_as a a.rows a.cols in
-  ew2 Kr.sub Kb.sub Kc.sub a b dst (numel a);
+  ew2 Kr.sub Kc.sub a b dst (numel a);
   dst
 
 let mul a b =
   binop_check "mul" a b;
   let dst = zeros_as a a.rows a.cols in
-  ew2 Kr.mul Kb.mul Kc.mul a b dst (numel a);
+  ew2 Kr.mul Kc.mul a b dst (numel a);
   dst
 
 let div a b =
   binop_check "div" a b;
   let dst = zeros_as a a.rows a.cols in
-  ew2 Kr.div Kb.div Kc.div a b dst (numel a);
+  ew2 Kr.div Kc.div a b dst (numel a);
   dst
 
 let neg t =
   let dst = zeros_as t t.rows t.cols in
-  ew1 Kr.neg Kb.neg Kc.neg t dst (numel t);
+  ew1 Kr.neg Kc.neg t dst (numel t);
   dst
 
 let scale k t =
   let dst = zeros_as t t.rows t.cols in
-  ew1 (Kr.scale k) (Kb.scale k) (Kc.scale k) t dst (numel t);
+  ew1 (Kr.scale k) (Kc.scale k) t dst (numel t);
   dst
 
 let add_scalar k t =
   let dst = zeros_as t t.rows t.cols in
-  ew1 (Kr.add_scalar k) (Kb.add_scalar k) (Kc.add_scalar k) t dst (numel t);
-  dst
-
-let clamp ~lo ~hi t =
-  if hi < lo then invalid_arg "Tensor.clamp: hi < lo";
-  let dst = zeros_as t t.rows t.cols in
-  ew1 (Kr.clamp ~lo ~hi) (Kb.clamp ~lo ~hi) (Kc.clamp ~lo ~hi) t dst (numel t);
+  ew1 (Kr.add_scalar k) (Kc.add_scalar k) t dst (numel t);
   dst
 
 (* {1 Broadcast helpers} *)
@@ -351,34 +316,13 @@ let rowvec_check name m v =
 let add_rowvec m v =
   rowvec_check "add_rowvec" m v;
   let dst = zeros_as m m.rows m.cols in
-  bc2 Kr.add_rowvec Kb.add_rowvec Kc.add_rowvec m v dst m.rows m.cols;
+  bc2 Kr.add_rowvec Kc.add_rowvec m v dst m.rows m.cols;
   dst
 
 let mul_rowvec m v =
   rowvec_check "mul_rowvec" m v;
   let dst = zeros_as m m.rows m.cols in
-  bc2 Kr.mul_rowvec Kb.mul_rowvec Kc.mul_rowvec m v dst m.rows m.cols;
-  dst
-
-let colvec_check name m v =
-  if v.cols <> 1 || v.rows <> m.rows then shape_fail name m v
-
-let add_colvec m v =
-  colvec_check "add_colvec" m v;
-  let dst = zeros_as m m.rows m.cols in
-  bc2 Kr.add_colvec Kb.add_colvec Kc.add_colvec m v dst m.rows m.cols;
-  dst
-
-let mul_colvec m v =
-  colvec_check "mul_colvec" m v;
-  let dst = zeros_as m m.rows m.cols in
-  bc2 Kr.mul_colvec Kb.mul_colvec Kc.mul_colvec m v dst m.rows m.cols;
-  dst
-
-let div_colvec m v =
-  colvec_check "div_colvec" m v;
-  let dst = zeros_as m m.rows m.cols in
-  bc2 Kr.div_colvec Kb.div_colvec Kc.div_colvec m v dst m.rows m.cols;
+  bc2 Kr.mul_rowvec Kc.mul_rowvec m v dst m.rows m.cols;
   dst
 
 (* {1 Linear algebra} *)
@@ -388,26 +332,25 @@ let matmul a b =
   let m = a.rows and k = a.cols and n = b.cols in
   let dst = zeros_as a m n in
   (* freshly allocated dst is already zeroed, as the kernels require *)
-  mm3 Kr.matmul Kb.matmul Kc.matmul a b dst m k n;
+  mm3 Kr.matmul Kc.matmul a b dst m k n;
   dst
 
 let matmul_nt a b =
   if a.cols <> b.cols then shape_fail "matmul_nt" a b;
   let m = a.rows and k = a.cols and n = b.rows in
   let dst = zeros_as a m n in
-  mm3 Kr.matmul_nt Kb.matmul_nt Kc.matmul_nt a b dst m k n;
+  mm3 Kr.matmul_nt Kc.matmul_nt a b dst m k n;
   dst
 
 let transpose t =
   let dst = zeros_as t t.cols t.rows in
-  t2 Kr.transpose Kb.transpose Kc.transpose t dst t.rows t.cols;
+  t2 Kr.transpose Kc.transpose t dst t.rows t.cols;
   dst
 
 let dot a b =
   if a.rows <> b.rows || a.cols <> b.cols then shape_fail "dot" a b;
   match (a.store, b.store) with
   | F x, F y -> Kr.dot x y (numel a)
-  | B1 x, B1 y -> Kb.dot x y (numel a)
   | C x, C y -> Kc.dot x y (numel a)
   | ax, by -> Kr.dot (snapshot ax) (snapshot by) (numel a)
 
@@ -416,7 +359,6 @@ let dot a b =
 let sum t =
   match t.store with
   | F a -> Kr.sum a (numel t)
-  | B1 b -> Kb.sum b (numel t)
   | C b -> Kc.sum b (numel t)
 
 let mean t =
@@ -427,29 +369,24 @@ let min_value t =
   if numel t = 0 then invalid_arg "Tensor.min_value: empty tensor";
   match t.store with
   | F a -> Kr.min_value a (numel t)
-  | B1 b | C b -> Kb.min_value b (numel t)
+  | C b -> Kc.min_value b (numel t)
 
 let max_value t =
   if numel t = 0 then invalid_arg "Tensor.max_value: empty tensor";
   match t.store with
   | F a -> Kr.max_value a (numel t)
-  | B1 b | C b -> Kb.max_value b (numel t)
+  | C b -> Kc.max_value b (numel t)
 
 let sum_rows t =
   let dst = zeros_as t 1 t.cols in
-  t2 Kr.sum_rows Kb.sum_rows Kc.sum_rows t dst t.rows t.cols;
-  dst
-
-let sum_cols t =
-  let dst = zeros_as t t.rows 1 in
-  t2 Kr.sum_cols Kb.sum_cols Kc.sum_cols t dst t.rows t.cols;
+  t2 Kr.sum_rows Kc.sum_rows t dst t.rows t.cols;
   dst
 
 let argmax_rows t =
   if t.cols = 0 then invalid_arg "Tensor.argmax_rows: zero columns";
   match t.store with
   | F a -> Kr.argmax_rows a t.rows t.cols
-  | B1 b | C b -> Kb.argmax_rows b t.rows t.cols
+  | C b -> Kc.argmax_rows b t.rows t.cols
 
 (* {1 Assembly} *)
 
@@ -518,57 +455,47 @@ let map_into f a ~dst =
   shape_check_dst "map_into" dst a.rows a.cols;
   map_disp f a dst (numel a)
 
-let map2_into f a b ~dst =
-  if a.rows <> b.rows || a.cols <> b.cols then shape_fail "map2_into" a b;
-  shape_check_dst "map2_into" dst a.rows a.cols;
-  map2_disp f a b dst (numel a)
-
 let add_into a b ~dst =
   binop_check "add_into" a b;
   shape_check_dst "add_into" dst a.rows a.cols;
-  ew2 Kr.add Kb.add Kc.add a b dst (numel a)
+  ew2 Kr.add Kc.add a b dst (numel a)
 
 let sub_into a b ~dst =
   binop_check "sub_into" a b;
   shape_check_dst "sub_into" dst a.rows a.cols;
-  ew2 Kr.sub Kb.sub Kc.sub a b dst (numel a)
+  ew2 Kr.sub Kc.sub a b dst (numel a)
 
 let mul_into a b ~dst =
   binop_check "mul_into" a b;
   shape_check_dst "mul_into" dst a.rows a.cols;
-  ew2 Kr.mul Kb.mul Kc.mul a b dst (numel a)
+  ew2 Kr.mul Kc.mul a b dst (numel a)
 
 let div_into a b ~dst =
   binop_check "div_into" a b;
   shape_check_dst "div_into" dst a.rows a.cols;
-  ew2 Kr.div Kb.div Kc.div a b dst (numel a)
+  ew2 Kr.div Kc.div a b dst (numel a)
 
 let neg_into a ~dst =
   shape_check_dst "neg_into" dst a.rows a.cols;
-  ew1 Kr.neg Kb.neg Kc.neg a dst (numel a)
+  ew1 Kr.neg Kc.neg a dst (numel a)
 
 let scale_into k a ~dst =
   shape_check_dst "scale_into" dst a.rows a.cols;
-  ew1 (Kr.scale k) (Kb.scale k) (Kc.scale k) a dst (numel a)
+  ew1 (Kr.scale k) (Kc.scale k) a dst (numel a)
 
 let add_scalar_into k a ~dst =
   shape_check_dst "add_scalar_into" dst a.rows a.cols;
-  ew1 (Kr.add_scalar k) (Kb.add_scalar k) (Kc.add_scalar k) a dst (numel a)
-
-let clamp_into ~lo ~hi a ~dst =
-  if hi < lo then invalid_arg "Tensor.clamp_into: hi < lo";
-  shape_check_dst "clamp_into" dst a.rows a.cols;
-  ew1 (Kr.clamp ~lo ~hi) (Kb.clamp ~lo ~hi) (Kc.clamp ~lo ~hi) a dst (numel a)
+  ew1 (Kr.add_scalar k) (Kc.add_scalar k) a dst (numel a)
 
 let add_rowvec_into m v ~dst =
   rowvec_check "add_rowvec_into" m v;
   shape_check_dst "add_rowvec_into" dst m.rows m.cols;
-  bc2 Kr.add_rowvec Kb.add_rowvec Kc.add_rowvec m v dst m.rows m.cols
+  bc2 Kr.add_rowvec Kc.add_rowvec m v dst m.rows m.cols
 
 let mul_rowvec_into m v ~dst =
   rowvec_check "mul_rowvec_into" m v;
   shape_check_dst "mul_rowvec_into" dst m.rows m.cols;
-  bc2 Kr.mul_rowvec Kb.mul_rowvec Kc.mul_rowvec m v dst m.rows m.cols
+  bc2 Kr.mul_rowvec Kc.mul_rowvec m v dst m.rows m.cols
 
 let broadcast_rowvec_into v ~dst =
   (* each dst row := v; bit-identical to [mul_rowvec (ones …) v]
@@ -583,26 +510,22 @@ let matmul_into a b ~dst =
   let m = a.rows and k = a.cols and n = b.cols in
   shape_check_dst "matmul_into" dst m n;
   sfill dst.store 0 (m * n) 0.0;
-  mm3 Kr.matmul Kb.matmul Kc.matmul a b dst m k n
+  mm3 Kr.matmul Kc.matmul a b dst m k n
 
 let matmul_nt_into a b ~dst =
   if a.cols <> b.cols then shape_fail "matmul_nt_into" a b;
   let m = a.rows and k = a.cols and n = b.rows in
   shape_check_dst "matmul_nt_into" dst m n;
-  mm3 Kr.matmul_nt Kb.matmul_nt Kc.matmul_nt a b dst m k n
+  mm3 Kr.matmul_nt Kc.matmul_nt a b dst m k n
 
 let transpose_into t ~dst =
   shape_check_dst "transpose_into" dst t.cols t.rows;
-  t2 Kr.transpose Kb.transpose Kc.transpose t dst t.rows t.cols
+  t2 Kr.transpose Kc.transpose t dst t.rows t.cols
 
 let sum_rows_into t ~dst =
   shape_check_dst "sum_rows_into" dst 1 t.cols;
   sfill dst.store 0 t.cols 0.0;
-  t2 Kr.sum_rows Kb.sum_rows Kc.sum_rows t dst t.rows t.cols
-
-let sum_cols_into t ~dst =
-  shape_check_dst "sum_cols_into" dst t.rows 1;
-  t2 Kr.sum_cols Kb.sum_cols Kc.sum_cols t dst t.rows t.cols
+  t2 Kr.sum_rows Kc.sum_rows t dst t.rows t.cols
 
 let slice_cols_into t start len ~dst =
   if start < 0 || len < 0 || start + len > t.cols then
@@ -662,7 +585,7 @@ type unop = TB.unop = Tanh | Sigmoid | Exp | Log | Sqrt | Relu | Abs
 
 let unop_into op a ~dst =
   shape_check_dst "unop_into" dst a.rows a.cols;
-  ew1 (Kr.unary op) (Kb.unary op) (Kc.unary op) a dst (numel a)
+  ew1 (Kr.unary op) (Kc.unary op) a dst (numel a)
 
 let unop_bwd_into op ~x ~y ~g ~dst =
   binop_check "unop_bwd_into" x y;
@@ -671,7 +594,6 @@ let unop_bwd_into op ~x ~y ~g ~dst =
   let n = numel x in
   match (x.store, y.store, g.store, dst.store) with
   | F xb, F yb, F gb, F db -> Kr.unary_bwd op ~x:xb ~y:yb ~g:gb ~s:db n
-  | B1 xb, B1 yb, B1 gb, B1 db -> Kb.unary_bwd op ~x:xb ~y:yb ~g:gb ~s:db n
   | C xb, C yb, C gb, C db -> Kc.unary_bwd op ~x:xb ~y:yb ~g:gb ~s:db n
   | xs, ys, gs, ds ->
       let d = Array.make n 0.0 in
@@ -680,13 +602,12 @@ let unop_bwd_into op ~x ~y ~g ~dst =
 
 let softmax_rows_into m ~dst =
   shape_check_dst "softmax_rows_into" dst m.rows m.cols;
-  t2 Kr.softmax_rows Kb.softmax_rows Kc.softmax_rows m dst m.rows m.cols
+  t2 Kr.softmax_rows Kc.softmax_rows m dst m.rows m.cols
 
 let ce_loss_sum probs labels =
   binop_check "ce_loss_sum" probs labels;
   match (probs.store, labels.store) with
   | F p, F y -> Kr.ce_loss_sum p y (numel probs)
-  | B1 p, B1 y -> Kb.ce_loss_sum p y (numel probs)
   | C p, C y -> Kc.ce_loss_sum p y (numel probs)
   | ps, ys -> Kr.ce_loss_sum (snapshot ps) (snapshot ys) (numel probs)
 
@@ -695,14 +616,13 @@ let sgd_step ~lr ~grad value =
   let n = numel value in
   match (value.store, grad.store) with
   | F v, F g -> Kr.sgd_step ~lr ~grad:g ~value:v n
-  | B1 v, B1 g -> Kb.sgd_step ~lr ~grad:g ~value:v n
   | C v, C g -> Kc.sgd_step ~lr ~grad:g ~value:v n
   | vs, gs ->
       (* snapshot of an F store is the live array, so Kr updates it in
-         place; a bigarray-backed store needs the result loaded back *)
+         place; a C store needs the result loaded back *)
       let v = snapshot vs in
       Kr.sgd_step ~lr ~grad:(snapshot gs) ~value:v n;
-      (match vs with F _ -> () | B1 b | C b -> Kb.load b v)
+      (match vs with F _ -> () | C b -> Kc.load b v)
 
 let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad value =
   binop_check "adam_step" value grad;
@@ -712,24 +632,19 @@ let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad value =
   match (value.store, grad.store) with
   | F vb, F gb ->
       Kr.adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad:gb ~value:vb n
-  | B1 vb, B1 gb ->
-      Kb.adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad:gb ~value:vb n
   | C vb, C gb ->
       Kc.adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad:gb ~value:vb n
   | vs, gs ->
       let vb = snapshot vs in
       Kr.adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad:(snapshot gs)
         ~value:vb n;
-      (match vs with F _ -> () | B1 b | C b -> Kb.load b vb)
+      (match vs with F _ -> () | C b -> Kc.load b vb)
 
 (* {1 Fused hot-path entry points}
 
-   Each takes the backend's fused capability when (a) every operand lives
-   on that backend, (b) the backend advertises the capability, and (c) the
-   sanitizer is off (checked mode decomposes so every constituent kernel
-   runs its bounds-checked body).  Otherwise it decomposes into the exact
-   kernel sequence the fused stub replicates, so both routes are
-   bit-identical on a given backend. *)
+   Each runs the C backend's fused kernel when every operand lives on C;
+   otherwise it runs the exact kernel sequence the fused stub replicates,
+   so both routes are bit-identical on a given backend. *)
 
 let matmul_bias_unop_into ?op x w b ~pre ~out =
   if x.cols <> w.rows then shape_fail "matmul_bias_unop_into" x w;
@@ -737,19 +652,10 @@ let matmul_bias_unop_into ?op x w b ~pre ~out =
   if b.rows <> 1 || b.cols <> n then shape_fail "matmul_bias_unop_into" w b;
   shape_check_dst "matmul_bias_unop_into" pre m n;
   shape_check_dst "matmul_bias_unop_into" out m n;
-  let fused =
-    if (Atomic.get TB.checked) then None
-    else
-      match (x.store, w.store, b.store, pre.store, out.store) with
-      | C xb, C wb, C bb, C pb, C ob -> (
-          match Kc.matmul_bias_unop with
-          | Some f -> Some (fun () -> f op ~x:xb ~w:wb ~b:bb ~pre:pb ~out:ob m k n)
-          | None -> None)
-      | _ -> None
-  in
-  match fused with
-  | Some run -> run ()
-  | None -> (
+  match (x.store, w.store, b.store, pre.store, out.store) with
+  | C xb, C wb, C bb, C pb, C ob ->
+      Kc.matmul_bias_unop op ~x:xb ~w:wb ~b:bb ~pre:pb ~out:ob m k n
+  | _ -> (
       matmul_into x w ~dst:pre;
       (* elementwise broadcast: dst aliasing the matrix operand is legal *)
       add_rowvec_into pre b ~dst:pre;
@@ -772,23 +678,20 @@ let adam_step_many ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 items =
         | _ -> false)
       items
   in
-  match Kc.adam_step_many with
-  | Some f when all_c && not (Atomic.get TB.checked) ->
-      let arr =
-        Array.of_list
-          (List.map
-             (fun (value, grad, m, v) ->
-               match (value.store, grad.store) with
-               | C vb, C gb -> (vb, gb, m, v, numel value)
-               | _ -> assert false)
-             items)
-      in
-      f ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 arr
-  | _ ->
-      List.iter
-        (fun (value, grad, m, v) ->
-          adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad value)
-        items
+  if all_c then
+    Kc.adam_step_many ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2
+      (Array.of_list
+         (List.map
+            (fun (value, grad, m, v) ->
+              match (value.store, grad.store) with
+              | C vb, C gb -> (vb, gb, m, v, numel value)
+              | _ -> assert false)
+            items))
+  else
+    List.iter
+      (fun (value, grad, m, v) ->
+        adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad value)
+      items
 
 (* {1 Comparison and printing} *)
 

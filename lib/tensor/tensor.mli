@@ -14,33 +14,27 @@ type t
 
 (** {1:backends Kernel backends}
 
-    Each tensor's flat buffer is owned by one of three kernel backends:
+    Each tensor's flat buffer is owned by one of two kernel backends:
 
     - {!Reference} — plain [float array] loops, operation-for-operation
       identical to the pre-backend implementation.  The bit-identity oracle:
       golden trajectories, the determinism suite, and cached experiment
       results are pinned against it.  The default.
-    - {!Bigarray64} — flat c_layout [Bigarray.Array1] [float64] storage with
-      unrolled/blocked hot loops (register-blocked matmul, stride-free
-      elementwise).  Per-element kernels (elementwise, broadcasts,
-      nonlinearities, reductions, optimizer steps) perform the exact same
-      floating-point operations in the exact same order as the reference
-      backend and agree with it bit-for-bit.  Only [matmul]/[matmul_nt]
-      re-associate their accumulations and may differ in the last few ulps —
-      deterministically: the same program produces bitwise-identical results
-      run-to-run within this backend.
-    - {!C64} — the same flat Float64 storage with the hot kernels as
-      vectorized C foreign stubs (compiled [-O2 -fno-fast-math
+    - {!C64} — flat c_layout [Bigarray.Array1] [float64] storage with the
+      kernels as vectorized C foreign stubs (compiled [-O2 -fno-fast-math
       -ffp-contract=off], so C float semantics stay IEEE-strict).
-      Per-element kernels are bit-identical to the reference backend; the
-      matmul family re-associates deterministically (replicating
-      {!Bigarray64}'s register-blocked association).  The only backend with
-      fused layer-forward / Adam kernels (used automatically by the
+      Per-element kernels (elementwise, broadcasts, nonlinearities,
+      reductions, optimizer steps) perform the exact same floating-point
+      operations in the exact same order as the reference backend and agree
+      with it bit-for-bit.  Only [matmul]/[matmul_nt] re-associate their
+      accumulations and may differ in the last few ulps — deterministically:
+      the same program produces bitwise-identical results run-to-run.  Also
+      provides fused layer-forward / Adam kernels (used automatically by the
       autodiff and optimizer hot paths; see {!matmul_bias_unop_into}).
 
-    Selection: [PNN_BACKEND=reference|bigarray|c] in the environment (read
-    at module initialization) or {!set_backend}.  The active backend decides
-    where {e constructors} ({!zeros}, {!create}, {!uniform}, …) allocate;
+    Selection: [PNN_BACKEND=reference|c] in the environment (read at module
+    initialization) or {!set_backend}.  The active backend decides where
+    {e constructors} ({!zeros}, {!create}, {!uniform}, …) allocate;
     operations allocate their result on their {e first operand's} backend, so
     a computation stays on one backend even if the flag changes mid-run.
     Mixed-backend operands are supported (results are computed with the
@@ -48,7 +42,7 @@ type t
     process.  Cached experiment results are keyed by {!backend_tag} so runs
     never observe another backend's numerics. *)
 
-type backend = Tensor_backend.id = Reference | Bigarray64 | C64
+type backend = Tensor_backend.id = Reference | C64
 
 val backend : unit -> backend
 (** The active backend used by constructors. *)
@@ -56,22 +50,21 @@ val backend : unit -> backend
 val set_backend : backend -> unit
 
 val backend_of_string : string -> backend option
-(** Accepts ["reference"]/["ref"], ["bigarray"]/["bigarray64"]/["ba64"] and
-    ["c"]/["c64"]. *)
+(** Accepts ["reference"]/["ref"] and ["c"]/["c64"]. *)
 
 val backend_name : backend -> string
-(** ["reference"], ["bigarray"] or ["c"] — inverse of {!backend_of_string}. *)
+(** ["reference"] or ["c"] — inverse of {!backend_of_string}. *)
 
 val backends : backend list
 (** Every live backend, in registry order — the single source the CLI
     surfaces and the test matrix enumerate. *)
 
 val backend_choices : string
-(** The canonical names joined with ["|"] (["reference|bigarray|c"]), for
+(** The canonical names joined with ["|"] (["reference|c"]), for
     [--backend] help text and error messages. *)
 
 val backend_tag : unit -> string
-(** Short stable tag of the active backend (["ref"] / ["ba64"] / ["c64"])
+(** Short stable tag of the active backend (["ref"] / ["c64"])
     folded into cache keys so cached results never cross backends. *)
 
 val backend_of : t -> backend
@@ -79,14 +72,16 @@ val backend_of : t -> backend
 
 (** {1 Sanitizer (checked) mode}
 
-    Every kernel carries two loop bodies performing identical floating-point
-    operations in identical order: a raw one using unchecked indexing and a
-    bounds-checked one.  Setting [PNN_CHECKED=1] in the environment (read at
-    module initialization) or calling [set_checked true] selects the checked
-    bodies; results are bit-identical across modes, only out-of-bounds
-    behavior differs (checked mode raises [Invalid_argument]).  Checked mode
-    composes with either backend.  CI runs the determinism suite once under
-    [PNN_CHECKED=1]. *)
+    Setting [PNN_CHECKED=1] in the environment (read at module
+    initialization) or calling [set_checked true] makes every kernel refuse
+    out-of-bounds work with [Invalid_argument] instead of touching memory.
+    The reference kernels carry two loop bodies performing identical
+    floating-point operations in identical order, a raw one with unchecked
+    indexing and a bounds-checked one; the C kernels run the same stubs in
+    both modes, preceded in checked mode by one length assertion per
+    buffer.  Results are bit-identical across modes.  Checked mode composes
+    with either backend; CI runs the determinism suite under
+    [PNN_CHECKED=1] on both. *)
 
 val set_checked : bool -> unit
 val checked : unit -> bool
@@ -148,7 +143,6 @@ val to_arrays : t -> float array array
 (** {1 Elementwise} *)
 
 val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -159,25 +153,12 @@ val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
 
-val clamp : lo:float -> hi:float -> t -> t
-(** Entrywise [max lo (min hi x)] via the comparison chain
-    [if x < lo then lo else if x > hi then hi else x].  NaN entries pass
-    through {e unchanged}: both comparisons are false for NaN, so the result
-    keeps the NaN rather than snapping it to a bound.  Downstream fault
-    detection relies on clamp not masking NaNs — both backends implement this
-    contract bit-identically. *)
-
 (** {1 Broadcast helpers} *)
 
 val add_rowvec : t -> t -> t
 (** [add_rowvec m v] adds the [1 × cols] vector [v] to every row of [m]. *)
 
 val mul_rowvec : t -> t -> t
-val add_colvec : t -> t -> t
-(** [add_colvec m v] adds the [rows × 1] vector [v] to every column of [m]. *)
-
-val mul_colvec : t -> t -> t
-val div_colvec : t -> t -> t
 
 (** {1 Linear algebra} *)
 
@@ -214,9 +195,6 @@ val max_value : t -> float
 val sum_rows : t -> t
 (** Column-wise sum: result is [1 × cols]. *)
 
-val sum_cols : t -> t
-(** Row-wise sum: result is [rows × 1]. *)
-
 val argmax_rows : t -> int array
 (** Index of the maximum entry of each row, first maximum winning (strict
     [>] against the incumbent).  A NaN never displaces the incumbent (strict
@@ -246,8 +224,8 @@ val take_rows : t -> int array -> t
     version, so results are bit-identical — the autodiff scratch buffers and
     the variation-aware training hot path rely on this for determinism.
 
-    Aliasing convention: elementwise kernels ([add_into] … [map2_into],
-    [neg_into], [scale_into], [add_scalar_into], [clamp_into], and the
+    Aliasing convention: elementwise kernels ([map_into], [add_into] …
+    [div_into], [neg_into], [scale_into], [add_scalar_into], and the
     [*_rowvec_into] broadcasts) read and write only index [i] (resp.
     [(r, c)]) at a time, so [dst] may alias an input.  All other kernels
     (matmul, transpose, slices, embeds, concats, reductions,
@@ -263,7 +241,6 @@ val blit : src:t -> dst:t -> unit
 (** Copy [src] into [dst] (same shape; backends may differ). *)
 
 val map_into : (float -> float) -> t -> dst:t -> unit
-val map2_into : (float -> float -> float) -> t -> t -> dst:t -> unit
 val add_into : t -> t -> dst:t -> unit
 val sub_into : t -> t -> dst:t -> unit
 val mul_into : t -> t -> dst:t -> unit
@@ -271,9 +248,6 @@ val div_into : t -> t -> dst:t -> unit
 val neg_into : t -> dst:t -> unit
 val scale_into : float -> t -> dst:t -> unit
 val add_scalar_into : float -> t -> dst:t -> unit
-
-val clamp_into : lo:float -> hi:float -> t -> dst:t -> unit
-(** In-place {!clamp}; same NaN pass-through contract. *)
 
 val add_rowvec_into : t -> t -> dst:t -> unit
 val mul_rowvec_into : t -> t -> dst:t -> unit
@@ -287,9 +261,6 @@ val matmul_nt_into : t -> t -> dst:t -> unit
 val transpose_into : t -> dst:t -> unit
 val sum_rows_into : t -> dst:t -> unit
 (** [dst] is [1 × cols]. *)
-
-val sum_cols_into : t -> dst:t -> unit
-(** [dst] is [rows × 1]. *)
 
 val slice_cols_into : t -> int -> int -> dst:t -> unit
 (** [slice_cols_into t start len ~dst] with [dst] of shape [rows × len]. *)
@@ -358,11 +329,9 @@ val adam_step :
 
 (** {1 Fused hot-path kernels}
 
-    Single-call fusions of the dominant kernel sequences.  Each routes to a
-    backend's fused capability when every operand lives on that backend,
-    the backend advertises it, and checked mode is off; otherwise it
-    decomposes into the exact kernel sequence the fused implementation
-    replicates.  Both routes are bit-identical on a given backend — the
+    Single-call fusions of the dominant kernel sequences.  Each runs the C
+    backend's fused kernel when every operand lives on C; otherwise it
+    decomposes into the exact kernel sequence the fused kernel replicates.  Both routes are bit-identical on a given backend — the
     fusion only removes dispatch and loop-restart overhead, never changes
     float operations or their order. *)
 

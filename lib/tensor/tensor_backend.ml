@@ -2,41 +2,37 @@
 
    A backend is an implementation of the {!KERNELS} module type below: a flat
    buffer type plus every arithmetic core the tensor layer dispatches to.
-   Three implementations exist today — {!Kernels_ref} on [float array] (the
-   bit-identity oracle every golden trajectory is pinned to), {!Kernels_ba}
-   on flat [Bigarray.Array1] Float64 storage with unrolled/blocked OCaml
-   loops, and {!Kernels_c} on the same storage with vectorized C foreign
-   stubs.  A BLAS backend would be one more module satisfying {!KERNELS}
-   plus one more storage constructor in [Tensor.t].
+   Two implementations exist — {!Kernels_ref} on [float array] (the
+   bit-identity oracle every golden trajectory is pinned to) and
+   {!Kernels_c} on flat [Bigarray.Array1] Float64 storage with vectorized C
+   foreign stubs (the fast path).  A BLAS backend would be one more module
+   satisfying {!KERNELS} plus one more storage constructor in [Tensor.t].
 
    This module also owns the two process-wide mode flags the kernels consult:
 
-   - [checked]: the PNN_CHECKED sanitizer switch.  Every kernel in every
-     backend carries two loop bodies performing identical floating-point
-     operations in identical order; the checked body uses bounds-checked
-     indexing.  Results are bit-identical across modes by construction.
+   - [checked]: the PNN_CHECKED sanitizer switch.  The reference kernels
+     carry two loop bodies performing identical floating-point operations in
+     identical order, the checked one with bounds-checked indexing; the C
+     kernels run the same stubs after an O(1) length assertion per buffer.
+     Results are bit-identical across modes by construction.
    - [current]: the backend new tensors are created on (PNN_BACKEND, default
      reference).  Dispatch itself is storage-driven — a tensor computed on one
      backend keeps using that backend's kernels even after the flag changes —
      so the flag only decides where fresh allocations land. *)
 
-type id = Reference | Bigarray64 | C64
+type id = Reference | C64
 
 (* The single source of truth for the live backend list: [of_string],
    [names_string] (error messages and every --backend help text) and the
    test matrix all derive from it. *)
-let all = [ Reference; Bigarray64; C64 ]
+let all = [ Reference; C64 ]
 
 let of_string = function
   | "reference" | "ref" -> Some Reference
-  | "bigarray" | "bigarray64" | "ba64" -> Some Bigarray64
   | "c" | "c64" -> Some C64
   | _ -> None
 
-let name = function
-  | Reference -> "reference"
-  | Bigarray64 -> "bigarray"
-  | C64 -> "c"
+let name = function Reference -> "reference" | C64 -> "c"
 
 let names = List.map name all
 let names_string = String.concat "|" names
@@ -44,7 +40,7 @@ let names_string = String.concat "|" names
 (* Short, stable tags folded into cache keys (Serialize.cache_schema): the
    backends may differ in the last ulp on the matmul family, so cached
    results must never cross. *)
-let tag = function Reference -> "ref" | Bigarray64 -> "ba64" | C64 -> "c64"
+let tag = function Reference -> "ref" | C64 -> "c64"
 
 let checked =
   Atomic.make
@@ -69,38 +65,27 @@ let current =
    implements the same catalogue. *)
 type unop = Tanh | Sigmoid | Exp | Log | Sqrt | Relu | Abs
 
-let unop_name = function
-  | Tanh -> "tanh"
-  | Sigmoid -> "sigmoid"
-  | Exp -> "exp"
-  | Log -> "log"
-  | Sqrt -> "sqrt"
-  | Relu -> "relu"
-  | Abs -> "abs"
-
 (** The backend signature: one flat buffer type plus every kernel core the
     tensor dispatch layer needs.  Contracts shared by all implementations:
 
     - Shape/bounds validation happens in the dispatch layer ([Tensor]);
       cores may assume every index they derive from the stated dimensions is
       in range.
-    - Elementwise cores ([add] … [map2], [unary], [clamp]) read and write
-      index [i] only, so the destination may alias an input.
+    - Elementwise cores ([add] … [map], [unary]) read and write index [i]
+      only, so the destination may alias an input.
     - [matmul] and [sum_rows] accumulate into a destination the caller has
       pre-zeroed.
-    - When [checked] is set, cores must run a bounds-checked loop body that
-      performs the exact same floating-point operations in the exact same
-      order as the fast body.
-    - NaN/−0.0 contracts ([clamp] passes NaN through; [min_value]/
-      [max_value] fold IEEE comparisons left-to-right so an unordered pair
-      keeps the second operand; [argmax_rows] keeps the first strict
-      maximum and never displaces the incumbent on an unordered compare)
-      are part of the signature: backends must agree bit-for-bit on these
-      edge kernels even where accumulation order is allowed to differ. *)
+    - When [checked] is set, an out-of-range access must raise
+      [Invalid_argument] instead of touching memory, and the floating-point
+      operations and their order must not change.
+    - NaN/−0.0 contracts ([min_value]/[max_value] fold IEEE comparisons
+      left-to-right so an unordered pair keeps the second operand;
+      [argmax_rows] keeps the first strict maximum and never displaces the
+      incumbent on an unordered compare) are part of the signature: backends
+      must agree bit-for-bit on these edge kernels even where accumulation
+      order is allowed to differ. *)
 module type KERNELS = sig
   type buf
-
-  val impl : id
 
   (* storage *)
   val create : int -> buf
@@ -128,16 +113,11 @@ module type KERNELS = sig
   val neg : buf -> buf -> int -> unit
   val scale : float -> buf -> buf -> int -> unit
   val add_scalar : float -> buf -> buf -> int -> unit
-  val clamp : lo:float -> hi:float -> buf -> buf -> int -> unit
   val map : (float -> float) -> buf -> buf -> int -> unit
-  val map2 : (float -> float -> float) -> buf -> buf -> buf -> int -> unit
 
   (* broadcasts: [rows cols] trailing args *)
   val add_rowvec : buf -> buf -> buf -> int -> int -> unit
   val mul_rowvec : buf -> buf -> buf -> int -> int -> unit
-  val add_colvec : buf -> buf -> buf -> int -> int -> unit
-  val mul_colvec : buf -> buf -> buf -> int -> int -> unit
-  val div_colvec : buf -> buf -> buf -> int -> int -> unit
 
   (* linear algebra: [m k n] = rows a, cols a, cols out *)
   val matmul : buf -> buf -> buf -> int -> int -> int -> unit
@@ -150,10 +130,9 @@ module type KERNELS = sig
   val min_value : buf -> int -> float
   val max_value : buf -> int -> float
   val sum_rows : buf -> buf -> int -> int -> unit
-  val sum_cols : buf -> buf -> int -> int -> unit
   val argmax_rows : buf -> int -> int -> int array
 
-  (* nonlinearities and training-path fused kernels *)
+  (* nonlinearities and training-path kernels *)
   val unary : unop -> buf -> buf -> int -> unit
   val unary_bwd : unop -> x:buf -> y:buf -> g:buf -> s:buf -> int -> unit
   val softmax_rows : buf -> buf -> int -> int -> unit
@@ -176,40 +155,4 @@ module type KERNELS = sig
   (** Moment buffers [m]/[v] are optimizer-owned plain arrays (they are
       checkpointed by the optimizer codec and never enter tensor math), so
       they stay [float array] on every backend. *)
-
-  (* Optional fused capabilities.  A backend that cannot fuse advertises
-     [None] and the dispatch layer decomposes into the catalogue kernels
-     above; a backend advertising [Some f] guarantees [f] is bit-identical
-     to the decomposed sequence on the same backend. *)
-
-  val matmul_bias_unop :
-    (unop option ->
-    x:buf ->
-    w:buf ->
-    b:buf ->
-    pre:buf ->
-    out:buf ->
-    int ->
-    int ->
-    int ->
-    unit)
-    option
-  (** Fused dense-layer forward over [m k n]: [pre := x·w +rowvec b] then
-      [out := unop pre] ([None] leaves [out] untouched and callers use
-      [pre]; [out] may equal [pre]).  [pre]/[out] must not alias [x], [w]
-      or [b]. *)
-
-  val adam_step_many :
-    (lr:float ->
-    beta1:float ->
-    beta2:float ->
-    eps:float ->
-    bc1:float ->
-    bc2:float ->
-    (buf * buf * float array * float array * int) array ->
-    unit)
-    option
-  (** One call for an Adam step over every parameter leaf.  Each item is
-      [(value, grad, m, v, numel)]; leaves are updated independently,
-      bit-identically to per-leaf [adam_step] calls. *)
 end

@@ -1,5 +1,5 @@
 (* R6 fixture: backend-internal storage access outside lib/tensor. *)
-let bad () = Kernels_ba.create 4
+let bad () = Kernels_ref.create 4
 
 (* pnnlint:allow R6 fixture: tooling that genuinely needs the raw buffer *)
 let ok () = Tensor_backend.tag backend

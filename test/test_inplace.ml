@@ -52,9 +52,6 @@ let test_elementwise_into_bitwise () =
           T.add_scalar_into 1.7 a ~dst);
       check "map" (T.map Stdlib.tanh a) (fun ~dst ->
           T.map_into Stdlib.tanh a ~dst);
-      check "map2"
-        (T.map2 (fun x y -> (x *. y) +. x) a b)
-        (fun ~dst -> T.map2_into (fun x y -> (x *. y) +. x) a b ~dst);
       (* elementwise kernels may alias dst with an input *)
       let aliased = T.copy a in
       T.add_into aliased b ~dst:aliased;
@@ -110,9 +107,6 @@ let test_reduction_structure_into_bitwise () =
       let dst = garbage rng 1 cols in
       T.sum_rows_into t ~dst;
       check_bits_tensor (label "sum_rows") (T.sum_rows t) dst;
-      let dst = garbage rng rows 1 in
-      T.sum_cols_into t ~dst;
-      check_bits_tensor (label "sum_cols") (T.sum_cols t) dst;
       let len = cols / 2 and start = cols / 4 in
       let dst = garbage rng rows len in
       T.slice_cols_into t start len ~dst;

@@ -86,14 +86,7 @@ let test_broadcast_ops () =
   tensor_eq "add_rowvec" (T.of_arrays [| [| 11.0; 22.0 |]; [| 13.0; 24.0 |] |])
     (T.add_rowvec m v);
   tensor_eq "mul_rowvec" (T.of_arrays [| [| 10.0; 40.0 |]; [| 30.0; 80.0 |] |])
-    (T.mul_rowvec m v);
-  let col = T.create 2 1 [| 10.0; 100.0 |] in
-  tensor_eq "add_colvec" (T.of_arrays [| [| 11.0; 12.0 |]; [| 103.0; 104.0 |] |])
-    (T.add_colvec m col);
-  tensor_eq "mul_colvec" (T.of_arrays [| [| 10.0; 20.0 |]; [| 300.0; 400.0 |] |])
-    (T.mul_colvec m col);
-  tensor_eq "div_colvec" (T.of_arrays [| [| 0.1; 0.2 |]; [| 0.03; 0.04 |] |])
-    (T.div_colvec m col)
+    (T.mul_rowvec m v)
 
 let test_reductions () =
   let m = T.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
@@ -101,8 +94,7 @@ let test_reductions () =
   Alcotest.(check (float 1e-12)) "mean" 2.5 (T.mean m);
   Alcotest.(check (float 1e-12)) "min" 1.0 (T.min_value m);
   Alcotest.(check (float 1e-12)) "max" 4.0 (T.max_value m);
-  tensor_eq "sum_rows" (T.of_array [| 4.0; 6.0 |]) (T.sum_rows m);
-  tensor_eq "sum_cols" (T.create 2 1 [| 3.0; 7.0 |]) (T.sum_cols m)
+  tensor_eq "sum_rows" (T.of_array [| 4.0; 6.0 |]) (T.sum_rows m)
 
 let test_argmax_rows () =
   let m = T.of_arrays [| [| 0.1; 0.9; 0.5 |]; [| 2.0; 1.0; 0.0 |] |] in
@@ -134,10 +126,6 @@ let test_take_rows () =
     (T.take_rows m [| 2; 0; 2 |]);
   Alcotest.check_raises "take oob" (Invalid_argument "Tensor.take_rows: index out of range")
     (fun () -> ignore (T.take_rows m [| 4 |]))
-
-let test_clamp () =
-  let m = T.of_array [| -2.0; 0.5; 3.0 |] in
-  tensor_eq "clamp" (T.of_array [| -1.0; 0.5; 1.0 |]) (T.clamp ~lo:(-1.0) ~hi:1.0 m)
 
 let test_dot () =
   let a = T.of_array [| 1.0; 2.0; 3.0 |] and b = T.of_array [| 4.0; 5.0; 6.0 |] in
@@ -210,7 +198,6 @@ let () =
           Alcotest.test_case "slicing" `Quick test_slicing;
           Alcotest.test_case "concat" `Quick test_concat;
           Alcotest.test_case "take_rows" `Quick test_take_rows;
-          Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "dot" `Quick test_dot;
         ] );
       ( "properties",
