@@ -5,18 +5,15 @@ let linspace lo hi n =
   Array.init n (fun i ->
       lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
 
-let run ?(options = Mna.default_options) ?workspace ~model ~netlist ~source
-    ~output ~sweep () =
-  let guess = ref None in
-  (* one Newton scratch for the whole sweep: every point stamps the same
-     system dimension, so the per-point matrix allocations hoist out *)
-  let workspace =
-    match workspace with Some ws -> ws | None -> Mna.workspace_for netlist
-  in
+let run ?(options = Mna.default_options) ~model ~netlist ~source ~output ~sweep () =
+  (* one compiled circuit for the whole sweep: each point only rewrites the
+     swept source's slot, and Newton continues from the previous point's
+     solution left in the compiled iterate *)
+  let circuit = Mna.compile model netlist in
+  let slot = Mna.source_slot circuit source in
   Array.map
     (fun vin ->
-      Netlist.set_source netlist source vin;
-      let sol = Mna.solve ~options ?initial:!guess ~workspace model netlist in
-      guess := Some sol.Mna.voltages;
-      { vin; vout = sol.Mna.voltages.(output) })
+      Mna.set_source circuit slot vin;
+      ignore (Mna.newton ~options circuit);
+      { vin; vout = Mna.voltage circuit output })
     sweep

@@ -11,7 +11,6 @@ val linspace : float -> float -> int -> float array
 
 val run :
   ?options:Mna.options ->
-  ?workspace:Mna.workspace ->
   model:Egt.params ->
   netlist:Netlist.t ->
   source:string ->
@@ -19,7 +18,7 @@ val run :
   sweep:float array ->
   unit ->
   point array
-(** Raises whatever {!Mna.solve} raises if any point fails to converge.
-    [workspace] (default: one fresh {!Mna.workspace_for} shared by all sweep
-    points) reuses the Newton scratch across points; pass your own to reuse
-    it across sweeps of the same circuit. *)
+(** Compiles [netlist] once ({!Mna.compile}) and solves each sweep point
+    on it; [netlist] itself is not modified.  Raises [Invalid_argument] for
+    an invalid netlist, [Not_found] if no source is named [source], and
+    {!Mna.No_convergence} if any point fails to converge. *)

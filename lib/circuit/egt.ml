@@ -8,21 +8,23 @@ let default = { k_prime = 1.5e-5; v_th = 0.08; lambda = 0.05; alpha = 0.1 }
 
 type eval = { id : float; gm : float; gds : float }
 
-(* softplus with overflow guard: alpha * ln(1 + exp(x/alpha)) *)
-let softplus alpha x =
+(* softplus with overflow guard: alpha * ln(1 + exp(x/alpha)).  These and
+   the float selects below are inlined and type-specialised so that a
+   Newton iteration's device evaluations box no intermediate float. *)
+let[@inline] softplus alpha x =
   let z = x /. alpha in
   if z > 30.0 then x
   else if z < -30.0 then 0.0
   else alpha *. log (1.0 +. exp z)
 
-let softplus' alpha x =
+let[@inline] softplus' alpha x =
   let z = x /. alpha in
   if z > 30.0 then 1.0 else if z < -30.0 then 0.0 else 1.0 /. (1.0 +. exp (-.z))
 
-let evaluate_pos p ~wl ~vgs ~vds =
+let[@inline] evaluate_pos p ~wl ~vgs ~vds =
   let ov = softplus p.alpha (vgs -. p.v_th) in
   let dov = softplus' p.alpha (vgs -. p.v_th) in
-  let vsat = Stdlib.max ov 1e-3 in
+  let vsat = if ov >= 1e-3 then ov else 1e-3 in
   let u = vds /. vsat in
   let t = tanh u in
   let sech2 = 1.0 -. (t *. t) in

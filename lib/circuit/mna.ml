@@ -12,151 +12,164 @@ type solution = { voltages : float array; iterations : int }
 
 exception No_convergence of { iterations : int; residual : float }
 
-type workspace = {
-  ws_dim : int;
-  ws_a : float array array;
-  ws_rhs : float array;
-  ws_lu : float array array;
-  ws_x : float array;
+(* A DC stamp.  Nodes keep their netlist numbers (0 = ground); a source's
+   branch-current row is [node_count - 1 + slot]. *)
+type stamp =
+  | Conductance of { n1 : Netlist.node; n2 : Netlist.node; g : float }
+  | Vsource of { plus : Netlist.node; minus : Netlist.node; slot : int }
+  | Current of { into : Netlist.node; out_of : Netlist.node; amps : float }
+  | Fet of {
+      gate : Netlist.node;
+      drain : Netlist.node;
+      source : Netlist.node;
+      w_um : float;
+      l_um : float;
+    }
+
+(* [stamps] are the netlist's elements in insertion order with capacitors
+   (open in DC) dropped, which leaves the stamp order unchanged.  The
+   Newton scratch — the system (a, rhs) that each iteration stamps and
+   [Linalg.solve_in_place] then factors in place, and the iterate [volts] —
+   lives here too, so a sweep of solves allocates nothing per point. *)
+type compiled = {
+  model : Egt.params;
+  n_nodes : int;
+  dim : int;
+  stamps : stamp array;
+  source_names : string array;
+  source_volts : float array;
+  volts : float array;
+  a : float array array;
+  rhs : float array;
 }
 
-let make_workspace ~dim =
-  {
-    ws_dim = dim;
-    ws_a = Array.make_matrix dim dim 0.0;
-    ws_rhs = Array.make dim 0.0;
-    ws_lu = Array.make_matrix dim dim 0.0;
-    ws_x = Array.make dim 0.0;
-  }
-
-let system_dim netlist =
-  let n_v = Netlist.node_count netlist - 1 in
-  let n_src =
-    List.length
-      (List.filter
-         (fun e -> match e with Netlist.Vsource _ -> true | _ -> false)
-         (Netlist.elements netlist))
-  in
-  n_v + n_src
-
-let workspace_for netlist = make_workspace ~dim:(system_dim netlist)
-
-(* Index mapping: node n (1..N-1) -> n-1 ; source s -> (N-1) + s. *)
-
-let solve ?(options = default_options) ?initial ?workspace model netlist =
+let compile model netlist =
   (match Netlist.validate netlist with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Mna.solve: invalid netlist: " ^ msg));
+  | Error msg -> invalid_arg ("Mna.compile: invalid netlist: " ^ msg));
   let n_nodes = Netlist.node_count netlist in
+  let names = ref [] and values = ref [] in
+  let stamps =
+    List.filter_map
+      (function
+        | Netlist.Resistor { a = n1; b = n2; ohms } ->
+            Some (Conductance { n1; n2; g = 1.0 /. ohms })
+        | Netlist.Vsource { name; plus; minus; volts = v } ->
+            let slot = List.length !names in
+            names := name :: !names;
+            values := v :: !values;
+            Some (Vsource { plus; minus; slot })
+        | Netlist.Capacitor _ -> None
+        | Netlist.Isource { into; out_of; amps } -> Some (Current { into; out_of; amps })
+        | Netlist.Transistor { gate; drain; source; w_um; l_um } ->
+            Some (Fet { gate; drain; source; w_um; l_um }))
+      (Netlist.elements netlist)
+  in
+  let dim = n_nodes - 1 + List.length !names in
+  let v0 = Array.make n_nodes 0.5 in
+  v0.(0) <- 0.0;
+  {
+    model;
+    n_nodes;
+    dim;
+    stamps = Array.of_list stamps;
+    source_names = Array.of_list (List.rev !names);
+    source_volts = Array.of_list (List.rev !values);
+    volts = v0;
+    a = Array.make_matrix dim dim 0.0;
+    rhs = Array.make dim 0.0;
+  }
+
+let source_slot c name =
+  let rec find slot =
+    if slot >= Array.length c.source_names then raise Not_found
+    else if String.equal c.source_names.(slot) name then slot
+    else find (slot + 1)
+  in
+  find 0
+
+let set_source c slot v = c.source_volts.(slot) <- v
+let voltage c node = c.volts.(node)
+
+(* Index mapping: node n (1..N-1) -> n-1 ; source slot s -> (N-1) + s. *)
+
+let[@inline] stamp_g a n1 n2 g =
+  if n1 > 0 then a.(n1 - 1).(n1 - 1) <- a.(n1 - 1).(n1 - 1) +. g;
+  if n2 > 0 then a.(n2 - 1).(n2 - 1) <- a.(n2 - 1).(n2 - 1) +. g;
+  if n1 > 0 && n2 > 0 then begin
+    a.(n1 - 1).(n2 - 1) <- a.(n1 - 1).(n2 - 1) -. g;
+    a.(n2 - 1).(n1 - 1) <- a.(n2 - 1).(n1 - 1) -. g
+  end
+
+(* current i flowing INTO node n from an equivalent source *)
+let[@inline] stamp_i rhs n i = if n > 0 then rhs.(n - 1) <- rhs.(n - 1) +. i
+
+let newton ?(options = default_options) c =
+  let n_nodes = c.n_nodes and dim = c.dim in
   let n_v = n_nodes - 1 in
-  let elems = Netlist.elements netlist in
-  let sources =
-    List.filteri (fun _ e -> match e with Netlist.Vsource _ -> true | _ -> false) elems
-  in
-  let n_src = List.length sources in
-  let dim = n_v + n_src in
-  let volts = Array.make n_nodes 0.5 in
-  volts.(0) <- 0.0;
-  (match initial with
-  | Some init ->
-      if Array.length init <> n_nodes then invalid_arg "Mna.solve: bad initial length";
-      Array.blit init 0 volts 0 n_nodes;
-      volts.(0) <- 0.0
-  | None -> ());
-  let idx n = n - 1 in
-  (* The Newton loop reuses one set of buffers: the stamped system (a, rhs)
-     and the LU scratch (lu, x) it is copied into each iteration, because
-     [Linalg.solve_in_place] destroys its inputs.  A caller-provided
-     [workspace] hoists all four allocations out of repeated solves
-     (DC sweeps stamp thousands of same-dimension systems). *)
-  let ws =
-    match workspace with
-    | None -> make_workspace ~dim
-    | Some ws ->
-        if ws.ws_dim <> dim then invalid_arg "Mna.solve: workspace dim mismatch";
-        ws
-  in
-  let a = ws.ws_a and rhs = ws.ws_rhs in
-  let stamp_g n1 n2 g =
-    if n1 > 0 then a.(idx n1).(idx n1) <- a.(idx n1).(idx n1) +. g;
-    if n2 > 0 then a.(idx n2).(idx n2) <- a.(idx n2).(idx n2) +. g;
-    if n1 > 0 && n2 > 0 then begin
-      a.(idx n1).(idx n2) <- a.(idx n1).(idx n2) -. g;
-      a.(idx n2).(idx n1) <- a.(idx n2).(idx n1) -. g
-    end
-  in
-  (* current i flowing INTO node n from an equivalent source *)
-  let stamp_i n i = if n > 0 then rhs.(idx n) <- rhs.(idx n) +. i in
-  let rec iterate iter =
-    if iter >= options.max_iterations then
-      raise (No_convergence { iterations = iter; residual = infinity });
-    (* reset system *)
+  let a = c.a and rhs = c.rhs and volts = c.volts in
+  let iter = ref 0 and finished = ref false and last_delta = ref infinity in
+  while not !finished do
+    if !iter >= options.max_iterations then
+      raise (No_convergence { iterations = !iter; residual = !last_delta });
+    (* Reset the system.  [solve_in_place] factored it in place last
+       iteration and swapped row pointers while pivoting; every row is
+       zeroed here, so the permuted rows are fine to restamp by index. *)
     for r = 0 to dim - 1 do
       rhs.(r) <- 0.0;
-      for c = 0 to dim - 1 do
-        a.(r).(c) <- 0.0
+      let row = a.(r) in
+      for j = 0 to dim - 1 do
+        row.(j) <- 0.0
       done
     done;
     for n = 1 to n_nodes - 1 do
-      a.(idx n).(idx n) <- a.(idx n).(idx n) +. options.gmin
+      a.(n - 1).(n - 1) <- a.(n - 1).(n - 1) +. options.gmin
     done;
-    let src_i = ref 0 in
-    List.iter
-      (fun e ->
-        match e with
-        | Netlist.Resistor { a = n1; b = n2; ohms } -> stamp_g n1 n2 (1.0 /. ohms)
-        | Netlist.Vsource { plus; minus; volts = v; _ } ->
-            let k = n_v + !src_i in
-            incr src_i;
-            if plus > 0 then begin
-              a.(idx plus).(k) <- a.(idx plus).(k) +. 1.0;
-              a.(k).(idx plus) <- a.(k).(idx plus) +. 1.0
-            end;
-            if minus > 0 then begin
-              a.(idx minus).(k) <- a.(idx minus).(k) -. 1.0;
-              a.(k).(idx minus) <- a.(k).(idx minus) -. 1.0
-            end;
-            rhs.(k) <- v
-        | Netlist.Capacitor _ -> () (* open circuit in DC *)
-        | Netlist.Isource { into; out_of; amps } ->
-            stamp_i into amps;
-            stamp_i out_of (-.amps)
-        | Netlist.Transistor { gate; drain; source; w_um; l_um } ->
-            let vg = volts.(gate) and vd = volts.(drain) and vs = volts.(source) in
-            let { Egt.id; gm; gds } =
-              Egt.evaluate model ~w_um ~l_um ~vgs:(vg -. vs) ~vds:(vd -. vs)
-            in
-            (* Companion model: i_DS ≈ id0 + gm·Δvgs + gds·Δvds.
-               Current leaves the drain node and enters the source node. *)
-            let ieq = id -. (gm *. (vg -. vs)) -. (gds *. (vd -. vs)) in
-            (* gds between drain and source *)
-            stamp_g drain source gds;
-            (* gm as VCCS: current gm·(vg - vs) from drain to source *)
-            if drain > 0 then begin
-              if gate > 0 then a.(idx drain).(idx gate) <- a.(idx drain).(idx gate) +. gm;
-              if source > 0 then
-                a.(idx drain).(idx source) <- a.(idx drain).(idx source) -. gm
-            end;
-            if source > 0 then begin
-              if gate > 0 then a.(idx source).(idx gate) <- a.(idx source).(idx gate) -. gm;
-              if source > 0 then
-                a.(idx source).(idx source) <- a.(idx source).(idx source) +. gm
-            end;
-            stamp_i drain (-.ieq);
-            stamp_i source ieq)
-      elems;
-    (* Blit the stamped system into the LU scratch: [solve_in_place] swaps
-       row pointers while pivoting, but every row is fully re-blitted here,
-       so the permuted scratch from the previous iteration is fine to reuse. *)
-    for r = 0 to dim - 1 do
-      Array.blit a.(r) 0 ws.ws_lu.(r) 0 dim
+    for e = 0 to Array.length c.stamps - 1 do
+      match c.stamps.(e) with
+      | Conductance { n1; n2; g } -> stamp_g a n1 n2 g
+      | Vsource { plus; minus; slot } ->
+          let k = n_v + slot in
+          if plus > 0 then begin
+            a.(plus - 1).(k) <- a.(plus - 1).(k) +. 1.0;
+            a.(k).(plus - 1) <- a.(k).(plus - 1) +. 1.0
+          end;
+          if minus > 0 then begin
+            a.(minus - 1).(k) <- a.(minus - 1).(k) -. 1.0;
+            a.(k).(minus - 1) <- a.(k).(minus - 1) -. 1.0
+          end;
+          rhs.(k) <- c.source_volts.(slot)
+      | Current { into; out_of; amps } ->
+          stamp_i rhs into amps;
+          stamp_i rhs out_of (-.amps)
+      | Fet { gate; drain; source; w_um; l_um } ->
+          let vg = volts.(gate) and vd = volts.(drain) and vs = volts.(source) in
+          let { Egt.id; gm; gds } =
+            Egt.evaluate c.model ~w_um ~l_um ~vgs:(vg -. vs) ~vds:(vd -. vs)
+          in
+          (* Companion model: i_DS ≈ id0 + gm·Δvgs + gds·Δvds.
+             Current leaves the drain node and enters the source node. *)
+          let ieq = id -. (gm *. (vg -. vs)) -. (gds *. (vd -. vs)) in
+          (* gds between drain and source *)
+          stamp_g a drain source gds;
+          (* gm as VCCS: current gm·(vg - vs) from drain to source *)
+          if drain > 0 then begin
+            if gate > 0 then a.(drain - 1).(gate - 1) <- a.(drain - 1).(gate - 1) +. gm;
+            if source > 0 then
+              a.(drain - 1).(source - 1) <- a.(drain - 1).(source - 1) -. gm
+          end;
+          if source > 0 then begin
+            if gate > 0 then a.(source - 1).(gate - 1) <- a.(source - 1).(gate - 1) -. gm;
+            a.(source - 1).(source - 1) <- a.(source - 1).(source - 1) +. gm
+          end;
+          stamp_i rhs drain (-.ieq);
+          stamp_i rhs source ieq
     done;
-    Array.blit rhs 0 ws.ws_x 0 dim;
-    let x = Linalg.solve_in_place ws.ws_lu ws.ws_x in
+    let x = Linalg.solve_in_place a rhs in
     (* damped update on node voltages *)
     let max_delta = ref 0.0 in
     for n = 1 to n_nodes - 1 do
-      let target = x.(idx n) in
+      let target = x.(n - 1) in
       let delta = target -. volts.(n) in
       let delta =
         if delta > options.damping then options.damping
@@ -166,7 +179,19 @@ let solve ?(options = default_options) ?initial ?workspace model netlist =
       if Float.abs delta > !max_delta then max_delta := Float.abs delta;
       volts.(n) <- volts.(n) +. delta
     done;
-    if !max_delta < options.tolerance then { voltages = Array.copy volts; iterations = iter + 1 }
-    else iterate (iter + 1)
-  in
-  iterate 0
+    last_delta := !max_delta;
+    incr iter;
+    if !max_delta < options.tolerance then finished := true
+  done;
+  !iter
+
+let solve ?options ?initial model netlist =
+  let c = compile model netlist in
+  (match initial with
+  | Some init ->
+      if Array.length init <> c.n_nodes then invalid_arg "Mna.solve: bad initial length";
+      Array.blit init 0 c.volts 0 c.n_nodes;
+      c.volts.(0) <- 0.0
+  | None -> ());
+  let iterations = newton ?options c in
+  { voltages = Array.copy c.volts; iterations }

@@ -20,28 +20,46 @@ type solution = { voltages : float array; iterations : int }
 (** [voltages.(n)] is the solved voltage of node [n] ([voltages.(0) = 0]). *)
 
 exception No_convergence of { iterations : int; residual : float }
+(** Newton ran [iterations] (= [options.max_iterations]) steps without
+    meeting the tolerance.  [residual] is the last iterate's max |ΔV| over
+    the nodes, after damping — the quantity compared with
+    [options.tolerance] — or [infinity] when no iteration ran
+    ([max_iterations <= 0]). *)
 
-type workspace
-(** Reusable Newton scratch: the stamped MNA system plus the LU buffers it is
-    copied into each iteration.  One workspace serves any number of
-    sequential solves of the same system dimension; it is {e not} safe to
-    share across domains. *)
+type compiled
+(** A validated netlist compiled for repeated DC solves: its elements as a
+    stamp array in netlist order (resistors as precomputed conductances,
+    capacitors dropped), one value slot per voltage source, the device
+    model, and the Newton scratch — the MNA system each iteration stamps
+    and factors in place, and the current iterate of node voltages.  Solving reuses all of it, so a
+    sweep allocates nothing per point beyond the transistor evaluations.
+    Mutable and {e not} safe to share across domains. *)
 
-val make_workspace : dim:int -> workspace
+val compile : Egt.params -> Netlist.t -> compiled
+(** Validates and compiles [netlist] against the device model.  Source
+    values are copied: later {!Netlist.set_source} calls do not reach the
+    compiled circuit.  The iterate starts at 0.5 V on every node.  Raises
+    [Invalid_argument] if the netlist fails {!Netlist.validate}. *)
 
-val workspace_for : Netlist.t -> workspace
-(** A workspace sized for this netlist's MNA system
-    ((node count − 1) + voltage-source count). *)
+val source_slot : compiled -> string -> int
+(** The slot of the named voltage source.  Raises [Not_found]. *)
+
+val set_source : compiled -> int -> float -> unit
+(** [set_source c slot volts] sets a source's value for the next solve. *)
+
+val newton : ?options:options -> compiled -> int
+(** Runs damped Newton from the current iterate (the previous solution
+    after a solve — continuation) to the DC operating point and returns
+    the iteration count; the solution is then read with {!voltage}.
+    Raises {!No_convergence} after [max_iterations]. *)
+
+val voltage : compiled -> Netlist.node -> float
+(** The current iterate's voltage at a node ([voltage c 0 = 0]). *)
 
 val solve :
-  ?options:options ->
-  ?initial:float array ->
-  ?workspace:workspace ->
-  Egt.params -> Netlist.t -> solution
-(** [solve model netlist] computes the DC operating point.  [initial] is a
-    warm-start guess of node voltages (length [node_count]); the default
-    starts every node at 0.5 V.  [workspace] (default: freshly allocated)
-    hoists the per-solve matrix allocations out of repeated solves — results
-    are bit-identical with or without it.  Raises {!No_convergence} after
-    [max_iterations], and [Invalid_argument] if the netlist fails
-    {!Netlist.validate} or the workspace dimension does not match. *)
+  ?options:options -> ?initial:float array -> Egt.params -> Netlist.t -> solution
+(** [solve model netlist] computes the DC operating point: {!compile} then
+    {!newton}.  [initial] is a warm-start guess of node voltages (length
+    [node_count]); the default starts every node at 0.5 V.  Raises
+    {!No_convergence} after [max_iterations], and [Invalid_argument] if the
+    netlist fails {!Netlist.validate} or [initial] has the wrong length. *)

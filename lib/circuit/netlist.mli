@@ -1,7 +1,8 @@
 (** Circuit netlists.
 
-    Nodes are small integers; node 0 is ground.  A netlist is a value — the
-    DC-sweep driver rebuilds or edits source values between solves. *)
+    Nodes are small integers; node 0 is ground.  A netlist is a builder whose
+    source values {!set_source} can edit between solves; {!Mna.compile}
+    snapshots it for repeated solves such as a DC sweep. *)
 
 type node = int
 

@@ -1,5 +1,3 @@
-open Lm
-
 type eta = { eta1 : float; eta2 : float; eta3 : float; eta4 : float }
 
 let eval e v = e.eta1 +. (e.eta2 *. tanh ((v -. e.eta3) *. e.eta4))
@@ -12,31 +10,27 @@ let eta_of_array a =
 
 type fit_result = { eta : eta; rmse : float; converged : bool }
 
-let residual_problem vin vout =
+(* The residual pass caches each point's tanh((v − η3)·η4) in [th]; the
+   Jacobian rows of the accepted point read it back instead of recomputing
+   it.  Both passes evaluate the same expression on the same η, so the
+   cached value is the one a fresh [tanh] would return. *)
+let problem ~vin ~vout =
   let n = Array.length vin in
-  {
-    Lm.n_params = 4;
-    n_residuals = n;
-    residuals =
-      (fun p ->
-        Array.mapi
-          (fun i v -> p.(0) +. (p.(1) *. tanh ((v -. p.(2)) *. p.(3))) -. vout.(i))
-          vin);
-    jacobian =
-      (fun p ->
-        Array.map
-          (fun v ->
-            let u = (v -. p.(2)) *. p.(3) in
-            let th = tanh u in
-            let sech2 = 1.0 -. (th *. th) in
-            [|
-              1.0;
-              th;
-              -.(p.(1) *. sech2 *. p.(3));
-              p.(1) *. sech2 *. (v -. p.(2));
-            |])
-          vin);
-  }
+  if Array.length vout <> n then invalid_arg "Ptanh.problem: length mismatch";
+  Lm.problem ~n_params:4 ~n_residuals:n
+    ~residuals:(fun p r th ->
+      for i = 0 to n - 1 do
+        let t = tanh ((vin.(i) -. p.(2)) *. p.(3)) in
+        th.(i) <- t;
+        r.(i) <- p.(0) +. (p.(1) *. t) -. vout.(i)
+      done)
+    ~jacobian_row:(fun p th i row ->
+      let t = th.(i) in
+      let sech2 = 1.0 -. (t *. t) in
+      row.(0) <- 1.0;
+      row.(1) <- t;
+      row.(2) <- -.(p.(1) *. sech2 *. p.(3));
+      row.(3) <- p.(1) *. sech2 *. (vin.(i) -. p.(2)))
 
 (* Initial guess: midpoint/amplitude from the curve range, center at the
    steepest secant, slope from the maximum secant slope (d/dv at center of
@@ -66,7 +60,7 @@ let fit ~vin ~vout =
   let n = Array.length vin in
   if Array.length vout <> n then invalid_arg "Ptanh.fit: length mismatch";
   if n < 5 then invalid_arg "Ptanh.fit: need at least 5 points";
-  let problem = residual_problem vin vout in
+  let problem = problem ~vin ~vout in
   let guesses =
     let g0 = initial_guess vin vout in
     [

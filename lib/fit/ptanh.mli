@@ -15,6 +15,12 @@ val eval_inv : eta -> float -> float
 val eta_to_array : eta -> float array
 val eta_of_array : float array -> eta
 
+val problem : vin:float array -> vout:float array -> Lm.problem
+(** Eq. 2 as a least-squares problem in η = [|η1; η2; η3; η4|]: residuals
+    [ptanh_η(vin.(i)) − vout.(i)] with their analytic Jacobian.  {!fit}
+    solves one of these per curve.  Raises [Invalid_argument] on length
+    mismatch. *)
+
 type fit_result = { eta : eta; rmse : float; converged : bool }
 
 val fit : vin:float array -> vout:float array -> fit_result

@@ -88,6 +88,39 @@ let test_fit_simulated_circuit () =
   Alcotest.(check bool) "rmse < 10 mV" true (r.Ptanh.rmse < 0.01);
   Alcotest.(check bool) "rising fit" true (r.Ptanh.eta.Ptanh.eta2 *. r.Ptanh.eta.Ptanh.eta4 > 0.0)
 
+let test_jacobian_matches_finite_differences () =
+  (* The fit streams these analytic rows, built from the residual pass's
+     cached tanh values; check them against central differences of the
+     same problem's residuals at random η. *)
+  let rng = Rng.create 17 in
+  let vin = linspace 0.0 1.0 41 in
+  let vout = Array.map (Ptanh.eval (eta 0.5 0.4 0.3 6.0)) vin in
+  let problem = Ptanh.problem ~vin ~vout in
+  for trial = 1 to 25 do
+    let p =
+      [|
+        Rng.uniform rng ~lo:(-1.0) ~hi:1.0;
+        Rng.uniform rng ~lo:(-1.0) ~hi:1.0;
+        Rng.uniform rng ~lo:0.0 ~hi:1.0;
+        Rng.uniform rng ~lo:0.5 ~hi:15.0;
+      |]
+    in
+    let analytic = Fit.Lm.jacobian problem p in
+    let numeric =
+      Fit.Lm.numerical_jacobian ~n_residuals:(Array.length vin) (Fit.Lm.residuals problem) p
+    in
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j a ->
+            let d = numeric.(i).(j) in
+            if Float.abs (a -. d) > 1e-6 *. Float.max 1.0 (Float.abs a) then
+              Alcotest.failf "trial %d: dr_%d/dη%d analytic %g vs finite difference %g" trial i
+                (j + 1) a d)
+          row)
+      analytic
+  done
+
 let qcheck_fit_recovers_function =
   QCheck.Test.make ~name:"fit reproduces arbitrary tanh-like curves" ~count:60
     QCheck.(
@@ -99,6 +132,99 @@ let qcheck_fit_recovers_function =
       let vout = Array.map (Ptanh.eval e) vin in
       let r = Ptanh.fit ~vin ~vout in
       r.Ptanh.rmse < 1e-4)
+
+
+(* {2 Golden sweep + fit digests}
+
+   The DC transfer sweep and the LM fit are the surrogate dataset's inner
+   step; their outputs feed [Pipeline]'s chunk cache, whose schema stays
+   "surchunk-1" only while every bit of them is unchanged.  FNV-1a 64 over
+   the IEEE bit patterns of each output, in order.  The expected digests
+   were captured before the sweep/fit internals were made allocation-free;
+   a mismatch means a refactor moved a bit of the dataset.  Never edit the
+   digests to make this test pass. *)
+
+let fnv_floats h a =
+  Array.fold_left
+    (fun h x ->
+      let bits = Int64.bits_of_float x in
+      let h = ref h in
+      for i = 0 to 7 do
+        let byte = Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xffL in
+        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+      done;
+      !h)
+    h a
+
+let fnv_offset = 0xcbf29ce484222325L
+
+(* The LHS set: 256 design points from seed 1.  It holds curves whose LM
+   starts run all [max_iterations] (the p95 tail of the sweep workload) as
+   well as degenerate corners where Newton gives up. *)
+let golden_omegas = lazy (Surrogate.Design_space.sample_lhs (Rng.create 1) ~n:256)
+
+let sweep_fit_digests () =
+  let transfer_h = ref fnv_offset and fit_h = ref fnv_offset in
+  Array.iter
+    (fun omega ->
+      match Circuit.Ptanh_circuit.transfer (Circuit.Ptanh_circuit.omega_of_array omega) with
+      | exception Circuit.Mna.No_convergence _ ->
+          transfer_h := fnv_floats !transfer_h [| infinity |]
+      | vin, vout ->
+          transfer_h := fnv_floats (fnv_floats !transfer_h vin) vout;
+          let r = Ptanh.fit ~vin ~vout in
+          fit_h :=
+            fnv_floats !fit_h
+              (Array.append (Ptanh.eta_to_array r.Ptanh.eta)
+                 [| r.Ptanh.rmse; (if r.Ptanh.converged then 1.0 else 0.0) |]))
+    (Lazy.force golden_omegas);
+  (Printf.sprintf "%016Lx" !transfer_h, Printf.sprintf "%016Lx" !fit_h)
+
+let test_golden_sweep_fit () =
+  let transfer_d, fit_d = sweep_fit_digests () in
+  Alcotest.(check string) "transfer digest" "440286d86aef20de" transfer_d;
+  Alcotest.(check string) "fit digest" "10e82721b3572510" fit_d
+
+let test_golden_dataset () =
+  let d = Surrogate.Pipeline.generate_dataset ~n:64 () in
+  let h = Array.fold_left fnv_floats fnv_offset d.Surrogate.Pipeline.omegas in
+  let h = Array.fold_left fnv_floats h d.Surrogate.Pipeline.etas in
+  let h = fnv_floats h d.Surrogate.Pipeline.fit_rmses in
+  let h = fnv_floats h [| float_of_int d.Surrogate.Pipeline.rejected |] in
+  Alcotest.(check string) "generate_dataset ~n:64 digest" "e42f541b615d655e" (Printf.sprintf "%016Lx" h)
+
+
+(* {2 Allocation does not scale with LM iterations}
+
+   Two curves from the golden LHS set: design point 2's three starts
+   converge in 6, 8 and 10 iterations, design point 5's all run the full
+   200.  A fit allocates its problem scratch, start vectors and results
+   once, so both stay under one bound that a per-iteration allocation
+   (a Jacobian, a JᵀJ copy, a residual array) would exceed on the long
+   curve by two orders of magnitude. *)
+
+let fit_minor_words index =
+  let omega = (Lazy.force golden_omegas).(index) in
+  let vin, vout = Circuit.Ptanh_circuit.transfer (Circuit.Ptanh_circuit.omega_of_array omega) in
+  let before = Gc.minor_words () in
+  let r = Ptanh.fit ~vin ~vout in
+  (Gc.minor_words () -. before, r.Ptanh.converged)
+
+let fit_word_bound = 2048.0
+
+let test_fit_allocation_flat () =
+  List.iter
+    (fun (index, long, what) ->
+      let words, converged = fit_minor_words index in
+      (* the best start of a long curve ran out of iterations unconverged *)
+      Alcotest.(check bool) (Printf.sprintf "LHS point %d converged" index) (not long) converged;
+      if words > fit_word_bound then
+        Alcotest.failf "fit of LHS point %d (%s) allocated %.0f minor words (bound %.0f)"
+          index what words fit_word_bound)
+    [
+      (2, false, "starts converge in about 10 iterations");
+      (5, true, "starts hit max_iterations");
+    ]
 
 let () =
   Alcotest.run "fit_ptanh"
@@ -117,5 +243,13 @@ let () =
           Alcotest.test_case "validations" `Quick test_fit_validations;
           Alcotest.test_case "simulated circuit" `Quick test_fit_simulated_circuit;
           QCheck_alcotest.to_alcotest qcheck_fit_recovers_function;
+          Alcotest.test_case "jacobian vs finite differences" `Quick
+            test_jacobian_matches_finite_differences;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "sweep + fit digests" `Quick test_golden_sweep_fit;
+          Alcotest.test_case "dataset digest" `Quick test_golden_dataset;
+          Alcotest.test_case "fit allocation flat" `Quick test_fit_allocation_flat;
         ] );
     ]

@@ -7,12 +7,11 @@ let test_linear_fit () =
   let xs = [| 0.0; 1.0; 2.0; 3.0 |] in
   let ys = [| 1.0; 3.0; 5.0; 7.0 |] in
   let problem =
-    {
-      Lm.n_params = 2;
-      n_residuals = 4;
-      residuals = (fun p -> Array.mapi (fun i x -> (p.(0) *. x) +. p.(1) -. ys.(i)) xs);
-      jacobian = (fun _ -> Array.map (fun x -> [| x; 1.0 |]) xs);
-    }
+    Lm.problem ~n_params:2 ~n_residuals:4
+      ~residuals:(fun p r _ -> Array.iteri (fun i x -> r.(i) <- (p.(0) *. x) +. p.(1) -. ys.(i)) xs)
+      ~jacobian_row:(fun _ _ i row ->
+        row.(0) <- xs.(i);
+        row.(1) <- 1.0)
   in
   let r = Lm.solve problem [| 0.0; 0.0 |] in
   Alcotest.(check (float 1e-6)) "slope" 2.0 r.Lm.params.(0);
@@ -20,33 +19,33 @@ let test_linear_fit () =
   Alcotest.(check bool) "converged" true r.Lm.converged;
   Alcotest.(check bool) "zero cost" true (r.Lm.cost < 1e-12)
 
-let test_exponential_fit () =
-  (* y = 3 exp(-0.7 x), nonlinear *)
+(* y = 3 exp(-0.7 x), nonlinear; aux carries exp(p1·x) from the residual
+   pass to the Jacobian rows *)
+let exponential_problem () =
   let xs = Array.init 20 (fun i -> float_of_int i *. 0.25) in
   let ys = Array.map (fun x -> 3.0 *. exp (-0.7 *. x)) xs in
-  let problem =
-    {
-      Lm.n_params = 2;
-      n_residuals = Array.length xs;
-      residuals =
-        (fun p -> Array.mapi (fun i x -> (p.(0) *. exp (p.(1) *. x)) -. ys.(i)) xs);
-      jacobian =
-        (fun p ->
-          Array.map (fun x -> [| exp (p.(1) *. x); p.(0) *. x *. exp (p.(1) *. x) |]) xs);
-    }
-  in
+  Lm.problem ~n_params:2 ~n_residuals:(Array.length xs)
+    ~residuals:(fun p r e ->
+      Array.iteri
+        (fun i x ->
+          e.(i) <- exp (p.(1) *. x);
+          r.(i) <- (p.(0) *. e.(i)) -. ys.(i))
+        xs)
+    ~jacobian_row:(fun p e i row ->
+      row.(0) <- e.(i);
+      row.(1) <- p.(0) *. xs.(i) *. e.(i))
+
+let test_exponential_fit () =
+  let problem = exponential_problem () in
   let r = Lm.solve problem [| 1.0; -0.1 |] in
   Alcotest.(check (float 1e-5)) "amplitude" 3.0 r.Lm.params.(0);
   Alcotest.(check (float 1e-5)) "rate" (-0.7) r.Lm.params.(1)
 
 let test_initial_guess_length () =
   let problem =
-    {
-      Lm.n_params = 2;
-      n_residuals = 1;
-      residuals = (fun _ -> [| 0.0 |]);
-      jacobian = (fun _ -> [| [| 0.0; 0.0 |] |]);
-    }
+    Lm.problem ~n_params:2 ~n_residuals:1
+      ~residuals:(fun _ r _ -> r.(0) <- 0.0)
+      ~jacobian_row:(fun _ _ _ row -> Array.fill row 0 2 0.0)
   in
   Alcotest.check_raises "bad p0" (Invalid_argument "Lm.solve: initial guess has wrong length")
     (fun () -> ignore (Lm.solve problem [| 0.0 |]))
@@ -54,12 +53,9 @@ let test_initial_guess_length () =
 let test_already_optimal () =
   (* start at the optimum: should converge immediately without moving *)
   let problem =
-    {
-      Lm.n_params = 1;
-      n_residuals = 2;
-      residuals = (fun p -> [| p.(0) -. 5.0; p.(0) -. 5.0 |]);
-      jacobian = (fun _ -> [| [| 1.0 |]; [| 1.0 |] |]);
-    }
+    Lm.problem ~n_params:1 ~n_residuals:2
+      ~residuals:(fun p r _ -> Array.fill r 0 2 (p.(0) -. 5.0))
+      ~jacobian_row:(fun _ _ _ row -> row.(0) <- 1.0)
   in
   let r = Lm.solve problem [| 5.0 |] in
   Alcotest.(check (float 1e-9)) "stays put" 5.0 r.Lm.params.(0)
@@ -76,12 +72,19 @@ let test_numerical_jacobian_agrees () =
 let test_rosenbrock_valley () =
   (* classic hard case as least squares: r = [10(y - x^2); 1 - x] *)
   let problem =
-    {
-      Lm.n_params = 2;
-      n_residuals = 2;
-      residuals = (fun p -> [| 10.0 *. (p.(1) -. (p.(0) *. p.(0))); 1.0 -. p.(0) |]);
-      jacobian = (fun p -> [| [| -20.0 *. p.(0); 10.0 |]; [| -1.0; 0.0 |] |]);
-    }
+    Lm.problem ~n_params:2 ~n_residuals:2
+      ~residuals:(fun p r _ ->
+        r.(0) <- 10.0 *. (p.(1) -. (p.(0) *. p.(0)));
+        r.(1) <- 1.0 -. p.(0))
+      ~jacobian_row:(fun p _ i row ->
+        if i = 0 then begin
+          row.(0) <- -20.0 *. p.(0);
+          row.(1) <- 10.0
+        end
+        else begin
+          row.(0) <- -1.0;
+          row.(1) <- 0.0
+        end)
   in
   let r = Lm.solve ~max_iterations:500 problem [| -1.2; 1.0 |] in
   Alcotest.(check (float 1e-4)) "x" 1.0 r.Lm.params.(0);
@@ -92,16 +95,40 @@ let test_noisy_fit_cost_reasonable () =
   let xs = Array.init 50 (fun i -> float_of_int i /. 10.0) in
   let ys = Array.map (fun x -> (1.5 *. x) +. 0.2 +. Rng.gaussian rng ~mu:0.0 ~sigma:0.01) xs in
   let problem =
-    {
-      Lm.n_params = 2;
-      n_residuals = 50;
-      residuals = (fun p -> Array.mapi (fun i x -> (p.(0) *. x) +. p.(1) -. ys.(i)) xs);
-      jacobian = (fun _ -> Array.map (fun x -> [| x; 1.0 |]) xs);
-    }
+    Lm.problem ~n_params:2 ~n_residuals:50
+      ~residuals:(fun p r _ -> Array.iteri (fun i x -> r.(i) <- (p.(0) *. x) +. p.(1) -. ys.(i)) xs)
+      ~jacobian_row:(fun _ _ i row ->
+        row.(0) <- xs.(i);
+        row.(1) <- 1.0)
   in
   let r = Lm.solve problem [| 0.0; 0.0 |] in
   Alcotest.(check bool) "slope near 1.5" true (Float.abs (r.Lm.params.(0) -. 1.5) < 0.02);
   Alcotest.(check bool) "cost ~ noise level" true (r.Lm.cost < 50.0 *. 0.01)
+
+let test_aux_jacobian_agrees () =
+  (* rows built from the residual pass's aux match central differences *)
+  let problem = exponential_problem () in
+  let p = [| 2.0; -0.4 |] in
+  let analytic = Lm.jacobian problem p in
+  let numeric = Lm.numerical_jacobian ~n_residuals:20 (Lm.residuals problem) p in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j a -> Alcotest.(check (float 1e-6)) (Printf.sprintf "J(%d,%d)" i j) a numeric.(i).(j))
+        row)
+    analytic
+
+let test_scratch_reuse () =
+  (* a problem's scratch is shared by sequential solves (a multi-start):
+     a solve after another one from a different start returns the same
+     bits as the first solve on a fresh problem *)
+  let fresh = Lm.solve (exponential_problem ()) [| 1.0; -0.1 |] in
+  let problem = exponential_problem () in
+  ignore (Lm.solve problem [| 5.0; 0.3 |]);
+  let reused = Lm.solve problem [| 1.0; -0.1 |] in
+  Alcotest.(check (array (float 0.0))) "params" fresh.Lm.params reused.Lm.params;
+  Alcotest.(check (float 0.0)) "cost" fresh.Lm.cost reused.Lm.cost;
+  Alcotest.(check int) "iterations" fresh.Lm.iterations reused.Lm.iterations
 
 let () =
   Alcotest.run "lm"
@@ -115,5 +142,7 @@ let () =
           Alcotest.test_case "numerical jacobian" `Quick test_numerical_jacobian_agrees;
           Alcotest.test_case "rosenbrock" `Quick test_rosenbrock_valley;
           Alcotest.test_case "noisy linear" `Quick test_noisy_fit_cost_reasonable;
+          Alcotest.test_case "aux jacobian" `Quick test_aux_jacobian_agrees;
+          Alcotest.test_case "scratch reuse" `Quick test_scratch_reuse;
         ] );
     ]

@@ -129,6 +129,58 @@ let test_set_source_sweep_consistency () =
         "half of vin" (p.Circuit.Dc_sweep.vin /. 2.0) p.Circuit.Dc_sweep.vout)
     pts
 
+let test_no_convergence_residual () =
+  (* one damped Newton step cannot reach the inverter's operating point
+     from the 0.5 V start; the exception reports that step's max |ΔV| *)
+  let nl = N.create () in
+  let vdd = N.fresh_node nl in
+  let gate = N.fresh_node nl in
+  let drain = N.fresh_node nl in
+  N.add nl (N.Vsource { name = "vdd"; plus = vdd; minus = N.ground; volts = 1.0 });
+  N.add nl (N.Vsource { name = "vg"; plus = gate; minus = N.ground; volts = 0.35 });
+  N.add nl (N.Resistor { a = vdd; b = drain; ohms = 100_000.0 });
+  N.add nl (N.Transistor { gate; drain; source = N.ground; w_um = 400.0; l_um = 30.0 });
+  let options = { M.default_options with M.max_iterations = 1 } in
+  match M.solve ~options model nl with
+  | exception M.No_convergence { iterations; residual } ->
+      Alcotest.(check int) "iterations" 1 iterations;
+      Alcotest.(check bool) "finite residual" true (Float.is_finite residual);
+      Alcotest.(check bool) "positive residual" true (residual > 0.0);
+      Alcotest.(check bool) "within the damping limit" true
+        (residual <= options.M.damping)
+  | _ -> Alcotest.fail "expected No_convergence after one iteration"
+
+let test_compiled_sweep_matches_solve () =
+  (* the compiled sweep (one compile, continuation through the iterate)
+     gives the same bits as fresh solves warm-started from the previous
+     point's voltages, and leaves the netlist untouched *)
+  let nl = N.create () in
+  let vdd = N.fresh_node nl in
+  let gate = N.fresh_node nl in
+  let drain = N.fresh_node nl in
+  N.add nl (N.Vsource { name = "vdd"; plus = vdd; minus = N.ground; volts = 1.0 });
+  N.add nl (N.Vsource { name = "vg"; plus = gate; minus = N.ground; volts = 0.0 });
+  N.add nl (N.Resistor { a = vdd; b = drain; ohms = 200_000.0 });
+  N.add nl (N.Transistor { gate; drain; source = N.ground; w_um = 500.0; l_um = 20.0 });
+  let sweep = Circuit.Dc_sweep.linspace 0.0 1.0 11 in
+  let pts = Circuit.Dc_sweep.run ~model ~netlist:nl ~source:"vg" ~output:drain ~sweep () in
+  List.iter
+    (function
+      | N.Vsource { name = "vg"; volts; _ } -> Alcotest.(check (float 0.0)) "vg untouched" 0.0 volts
+      | _ -> ())
+    (N.elements nl);
+  let guess = ref None in
+  Array.iteri
+    (fun i vg ->
+      N.set_source nl "vg" vg;
+      let sol = M.solve ?initial:!guess model nl in
+      guess := Some sol.M.voltages;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "point %d" i) sol.M.voltages.(drain) pts.(i).Circuit.Dc_sweep.vout)
+    sweep;
+  Alcotest.check_raises "unknown source" Not_found (fun () ->
+      ignore (Circuit.Dc_sweep.run ~model ~netlist:nl ~source:"nope" ~output:drain ~sweep ()))
+
 let () =
   Alcotest.run "mna"
     [
@@ -146,5 +198,7 @@ let () =
           Alcotest.test_case "KCL residual" `Quick test_kcl_residual;
           Alcotest.test_case "warm start" `Quick test_warm_start;
           Alcotest.test_case "sweep consistency" `Quick test_set_source_sweep_consistency;
+          Alcotest.test_case "no-convergence residual" `Quick test_no_convergence_residual;
+          Alcotest.test_case "compiled sweep = solves" `Quick test_compiled_sweep_matches_solve;
         ] );
     ]
