@@ -59,6 +59,10 @@ let set_value n t =
     invalid_arg "Autodiff.set_value: shape mismatch";
   T.blit ~src:t ~dst:n.value
 
+let update_value n t =
+  if n.kind = Op then invalid_arg "Autodiff.update_value: node is not a leaf";
+  T.blit_changed ~src:t ~dst:n.value
+
 let node ?(recompute = no_recompute) value parents push =
   {
     id = next_id ();
@@ -672,6 +676,22 @@ let compile root =
   { root; order; fwd = List.rev order }
 
 let refresh tape = List.iter (fun n -> n.recompute n) tape.fwd
+
+let split tape ~input =
+  let downstream = Hashtbl.create 256 in
+  Hashtbl.replace downstream input.id ();
+  let fixed, varying =
+    List.fold_left
+      (fun (fixed, varying) n ->
+        if n.id = input.id || List.exists (fun p -> Hashtbl.mem downstream p.id) n.parents
+        then begin
+          Hashtbl.replace downstream n.id ();
+          (fixed, n :: varying)
+        end
+        else (n :: fixed, varying))
+      ([], []) tape.fwd
+  in
+  ({ tape with fwd = List.rev fixed }, { tape with fwd = List.rev varying })
 
 let backward_tape tape =
   if T.shape tape.root.value <> (1, 1) then

@@ -54,6 +54,12 @@ val set_value : t -> Tensor.t -> unit
     checked); raises [Invalid_argument] on interior (op) nodes.  Used to
     feed new inputs/noise draws into a reused graph before {!refresh}. *)
 
+val update_value : t -> Tensor.t -> bool
+(** As {!set_value}, and reports whether any bit of the leaf's value
+    changed ({!Tensor.blit_changed}); allocation-free.  A caller that tracks
+    which leaves changed can then refresh only the affected part of a
+    {!split} tape. *)
+
 val id : t -> int
 (** Unique per-node identifier (stable for the lifetime of the node); used by
     optimizers to key per-parameter state. *)
@@ -190,6 +196,15 @@ val compile : t -> tape
 
 val refresh : tape -> unit
 (** Re-run the forward pass in place, leaves first. *)
+
+val split : tape -> input:t -> tape * tape
+(** [split tape ~input] is [(fixed, varying)]: [varying]'s forward pass
+    re-runs the nodes of [tape] whose value depends on the leaf [input],
+    [fixed]'s the others, each in [tape]'s order.  A fixed node has only
+    fixed parents, so [refresh fixed; refresh varying] is [refresh tape], and
+    when no leaf but [input] has changed since the last refresh,
+    [refresh varying] alone is too.  Both keep [tape]'s root and its
+    backward order, so {!backward_tape} on either is unchanged. *)
 
 val backward_tape : tape -> unit
 (** As {!backward}, but reusing the compiled order. *)

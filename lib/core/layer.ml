@@ -78,6 +78,22 @@ let set_noise_nodes nodes (noise : Noise.layer_noise) =
   A.set_value nodes.act_n noise.Noise.act_omega;
   A.set_value nodes.neg_n noise.Noise.neg_omega
 
+let update_noise_nodes nodes (noise : Noise.layer_noise) =
+  let theta = A.update_value nodes.theta_n noise.Noise.theta in
+  let act = A.update_value nodes.act_n noise.Noise.act_omega in
+  let neg = A.update_value nodes.neg_n noise.Noise.neg_omega in
+  theta || act || neg
+
+let noise_misfit nodes (noise : Noise.layer_noise) =
+  let fits leaf t =
+    let v = A.value leaf in
+    Tensor.rows v = Tensor.rows t && Tensor.cols v = Tensor.cols t
+  in
+  if not (fits nodes.theta_n noise.Noise.theta) then Some "theta"
+  else if not (fits nodes.act_n noise.Noise.act_omega && fits nodes.neg_n noise.Noise.neg_omega)
+  then Some "omega"
+  else None
+
 (* augment the batch with the bias column (V_b = 1) *)
 let augment x =
   let batch = Tensor.rows (A.value x) in

@@ -61,6 +61,15 @@ val noise_nodes_of : Noise.layer_noise -> noise_nodes
 val set_noise_nodes : noise_nodes -> Noise.layer_noise -> unit
 (** Blit a new draw into the leaves (shape-checked). *)
 
+val update_noise_nodes : noise_nodes -> Noise.layer_noise -> bool
+(** As {!set_noise_nodes}, and reports whether any bit of the leaves
+    changed ({!Autodiff.update_value}); allocation-free. *)
+
+val noise_misfit : noise_nodes -> Noise.layer_noise -> string option
+(** [Some "theta"] or [Some "omega"] when that part of the draw does not
+    have the leaves' shape, [None] when the whole draw fits.  Lets a caller
+    validate every layer before writing any leaf. *)
+
 val forward_nodes : Config.t -> t -> noise_nodes -> Autodiff.t -> Autodiff.t
 (** As {!forward}, with the noise already in the graph. *)
 

@@ -259,6 +259,14 @@ let predict_cached t ~noise x =
    call blits into ({!A.set_value}), so one compiled graph serves an
    unbounded stream of same-shaped batches.
 
+   The tape is split once ({!A.split}) into the nodes that depend on the
+   input leaf (crossbar matmuls and division, activations, logit scale) and
+   those that do not (surrogate η̂(ω), θ projection, crossbar denominator).  Each call copies the
+   master's parameters and the noise draw into their leaves, noting whether
+   any bit changed; only then is the parameter-only part re-run.  Nominal
+   serving of a read-only master therefore runs just the input-dependent
+   part, while every Monte-Carlo draw, which changes the noise, runs both.
+
    Because every op in the forward pass is row-independent (matmul row i
    reads only input row i; activations and the logit scale are elementwise),
    each row of the refreshed root is bit-identical to running that row alone
@@ -274,7 +282,11 @@ type predictor = {
   p_noise : Layer.noise_nodes list;
   p_nominal : Noise.t; (* all-ones draw, reused when no draw is given *)
   p_root : A.t; (* scaled logits, rows × outputs *)
-  p_tape : A.tape;
+  p_fixed : A.tape; (* nodes that do not depend on [p_x] *)
+  p_varying : A.tape; (* nodes downstream of [p_x] *)
+  (* pnnlint:allow R7 a predictor is confined to the domain that compiled it,
+     like every compiled graph: predictor_cached keeps one per domain (DLS) *)
+  mutable p_stale : bool; (* a leaf changed and [p_fixed] has not re-run *)
 }
 
 let compile_predictor t ~rows ~cols =
@@ -285,6 +297,7 @@ let compile_predictor t ~rows ~cols =
   let root =
     A.scale t.config.Config.logit_scale (forward_nodes replica ~noise_nodes x_leaf)
   in
+  let fixed, varying = A.split (A.compile root) ~input:x_leaf in
   {
     p_master = t;
     p_rows = rows;
@@ -295,25 +308,56 @@ let compile_predictor t ~rows ~cols =
     p_noise = noise_nodes;
     p_nominal = nominal;
     p_root = root;
-    p_tape = A.compile root;
+    p_fixed = fixed;
+    p_varying = varying;
+    (* building the graph evaluated every node from the leaves as they are *)
+    p_stale = false;
   }
 
 let predictor_shape p = (p.p_rows, p.p_cols)
 
+(* Validate the whole draw before any leaf is written, so a rejected call
+   leaves the predictor exactly as the previous call left it. *)
+let check_noise p noise =
+  if List.length noise <> List.length p.p_noise then
+    invalid_arg "Network.predictor_logits: noise/layer count mismatch";
+  let rec check i nodes noise =
+    match (nodes, noise) with
+    | n :: nodes, l :: noise -> (
+        match Layer.noise_misfit n l with
+        | Some what ->
+            invalid_arg
+              (Printf.sprintf "Network.predictor_logits: layer %d %s noise shape mismatch" i
+                 what)
+        | None -> check (i + 1) nodes noise)
+    | _ -> ()
+  in
+  check 0 p.p_noise noise
+
 let predictor_logits p ?noise x =
-  if Tensor.shape x <> (p.p_rows, p.p_cols) then
+  if Tensor.rows x <> p.p_rows || Tensor.cols x <> p.p_cols then
     invalid_arg "Network.predictor_logits: batch shape mismatch";
-  A.set_value p.p_x x;
-  (* The master is read-only at serve time, but re-blitting keeps the
-     predictor correct if someone does train the master between calls. *)
-  List.iter2
-    (fun rp mp -> A.set_value rp (A.value mp))
-    p.p_replica_params p.p_master_params;
   let noise = match noise with Some n -> n | None -> p.p_nominal in
-  (try List.iter2 Layer.set_noise_nodes p.p_noise noise
-   with Invalid_argument _ ->
-     invalid_arg "Network.predictor_logits: noise/layer count mismatch");
-  A.refresh p.p_tape;
+  check_noise p noise;
+  A.set_value p.p_x x;
+  (* The master is read-only at serve time, but re-copying keeps the
+     predictor correct if someone does train the master between calls. *)
+  let params_changed =
+    List.fold_left2
+      (fun changed rp mp -> A.update_value rp (A.value mp) || changed)
+      false p.p_replica_params p.p_master_params
+  in
+  let noise_changed =
+    List.fold_left2
+      (fun changed nodes layer_noise -> Layer.update_noise_nodes nodes layer_noise || changed)
+      false p.p_noise noise
+  in
+  if params_changed || noise_changed then p.p_stale <- true;
+  if p.p_stale then begin
+    A.refresh p.p_fixed;
+    p.p_stale <- false
+  end;
+  A.refresh p.p_varying;
   A.value p.p_root
 
 let predictor_predict p ?noise x = Tensor.argmax_rows (predictor_logits p ?noise x)

@@ -105,11 +105,16 @@ val predictor_shape : predictor -> int * int
 val predictor_logits : predictor -> ?noise:Noise.t -> Tensor.t -> Tensor.t
 (** Blit the batch (and the master's current parameters, and [noise] or the
     nominal all-ones draw) into the graph leaves, refresh, and return the
-    live temperature-scaled logits ([rows × outputs]).  Each row is
-    bit-identical to {!predict}'s logits for that row alone — the forward
-    pass is row-independent, so batch composition never changes an answer.
-    The returned tensor is the graph's root buffer: read or copy it before
-    the next call.  Raises [Invalid_argument] on a shape mismatch. *)
+    live temperature-scaled logits ([rows × outputs]).  The nodes that do
+    not depend on the batch are re-run only when a parameter or noise bit
+    changed since the previous call.  Each row is bit-identical to
+    {!predict}'s logits for that row alone — the forward pass is
+    row-independent, so batch composition never changes an answer.  The
+    returned tensor is the graph's root buffer: read or copy it before the
+    next call.  Raises [Invalid_argument] on a batch shape mismatch, a noise
+    draw with the wrong number of layers, or a layer whose θ or ω noise has
+    the wrong shape — always before any leaf is written, so a rejected call
+    changes nothing. *)
 
 val predictor_predict : predictor -> ?noise:Noise.t -> Tensor.t -> int array
 (** Argmax rows of {!predictor_logits}; bit-identical to {!predict}. *)

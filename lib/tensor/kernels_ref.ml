@@ -1,17 +1,22 @@
 (* Reference backend: the bit-identity oracle.
 
-   Every core here is the original [float array] kernel, moved verbatim from
-   the pre-backend tensor/autodiff/optimizer modules — same floating-point
-   operations in the same order, so every golden trajectory, checkpoint and
-   determinism test pinned against the old code stays bit-identical.  Do not
-   "optimize" these loops: the C backend (Kernels_c) is the fast path; this
-   one is the semantics.
+   Every core here performs the floating-point operations of the original
+   [float array] kernel from the pre-backend tensor/autodiff/optimizer
+   modules, in the same order, so every golden trajectory, checkpoint and
+   determinism test pinned against the old code stays bit-identical.
 
-   Checked (sanitizer) mode: each hot kernel carries two loop bodies
-   performing identical floating-point operations in identical order; the
-   checked body uses bounds-checked indexing.  The flag is tested once per
-   kernel call, not per element (a per-element dereference measured ~2.3x
-   slower on the elementwise hot path). *)
+   Checked (sanitizer) mode: each hot kernel carries two loop bodies.  The
+   flag is tested once per kernel call, not per element (a per-element
+   dereference measured ~2.3x slower on the elementwise hot path).  The
+   rule for the two bodies:
+   - the checked body is the verbatim semantics: the naive loop with
+     bounds-checked indexing;
+   - the unchecked body may reorder and tile loops, but never the sequence
+     of operations any one output element sees, nor the operand order of
+     any operation.  Operand order matters for commutative adds: when two
+     NaNs meet, x86 keeps the first operand's payload (see [matmul]).
+   The two bodies are therefore bit-identical, NaN payloads included, and
+   test/test_backend.ml compares them. *)
 
 module TB = Tensor_backend
 
@@ -169,7 +174,21 @@ let mul_rowvec md vd dst rows cols =
 (* {1 Linear algebra} *)
 
 (* ikj loop order: streams through b rows, cache friendly for row-major.
-   [cd] must be pre-zeroed by the caller. *)
+   [cd] must be pre-zeroed by the caller.
+
+   Each output element c(i,j) starts from cd and adds aip * b(p,j) for
+   p = 0 .. k-1 in order, skipping exact-zero A entries.  The add is written
+   product-first: when both operands are NaN, x86 returns the first
+   operand's payload, and ocamlopt swaps a commutative add's operands to
+   fold a bare array load into the instruction, so [load +. product] and
+   [acc +. product] would disagree on which NaN survives.  Product-first
+   yields the product's payload in every body below.
+
+   The checked body is the naive loop.  The unchecked body keeps 8 output
+   columns of row i in float registers across the whole p loop and stores
+   them once (columns past the last full tile keep the naive loop): every
+   element sees the same operations in the same order, so the two bodies
+   are bit-identical — pinned by test/test_backend.ml. *)
 let matmul ad bd cd m k n =
   if checked () then
     for i = 0 to m - 1 do
@@ -181,30 +200,69 @@ let matmul ad bd cd m k n =
         if aip <> 0.0 then begin
           let b_base = p * n in
           for j = 0 to n - 1 do
-            cd.(c_base + j) <- cd.(c_base + j) +. (aip *. bd.(b_base + j))
+            cd.(c_base + j) <- (aip *. bd.(b_base + j)) +. cd.(c_base + j)
           done
         end
       done
     done
-  else
+  else begin
+    let tiled = n - (n land 7) in
     for i = 0 to m - 1 do
       let a_base = i * k and c_base = i * n in
-      for p = 0 to k - 1 do
-        (* SAFETY: a_base + p < m * k = length ad *)
-        let aip = Array.unsafe_get ad (a_base + p) in
-        (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-           NaN never skips; Float.equal would treat both differently *)
-        if aip <> 0.0 then begin
-          let b_base = p * n in
-          (* SAFETY: c_base + j < m * n = length cd and
-             b_base + j < k * n = length bd, by the loop bounds *)
-          for j = 0 to n - 1 do
-            Array.unsafe_set cd (c_base + j)
-              (Array.unsafe_get cd (c_base + j) +. (aip *. Array.unsafe_get bd (b_base + j)))
-          done
-        end
-      done
+      let j0 = ref 0 in
+      while !j0 < tiled do
+        let c0 = c_base + !j0 in
+        let s0 = ref cd.(c0) and s1 = ref cd.(c0 + 1) and s2 = ref cd.(c0 + 2) in
+        let s3 = ref cd.(c0 + 3) and s4 = ref cd.(c0 + 4) and s5 = ref cd.(c0 + 5) in
+        let s6 = ref cd.(c0 + 6) and s7 = ref cd.(c0 + 7) in
+        for p = 0 to k - 1 do
+          (* SAFETY: a_base + p < m * k = length ad *)
+          let aip = Array.unsafe_get ad (a_base + p) in
+          (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
+             NaN never skips; Float.equal would treat both differently *)
+          if aip <> 0.0 then begin
+            let q = (p * n) + !j0 in
+            (* SAFETY: q + 7 < p * n + tiled <= k * n = length bd *)
+            s0 := (aip *. Array.unsafe_get bd q) +. !s0;
+            s1 := (aip *. Array.unsafe_get bd (q + 1)) +. !s1;
+            s2 := (aip *. Array.unsafe_get bd (q + 2)) +. !s2;
+            (* SAFETY: q + 7 < length bd, as above *)
+            s3 := (aip *. Array.unsafe_get bd (q + 3)) +. !s3;
+            s4 := (aip *. Array.unsafe_get bd (q + 4)) +. !s4;
+            s5 := (aip *. Array.unsafe_get bd (q + 5)) +. !s5;
+            (* SAFETY: q + 7 < length bd, as above *)
+            s6 := (aip *. Array.unsafe_get bd (q + 6)) +. !s6;
+            s7 := (aip *. Array.unsafe_get bd (q + 7)) +. !s7
+          end
+        done;
+        cd.(c0) <- !s0;
+        cd.(c0 + 1) <- !s1;
+        cd.(c0 + 2) <- !s2;
+        cd.(c0 + 3) <- !s3;
+        cd.(c0 + 4) <- !s4;
+        cd.(c0 + 5) <- !s5;
+        cd.(c0 + 6) <- !s6;
+        cd.(c0 + 7) <- !s7;
+        j0 := !j0 + 8
+      done;
+      if tiled < n then
+        for p = 0 to k - 1 do
+          (* SAFETY: a_base + p < m * k = length ad *)
+          let aip = Array.unsafe_get ad (a_base + p) in
+          (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
+             NaN never skips; Float.equal would treat both differently *)
+          if aip <> 0.0 then begin
+            let b_base = p * n in
+            (* SAFETY: c_base + j < m * n = length cd and
+               b_base + j < k * n = length bd, by the loop bounds *)
+            for j = tiled to n - 1 do
+              Array.unsafe_set cd (c_base + j)
+                ((aip *. Array.unsafe_get bd (b_base + j)) +. Array.unsafe_get cd (c_base + j))
+            done
+          end
+        done
     done
+  end
 
 (* A · Bᵀ without materializing the transpose: rows of both operands are
    contiguous, so the p-loop streams both.  The accumulation order (and the
@@ -443,13 +501,17 @@ let unary op src dst n =
           Array.unsafe_set dst i (Stdlib.abs_float (Array.unsafe_get src i))
         done
 
+(* The checked bodies put the derivative factor first: the unchecked
+   [Array.unsafe_get g i *. factor] is a bare load, which ocamlopt swaps
+   into the second operand, so the factor's NaN payload wins there when
+   both are NaN (see [matmul]); factor-first makes the checked body agree. *)
 let unary_bwd op ~x ~y ~g ~s n =
   match (op : TB.unop) with
   | TB.Tanh ->
       if checked () then
         for i = 0 to n - 1 do
           let yi = y.(i) in
-          s.(i) <- g.(i) *. (1.0 -. (yi *. yi))
+          s.(i) <- (1.0 -. (yi *. yi)) *. g.(i)
         done
       else
         (* SAFETY: i < n <= length of y, g and s (dispatch layer) *)
@@ -461,7 +523,7 @@ let unary_bwd op ~x ~y ~g ~s n =
       if checked () then
         for i = 0 to n - 1 do
           let yi = y.(i) in
-          s.(i) <- g.(i) *. (yi *. (1.0 -. yi))
+          s.(i) <- (yi *. (1.0 -. yi)) *. g.(i)
         done
       else
         (* SAFETY: i < n <= length of y, g and s (dispatch layer) *)
@@ -482,7 +544,7 @@ let unary_bwd op ~x ~y ~g ~s n =
   | TB.Log ->
       if checked () then
         for i = 0 to n - 1 do
-          s.(i) <- g.(i) *. (1.0 /. x.(i))
+          s.(i) <- (1.0 /. x.(i)) *. g.(i)
         done
       else
         (* SAFETY: i < n <= length of x, g and s (dispatch layer) *)
@@ -492,7 +554,7 @@ let unary_bwd op ~x ~y ~g ~s n =
   | TB.Sqrt ->
       if checked () then
         for i = 0 to n - 1 do
-          s.(i) <- g.(i) *. (0.5 /. y.(i))
+          s.(i) <- (0.5 /. y.(i)) *. g.(i)
         done
       else
         (* SAFETY: i < n <= length of y, g and s (dispatch layer) *)

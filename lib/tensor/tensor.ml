@@ -451,6 +451,39 @@ let blit ~src ~dst =
   if src.rows <> dst.rows || src.cols <> dst.cols then shape_fail "blit" src dst;
   sblit src.store 0 dst.store 0 (numel src)
 
+(* One pass, reading both buffers and writing only the elements that
+   differ.  Each storage pair gets its own loop so every load is an unboxed
+   float and the comparison an unboxed int64: the call allocates nothing. *)
+let blit_changed ~src ~dst =
+  if src.rows <> dst.rows || src.cols <> dst.cols then shape_fail "blit_changed" src dst;
+  let changed = ref false in
+  (match (src.store, dst.store) with
+  | F s, F d ->
+      for i = 0 to numel src - 1 do
+        let v = s.(i) in
+        if Int64.bits_of_float v <> Int64.bits_of_float d.(i) then begin
+          d.(i) <- v;
+          changed := true
+        end
+      done
+  | C s, C d ->
+      for i = 0 to numel src - 1 do
+        let v = s.{i} in
+        if Int64.bits_of_float v <> Int64.bits_of_float d.{i} then begin
+          d.{i} <- v;
+          changed := true
+        end
+      done
+  | s, d ->
+      for i = 0 to numel src - 1 do
+        let v = sget s i in
+        if Int64.bits_of_float v <> Int64.bits_of_float (sget d i) then begin
+          sset d i v;
+          changed := true
+        end
+      done);
+  !changed
+
 let map_into f a ~dst =
   shape_check_dst "map_into" dst a.rows a.cols;
   map_disp f a dst (numel a)

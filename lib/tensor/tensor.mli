@@ -240,6 +240,12 @@ val fill : t -> float -> unit
 val blit : src:t -> dst:t -> unit
 (** Copy [src] into [dst] (same shape; backends may differ). *)
 
+val blit_changed : src:t -> dst:t -> bool
+(** As {!blit}, and reports whether any element's IEEE bit pattern changed
+    (so [-0.0] over [0.0] and one NaN payload over another count as
+    changes).  Allocation-free when both tensors share a backend; lets a
+    caller skip recomputing what depends only on [dst]. *)
+
 val map_into : (float -> float) -> t -> dst:t -> unit
 val add_into : t -> t -> dst:t -> unit
 val sub_into : t -> t -> dst:t -> unit

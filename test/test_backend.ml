@@ -155,7 +155,7 @@ let test_matmul_family () =
 
 let mk_full rows cols seed = T.map (fun x -> x /. 3.0) (mk rows cols seed)
 
-let fnv1a64 a =
+let fnv1a64_from seed a =
   Array.fold_left
     (fun h x ->
       let bits = Int64.bits_of_float x in
@@ -165,7 +165,9 @@ let fnv1a64 a =
         h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
       done;
       !h)
-    0xcbf29ce484222325L a
+    seed a
+
+let fnv1a64 = fnv1a64_from 0xcbf29ce484222325L
 
 let c_matmul_digests () =
   List.concat_map
@@ -242,6 +244,117 @@ let test_c_matmul_digests () =
         expected_c_matmul_digests
         (with_backend T.C64 c_matmul_digests))
     [ false; true ]
+
+(* {2 Reference matmul: register-tiled body against the naive oracle}
+
+   The reference backend's unchecked [matmul] keeps 8 output columns in
+   registers across the whole k loop; its checked body is the naive loop.
+   Both must produce the same bits for every element — same operations, same
+   k order, same exact-zero skip, same operand order in each add (which
+   decides the payload when two NaNs meet).  Shapes straddle the tile edges
+   (n = 7/8/9, 15/16/17) and include empties; operands mix signed zeros,
+   NaNs with distinct payloads, infinities, subnormals and exact-zero A
+   entries. *)
+
+let specials =
+  [|
+    0.0; -0.0; Float.nan; Int64.float_of_bits 0x7ff8000000000abcL;
+    Int64.float_of_bits 0xfff0000000000123L; Float.infinity; Float.neg_infinity;
+    4.9e-324; -2.2250738585072e-308; 1.0; -1.5; 3.0e300; -7.25e-3; 0.1;
+  |]
+
+(* Mostly ordinary values (so NaN does not swallow every row), with the
+   specials and extra exact zeros sprinkled in by a hash of the index. *)
+let mk_special rows cols seed =
+  T.init rows cols (fun r c ->
+      let i = (r * cols) + c + (seed * 7919) in
+      let h = (i * 2654435761) land 0xffff in
+      match h mod 7 with
+      | 0 -> specials.(h / 7 mod Array.length specials)
+      | 1 -> 0.0
+      | _ -> (float_of_int h /. 655.36) -. 50.0)
+
+let with_checked b f =
+  let prev = T.checked () in
+  T.set_checked b;
+  Fun.protect ~finally:(fun () -> T.set_checked prev) f
+
+(* FNV-1a over every output of the sweep below, in sweep order, captured
+   from the unchecked body before it was tiled: the production NaN payloads
+   are part of the contract, not just the checked/unchecked agreement. *)
+let expected_ref_matmul_specials_digest = "c857fd5a843aa239"
+
+let test_ref_matmul_tiled_vs_naive () =
+  with_backend T.Reference @@ fun () ->
+  let digest = ref 0xcbf29ce484222325L in
+  for m = 0 to 9 do
+    for k = 0 to 20 do
+      List.iter
+        (fun n ->
+          let a = mk_special m k (m + k) and b = mk_special k n (n + 3) in
+          let run checked = with_checked checked (fun () -> T.to_array (T.matmul a b)) in
+          let tiled = run false in
+          check_bits ~what:(Printf.sprintf "ref matmul %dx%dx%d" m k n) (run true) tiled;
+          digest := fnv1a64_from !digest tiled)
+        [ 0; 1; 7; 8; 9; 15; 16; 17; 48; 65 ]
+    done
+  done;
+  Alcotest.(check string) "special-value sweep digest" expected_ref_matmul_specials_digest
+    (Printf.sprintf "%016Lx" !digest)
+
+(* FNV-1a digests of reference [matmul] on the serving network's crossbar
+   shapes (64-row batch, 64-48-16 layers plus the bias row), captured from
+   the naive loop: the reference backend is the bit-identity oracle, so
+   these never change. *)
+let expected_ref_matmul_digests =
+  [ "matmul 64x65x48 cc0c36738e7b40ed"; "matmul 64x49x16 7e77d848a13cdc43" ]
+
+let test_ref_matmul_digests () =
+  List.iter
+    (fun checked ->
+      let digests () =
+        List.map
+          (fun (m, k, n) ->
+            Printf.sprintf "matmul %dx%dx%d %016Lx" m k n
+              (fnv1a64 (T.to_array (T.matmul (mk_full m k 1) (mk_full k n 2)))))
+          [ (64, 65, 48); (64, 49, 16) ]
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "reference matmul digests (checked=%b)" checked)
+        expected_ref_matmul_digests
+        (with_checked checked (fun () -> with_backend T.Reference digests)))
+    [ false; true ]
+
+(* {2 blit_changed: bitwise change detection without allocation} *)
+
+let test_blit_changed () =
+  List.iter
+    (fun be ->
+      with_backend be @@ fun () ->
+      let what s = Printf.sprintf "%s [%s]" s (T.backend_name be) in
+      let src = mk_special 5 13 1 in
+      let dst = T.copy src in
+      Alcotest.(check bool) (what "identical") false (T.blit_changed ~src ~dst);
+      List.iter
+        (fun (name, before, after) ->
+          T.set dst 2 7 before;
+          T.set src 2 7 after;
+          Alcotest.(check bool) (what name) true (T.blit_changed ~src ~dst);
+          check_bits ~what:(what (name ^ " copied")) (T.to_array src) (T.to_array dst);
+          Alcotest.(check bool) (what (name ^ " again")) false (T.blit_changed ~src ~dst))
+        [
+          ("+0 over -0", -0.0, 0.0);
+          ("NaN payload", Float.nan, Int64.float_of_bits 0x7ff8000000000abcL);
+          ("ordinary value", 1.0, 1.0000000000000002);
+        ];
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (T.blit_changed ~src ~dst)
+      done;
+      let words = Gc.minor_words () -. before in
+      if words > 64.0 then
+        Alcotest.failf "%s: %.0f minor words over 1000 calls" (what "allocation") words)
+    T.backends
 
 (* {2 C checked mode: length assertions run before the stub} *)
 
@@ -320,6 +433,43 @@ let unop_name = function
   | T.Sqrt -> "sqrt"
   | T.Relu -> "relu"
   | T.Abs -> "abs"
+
+(* The same checked/unchecked agreement for the other reference kernels.
+   [a] and [b] hold every ordered pair of specials at the same index, so
+   every two-NaN collision (where operand order picks the payload) occurs;
+   the backward kernels get [g = a] against [x = y = b]. *)
+let test_ref_checked_vs_unchecked_specials () =
+  with_backend T.Reference @@ fun () ->
+  let ns = Array.length specials in
+  let a = T.init ns ns (fun i _ -> specials.(i)) in
+  let b = T.init ns ns (fun _ j -> specials.(j)) in
+  let v = T.init 1 ns (fun _ j -> specials.(((j * 5) + 3) mod ns)) in
+  let same what f =
+    check_bits ~what:("ref " ^ what)
+      (with_checked true (fun () -> T.to_array (f ())))
+      (with_checked false (fun () -> T.to_array (f ())))
+  in
+  let into f () =
+    let d = T.zeros ns ns in
+    f d;
+    d
+  in
+  same "add" (fun () -> T.add a b);
+  same "sub" (fun () -> T.sub a b);
+  same "mul" (fun () -> T.mul a b);
+  same "div" (fun () -> T.div a b);
+  same "scale" (fun () -> T.scale (-0.5) a);
+  same "add_rowvec" (fun () -> T.add_rowvec a v);
+  same "mul_rowvec" (fun () -> T.mul_rowvec a v);
+  same "sum_rows" (fun () -> T.sum_rows a);
+  same "matmul_nt" (fun () -> T.matmul_nt a b);
+  same "softmax_rows" (into (fun d -> T.softmax_rows_into a ~dst:d));
+  List.iter
+    (fun op ->
+      same ("unop " ^ unop_name op) (into (fun d -> T.unop_into op a ~dst:d));
+      same ("unop_bwd " ^ unop_name op)
+        (into (fun d -> T.unop_bwd_into op ~x:b ~y:b ~g:a ~dst:d)))
+    all_unops
 
 let test_training_kernels () =
   List.iter
@@ -749,6 +899,11 @@ let () =
           Alcotest.test_case "training kernels" `Quick test_training_kernels;
           Alcotest.test_case "rng constructors" `Quick test_rng_constructors;
           Alcotest.test_case "C matmul digests" `Quick test_c_matmul_digests;
+          Alcotest.test_case "reference matmul tiled vs naive" `Quick
+            test_ref_matmul_tiled_vs_naive;
+          Alcotest.test_case "reference matmul digests" `Quick test_ref_matmul_digests;
+          Alcotest.test_case "reference checked vs unchecked" `Quick
+            test_ref_checked_vs_unchecked_specials;
         ] );
       ( "edges",
         [
@@ -758,6 +913,7 @@ let () =
             test_minmax_argmax_edges;
           Alcotest.test_case "C checked-mode length assertion" `Quick
             test_c_checked_assertion;
+          Alcotest.test_case "blit_changed" `Quick test_blit_changed;
         ] );
       ( "determinism",
         [

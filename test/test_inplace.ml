@@ -205,6 +205,43 @@ let test_tape_refresh_bitwise () =
       check_bits_tensor "v grad" gv' gv)
     [ x0; x1; x0 ]
 
+(* A split tape: the parameter-only branch (tanh of w) sits in [fixed], the
+   rest in [varying].  Refreshing [varying] alone is exact after an input
+   change and stale after a parameter change; both halves in order always
+   match a fresh graph, and backward on a split tape is unchanged. *)
+let test_tape_split () =
+  let rng = Rng.create 18 in
+  let x0 = T.uniform rng 6 4 ~lo:(-1.0) ~hi:1.0 in
+  let x1 = T.uniform rng 6 4 ~lo:(-1.0) ~hi:1.0 in
+  let labels = T.init 6 3 (fun r c -> if (r mod 3) = c then 1.0 else 0.0) in
+  let wt = T.uniform rng 4 3 ~lo:(-1.0) ~hi:1.0 in
+  let vt = T.uniform rng 1 3 ~lo:(-1.0) ~hi:1.0 in
+  let graph x w v = build_graph x (A.tanh w) v labels in
+  let fresh x wt =
+    let w = A.param (T.copy wt) and v = A.param (T.copy vt) in
+    let root = graph (A.const x) w v in
+    A.backward root;
+    (A.value root, A.grad w)
+  in
+  let x_leaf = A.const (T.copy x0) in
+  let w = A.param (T.copy wt) and v = A.param (T.copy vt) in
+  let root = graph x_leaf w v in
+  let tape = A.compile root in
+  let fixed, varying = A.split tape ~input:x_leaf in
+  A.set_value x_leaf x1;
+  A.refresh varying;
+  check_bits_tensor "input change, varying only" (fst (fresh x1 wt)) (A.value root);
+  let wt' = T.scale 1.5 wt in
+  A.set_value w wt';
+  A.refresh varying;
+  Alcotest.(check bool) "parameter change, varying only is stale" false
+    (T.equal (fst (fresh x1 wt')) (A.value root));
+  A.refresh fixed;
+  A.refresh varying;
+  check_bits_tensor "parameter change, both halves" (fst (fresh x1 wt')) (A.value root);
+  A.backward_tape varying;
+  check_bits_tensor "backward on a split tape" (snd (fresh x1 wt')) (A.grad w)
+
 (* {1 Replica-cache and golden-trajectory tests on a real printed network} *)
 
 let golden_fixture =
@@ -351,6 +388,7 @@ let () =
             test_adam_in_place_bitwise;
           Alcotest.test_case "tape refresh vs fresh graph" `Quick
             test_tape_refresh_bitwise;
+          Alcotest.test_case "split tape" `Quick test_tape_split;
           Alcotest.test_case "replica cache vs alloc replica" `Quick
             test_replica_cache_vs_alloc;
           Alcotest.test_case "fit golden trajectory" `Quick test_fit_golden_history;

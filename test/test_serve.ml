@@ -306,6 +306,131 @@ let test_predict_mc_pool_size_invariant () =
   Alcotest.(check float_bits) "q05" a.SM.q05 b.SM.q05;
   Alcotest.(check float_bits) "q95" a.SM.q95 b.SM.q95
 
+(* {2 Predictors on a wide network}
+
+   The hidden-3 networks above never fill an 8-wide tile of the reference
+   matmul; the 64-48-16 serving network (64-row batches, crossbar shapes
+   64x65x48 and 64x49x16) runs through full tiles and remainders alike. *)
+
+let make_wide_net seed =
+  Pnn.Network.create_deep (Rng.create seed) Pnn.Config.default (Lazy.force surrogate)
+    ~sizes:[ 64; 48; 16 ]
+
+let wide_net = lazy (make_wide_net 7)
+
+let batch_of ~inputs rows seed =
+  let rng = Rng.create seed in
+  Tensor.init rows inputs (fun _ _ -> Rng.float rng)
+
+let check_tensor_bits msg want got =
+  Alcotest.(check (array float_bits)) msg (Tensor.to_array want) (Tensor.to_array got)
+
+let fresh_logits net ~noise x = Autodiff.value (Pnn.Network.logits net ~noise x)
+
+let test_wide_batch_matches_predict () =
+  let net = Lazy.force wide_net in
+  let model = SM.of_network net in
+  List.iter
+    (fun k ->
+      let rows = Array.init k (fun i -> features_of ~inputs:64 (2000 + i)) in
+      let batched = SM.predict_batch model rows in
+      Array.iteri
+        (fun i row ->
+          Alcotest.(check int)
+            (Printf.sprintf "row %d of %d-batch" i k)
+            (predict_alone net row) batched.(i))
+        rows)
+    [ 1; 3; 64 ]
+
+(* A reused predictor must see every change to its master: in-place
+   weight restores and optimizer steps both go through the parameter-only
+   part of the graph, which a call re-runs only when a leaf bit changed. *)
+let test_predictor_follows_master () =
+  let net = make_wide_net 8 in
+  let x = batch_of ~inputs:64 64 31 in
+  let noise = nominal_noise net in
+  let p = Pnn.Network.compile_predictor net ~rows:64 ~cols:64 in
+  let agree msg =
+    check_tensor_bits msg (fresh_logits net ~noise x) (Pnn.Network.predictor_logits p x)
+  in
+  agree "as compiled";
+  agree "repeated call";
+  let saved = Pnn.Network.snapshot net in
+  Pnn.Network.restore net
+    (List.map (fun (th, a, n) -> (Tensor.scale 1.25 th, Tensor.scale 0.9 a, n)) saved);
+  agree "after restore";
+  let labels = Tensor.init 64 16 (fun r c -> if r mod 16 = c then 1.0 else 0.0) in
+  let params = Pnn.Network.params_theta net @ Pnn.Network.params_omega net in
+  let opt = Nn.Optimizer.adam ~lr:0.01 () in
+  Autodiff.backward (Pnn.Network.loss net ~noise ~x ~labels);
+  Nn.Optimizer.step opt params;
+  agree "after an optimizer step";
+  Pnn.Network.restore net saved;
+  agree "after restoring the original weights"
+
+let test_predictor_noisy_nominal_alternate () =
+  let net = Lazy.force wide_net in
+  let x = batch_of ~inputs:64 64 32 in
+  let p = Pnn.Network.predictor_cached net ~rows:64 ~cols:64 in
+  let rng = Rng.create 5 in
+  let theta_shapes = Pnn.Network.theta_shapes net in
+  for i = 0 to 7 do
+    let noise =
+      if i mod 2 = 0 then None
+      else Some (Pnn.Noise.draw rng ~epsilon:0.1 ~theta_shapes)
+    in
+    let want =
+      fresh_logits net ~noise:(Option.value noise ~default:(nominal_noise net)) x
+    in
+    check_tensor_bits (Printf.sprintf "call %d" i) want
+      (Pnn.Network.predictor_logits p ?noise x)
+  done
+
+(* A draw of the wrong shape is refused with a message naming what is
+   wrong, before any leaf is written.  Each refused draw starts with a valid
+   layer 0 taken from [other]; the call after it uses that same layer 0.  Had
+   the refused call written layer 0, the next call would see no change there
+   and keep stale parameter-only results. *)
+let test_predictor_rejects_bad_noise () =
+  let net = make_net ~inputs:4 ~outputs:3 () in
+  let theta_shapes = Pnn.Network.theta_shapes net in
+  let x = batch_of ~inputs:4 2 33 in
+  let p = Pnn.Network.compile_predictor net ~rows:2 ~cols:4 in
+  let good = Pnn.Noise.draw (Rng.create 6) ~epsilon:0.1 ~theta_shapes in
+  let other = Pnn.Noise.draw (Rng.create 9) ~epsilon:0.1 ~theta_shapes in
+  let mixed = [ List.hd other; List.nth good 1 ] in
+  let logits ?noise () = Pnn.Network.predictor_logits p ?noise x in
+  let l1 = List.nth other 1 in
+  let with_layer1 l = [ List.hd other; l ] in
+  let bad =
+    [
+      ([ List.hd other ], "Network.predictor_logits: noise/layer count mismatch");
+      (other @ other, "Network.predictor_logits: noise/layer count mismatch");
+      ( with_layer1 { l1 with Pnn.Noise.theta = Tensor.ones 2 2 },
+        "Network.predictor_logits: layer 1 theta noise shape mismatch" );
+      ( with_layer1 { l1 with Pnn.Noise.act_omega = Tensor.ones 1 6 },
+        "Network.predictor_logits: layer 1 omega noise shape mismatch" );
+      ( with_layer1 { l1 with Pnn.Noise.neg_omega = Tensor.ones 7 1 },
+        "Network.predictor_logits: layer 1 omega noise shape mismatch" );
+    ]
+  in
+  let refused msg noise =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Pnn.Network.predictor_logits p ~noise x))
+  in
+  List.iter
+    (fun (noise, msg) ->
+      check_tensor_bits (msg ^ ": noisy call") (fresh_logits net ~noise:good x)
+        (logits ~noise:good ());
+      refused msg noise;
+      check_tensor_bits (msg ^ ": next call") (fresh_logits net ~noise:mixed x)
+        (logits ~noise:mixed ());
+      refused msg noise;
+      check_tensor_bits (msg ^ ": next nominal call")
+        (fresh_logits net ~noise:(nominal_noise net) x)
+        (logits ()))
+    bad
+
 let with_temp_dir f =
   let dir = Filename.temp_file "pnn_serve_test" "" in
   Sys.remove dir;
@@ -567,6 +692,14 @@ let () =
           Alcotest.test_case "mc pool-size invariant" `Quick
             test_predict_mc_pool_size_invariant;
           Alcotest.test_case "load verifies digest" `Quick test_load_verifies_digest;
+          Alcotest.test_case "wide batch matches predict" `Quick
+            test_wide_batch_matches_predict;
+          Alcotest.test_case "predictor follows master" `Quick
+            test_predictor_follows_master;
+          Alcotest.test_case "predictor noisy/nominal alternate" `Quick
+            test_predictor_noisy_nominal_alternate;
+          Alcotest.test_case "predictor rejects bad noise" `Quick
+            test_predictor_rejects_bad_noise;
         ] );
       ( "wire",
         [
