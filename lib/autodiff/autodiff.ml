@@ -197,21 +197,6 @@ let add_scalar k a =
     ~recompute:(fun self -> T.add_scalar_into k a.value ~dst:self.value)
     (fun self -> if a.needs_grad then accum a (grad_buffer self))
 
-let pow_const a p =
-  let sc = ref None in
-  node
-    (T.map (fun x -> x ** p) a.value)
-    [ a ]
-    ~recompute:(fun self -> T.map_into (fun x -> x ** p) a.value ~dst:self.value)
-    (fun self ->
-      if a.needs_grad then begin
-        let g = grad_buffer self in
-        let s = scratch_like sc g in
-        T.map_into (fun x -> p *. (x ** (p -. 1.0))) a.value ~dst:s;
-        T.mul_into g s ~dst:s;
-        accum a s
-      end)
-
 (* {1 Nonlinearities}
 
    Each op runs the backend's dedicated [unop] kernels rather than a generic
@@ -311,7 +296,7 @@ let dense ?op x w b =
   let pre = T.zeros_as x.value m n in
   let out = match op with Some _ -> T.zeros_as x.value m n | None -> pre in
   T.matmul_bias_unop_into ?op x.value w.value b.value ~pre ~out;
-  let ssc = ref None and gac = ref None and gmc = ref None in
+  let ssc = ref None and gac = ref None in
   let svc = ref None and sxc = ref None and atc = ref None and swc = ref None in
   node out [ x; w; b ]
     ~recompute:(fun self ->
@@ -332,18 +317,19 @@ let dense ?op x w b =
               ga
           | None -> g
         in
-        (* add_rowvec stage: bias grad first, then the matmul stage seeds
-           gm (the matmul node's grad buffer) — same accumulation order as
-           the legacy chain *)
+        (* add_rowvec stage: bias grad first, then the matmul stage — same
+           accumulation order as the legacy chain.  The matmul node's grad
+           buffer was 0.0 +. ga, and ga is itself a gradient buffer (the
+           unary stage's, or this node's own): never −0.0, never a
+           signalling NaN, so a second 0.0 +. leaves it bit-for-bit
+           unchanged and ga stands in for it. *)
         if b.needs_grad then begin
           let sv = scratch svc b.value 1 n in
           T.sum_rows_into ga ~dst:sv;
           accum b sv
         end;
         if x.needs_grad || w.needs_grad then begin
-          let gm = scratch_like gmc g in
-          T.fill gm 0.0;
-          T.add_into gm ga ~dst:gm;
+          let gm = ga in
           if x.needs_grad then begin
             let s = scratch_like sxc x.value in
             T.matmul_nt_into gm w.value ~dst:s;
@@ -408,57 +394,6 @@ let div_rowvec m v =
           let sv' = scratch_like svec v.value in
           T.sum_rows_into s ~dst:sv';
           accum v sv'
-        end
-      end)
-
-let scalar_shape_check name s =
-  if T.shape s.value <> (1, 1) then
-    invalid_arg ("Autodiff." ^ name ^ ": first argument must be 1x1")
-
-let badd s m =
-  scalar_shape_check "badd" s;
-  let s11 = ref None in
-  node
-    (T.add_scalar (T.get s.value 0 0) m.value)
-    [ s; m ]
-    ~recompute:(fun self ->
-      T.add_scalar_into (T.get s.value 0 0) m.value ~dst:self.value)
-    (fun self ->
-      if self.needs_grad then begin
-        let g = grad_buffer self in
-        accum m g;
-        if s.needs_grad then begin
-          let t = scratch s11 g 1 1 in
-          T.set t 0 0 (T.sum g);
-          accum s t
-        end
-      end)
-
-let bmul s m =
-  scalar_shape_check "bmul" s;
-  let sc = ref None and s11 = ref None in
-  node
-    (T.scale (T.get s.value 0 0) m.value)
-    [ s; m ]
-    ~recompute:(fun self ->
-      T.scale_into (T.get s.value 0 0) m.value ~dst:self.value)
-    (fun self ->
-      if self.needs_grad then begin
-        (* read the scalar here, not at build time: the graph may be reused
-           with refreshed leaf values *)
-        let sv = T.get s.value 0 0 in
-        let g = grad_buffer self in
-        if m.needs_grad then begin
-          let t = scratch_like sc g in
-          T.scale_into sv g ~dst:t;
-          accum m t
-        end;
-        if s.needs_grad then begin
-          let t = scratch_like sc g in
-          T.mul_into g m.value ~dst:t;
-          let t1 = scratch s11 g 1 1 in
-          T.set t1 0 0 (T.sum t);
-          accum s t1
         end
       end)
 
@@ -574,15 +509,19 @@ let slice_rows a start len =
         accum a s
       end)
 
-(* {1 Straight-through estimators} *)
+(* {1 Fused nodes} *)
 
-let map_ste f a =
-  node (T.map f a.value) [ a ]
-    ~recompute:(fun self -> T.map_into f a.value ~dst:self.value)
-    (fun self -> if a.needs_grad then accum a (grad_buffer self))
+let fused value parents ~recompute ~backward =
+  node value parents
+    ~recompute:(fun self -> recompute self.value)
+    (fun self -> if self.needs_grad then backward (grad_buffer self))
 
-let clamp_ste ~lo ~hi a =
-  map_ste (fun x -> if x < lo then lo else if x > hi then hi else x) a
+let needs_grad n = n.needs_grad
+let accumulate = accum
+
+let scratch_of like rows cols =
+  let cell = ref None in
+  fun () -> scratch cell like rows cols
 
 (* {1 Losses} *)
 

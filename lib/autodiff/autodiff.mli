@@ -21,10 +21,12 @@
     {!backward_tape} to backpropagate — both bit-identical to rebuilding
     the graph from scratch.
 
-    The straight-through-estimator entry points ({!clamp_ste}, {!map_ste})
-    implement the projection technique the paper uses to keep conductances in
-    the printable range: the forward pass applies an arbitrary projection, the
-    backward pass is the identity. *)
+    Besides the primitives, {!fused} builds one node for a whole formula
+    whose forward pass and input gradients caller code computes in one step;
+    the printed layer's formulas (ptanh, the crossbar, the printable-ω map)
+    are such nodes, bit-identical to the primitive graphs they replace.  The
+    straight-through estimators the paper uses to keep conductances and
+    R2/R4 in their printable ranges live inside those nodes. *)
 
 type t
 
@@ -75,7 +77,6 @@ val div : t -> t -> t
 val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
-val pow_const : t -> float -> t
 
 (** {1 Nonlinearities} *)
 
@@ -107,14 +108,6 @@ val mul_rowvec : t -> t -> t
 val div_rowvec : t -> t -> t
 (** [div_rowvec m v] divides each row of [m] elementwise by [v]. *)
 
-val badd : t -> t -> t
-(** [badd s m] broadcast-adds a [1 × 1] scalar node to every entry of [m];
-    the scalar's gradient is the sum of the incoming gradients. *)
-
-val bmul : t -> t -> t
-(** [bmul s m] broadcast-multiplies every entry of [m] by a [1 × 1] scalar
-    node. *)
-
 (** {1 Reductions} *)
 
 val sum : t -> t
@@ -137,18 +130,39 @@ val slice_cols : t -> int -> int -> t
 
 val slice_rows : t -> int -> int -> t
 
-(** {1 Straight-through estimators} *)
+(** {1 Fused nodes}
 
-val clamp_ste : lo:float -> hi:float -> t -> t
-(** Forward clamps to [\[lo, hi]]; backward passes gradients unchanged.
-    NaN entries pass through the forward unchanged (the comparison chain
-    [if x < lo then lo else if x > hi then hi else x] is false both ways),
-    so a fault is never masked as a bound. *)
+    One node for a whole formula: the forward pass and the gradients of
+    every input are computed by caller code in one step, with one node's
+    worth of tape and dispatch overhead instead of one per operation.  A
+    fused node that replaces a chain of primitives is bit-identical to that
+    chain when its backward replays the chain's per-node gradients: every
+    interior node's first accumulation was [0.0 +. x] on a zeroed buffer
+    (turning −0.0 into +0.0), reductions ran left to right, and each
+    parent received its shares in the chain's backward order. *)
 
-val map_ste : (float -> float) -> t -> t
-(** Forward applies an arbitrary elementwise projection; backward identity.
-    Used for the printable-conductance set
-    [[-Gmax,-Gmin] ∪ {0} ∪ [Gmin,Gmax]] and the R2/R4 box clipping. *)
+val fused :
+  Tensor.t -> t list -> recompute:(Tensor.t -> unit) -> backward:(Tensor.t -> unit) -> t
+(** [fused value parents ~recompute ~backward] is a node holding [value],
+    computed by the caller from [parents]' values.  [recompute dst]
+    re-runs the forward pass in place into [dst] (the node's value) from
+    the parents' current values ({!refresh}).  [backward g] receives the
+    node's accumulated gradient and passes each parent its share with
+    {!accumulate}; it runs only when some parent needs a gradient. *)
+
+val needs_grad : t -> bool
+(** Whether gradients reach this node at all (it depends on a {!param}). *)
+
+val accumulate : t -> Tensor.t -> unit
+(** [accumulate p g] adds [g] into [p]'s gradient buffer when [p] needs a
+    gradient (a no-op otherwise); on a pass's first accumulation the buffer
+    is zeroed, so [p]'s gradient becomes [0.0 +. g]. *)
+
+val scratch_of : Tensor.t -> int -> int -> unit -> Tensor.t
+(** [scratch_of like rows cols] returns a getter for one [rows × cols]
+    buffer on [like]'s backend, allocated on first use and then reused —
+    backward temporaries for {!fused} nodes, so repeated passes allocate
+    nothing and forward-only graphs never allocate them. *)
 
 (** {1 Externally computed gradients} *)
 

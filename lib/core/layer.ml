@@ -48,9 +48,19 @@ let theta_shape t =
 let inputs t = fst (theta_shape t) - 2
 let outputs t = snd (theta_shape t)
 
+(* Left-operand NaN wins, as in Kernels_ref's [add_first]/[mul_first]
+   (which see); local copies so the loops below inline them (dev builds
+   compile every module -opaque, and a call across modules boxes its
+   floats).  test/test_fused.ml runs each fused node against the
+   Kernels_ref-backed graph it replaced on two-NaN operands, so a copy that
+   drifts from the rule fails it. *)
+let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
+let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
+
 (* Projection onto the printable set {0} ∪ [g_min, g_max] (by magnitude,
-   keeping the sign); nearest-point projection, STE backward. *)
-let project config v =
+   keeping the sign); nearest-point projection, STE backward.  Inlined so
+   the crossbar's loop never boxes a float. *)
+let[@inline] project config v =
   let g_min = config.Config.g_min and g_max = config.Config.g_max in
   let mag = Float.abs v in
   let s = if v < 0.0 then -1.0 else 1.0 in
@@ -99,45 +109,165 @@ let augment x =
   let batch = Tensor.rows (A.value x) in
   A.concat_cols x (A.const (Tensor.ones batch 1))
 
-let crossbar config t ~theta_n ~x_aug ~inv_x ~n_in =
-  let theta = A.mul (A.map_ste (project config) t.theta) theta_n in
-  let pos = A.relu theta and neg_part = A.relu (A.neg theta) in
-  let input_rows = n_in + 1 in
-  (* split θ rows: input+bias rows feed the numerator; all rows (incl. the
-     dark conductance) feed the denominator *)
-  let pos_top = A.slice_rows pos 0 input_rows in
-  let neg_top = A.slice_rows neg_part 0 input_rows in
-  let numerator = A.add (A.matmul x_aug pos_top) (A.matmul inv_x neg_top) in
-  let denominator = A.sum_rows (A.add pos neg_part) in
-  A.div_rowvec numerator denominator
+(* {2 The crossbar (Eq. 1) as two tape nodes}
+
+   [conductances] is the parameter-only half: the printed conductances
+   θ_p = project(θ)·ε_θ split into θ⁺ = max(θ_p, 0) and θ⁻ = max(−θ_p, 0),
+   packed with the denominator Σ_j (θ⁺ + θ⁻) into one
+   (2(n_in + 1) + 1) × n_out value: θ⁺'s input and bias rows, θ⁻'s, then
+   the denominator row (the dark row only enters the denominator).
+   [crossbar] is the input-dependent half: inv(x) through the
+   negative-weight circuit, the two matmuls and the normalisation.  The
+   split keeps the parameter-only work in the fixed part of a split tape
+   (Autodiff.split), so serving re-runs only [crossbar].
+
+   Both replay the graph they replaced (projection, noise product, relus,
+   slices, sums, matmuls, row division) operation for operation.  Their
+   backward passes are that graph's per-node gradients in its backward
+   order: every interior node's first accumulation a [0.0 +.], θ's share
+   through θ⁻ before the one through θ⁺, and x's share through the
+   negative-weight circuit before the one through the θ⁺ matmul — the
+   reason inv(x) lives inside [crossbar] rather than in a node of its own,
+   which would receive its gradient first. *)
+
+let conductances config t ~theta_n =
+  let theta = A.value t.theta in
+  let rows = Tensor.rows theta and n = Tensor.cols theta in
+  let k = rows - 1 in
+  let th = Array.make (rows * n) 0.0 and eps = Array.make (rows * n) 0.0 in
+  let te = Array.make (rows * n) 0.0 and packed = Array.make (((2 * k) + 1) * n) 0.0 in
+  let[@inline] relu x = if x > 0.0 then x else 0.0 in
+  let forward dst =
+    Tensor.read_into (A.value t.theta) th;
+    Tensor.read_into (A.value theta_n) eps;
+    Array.fill packed (2 * k * n) n 0.0;
+    for r = 0 to rows - 1 do
+      for c = 0 to n - 1 do
+        let i = (r * n) + c in
+        let v = mul_first (project config th.(i)) eps.(i) in
+        te.(i) <- v;
+        let pos = relu v and neg = relu (-.v) in
+        if r < k then begin
+          packed.(i) <- pos;
+          packed.((k * n) + i) <- neg
+        end;
+        let d = (2 * k * n) + c in
+        packed.(d) <- packed.(d) +. (pos +. neg)
+      done
+    done;
+    Tensor.write_from packed dst
+  in
+  let out = Tensor.zeros_as theta ((2 * k) + 1) n in
+  forward out;
+  let dtheta = A.scratch_of theta rows n in
+  A.fused out [ t.theta; theta_n ] ~recompute:forward ~backward:(fun g ->
+      Tensor.read_into g packed;
+      for r = 0 to rows - 1 do
+        for c = 0 to n - 1 do
+          let i = (r * n) + c and gden = 0.0 +. packed.((2 * k * n) + c) in
+          let gpos = if r < k then add_first gden packed.(i) else gden in
+          let gneg = if r < k then add_first gden packed.((k * n) + i) else gden in
+          let v = te.(i) in
+          let gnt = 0.0 +. (gneg *. if -.v > 0.0 then 1.0 else 0.0) in
+          let gt = add_first (0.0 +. -.gnt) (gpos *. if v > 0.0 then 1.0 else 0.0) in
+          th.(i) <- 0.0 +. mul_first gt eps.(i)
+        done
+      done;
+      let dtheta = dtheta () in
+      Tensor.write_from th dtheta;
+      A.accumulate t.theta dtheta)
+
+let crossbar ~x_aug ~neg_eta ~conductances =
+  let module T = Tensor in
+  let x = A.value x_aug in
+  let m = T.rows x and k = T.cols x and n = T.cols (A.value conductances) in
+  let buf rows cols = T.zeros_as x rows cols and scratch = A.scratch_of x in
+  let h = buf m k and inv_x = buf m k in
+  let pos = buf k n and neg = buf k n and den = buf 1 n in
+  let ones = buf 1 n and inv = buf 1 n in
+  T.fill ones 1.0;
+  let num_pos = buf m n and num = buf m n in
+  let forward dst =
+    let x = A.value x_aug and cond = A.value conductances in
+    T.ptanh_into ~eta:(A.value neg_eta) x ~h ~dst:inv_x;
+    T.neg_into inv_x ~dst:inv_x;
+    T.slice_rows_into cond 0 k ~dst:pos;
+    T.slice_rows_into cond k k ~dst:neg;
+    T.slice_rows_into cond (2 * k) 1 ~dst:den;
+    T.div_into ones den ~dst:inv;
+    T.matmul_into x pos ~dst:num_pos;
+    T.matmul_into inv_x neg ~dst:num;
+    T.add_into num_pos num ~dst:num;
+    T.mul_rowvec_into num inv ~dst
+  in
+  let out = buf m n in
+  forward out;
+  let s_mn = scratch m n and g_num = scratch m n and s_n = scratch 1 n in
+  let d_den = scratch 1 n and s_mk = scratch m k and g_inv = scratch m k in
+  let g_s = scratch m k and d_eta = scratch 1 4 and s_km = scratch k m in
+  let d_pos = scratch k n and d_neg = scratch k n and d_top = scratch (2 * k) n in
+  let d_cond = scratch ((2 * k) + 1) n in
+  A.fused out [ x_aug; neg_eta; conductances ] ~recompute:forward ~backward:(fun g ->
+      let x = A.value x_aug in
+      (* the row division: the numerator's gradient, then the
+         denominator's, −num/den² summed over rows *)
+      let s_mn = s_mn () and g_num = g_num () and s_n = s_n () and d_den = d_den () in
+      T.mul_rowvec_into g inv ~dst:s_mn;
+      (* the numerator node's buffer: zeroed, then one accumulation *)
+      T.fill g_num 0.0;
+      T.add_into g_num s_mn ~dst:g_num;
+      T.mul_into inv inv ~dst:s_n;
+      T.neg_into num ~dst:s_mn;
+      T.mul_rowvec_into s_mn s_n ~dst:s_mn;
+      T.mul_into g s_mn ~dst:s_mn;
+      T.sum_rows_into s_mn ~dst:d_den;
+      (* inv(x)·θ⁻: the gradients of inv(x) and of θ⁻ *)
+      let g_inv = g_inv () and s_km = s_km () and d_neg = d_neg () in
+      T.matmul_nt_into g_num neg ~dst:g_inv;
+      T.transpose_into inv_x ~dst:s_km;
+      T.matmul_into s_km g_num ~dst:d_neg;
+      (* through inv = −ptanh into η and x's first share (the kernel's
+         first step is the ptanh node's 0 + g) *)
+      let s_mk = s_mk () and g_s = g_s () and d_eta = d_eta () in
+      T.neg_into g_inv ~dst:s_mk;
+      T.ptanh_bwd_into ~eta:(A.value neg_eta) x ~h ~g:s_mk ~dv:g_s ~deta:d_eta;
+      A.accumulate neg_eta d_eta;
+      (* x·θ⁺: x's second share, then θ⁺'s gradient *)
+      if A.needs_grad x_aug then begin
+        T.matmul_nt_into g_num pos ~dst:s_mk;
+        T.add_into g_s s_mk ~dst:s_mk;
+        A.accumulate x_aug s_mk
+      end;
+      let d_pos = d_pos () and d_top = d_top () and d_cond = d_cond () in
+      T.transpose_into x ~dst:s_km;
+      T.matmul_into s_km g_num ~dst:d_pos;
+      T.concat_rows_into d_pos d_neg ~dst:d_top;
+      T.concat_rows_into d_top d_den ~dst:d_cond;
+      A.accumulate conductances d_cond)
 
 let check_width t x =
-  let n_in = inputs t in
-  if Tensor.cols (A.value x) <> n_in then
-    invalid_arg "Layer.forward: input width mismatch";
-  n_in
+  if Tensor.cols (A.value x) <> inputs t then
+    invalid_arg "Layer.forward: input width mismatch"
 
-let forward_nodes config t nodes x =
-  let n_in = check_width t x in
+(* Eq. 1's wiring, once: both circuits' η from one surrogate pass, the
+   bias-augmented input and the two crossbar halves.  Returns the
+   activation circuit's η with the crossbar output V_z. *)
+let preactivation_nodes config t nodes x =
+  check_width t x;
   let act_eta, neg_eta =
     Nonlinear.eta_pair t.act t.neg ~act_noise:nodes.act_n ~neg_noise:nodes.neg_n
   in
-  let x_aug = augment x in
-  let inv_x = A.neg (Nonlinear.apply_eta neg_eta x_aug) in
-  let pre = crossbar config t ~theta_n:nodes.theta_n ~x_aug ~inv_x ~n_in in
+  let conductances = conductances config t ~theta_n:nodes.theta_n in
+  (act_eta, crossbar ~x_aug:(augment x) ~neg_eta ~conductances)
+
+let forward_nodes config t nodes x =
+  let act_eta, pre = preactivation_nodes config t nodes x in
   Nonlinear.apply_eta act_eta pre
 
 let forward config t ~noise x = forward_nodes config t (noise_nodes_of noise) x
 
 let preactivation config t ~noise x =
-  let n_in = check_width t x in
-  let nodes = noise_nodes_of noise in
-  let _act_eta, neg_eta =
-    Nonlinear.eta_pair t.act t.neg ~act_noise:nodes.act_n ~neg_noise:nodes.neg_n
-  in
-  let x_aug = augment x in
-  let inv_x = A.neg (Nonlinear.apply_eta neg_eta x_aug) in
-  crossbar config t ~theta_n:nodes.theta_n ~x_aug ~inv_x ~n_in
+  snd (preactivation_nodes config t (noise_nodes_of noise) x)
 
 let printed_theta config t =
   Tensor.map (project config) (A.value t.theta)

@@ -11,7 +11,13 @@
     this matches the paper's semantics (|θ| printed, sign = input inverted via
     the negative-weight circuit) while staying differentiable through zero.
     θ magnitudes are projected onto the printable set
-    [{0} ∪ [G_min, G_max]] with a straight-through estimator. *)
+    [{0} ∪ [G_min, G_max]] with a straight-through estimator.
+
+    On the tape the crossbar is two nodes: the parameter-only printed
+    conductances (projection, variation, θ⁺/θ⁻ and the denominator) and the
+    input-dependent rest (inv(x), the matmuls and the division), so a split
+    tape ({!Autodiff.split}) keeps the first out of the per-batch work.
+    The layer's ptanh is one more node. *)
 
 type t = {
   theta : Autodiff.t;  (** (n_in + 2) × n_out; rows: inputs, bias, dark *)
@@ -75,7 +81,8 @@ val forward_nodes : Config.t -> t -> noise_nodes -> Autodiff.t -> Autodiff.t
 
 val preactivation :
   Config.t -> t -> noise:Noise.layer_noise -> Autodiff.t -> Autodiff.t
-(** The crossbar output V_z before the activation circuit (for analysis). *)
+(** The crossbar output V_z before the activation circuit (for analysis);
+    {!forward} is this followed by the activation circuit. *)
 
 val printed_theta : Config.t -> t -> Tensor.t
 (** The projected conductance matrix that would be printed (signed). *)

@@ -20,27 +20,82 @@ let replicate t = { raw = A.param (Tensor.copy (A.value t.raw)); surrogate = t.s
    RacyLazy, and layer replicas are built inside pool workers. *)
 let w_scaler = Surrogate.Scaler.of_bounds ~lo:Ds.learnable_lo ~hi:Ds.learnable_hi
 
+let w_lo = Surrogate.Scaler.lo w_scaler
+let w_range = Surrogate.Scaler.range w_scaler
+
+(* Left-operand NaN wins, as in Kernels_ref's [add_first]/[mul_first]
+   (which see); local copies so the loops below inline them (dev builds
+   compile every module -opaque, and a call across modules boxes its
+   floats).  test/test_fused.ml runs each fused node against the
+   Kernels_ref-backed graph it replaced on two-NaN operands, so a copy that
+   drifts from the rule fails it. *)
+let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
+let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
+
+(* Fig. 5's map from 𝔴 to the printable ω, as one tape node:
+     y = sigmoid 𝔴,  w = y·(hi − lo) + lo = [R1; R3; R5; W; L; k1; k2],
+     ω = [R1; clip(R1·k1); R3; clip(R3·k2); R5; W; L] × ε_ω.
+   The inferred R2/R4 may leave their Table-I boxes, so they are clipped
+   with a straight-through estimator (paper: "simply clipping them to their
+   feasible range"); a NaN product passes the clip unchanged, so a fault is
+   never masked as a bound.  R2 < R1 / R4 < R3 hold because k ≤ 0.98.
+   Variation is applied to the printable values (paper §III-C).
+
+   The node replays the graph of sigmoid, scaler, slice, clip and concat
+   nodes it replaced operation for operation: the backward below is that
+   graph's per-node gradients, first accumulations ([0.0 +.]) and the
+   order in which R1 and R3 received their two shares included. *)
 let printable_omega_node t ~noise_node =
-  let s = A.sigmoid t.raw in
-  let w = Surrogate.Scaler.inverse_ad w_scaler s in
-  let field i = A.slice_cols w i 1 in
-  let r1 = field 0 and r3 = field 1 and r5 = field 2 in
-  let wd = field 3 and ld = field 4 and k1 = field 5 and k2 = field 6 in
-  (* Reassemble; the inferred R2/R4 may leave their Table-I boxes, so clip
-     with a straight-through estimator (paper: "simply clipping them to their
-     feasible range").  R2 < R1 / R4 < R3 hold because k ≤ 0.98. *)
-  let r2 = A.clamp_ste ~lo:Ds.omega_lo.(1) ~hi:Ds.omega_hi.(1) (A.mul r1 k1) in
-  let r4 = A.clamp_ste ~lo:Ds.omega_lo.(3) ~hi:Ds.omega_hi.(3) (A.mul r3 k2) in
-  let omega =
-    List.fold_left A.concat_cols r1 [ r2; r3; r4; r5; wd; ld ]
+  let d = Ds.learnable_dim in
+  let raw = Array.make d 0.0 and eps = Array.make d 0.0 in
+  let y = Array.make d 0.0 and w = Array.make d 0.0 and buf = Array.make d 0.0 in
+  let[@inline] clip i x = if x < Ds.omega_lo.(i) then Ds.omega_lo.(i) else if x > Ds.omega_hi.(i) then Ds.omega_hi.(i) else x in
+  let forward dst =
+    Tensor.read_into (A.value t.raw) raw;
+    Tensor.read_into (A.value noise_node) eps;
+    for j = 0 to d - 1 do
+      y.(j) <- 1.0 /. (1.0 +. Stdlib.exp (-.raw.(j)));
+      w.(j) <- (y.(j) *. w_range.(j)) +. w_lo.(j)
+    done;
+    buf.(0) <- w.(0);
+    buf.(1) <- clip 1 (mul_first w.(0) w.(5));
+    buf.(2) <- w.(1);
+    buf.(3) <- clip 3 (mul_first w.(1) w.(6));
+    buf.(4) <- w.(2);
+    buf.(5) <- w.(3);
+    buf.(6) <- w.(4);
+    for j = 0 to d - 1 do
+      buf.(j) <- mul_first buf.(j) eps.(j)
+    done;
+    Tensor.write_from buf dst
   in
-  (* Variation is applied to the printable values (paper §III-C). *)
-  A.mul omega noise_node
+  let like = A.value t.raw in
+  let out = Tensor.zeros_as like 1 d in
+  forward out;
+  let gw = Array.make d 0.0 and d_raw = A.scratch_of like 1 d in
+  A.fused out [ t.raw; noise_node ] ~recompute:forward ~backward:(fun g ->
+      Tensor.read_into g buf;
+      (* ω's gradient; the clips pass theirs straight through to R1·k1 and
+         R3·k2, R1 takes its own share before the product's, R3 after *)
+      let[@inline] go j = 0.0 +. mul_first buf.(j) eps.(j) in
+      let g1 = go 1 and g3 = go 3 in
+      gw.(0) <- add_first (go 0) (mul_first g1 w.(5));
+      gw.(1) <- add_first (0.0 +. mul_first g3 w.(6)) (go 2);
+      gw.(2) <- go 4;
+      gw.(3) <- go 5;
+      gw.(4) <- go 6;
+      gw.(5) <- 0.0 +. mul_first g1 w.(0);
+      gw.(6) <- 0.0 +. mul_first g3 w.(1);
+      (* back through the scaler and the sigmoid *)
+      for j = 0 to d - 1 do
+        let gy = 0.0 +. (gw.(j) *. w_range.(j)) in
+        buf.(j) <- mul_first (y.(j) *. (1.0 -. y.(j))) gy
+      done;
+      let d_raw = d_raw () in
+      Tensor.write_from buf d_raw;
+      A.accumulate t.raw d_raw)
 
 let printable_omega t ~noise = printable_omega_node t ~noise_node:(A.const noise)
-
-let eta t ~noise =
-  Surrogate.Model.eval_ad t.surrogate (printable_omega t ~noise)
 
 let eta_pair act neg ~act_noise ~neg_noise =
   (* Stack the two circuits' printable ω rows and run one surrogate forward
@@ -56,12 +111,25 @@ let eta_pair act neg ~act_noise ~neg_noise =
   let e = Surrogate.Model.eval_ad act.surrogate om in
   (A.slice_rows e 0 1, A.slice_rows e 1 1)
 
+(* Eq. 2 as one tape node: Tensor.ptanh_into / ptanh_bwd_into replay the
+   graph of η slices, broadcast-scalar adds and products and tanh that it
+   replaced bit for bit, so only the per-node overhead goes. *)
 let apply_eta eta_node v =
-  let e i = A.slice_cols eta_node i 1 in
-  let shifted = A.badd (A.neg (e 2)) v in
-  A.badd (e 0) (A.bmul (e 1) (A.tanh (A.bmul (e 3) shifted)))
+  let x = A.value v in
+  let h = Tensor.zeros_as x (Tensor.rows x) (Tensor.cols x) in
+  let out = Tensor.zeros_as x (Tensor.rows x) (Tensor.cols x) in
+  Tensor.ptanh_into ~eta:(A.value eta_node) x ~h ~dst:out;
+  let dv = A.scratch_of x (Tensor.rows x) (Tensor.cols x) and deta = A.scratch_of x 1 4 in
+  A.fused out [ eta_node; v ]
+    ~recompute:(fun dst -> Tensor.ptanh_into ~eta:(A.value eta_node) (A.value v) ~h ~dst)
+    ~backward:(fun g ->
+      let dv = dv () and deta = deta () in
+      Tensor.ptanh_bwd_into ~eta:(A.value eta_node) (A.value v) ~h ~g ~dv ~deta;
+      A.accumulate v dv;
+      A.accumulate eta_node deta)
 
-let apply t ~noise v = apply_eta (eta t ~noise) v
+let apply t ~noise v =
+  apply_eta (Surrogate.Model.eval_ad t.surrogate (printable_omega t ~noise)) v
 let apply_inv t ~noise v = A.neg (apply t ~noise v)
 
 let ones_noise = Tensor.ones 1 Ds.dim

@@ -13,7 +13,8 @@
       inv(v)   = −ptanh(v)                          (Eq. 3)
 
     The clipping of R2 and R4 uses the straight-through estimator so training
-    can push against the box. *)
+    can push against the box.  The map from 𝔴 to ω and Eq. 2 are one tape
+    node each, bit-identical to the graphs of primitives they replace. *)
 
 type t
 
@@ -34,10 +35,9 @@ val replicate : t -> t
 
 val printable_omega : t -> noise:Tensor.t -> Autodiff.t
 (** The 1 × 7 printable ω node after reassembly, clipping and variation —
-    what would be sent to the printer (with [noise] all-ones). *)
-
-val eta : t -> noise:Tensor.t -> Autodiff.t
-(** The 1 × 4 η node for the given variation draw. *)
+    what would be sent to the printer (with [noise] all-ones).  A NaN
+    R1·k1 or R3·k2 passes its clip unchanged, so a fault is never masked as
+    a bound. *)
 
 val eta_pair :
   t -> t -> act_noise:Autodiff.t -> neg_noise:Autodiff.t -> Autodiff.t * Autodiff.t
@@ -48,7 +48,9 @@ val eta_pair :
     Each returned row is bit-identical to the corresponding {!eta}. *)
 
 val apply_eta : Autodiff.t -> Autodiff.t -> Autodiff.t
-(** [apply_eta η v] is ptanh(v) for an already-evaluated 1 × 4 η node. *)
+(** [apply_eta η v] is ptanh(v) for an already-evaluated 1 × 4 η node: one
+    tape node running {!Tensor.ptanh_into} forward and
+    {!Tensor.ptanh_bwd_into} backward. *)
 
 val apply : t -> noise:Tensor.t -> Autodiff.t -> Autodiff.t
 (** [apply t ~noise v] is ptanh(v) elementwise over the batch. *)

@@ -18,20 +18,69 @@ let eval_batch t omegas =
     (fun row -> Fit.Ptanh.eta_of_array (Scaler.inverse t.eta_scaler row))
     (Tensor.to_arrays y)
 
-let extend_ad x =
-  if Tensor.cols (Autodiff.value x) <> Design_space.dim then
-    invalid_arg "Model.extend_ad: expected 7 columns";
-  let col i = Autodiff.slice_cols x i 1 in
-  let k1 = Autodiff.div (col 1) (col 0) in
-  let k2 = Autodiff.div (col 3) (col 2) in
-  let k3 = Autodiff.div (col 5) (col 6) in
-  Autodiff.concat_cols (Autodiff.concat_cols (Autodiff.concat_cols x k1) k2) k3
+(* Left-operand NaN wins, as in Kernels_ref's [add_first]/[mul_first]
+   (which see); local copies so the loops below inline them (dev builds
+   compile every module -opaque, and a call across modules boxes its
+   floats).  test/test_fused.ml runs each fused node against the
+   Kernels_ref-backed graph it replaced on two-NaN operands, so a copy that
+   drifts from the rule fails it. *)
+let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
+let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
 
-let eval_ad t x =
-  let extended = extend_ad x in
-  let normalized = Scaler.transform_ad t.omega_scaler extended in
-  let y = Nn.Mlp.forward_frozen t.mlp normalized in
-  Scaler.inverse_ad t.eta_scaler y
+(* Fig. 5's feature step as one tape node: ω → extended ω (appending
+   k1 = R2/R1, k2 = R4/R3, k3 = W/L, as [Design_space.extend]) → min-max
+   normalised.  It replays the graph it replaced (column slices,
+   divisions, concatenations and the scaler's two broadcasts) operation for
+   operation; the backward is that graph's per-node gradients, including
+   the order in which each ω column received its two shares: the
+   concatenation's before the division's for R1 and R2, after it for the
+   rest. *)
+let features_ad t x =
+  let d = Design_space.dim and e = Design_space.extended_dim in
+  let v = Autodiff.value x in
+  if Tensor.cols v <> d then invalid_arg "Model.features_ad: expected 7 columns";
+  let n = Tensor.rows v in
+  let neg_lo = Array.map (fun l -> -.l) (Scaler.lo t.omega_scaler) in
+  let inv_range = Array.map (fun r -> 1.0 /. r) (Scaler.range t.omega_scaler) in
+  let xa = Array.make (n * d) 0.0 and ya = Array.make (n * e) 0.0 in
+  let forward dst =
+    Tensor.read_into (Autodiff.value x) xa;
+    for r = 0 to n - 1 do
+      let xo = r * d and yo = r * e in
+      Array.blit xa xo ya yo d;
+      ya.(yo + 7) <- xa.(xo + 1) /. xa.(xo + 0);
+      ya.(yo + 8) <- xa.(xo + 3) /. xa.(xo + 2);
+      ya.(yo + 9) <- xa.(xo + 5) /. xa.(xo + 6);
+      for j = 0 to e - 1 do
+        ya.(yo + j) <- (ya.(yo + j) +. neg_lo.(j)) *. inv_range.(j)
+      done
+    done;
+    Tensor.write_from ya dst
+  in
+  let out = Tensor.zeros_as v n e in
+  forward out;
+  let gx = Array.make (n * d) 0.0 and dx = Autodiff.scratch_of v n d in
+  Autodiff.fused out [ x ] ~recompute:forward ~backward:(fun g ->
+      Tensor.read_into g ya;
+      for r = 0 to n - 1 do
+        let xo = r * d and yo = r * e in
+        let[@inline] ga j = 0.0 +. (ya.(yo + j) *. inv_range.(j)) and[@inline] x j = xa.(xo + j) in
+        (* k = a / b: a's share g/b, b's share −(g·a)/b² *)
+        let[@inline] over k b = 0.0 +. (ga k /. x b)
+        and[@inline] under k a b = 0.0 +. -.(mul_first (ga k) (x a) /. (x b *. x b)) in
+        gx.(xo + 0) <- add_first (ga 0) (under 7 1 0);
+        gx.(xo + 1) <- add_first (ga 1) (over 7 0);
+        gx.(xo + 2) <- add_first (under 8 3 2) (ga 2);
+        gx.(xo + 3) <- add_first (over 8 2) (ga 3);
+        gx.(xo + 4) <- ga 4;
+        gx.(xo + 5) <- add_first (over 9 6) (ga 5);
+        gx.(xo + 6) <- add_first (under 9 5 6) (ga 6)
+      done;
+      let dx = dx () in
+      Tensor.write_from gx dx;
+      Autodiff.accumulate x dx)
+
+let eval_ad t x = Scaler.inverse_ad t.eta_scaler (Nn.Mlp.forward_frozen t.mlp (features_ad t x))
 
 let to_lines t =
   ("surrogate" :: Scaler.to_lines t.omega_scaler)

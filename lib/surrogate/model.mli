@@ -15,8 +15,10 @@ val eval : t -> float array -> Fit.Ptanh.eta
 
 val eval_batch : t -> float array array -> Fit.Ptanh.eta array
 
-val extend_ad : Autodiff.t -> Autodiff.t
-(** Differentiable ω → extended-ω (appends k1, k2, k3) for [n × 7] nodes. *)
+val features_ad : t -> Autodiff.t -> Autodiff.t
+(** The surrogate's input features for a batch of raw ω, as one tape node
+    ([n × 7] → [n × 10]): {!Design_space.extend}'s ratios k1, k2, k3
+    appended, then min-max normalised — the network's input in {!eval}. *)
 
 val eval_ad : t -> Autodiff.t -> Autodiff.t
 (** Differentiable η̂ for a batch of raw ω ([n × 7] node → [n × 4] node).

@@ -51,13 +51,6 @@ let inverse_tensor t m =
   if Tensor.cols m <> dim t then invalid_arg "Scaler.inverse_tensor: dimension mismatch";
   Tensor.add_rowvec (Tensor.mul_rowvec m (Tensor.of_array (range t))) (Tensor.of_array t.lo)
 
-let transform_ad t x =
-  if Tensor.cols (Autodiff.value x) <> dim t then
-    invalid_arg "Scaler.transform_ad: dimension mismatch";
-  let inv_range = Autodiff.const (Tensor.of_array (Array.map (fun r -> 1.0 /. r) (range t))) in
-  let neg_lo = Autodiff.const (Tensor.of_array (Array.map (fun l -> -.l) t.lo)) in
-  Autodiff.mul_rowvec (Autodiff.add_rowvec x neg_lo) inv_range
-
 let inverse_ad t x =
   if Tensor.cols (Autodiff.value x) <> dim t then
     invalid_arg "Scaler.inverse_ad: dimension mismatch";

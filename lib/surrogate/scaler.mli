@@ -12,6 +12,10 @@ val fit : float array array -> t
 val of_bounds : lo:float array -> hi:float array -> t
 val lo : t -> float array
 val hi : t -> float array
+
+val range : t -> float array
+(** [hi − lo] per component (a fresh array). *)
+
 val dim : t -> int
 
 val transform : t -> float array -> float array
@@ -24,10 +28,8 @@ val transform_tensor : t -> Tensor.t -> Tensor.t
 
 val inverse_tensor : t -> Tensor.t -> Tensor.t
 
-val transform_ad : t -> Autodiff.t -> Autodiff.t
-(** Differentiable transform of a [n × dim] node. *)
-
 val inverse_ad : t -> Autodiff.t -> Autodiff.t
+(** Differentiable inverse of a [n × dim] node. *)
 
 val to_lines : t -> string list
 val of_lines : string list -> t * string list

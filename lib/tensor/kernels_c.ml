@@ -6,7 +6,8 @@
    perform the reference backend's floating-point operations in the
    reference order and are bit-identical to it — the stubs are compiled
    with -O2 -fno-fast-math -ffp-contract=off so the C compiler may not
-   re-associate or contract into FMA, and tanh/exp/log resolve to the same
+   re-associate or contract into FMA, the stubs pin NaN quieting and operand
+   order themselves, and tanh/exp/log resolve to the same
    libm the OCaml runtime links.  Only [matmul]/[matmul_nt] (and the fused
    dense forward built on the matmul core) re-associate, deterministically:
    8-wide output tiles accumulated in pure k order for [matmul], a 4-lane
@@ -201,6 +202,20 @@ external c_unary : (int[@untagged]) -> buf -> buf -> (int[@untagged]) -> unit
 external c_unary_bwd :
   (int[@untagged]) -> buf -> buf -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_unary_bwd_byte" "pnn_c_unary_bwd"
+[@@noalloc]
+
+(* SAFETY: eta has >= 4 elements; v, h and out have >= n; h and out are
+   written at index i from v's index i only (out may alias v, not h). *)
+external c_ptanh : buf -> buf -> buf -> buf -> (int[@untagged]) -> unit
+  = "pnn_c_ptanh_byte" "pnn_c_ptanh"
+[@@noalloc]
+
+(* SAFETY: eta and deta have >= 4 elements, v, h, g and dv >= n; dv is
+   written at index i after g/h/v's index i are read (dv may alias g);
+   deta is written once at the end and must not alias eta. *)
+external c_ptanh_bwd :
+  buf -> buf -> buf -> buf -> buf -> buf -> (int[@untagged]) -> unit
+  = "pnn_c_ptanh_bwd_byte" "pnn_c_ptanh_bwd"
 [@@noalloc]
 
 (* SAFETY: src and out are rows*cols; out may alias src (each row is fully
@@ -427,6 +442,22 @@ let unary_bwd op ~x ~y ~g ~s n =
   need n g;
   need n s;
   c_unary_bwd (unop_code op) x y g s n
+
+let ptanh ~eta ~v ~h ~out n =
+  need 4 eta;
+  need n v;
+  need n h;
+  need n out;
+  c_ptanh eta v h out n
+
+let ptanh_bwd ~eta ~v ~h ~g ~dv ~deta n =
+  need 4 eta;
+  need n v;
+  need n h;
+  need n g;
+  need n dv;
+  need 4 deta;
+  c_ptanh_bwd eta v h g dv deta n
 
 let softmax_rows src out rows cols =
   need (rows * cols) src;

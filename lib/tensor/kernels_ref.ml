@@ -33,6 +33,21 @@ let of_float_array = Array.copy
 let to_float_array = Array.copy
 let load b a = Array.blit a 0 b 0 (Array.length a)
 
+(* {1 NaN operand order}
+
+   When both operands of an x86 add/mul are NaN the result is the first
+   operand's NaN (quieted), and ocamlopt may swap a commutative operation's
+   operands (to fold a load, say).  [add_first]/[mul_first] pin the left
+   operand's NaN: if [a] is NaN the result is [a] quieted ([a +. 0.0], a
+   lone NaN operand), otherwise [a op b], where at most one operand is NaN
+   so the instruction order cannot matter.  The C stubs have the same pair.
+   Modules that replay a graph outside this one keep local copies: dune's
+   development builds compile modules [-opaque], which rules out
+   cross-module inlining, and a call would box every float. *)
+
+let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
+let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
+
 (* {1 Elementwise} *)
 
 let add a b dst n =
@@ -95,10 +110,13 @@ let neg a dst n =
       Array.unsafe_set dst i (-.Array.unsafe_get a i)
     done
 
+(* [scale]/[add_scalar]: the unchecked body's [k op load] keeps [k] in the
+   first operand, so a NaN [k] wins over a NaN element; the checked body
+   compiles the other way round and states the rule with [mul_first]. *)
 let scale k a dst n =
   if checked () then
     for i = 0 to n - 1 do
-      dst.(i) <- k *. a.(i)
+      dst.(i) <- mul_first k a.(i)
     done
   else
     (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
@@ -110,7 +128,7 @@ let scale k a dst n =
 let add_scalar k a dst n =
   if checked () then
     for i = 0 to n - 1 do
-      dst.(i) <- k +. a.(i)
+      dst.(i) <- add_first k a.(i)
     done
   else
     (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
@@ -306,8 +324,10 @@ let matmul_nt ad bd cd m k n =
 
 (* Blocked copy instead of a closure-per-element [init]: both the read and
    the write stay within a 32x32 tile, so one of the two strided streams is
-   always cache-resident. *)
-let transpose src dst rows cols =
+   always cache-resident.  The [buf] annotations matter: a copy loop is
+   otherwise inferred polymorphic, and generic array access boxes every
+   float it moves. *)
+let transpose (src : buf) (dst : buf) rows cols =
   let bs = 32 in
   if checked () then begin
     let r0 = ref 0 in
@@ -588,6 +608,75 @@ let unary_bwd op ~x ~y ~g ~s n =
             *. (if xi > 0.0 then 1.0 else if xi < 0.0 then -1.0 else 0.0))
         done
 
+(* {1 ptanh (paper Eq. 2)}
+
+   ptanh(v) = η1 + η2·tanh((v − η3)·η4) over a batch, as one kernel in
+   place of the node-by-node graph it replaced.  The forward replays that
+   graph's operations per element — s = (−η3) + v, z = η4·s, h = tanh z,
+   out = η1 + η2·h — with each scalar on the left, as the graph's
+   broadcast-scalar kernels had it ([add_first]/[mul_first] make a NaN η
+   win over a NaN element on every compiler).  The backward replays the graph's
+   per-node gradients: every node's first accumulation was [0.0 +. x] on a
+   zeroed buffer (kept below: it turns −0.0 into +0.0), tanh's derivative
+   factor precedes the incoming gradient as in [unary_bwd], and each η
+   share is a left-to-right sum with the accumulator first, as [sum] has
+   it.  All operand orders are spelled out, so the checked and unchecked
+   bodies (and the C stub) agree bit for bit, NaN payloads included. *)
+
+let ptanh ~eta ~v ~h ~out n =
+  let e0 = eta.(0) and e1 = eta.(1) and ne2 = -.eta.(2) and e3 = eta.(3) in
+  if checked () then
+    for i = 0 to n - 1 do
+      let hi = Stdlib.tanh (mul_first e3 (add_first ne2 v.(i))) in
+      h.(i) <- hi;
+      out.(i) <- add_first e0 (mul_first e1 hi)
+    done
+  else
+    for i = 0 to n - 1 do
+      (* SAFETY: i < n <= length of v, h and out (dispatch layer) *)
+      let hi = Stdlib.tanh (mul_first e3 (add_first ne2 (Array.unsafe_get v i))) in
+      Array.unsafe_set h i hi;
+      Array.unsafe_set out i (add_first e0 (mul_first e1 hi))
+    done
+
+(* Per element, with gP/gH/gZ/gS the gradients of the replaced graph's
+   η2·h, tanh, η4·s and s nodes: gP = 0 + g, gH = 0 + η2·gP,
+   gZ = 0 + (1 − h²)·gH, gS = 0 + η4·gZ = dv.  The η shares are
+   0 + Σg, 0 + Σ gP·h, 0 + −(0 + Σ gS) and 0 + Σ gZ·s. *)
+let ptanh_bwd ~eta ~v ~h ~g ~dv ~deta n =
+  let e1 = eta.(1) and ne2 = -.eta.(2) and e3 = eta.(3) in
+  let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+  if checked () then
+    for i = 0 to n - 1 do
+      let gi = g.(i) and hi = h.(i) in
+      let gp = 0.0 +. gi in
+      let gz = 0.0 +. mul_first (1.0 -. (hi *. hi)) (0.0 +. mul_first e1 gp) in
+      let gs = 0.0 +. mul_first e3 gz in
+      s0 := add_first !s0 gi;
+      s1 := add_first !s1 (mul_first gp hi);
+      s2 := add_first !s2 gs;
+      s3 := add_first !s3 (mul_first gz (add_first ne2 v.(i)));
+      dv.(i) <- gs
+    done
+  else
+    for i = 0 to n - 1 do
+      (* SAFETY: i < n <= length of g, h, v and dv (dispatch layer) *)
+      let gi = Array.unsafe_get g i and hi = Array.unsafe_get h i in
+      let gp = 0.0 +. gi in
+      let gz = 0.0 +. mul_first (1.0 -. (hi *. hi)) (0.0 +. mul_first e1 gp) in
+      let gs = 0.0 +. mul_first e3 gz in
+      s0 := add_first !s0 gi;
+      s1 := add_first !s1 (mul_first gp hi);
+      s2 := add_first !s2 gs;
+      (* SAFETY: as above *)
+      s3 := add_first !s3 (mul_first gz (add_first ne2 (Array.unsafe_get v i)));
+      Array.unsafe_set dv i gs
+    done;
+  deta.(0) <- 0.0 +. !s0;
+  deta.(1) <- 0.0 +. !s1;
+  deta.(2) <- 0.0 +. -.(0.0 +. !s2);
+  deta.(3) <- 0.0 +. !s3
+
 (* {1 Training-path fused kernels} *)
 
 (* Stable row-wise softmax; raw loops for the same unboxed-float reason as
@@ -634,6 +723,11 @@ let softmax_rows src out rows cols =
       done
     done
 
+(* [Stdlib.max p 1e-30] on floats, spelled monomorphically: the
+   polymorphic [max] runs the generic comparison on boxed floats.  A NaN
+   compares false and becomes 1e-30, as in the C stub. *)
+let[@inline] clamp_prob p = if p >= 1e-30 then p else 1e-30
+
 (* Summed (not averaged) cross-entropy: the caller divides by the batch so
    every backend shares one division point. *)
 let ce_loss_sum p y n =
@@ -642,7 +736,7 @@ let ce_loss_sum p y n =
     for i = 0 to n - 1 do
       let yi = y.(i) in
       if yi > 0.0 then
-        loss := !loss -. (yi *. Stdlib.log (Stdlib.max p.(i) 1e-30))
+        loss := !loss -. (yi *. Stdlib.log (clamp_prob p.(i)))
     done
   else
     for i = 0 to n - 1 do
@@ -650,7 +744,7 @@ let ce_loss_sum p y n =
          below the length of both *)
       let yi = Array.unsafe_get y i in
       if yi > 0.0 then
-        loss := !loss -. (yi *. Stdlib.log (Stdlib.max (Array.unsafe_get p i) 1e-30))
+        loss := !loss -. (yi *. Stdlib.log (clamp_prob (Array.unsafe_get p i)))
     done;
   !loss
 

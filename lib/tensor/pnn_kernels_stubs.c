@@ -12,8 +12,9 @@
  * Float semantics contract (compiler flags set in lib/tensor/dune):
  * compiled with -O2 -fno-fast-math -ffp-contract=off so the compiler may
  * not re-associate, contract mul+add into FMA, or otherwise change IEEE
- * results.  Per-element kernels below perform the exact floating-point
- * operations, in the exact order, of the reference backend
+ * results (NaN signs and quieting are pinned in the code: see quiet()).
+ * Per-element kernels below perform the exact floating-point operations,
+ * in the exact order, of the reference backend
  * (lib/tensor/kernels_ref.ml) and are bit-identical to it; libm calls
  * (tanh/exp/log) resolve to the same libm the OCaml runtime links.  Only
  * the matmul family re-associates — deterministically: pure-k-order 8-wide
@@ -33,6 +34,8 @@
 #include <caml/alloc.h>
 #include <caml/bigarray.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #define BA(v) ((double *) Caml_ba_data_val(v))
 /* An OCaml float array is a flat block of doubles; the value points at the
@@ -54,6 +57,35 @@ static inline v2df vload(const double *p) { return *(const v2df_u *) p; }
 static inline void vstore(double *p, v2df v) { *(v2df_u *) p = v; }
 #define PNN_HAVE_VEC 1
 #endif
+
+/* NaN operand order (as in kernels_ref.ml): when both operands of
+ * an add/mul are NaN, x86 returns the first operand's NaN, and the
+ * compiler is free to swap commutative operands (or to rewrite a + (-b) as
+ * a - b, which keeps b's sign where the negation flipped it).  Where the
+ * reference kernel's first operand can meet a NaN in the second, these
+ * helpers pin the reference's choice: the left operand quieted when it is
+ * NaN, otherwise the plain operation (then at most one operand is NaN, so
+ * the instruction order cannot matter).  Quieting sets the quiet bit, as
+ * the hardware does, through the bits so that no float rewrite applies:
+ * the compiler may fold g * 1.0 to g (leaving a signalling NaN unquieted)
+ * or g * -1.0 to -g (flipping a NaN's sign), and mul_first(g, ±1.0) is
+ * immune to both. */
+static inline double quiet(double a)
+{
+  uint64_t u;
+  memcpy(&u, &a, sizeof u);
+  u |= UINT64_C(0x0008000000000000);
+  memcpy(&a, &u, sizeof a);
+  return a;
+}
+static inline double add_first(double a, double b)
+{
+  return a != a ? quiet(a) : a + b;
+}
+static inline double mul_first(double a, double b)
+{
+  return a != a ? quiet(a) : a * b;
+}
 
 /* ---------------------------------------------------------------- */
 /* Elementwise: dst may alias an input (same-index read/write only). */
@@ -90,11 +122,17 @@ CAMLprim value pnn_c_neg_byte(value va, value vdst, value vn)
   return pnn_c_neg(va, vdst, Long_val(vn));
 }
 
+/* The reference's NaN k wins over a NaN element; hoisting that case keeps
+ * the main loop branch-free. */
 CAMLprim value pnn_c_scale(double k, value va, value vdst, intnat n)
 {
   const double *a = BA(va);
   double *dst = BA(vdst);
-  for (intnat i = 0; i < n; i++) dst[i] = k * a[i];
+  if (k != k) {
+    double q = quiet(k);
+    for (intnat i = 0; i < n; i++) dst[i] = q;
+  } else
+    for (intnat i = 0; i < n; i++) dst[i] = k * a[i];
   return Val_unit;
 }
 CAMLprim value pnn_c_scale_byte(value vk, value va, value vdst, value vn)
@@ -106,7 +144,11 @@ CAMLprim value pnn_c_add_scalar(double k, value va, value vdst, intnat n)
 {
   const double *a = BA(va);
   double *dst = BA(vdst);
-  for (intnat i = 0; i < n; i++) dst[i] = k + a[i];
+  if (k != k) {
+    double q = quiet(k);
+    for (intnat i = 0; i < n; i++) dst[i] = q;
+  } else
+    for (intnat i = 0; i < n; i++) dst[i] = k + a[i];
   return Val_unit;
 }
 CAMLprim value pnn_c_add_scalar_byte(value vk, value va, value vdst, value vn)
@@ -402,6 +444,10 @@ CAMLprim value pnn_c_unary_byte(value vop, value vsrc, value vdst, value vn)
   return pnn_c_unary(Long_val(vop), vsrc, vdst, Long_val(vn));
 }
 
+/* Operand order follows the reference's unchecked bodies: the derivative
+ * factor's NaN wins over g's (ocamlopt folds g's load into the second
+ * operand), except for exp, where g comes first.  Relu/abs factors are
+ * never NaN; mul_first there keeps a NaN g quieted with its sign. */
 CAMLprim value pnn_c_unary_bwd(intnat op, value vx, value vy, value vg,
                                value vs, intnat n)
 {
@@ -413,31 +459,32 @@ CAMLprim value pnn_c_unary_bwd(intnat op, value vx, value vy, value vg,
   case PNN_TANH:
     for (intnat i = 0; i < n; i++) {
       double yi = y[i];
-      s[i] = g[i] * (1.0 - yi * yi);
+      s[i] = mul_first(1.0 - yi * yi, g[i]);
     }
     break;
   case PNN_SIGMOID:
     for (intnat i = 0; i < n; i++) {
       double yi = y[i];
-      s[i] = g[i] * (yi * (1.0 - yi));
+      s[i] = mul_first(yi * (1.0 - yi), g[i]);
     }
     break;
   case PNN_EXP:
-    for (intnat i = 0; i < n; i++) s[i] = g[i] * y[i];
+    for (intnat i = 0; i < n; i++) s[i] = mul_first(g[i], y[i]);
     break;
   case PNN_LOG:
-    for (intnat i = 0; i < n; i++) s[i] = g[i] * (1.0 / x[i]);
+    for (intnat i = 0; i < n; i++) s[i] = mul_first(1.0 / x[i], g[i]);
     break;
   case PNN_SQRT:
-    for (intnat i = 0; i < n; i++) s[i] = g[i] * (0.5 / y[i]);
+    for (intnat i = 0; i < n; i++) s[i] = mul_first(0.5 / y[i], g[i]);
     break;
   case PNN_RELU:
-    for (intnat i = 0; i < n; i++) s[i] = g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
+    for (intnat i = 0; i < n; i++)
+      s[i] = mul_first(g[i], x[i] > 0.0 ? 1.0 : 0.0);
     break;
   case PNN_ABS:
     for (intnat i = 0; i < n; i++) {
       double xi = x[i];
-      s[i] = g[i] * (xi > 0.0 ? 1.0 : (xi < 0.0 ? -1.0 : 0.0));
+      s[i] = mul_first(g[i], xi > 0.0 ? 1.0 : (xi < 0.0 ? -1.0 : 0.0));
     }
     break;
   }
@@ -448,6 +495,70 @@ CAMLprim value pnn_c_unary_bwd_byte(value *argv, int argn)
   (void) argn;
   return pnn_c_unary_bwd(Long_val(argv[0]), argv[1], argv[2], argv[3],
                          argv[4], Long_val(argv[5]));
+}
+
+/* ------------------------------------------------------------------ */
+/* ptanh (paper Eq. 2): the reference kernels' operation sequence and  */
+/* operand order (lib/tensor/kernels_ref.ml), every commutative        */
+/* operation that can meet two NaNs pinned with add_first/mul_first.   */
+/* ------------------------------------------------------------------ */
+
+CAMLprim value pnn_c_ptanh(value veta, value vv, value vh, value vout,
+                           intnat n)
+{
+  const double *eta = BA(veta);
+  const double *v = BA(vv);
+  double *h = BA(vh);
+  double *out = BA(vout);
+  double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
+  for (intnat i = 0; i < n; i++) {
+    double hi = tanh(mul_first(e3, add_first(ne2, v[i])));
+    h[i] = hi;
+    out[i] = add_first(e0, mul_first(e1, hi));
+  }
+  return Val_unit;
+}
+CAMLprim value pnn_c_ptanh_byte(value veta, value vv, value vh, value vout,
+                                value vn)
+{
+  return pnn_c_ptanh(veta, vv, vh, vout, Long_val(vn));
+}
+
+CAMLprim value pnn_c_ptanh_bwd(value veta, value vv, value vh, value vg,
+                               value vdv, value vdeta, intnat n)
+{
+  const double *eta = BA(veta);
+  const double *v = BA(vv);
+  const double *h = BA(vh);
+  const double *g = BA(vg);
+  double *dv = BA(vdv);
+  double *deta = BA(vdeta);
+  double e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (intnat i = 0; i < n; i++) {
+    double gi = g[i], hi = h[i];
+    double gp = 0.0 + gi;
+    double gz = 0.0 + mul_first(1.0 - hi * hi, 0.0 + mul_first(e1, gp));
+    double gs = 0.0 + mul_first(e3, gz);
+    s0 = add_first(s0, gi);
+    s1 = add_first(s1, mul_first(gp, hi));
+    s2 = add_first(s2, gs);
+    s3 = add_first(s3, mul_first(gz, add_first(ne2, v[i])));
+    dv[i] = gs;
+  }
+  deta[0] = 0.0 + s0;
+  deta[1] = 0.0 + s1;
+  /* 0 + −(0 + s2), with the negation kept: see quiet() */
+  double ns2 = -(0.0 + s2);
+  deta[2] = ns2 != ns2 ? quiet(ns2) : 0.0 + ns2;
+  deta[3] = 0.0 + s3;
+  return Val_unit;
+}
+CAMLprim value pnn_c_ptanh_bwd_byte(value *argv, int argn)
+{
+  (void) argn;
+  return pnn_c_ptanh_bwd(argv[0], argv[1], argv[2], argv[3], argv[4],
+                         argv[5], Long_val(argv[6]));
 }
 
 /* ------------------------------------------ */

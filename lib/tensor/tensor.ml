@@ -484,6 +484,19 @@ let blit_changed ~src ~dst =
       done);
   !changed
 
+let read_into t a =
+  if Array.length a <> numel t then invalid_arg "Tensor.read_into: length mismatch";
+  match t.store with
+  | F s -> Array.blit s 0 a 0 (numel t)
+  | C b ->
+      for i = 0 to numel t - 1 do
+        a.(i) <- b.{i}
+      done
+
+let write_from a t =
+  if Array.length a <> numel t then invalid_arg "Tensor.write_from: length mismatch";
+  load_into t.store a
+
 let map_into f a ~dst =
   shape_check_dst "map_into" dst a.rows a.cols;
   map_disp f a dst (numel a)
@@ -632,6 +645,41 @@ let unop_bwd_into op ~x ~y ~g ~dst =
       let d = Array.make n 0.0 in
       Kr.unary_bwd op ~x:(snapshot xs) ~y:(snapshot ys) ~g:(snapshot gs) ~s:d n;
       load_into ds d
+
+let ptanh_check name eta =
+  if numel eta <> 4 then
+    invalid_arg (Printf.sprintf "Tensor.%s: eta has %d elements, expected 4" name (numel eta))
+
+let ptanh_into ~eta v ~h ~dst =
+  ptanh_check "ptanh_into" eta;
+  shape_check_dst "ptanh_into" h v.rows v.cols;
+  shape_check_dst "ptanh_into" dst v.rows v.cols;
+  let n = numel v in
+  match (eta.store, v.store, h.store, dst.store) with
+  | F e, F x, F hb, F d -> Kr.ptanh ~eta:e ~v:x ~h:hb ~out:d n
+  | C e, C x, C hb, C d -> Kc.ptanh ~eta:e ~v:x ~h:hb ~out:d n
+  | es, xs, hs, ds ->
+      let hb = Array.make n 0.0 and d = Array.make n 0.0 in
+      Kr.ptanh ~eta:(snapshot es) ~v:(snapshot xs) ~h:hb ~out:d n;
+      load_into hs hb;
+      load_into ds d
+
+let ptanh_bwd_into ~eta v ~h ~g ~dv ~deta =
+  ptanh_check "ptanh_bwd_into" eta;
+  binop_check "ptanh_bwd_into" v h;
+  binop_check "ptanh_bwd_into" v g;
+  shape_check_dst "ptanh_bwd_into" dv v.rows v.cols;
+  shape_check_dst "ptanh_bwd_into" deta eta.rows eta.cols;
+  let n = numel v in
+  match (eta.store, v.store, h.store, g.store, dv.store, deta.store) with
+  | F e, F x, F hb, F gb, F d, F de -> Kr.ptanh_bwd ~eta:e ~v:x ~h:hb ~g:gb ~dv:d ~deta:de n
+  | C e, C x, C hb, C gb, C d, C de -> Kc.ptanh_bwd ~eta:e ~v:x ~h:hb ~g:gb ~dv:d ~deta:de n
+  | es, xs, hs, gs, ds, des ->
+      let d = Array.make n 0.0 and de = Array.make 4 0.0 in
+      Kr.ptanh_bwd ~eta:(snapshot es) ~v:(snapshot xs) ~h:(snapshot hs) ~g:(snapshot gs) ~dv:d
+        ~deta:de n;
+      load_into ds d;
+      load_into des de
 
 let softmax_rows_into m ~dst =
   shape_check_dst "softmax_rows_into" dst m.rows m.cols;

@@ -246,6 +246,14 @@ val blit_changed : src:t -> dst:t -> bool
     changes).  Allocation-free when both tensors share a backend; lets a
     caller skip recomputing what depends only on [dst]. *)
 
+val read_into : t -> float array -> unit
+(** [read_into t a] copies [t]'s elements, row-major, into [a] (of length
+    [numel t]) without allocating — for code that runs a small formula on
+    plain floats. *)
+
+val write_from : float array -> t -> unit
+(** [write_from a t] is the converse of {!read_into}. *)
+
 val map_into : (float -> float) -> t -> dst:t -> unit
 val add_into : t -> t -> dst:t -> unit
 val sub_into : t -> t -> dst:t -> unit
@@ -304,6 +312,19 @@ val unop_bwd_into : unop -> x:t -> y:t -> g:t -> dst:t -> unit
 (** Backward pass of [unop]: [dst.(i) := g.(i) * d/dx op] evaluated from the
     forward input [x] and output [y] (each formula reads whichever is
     cheaper, e.g. tanh uses [y], log uses [x]).  [dst] may alias [g]. *)
+
+val ptanh_into : eta:t -> t -> h:t -> dst:t -> unit
+(** [ptanh_into ~eta v ~h ~dst] is the paper's Eq. 2 for a 4-element
+    [eta = [η1; η2; η3; η4]]: [dst := η1 + η2·tanh((v − η3)·η4)] elementwise,
+    with [h := tanh((v − η3)·η4)] kept for {!ptanh_bwd_into}.  Bit-identical
+    on every backend, NaN payloads included, to the broadcast-scalar
+    sequence [add_scalar (−η3)], [scale η4], [unop Tanh], [scale η2],
+    [add_scalar η1]. *)
+
+val ptanh_bwd_into : eta:t -> t -> h:t -> g:t -> dv:t -> deta:t -> unit
+(** Backward of {!ptanh_into} for the output gradient [g]: [dv] gets [v]'s
+    share and [deta] (shaped like [eta]) the four η shares — the values the
+    node-by-node graph of the same formula accumulated, bit for bit. *)
 
 val softmax_rows_into : t -> dst:t -> unit
 (** Numerically-stable row-wise softmax (max-shifted); [dst] must not alias

@@ -135,6 +135,16 @@ module type KERNELS = sig
   (* nonlinearities and training-path kernels *)
   val unary : unop -> buf -> buf -> int -> unit
   val unary_bwd : unop -> x:buf -> y:buf -> g:buf -> s:buf -> int -> unit
+  (* ptanh (paper Eq. 2) for one 4-element η: [out := η1 + η2·tanh((v − η3)·η4)],
+     keeping the tanh in [h]; the backward writes v's gradient share to [dv]
+     and η's four shares to [deta].  Both replay the operation sequence and
+     operand order of the node-by-node graph they replaced (see
+     Kernels_ref.ptanh), so results are bit-identical to it. *)
+  val ptanh : eta:buf -> v:buf -> h:buf -> out:buf -> int -> unit
+
+  val ptanh_bwd :
+    eta:buf -> v:buf -> h:buf -> g:buf -> dv:buf -> deta:buf -> int -> unit
+
   val softmax_rows : buf -> buf -> int -> int -> unit
   val ce_loss_sum : buf -> buf -> int -> float
   val sgd_step : lr:float -> grad:buf -> value:buf -> int -> unit

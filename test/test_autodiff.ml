@@ -31,8 +31,7 @@ let finite_diff build p =
   done;
   g
 
-let check_grad ?(tol = 1e-4) name build init =
-  let p = A.param init in
+let check_grad_leaf ?(tol = 1e-4) name build p =
   let _, analytic = grad_of build p in
   let numeric = finite_diff build p in
   let ok = ref true in
@@ -49,127 +48,218 @@ let check_grad ?(tol = 1e-4) name build init =
   done;
   if not !ok then Alcotest.failf "%s: gradient check failed" name
 
+let check_grad ?tol name build init = check_grad_leaf ?tol name build (A.param init)
+
 let rng = Rng.create 12345
 let rand r c = T.uniform rng r c ~lo:0.3 ~hi:1.7
 let rand_signed r c = T.uniform rng r c ~lo:(-1.5) ~hi:1.5
 
-(* each test builds a scalar via mean/sum so shapes collapse *)
+let with_backend b f =
+  let prev = T.backend () in
+  T.set_backend b;
+  Fun.protect ~finally:(fun () -> T.set_backend prev) f
 
-let t name build init = Alcotest.test_case name `Quick (fun () -> check_grad name build init)
+(* The gradient-check table.  Each case is a thunk run inside the backend
+   under test, so its parameter, its constants (captured once: the
+   finite-difference check re-invokes the builder, which must reconstruct
+   the same graph) and every kernel it reaches live on that backend.  Each
+   builds a scalar via sum/mean so shapes collapse.  [t] checks the
+   gradient of a fresh parameter; [leaf] of a parameter the case builds
+   itself (inside a layer or circuit). *)
+let t name mk = (name, fun () -> let build, init = mk () in check_grad name build init)
+let leaf ?tol name mk = (name, fun () -> let build, p = mk () in check_grad_leaf ?tol name build p)
+
+let cases backend table =
+  List.map
+    (fun (name, run) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s [%s]" name (T.backend_name backend))
+        `Quick
+        (fun () -> with_backend backend run))
+    table
+
+let on_every_backend table = List.concat_map (fun b -> cases b table) T.backends
 
 let unary_cases =
   [
-    t "add self" (fun p -> A.sum (A.add p p)) (rand_signed 3 4);
-    t "sub" (fun p -> A.sum (A.sub p (A.scale 0.5 p))) (rand_signed 3 4);
-    t "mul" (fun p -> A.sum (A.mul p p)) (rand_signed 3 4);
-    t "div" (fun p -> A.sum (A.div (A.add_scalar 3.0 p) p)) (rand 3 4);
-    t "neg" (fun p -> A.sum (A.neg p)) (rand_signed 2 2);
-    t "scale" (fun p -> A.sum (A.scale (-2.5) p)) (rand_signed 2 5);
-    t "add_scalar" (fun p -> A.sum (A.add_scalar 4.0 p)) (rand_signed 2 2);
-    t "pow_const" (fun p -> A.sum (A.pow_const p 3.0)) (rand 2 3);
-    t "tanh" (fun p -> A.sum (A.tanh p)) (rand_signed 3 3);
-    t "sigmoid" (fun p -> A.sum (A.sigmoid p)) (rand_signed 3 3);
-    t "exp" (fun p -> A.sum (A.exp p)) (rand_signed 2 3);
-    t "log" (fun p -> A.sum (A.log p)) (rand 2 3);
-    t "sqrt" (fun p -> A.sum (A.sqrt p)) (rand 2 3);
-    t "relu" (fun p -> A.sum (A.relu p)) (rand 2 3);
-    t "abs" (fun p -> A.sum (A.abs p)) (rand 2 3);
-    t "mean" (fun p -> A.mean (A.mul p p)) (rand_signed 4 2);
+    t "add self" (fun () -> ((fun p -> A.sum (A.add p p)), rand_signed 3 4));
+    t "sub" (fun () -> ((fun p -> A.sum (A.sub p (A.scale 0.5 p))), rand_signed 3 4));
+    t "mul" (fun () -> ((fun p -> A.sum (A.mul p p)), rand_signed 3 4));
+    t "div" (fun () -> ((fun p -> A.sum (A.div (A.add_scalar 3.0 p) p)), rand 3 4));
+    t "neg" (fun () -> ((fun p -> A.sum (A.neg p)), rand_signed 2 2));
+    t "scale" (fun () -> ((fun p -> A.sum (A.scale (-2.5) p)), rand_signed 2 5));
+    t "add_scalar" (fun () -> ((fun p -> A.sum (A.add_scalar 4.0 p)), rand_signed 2 2));
+    t "tanh" (fun () -> ((fun p -> A.sum (A.tanh p)), rand_signed 3 3));
+    t "sigmoid" (fun () -> ((fun p -> A.sum (A.sigmoid p)), rand_signed 3 3));
+    t "exp" (fun () -> ((fun p -> A.sum (A.exp p)), rand_signed 2 3));
+    t "log" (fun () -> ((fun p -> A.sum (A.log p)), rand 2 3));
+    t "sqrt" (fun () -> ((fun p -> A.sum (A.sqrt p)), rand 2 3));
+    t "relu" (fun () -> ((fun p -> A.sum (A.relu p)), rand 2 3));
+    t "abs" (fun () -> ((fun p -> A.sum (A.abs p)), rand 2 3));
+    t "mean" (fun () -> ((fun p -> A.mean (A.mul p p)), rand_signed 4 2));
   ]
 
-(* Constants must be captured once: the finite-difference driver re-invokes
-   the builder, which must reconstruct the *same* graph. *)
-let c42 = rand 4 2
-let c23 = rand 2 3
-let c33 = rand 3 3
-let c32 = rand 3 2
-let c14 = rand 1 4
-let c34 = rand 3 4
-let c11 = rand 1 1
-let cc23 = rand 2 3
-let cc25 = rand 2 5
+let const_case name mk init = t name (fun () -> (mk (), init ()))
 
 let structural_cases =
   [
-    t "matmul left" (fun p -> A.sum (A.matmul p (A.const c42))) (rand_signed 3 4);
-    t "matmul right" (fun p -> A.sum (A.matmul (A.const c23) p)) (rand_signed 3 4);
-    t "matmul chain"
-      (fun p -> A.sum (A.matmul (A.matmul p (A.const c33)) (A.const c32)))
-      (rand_signed 2 3);
-    t "transpose" (fun p -> A.sum (A.mul (A.transpose p) (A.transpose p))) (rand_signed 2 4);
-    t "add_rowvec m" (fun p -> A.sum (A.add_rowvec p (A.const c14))) (rand_signed 3 4);
-    t "add_rowvec v" (fun p -> A.sum (A.add_rowvec (A.const c34) p)) (rand_signed 1 4);
-    t "mul_rowvec m" (fun p -> A.sum (A.mul_rowvec p (A.const c14))) (rand_signed 3 4);
-    t "mul_rowvec v" (fun p -> A.sum (A.mul_rowvec (A.const c34) p)) (rand_signed 1 4);
-    t "div_rowvec m" (fun p -> A.sum (A.div_rowvec p (A.const c14))) (rand_signed 3 4);
-    t "div_rowvec v" (fun p -> A.sum (A.div_rowvec (A.const c34) p)) (rand 1 4);
-    t "badd scalar" (fun p -> A.sum (A.badd p (A.const c34))) (rand_signed 1 1);
-    t "badd matrix" (fun p -> A.sum (A.badd (A.const c11) p)) (rand_signed 3 4);
-    t "bmul scalar" (fun p -> A.sum (A.bmul p (A.const c34))) (rand_signed 1 1);
-    t "bmul matrix" (fun p -> A.sum (A.bmul (A.const c11) p)) (rand_signed 3 4);
-    t "sum_rows" (fun p -> A.sum (A.mul (A.sum_rows p) (A.const c14))) (rand_signed 3 4);
-    t "concat_cols a"
-      (fun p -> A.sum (A.mul (A.concat_cols p (A.const cc23)) (A.const cc25)))
-      (rand_signed 2 2);
-    t "concat_cols b"
-      (fun p -> A.sum (A.mul (A.concat_cols (A.const cc23) p) (A.const cc25)))
-      (rand_signed 2 2);
-    t "slice_cols" (fun p -> A.sum (A.slice_cols p 1 2)) (rand_signed 3 4);
-    t "slice_rows" (fun p -> A.sum (A.slice_rows p 1 2)) (rand_signed 4 3);
-    t "diamond graph"
-      (fun p ->
-        let a = A.tanh p in
-        let b = A.sigmoid p in
-        A.sum (A.mul a b))
-      (rand_signed 3 3);
-    t "reused node"
-      (fun p ->
-        let a = A.mul p p in
-        A.sum (A.add a a))
-      (rand_signed 2 2);
+    const_case "matmul left" (fun () -> let c = rand 4 2 in fun p -> A.sum (A.matmul p (A.const c)))
+      (fun () -> rand_signed 3 4);
+    const_case "matmul right" (fun () -> let c = rand 2 3 in fun p -> A.sum (A.matmul (A.const c) p))
+      (fun () -> rand_signed 3 4);
+    const_case "matmul chain"
+      (fun () ->
+        let c33 = rand 3 3 and c32 = rand 3 2 in
+        fun p -> A.sum (A.matmul (A.matmul p (A.const c33)) (A.const c32)))
+      (fun () -> rand_signed 2 3);
+    t "transpose" (fun () ->
+        ((fun p -> A.sum (A.mul (A.transpose p) (A.transpose p))), rand_signed 2 4));
+    const_case "add_rowvec m" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.add_rowvec p (A.const c)))
+      (fun () -> rand_signed 3 4);
+    const_case "add_rowvec v" (fun () -> let c = rand 3 4 in fun p -> A.sum (A.add_rowvec (A.const c) p))
+      (fun () -> rand_signed 1 4);
+    const_case "mul_rowvec m" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.mul_rowvec p (A.const c)))
+      (fun () -> rand_signed 3 4);
+    const_case "mul_rowvec v" (fun () -> let c = rand 3 4 in fun p -> A.sum (A.mul_rowvec (A.const c) p))
+      (fun () -> rand_signed 1 4);
+    const_case "div_rowvec m" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.div_rowvec p (A.const c)))
+      (fun () -> rand_signed 3 4);
+    const_case "div_rowvec v" (fun () -> let c = rand 3 4 in fun p -> A.sum (A.div_rowvec (A.const c) p))
+      (fun () -> rand 1 4);
+    const_case "sum_rows" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.mul (A.sum_rows p) (A.const c)))
+      (fun () -> rand_signed 3 4);
+    const_case "concat_cols a"
+      (fun () ->
+        let c23 = rand 2 3 and c25 = rand 2 5 in
+        fun p -> A.sum (A.mul (A.concat_cols p (A.const c23)) (A.const c25)))
+      (fun () -> rand_signed 2 2);
+    const_case "concat_cols b"
+      (fun () ->
+        let c23 = rand 2 3 and c25 = rand 2 5 in
+        fun p -> A.sum (A.mul (A.concat_cols (A.const c23) p) (A.const c25)))
+      (fun () -> rand_signed 2 2);
+    const_case "concat_rows a"
+      (fun () ->
+        let c33 = rand 3 3 and c53 = rand 5 3 in
+        fun p -> A.sum (A.mul (A.concat_rows p (A.const c33)) (A.const c53)))
+      (fun () -> rand_signed 2 3);
+    const_case "concat_rows b"
+      (fun () ->
+        let c23 = rand 2 3 and c53 = rand 5 3 in
+        fun p -> A.sum (A.mul (A.concat_rows (A.const c23) p) (A.const c53)))
+      (fun () -> rand_signed 3 3);
+    t "slice_cols" (fun () -> ((fun p -> A.sum (A.slice_cols p 1 2)), rand_signed 3 4));
+    t "slice_rows" (fun () -> ((fun p -> A.sum (A.slice_rows p 1 2)), rand_signed 4 3));
+    t "diamond graph" (fun () ->
+        ((fun p -> A.sum (A.mul (A.tanh p) (A.sigmoid p))), rand_signed 3 3));
+    t "reused node" (fun () ->
+        ((fun p ->
+           let a = A.mul p p in
+           A.sum (A.add a a)),
+         rand_signed 2 2));
   ]
 
-(* STE ops intentionally disagree with finite differences: the backward pass
-   is the identity regardless of the forward projection.  Verify the identity
-   property directly. *)
-let check_ste_identity name build init =
-  let p = A.param init in
-  let root = A.sum (build p) in
-  A.backward root;
-  let g = A.grad p in
-  for r = 0 to T.rows g - 1 do
-    for c = 0 to T.cols g - 1 do
-      if Float.abs (T.get g r c -. 1.0) > 1e-12 then
-        Alcotest.failf "%s: STE gradient at (%d,%d) is %f, expected 1" name r c
-          (T.get g r c)
-    done
-  done
-
-let ste_cases =
-  [
-    Alcotest.test_case "clamp_ste backward is identity" `Quick (fun () ->
-        check_ste_identity "clamp_ste"
-          (fun p -> A.clamp_ste ~lo:(-0.5) ~hi:0.5 p)
-          (rand_signed 3 3));
-    Alcotest.test_case "map_ste backward is identity" `Quick (fun () ->
-        check_ste_identity "map_ste"
-          (fun p -> A.map_ste (fun x -> x *. x) p)
-          (rand_signed 2 2));
-    Alcotest.test_case "clamp_ste forward clamps" `Quick (fun () ->
-        let p = A.param (T.of_array [| -2.0; 0.0; 2.0 |]) in
-        let y = A.value (A.clamp_ste ~lo:(-1.0) ~hi:1.0 p) in
-        Alcotest.(check (float 0.0)) "lo" (-1.0) (T.get y 0 0);
-        Alcotest.(check (float 0.0)) "hi" 1.0 (T.get y 0 2));
-  ]
+(* The fused dense layer, with and without its nonlinearity, in each of
+   its three inputs. *)
+let dense_cases =
+  List.concat_map
+    (fun (op_name, op) ->
+      let shapes () = (rand_signed 5 3, rand_signed 3 4, rand_signed 1 4, rand 5 4) in
+      let case input =
+        const_case
+          (Printf.sprintf "dense %s %s" op_name input)
+          (fun () ->
+            let x, w, b, weights = shapes () in
+            fun p ->
+              let arg name v = if name = input then p else A.const v in
+              A.sum (A.mul (A.dense ?op (arg "x" x) (arg "w" w) (arg "b" b)) (A.const weights)))
+          (fun () ->
+            match input with
+            | "x" -> rand_signed 5 3
+            | "w" -> rand_signed 3 4
+            | _ -> rand_signed 1 4)
+      in
+      [ case "x"; case "w"; case "b" ])
+    [ ("tanh", Some T.Tanh); ("plain", None) ]
 
 let loss_cases =
-  let labels = T.of_arrays [| [| 1.0; 0.0; 0.0 |]; [| 0.0; 0.0; 1.0 |] |] in
-  let target = rand 3 4 in
   [
-    t "softmax cross entropy"
-      (fun p -> A.softmax_cross_entropy ~logits:p ~labels)
-      (rand_signed 2 3);
-    t "mse" (fun p -> A.mse p target) (rand_signed 3 4);
+    t "softmax cross entropy" (fun () ->
+        let labels = T.of_arrays [| [| 1.0; 0.0; 0.0 |]; [| 0.0; 0.0; 1.0 |] |] in
+        ((fun p -> A.softmax_cross_entropy ~logits:p ~labels), rand_signed 2 3));
+    t "mse" (fun () ->
+        let target = rand 3 4 in
+        ((fun p -> A.mse p target), rand_signed 3 4));
+  ]
+
+(* The printed layer's fused nodes.  Inputs keep clear of the
+   straight-through estimators' kinks (conductances inside the printable
+   band, R2/R4 inside their boxes), where finite differences and the
+   estimator legitimately disagree. *)
+let printed_cases =
+  let eta () = T.of_array [| 0.1; 0.8; 0.3; 2.5 |] in
+  let config = Pnn.Config.default in
+  let layer () =
+    let surrogate = Fixtures.surrogate () in
+    let layer = Pnn.Layer.create (Rng.create 3) config surrogate ~inputs:3 ~outputs:2 in
+    T.blit
+      ~src:(T.init 5 2 (fun r c -> if (r + c) mod 2 = 0 then 0.4 +. (0.05 *. float_of_int r) else -0.6))
+      ~dst:(A.value layer.Pnn.Layer.theta);
+    List.iter
+      (fun p -> T.blit ~src:(T.uniform rng 1 7 ~lo:(-0.3) ~hi:0.3) ~dst:(A.value p))
+      (Pnn.Layer.params_omega layer);
+    layer
+  in
+  let noise () = List.hd (Pnn.Noise.draw (Rng.create 5) ~epsilon:0.05 ~theta_shapes:[ (5, 2) ]) in
+  let weighted out w = A.sum (A.mul out (A.const w)) in
+  [
+    const_case "ptanh eta, v const"
+      (fun () ->
+        let v = rand_signed 4 3 and w = rand 4 3 in
+        fun p -> weighted (Pnn.Nonlinear.apply_eta p (A.const v)) w)
+      eta;
+    const_case "ptanh eta, v needing a gradient"
+      (fun () ->
+        let v = A.param (rand_signed 4 3) and w = rand 4 3 in
+        fun p -> weighted (Pnn.Nonlinear.apply_eta p v) w)
+      eta;
+    const_case "ptanh v"
+      (fun () ->
+        let e = eta () and w = rand 4 3 in
+        fun p -> weighted (Pnn.Nonlinear.apply_eta (A.const e) p) w)
+      (fun () -> rand_signed 4 3);
+    leaf "printable omega" (fun () ->
+        let nl = Pnn.Nonlinear.create (Fixtures.surrogate ()) in
+        let raw = Pnn.Nonlinear.raw_param nl in
+        T.blit ~src:(T.uniform rng 1 7 ~lo:(-0.3) ~hi:0.3) ~dst:(A.value raw);
+        let noise = T.uniform rng 1 7 ~lo:0.95 ~hi:1.05 and w = T.uniform rng 1 7 ~lo:1e-5 ~hi:2e-5 in
+        ((fun _ -> weighted (Pnn.Nonlinear.printable_omega nl ~noise) w), raw));
+    const_case "surrogate features"
+      (fun () ->
+        let model = Fixtures.surrogate () and w = rand 2 10 in
+        fun p -> A.scale 1e3 (weighted (Surrogate.Model.features_ad model p) w))
+      (fun () ->
+        T.init 2 7 (fun _ c ->
+            let module Ds = Surrogate.Design_space in
+            Rng.uniform rng ~lo:(0.6 *. Ds.omega_lo.(c) +. 0.4 *. Ds.omega_hi.(c))
+              ~hi:(0.4 *. Ds.omega_lo.(c) +. 0.6 *. Ds.omega_hi.(c))));
+    leaf "crossbar theta" (fun () ->
+        let layer = layer () and noise = noise () and x = rand 4 3 and w = rand 4 2 in
+        ((fun _ -> weighted (Pnn.Layer.preactivation config layer ~noise (A.const x)) w),
+         layer.Pnn.Layer.theta));
+    const_case "crossbar x"
+      (fun () ->
+        let layer = layer () and noise = noise () and w = rand 4 2 in
+        fun p -> weighted (Pnn.Layer.preactivation config layer ~noise p) w)
+      (fun () -> rand 4 3);
+    leaf "crossbar negative-weight circuit" (fun () ->
+        let layer = layer () and noise = noise () and x = rand 4 3 and w = rand 4 2 in
+        ((fun _ -> weighted (Pnn.Layer.preactivation config layer ~noise (A.const x)) w),
+         Pnn.Nonlinear.raw_param layer.Pnn.Layer.neg));
+    leaf "layer activation circuit" (fun () ->
+        let layer = layer () and noise = noise () and x = rand 4 3 and w = rand 4 2 in
+        ((fun _ -> weighted (Pnn.Layer.forward config layer ~noise (A.const x)) w),
+         Pnn.Nonlinear.raw_param layer.Pnn.Layer.act));
   ]
 
 (* non-gradient unit tests *)
@@ -179,13 +269,6 @@ let test_values () =
   let y = A.add (A.abs x) (A.relu x) in
   Alcotest.(check (float 1e-12)) "abs+relu" 2.0 (T.get (A.value y) 0 0);
   Alcotest.(check (float 1e-12)) "abs+relu neg" 2.0 (T.get (A.value y) 0 1)
-
-let test_clamp_ste_forward () =
-  let x = A.const (T.of_array [| -3.0; 0.2; 9.0 |]) in
-  let y = A.clamp_ste ~lo:(-1.0) ~hi:1.0 x in
-  Alcotest.(check (float 0.0)) "low" (-1.0) (T.get (A.value y) 0 0);
-  Alcotest.(check (float 0.0)) "mid" 0.2 (T.get (A.value y) 0 1);
-  Alcotest.(check (float 0.0)) "high" 1.0 (T.get (A.value y) 0 2)
 
 let test_softmax_ce_value () =
   (* uniform logits -> loss = ln k *)
@@ -259,14 +342,14 @@ let qcheck_chain_rule =
 let () =
   Alcotest.run "autodiff"
     [
-      ("unary gradients", unary_cases);
-      ("structural gradients", structural_cases);
-      ("ste", ste_cases);
-      ("losses", loss_cases);
+      ("unary gradients", on_every_backend unary_cases);
+      ("structural gradients", on_every_backend structural_cases);
+      ("dense gradients", on_every_backend dense_cases);
+      ("losses", on_every_backend loss_cases);
+      ("printed-layer gradients", on_every_backend printed_cases);
       ( "semantics",
         [
           Alcotest.test_case "values" `Quick test_values;
-          Alcotest.test_case "clamp forward" `Quick test_clamp_ste_forward;
           Alcotest.test_case "softmax value" `Quick test_softmax_ce_value;
           Alcotest.test_case "backward scalar only" `Quick test_backward_requires_scalar;
           Alcotest.test_case "params collection" `Quick test_params_collection;

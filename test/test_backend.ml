@@ -471,6 +471,78 @@ let test_ref_checked_vs_unchecked_specials () =
         (into (fun d -> T.unop_bwd_into op ~x:b ~y:b ~g:a ~dst:d)))
     all_unops
 
+(* C against the reference on two-NaN operands.  The per-element C
+   kernels promise the reference's bits, NaN payloads and signs included;
+   agreement tests on ordinary data cannot see which operand's NaN an
+   instruction keeps.  [a] and [b] hold every ordered pair of the values
+   below at the same index (NaNs of both signs and several payloads,
+   signalling ones among them), the scalar-operand kernels (and each of
+   ptanh's four η) run with every value as the scalar, and the backward
+   kernels get [g = a] against [x = y = b].  Both reference bodies must
+   agree too. *)
+let nan_specials =
+  Array.append specials
+    [| -.Float.nan; Int64.float_of_bits 0x7ff0000000000456L; Int64.float_of_bits 0xfff8000000000defL |]
+
+let test_c_vs_ref_two_nan () =
+  let ns = Array.length nan_specials in
+  let a () = T.init ns ns (fun i _ -> nan_specials.(i)) in
+  let b () = T.init ns ns (fun _ j -> nan_specials.(j)) in
+  let v () = T.init 1 ns (fun _ j -> nan_specials.(((j * 5) + 3) mod ns)) in
+  let into f () =
+    let d = T.zeros ns ns in
+    f d;
+    T.to_array d
+  in
+  let all what f =
+    let r = with_backend T.Reference (fun () -> with_checked false f) in
+    check_bits ~what:("ref checked " ^ what)
+      r (with_backend T.Reference (fun () -> with_checked true f));
+    check_bits ~what:("c " ^ what) r (with_backend T.C64 f)
+  in
+  all "add" (fun () -> T.to_array (T.add (a ()) (b ())));
+  all "sub" (fun () -> T.to_array (T.sub (a ()) (b ())));
+  all "mul" (fun () -> T.to_array (T.mul (a ()) (b ())));
+  all "div" (fun () -> T.to_array (T.div (a ()) (b ())));
+  all "neg" (fun () -> T.to_array (T.neg (a ())));
+  Array.iter
+    (fun k ->
+      let tag = Printf.sprintf " by %Lx" (bits k) in
+      all ("scale" ^ tag) (fun () -> T.to_array (T.scale k (a ())));
+      all ("add_scalar" ^ tag) (fun () -> T.to_array (T.add_scalar k (a ()))))
+    nan_specials;
+  all "add_rowvec" (fun () -> T.to_array (T.add_rowvec (a ()) (v ())));
+  all "mul_rowvec" (fun () -> T.to_array (T.mul_rowvec (a ()) (v ())));
+  all "sum_rows" (fun () -> T.to_array (T.sum_rows (a ())));
+  all "sum_rows transposed" (fun () -> T.to_array (T.sum_rows (b ())));
+  all "sum" (fun () -> Array.init ns (fun i -> T.sum (T.row (a ()) i)));
+  all "dot" (fun () -> [| T.dot (a ()) (b ()); T.dot (b ()) (a ()) |]);
+  all "softmax_rows" (into (fun d -> T.softmax_rows_into (a ()) ~dst:d));
+  all "ce_loss_sum" (fun () -> [| T.ce_loss_sum (a ()) (T.map Float.abs (b ())) |]);
+  (* ptanh: each value in each η slot, against every pair in v and g *)
+  let base = [| 0.1; 0.8; 0.3; 2.5 |] in
+  for slot = 0 to 3 do
+    Array.iter
+      (fun e ->
+        let eta () = T.init 1 4 (fun _ j -> if j = slot then e else base.(j)) in
+        let run () =
+          let v = a () in
+          let h = T.zeros ns ns and out = T.zeros ns ns in
+          T.ptanh_into ~eta:(eta ()) v ~h ~dst:out;
+          let dv = T.zeros ns ns and deta = T.zeros 1 4 in
+          T.ptanh_bwd_into ~eta:(eta ()) v ~h ~g:(b ()) ~dv ~deta;
+          Array.concat (List.map T.to_array [ h; out; dv; deta ])
+        in
+        all (Printf.sprintf "ptanh eta.(%d) = %Lx" slot (bits e)) run)
+      nan_specials
+  done;
+  List.iter
+    (fun op ->
+      all ("unop " ^ unop_name op) (into (fun d -> T.unop_into op (a ()) ~dst:d));
+      all ("unop_bwd " ^ unop_name op)
+        (into (fun d -> T.unop_bwd_into op ~x:(b ()) ~y:(b ()) ~g:(a ()) ~dst:d)))
+    all_unops
+
 let test_training_kernels () =
   List.iter
     (fun op ->
@@ -524,22 +596,27 @@ let test_rng_constructors () =
 
 (* {2 NaN and signed-zero edge semantics — satellite 1} *)
 
-let nan_row () = T.of_array [| Float.nan; -0.0; 0.0; 1.0; -1.0 |]
+(* The printable-ω map clips R2 = R1·k1 into its Table-I box with a
+   straight-through estimator.  A NaN product passes the clip unchanged (the
+   comparison chain [if x < lo then lo else if x > hi then hi else x] is
+   false both ways), so a fault is never masked as a bound.  A NaN raw k1
+   makes R1·k1 NaN while R1 itself stays finite. *)
+let omega_row () =
+  let nl = Pnn.Nonlinear.create (Fixtures.surrogate ()) in
+  T.blit
+    ~src:(T.of_array [| 0.0; -0.0; 0.0; 1.0; -1.0; Float.nan; 0.5 |])
+    ~dst:(Autodiff.value (Pnn.Nonlinear.raw_param nl));
+  T.to_array (Autodiff.value (Pnn.Nonlinear.printable_omega nl ~noise:(T.ones 1 7)))
 
-let clamp_ste_row () =
-  T.to_array
-    (Autodiff.value
-       (Autodiff.clamp_ste ~lo:(-0.5) ~hi:0.5 (Autodiff.const (nan_row ()))))
-
-let test_clamp_nan_passthrough () =
+let test_clip_nan_passthrough () =
   List.iter
     (fun be ->
-      let c = with_backend be clamp_ste_row in
-      if not (Float.is_nan c.(0)) then
-        Alcotest.failf "%s: clamp_ste snapped NaN to %h" (T.backend_name be)
-          c.(0))
+      let o = with_backend be omega_row in
+      if Float.is_nan o.(0) || not (Float.is_nan o.(1)) then
+        Alcotest.failf "%s: R1 = %h, clipped R2 = %h (expected finite, NaN)"
+          (T.backend_name be) o.(0) o.(1))
     T.backends;
-  agree "clamp_ste nan/-0.0" clamp_ste_row
+  agree "printable omega NaN clip" omega_row
 
 let test_minmax_argmax_edges () =
   (* NaN accumulator propagates; NaN element is skipped; -0.0 vs 0.0 keeps
@@ -897,6 +974,8 @@ let () =
           Alcotest.test_case "matmul family" `Quick test_matmul_family;
           Alcotest.test_case "assembly" `Quick test_assembly;
           Alcotest.test_case "training kernels" `Quick test_training_kernels;
+          Alcotest.test_case "C vs reference on two-NaN operands" `Quick
+            test_c_vs_ref_two_nan;
           Alcotest.test_case "rng constructors" `Quick test_rng_constructors;
           Alcotest.test_case "C matmul digests" `Quick test_c_matmul_digests;
           Alcotest.test_case "reference matmul tiled vs naive" `Quick
@@ -907,8 +986,8 @@ let () =
         ] );
       ( "edges",
         [
-          Alcotest.test_case "clamp_ste NaN pass-through" `Quick
-            test_clamp_nan_passthrough;
+          Alcotest.test_case "R2 clip NaN pass-through" `Quick
+            test_clip_nan_passthrough;
           Alcotest.test_case "min/max/argmax NaN and -0.0" `Quick
             test_minmax_argmax_edges;
           Alcotest.test_case "C checked-mode length assertion" `Quick

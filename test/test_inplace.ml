@@ -368,6 +368,175 @@ let test_fit_golden_history () =
   in
   check_golden_array "final params" golden_params actual_params
 
+(* {1 Pinned digests of the printed layer}
+
+   Logits, preactivations, losses and every parameter gradient of a whole
+   printed network, digested bit-for-bit (FNV-1a over the bytes of
+   [Int64.bits_of_float])
+   on the iris 4-3-3 and the serving 64-48-16 shapes, through every route a
+   graph is run: a fresh graph, the compiled replica cache (build, then a
+   refreshed draw) and the split serve-time predictor.  Inputs are finite,
+   or carry ±0, NaN payloads and ±inf in the batch, in the noise draw or in
+   the parameters themselves.  The digests were computed by the
+   node-by-node graph of primitives that the printed layer's fused tape
+   nodes replaced, so they pin the fused nodes to it, special-value payloads
+   included.  Each backend has its own digests (C's matmul association
+   differs); checked and unchecked modes must both match. *)
+
+let digest_specials =
+  [|
+    0.0; -0.0; Float.nan; Int64.float_of_bits 0x7ff8000000000abcL;
+    Int64.float_of_bits 0xfff0000000000123L; Float.infinity; Float.neg_infinity;
+  |]
+
+(* FNV-1a over the bytes of every float: a sign flip anywhere shows *)
+let fnv_floats h a =
+  Array.fold_left
+    (fun h x ->
+      let bits = Int64.bits_of_float x in
+      let h = ref h in
+      for i = 0 to 7 do
+        let byte = Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xffL in
+        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+      done;
+      !h)
+    h a
+
+let fnv_tensors ts =
+  Printf.sprintf "%016Lx"
+    (List.fold_left (fun h t -> fnv_floats h (T.to_array t)) 0xcbf29ce484222325L ts)
+
+(* Sprinkle the specials over [t] in place at a hash-chosen sparse set of
+   indices (about one in [every]). *)
+let sprinkle ?(values = digest_specials) ~every seed t =
+  let cols = T.cols t in
+  for r = 0 to T.rows t - 1 do
+    for c = 0 to cols - 1 do
+      let h = (((r * cols) + c + (seed * 7919)) * 2654435761) land 0xffff in
+      if h mod every = 0 then
+        T.set t r c values.(h / every mod Array.length values)
+    done
+  done
+
+type digest_input = Finite | Special_x | Special_noise | Special_params
+
+let digest_input_name = function
+  | Finite -> "finite"
+  | Special_x -> "special-x"
+  | Special_noise -> "special-noise"
+  | Special_params -> "special-params"
+
+let network_digest ~sizes ~rows input =
+  let config = { Pnn.Config.default with Pnn.Config.epsilon = 0.1 } in
+  let net = Pnn.Network.create_deep (Rng.create 29) config (Fixtures.surrogate ()) ~sizes in
+  let rng = Rng.create 37 in
+  List.iter
+    (fun p ->
+      let v = A.value p in
+      for c = 0 to T.cols v - 1 do
+        T.set v 0 c (Rng.uniform rng ~lo:(-3.0) ~hi:3.0)
+      done)
+    (Pnn.Network.params_omega net);
+  let n_in = List.hd sizes and n_out = List.nth sizes (List.length sizes - 1) in
+  let x = T.uniform rng rows n_in ~lo:0.0 ~hi:1.0 in
+  let labels = T.init rows n_out (fun r c -> if r mod n_out = c then 1.0 else 0.0) in
+  let shapes = Pnn.Network.theta_shapes net in
+  let draw () = Pnn.Noise.draw rng ~epsilon:0.1 ~theta_shapes:shapes in
+  let noise1 = draw () and noise2 = draw () in
+  (match input with
+  | Finite -> ()
+  | Special_x -> sprinkle ~every:5 1 x
+  | Special_noise ->
+      List.iteri
+        (fun i (l : Pnn.Noise.layer_noise) ->
+          sprinkle ~every:6 (i + 2) l.Pnn.Noise.theta;
+          sprinkle ~every:5 (i + 3) (if i = 0 then l.Pnn.Noise.neg_omega else l.Pnn.Noise.act_omega))
+        noise2
+  | Special_params ->
+      List.iteri (fun i p -> sprinkle ~every:6 (i + 4) (A.value p)) (Pnn.Network.params_theta net);
+      (* a NaN raw ω would make its whole layer NaN (special-noise covers
+         that); signed zeros and infinities saturate the sigmoid instead *)
+      sprinkle ~values:[| 0.0; -0.0; Float.infinity; Float.neg_infinity |] ~every:2 9
+        (A.value (List.nth (Pnn.Network.params_omega net) 1)));
+  let loss_grads (l, gs) = T.scalar l :: gs in
+  let logits = A.value (Pnn.Network.logits net ~noise:noise1 x) in
+  let preact =
+    A.value
+      (Pnn.Layer.preactivation config (List.hd (Pnn.Network.layers net))
+         ~noise:(List.hd noise2) (A.const x))
+  in
+  let fresh = loss_grads (Pnn.Network.draw_loss_and_grads_alloc net ~noise:noise2 ~x ~labels) in
+  let cached1 = loss_grads (Pnn.Network.draw_loss_and_grads net ~noise:noise1 ~x ~labels) in
+  let cached2 = loss_grads (Pnn.Network.draw_loss_and_grads net ~noise:noise2 ~x ~labels) in
+  let p = Pnn.Network.compile_predictor net ~rows ~cols:n_in in
+  let pred1 = T.copy (Pnn.Network.predictor_logits p ~noise:noise2 x) in
+  let pred2 = T.copy (Pnn.Network.predictor_logits p x) in
+  let pred3 = T.copy (Pnn.Network.predictor_logits p ~noise:noise1 x) in
+  Printf.sprintf "logits %s preact %s fresh %s cached %s pred %s" (fnv_tensors [ logits ])
+    (fnv_tensors [ preact ]) (fnv_tensors fresh)
+    (fnv_tensors (cached1 @ cached2))
+    (fnv_tensors [ pred1; pred2; pred3 ])
+
+let digest_cases =
+  List.concat_map
+    (fun (shape, sizes, rows) ->
+      List.map
+        (fun input -> (shape, sizes, rows, input))
+        [ Finite; Special_x; Special_noise; Special_params ])
+    [ ("iris", [ 4; 3; 3 ], 90); ("64-48-16", [ 64; 48; 16 ], 64) ]
+
+let network_digests backend =
+  List.map
+    (fun (shape, sizes, rows, input) ->
+      let run checked =
+        let prev_b = T.backend () and prev_c = T.checked () in
+        T.set_backend backend;
+        T.set_checked checked;
+        Fun.protect
+          ~finally:(fun () ->
+            T.set_backend prev_b;
+            T.set_checked prev_c)
+          (fun () -> network_digest ~sizes ~rows input)
+      in
+      let label = Printf.sprintf "%s %s" shape (digest_input_name input) in
+      let unchecked = run false in
+      Alcotest.(check string) (label ^ ": checked = unchecked") unchecked (run true);
+      Printf.sprintf "%s: %s" label unchecked)
+    digest_cases
+
+let expected_network_digests = function
+  | T.Reference ->
+    [
+      "iris finite: logits df1b426cf42bfe16 preact c37ad8be6a68a42d fresh fbc011aaa2bb588a cached 76ea3ff3a58a8d6e pred 4c6233cfd056ac35";
+      "iris special-x: logits 33b2d90b5679afbb preact 73249a68e315d7bd fresh 3081fa3fa0ff9f0c cached b3eb6805341c4d40 pred 86f7bc9d7595d38b";
+      "iris special-noise: logits df1b426cf42bfe16 preact 471889c77dd1afc3 fresh d7fcccf05a4cce37 cached 86666a6590ecf0c3 pred ae98a307894553de";
+      "iris special-params: logits a9789f1eb7c9b499 preact 8b1a631e60fccc26 fresh dcc9d4151168adb1 cached 29c4fffa18ff552e pred d8019bfbaeed4cbb";
+      "64-48-16 finite: logits 90dca305d0b0ca85 preact 5db0bccf582a90ac fresh b896299fffd38e7a cached d95b383ab4fbb7d7 pred cb33c093184dffef";
+      "64-48-16 special-x: logits 914f206b350cc925 preact a7896980cd49b6f3 fresh 12487b365f55593e cached fe4ccd82618385c5 pred 54ce7fa2cfe21525";
+      "64-48-16 special-noise: logits 90dca305d0b0ca85 preact b1655f5251f2f948 fresh 52c39af1ee43724e cached d6c71785b9e4c213 pred 3ebd729e519f3b04";
+      "64-48-16 special-params: logits 5ec9681a0196779b preact f64be3adef1c55c3 fresh b222ebc786ff8da4 cached 2a9ffaf356cb555d pred 562b441a97757e2c";
+    ]
+  | T.C64 ->
+    [
+      "iris finite: logits df1b426cf42bfe16 preact c37ad8be6a68a42d fresh 0505db5fdee77f4d cached d4fbd28309050a72 pred 4c6233cfd056ac35";
+      "iris special-x: logits 438aef7ac8d46a1e preact 3fa1d98abf318c14 fresh 3081fa3fa0ff9f0c cached b3eb6805341c4d40 pred 8f21efa55ba242a2";
+      "iris special-noise: logits df1b426cf42bfe16 preact 471889c77dd1afc3 fresh d7fcccf05a4cce37 cached 18e8bb670dcb6540 pred ae98a307894553de";
+      "iris special-params: logits a9789f1eb7c9b499 preact 8b1a631e60fccc26 fresh bcb7f0d2013899a0 cached 70e71d3ee665b0a3 pred d8019bfbaeed4cbb";
+      "64-48-16 finite: logits 90dca305d0b0ca85 preact 5db0bccf582a90ac fresh debf46fe81a44b21 cached 5467dcfdacd85482 pred cb33c093184dffef";
+      "64-48-16 special-x: logits 5a5b6ddbfc56fc05 preact d5ed59d0d50fcfb7 fresh 3f30d16e9de39e76 cached 3a6ba04f107a5b8d pred 15e4e9120c77be45";
+      "64-48-16 special-noise: logits 90dca305d0b0ca85 preact b1655f5251f2f948 fresh 52c39af1ee43724e cached ff688192600b6bd5 pred 3ebd729e519f3b04";
+      "64-48-16 special-params: logits 5ec9681a0196779b preact f64be3adef1c55c3 fresh 37891106505563d4 cached a53c0a265cb5512e pred 562b441a97757e2c";
+    ]
+
+let test_network_digests () =
+  let actual = List.map (fun b -> (b, network_digests b)) T.backends in
+  List.iter
+    (fun (backend, ds) ->
+      Alcotest.(check (list string))
+        (T.backend_name backend ^ " network digests")
+        (expected_network_digests backend) ds)
+    actual
+
 let () =
   Alcotest.run "inplace"
     [
@@ -392,5 +561,6 @@ let () =
           Alcotest.test_case "replica cache vs alloc replica" `Quick
             test_replica_cache_vs_alloc;
           Alcotest.test_case "fit golden trajectory" `Quick test_fit_golden_history;
+          Alcotest.test_case "printed-network digests" `Quick test_network_digests;
         ] );
     ]

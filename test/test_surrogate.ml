@@ -71,12 +71,13 @@ let test_eval_batch_matches_single () =
       Alcotest.(check (float 1e-9)) "eta4" single.Fit.Ptanh.eta4 b.Fit.Ptanh.eta4)
     omegas
 
-let test_extend_ad_matches_extend () =
+let test_features_ad_matches_extend () =
+  let model, _ = Lazy.force trained in
   let omega = [| 100.0; 50.0; 200e3; 100e3; 300e3; 400.0; 20.0 |] in
-  let expected = Ds.extend omega in
-  let node = M.extend_ad (Autodiff.const (Tensor.of_array omega)) in
+  let expected = Surrogate.Scaler.transform model.M.omega_scaler (Ds.extend omega) in
+  let node = M.features_ad model (Autodiff.const (Tensor.of_array omega)) in
   let got = Tensor.to_array (Autodiff.value node) in
-  Alcotest.(check (array (float 1e-9))) "extension" expected got
+  Alcotest.(check (array (float 1e-9))) "extended and normalised" expected got
 
 let test_eval_ad_matches_eval () =
   let model, _ = Lazy.force trained in
@@ -150,7 +151,7 @@ let () =
         [
           Alcotest.test_case "eval" `Quick test_model_eval_eta_shape;
           Alcotest.test_case "batch = single" `Quick test_eval_batch_matches_single;
-          Alcotest.test_case "extend ad" `Quick test_extend_ad_matches_extend;
+          Alcotest.test_case "features ad" `Quick test_features_ad_matches_extend;
           Alcotest.test_case "eval ad value" `Quick test_eval_ad_matches_eval;
           Alcotest.test_case "eval ad gradient" `Quick test_eval_ad_differentiable;
           Alcotest.test_case "lines roundtrip" `Quick test_serialization_roundtrip;
