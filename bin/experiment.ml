@@ -165,8 +165,8 @@ let backend_arg =
         ~doc:
           (Printf.sprintf
              "tensor kernel backend (%s): $(b,reference) is the bit-identity \
-              oracle, $(b,c) the vectorized C-stub fast path; cached results \
-              are keyed per backend"
+              oracle, $(b,c) (the default) the vectorized C-stub fast path with \
+              the same bits; cached results are shared"
              Tensor.backend_choices))
 
 let datasets_arg =

@@ -2,12 +2,10 @@ let magic = "pnn-save"
 let format_version = 2
 let schema_tag = Printf.sprintf "%s-%d" magic format_version
 
-(* The active kernel backend is part of the effective numeric schema: the
-   C backend may differ from the reference in the last ulp of matmul
-   accumulations, so cached experiment results must never cross backends.
-   Read at call time (not bound at init) so [Tensor.set_backend] in tests is
-   honored. *)
-let cache_schema () = schema_tag ^ "+" ^ Tensor.backend_tag ()
+(* The numerics tag: both kernel backends compute the reference's bits, so
+   there is one set of numerics and one cache partition.  A change to any
+   kernel's bits must change this tag. *)
+let cache_schema () = schema_tag ^ "+ref"
 
 let float_line a =
   String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))

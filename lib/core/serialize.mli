@@ -16,12 +16,10 @@ val schema_tag : string
     keys fold this in so any format bump re-keys the store. *)
 
 val cache_schema : unit -> string
-(** {!schema_tag} plus the active kernel backend's tag (e.g.
-    ["pnn-save-2+ref"], ["pnn-save-2+c64"]) — the schema string experiment
-    cache keys must use, so results computed on one backend are never served
-    to a run on another (backends may differ in the last ulp of matmul
-    accumulation).  Evaluated at call time: it follows
-    [Tensor.set_backend]. *)
+(** {!schema_tag} plus the numerics tag (["pnn-save-2+ref"]) — the schema
+    string experiment cache keys must use.  Every kernel backend computes
+    the reference backend's bits, so the string is the same on all of them
+    and a cached result serves any backend. *)
 
 val float_line : float array -> string
 (** Space-joined [%h] hex floats — bit-exact round-trips including ±inf,

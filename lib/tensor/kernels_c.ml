@@ -2,19 +2,19 @@
    implemented as vectorized C foreign stubs in pnn_kernels_stubs.c — the
    fast path next to the reference oracle.
 
-   Numeric contract (see Tensor_backend.KERNELS): the C per-element kernels
-   perform the reference backend's floating-point operations in the
-   reference order and are bit-identical to it — the stubs are compiled
-   with -O2 -fno-fast-math -ffp-contract=off so the C compiler may not
-   re-associate or contract into FMA, the stubs pin NaN quieting and operand
-   order themselves, and tanh/exp/log resolve to the same
-   libm the OCaml runtime links.  Only [matmul]/[matmul_nt] (and the fused
-   dense forward built on the matmul core) re-associate, deterministically:
-   8-wide output tiles accumulated in pure k order for [matmul], a 4-lane
-   split combined as (s0 + s1) + (s2 + s3) for [matmul_nt].  That
-   association is pinned by output digests in test/test_backend.ml and the
-   backend carries its own cache tag (+c64), so cached results never cross
-   backends and warm +c64 caches stay valid.
+   Numeric contract (see Tensor_backend.KERNELS): every C kernel returns
+   the reference backend's bits.  The per-element kernels perform the
+   reference's floating-point operations in the reference order — the
+   stubs are compiled with -O2 -fno-fast-math -ffp-contract=off so the C
+   compiler may not re-associate or contract into FMA, the stubs pin NaN
+   quieting and operand order themselves, and tanh/exp/log resolve to the
+   same libm the OCaml runtime links.  [matmul]/[matmul_nt] (and the fused
+   dense forward built on the matmul core) vectorize across output columns,
+   each lane accumulated in pure k order; they drop the reference's
+   exact-zero skip and its add operand order, which can only change a NaN
+   output, and recompute every NaN output with the reference's rules (the
+   argument is in the stub file and docs/INTERNALS.md).  Both backends
+   therefore share one cache schema.
 
    Checked (sanitizer) mode: the stubs cannot bounds-check, so under
    PNN_CHECKED=1 each wrapper first asserts that every buffer holds the

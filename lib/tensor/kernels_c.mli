@@ -2,9 +2,9 @@
 
     Flat c_layout [Bigarray.Array1] storage; the kernels run in C
     (pnn_kernels_stubs.c, compiled -O2 -fno-fast-math -ffp-contract=off).
-    Per-element kernels are bit-identical to the reference backend; the
-    matmul family re-associates deterministically (pinned by output digests
-    in the backend test suite) behind its own +c64 cache tag.  Under
+    Every kernel is bit-identical to the reference backend, the matmul
+    family included (its NaN outputs are recomputed with the reference's
+    rules).  Under
     PNN_CHECKED=1 every stub call is preceded by an O(1) length assertion
     per buffer that raises [Invalid_argument]; the stub itself is the same
     in both modes.  Only the dispatch layer in {!Tensor} may call these

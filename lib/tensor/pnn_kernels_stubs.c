@@ -13,19 +13,18 @@
  * compiled with -O2 -fno-fast-math -ffp-contract=off so the compiler may
  * not re-associate, contract mul+add into FMA, or otherwise change IEEE
  * results (NaN signs and quieting are pinned in the code: see quiet()).
- * Per-element kernels below perform the exact floating-point operations,
- * in the exact order, of the reference backend
- * (lib/tensor/kernels_ref.ml) and are bit-identical to it; libm calls
- * (tanh/exp/log) resolve to the same libm the OCaml runtime links.  Only
- * the matmul family re-associates — deterministically: pure-k-order 8-wide
- * output tiles for matmul, a 4-lane split combined as (s0+s1)+(s2+s3) for
- * matmul_nt.  That association defines the backend's results (pinned by
- * output digests in test/test_backend.ml, which keeps warm +c64 caches
- * valid) and must not change.
+ * Every kernel below returns the bits of the reference backend
+ * (lib/tensor/kernels_ref.ml).  Per-element kernels perform its exact
+ * floating-point operations in its exact order; libm calls (tanh/exp/log)
+ * resolve to the same libm the OCaml runtime links.  The matmul family
+ * vectorizes across output columns in pure k order and recomputes NaN
+ * outputs with the reference's rules (the argument is at matmul_core).
+ * Both backends share one cache schema, so a change that alters any
+ * kernel's bits must also change Serialize.cache_schema.
  *
  * Vectorization is portable: GCC/Clang generic vector extensions (lowered
  * to scalar code on targets without SIMD) behind __GNUC__, with a scalar
- * fallback of identical association for any other compiler.  No
+ * fallback of identical order for any other compiler.  No
  * ISA-specific intrinsics.
  */
 
@@ -198,14 +197,49 @@ CAMLprim value pnn_c_mul_rowvec_byte(value vm, value vv, value vdst,
   return pnn_c_mul_rowvec(vm, vv, vdst, Long_val(vrows), Long_val(vcols));
 }
 
-/* ----------------------------------------------------------------- */
-/* Matmul family: the only kernels allowed to re-associate.  Their  */
-/* association is pinned (see file header).                          */
-/* ----------------------------------------------------------------- */
+/* ------------------------------------------------------------------ */
+/* Matmul family: vectorized, and bit-identical to the reference.      */
+/* ------------------------------------------------------------------ */
 
-/* 8-wide output tile, each lane accumulated in pure k order — the same
- * association as an 8-accumulator register blocking (and as the reference
- * backend minus its exact-zero skip).  c is overwritten. */
+/* The vector loops below accumulate every term in pure k order from +0.0;
+ * Kernels_ref.matmul/matmul_nt accumulate the same terms in the same
+ * order, but skip exact-zero A entries and fix the add's operand order.
+ * For a non-NaN C output both differences are invisible: a skipped term
+ * is ±0 (a finite B entry times ±0), the accumulator starts at +0.0 and
+ * can never become -0.0, so adding ±0 leaves it unchanged; and without a
+ * NaN, IEEE add and multiply are commutative bit for bit.  C adds a
+ * superset of the reference's terms and NaN is absorbing, so every
+ * reference NaN is a C NaN too.  Only NaN outputs can differ — a skipped
+ * 0·inf, or the payload when two NaNs meet — and those are recomputed
+ * below with the reference's rules. */
+
+/* Kernels_ref.matmul's element: product-first add. */
+static double matmul_ref_elem(const double *arow, const double *bcol,
+                              intnat stride, intnat k)
+{
+  double acc = 0.0;
+  for (intnat p = 0; p < k; p++) {
+    double a = arow[p];
+    if (a != 0.0) acc = add_first(mul_first(a, bcol[p * stride]), acc);
+  }
+  return acc;
+}
+
+/* Kernels_ref.matmul_nt's element: accumulator-first add. */
+static double matmul_nt_ref_elem(const double *arow, const double *brow,
+                                 intnat k)
+{
+  double acc = 0.0;
+  for (intnat p = 0; p < k; p++) {
+    double a = arow[p];
+    if (a != 0.0) acc = add_first(acc, mul_first(a, brow[p]));
+  }
+  return acc;
+}
+
+/* 8-wide output tile, each lane accumulated in pure k order (an
+ * 8-accumulator register blocking), then the NaN recompute.  c is
+ * overwritten. */
 static void matmul_core(const double *ad, const double *bd, double *cd,
                         intnat m, intnat k, intnat n)
 {
@@ -261,6 +295,8 @@ static void matmul_core(const double *ad, const double *bd, double *cd,
       for (intnat p = 0; p < k; p++) acc = acc + arow[p] * bd[p * n + j];
       crow[j] = acc;
     }
+    for (intnat j = 0; j < n; j++)
+      if (crow[j] != crow[j]) crow[j] = matmul_ref_elem(arow, bd + j, n, k);
   }
 }
 
@@ -277,44 +313,57 @@ CAMLprim value pnn_c_matmul_byte(value *argv, int argn)
                       Long_val(argv[4]), Long_val(argv[5]));
 }
 
-/* A · Bᵀ: 4-lane split over the shared dimension combined as
- * (s0 + s1) + (s2 + s3) with the tail folded in after. */
+/* A · Bᵀ: 4 output columns at a time, each accumulated in pure k order
+ * (the B rows are strided, so each lane pair is loaded scalar by scalar),
+ * then the NaN recompute. */
 CAMLprim value pnn_c_matmul_nt(value va, value vb, value vc, intnat m,
                                intnat k, intnat n)
 {
   const double *ad = BA(va);
   const double *bd = BA(vb);
   double *cd = BA(vc);
-  intnat k4 = k - (k & 3);
+  intnat n4 = n - (n & 3);
   for (intnat i = 0; i < m; i++) {
     const double *arow = ad + i * k;
     double *crow = cd + i * n;
-    for (intnat j = 0; j < n; j++) {
-      const double *brow = bd + j * k;
-      double acc;
+    intnat j0 = 0;
+    for (; j0 < n4; j0 += 4) {
+      const double *b0 = bd + j0 * k;
+      const double *b1 = b0 + k, *b2 = b1 + k, *b3 = b2 + k;
 #ifdef PNN_HAVE_VEC
-      /* Lanes 0/1 live in sa, lanes 2/3 in sb; the combine below is the
-       * same (s0 + s1) + (s2 + s3) tree as the scalar fallback. */
-      v2df sa = { 0.0, 0.0 };
-      v2df sb = { 0.0, 0.0 };
-      for (intnat p = 0; p < k4; p += 4) {
-        sa = sa + vload(arow + p) * vload(brow + p);
-        sb = sb + vload(arow + p + 2) * vload(brow + p + 2);
+      v2df acc0 = { 0.0, 0.0 };
+      v2df acc1 = { 0.0, 0.0 };
+      for (intnat p = 0; p < k; p++) {
+        double a = arow[p];
+        v2df av = { a, a };
+        v2df bv0 = { b0[p], b1[p] };
+        v2df bv1 = { b2[p], b3[p] };
+        acc0 = acc0 + av * bv0;
+        acc1 = acc1 + av * bv1;
       }
-      acc = (sa[0] + sa[1]) + (sb[0] + sb[1]);
+      vstore(crow + j0, acc0);
+      vstore(crow + j0 + 2, acc1);
 #else
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (intnat p = 0; p < k4; p += 4) {
-        s0 = s0 + arow[p] * brow[p];
-        s1 = s1 + arow[p + 1] * brow[p + 1];
-        s2 = s2 + arow[p + 2] * brow[p + 2];
-        s3 = s3 + arow[p + 3] * brow[p + 3];
+      double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
+      for (intnat p = 0; p < k; p++) {
+        double a = arow[p];
+        c0 = c0 + a * b0[p];
+        c1 = c1 + a * b1[p];
+        c2 = c2 + a * b2[p];
+        c3 = c3 + a * b3[p];
       }
-      acc = (s0 + s1) + (s2 + s3);
+      crow[j0] = c0;  crow[j0 + 1] = c1;
+      crow[j0 + 2] = c2;  crow[j0 + 3] = c3;
 #endif
-      for (intnat p = k4; p < k; p++) acc = acc + arow[p] * brow[p];
+    }
+    for (intnat j = n4; j < n; j++) {
+      const double *brow = bd + j * k;
+      double acc = 0.0;
+      for (intnat p = 0; p < k; p++) acc = acc + arow[p] * brow[p];
       crow[j] = acc;
     }
+    for (intnat j = 0; j < n; j++)
+      if (crow[j] != crow[j]) crow[j] = matmul_nt_ref_elem(arow, bd + j * k, k);
   }
   return Val_unit;
 }

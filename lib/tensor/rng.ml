@@ -1,6 +1,23 @@
-(* pnnlint:allow R7 generators are sequential by contract: parallel code
-   derives an independent stream per domain via [split], never sharing one *)
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* Generators are sequential by contract: parallel code derives an
+   independent stream per domain via [split], never sharing one.
+
+   The four xoshiro256** words live unboxed in 32 bytes (native byte
+   order; the bytes never leave the process — [state] is the portable
+   form).  A record of mutable [int64] fields would box every word on every
+   store: seven allocations per draw. *)
+type t = Bytes.t
+
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  (* SAFETY: offsets 0..24 of a 32-byte buffer *)
+  set_word t 0 s0;
+  set_word t 8 s1;
+  set_word t 16 s2;
+  set_word t 24 s3;
+  t
 
 (* splitmix64: expands a single seed into well-distributed 64-bit words; the
    recommended way to seed xoshiro generators. *)
@@ -18,45 +35,54 @@ let create seed =
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let state t = [| t.s0; t.s1; t.s2; t.s3 |]
+(* SAFETY: every t is a 32-byte buffer built by [of_words] *)
+let state t = [| get_word t 0; get_word t 8; get_word t 16; get_word t 24 |]
 
 let set_state t words =
   if Array.length words <> 4 then invalid_arg "Rng.set_state: need 4 words";
-  t.s0 <- words.(0);
-  t.s1 <- words.(1);
-  t.s2 <- words.(2);
-  t.s3 <- words.(3)
+  (* SAFETY: offsets 0..24 of a 32-byte buffer *)
+  set_word t 0 words.(0);
+  set_word t 8 words.(1);
+  set_word t 16 words.(2);
+  set_word t 24 words.(3)
 
 let of_state words =
-  let t = { s0 = 0L; s1 = 0L; s2 = 0L; s3 = 0L } in
+  let t = of_words 0L 0L 0L 0L in
   set_state t words;
   t
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256** next *)
-let uint64 t =
+(* xoshiro256** next; inlined into [float] and the draws built on it, so a
+   draw allocates nothing but its boxed result *)
+let[@inline] uint64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  (* SAFETY: offsets 0..24 of a 32-byte buffer *)
+  let s0 = get_word t 0 and s1 = get_word t 8 in
+  let s2 = get_word t 16 and s3 = get_word t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  (* SAFETY: offsets 0..24 of a 32-byte buffer *)
+  set_word t 0 s0;
+  set_word t 8 s1;
+  set_word t 16 (logxor s2 tmp);
+  set_word t 24 (rotl s3 45);
   result
 
 let split t =
   let seed = Int64.to_int (uint64 t) in
   create (seed lxor 0x5851F42D)
 
-let float t =
+let[@inline] float t =
   (* Top 53 bits -> [0,1) with full double resolution. *)
   let bits = Int64.shift_right_logical (uint64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)

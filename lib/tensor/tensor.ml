@@ -33,7 +33,6 @@ let backend_of_string = TB.of_string
 let backend_name = TB.name
 let backends = TB.all
 let backend_choices = TB.names_string
-let backend_tag () = TB.tag (Atomic.get TB.current)
 
 let storage_backend = function F _ -> Reference | C _ -> C64
 
@@ -136,15 +135,23 @@ let full rows cols v =
 let ones rows cols = full rows cols 1.0
 
 let init rows cols f =
-  (* fill a plain array first so [f] is called in row-major order exactly as
-     before (RNG-backed constructors depend on the draw order) *)
-  let data = Array.make (rows * cols) 0.0 in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      data.((r * cols) + c) <- f r c
-    done
-  done;
-  create rows cols data
+  (* [f] writes straight into fresh storage of the active backend, called in
+     row-major order (RNG-backed constructors depend on the draw order) *)
+  let t = zeros rows cols in
+  (match t.store with
+  | F a ->
+      for r = 0 to rows - 1 do
+        for c = 0 to cols - 1 do
+          a.((r * cols) + c) <- f r c
+        done
+      done
+  | C b ->
+      for r = 0 to rows - 1 do
+        for c = 0 to cols - 1 do
+          Bigarray.Array1.set b ((r * cols) + c) (f r c)
+        done
+      done);
+  t
 
 let scalar v = create 1 1 [| v |]
 let of_array a = create 1 (Array.length a) (Array.copy a)

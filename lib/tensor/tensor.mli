@@ -19,18 +19,17 @@ type t
     - {!Reference} — plain [float array] loops, operation-for-operation
       identical to the pre-backend implementation.  The bit-identity oracle:
       golden trajectories, the determinism suite, and cached experiment
-      results are pinned against it.  The default.
+      results are pinned against it.
     - {!C64} — flat c_layout [Bigarray.Array1] [float64] storage with the
       kernels as vectorized C foreign stubs (compiled [-O2 -fno-fast-math
-      -ffp-contract=off], so C float semantics stay IEEE-strict).
-      Per-element kernels (elementwise, broadcasts, nonlinearities,
-      reductions, optimizer steps) perform the exact same floating-point
-      operations in the exact same order as the reference backend and agree
-      with it bit-for-bit.  Only [matmul]/[matmul_nt] re-associate their
-      accumulations and may differ in the last few ulps — deterministically:
-      the same program produces bitwise-identical results run-to-run.  Also
-      provides fused layer-forward / Adam kernels (used automatically by the
-      autodiff and optimizer hot paths; see {!matmul_bias_unop_into}).
+      -ffp-contract=off], so C float semantics stay IEEE-strict).  The
+      default.  Every kernel returns the reference's bits, NaN payloads and
+      signed zeros included: per-element kernels perform the reference's
+      operations in its order, and the matmul family, which vectorizes in
+      pure k order, recomputes any NaN output with the reference's rules
+      (see docs/INTERNALS.md).  Also provides fused layer-forward / Adam
+      kernels (used automatically by the autodiff and optimizer hot paths;
+      see {!matmul_bias_unop_into}).
 
     Selection: [PNN_BACKEND=reference|c] in the environment (read at module
     initialization) or {!set_backend}.  The active backend decides where
@@ -39,8 +38,8 @@ type t
     a computation stays on one backend even if the flag changes mid-run.
     Mixed-backend operands are supported (results are computed with the
     reference kernels), but the intended use is to pick one backend per
-    process.  Cached experiment results are keyed by {!backend_tag} so runs
-    never observe another backend's numerics. *)
+    process.  Both backends compute the same bits, so cached experiment
+    results are shared between them. *)
 
 type backend = Tensor_backend.id = Reference | C64
 
@@ -62,10 +61,6 @@ val backends : backend list
 val backend_choices : string
 (** The canonical names joined with ["|"] (["reference|c"]), for
     [--backend] help text and error messages. *)
-
-val backend_tag : unit -> string
-(** Short stable tag of the active backend (["ref"] / ["c64"])
-    folded into cache keys so cached results never cross backends. *)
 
 val backend_of : t -> backend
 (** The backend owning this tensor's storage. *)

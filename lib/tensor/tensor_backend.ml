@@ -5,8 +5,9 @@
    Two implementations exist — {!Kernels_ref} on [float array] (the
    bit-identity oracle every golden trajectory is pinned to) and
    {!Kernels_c} on flat [Bigarray.Array1] Float64 storage with vectorized C
-   foreign stubs (the fast path).  A BLAS backend would be one more module
-   satisfying {!KERNELS} plus one more storage constructor in [Tensor.t].
+   foreign stubs (the fast path, bit-identical to the oracle).  A BLAS
+   backend would be one more module satisfying {!KERNELS} plus one more
+   storage constructor in [Tensor.t].
 
    This module also owns the two process-wide mode flags the kernels consult:
 
@@ -16,9 +17,10 @@
      kernels run the same stubs after an O(1) length assertion per buffer.
      Results are bit-identical across modes by construction.
    - [current]: the backend new tensors are created on (PNN_BACKEND, default
-     reference).  Dispatch itself is storage-driven — a tensor computed on one
-     backend keeps using that backend's kernels even after the flag changes —
-     so the flag only decides where fresh allocations land. *)
+     c; [reference] selects the oracle).  Dispatch itself is storage-driven
+     — a tensor computed on one backend keeps using that backend's kernels
+     even after the flag changes — so the flag only decides where fresh
+     allocations land. *)
 
 type id = Reference | C64
 
@@ -37,11 +39,6 @@ let name = function Reference -> "reference" | C64 -> "c"
 let names = List.map name all
 let names_string = String.concat "|" names
 
-(* Short, stable tags folded into cache keys (Serialize.cache_schema): the
-   backends may differ in the last ulp on the matmul family, so cached
-   results must never cross. *)
-let tag = function Reference -> "ref" | C64 -> "c64"
-
 let checked =
   Atomic.make
     (match Sys.getenv_opt "PNN_CHECKED" with
@@ -51,7 +48,7 @@ let checked =
 let current =
   Atomic.make
     (match Sys.getenv_opt "PNN_BACKEND" with
-    | None | Some "" -> Reference
+    | None | Some "" -> C64
     | Some s -> (
         match of_string s with
         | Some b -> b
@@ -78,12 +75,13 @@ type unop = Tanh | Sigmoid | Exp | Log | Sqrt | Relu | Abs
     - When [checked] is set, an out-of-range access must raise
       [Invalid_argument] instead of touching memory, and the floating-point
       operations and their order must not change.
-    - NaN/−0.0 contracts ([min_value]/[max_value] fold IEEE comparisons
+    - Every kernel returns the reference's bits, NaN payloads and signed
+      zeros included: backends may reorder loops and vectorize, but each
+      output must come out as {!Kernels_ref} computes it.  The NaN/−0.0
+      contracts ([min_value]/[max_value] fold IEEE comparisons
       left-to-right so an unordered pair keeps the second operand;
       [argmax_rows] keeps the first strict maximum and never displaces the
-      incumbent on an unordered compare) are part of the signature: backends
-      must agree bit-for-bit on these edge kernels even where accumulation
-      order is allowed to differ. *)
+      incumbent on an unordered compare) are part of that. *)
 module type KERNELS = sig
   type buf
 

@@ -1,11 +1,10 @@
 (* Cross-backend kernel agreement suite.
 
    The reference backend is the bit-identity oracle; the C-stub backend
-   must agree with it bit-for-bit on every per-element kernel and within
-   1e-12 relative error on the re-associated matmul family, whose exact C
-   results are pinned separately by output digests.  Each check builds its
-   inputs *inside* the backend under test so the whole computation stays
-   homogeneous; mixed-storage behavior gets its own test. *)
+   must agree with it bit-for-bit on every kernel, the matmul family
+   included.  Each check builds its inputs *inside* the backend under test
+   so the whole computation stays homogeneous; mixed-storage behavior gets
+   its own test. *)
 
 module T = Tensor
 
@@ -41,24 +40,12 @@ let check_bits ~what a b =
         Alcotest.failf "%s: index %d: %h vs %h (bitwise)" what i x y)
     a
 
-let check_close ~what a b =
-  if Array.length a <> Array.length b then
-    Alcotest.failf "%s: length %d vs %d" what (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i x ->
-      let y = b.(i) in
-      let same_bits = Int64.equal (bits x) (bits y) in
-      let denom = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
-      if (not same_bits) && not (Float.abs (x -. y) /. denom <= 1e-12) then
-        Alcotest.failf "%s: index %d: %h vs %h (rel err > 1e-12)" what i x y)
-    a
-
 (* Run [f : unit -> float array] on both backends and compare C against
    the reference oracle. *)
-let agree ?(exact = true) what f =
+let agree what f =
   let r = with_backend T.Reference f in
   let c = with_backend T.C64 f in
-  (if exact then check_bits else check_close) ~what:(what ^ " [c]") r c
+  check_bits ~what:(what ^ " [c]") r c
 
 let shapes = [ (0, 0); (0, 3); (1, 1); (1, 7); (5, 1); (3, 4); (7, 5); (8, 8); (33, 17) ]
 
@@ -128,30 +115,20 @@ let test_matmul_family () =
   List.iter
     (fun (m, k, n) ->
       let tag op = Printf.sprintf "%s %dx%dx%d" op m k n in
-      agree ~exact:false (tag "matmul") (fun () ->
+      agree (tag "matmul") (fun () ->
           T.to_array (T.matmul (mk m k 1) (mk k n 2)));
-      agree ~exact:false (tag "matmul_nt") (fun () ->
+      agree (tag "matmul_nt") (fun () ->
           T.to_array (T.matmul_nt (mk m k 1) (mk n k 2)));
-      agree ~exact:false (tag "matmul_into") (fun () ->
+      agree (tag "matmul_into") (fun () ->
           let d = T.ones m n in
           T.matmul_into (mk m k 1) (mk k n 2) ~dst:d;
           T.to_array d))
     matmul_triples
 
-(* {2 C matmul association pinned by output digests}
-
-   The C backend's matmul family re-associates, so only its own past output
-   can say whether its results (and the +c64 cache entries computed from
-   them) are unchanged.  FNV-1a 64 over the IEEE bit patterns of each
-   output, per shape in [matmul_triples] (pure tiles, tile + remainder,
-   remainder only, empties).  The expected digests are the results every
-   warm +c64 cache entry was computed with: a mismatch means the
-   association changed and those caches are stale, so never edit the
-   digests to make this test pass.
-
-   Inputs are [mk] divided by 3: [mk]'s values carry at most 20
+(* Inputs for the matmul checks: [mk]'s values carry at most 20
    significant bits, so their short dot products are exact under every
-   association and could not tell two associations apart. *)
+   association and could not tell two associations apart; dividing by 3
+   fills the mantissa. *)
 
 let mk_full rows cols seed = T.map (fun x -> x /. 3.0) (mk rows cols seed)
 
@@ -168,82 +145,6 @@ let fnv1a64_from seed a =
     seed a
 
 let fnv1a64 = fnv1a64_from 0xcbf29ce484222325L
-
-let c_matmul_digests () =
-  List.concat_map
-    (fun (m, k, n) ->
-      let line op a = Printf.sprintf "%s %dx%dx%d %016Lx" op m k n (fnv1a64 a) in
-      let x = T.scale 0.05 (mk_full m k 1) and w = T.scale 0.05 (mk_full k n 2) in
-      let b = T.scale 0.05 (mk_full 1 n 3) in
-      let pre = T.zeros m n and out = T.zeros m n in
-      T.matmul_bias_unop_into ~op:T.Tanh x w b ~pre ~out;
-      [
-        line "matmul" (T.to_array (T.matmul (mk_full m k 1) (mk_full k n 2)));
-        line "matmul_nt" (T.to_array (T.matmul_nt (mk_full m k 1) (mk_full n k 2)));
-        line "dense_pre" (T.to_array pre);
-        line "dense_tanh" (T.to_array out);
-      ])
-    matmul_triples
-
-let expected_c_matmul_digests =
-  [
-    "matmul 1x1x1 de9e2cf9db77c816";
-    "matmul_nt 1x1x1 de9e2cf9db77c816";
-    "dense_pre 1x1x1 2e02162df606f6e6";
-    "dense_tanh 1x1x1 0b904834cc624be3";
-    "matmul 2x3x4 9ac29ebd323e5c8a";
-    "matmul_nt 2x3x4 2ecc2ea4d6812e30";
-    "dense_pre 2x3x4 fb4495ad4fa91d44";
-    "dense_tanh 2x3x4 eb11c079a5443f6c";
-    "matmul 4x4x8 3a38b32c0e6aea46";
-    "matmul_nt 4x4x8 7c0ba4a9be997ab0";
-    "dense_pre 4x4x8 d09d273eee219362";
-    "dense_tanh 4x4x8 796d14f8b1321edf";
-    "matmul 3x5x9 023a1a92ab2868af";
-    "matmul_nt 3x5x9 c746453ac24696d6";
-    "dense_pre 3x5x9 5b194171bd8e5820";
-    "dense_tanh 3x5x9 3034ddeb93fd9e05";
-    "matmul 5x7x16 0c1e13f4e36c7e18";
-    "matmul_nt 5x7x16 7c73439a0c717782";
-    "dense_pre 5x7x16 0191bb2f34e2c376";
-    "dense_tanh 5x7x16 e5161bc64428c2da";
-    "matmul 6x2x17 4476f8bf120c353b";
-    "matmul_nt 6x2x17 a958129756a7717d";
-    "dense_pre 6x2x17 470a0fa9f5db3742";
-    "dense_tanh 6x2x17 e87008ff411b62bc";
-    "matmul 33x17x7 430038030ca0aa07";
-    "matmul_nt 33x17x7 1dfddd598fc1726b";
-    "dense_pre 33x17x7 58a419a87fc0ee91";
-    "dense_tanh 33x17x7 a3c11bf363dab6a8";
-    "matmul 8x8x8 0e509dafc9d19b82";
-    "matmul_nt 8x8x8 58bae2aa23899fc3";
-    "dense_pre 8x8x8 c115bdcff1b334f3";
-    "dense_tanh 8x8x8 de812b9a094acfa5";
-    "matmul 0x3x4 cbf29ce484222325";
-    "matmul_nt 0x3x4 cbf29ce484222325";
-    "dense_pre 0x3x4 cbf29ce484222325";
-    "dense_tanh 0x3x4 cbf29ce484222325";
-    "matmul 3x0x4 0243cfa845185aa5";
-    "matmul_nt 3x0x4 0243cfa845185aa5";
-    "dense_pre 3x0x4 a5433b6f9afc1544";
-    "dense_tanh 3x0x4 b8a03bea2138f3b3";
-    "matmul 3x4x0 cbf29ce484222325";
-    "matmul_nt 3x4x0 cbf29ce484222325";
-    "dense_pre 3x4x0 cbf29ce484222325";
-    "dense_tanh 3x4x0 cbf29ce484222325";
-  ]
-
-let test_c_matmul_digests () =
-  List.iter
-    (fun checked ->
-      let prev = T.checked () in
-      T.set_checked checked;
-      Fun.protect ~finally:(fun () -> T.set_checked prev) @@ fun () ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "C matmul digests (checked=%b)" checked)
-        expected_c_matmul_digests
-        (with_backend T.C64 c_matmul_digests))
-    [ false; true ]
 
 (* {2 Reference matmul: register-tiled body against the naive oracle}
 
@@ -543,6 +444,73 @@ let test_c_vs_ref_two_nan () =
         (into (fun d -> T.unop_bwd_into op ~x:(b ()) ~y:(b ()) ~g:(a ()) ~dst:d)))
     all_unops
 
+(* {2 C matmul family = reference}
+
+   The C matmul kernels vectorize in pure k order and recompute NaN
+   outputs with the reference's rules; every output must carry the
+   reference's bits.  Three sweeps, each run by C in unchecked and checked
+   mode against the unchecked reference:
+   - [matmul_triples] on full-mantissa data (tiles, tile + remainder,
+     remainder only, empties), where any re-association would show;
+   - every shape of the reference's tiled-vs-naive sweep on [mk_special]
+     data (signed zeros, NaN payloads, infinities, subnormals and extra
+     exact zeros in both operands);
+   - square matrices over [nan_specials] whose output (i, j) multiplies
+     value i by value j at k = 1, so each ordered pair meets once — exact
+     zeros in A against ±inf and NaN in B among them — and whose longer k
+     add NaN products of different payloads into a NaN accumulator.
+   Each case runs [matmul], [matmul_nt] and the fused dense forward with
+   and without tanh. *)
+
+let matmul_family a b_kn b_nk v =
+  let m = T.rows a and n = T.cols b_kn in
+  let pre = T.zeros m n and out = T.zeros m n in
+  T.matmul_bias_unop_into ~op:T.Tanh a b_kn v ~pre ~out;
+  let plain = T.zeros m n in
+  T.matmul_bias_unop_into a b_kn v ~pre:plain ~out:plain;
+  [ T.matmul a b_kn; T.matmul_nt a b_nk; pre; out; plain ]
+  |> List.map T.to_array |> Array.concat
+
+let c_equals_reference what f =
+  let r = with_backend T.Reference (fun () -> with_checked false f) in
+  List.iter
+    (fun checked ->
+      check_bits
+        ~what:(Printf.sprintf "%s [c, checked=%b]" what checked)
+        r
+        (with_backend T.C64 (fun () -> with_checked checked f)))
+    [ false; true ]
+
+let test_c_matmul_equals_reference () =
+  List.iter
+    (fun (m, k, n) ->
+      c_equals_reference (Printf.sprintf "full %dx%dx%d" m k n) (fun () ->
+          matmul_family (mk_full m k 1) (mk_full k n 2) (mk_full n k 3)
+            (mk_full 1 n 4)))
+    matmul_triples;
+  for m = 0 to 9 do
+    for k = 0 to 20 do
+      List.iter
+        (fun n ->
+          c_equals_reference (Printf.sprintf "specials %dx%dx%d" m k n)
+            (fun () ->
+              matmul_family (mk_special m k (m + k)) (mk_special k n (n + 3))
+                (mk_special n k (n + 5)) (mk_special 1 n 7)))
+        [ 0; 1; 7; 8; 9; 15; 16; 17; 48; 65 ]
+    done
+  done;
+  let ns = Array.length nan_specials in
+  let s i = nan_specials.(i mod ns) in
+  List.iter
+    (fun k ->
+      c_equals_reference (Printf.sprintf "value pairs k=%d" k) (fun () ->
+          matmul_family
+            (T.init ns k (fun i p -> s (i + (3 * p))))
+            (T.init k ns (fun p j -> s (j + (5 * p))))
+            (T.init ns k (fun j p -> s (j + (5 * p))))
+            (T.init 1 ns (fun _ j -> s ((7 * j) + 1)))))
+    [ 1; 2; 3; 8; 9 ]
+
 let test_training_kernels () =
   List.iter
     (fun op ->
@@ -593,6 +561,24 @@ let test_rng_constructors () =
       T.to_array (T.uniform (Rng.create 42) 6 7 ~lo:(-2.0) ~hi:3.0));
   agree "gaussian" (fun () ->
       T.to_array (T.gaussian (Rng.create 43) 6 7 ~mu:0.5 ~sigma:2.0))
+
+(* Noise draws fill the active backend's storage directly; the RNG stream
+   and the row-major draw order must not depend on the backend. *)
+let test_noise_draws () =
+  let draws () =
+    Pnn.Noise.draw_many (Rng.create 44) ~epsilon:0.1 ~theta_shapes:[ (6, 3); (5, 3) ] ~n:4
+    |> List.concat_map (List.concat_map (fun (l : Pnn.Noise.layer_noise) ->
+           [ l.Pnn.Noise.theta; l.Pnn.Noise.act_omega; l.Pnn.Noise.neg_omega ]))
+  in
+  List.iter
+    (fun be ->
+      List.iter
+        (fun t ->
+          if T.backend_of t <> be then
+            Alcotest.failf "noise draw not on the active backend (%s)" (T.backend_name be))
+        (with_backend be draws))
+    T.backends;
+  agree "Noise.draw_many" (fun () -> Array.concat (List.map T.to_array (draws ())))
 
 (* {2 NaN and signed-zero edge semantics — satellite 1} *)
 
@@ -721,23 +707,26 @@ let test_selection_atomic_across_domains () =
       T.set_backend prev_b;
       T.set_checked prev_c)
   @@ fun () ->
+  (* write the backend that is not active, so the check cannot pass by
+     default *)
+  let other = if prev_b = T.C64 then T.Reference else T.C64 in
   Domain.join
     (Domain.spawn (fun () ->
-         T.set_backend T.C64;
+         T.set_backend other;
          T.set_checked true));
   Alcotest.(check string)
-    "backend set by a joined domain is visible" "c"
+    "backend set by a joined domain is visible" (T.backend_name other)
     (T.backend_name (T.backend ()));
   Alcotest.(check bool) "checked flag set by a joined domain is visible" true
     (T.checked ());
   (* and the other direction: our write is visible inside a fresh domain *)
-  T.set_backend T.Reference;
+  T.set_backend prev_b;
   T.set_checked false;
   let seen =
     Domain.join (Domain.spawn (fun () -> (T.backend (), T.checked ())))
   in
   Alcotest.(check string)
-    "backend visible inside a fresh domain" "reference"
+    "backend visible inside a fresh domain" (T.backend_name prev_b)
     (T.backend_name (fst seen));
   Alcotest.(check bool) "checked visible inside a fresh domain" false
     (snd seen)
@@ -774,12 +763,14 @@ let test_surface () =
     [ "reference"; "c" ]
     (List.map T.backend_name T.backends);
   Alcotest.(check bool) "retired bigarray name is rejected" true
-    (Option.is_none (T.backend_of_string "bigarray"));
-  Alcotest.(check string) "reference tag" "ref"
-    (with_backend T.Reference T.backend_tag);
-  Alcotest.(check string) "c tag" "c64" (with_backend T.C64 T.backend_tag)
+    (Option.is_none (T.backend_of_string "bigarray"))
 
-(* {2 Cache isolation — a warm cache of one backend never serves the other} *)
+(* {2 One cache schema across backends}
+
+   Both backends compute the same bits, so they share one schema and one
+   key space: an entry one backend computed serves the other.  The entry
+   here is a printed network's loss and parameter gradients under a noise
+   draw, whose backward pass runs every matmul kernel. *)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -788,31 +779,46 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let test_cache_isolation () =
-  Alcotest.(check string) "reference schema" "pnn-save-2+ref"
-    (with_backend T.Reference Pnn.Serialize.cache_schema);
-  Alcotest.(check string) "c schema" "pnn-save-2+c64"
-    (with_backend T.C64 Pnn.Serialize.cache_schema);
-  let key_of () =
-    Cache.key
-      ~schema:(Pnn.Serialize.cache_schema ())
-      ~kind:"btest" [ "config"; "seed 1" ]
+let loss_grads_entry () =
+  let config = Pnn.Config.default in
+  let net =
+    Pnn.Network.create_deep (Rng.create 5) config (Fixtures.surrogate ()) ~sizes:[ 4; 3; 3 ]
   in
-  let kref = with_backend T.Reference key_of in
-  let kc = with_backend T.C64 key_of in
-  if String.equal kref kc then Alcotest.fail "cache keys collide across backends";
+  let rng = Rng.create 6 in
+  let x = T.uniform rng 24 4 ~lo:0.0 ~hi:1.0 in
+  let labels = T.init 24 3 (fun r c -> if r mod 3 = c then 1.0 else 0.0) in
+  let noise =
+    Pnn.Noise.draw rng ~epsilon:0.1 ~theta_shapes:(Pnn.Network.theta_shapes net)
+  in
+  let loss, grads = Pnn.Network.draw_loss_and_grads net ~noise ~x ~labels in
+  Printf.sprintf "%h" loss
+  :: List.map
+       (fun g ->
+         String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") (T.to_array g))))
+       grads
+
+let test_one_schema () =
+  List.iter
+    (fun be ->
+      Alcotest.(check string)
+        (T.backend_name be ^ " schema")
+        "pnn-save-2+ref"
+        (with_backend be Pnn.Serialize.cache_schema))
+    T.backends;
+  let key_of () =
+    Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"btest" [ "config"; "seed 1" ]
+  in
+  let key = with_backend T.Reference key_of in
+  Alcotest.(check string) "keys are equal" key (with_backend T.C64 key_of);
   let dir = Filename.temp_dir "pnn_backend_cache" "" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cache = Cache.create ~dir in
-  let found key = Cache.find cache ~kind:"btest" ~key in
-  Cache.store cache ~kind:"btest" ~key:kref [ "reference result" ];
-  Alcotest.(check bool) "a warm +ref cache never serves a +c64 key" true
-    (Option.is_none (found kc));
-  Cache.store cache ~kind:"btest" ~key:kc [ "c result" ];
-  Alcotest.(check (option (list string))) "c key addresses its own entry"
-    (Some [ "c result" ]) (found kc);
-  Alcotest.(check (option (list string))) "reference key still addresses its own entry"
-    (Some [ "reference result" ]) (found kref)
+  Cache.store cache ~kind:"btest" ~key (with_backend T.Reference loss_grads_entry);
+  let served = with_backend T.C64 (fun () -> Cache.find cache ~kind:"btest" ~key:(key_of ())) in
+  Alcotest.(check (option (list string)))
+    "a reference entry served to a C run equals a cold C compute"
+    (Some (with_backend T.C64 loss_grads_entry))
+    served
 
 (* {2 Fused hot-path kernels — fused vs decomposed bit-identity} *)
 
@@ -977,7 +983,9 @@ let () =
           Alcotest.test_case "C vs reference on two-NaN operands" `Quick
             test_c_vs_ref_two_nan;
           Alcotest.test_case "rng constructors" `Quick test_rng_constructors;
-          Alcotest.test_case "C matmul digests" `Quick test_c_matmul_digests;
+          Alcotest.test_case "noise draws" `Quick test_noise_draws;
+          Alcotest.test_case "C matmul family = reference" `Quick
+            test_c_matmul_equals_reference;
           Alcotest.test_case "reference matmul tiled vs naive" `Quick
             test_ref_matmul_tiled_vs_naive;
           Alcotest.test_case "reference matmul digests" `Quick test_ref_matmul_digests;
@@ -1011,6 +1019,6 @@ let () =
           Alcotest.test_case "construction and tags" `Quick test_surface;
           Alcotest.test_case "selection atomic across domains" `Quick
             test_selection_atomic_across_domains;
-          Alcotest.test_case "cache isolation" `Quick test_cache_isolation;
+          Alcotest.test_case "one schema across backends" `Quick test_one_schema;
         ] );
     ]

@@ -380,8 +380,8 @@ let test_fit_golden_history () =
    the parameters themselves.  The digests were computed by the
    node-by-node graph of primitives that the printed layer's fused tape
    nodes replaced, so they pin the fused nodes to it, special-value payloads
-   included.  Each backend has its own digests (C's matmul association
-   differs); checked and unchecked modes must both match. *)
+   included.  Both backends must match the one list, in checked and
+   unchecked mode. *)
 
 let digest_specials =
   [|
@@ -504,8 +504,7 @@ let network_digests backend =
       Printf.sprintf "%s: %s" label unchecked)
     digest_cases
 
-let expected_network_digests = function
-  | T.Reference ->
+let expected_network_digests =
     [
       "iris finite: logits df1b426cf42bfe16 preact c37ad8be6a68a42d fresh fbc011aaa2bb588a cached 76ea3ff3a58a8d6e pred 4c6233cfd056ac35";
       "iris special-x: logits 33b2d90b5679afbb preact 73249a68e315d7bd fresh 3081fa3fa0ff9f0c cached b3eb6805341c4d40 pred 86f7bc9d7595d38b";
@@ -516,17 +515,6 @@ let expected_network_digests = function
       "64-48-16 special-noise: logits 90dca305d0b0ca85 preact b1655f5251f2f948 fresh 52c39af1ee43724e cached d6c71785b9e4c213 pred 3ebd729e519f3b04";
       "64-48-16 special-params: logits 5ec9681a0196779b preact f64be3adef1c55c3 fresh b222ebc786ff8da4 cached 2a9ffaf356cb555d pred 562b441a97757e2c";
     ]
-  | T.C64 ->
-    [
-      "iris finite: logits df1b426cf42bfe16 preact c37ad8be6a68a42d fresh 0505db5fdee77f4d cached d4fbd28309050a72 pred 4c6233cfd056ac35";
-      "iris special-x: logits 438aef7ac8d46a1e preact 3fa1d98abf318c14 fresh 3081fa3fa0ff9f0c cached b3eb6805341c4d40 pred 8f21efa55ba242a2";
-      "iris special-noise: logits df1b426cf42bfe16 preact 471889c77dd1afc3 fresh d7fcccf05a4cce37 cached 18e8bb670dcb6540 pred ae98a307894553de";
-      "iris special-params: logits a9789f1eb7c9b499 preact 8b1a631e60fccc26 fresh bcb7f0d2013899a0 cached 70e71d3ee665b0a3 pred d8019bfbaeed4cbb";
-      "64-48-16 finite: logits 90dca305d0b0ca85 preact 5db0bccf582a90ac fresh debf46fe81a44b21 cached 5467dcfdacd85482 pred cb33c093184dffef";
-      "64-48-16 special-x: logits 5a5b6ddbfc56fc05 preact d5ed59d0d50fcfb7 fresh 3f30d16e9de39e76 cached 3a6ba04f107a5b8d pred 15e4e9120c77be45";
-      "64-48-16 special-noise: logits 90dca305d0b0ca85 preact b1655f5251f2f948 fresh 52c39af1ee43724e cached ff688192600b6bd5 pred 3ebd729e519f3b04";
-      "64-48-16 special-params: logits 5ec9681a0196779b preact f64be3adef1c55c3 fresh 37891106505563d4 cached a53c0a265cb5512e pred 562b441a97757e2c";
-    ]
 
 let test_network_digests () =
   let actual = List.map (fun b -> (b, network_digests b)) T.backends in
@@ -534,7 +522,7 @@ let test_network_digests () =
     (fun (backend, ds) ->
       Alcotest.(check (list string))
         (T.backend_name backend ^ " network digests")
-        (expected_network_digests backend) ds)
+        expected_network_digests ds)
     actual
 
 let () =

@@ -142,12 +142,69 @@ let qcheck_uniform_bounds =
       let v = Rng.uniform rng ~lo ~hi:(lo +. width) in
       v >= lo && v < lo +. width)
 
+(* Every generator entry point, digested bit for bit over a few seeds
+   (FNV-1a over each output's 64 bits), with the first words spelled out.
+   Captured from the record-of-int64 implementation: every golden result
+   in the repository depends on these streams, so a representation change
+   must reproduce them exactly. *)
+let stream_words seed =
+  let rng = Rng.create seed in
+  let words = List.init 6 (fun _ -> Rng.uint64 rng) in
+  let child = Rng.split rng in
+  let st = Rng.state rng in
+  let restored = Rng.of_state st in
+  (* pnnlint:allow R1 the golden streams cover every entry point, Rng.copy included *)
+  let copy = Rng.copy restored in
+  words
+  @ [ Rng.uint64 child; Rng.uint64 copy ]
+  @ List.map Int64.bits_of_float
+      [
+        Rng.float restored;
+        Rng.uniform restored ~lo:(-2.0) ~hi:3.0;
+        Rng.normal restored;
+        Rng.gaussian restored ~mu:0.5 ~sigma:2.0;
+      ]
+  @ List.map Int64.of_int (Rng.int restored 1000 :: Array.to_list (Rng.perm restored 9))
+  @ Array.to_list st
+
+let fnv64 words =
+  List.fold_left
+    (fun h w ->
+      let h = ref h in
+      for i = 0 to 7 do
+        let byte = Int64.logand (Int64.shift_right_logical w (8 * i)) 0xffL in
+        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+      done;
+      !h)
+    0xcbf29ce484222325L words
+
+let expected_golden_streams =
+  [
+    "seed 0: 99ec5f36cb75f2b4 bf6e1f784956452a digest 3763b4bd6ffa0223";
+    "seed 1: b3f2af6d0fc710c5 853b559647364cea digest e2af0748792b0255";
+    "seed 42: 15780b2e0c2ec716 6104d9866d113a7e digest 2dc51e6d9305d4eb";
+    "seed -7: f305399b3b63f2c2 d693dd0a37ae5bdc digest 17249902a856951c";
+    "seed 4611686018427387903: 6a2df487bd4abde8 7089a21212eab9fc digest aa9b90351fad8e1d";
+  ]
+
+let test_golden_streams () =
+  let got =
+    List.map
+      (fun seed ->
+        let w = stream_words seed in
+        Printf.sprintf "seed %d: %016Lx %016Lx digest %016Lx" seed (List.nth w 0) (List.nth w 1)
+          (fnv64 w))
+      [ 0; 1; 42; -7; max_int ]
+  in
+  Alcotest.(check (list string)) "golden streams" expected_golden_streams got
+
 let () =
   Alcotest.run "rng"
     [
       ( "basics",
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "golden streams" `Quick test_golden_streams;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "float mean" `Quick test_float_mean;

@@ -7,7 +7,7 @@
    every response that crosses the wire — classes and Monte-Carlo
    quantiles alike — is bit-identical to the single-threaded in-process
    answer, for any pool size and either tensor backend.  The dune rules
-   re-run this executable under REPRO_JOBS 1/4 and PNN_BACKEND=c. *)
+   re-run this executable under REPRO_JOBS 1/4 and PNN_BACKEND=reference. *)
 
 module P = Serving.Protocol
 module B = Serving.Batcher
