@@ -104,11 +104,6 @@ let noise_misfit nodes (noise : Noise.layer_noise) =
   then Some "omega"
   else None
 
-(* augment the batch with the bias column (V_b = 1) *)
-let augment x =
-  let batch = Tensor.rows (A.value x) in
-  A.concat_cols x (A.const (Tensor.ones batch 1))
-
 (* {2 The crossbar (Eq. 1) as two tape nodes}
 
    [conductances] is the parameter-only half: the printed conductances
@@ -116,19 +111,24 @@ let augment x =
    packed with the denominator Σ_j (θ⁺ + θ⁻) into one
    (2(n_in + 1) + 1) × n_out value: θ⁺'s input and bias rows, θ⁻'s, then
    the denominator row (the dark row only enters the denominator).
-   [crossbar] is the input-dependent half: inv(x) through the
-   negative-weight circuit, the two matmuls and the normalisation.  The
-   split keeps the parameter-only work in the fixed part of a split tape
-   (Autodiff.split), so serving re-runs only [crossbar].
+   [crossbar] is the input-dependent half, one Tensor.crossbar_into call
+   forward and one Tensor.crossbar_bwd_into backward: inv(x) through the
+   negative-weight circuit, the two matmuls and the normalisation, with
+   the bias column V_b = 1 folded into the kernel rather than concatenated
+   onto x.  The split keeps the parameter-only work in the fixed part of a
+   split tape (Autodiff.split), so serving re-runs only [crossbar].
 
-   Both replay the graph they replaced (projection, noise product, relus,
-   slices, sums, matmuls, row division) operation for operation.  Their
-   backward passes are that graph's per-node gradients in its backward
-   order: every interior node's first accumulation a [0.0 +.], θ's share
-   through θ⁻ before the one through θ⁺, and x's share through the
-   negative-weight circuit before the one through the θ⁺ matmul — the
-   reason inv(x) lives inside [crossbar] rather than in a node of its own,
-   which would receive its gradient first. *)
+   Both replay the graph they replaced (bias concatenation, projection,
+   noise product, relus, slices, sums, matmuls, row division) operation
+   for operation.  Their backward passes are that graph's per-node
+   gradients in its backward order: every interior node's first
+   accumulation a [0.0 +.], θ's share through θ⁻ before the one through
+   θ⁺, and x's share through the negative-weight circuit before the one
+   through the θ⁺ matmul — the reason inv(x) lives inside [crossbar]
+   rather than in a node of its own, which would receive its gradient
+   first.  The bias concatenation's gradient buffer held [0.0 +.] of a sum
+   that is never −0.0 nor a signalling NaN, so x receiving that sum's
+   first n_in columns directly is bit-identical. *)
 
 let conductances config t ~theta_n =
   let theta = A.value t.theta in
@@ -177,88 +177,43 @@ let conductances config t ~theta_n =
       Tensor.write_from th dtheta;
       A.accumulate t.theta dtheta)
 
-let crossbar ~x_aug ~neg_eta ~conductances =
+let crossbar ~x ~neg_eta ~conductances =
   let module T = Tensor in
-  let x = A.value x_aug in
-  let m = T.rows x and k = T.cols x and n = T.cols (A.value conductances) in
-  let buf rows cols = T.zeros_as x rows cols and scratch = A.scratch_of x in
-  let h = buf m k and inv_x = buf m k in
-  let pos = buf k n and neg = buf k n and den = buf 1 n in
-  let ones = buf 1 n and inv = buf 1 n in
-  T.fill ones 1.0;
-  let num_pos = buf m n and num = buf m n in
+  let xv = A.value x in
+  let m = T.rows xv and k = T.cols xv and n = T.cols (A.value conductances) in
+  let buf rows cols = T.zeros_as xv rows cols in
+  let h = buf m (k + 1) and inv_x = buf m (k + 1) and num = buf m n in
   let forward dst =
-    let x = A.value x_aug and cond = A.value conductances in
-    T.ptanh_into ~eta:(A.value neg_eta) x ~h ~dst:inv_x;
-    T.neg_into inv_x ~dst:inv_x;
-    T.slice_rows_into cond 0 k ~dst:pos;
-    T.slice_rows_into cond k k ~dst:neg;
-    T.slice_rows_into cond (2 * k) 1 ~dst:den;
-    T.div_into ones den ~dst:inv;
-    T.matmul_into x pos ~dst:num_pos;
-    T.matmul_into inv_x neg ~dst:num;
-    T.add_into num_pos num ~dst:num;
-    T.mul_rowvec_into num inv ~dst
+    T.crossbar_into ~x:(A.value x) ~eta:(A.value neg_eta) ~cond:(A.value conductances) ~h
+      ~inv_x ~num ~dst
   in
   let out = buf m n in
   forward out;
-  let s_mn = scratch m n and g_num = scratch m n and s_n = scratch 1 n in
-  let d_den = scratch 1 n and s_mk = scratch m k and g_inv = scratch m k in
-  let g_s = scratch m k and d_eta = scratch 1 4 and s_km = scratch k m in
-  let d_pos = scratch k n and d_neg = scratch k n and d_top = scratch (2 * k) n in
-  let d_cond = scratch ((2 * k) + 1) n in
-  A.fused out [ x_aug; neg_eta; conductances ] ~recompute:forward ~backward:(fun g ->
-      let x = A.value x_aug in
-      (* the row division: the numerator's gradient, then the
-         denominator's, −num/den² summed over rows *)
-      let s_mn = s_mn () and g_num = g_num () and s_n = s_n () and d_den = d_den () in
-      T.mul_rowvec_into g inv ~dst:s_mn;
-      (* the numerator node's buffer: zeroed, then one accumulation *)
-      T.fill g_num 0.0;
-      T.add_into g_num s_mn ~dst:g_num;
-      T.mul_into inv inv ~dst:s_n;
-      T.neg_into num ~dst:s_mn;
-      T.mul_rowvec_into s_mn s_n ~dst:s_mn;
-      T.mul_into g s_mn ~dst:s_mn;
-      T.sum_rows_into s_mn ~dst:d_den;
-      (* inv(x)·θ⁻: the gradients of inv(x) and of θ⁻ *)
-      let g_inv = g_inv () and s_km = s_km () and d_neg = d_neg () in
-      T.matmul_nt_into g_num neg ~dst:g_inv;
-      T.transpose_into inv_x ~dst:s_km;
-      T.matmul_into s_km g_num ~dst:d_neg;
-      (* through inv = −ptanh into η and x's first share (the kernel's
-         first step is the ptanh node's 0 + g) *)
-      let s_mk = s_mk () and g_s = g_s () and d_eta = d_eta () in
-      T.neg_into g_inv ~dst:s_mk;
-      T.ptanh_bwd_into ~eta:(A.value neg_eta) x ~h ~g:s_mk ~dv:g_s ~deta:d_eta;
+  let gnum = A.scratch_of xv m n and d_eta = A.scratch_of xv 1 4 in
+  let d_cond = A.scratch_of xv ((2 * (k + 1)) + 1) n in
+  let dx = if A.needs_grad x then Some (buf m k) else None in
+  A.fused out [ x; neg_eta; conductances ] ~recompute:forward ~backward:(fun g ->
+      let d_eta = d_eta () and d_cond = d_cond () in
+      T.crossbar_bwd_into ~x:(A.value x) ~eta:(A.value neg_eta) ~cond:(A.value conductances)
+        ~h ~inv_x ~num ~g ~gnum:(gnum ()) ~dx ~deta:d_eta ~dcond:d_cond;
       A.accumulate neg_eta d_eta;
-      (* x·θ⁺: x's second share, then θ⁺'s gradient *)
-      if A.needs_grad x_aug then begin
-        T.matmul_nt_into g_num pos ~dst:s_mk;
-        T.add_into g_s s_mk ~dst:s_mk;
-        A.accumulate x_aug s_mk
-      end;
-      let d_pos = d_pos () and d_top = d_top () and d_cond = d_cond () in
-      T.transpose_into x ~dst:s_km;
-      T.matmul_into s_km g_num ~dst:d_pos;
-      T.concat_rows_into d_pos d_neg ~dst:d_top;
-      T.concat_rows_into d_top d_den ~dst:d_cond;
+      (match dx with Some d -> A.accumulate x d | None -> ());
       A.accumulate conductances d_cond)
 
 let check_width t x =
   if Tensor.cols (A.value x) <> inputs t then
     invalid_arg "Layer.forward: input width mismatch"
 
-(* Eq. 1's wiring, once: both circuits' η from one surrogate pass, the
-   bias-augmented input and the two crossbar halves.  Returns the
-   activation circuit's η with the crossbar output V_z. *)
+(* Eq. 1's wiring, once: both circuits' η from one surrogate pass and the
+   two crossbar halves.  Returns the activation circuit's η with the
+   crossbar output V_z. *)
 let preactivation_nodes config t nodes x =
   check_width t x;
   let act_eta, neg_eta =
     Nonlinear.eta_pair t.act t.neg ~act_noise:nodes.act_n ~neg_noise:nodes.neg_n
   in
   let conductances = conductances config t ~theta_n:nodes.theta_n in
-  (act_eta, crossbar ~x_aug:(augment x) ~neg_eta ~conductances)
+  (act_eta, crossbar ~x ~neg_eta ~conductances)
 
 let forward_nodes config t nodes x =
   let act_eta, pre = preactivation_nodes config t nodes x in

@@ -57,19 +57,6 @@ let length = Array1.dim
 let get = Array1.get
 let set = Array1.set
 
-(* Explicit loops: [Array1.sub] allocates a view struct per call, which is
-   real garbage on the zero-fill/blit hot paths (gradient zeroing, scratch
-   reuse). *)
-let fill b ~pos ~len v =
-  for i = pos to pos + len - 1 do
-    Array1.set b i v
-  done
-
-let blit src src_pos dst dst_pos len =
-  for i = 0 to len - 1 do
-    Array1.set dst (dst_pos + i) (Array1.get src (src_pos + i))
-  done
-
 let of_float_array a = Array1.of_array float64 c_layout a
 
 let to_float_array b =
@@ -94,6 +81,19 @@ let load b a =
    below is called from the Tensor dispatch layer, which validates shapes
    before dispatch (PNN_CHECKED=1 additionally asserts every buffer length
    in the wrapper before the stub is reached). *)
+
+(* SAFETY: the [fill]/[blit] wrappers below check, in every mode, that
+   [pos, pos + len) lies inside each buffer; blit's memmove handles
+   overlapping ranges of one buffer. *)
+external c_fill : buf -> (int[@untagged]) -> (int[@untagged]) -> (float[@unboxed]) -> unit
+  = "pnn_c_fill_byte" "pnn_c_fill"
+[@@noalloc]
+
+(* SAFETY: as c_fill, for the source and the destination range. *)
+external c_blit :
+  buf -> (int[@untagged]) -> buf -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "pnn_c_blit_byte" "pnn_c_blit"
+[@@noalloc]
 
 (* SAFETY: dispatch guarantees a, b and dst all have >= n elements; the stub
    touches indices 0..n-1 only, and dst may alias an input (same-index
@@ -218,6 +218,45 @@ external c_ptanh_bwd :
   = "pnn_c_ptanh_bwd_byte" "pnn_c_ptanh_bwd"
 [@@noalloc]
 
+(* SAFETY: for [m k n] with k1 = k + 1: x is m*k, eta has >= 4 elements,
+   cond (2*k1 + 1)*n, h and inv_x m*k1, num and out m*n (dispatch checks
+   the shapes); the outputs must not alias each other or an input. *)
+external c_crossbar :
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "pnn_c_crossbar_byte" "pnn_c_crossbar"
+[@@noalloc]
+
+(* SAFETY: the forward's shapes, plus g and gnum m*n, dx m*k (written only
+   when want_dx is nonzero), deta >= 4 and dcond (2*k1 + 1)*n; gnum, dx,
+   deta and dcond must not alias each other or an input. *)
+external c_crossbar_bwd :
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  buf ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "pnn_c_crossbar_bwd_byte" "pnn_c_crossbar_bwd"
+[@@noalloc]
+
 (* SAFETY: src and out are rows*cols; out may alias src (each row is fully
    read into the max scan before out's row is written... rows are processed
    independently and the exp pass reads src[c] before writing out[c], so
@@ -299,6 +338,23 @@ let need n b =
          (Array1.dim b) n)
 
 (* {2 Kernel catalogue} *)
+
+(* [fill]/[blit] check their ranges in every mode, as the bounds-checked
+   OCaml loops they replaced did; that check covers checked mode's [need]. *)
+let range name b pos len =
+  if pos < 0 || len < 0 || pos > Array1.dim b - len then
+    invalid_arg
+      (Printf.sprintf "Kernels_c.%s: [%d, %d) out of a buffer of %d elements" name pos
+         (pos + len) (Array1.dim b))
+
+let fill b ~pos ~len v =
+  range "fill" b pos len;
+  c_fill b pos len v
+
+let blit src src_pos dst dst_pos len =
+  range "blit" src src_pos len;
+  range "blit" dst dst_pos len;
+  c_blit src src_pos dst dst_pos len
 
 let add a b dst n =
   need n a;
@@ -458,6 +514,34 @@ let ptanh_bwd ~eta ~v ~h ~g ~dv ~deta n =
   need n dv;
   need 4 deta;
   c_ptanh_bwd eta v h g dv deta n
+
+let crossbar ~x ~eta ~cond ~h ~inv_x ~num ~out m k n =
+  let k1 = k + 1 in
+  need (m * k) x;
+  need 4 eta;
+  need (((2 * k1) + 1) * n) cond;
+  need (m * k1) h;
+  need (m * k1) inv_x;
+  need (m * n) num;
+  need (m * n) out;
+  c_crossbar x eta cond h inv_x num out m k n
+
+let crossbar_bwd ~x ~eta ~cond ~h ~inv_x ~num ~g ~gnum ~want_dx ~dx ~deta ~dcond m k n =
+  let k1 = k + 1 in
+  need (m * k) x;
+  need 4 eta;
+  need (((2 * k1) + 1) * n) cond;
+  need (m * k1) h;
+  need (m * k1) inv_x;
+  need (m * n) num;
+  need (m * n) g;
+  need (m * n) gnum;
+  if want_dx then need (m * k) dx;
+  need 4 deta;
+  need (((2 * k1) + 1) * n) dcond;
+  c_crossbar_bwd x eta cond h inv_x num g gnum dx deta dcond
+    (if want_dx then 1 else 0)
+    m k n
 
 let softmax_rows src out rows cols =
   need (rows * cols) src;

@@ -192,9 +192,9 @@ let mul_rowvec md vd dst rows cols =
 (* {1 Linear algebra} *)
 
 (* ikj loop order: streams through b rows, cache friendly for row-major.
-   [cd] must be pre-zeroed by the caller.
+   [cd] is zeroed first, then accumulated into.
 
-   Each output element c(i,j) starts from cd and adds aip * b(p,j) for
+   Each output element c(i,j) starts from +0.0 and adds aip * b(p,j) for
    p = 0 .. k-1 in order, skipping exact-zero A entries.  The add is written
    product-first: when both operands are NaN, x86 returns the first
    operand's payload, and ocamlopt swaps a commutative add's operands to
@@ -208,6 +208,7 @@ let mul_rowvec md vd dst rows cols =
    element sees the same operations in the same order, so the two bodies
    are bit-identical — pinned by test/test_backend.ml. *)
 let matmul ad bd cd m k n =
+  Array.fill cd 0 (m * n) 0.0;
   if checked () then
     for i = 0 to m - 1 do
       let a_base = i * k and c_base = i * n in
@@ -676,6 +677,86 @@ let ptanh_bwd ~eta ~v ~h ~g ~dv ~deta n =
   deta.(1) <- 0.0 +. !s1;
   deta.(2) <- 0.0 +. -.(0.0 +. !s2);
   deta.(3) <- 0.0 +. !s3
+
+(* {1 The crossbar (paper Eq. 1)}
+
+   The node-by-node graph the crossbar replaced, as one kernel pair that
+   calls the kernels above in that graph's order: the input with its bias
+   column [x 1], inv(x) = −ptanh(η, [x 1]), the slices θ⁺/θ⁻/denominator of
+   the packed conductances, 1/den, the two matmuls, their sum and the row
+   division; backward, that graph's per-node gradients in its backward
+   order (see Layer.crossbar).  The temporaries are allocated per call:
+   this is the oracle, the C stubs are the fast path. *)
+
+let with_bias x m k =
+  let k1 = k + 1 in
+  let xa = create (m * k1) in
+  for i = 0 to m - 1 do
+    Array.blit x (i * k) xa (i * k1) k;
+    xa.((i * k1) + k) <- 1.0
+  done;
+  xa
+
+(* θ⁺, θ⁻ and 1/den from the packed conductances *)
+let unpack cond k1 n =
+  let inv = create n in
+  div (Array.make n 1.0) (Array.sub cond (2 * k1 * n) n) inv n;
+  (Array.sub cond 0 (k1 * n), Array.sub cond (k1 * n) (k1 * n), inv)
+
+let crossbar ~x ~eta ~cond ~h ~inv_x ~num ~out m k n =
+  let k1 = k + 1 in
+  let x_aug = with_bias x m k in
+  ptanh ~eta ~v:x_aug ~h ~out:inv_x (m * k1);
+  neg inv_x inv_x (m * k1);
+  let pos, neg_c, inv = unpack cond k1 n in
+  let num_pos = create (m * n) in
+  matmul x_aug pos num_pos m k1 n;
+  matmul inv_x neg_c num m k1 n;
+  add num_pos num num (m * n);
+  mul_rowvec num inv out m n
+
+let crossbar_bwd ~x ~eta ~cond ~h ~inv_x ~num ~g ~gnum ~want_dx ~dx ~deta ~dcond m k n =
+  let k1 = k + 1 in
+  let x_aug = with_bias x m k in
+  let pos, neg_c, inv = unpack cond k1 n in
+  (* the row division: the numerator's gradient (its node's buffer, zeroed
+     and accumulated once), then the denominator's, −num/den² summed over
+     rows *)
+  let s_mn = create (m * n) in
+  mul_rowvec g inv s_mn m n;
+  fill gnum ~pos:0 ~len:(m * n) 0.0;
+  add gnum s_mn gnum (m * n);
+  let s_n = create n in
+  mul inv inv s_n n;
+  neg num s_mn (m * n);
+  mul_rowvec s_mn s_n s_mn m n;
+  mul g s_mn s_mn (m * n);
+  let d_den = create n in
+  sum_rows s_mn d_den m n;
+  (* inv(x)·θ⁻: the gradients of inv(x) and of θ⁻ *)
+  let g_inv = create (m * k1) and s_km = create (k1 * m) and d_neg = create (k1 * n) in
+  matmul_nt gnum neg_c g_inv m n k1;
+  transpose inv_x s_km m k1;
+  matmul s_km gnum d_neg k1 m n;
+  (* through inv = −ptanh into η and x's first share *)
+  let s_mk = create (m * k1) and g_s = create (m * k1) in
+  neg g_inv s_mk (m * k1);
+  ptanh_bwd ~eta ~v:x_aug ~h ~g:s_mk ~dv:g_s ~deta (m * k1);
+  (* [x 1]·θ⁺: x's second share (the bias column's is dropped), then θ⁺'s
+     gradient *)
+  if want_dx then begin
+    matmul_nt gnum pos s_mk m n k1;
+    add g_s s_mk s_mk (m * k1);
+    for i = 0 to m - 1 do
+      Array.blit s_mk (i * k1) dx (i * k) k
+    done
+  end;
+  let d_pos = create (k1 * n) in
+  transpose x_aug s_km m k1;
+  matmul s_km gnum d_pos k1 m n;
+  Array.blit d_pos 0 dcond 0 (k1 * n);
+  Array.blit d_neg 0 dcond (k1 * n) (k1 * n);
+  Array.blit d_den 0 dcond (2 * k1 * n) n
 
 (* {1 Training-path fused kernels} *)
 

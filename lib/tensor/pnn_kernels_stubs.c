@@ -18,7 +18,7 @@
  * floating-point operations in its exact order; libm calls (tanh/exp/log)
  * resolve to the same libm the OCaml runtime links.  The matmul family
  * vectorizes across output columns in pure k order and recomputes NaN
- * outputs with the reference's rules (the argument is at matmul_core).
+ * outputs with the reference's rules (the argument is above mm_core).
  * Both backends share one cache schema, so a change that alters any
  * kernel's bits must also change Serialize.cache_schema.
  *
@@ -55,6 +55,11 @@ typedef double v2df_u __attribute__((vector_size(16), aligned(8)));
 static inline v2df vload(const double *p) { return *(const v2df_u *) p; }
 static inline void vstore(double *p, v2df v) { *(v2df_u *) p = v; }
 #define PNN_HAVE_VEC 1
+/* For a body that takes a mode flag: inlined at each call site, where the
+ * flag is a constant, it compiles to one specialised copy per mode. */
+#define PNN_SPECIALISE static inline __attribute__((always_inline))
+#else
+#define PNN_SPECIALISE static inline
 #endif
 
 /* NaN operand order (as in kernels_ref.ml): when both operands of
@@ -84,6 +89,51 @@ static inline double add_first(double a, double b)
 static inline double mul_first(double a, double b)
 {
   return a != a ? quiet(a) : a * b;
+}
+/* Both operands' NaN cases spelled out: the hardware's rule (the left
+ * NaN, else the right one, quieted) with no arithmetic left on a NaN.  For
+ * an operand the code wrote as a negation: the compiler may rewrite
+ * a + (-b) as a - b, which keeps a NaN b's sign where the reference's
+ * stored negation flipped it, and here the arithmetic never sees a NaN. */
+static inline double add_pin(double a, double b)
+{
+  return a != a ? quiet(a) : b != b ? quiet(b) : a + b;
+}
+static inline double mul_pin(double a, double b)
+{
+  return a != a ? quiet(a) : b != b ? quiet(b) : a * b;
+}
+
+/* ------------------------------------------------------------- */
+/* Storage: fill and copy (exact; the wrapper range-checks both). */
+/* ------------------------------------------------------------- */
+
+CAMLprim value pnn_c_fill(value vb, intnat pos, intnat len, double v)
+{
+  double *b = BA(vb) + pos;
+  for (intnat i = 0; i < len; i++) b[i] = v;
+  return Val_unit;
+}
+CAMLprim value pnn_c_fill_byte(value vb, value vpos, value vlen, value vv)
+{
+  return pnn_c_fill(vb, Long_val(vpos), Long_val(vlen), Double_val(vv));
+}
+
+/* memmove: a bit copy (signalling NaNs stay signalling), and overlapping
+ * ranges of one buffer copy as Array.blit does. */
+CAMLprim value pnn_c_blit(value vsrc, intnat src_pos, value vdst,
+                          intnat dst_pos, intnat len)
+{
+  if (len > 0)
+    memmove(BA(vdst) + dst_pos, BA(vsrc) + src_pos,
+            (size_t) len * sizeof(double));
+  return Val_unit;
+}
+CAMLprim value pnn_c_blit_byte(value vsrc, value vsrc_pos, value vdst,
+                               value vdst_pos, value vlen)
+{
+  return pnn_c_blit(vsrc, Long_val(vsrc_pos), vdst, Long_val(vdst_pos),
+                    Long_val(vlen));
 }
 
 /* ---------------------------------------------------------------- */
@@ -213,15 +263,20 @@ CAMLprim value pnn_c_mul_rowvec_byte(value vm, value vv, value vdst,
  * 0·inf, or the payload when two NaNs meet — and those are recomputed
  * below with the reference's rules. */
 
-/* Kernels_ref.matmul's element: product-first add. */
-static double matmul_ref_elem(const double *arow, const double *bcol,
-                              intnat stride, intnat k)
+/* One term of Kernels_ref.matmul's element: an exact-zero A entry is
+ * skipped, otherwise the product is added first. */
+static inline double ref_term(double acc, double a, double b)
+{
+  return a != 0.0 ? add_first(mul_first(a, b), acc) : acc;
+}
+
+/* Kernels_ref.matmul's element over k terms, the A entries a[p * as] and
+ * the B entries b[p * bs] (as = 0 repeats one A entry). */
+static double matmul_ref_elem(const double *a, intnat as, const double *b,
+                              intnat bs, intnat k)
 {
   double acc = 0.0;
-  for (intnat p = 0; p < k; p++) {
-    double a = arow[p];
-    if (a != 0.0) acc = add_first(mul_first(a, bcol[p * stride]), acc);
-  }
+  for (intnat p = 0; p < k; p++) acc = ref_term(acc, a[p * as], b[p * bs]);
   return acc;
 }
 
@@ -237,15 +292,49 @@ static double matmul_nt_ref_elem(const double *arow, const double *brow,
   return acc;
 }
 
-/* 8-wide output tile, each lane accumulated in pure k order (an
- * 8-accumulator register blocking), then the NaN recompute.  c is
- * overwritten. */
-static void matmul_core(const double *ad, const double *bd, double *cd,
-                        intnat m, intnat k, intnat n)
+/* C := A·B, c overwritten.  Row i of A is ad + i * lda with k entries;
+ * with [bias] set it has one more, an implicit 1.0 (Eq. 1's bias input
+ * V_b = 1), and B has k + 1 rows.  Each output is one chain in pure k
+ * order from +0.0 (1.0 · b is b).  n ≥ 8 runs 8-wide column tiles (an
+ * 8-accumulator register blocking) with a scalar loop for the columns past
+ * the last tile; narrower outputs run four rows at once, so independent
+ * chains interleave instead of one serial chain per element.  Then the NaN
+ * recompute. */
+static void mm_core(const double *ad, intnat lda, intnat k, int bias,
+                    const double *bd, double *cd, intnat m, intnat n)
 {
+  const double *bb = bd + k * n; /* the bias row of B, when [bias] */
+  intnat i = 0;
+  if (n < 8) {
+    for (; i + 4 <= m; i += 4) {
+      const double *a0 = ad + i * lda, *a1 = a0 + lda;
+      const double *a2 = a1 + lda, *a3 = a2 + lda;
+      double *c = cd + i * n;
+      for (intnat j = 0; j < n; j++) {
+        double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
+        for (intnat p = 0; p < k; p++) {
+          double b = bd[p * n + j];
+          c0 = c0 + a0[p] * b;
+          c1 = c1 + a1[p] * b;
+          c2 = c2 + a2[p] * b;
+          c3 = c3 + a3[p] * b;
+        }
+        if (bias) {
+          c0 = c0 + bb[j];
+          c1 = c1 + bb[j];
+          c2 = c2 + bb[j];
+          c3 = c3 + bb[j];
+        }
+        c[j] = c0;
+        c[n + j] = c1;
+        c[2 * n + j] = c2;
+        c[3 * n + j] = c3;
+      }
+    }
+  }
   intnat n8 = n - (n & 7);
-  for (intnat i = 0; i < m; i++) {
-    const double *arow = ad + i * k;
+  for (; i < m; i++) {
+    const double *arow = ad + i * lda;
     double *crow = cd + i * n;
     intnat j0 = 0;
 #ifdef PNN_HAVE_VEC
@@ -262,6 +351,12 @@ static void matmul_core(const double *ad, const double *bd, double *cd,
         acc1 = acc1 + av * vload(brow + 2);
         acc2 = acc2 + av * vload(brow + 4);
         acc3 = acc3 + av * vload(brow + 6);
+      }
+      if (bias) {
+        acc0 = acc0 + vload(bb + j0);
+        acc1 = acc1 + vload(bb + j0 + 2);
+        acc2 = acc2 + vload(bb + j0 + 4);
+        acc3 = acc3 + vload(bb + j0 + 6);
       }
       vstore(crow + j0, acc0);
       vstore(crow + j0 + 2, acc1);
@@ -284,20 +379,41 @@ static void matmul_core(const double *ad, const double *bd, double *cd,
         c6 = c6 + a * brow[6];
         c7 = c7 + a * brow[7];
       }
+      if (bias) {
+        const double *b = bb + j0;
+        c0 = c0 + b[0];  c1 = c1 + b[1];
+        c2 = c2 + b[2];  c3 = c3 + b[3];
+        c4 = c4 + b[4];  c5 = c5 + b[5];
+        c6 = c6 + b[6];  c7 = c7 + b[7];
+      }
       crow[j0] = c0;  crow[j0 + 1] = c1;
       crow[j0 + 2] = c2;  crow[j0 + 3] = c3;
       crow[j0 + 4] = c4;  crow[j0 + 5] = c5;
       crow[j0 + 6] = c6;  crow[j0 + 7] = c7;
     }
 #endif
-    for (intnat j = n8; j < n; j++) {
+    for (intnat j = j0; j < n; j++) {
       double acc = 0.0;
       for (intnat p = 0; p < k; p++) acc = acc + arow[p] * bd[p * n + j];
+      if (bias) acc = acc + bb[j];
       crow[j] = acc;
     }
-    for (intnat j = 0; j < n; j++)
-      if (crow[j] != crow[j]) crow[j] = matmul_ref_elem(arow, bd + j, n, k);
   }
+  for (i = 0; i < m; i++) {
+    const double *arow = ad + i * lda;
+    double *crow = cd + i * n;
+    for (intnat j = 0; j < n; j++)
+      if (crow[j] != crow[j]) {
+        double acc = matmul_ref_elem(arow, 1, bd + j, n, k);
+        crow[j] = bias ? ref_term(acc, 1.0, bb[j]) : acc;
+      }
+  }
+}
+
+static void matmul_core(const double *ad, const double *bd, double *cd,
+                        intnat m, intnat k, intnat n)
+{
+  mm_core(ad, k, k, 0, bd, cd, m, n);
 }
 
 CAMLprim value pnn_c_matmul(value va, value vb, value vc, intnat m, intnat k,
@@ -608,6 +724,219 @@ CAMLprim value pnn_c_ptanh_bwd_byte(value *argv, int argn)
   (void) argn;
   return pnn_c_ptanh_bwd(argv[0], argv[1], argv[2], argv[3], argv[4],
                          argv[5], Long_val(argv[6]));
+}
+
+/* ------------------------------------------------------------------ */
+/* The crossbar (paper Eq. 1): Kernels_ref.crossbar/crossbar_bwd in    */
+/* one call each.  x is m × k without its bias column; cond packs θ⁺   */
+/* ((k+1) × n), θ⁻ ((k+1) × n) and the denominator row; h and inv_x    */
+/* are m × (k+1) with the bias column; num, out, g and gnum are m × n. */
+/* ------------------------------------------------------------------ */
+
+/* inv(x) = −ptanh(η, x) (the ptanh stub's element, negated), the two
+ * matmuls and the row normalisation.  Every row's bias input is 1.0, so
+ * its tanh is evaluated once: same inputs, same bits as once per row. */
+CAMLprim value pnn_c_crossbar(value vx, value veta, value vcond, value vh,
+                              value vinv, value vnum, value vout, intnat m,
+                              intnat k, intnat n)
+{
+  const double *x = BA(vx);
+  const double *eta = BA(veta);
+  const double *cond = BA(vcond);
+  double *h = BA(vh);
+  double *inv = BA(vinv);
+  double *num = BA(vnum);
+  double *out = BA(vout);
+  intnat k1 = k + 1;
+  double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
+  double hb = tanh(mul_first(e3, add_first(ne2, 1.0)));
+  double ib = -add_first(e0, mul_first(e1, hb));
+  for (intnat i = 0; i < m; i++) {
+    const double *xr = x + i * k;
+    double *hr = h + i * k1;
+    double *ir = inv + i * k1;
+    for (intnat p = 0; p < k; p++) {
+      double hi = tanh(mul_first(e3, add_first(ne2, xr[p])));
+      hr[p] = hi;
+      ir[p] = -add_first(e0, mul_first(e1, hi));
+    }
+    hr[k] = hb;
+    ir[k] = ib;
+  }
+  /* x·θ⁺ (bias column implicit) into num, inv(x)·θ⁻ into out */
+  mm_core(x, k, k, 1, cond, num, m, n);
+  mm_core(inv, k1, k1, 0, cond + k1 * n, out, m, n);
+  const double *den = cond + 2 * k1 * n;
+  for (intnat j = 0; j < n; j++) {
+    double r = 1.0 / den[j];
+    for (intnat i = 0; i < m; i++) {
+      intnat q = i * n + j;
+      double s = add_first(num[q], out[q]);
+      num[q] = s;
+      out[q] = mul_first(s, r);
+    }
+  }
+  return Val_unit;
+}
+CAMLprim value pnn_c_crossbar_byte(value *argv, int argn)
+{
+  (void) argn;
+  return pnn_c_crossbar(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                        argv[6], Long_val(argv[7]), Long_val(argv[8]),
+                        Long_val(argv[9]));
+}
+
+/* The gradients of the forward above, as Kernels_ref.crossbar_bwd
+ * computes them: gnum receives the numerator's gradient, deta η's four
+ * shares, dcond θ⁺'s, θ⁻'s and the denominator's, and dx (when want_dx)
+ * x's share — inv(x)'s path first, then the θ⁺ matmul's.  One pass over
+ * the rows does the matmul_nt elements, ptanh_bwd's element and the
+ * Xᵀ·G / inv(x)ᵀ·G updates; every matmul output is one chain in pure
+ * order from +0.0, and η's shares are summed in row-major order, the bias
+ * column included.
+ *
+ * One body, two modes.  Pinned, it spells out the reference's NaN operand
+ * rules and recomputes NaN matmul outputs as mm_core does.  Plain, it runs
+ * the bare arithmetic: where no operand is NaN the rules pick nothing and
+ * each operation's result is the same, so the two modes agree on every
+ * output whose inputs were all non-NaN.  Every intermediate reaches some
+ * output through additions and multiplications only, which propagate NaN,
+ * so a NaN anywhere leaves a NaN in an output: the stub runs the plain
+ * mode, and reruns the pinned one over it when an output is NaN. */
+struct xbar_bwd {
+  const double *x, *cond, *h, *inv, *num, *g;
+  double *gnum, *dx, *deta, *dcond;
+  double e1, ne2, e3;
+  intnat want_dx, m, k, n;
+};
+
+/* In pinned mode, ADD1/MUL1 keep the left operand's NaN (add_first,
+ * mul_first); ADD2/MUL2 spell out both operands' cases, for an operand
+ * written as a negation (add_pin, mul_pin). */
+#define ADD1(a, b) (pinned ? add_first(a, b) : (a) + (b))
+#define MUL1(a, b) (pinned ? mul_first(a, b) : (a) * (b))
+#define ADD2(a, b) (pinned ? add_pin(a, b) : (a) + (b))
+#define MUL2(a, b) (pinned ? mul_pin(a, b) : (a) * (b))
+
+/* Returns nonzero when an output is NaN (checked in plain mode only). */
+PNN_SPECIALISE int crossbar_bwd_body(const struct xbar_bwd *a, int pinned)
+{
+  static const double one = 1.0;
+  const double *x = a->x, *h = a->h, *inv = a->inv, *num = a->num, *g = a->g;
+  double *gnum = a->gnum, *dx = a->dx, *deta = a->deta, *dcond = a->dcond;
+  double e1 = a->e1, ne2 = a->ne2, e3 = a->e3;
+  intnat m = a->m, k = a->k, n = a->n, k1 = k + 1;
+  const double *pos = a->cond, *neg = pos + k1 * n, *den = pos + 2 * k1 * n;
+  double *dpos = dcond, *dneg = dcond + k1 * n, *dden = dcond + 2 * k1 * n;
+  /* the row division: the numerator's gradient 0 + g/den, and the
+   * denominator's, g·(−num·(1/den)²) summed over rows */
+  for (intnat j = 0; j < n; j++) {
+    double r = 1.0 / den[j];
+    double rr = r * r;
+    double acc = 0.0;
+    for (intnat i = 0; i < m; i++) {
+      intnat q = i * n + j;
+      gnum[q] = 0.0 + MUL1(g[q], r);
+      acc = ADD1(acc, MUL1(g[q], MUL2(-num[q], rr)));
+    }
+    dden[j] = acc;
+  }
+  for (intnat q = 0; q < 2 * k1 * n; q++) dcond[q] = 0.0;
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (intnat i = 0; i < m; i++) {
+    const double *gn = gnum + i * n;
+    const double *xr = x + i * k;
+    const double *hr = h + i * k1;
+    const double *ir = inv + i * k1;
+    for (intnat p = 0; p < k1; p++) {
+      /* inv(x)'s gradient G·θ⁻ᵀ, negated into ptanh's */
+      const double *nrow = neg + p * n;
+      double gi = 0.0;
+      for (intnat j = 0; j < n; j++) gi = gi + gn[j] * nrow[j];
+      if (pinned && gi != gi) gi = matmul_nt_ref_elem(gn, nrow, n);
+      double gm = -gi;
+      double v = p < k ? xr[p] : 1.0, hi = hr[p];
+      double gp = ADD2(0.0, gm);
+      double gz = 0.0 + MUL1(1.0 - hi * hi, 0.0 + MUL1(e1, gp));
+      double gs = 0.0 + MUL1(e3, gz);
+      s0 = ADD2(s0, gm);
+      s1 = ADD1(s1, MUL1(gp, hi));
+      s2 = ADD1(s2, gs);
+      s3 = ADD1(s3, MUL1(gz, ADD1(ne2, v)));
+      if (a->want_dx && p < k) {
+        /* x's second share, G·θ⁺ᵀ */
+        const double *prow = pos + p * n;
+        double t = 0.0;
+        for (intnat j = 0; j < n; j++) t = t + gn[j] * prow[j];
+        if (pinned && t != t) t = matmul_nt_ref_elem(gn, prow, n);
+        dx[i * k + p] = ADD1(gs, t);
+      }
+    }
+    /* Xᵀ·G and inv(x)ᵀ·G without a transpose: row i's terms */
+    for (intnat p = 0; p < k1; p++) {
+      double xa = p < k ? xr[p] : 1.0, ia = ir[p];
+      double *dp = dpos + p * n;
+      double *dn = dneg + p * n;
+      for (intnat j = 0; j < n; j++) {
+        dp[j] = dp[j] + xa * gn[j];
+        dn[j] = dn[j] + ia * gn[j];
+      }
+    }
+  }
+  deta[0] = 0.0 + s0;
+  deta[1] = 0.0 + s1;
+  /* 0 + −(0 + s2), with the negation kept: see quiet() */
+  double ns2 = -(0.0 + s2);
+  deta[2] = pinned && ns2 != ns2 ? quiet(ns2) : 0.0 + ns2;
+  deta[3] = 0.0 + s3;
+  if (pinned) {
+    for (intnat p = 0; p < k1; p++)
+      for (intnat j = 0; j < n; j++) {
+        intnat q = p * n + j;
+        if (dpos[q] != dpos[q])
+          dpos[q] = p < k ? matmul_ref_elem(x + p, k, gnum + j, n, m)
+                          : matmul_ref_elem(&one, 0, gnum + j, n, m);
+        if (dneg[q] != dneg[q])
+          dneg[q] = matmul_ref_elem(inv + p, k1, gnum + j, n, m);
+      }
+    return 0;
+  }
+  int nan = 0;
+  for (intnat q = 0; q < (2 * k1 + 1) * n; q++) nan |= dcond[q] != dcond[q];
+  for (intnat q = 0; q < 4; q++) nan |= deta[q] != deta[q];
+  for (intnat q = 0; q < m * n; q++) nan |= gnum[q] != gnum[q];
+  if (a->want_dx)
+    for (intnat q = 0; q < m * k; q++) nan |= dx[q] != dx[q];
+  return nan;
+}
+
+#undef ADD1
+#undef MUL1
+#undef ADD2
+#undef MUL2
+
+CAMLprim value pnn_c_crossbar_bwd(value vx, value veta, value vcond,
+                                  value vh, value vinv, value vnum, value vg,
+                                  value vgnum, value vdx, value vdeta,
+                                  value vdcond, intnat want_dx, intnat m,
+                                  intnat k, intnat n)
+{
+  const double *eta = BA(veta);
+  struct xbar_bwd a = {
+    BA(vx), BA(vcond), BA(vh), BA(vinv), BA(vnum), BA(vg),
+    BA(vgnum), BA(vdx), BA(vdeta), BA(vdcond),
+    eta[1], -eta[2], eta[3], want_dx, m, k, n
+  };
+  if (crossbar_bwd_body(&a, 0)) crossbar_bwd_body(&a, 1);
+  return Val_unit;
+}
+CAMLprim value pnn_c_crossbar_bwd_byte(value *argv, int argn)
+{
+  (void) argn;
+  return pnn_c_crossbar_bwd(argv[0], argv[1], argv[2], argv[3], argv[4],
+                            argv[5], argv[6], argv[7], argv[8], argv[9],
+                            argv[10], Long_val(argv[11]), Long_val(argv[12]),
+                            Long_val(argv[13]), Long_val(argv[14]));
 }
 
 /* ------------------------------------------ */

@@ -338,7 +338,6 @@ let matmul a b =
   if a.cols <> b.rows then shape_fail "matmul" a b;
   let m = a.rows and k = a.cols and n = b.cols in
   let dst = zeros_as a m n in
-  (* freshly allocated dst is already zeroed, as the kernels require *)
   mm3 Kr.matmul Kc.matmul a b dst m k n;
   dst
 
@@ -562,7 +561,6 @@ let matmul_into a b ~dst =
   if a.cols <> b.rows then shape_fail "matmul_into" a b;
   let m = a.rows and k = a.cols and n = b.cols in
   shape_check_dst "matmul_into" dst m n;
-  sfill dst.store 0 (m * n) 0.0;
   mm3 Kr.matmul Kc.matmul a b dst m k n
 
 let matmul_nt_into a b ~dst =
@@ -687,6 +685,67 @@ let ptanh_bwd_into ~eta v ~h ~g ~dv ~deta =
         ~deta:de n;
       load_into ds d;
       load_into des de
+
+(* The crossbar pair's operands: x is m × k, the packed conductances
+   (2(k + 1) + 1) × n, h and inv_x m × (k + 1), num m × n. *)
+let crossbar_check name ~x ~eta ~cond ~h ~inv_x ~num =
+  let m = x.rows and k = x.cols and n = cond.cols in
+  ptanh_check name eta;
+  if cond.rows <> (2 * (k + 1)) + 1 then shape_fail name x cond;
+  shape_check_dst name h m (k + 1);
+  shape_check_dst name inv_x m (k + 1);
+  shape_check_dst name num m n
+
+let crossbar_into ~x ~eta ~cond ~h ~inv_x ~num ~dst =
+  crossbar_check "crossbar_into" ~x ~eta ~cond ~h ~inv_x ~num;
+  let m = x.rows and k = x.cols and n = cond.cols in
+  shape_check_dst "crossbar_into" dst m n;
+  match (x.store, eta.store, cond.store, h.store, inv_x.store, num.store, dst.store) with
+  | F xb, F e, F c, F hb, F ib, F nb, F d ->
+      Kr.crossbar ~x:xb ~eta:e ~cond:c ~h:hb ~inv_x:ib ~num:nb ~out:d m k n
+  | C xb, C e, C c, C hb, C ib, C nb, C d ->
+      Kc.crossbar ~x:xb ~eta:e ~cond:c ~h:hb ~inv_x:ib ~num:nb ~out:d m k n
+  | xs, es, cs, hs, is, ns, ds ->
+      let hb = Array.make (m * (k + 1)) 0.0 and ib = Array.make (m * (k + 1)) 0.0 in
+      let nb = Array.make (m * n) 0.0 and d = Array.make (m * n) 0.0 in
+      Kr.crossbar ~x:(snapshot xs) ~eta:(snapshot es) ~cond:(snapshot cs) ~h:hb ~inv_x:ib
+        ~num:nb ~out:d m k n;
+      load_into hs hb;
+      load_into is ib;
+      load_into ns nb;
+      load_into ds d
+
+let crossbar_bwd_into ~x ~eta ~cond ~h ~inv_x ~num ~g ~gnum ~dx ~deta ~dcond =
+  crossbar_check "crossbar_bwd_into" ~x ~eta ~cond ~h ~inv_x ~num;
+  let m = x.rows and k = x.cols and n = cond.cols in
+  binop_check "crossbar_bwd_into" num g;
+  binop_check "crossbar_bwd_into" num gnum;
+  shape_check_dst "crossbar_bwd_into" deta eta.rows eta.cols;
+  shape_check_dst "crossbar_bwd_into" dcond cond.rows cond.cols;
+  let want_dx = match dx with Some _ -> true | None -> false in
+  (* without x's share the stub never touches [dx]: any buffer will do *)
+  let dx = match dx with Some d -> d | None -> gnum in
+  if want_dx then shape_check_dst "crossbar_bwd_into" dx m k;
+  match
+    ( x.store, eta.store, cond.store, h.store, inv_x.store, num.store, g.store, gnum.store,
+      dx.store, deta.store, dcond.store )
+  with
+  | F xb, F e, F c, F hb, F ib, F nb, F gb, F gn, F d, F de, F dc ->
+      Kr.crossbar_bwd ~x:xb ~eta:e ~cond:c ~h:hb ~inv_x:ib ~num:nb ~g:gb ~gnum:gn ~want_dx
+        ~dx:d ~deta:de ~dcond:dc m k n
+  | C xb, C e, C c, C hb, C ib, C nb, C gb, C gn, C d, C de, C dc ->
+      Kc.crossbar_bwd ~x:xb ~eta:e ~cond:c ~h:hb ~inv_x:ib ~num:nb ~g:gb ~gnum:gn ~want_dx
+        ~dx:d ~deta:de ~dcond:dc m k n
+  | xs, es, cs, hs, is, ns, gs, gns, dxs, des, dcs ->
+      let gn = Array.make (m * n) 0.0 and d = Array.make (m * k) 0.0 in
+      let de = Array.make 4 0.0 and dc = Array.make (numel cond) 0.0 in
+      Kr.crossbar_bwd ~x:(snapshot xs) ~eta:(snapshot es) ~cond:(snapshot cs) ~h:(snapshot hs)
+        ~inv_x:(snapshot is) ~num:(snapshot ns) ~g:(snapshot gs) ~gnum:gn ~want_dx ~dx:d
+        ~deta:de ~dcond:dc m k n;
+      load_into gns gn;
+      if want_dx then load_into dxs d;
+      load_into des de;
+      load_into dcs dc
 
 let softmax_rows_into m ~dst =
   shape_check_dst "softmax_rows_into" dst m.rows m.cols;

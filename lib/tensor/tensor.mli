@@ -321,6 +321,39 @@ val ptanh_bwd_into : eta:t -> t -> h:t -> g:t -> dv:t -> deta:t -> unit
     share and [deta] (shaped like [eta]) the four η shares — the values the
     node-by-node graph of the same formula accumulated, bit for bit. *)
 
+val crossbar_into :
+  x:t -> eta:t -> cond:t -> h:t -> inv_x:t -> num:t -> dst:t -> unit
+(** The crossbar of the paper's Eq. 1 for an [m × k] input [x] (without
+    its bias column) and packed conductances [cond] of shape
+    [(2(k + 1) + 1) × n] — θ⁺'s [k + 1] rows (inputs, then bias), θ⁻'s,
+    then the denominator row: [dst := ([x 1]·θ⁺ + inv·θ⁻) / den] row by
+    row, with [inv := −ptanh(eta, [x 1])] kept in [inv_x] and its tanh in
+    [h] (both [m × (k + 1)], bias column included) and the numerator in
+    [num], for {!crossbar_bwd_into}.  Bit-identical on every backend to the
+    kernel sequence it replaced: {!ptanh_into} on the bias-augmented input,
+    {!neg_into}, [1 / den], two {!matmul_into}, {!add_into},
+    {!mul_rowvec_into}. *)
+
+val crossbar_bwd_into :
+  x:t ->
+  eta:t ->
+  cond:t ->
+  h:t ->
+  inv_x:t ->
+  num:t ->
+  g:t ->
+  gnum:t ->
+  dx:t option ->
+  deta:t ->
+  dcond:t ->
+  unit
+(** Backward of {!crossbar_into} for the output gradient [g] ([m × n]),
+    with the forward's [h], [inv_x] and [num]: [gnum] gets the numerator's
+    gradient (a workspace, [m × n]), [deta] (shaped like [eta]) the four η
+    shares, [dcond] (shaped like [cond]) the conductances' gradient and
+    [dx], when given, x's share — the values the node-by-node graph
+    accumulated, bit for bit. *)
+
 val softmax_rows_into : t -> dst:t -> unit
 (** Numerically-stable row-wise softmax (max-shifted); [dst] must not alias
     the input. *)

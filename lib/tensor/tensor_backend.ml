@@ -70,8 +70,8 @@ type unop = Tanh | Sigmoid | Exp | Log | Sqrt | Relu | Abs
       in range.
     - Elementwise cores ([add] … [map], [unary]) read and write index [i]
       only, so the destination may alias an input.
-    - [matmul] and [sum_rows] accumulate into a destination the caller has
-      pre-zeroed.
+    - [matmul] overwrites its destination; [sum_rows] accumulates into a
+      destination the caller has pre-zeroed.
     - When [checked] is set, an out-of-range access must raise
       [Invalid_argument] instead of touching memory, and the floating-point
       operations and their order must not change.
@@ -142,6 +142,39 @@ module type KERNELS = sig
 
   val ptanh_bwd :
     eta:buf -> v:buf -> h:buf -> g:buf -> dv:buf -> deta:buf -> int -> unit
+
+  (* The crossbar (paper Eq. 1) over [m k n]: [x] is the m × k input
+     without its bias column, [cond] the packed conductances (θ⁺'s and θ⁻'s
+     k + 1 rows each, then the denominator row: (2(k + 1) + 1) × n).  The
+     forward writes inv(x) = −ptanh(η, [x 1]) to [inv_x] with its tanh in
+     [h] (both m × (k + 1), bias column included), the numerator
+     [x 1]·θ⁺ + inv(x)·θ⁻ to [num] and the normalised output to [out].  The
+     backward takes the output's gradient [g] and writes the numerator's
+     gradient to the m × n workspace [gnum], η's four shares to [deta],
+     the conductances' to [dcond] and, when [want_dx], x's to [dx].  Both
+     compose the reference's kernels in the order of the node-by-node
+     graph they replaced (see Kernels_ref.crossbar). *)
+  val crossbar :
+    x:buf -> eta:buf -> cond:buf -> h:buf -> inv_x:buf -> num:buf -> out:buf -> int -> int ->
+    int -> unit
+
+  val crossbar_bwd :
+    x:buf ->
+    eta:buf ->
+    cond:buf ->
+    h:buf ->
+    inv_x:buf ->
+    num:buf ->
+    g:buf ->
+    gnum:buf ->
+    want_dx:bool ->
+    dx:buf ->
+    deta:buf ->
+    dcond:buf ->
+    int ->
+    int ->
+    int ->
+    unit
 
   val softmax_rows : buf -> buf -> int -> int -> unit
   val ce_loss_sum : buf -> buf -> int -> float

@@ -511,6 +511,129 @@ let test_c_matmul_equals_reference () =
             (T.init 1 ns (fun _ j -> s ((7 * j) + 1)))))
     [ 1; 2; 3; 8; 9 ]
 
+(* {2 The crossbar pair: C = reference}
+
+   [T.crossbar_into]/[T.crossbar_bwd_into] on both backends: every output
+   of both kernels (h, inv(x), the numerator, the output; the numerator's
+   gradient, x's, η's and the conductances') must carry the unchecked
+   reference's bits, for the C stub in both modes and for the checked
+   reference.  Shapes straddle the stub's four-row blocks (m = 1..9) and
+   its 8-wide column tiles (n = 1, 3, 7 | 8 | 9, 17).  Three data sets:
+   full mantissas, where any re-association would show; the same with
+   signed zeros sprinkled in and nothing else special, which the C
+   backward's plain body must get right on its own (a NaN output sends it
+   to the pinned body); and [mk_special] (signed zeros, NaN payloads,
+   infinities, subnormals and extra exact zeros in x, the conductances and
+   the upstream gradient).  η is finite, or holds one of [nan_specials] in
+   one slot, which reaches the bias column's once-per-call tanh. *)
+
+let mk_signed_zeros rows cols seed scale =
+  let full = mk_full rows cols seed in
+  T.init rows cols (fun r c ->
+      let i = (r * cols) + c + (seed * 7919) in
+      match i mod 5 with
+      | 0 -> if i mod 2 = 0 then 0.0 else -0.0
+      | _ -> T.get full r c /. scale)
+
+let crossbar_run ~want_dx x eta cond g =
+  let m = T.rows x and k = T.cols x and n = T.cols cond in
+  let h = T.zeros m (k + 1) and inv_x = T.zeros m (k + 1) in
+  let num = T.zeros m n and out = T.zeros m n in
+  T.crossbar_into ~x ~eta ~cond ~h ~inv_x ~num ~dst:out;
+  let gnum = T.ones m n and dx = T.ones m k in
+  let deta = T.ones 1 4 and dcond = T.ones (T.rows cond) n in
+  T.crossbar_bwd_into ~x ~eta ~cond ~h ~inv_x ~num ~g ~gnum
+    ~dx:(if want_dx then Some dx else None)
+    ~deta ~dcond;
+  List.map T.to_array [ h; inv_x; num; out; gnum; dx; deta; dcond ] |> Array.concat
+
+let crossbar_agree what f =
+  let r = with_backend T.Reference (fun () -> with_checked false f) in
+  check_bits ~what:(what ^ " [reference, checked]") r
+    (with_backend T.Reference (fun () -> with_checked true f));
+  List.iter
+    (fun checked ->
+      check_bits
+        ~what:(Printf.sprintf "%s [c, checked=%b]" what checked)
+        r
+        (with_backend T.C64 (fun () -> with_checked checked f)))
+    [ false; true ]
+
+let test_crossbar_c_equals_reference () =
+  let base = [| 0.1; 0.8; 0.3; 2.5 |] in
+  let ns = Array.length nan_specials in
+  let case = ref 0 in
+  for m = 1 to 9 do
+    List.iter
+      (fun n ->
+        List.iter
+          (fun k ->
+            incr case;
+            let c = !case in
+            let slot = c mod 5 in
+            let eta () =
+              T.init 1 4 (fun _ j -> if j = slot then nan_specials.(c mod ns) else base.(j))
+            in
+            let tag data =
+              Printf.sprintf "crossbar %s %dx%dx%d %s" data m k n
+                (if slot = 4 then "finite eta" else Printf.sprintf "eta.(%d) special" slot)
+            in
+            let rows = (2 * (k + 1)) + 1 in
+            crossbar_agree (tag "full") (fun () ->
+                crossbar_run ~want_dx:(c mod 2 = 0)
+                  (T.map (fun v -> v /. 50.0) (mk_full m k c))
+                  (eta ())
+                  (T.map (fun v -> v /. 40.0) (mk_full rows n (c + 1)))
+                  (mk_full m n (c + 2)));
+            crossbar_agree (tag "signed zeros") (fun () ->
+                crossbar_run ~want_dx:true (mk_signed_zeros m k c 50.0) (eta ())
+                  (mk_signed_zeros rows n (c + 1) 40.0)
+                  (mk_signed_zeros m n (c + 2) 1.0));
+            crossbar_agree (tag "specials") (fun () ->
+                crossbar_run ~want_dx:(c mod 2 = 1) (mk_special m k c) (eta ())
+                  (mk_special rows n (c + 1))
+                  (mk_special m n (c + 2))))
+          [ 1; 4 ])
+      [ 1; 3; 7; 8; 9; 17 ]
+  done;
+  (* A NaN that reaches x's share alone: θ⁺'s first row holds two NaN
+     payloads, x's first column is all zeros (so the reference's skip of
+     exact-zero terms keeps the numerator finite) and the first column of
+     the upstream gradient is zero (so the reference skips the first NaN
+     and keeps the second, where bare arithmetic keeps the first).  Every
+     other output is finite, so only the check of x's share sends the C
+     backward to its pinned body. *)
+  crossbar_agree "crossbar NaN in x's share only" (fun () ->
+      let x =
+        T.init 6 3 (fun r c ->
+            if c > 0 then (float_of_int ((r * 3) + c) /. 7.0) -. 1.0
+            else if r mod 2 = 0 then 0.0
+            else -0.0)
+      in
+      let cond =
+        T.init 9 2 (fun r c ->
+            match (r, c) with
+            | 0, 0 -> Int64.float_of_bits 0x7ff8000000000abcL
+            | 0, 1 -> Int64.float_of_bits 0xfff8000000000defL
+            | _ -> 0.25 +. (float_of_int ((r * 2) + c) /. 11.0))
+      in
+      let g = T.init 6 2 (fun r c -> if c = 0 then 0.0 else float_of_int (r + 1) /. 3.0) in
+      crossbar_run ~want_dx:true x (T.of_array base) cond g);
+  (* every special in every η slot, on one shape *)
+  for slot = 0 to 3 do
+    Array.iter
+      (fun e ->
+        crossbar_agree
+          (Printf.sprintf "crossbar eta.(%d) = %Lx" slot (bits e))
+          (fun () ->
+            crossbar_run ~want_dx:true
+              (T.map (fun v -> v /. 50.0) (mk_full 6 3 1))
+              (T.init 1 4 (fun _ j -> if j = slot then e else base.(j)))
+              (T.map (fun v -> v /. 40.0) (mk_full 9 4 2))
+              (mk_special 6 4 3)))
+      nan_specials
+  done
+
 let test_training_kernels () =
   List.iter
     (fun op ->
@@ -694,7 +817,21 @@ let test_mixed_storage () =
             T.to_array (T.matmul a b)))
   in
   (* mixed operands fall back to the reference kernels: bit-identical *)
-  check_bits ~what:"mixed matmul (c, ref) = reference matmul" pure_mm mixed_mm
+  check_bits ~what:"mixed matmul (c, ref) = reference matmul" pure_mm mixed_mm;
+  let xbar () =
+    crossbar_run ~want_dx:true (mk_special 5 3 1) (T.of_array [| 0.1; 0.8; 0.3; 2.5 |])
+      (mk_special 9 4 2) (mk_special 5 4 3)
+  in
+  let mixed_xbar =
+    (* x (and the outputs) on C, the other operands on the reference *)
+    with_backend T.C64 (fun () ->
+        let x = mk_special 5 3 1 in
+        with_backend T.Reference (fun () ->
+            crossbar_run ~want_dx:true x (T.of_array [| 0.1; 0.8; 0.3; 2.5 |])
+              (mk_special 9 4 2) (mk_special 5 4 3)))
+  in
+  check_bits ~what:"mixed crossbar (c x) = reference crossbar"
+    (with_backend T.Reference xbar) mixed_xbar
 
 (* {2 Construction / surface} *)
 
@@ -986,6 +1123,8 @@ let () =
           Alcotest.test_case "noise draws" `Quick test_noise_draws;
           Alcotest.test_case "C matmul family = reference" `Quick
             test_c_matmul_equals_reference;
+          Alcotest.test_case "C crossbar pair = reference" `Quick
+            test_crossbar_c_equals_reference;
           Alcotest.test_case "reference matmul tiled vs naive" `Quick
             test_ref_matmul_tiled_vs_naive;
           Alcotest.test_case "reference matmul digests" `Quick test_ref_matmul_digests;

@@ -221,6 +221,56 @@ let test_features () =
           [ om ] seed
       done)
 
+(* One crossbar case: a layer with random θ and circuits, a noise draw
+   with specials in ε_θ, and [rows] inputs, run through the old graph and
+   the fused nodes.  With [const_x] the input is a const leaf, as in a
+   network's first layer, so the crossbar skips x's gradient. *)
+let crossbar_case config surrogate rng mode ~rows ~inputs ~outputs ~trial ~const_x =
+  let layer = Pnn.Layer.create (Rng.create trial) config surrogate ~inputs ~outputs in
+  List.iter
+    (fun p -> T.blit ~src:(tensor rng 1 7 ~lo:(-3.0) ~hi:3.0) ~dst:(A.value p))
+    (Pnn.Layer.params_omega layer);
+  let theta = tensor rng (inputs + 2) outputs ~lo:(-1.2) ~hi:1.2 in
+  T.blit ~src:theta ~dst:(A.value layer.Pnn.Layer.theta);
+  let ones7 = T.ones 1 7 in
+  let noise =
+    {
+      Pnn.Noise.theta = tensor ~special:0.15 rng (inputs + 2) outputs ~lo:0.9 ~hi:1.1;
+      act_omega = ones7;
+      neg_omega = ones7;
+    }
+  in
+  let x = tensor rng rows inputs ~lo:0.0 ~hi:1.0 in
+  let seed = tensor rng rows outputs ~lo:(-1.0) ~hi:1.0 in
+  let grads out =
+    A.backward (A.sum (A.mul out (A.const seed)));
+    List.map
+      (fun p -> T.copy (A.grad p))
+      (Pnn.Layer.params_theta layer @ Pnn.Layer.params_omega layer)
+  in
+  let leaf () = if const_x then A.const (T.copy x) else A.param (T.copy x) in
+  let xo = leaf () in
+  let nodes = Pnn.Layer.noise_nodes_of noise in
+  let _, neg_eta =
+    Pnn.Nonlinear.eta_pair layer.Pnn.Layer.act layer.Pnn.Layer.neg
+      ~act_noise:nodes.Pnn.Layer.act_n ~neg_noise:nodes.Pnn.Layer.neg_n
+  in
+  let old = old_preactivation config layer.Pnn.Layer.theta nodes.Pnn.Layer.theta_n neg_eta xo in
+  let g_old = grads old in
+  let xn = leaf () in
+  let fused = Pnn.Layer.preactivation config layer ~noise xn in
+  let g_new = grads fused in
+  let what =
+    Printf.sprintf "crossbar %d rows %dx%d%s %s trial %d" rows inputs outputs
+      (if const_x then " const x" else "")
+      mode trial
+  in
+  check_bits (what ^ " value") (A.value old) (A.value fused);
+  if not const_x then check_bits (what ^ " x grad") (A.grad xo) (A.grad xn);
+  List.iteri
+    (fun i (a, b) -> check_bits (Printf.sprintf "%s param grad %d" what i) a b)
+    (List.combine g_old g_new)
+
 let test_preactivation () =
   let surrogate = Fixtures.surrogate () in
   let config = Pnn.Config.default in
@@ -229,48 +279,24 @@ let test_preactivation () =
       List.iter
         (fun (inputs, outputs) ->
           for trial = 0 to 5 do
-            let layer = Pnn.Layer.create (Rng.create trial) config surrogate ~inputs ~outputs in
             List.iter
-              (fun p -> T.blit ~src:(tensor rng 1 7 ~lo:(-3.0) ~hi:3.0) ~dst:(A.value p))
-              (Pnn.Layer.params_omega layer);
-            let theta = tensor rng (inputs + 2) outputs ~lo:(-1.2) ~hi:1.2 in
-            T.blit ~src:theta ~dst:(A.value layer.Pnn.Layer.theta);
-            let ones7 = T.ones 1 7 in
-            let noise =
-              {
-                Pnn.Noise.theta = tensor ~special:0.15 rng (inputs + 2) outputs ~lo:0.9 ~hi:1.1;
-                act_omega = ones7;
-                neg_omega = ones7;
-              }
-            in
-            let x = tensor rng 7 inputs ~lo:0.0 ~hi:1.0 in
-            let seed = tensor rng 7 outputs ~lo:(-1.0) ~hi:1.0 in
-            let grads out =
-              A.backward (A.sum (A.mul out (A.const seed)));
-              List.map
-                (fun p -> T.copy (A.grad p))
-                (Pnn.Layer.params_theta layer @ Pnn.Layer.params_omega layer)
-            in
-            let xo = A.param (T.copy x) in
-            let nodes = Pnn.Layer.noise_nodes_of noise in
-            let _, neg_eta =
-              Pnn.Nonlinear.eta_pair layer.Pnn.Layer.act layer.Pnn.Layer.neg
-                ~act_noise:nodes.Pnn.Layer.act_n ~neg_noise:nodes.Pnn.Layer.neg_n
-            in
-            let old = old_preactivation config layer.Pnn.Layer.theta nodes.Pnn.Layer.theta_n neg_eta xo in
-            let g_old = grads old in
-            let gx_old = T.copy (A.grad xo) in
-            let xn = A.param (T.copy x) in
-            let fused = Pnn.Layer.preactivation config layer ~noise xn in
-            let g_new = grads fused in
-            let what = Printf.sprintf "crossbar %dx%d %s trial %d" inputs outputs mode trial in
-            check_bits (what ^ " value") (A.value old) (A.value fused);
-            check_bits (what ^ " x grad") gx_old (A.grad xn);
-            List.iteri
-              (fun i (a, b) -> check_bits (Printf.sprintf "%s param grad %d" what i) a b)
-              (List.combine g_old g_new)
+              (fun const_x ->
+                crossbar_case config surrogate rng mode ~rows:7 ~inputs ~outputs ~trial ~const_x)
+              [ false; true ]
           done)
-        [ (4, 3); (3, 5); (9, 2) ])
+        [ (4, 3); (3, 5); (9, 2) ];
+      (* shapes straddling the C stub's four-row blocks (rows 1..9) and its
+         8-wide column tiles (n_out 1, 3, 7 | 8 | 9, 17) *)
+      for rows = 1 to 9 do
+        List.iter
+          (fun outputs ->
+            List.iter
+              (fun const_x ->
+                crossbar_case config surrogate rng mode ~rows ~inputs:(2 + (rows mod 3)) ~outputs
+                  ~trial:rows ~const_x)
+              [ false; true ])
+          [ 1; 3; 7; 8; 9; 17 ]
+      done)
 
 let () =
   Alcotest.run "fused"

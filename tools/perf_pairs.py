@@ -9,13 +9,17 @@ Exports REV (with git archive) and the working tree as it is on disk
 (tracked and untracked files that git does not ignore, uncommitted edits
 included) into two fresh directories under $TMPDIR, builds the benchmark in
 each, then runs perfbench/run.py alternately in the two for the run length
-BENCHMARK.json sets (run_seconds): pair i runs both with seed i, the base
-first in even pairs and the change first in odd ones, so drift in machine
-speed falls on both sides alike.  For every metric the runs report it
-prints the median and quartiles of each side, the ratio of the medians
-(change / base) and in how many pairs the change was better, using the
-direction declared in BENCHMARK.json.  The directories are removed
-afterwards.
+BENCHMARK.json sets (run_seconds): the pairs run both sides with seeds
+FIRST_SEED, FIRST_SEED + 1, ... (--first-seed, default 1), the base first in
+the first, third, ... pair and the change first in the others, so drift in
+machine speed falls on both sides alike.  A --first-seed beyond the seeds
+used while a change was written (say 101) checks its claim on held-out
+seeds.  For every metric the runs report it prints the median and
+quartiles of each side, the ratio of the medians (change / base) and in
+how many pairs the change was better, using the direction declared in
+BENCHMARK.json; a metric that is 0 in every run of both sides (a per-layer
+row the workload does not exercise) is left out.  The directories are
+removed afterwards.
 """
 
 import argparse
@@ -84,6 +88,8 @@ def main():
     ap.add_argument("rev", help="base revision (the change is the working tree)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--first-seed", type=int, default=1,
+                    help="seed of the first pair (default 1)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     if not os.path.exists("BENCHMARK.json"):
@@ -107,19 +113,24 @@ def main():
                 order.reverse()
             for side, tree in order:
                 runs[side].append(
-                    run_bench(tree, args.workload, i + 1, seconds, args.trace))
+                    run_bench(tree, args.workload, args.first_seed + i, seconds,
+                              args.trace))
             sys.stderr.write("pair %d/%d done\n" % (i + 1, args.pairs))
     finally:
         shutil.rmtree(top, ignore_errors=True)
 
-    print("workload %s: %s (base) vs working tree (change), %d pairs of %gs runs"
-          % (args.workload, args.rev, args.pairs, seconds))
+    print("workload %s: %s (base) vs working tree (change), %d pairs of %gs runs,"
+          " seeds %d..%d"
+          % (args.workload, args.rev, args.pairs, seconds, args.first_seed,
+             args.first_seed + args.pairs - 1))
     print("%-22s %12s %23s %12s %23s %7s %6s"
           % ("metric", "base med", "base [q1, q3]", "change med", "change [q1, q3]",
              "ratio", "wins"))
     for name in runs["base"][0]:
         b = [r[name] for r in runs["base"]]
         c = [r[name] for r in runs["change"]]
+        if all(x == 0 for x in b + c):
+            continue
         bm, cm = statistics.median(b), statistics.median(c)
         bq, cq = quartiles(b), quartiles(c)
         direction = better.get(name, "higher")
