@@ -10,15 +10,11 @@
    matrix run at 1 worker and at 2 forked workers with a crash injected into
    one of them, asserting the recovered 2-worker table is byte-identical.
 
-   `bench6` measures worker-count scaling on a cold cache and writes the
-   committed BENCH_6.json.
-
    Examples:
      dune exec bin/orchestrate.exe -- run --scale quick --workers 4
      dune exec bin/orchestrate.exe -- run --scale paper --datasets all \
        --faults seeds --cache _cache --queue _cache/queue
      dune exec bin/orchestrate.exe -- smoke
-     dune exec bin/orchestrate.exe -- bench6
 *)
 
 open Cmdliner
@@ -29,8 +25,8 @@ let setup_logs () =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some Logs.Info)
 
-(* pnnlint:allow R2 wall clock times phases for progress/bench reporting
-   only; every result below comes out of the content-addressed cache *)
+(* pnnlint:allow R2 wall clock times phases for progress reporting only;
+   every result below comes out of the content-addressed cache *)
 let now () = Unix.gettimeofday ()
 
 let fresh_dir prefix =
@@ -98,11 +94,11 @@ let cmd_run backend scale_name datasets_arg workers lease cache_dir queue_dir
   print_newline ();
   Printf.printf "%s\n" (Cache.summary cache)
 
-(* {1 Shared tiny fixture (smoke, bench6)} *)
+(* {1 Tiny smoke fixture} *)
 
-let tiny_scale ~seeds =
+let tiny_scale =
   {
-    Experiments.Setup.seeds;
+    Experiments.Setup.seeds = [ 1; 2 ];
     test_epsilons = [ 0.05 ];
     n_mc_test = 4;
     config =
@@ -124,10 +120,10 @@ let tiny_surrogate () =
     (Surrogate.Pipeline.train_surrogate ~arch:[ 10; 8; 6; 4 ] ~max_epochs:150
        (Rng.create 42) dataset)
 
-let blob_data name seed =
+let tiny_dataset () =
   Datasets.Synth.generate
     {
-      Datasets.Synth.name;
+      Datasets.Synth.name = "orch-blobs";
       features = 3;
       classes = 2;
       samples = 70;
@@ -136,7 +132,7 @@ let blob_data name seed =
       spread = 0.06;
       label_noise = 0.0;
       priors = None;
-      seed;
+      seed = 19;
     }
 
 let orchestrated_table ~root ~tag ~workers ~lease ?chaos scale surrogate
@@ -165,13 +161,12 @@ let cmd_smoke () =
     failwith "smoke: domains already spawned; cannot fork workers";
   let root = fresh_dir "pnn_orch_smoke" in
   Printf.printf "smoke: training throwaway surrogate...\n%!";
-  let scale = tiny_scale ~seeds:[ 1; 2 ] in
   let surrogate = tiny_surrogate () in
-  let datasets = [ blob_data "orch-blobs" 19 ] in
+  let datasets = [ tiny_dataset () ] in
   let t0 = now () in
   let _, table1 =
-    orchestrated_table ~root ~tag:"w1" ~workers:1 ~lease:30.0 scale surrogate
-      datasets
+    orchestrated_table ~root ~tag:"w1" ~workers:1 ~lease:30.0 tiny_scale
+      surrogate datasets
   in
   Printf.printf "smoke: 1-worker run done in %.1fs\n%!" (now () -. t0);
   (* two forked workers; worker 0 crashes mid-unit (Interrupted after epoch
@@ -183,8 +178,8 @@ let cmd_smoke () =
   in
   let t1 = now () in
   let report, table2 =
-    orchestrated_table ~root ~tag:"w2" ~workers:2 ~lease:0.5 ~chaos scale
-      surrogate datasets
+    orchestrated_table ~root ~tag:"w2" ~workers:2 ~lease:0.5 ~chaos
+      tiny_scale surrogate datasets
   in
   Printf.printf "smoke: 2-worker crash-recovery run done in %.1fs (%d respawns)\n%!"
     (now () -. t1) report.O.Coordinator.respawns;
@@ -202,79 +197,6 @@ let cmd_smoke () =
     exit 0
   end
   else exit 1
-
-(* {1 bench6} *)
-
-let json_of_row (workers, units, seconds, speedup) =
-  Printf.sprintf
-    "    { \"workers\": %d, \"units\": %d, \"seconds\": %.1f, \
-     \"units_per_s\": %.2f, \"speedup_vs_1\": %.2f }"
-    workers units seconds
-    (float_of_int units /. seconds)
-    speedup
-
-let cmd_bench6 json_path =
-  if not (Parallel.require_sequential ()) then
-    failwith "bench6: domains already spawned; cannot fork workers";
-  let root = fresh_dir "pnn_orch_bench6" in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "bench6: %d core(s); training throwaway surrogate...\n%!" cores;
-  (* heavier units than the smoke fixture: long enough that per-unit work
-     dominates the claim/renew/steal protocol overhead, so the scaling row
-     measures the orchestration, not the filesystem *)
-  let scale =
-    let t = tiny_scale ~seeds:[ 1; 2; 3; 4 ] in
-    {
-      t with
-      Experiments.Setup.config =
-        { t.Experiments.Setup.config with Pnn.Config.max_epochs = 400; patience = 400 };
-    }
-  in
-  let surrogate = tiny_surrogate () in
-  let datasets = [ blob_data "bench-blobs-a" 19; blob_data "bench-blobs-b" 23 ] in
-  let baseline = ref nan in
-  let rows =
-    List.map
-      (fun workers ->
-        Printf.printf "bench6: cold-cache run with %d worker(s)...\n%!" workers;
-        let t0 = now () in
-        let report, _ =
-          orchestrated_table ~root
-            ~tag:(Printf.sprintf "w%d" workers)
-            ~workers ~lease:30.0 scale surrogate datasets
-        in
-        let dt = now () -. t0 in
-        if workers = 1 then baseline := dt;
-        Printf.printf "bench6: %d worker(s): %d units in %.1fs\n%!" workers
-          report.O.Coordinator.units dt;
-        (workers, report.O.Coordinator.units, dt, !baseline /. dt))
-      [ 1; 2; 4 ]
-  in
-  (* warm-cache assembly: the coordinator path a finished run replays *)
-  let cache = Cache.create ~dir:(Filename.concat root "w1.cache") in
-  let ctx = O.Plan.create ~datasets ~checkpoint_every:5 ~cache scale surrogate in
-  let t0 = now () in
-  ignore (O.Coordinator.table2 ctx);
-  let warm = now () -. t0 in
-  Printf.printf "bench6: warm-cache assembly %.2fs\n%!" warm;
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"BENCH_6\",\n\
-    \  \"cores\": %d,\n\
-    \  \"workers_scaling\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"warm_assembly_s\": %.2f,\n\
-    \  \"note\": \"cold-cache tiny matrix over 2 datasets; forked workers \
-     share the content-addressed cache through the directory queue; \
-     speedup is bounded by the host's core count reported above\"\n\
-     }\n"
-    cores
-    (String.concat ",\n" (List.map json_of_row rows))
-    warm;
-  close_out oc;
-  Printf.printf "bench6: wrote %s\n%!" json_path
 
 (* {1 CLI} *)
 
@@ -350,21 +272,10 @@ let smoke_cmd =
           reproduce the 1-worker table byte-identically")
     Term.(const cmd_smoke $ const ())
 
-let json_arg =
-  Arg.(
-    value & opt string "BENCH_6.json"
-    & info [ "json" ] ~doc:"output path for the benchmark results")
-
-let bench6_cmd =
-  Cmd.v
-    (Cmd.info "bench6"
-       ~doc:"measure worker-count scaling and write BENCH_6.json")
-    Term.(const cmd_bench6 $ json_arg)
-
 let main =
   Cmd.group
     (Cmd.info "orchestrate"
        ~doc:"sharded multi-process experiment orchestration")
-    [ run_cmd; smoke_cmd; bench6_cmd ]
+    [ run_cmd; smoke_cmd ]
 
 let () = exit (Cmd.eval main)

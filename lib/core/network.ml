@@ -176,8 +176,7 @@ let draw_loss_and_grads t ~noise ~x ~labels =
   (Tensor.get (A.value e.c_root) 0 0, grads)
 
 (* Reference implementation: a throwaway replica per draw, as before the
-   compiled-replica cache existed.  Kept for the bit-identity tests and the
-   allocation benchmarks. *)
+   compiled-replica cache existed.  Kept as the bit-identity tests' oracle. *)
 let draw_loss_and_grads_alloc t ~noise ~x ~labels =
   let replica = replicate t in
   let l = loss replica ~noise ~x ~labels in
@@ -187,14 +186,16 @@ let draw_loss_and_grads_alloc t ~noise ~x ~labels =
   in
   (Tensor.get (A.value l) 0 0, grads)
 
-let mc_loss_pooled_with ~draw pool t ~noises ~x ~labels =
+let mc_loss_pooled pool t ~noises ~x ~labels =
   match noises with
   | [] -> invalid_arg "Network.mc_loss: no noise draws"
   | _ ->
       let draws = Array.of_list noises in
       let n = Array.length draws in
       let per_draw =
-        Parallel.Pool.map_array pool (fun noise -> draw t ~noise ~x ~labels) draws
+        Parallel.Pool.map_array pool
+          (fun noise -> draw_loss_and_grads t ~noise ~x ~labels)
+          draws
       in
       (* Ordered reduction over the draw index: the summation order is fixed
          by the draw order alone, so the result is bit-identical for any
@@ -216,12 +217,6 @@ let mc_loss_pooled_with ~draw pool t ~noises ~x ~labels =
       A.precomputed
         ~value:(Tensor.scalar (!total_loss *. inv_n))
         (List.combine (params_theta t @ params_omega t) !total_grads)
-
-let mc_loss_pooled pool t ~noises ~x ~labels =
-  mc_loss_pooled_with ~draw:draw_loss_and_grads pool t ~noises ~x ~labels
-
-let mc_loss_pooled_alloc pool t ~noises ~x ~labels =
-  mc_loss_pooled_with ~draw:draw_loss_and_grads_alloc pool t ~noises ~x ~labels
 
 (* Forward-only pooled MC loss value.  Per-draw losses come from the cached
    replicas (no backward pass); the draw-order fold and the final 1/n scale

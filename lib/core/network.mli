@@ -63,13 +63,6 @@ val mc_loss_pooled :
     are reduced in place into the first draw's buffers.  Allocation per draw
     is limited to small per-parameter gradient copies. *)
 
-val mc_loss_pooled_alloc :
-  Parallel.Pool.t ->
-  t -> noises:Noise.t list -> x:Tensor.t -> labels:Tensor.t -> Autodiff.t
-(** Reference implementation of {!mc_loss_pooled} that builds a throwaway
-    replica graph per draw (the pre-cache behaviour).  Bit-identical to
-    {!mc_loss_pooled}; kept for regression tests and benchmarks. *)
-
 val mc_loss_value :
   Parallel.Pool.t ->
   t -> noises:Noise.t list -> x:Tensor.t -> labels:Tensor.t -> float

@@ -23,7 +23,7 @@ type config = {
 
 let default_config =
   {
-    scan_dirs = [ "lib"; "bin"; "test"; "bench" ];
+    scan_dirs = [ "lib"; "bin"; "test" ];
     exclude = [ "lint_fixtures" ];
     (* cache keys: Cache, Serialize, Checkpoint; results: the experiment and
        evaluation stack.  The serving path is result-producing too — a

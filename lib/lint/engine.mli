@@ -18,7 +18,7 @@ type config = {
 }
 
 val default_config : config
-(** Scans [lib], [bin], [test], [bench]; excludes [lint_fixtures]; R2 roots
+(** Scans [lib], [bin], [test]; excludes [lint_fixtures]; R2 roots
     are the cache-key and result-producing units (Cache, Serialize,
     Checkpoint, Evaluation, Training, the experiment tables); R7 seeds are
     Domain/Parallel/Coordinator/Thread with only Coordinator allowed to

@@ -33,8 +33,7 @@ let all_rules =
          result.  Scheduling clocks (batch linger, select timeouts) and \
          latency observability are legitimate — suppress those sites with \
          a reason saying the time never reaches a response.  Timing for \
-         progress logs belongs in bin/ or bench/ shells outside the \
-         closure.";
+         progress logs belongs in bin/ shells outside the closure.";
     };
     {
       id = "R3";

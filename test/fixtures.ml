@@ -25,3 +25,11 @@ let surrogate () =
     omega_scaler = Surrogate.Scaler.fit omegas;
     eta_scaler = Surrogate.Scaler.fit etas;
   }
+
+(* Remove a file or a directory tree (test temp stores). *)
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path

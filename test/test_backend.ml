@@ -909,13 +909,6 @@ let test_surface () =
    here is a printed network's loss and parameter gradients under a noise
    draw, whose backward pass runs every matmul kernel. *)
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let loss_grads_entry () =
   let config = Pnn.Config.default in
   let net =
@@ -948,7 +941,7 @@ let test_one_schema () =
   let key = with_backend T.Reference key_of in
   Alcotest.(check string) "keys are equal" key (with_backend T.C64 key_of);
   let dir = Filename.temp_dir "pnn_backend_cache" "" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) @@ fun () ->
   let cache = Cache.create ~dir in
   Cache.store cache ~kind:"btest" ~key (with_backend T.Reference loss_grads_entry);
   let served = with_backend T.C64 (fun () -> Cache.find cache ~kind:"btest" ~key:(key_of ())) in

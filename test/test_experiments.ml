@@ -194,6 +194,39 @@ let test_table2_determinism () =
   Alcotest.(check (float 1e-12)) "deterministic mean" c1.E.Table2.mean c2.E.Table2.mean;
   Alcotest.(check (float 1e-12)) "deterministic std" c1.E.Table2.std c2.E.Table2.std
 
+(* Every cell of a Table II, the column averages included, with mean and
+   std in hex-float notation: equal lists mean bitwise-equal tables. *)
+let cell_bits t =
+  let bits cells =
+    List.map
+      (fun ((arm, eps), c) ->
+        Printf.sprintf "%s@%h: %h ± %h" (E.Setup.arm_name arm) eps c.E.Table2.mean
+          c.E.Table2.std)
+      cells
+  in
+  List.concat_map (fun r -> bits r.E.Table2.cells) t.E.Table2.rows @ bits t.E.Table2.average
+
+let test_table2_warm_cache () =
+  (* a cold pass fills a fresh store; a second pass against it must serve
+     every cell from the store and reproduce the table bit for bit *)
+  let dir = Filename.temp_dir "pnn_table2_cache" "" in
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) (fun () ->
+      let pass () =
+        let cache = Cache.create ~dir in
+        let t =
+          E.Table2.run ~cache ~datasets:[ mini_dataset ] mini_scale (Lazy.force surrogate)
+        in
+        (t, Cache.stats cache)
+      in
+      let cold, _ = pass () in
+      let warm, warm_stats = pass () in
+      Alcotest.(check int) "warm pass: no misses" 0 (Atomic.get warm_stats.Cache.misses);
+      Alcotest.(check bool) "warm pass: hits" true (Atomic.get warm_stats.Cache.hits > 0);
+      Alcotest.(check string) "rendered tables equal" (E.Table2.render cold) (E.Table2.render warm);
+      Alcotest.(check (list string))
+        "every mean and std bitwise equal" (cell_bits cold) (cell_bits warm));
+  Alcotest.(check bool) "temp store removed" false (Sys.file_exists dir)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -222,6 +255,7 @@ let () =
           Alcotest.test_case "table2 render" `Quick test_table2_render_and_csv;
           Alcotest.test_case "table3 summary" `Quick test_table3_summary;
           Alcotest.test_case "table2 determinism" `Quick test_table2_determinism;
+          Alcotest.test_case "table2 warm cache" `Quick test_table2_warm_cache;
           Alcotest.test_case "lifetime render" `Quick test_lifetime_render;
         ] );
     ]
