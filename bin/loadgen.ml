@@ -2,7 +2,7 @@
 
    Replays synthetic classification requests against a server — an external
    one over its socket (`run`), or in-process server domains spun up per
-   configuration (`bench5`, which writes the committed BENCH_5.json).
+   configuration (`bench5`, which wrote the committed BENCH_5.json).
 
    The driver is a single domain multiplexing C connections with
    [Unix.select]:
@@ -20,7 +20,7 @@
      dune exec bin/loadgen.exe -- run --socket /tmp/pnn.sock -n 100000 --clients 32
      dune exec bin/loadgen.exe -- run --socket /tmp/pnn.sock -n 1000000 \
        --clients 64 --rate 50000
-     dune exec bin/loadgen.exe -- bench5
+     dune exec bin/loadgen.exe -- bench5 --json /tmp/bench5.json
 *)
 
 open Cmdliner
@@ -358,52 +358,16 @@ let cmd_run sock_path total clients depth rate mc_every mc_draws seed =
     s.occupancy;
   print_newline ()
 
-(* {1 bench5: the committed serving benchmark} *)
-
-let time_ns ~runs f =
-  f ();
-  f ();
-  let t0 = now () in
-  for _ = 1 to runs do
-    f ()
-  done;
-  (now () -. t0) /. float_of_int runs *. 1e9
-
-(* The elementwise kernel gap between the reference and C backends. *)
-let elementwise_row () =
-  let measure backend =
-    Tensor.set_backend backend;
-    let rng = Rng.create 5 in
-    let a = Tensor.uniform rng 128 64 ~lo:(-1.0) ~hi:1.0 in
-    let b = Tensor.uniform rng 128 64 ~lo:(-1.0) ~hi:1.0 in
-    let dst = Tensor.zeros 128 64 in
-    (* best of five trials: the minimum mean is the least-perturbed one *)
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      best :=
-        Float.min !best (time_ns ~runs:20000 (fun () -> Tensor.add_into a b ~dst))
-    done;
-    !best
-  in
-  let ref_ns = measure Tensor.Reference in
-  let c_ns = measure Tensor.C64 in
-  (ref_ns, c_ns)
+(* {1 bench5: the serving benchmark} *)
 
 let wide_model surrogate =
   Serving.Serve_model.of_network
     (Pnn.Network.create_deep (Rng.create 11) Pnn.Config.default surrogate
        ~sizes:[ 64; 48; 16 ])
 
-type bench_row = {
-  row_name : string;
-  backend : string;
-  max_batch : int;
-  s : summary;
-}
+type bench_row = { row_name : string; max_batch : int; s : summary }
 
-let bench_config ~surrogate ~backend ~max_batch ~total ~clients ~depth ~mc_every
-    ~mc_draws =
-  Tensor.set_backend backend;
+let bench_config ~surrogate ~max_batch ~total ~clients ~depth ~mc_every ~mc_draws =
   let model = wide_model surrogate in
   let dir = Filename.temp_file "pnn_bench5" "" in
   Sys.remove dir;
@@ -435,61 +399,46 @@ let bench_config ~surrogate ~backend ~max_batch ~total ~clients ~depth ~mc_every
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   summarize ~elapsed_s ~latencies ~stats_before:(zero_stats max_batch) ~stats_after
 
-let json_of_row r =
+let json_of_row ~backend r =
   Printf.sprintf
     "    { \"name\": %S, \"backend\": %S, \"max_batch\": %d, \"requests\": %d, \
      \"throughput_rps\": %.1f, \"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": \
      %.1f, \"batches\": %Ld, \"mean_occupancy\": %.2f }"
-    r.row_name r.backend r.max_batch r.s.requests r.s.throughput_rps r.s.p50_us
+    r.row_name backend r.max_batch r.s.requests r.s.throughput_rps r.s.p50_us
     r.s.p99_us r.s.p999_us r.s.batches (mean_occupancy r.s)
 
+(* Every row runs on the active backend (PNN_BACKEND, default c). *)
 let cmd_bench5 total clients depth json_path =
-  (* Elementwise first, on a quiet compacted heap — the serving runs below
-     leave a large major heap behind that would skew a kernel microbench. *)
-  Gc.compact ();
-  let ref_ns, c_ns = elementwise_row () in
-  Printf.printf "bench5: tensor_add_128x64 ref %.0f ns vs c %.0f ns (%.2fx)\n%!"
-    ref_ns c_ns (ref_ns /. c_ns);
   Printf.printf "bench5: training throwaway surrogate...\n%!";
   let dataset = Surrogate.Pipeline.generate_dataset ~n:250 () in
   let surrogate, _ =
     Surrogate.Pipeline.train_surrogate ~arch:[ 10; 8; 6; 4 ] ~max_epochs:300
       (Rng.create 42) dataset
   in
+  let backend = Tensor.backend_name (Tensor.backend ()) in
   let rows = ref [] in
-  let add_row row_name backend max_batch ~mc_every ~mc_draws =
-    let name = Tensor.backend_name backend in
-    Printf.printf "bench5: %s (backend %s, max_batch %d)...\n%!" row_name name
+  let add_row row_name max_batch ~mc_every ~mc_draws =
+    Printf.printf "bench5: %s (backend %s, max_batch %d)...\n%!" row_name backend
       max_batch;
     let s =
-      bench_config ~surrogate ~backend ~max_batch ~total ~clients ~depth
-        ~mc_every ~mc_draws
+      bench_config ~surrogate ~max_batch ~total ~clients ~depth ~mc_every ~mc_draws
     in
     print_summary (Printf.sprintf "  %s" row_name) s;
-    rows := { row_name; backend = name; max_batch; s } :: !rows
+    rows := { row_name; max_batch; s } :: !rows
   in
-  (* {batch=1, batch=64} x {reference, c}, plus one MC row *)
-  let named batch = Printf.sprintf "serve_wide_batch%d_%s" batch in
-  add_row (named 1 "reference") Tensor.Reference 1 ~mc_every:0 ~mc_draws:0;
-  add_row (named 64 "reference") Tensor.Reference 64 ~mc_every:0 ~mc_draws:0;
-  add_row (named 1 "c") Tensor.C64 1 ~mc_every:0 ~mc_draws:0;
-  add_row (named 64 "c") Tensor.C64 64 ~mc_every:0 ~mc_draws:0;
-  add_row "serve_wide_mc32_c" Tensor.C64 64 ~mc_every:8 ~mc_draws:32;
+  (* batch=1 and batch=64, plus one MC row *)
+  let named batch = Printf.sprintf "serve_wide_batch%d_%s" batch backend in
+  add_row (named 1) 1 ~mc_every:0 ~mc_draws:0;
+  add_row (named 64) 64 ~mc_every:0 ~mc_draws:0;
+  add_row ("serve_wide_mc32_" ^ backend) 64 ~mc_every:8 ~mc_draws:32;
   let rows = List.rev !rows in
   let find name = List.find (fun r -> r.row_name = name) rows in
-  let speedup be = (find (named 64 be)).s.throughput_rps /. (find (named 1 be)).s.throughput_rps in
-  Printf.printf "bench5: batching speedup reference %.1fx, c %.1fx\n%!"
-    (speedup "reference") (speedup "c");
+  let speedup = (find (named 64)).s.throughput_rps /. (find (named 1)).s.throughput_rps in
+  Printf.printf "bench5: batching speedup %s %.1fx\n%!" backend speedup;
   let oc = open_out json_path in
   Printf.fprintf oc "{\n  \"bench\": \"BENCH_5\",\n  \"results\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_of_row rows));
-  Printf.fprintf oc
-    "  \"batching_speedup\": { \"reference\": %.2f, \"c\": %.2f },\n"
-    (speedup "reference") (speedup "c");
-  Printf.fprintf oc
-    "  \"elementwise\": { \"name\": \"tensor_add_128x64\", \"ref_ns\": %.1f, \
-     \"c_ns\": %.1f, \"speedup\": %.2f }\n}\n"
-    ref_ns c_ns (ref_ns /. c_ns);
+    (String.concat ",\n" (List.map (json_of_row ~backend) rows));
+  Printf.fprintf oc "  \"batching_speedup\": { %S: %.2f }\n}\n" backend speedup;
   close_out oc;
   Printf.printf "bench5: wrote %s\n%!" json_path
 
@@ -541,8 +490,9 @@ let seed_arg =
 
 let json_arg =
   Arg.(
-    value & opt string "BENCH_5.json"
-    & info [ "json" ] ~doc:"output path for the benchmark results")
+    required
+    & opt (some string) None
+    & info [ "json" ] ~docv:"PATH" ~doc:"output path for the benchmark results")
 
 let run_cmd =
   Cmd.v
@@ -555,8 +505,8 @@ let bench5_cmd =
   Cmd.v
     (Cmd.info "bench5"
        ~doc:
-         "measure serving throughput/latency across {batch 1, batch 64} x \
-          {reference, c} and write BENCH_5.json")
+         "measure serving throughput/latency at batch 1 and batch 64, plus \
+          one MC row, and write them to the --json path")
     Term.(
       const cmd_bench5 $ total_arg $ bench_clients_arg
       $ bench_depth_arg $ json_arg)

@@ -55,9 +55,9 @@ let all_rules =
          stating why every index is in range.  The same applies to every \
          external C-stub declaration in lib/tensor (non-% primitives): the \
          stub crosses the FFI with raw buffers, so the declaration must \
-         document its bounds/ABI contract.  PNN_CHECKED=1 additionally \
-         runs the reference kernels' bounds-checked loops and asserts \
-         buffer lengths before every C stub.";
+         document its bounds/ABI contract.  lib/ has no unsafe OCaml \
+         array access (every tensor kernel indexes with bounds \
+         checks), so in the live tree R4 guards the C externals.";
     };
     {
       id = "R5";

@@ -16,17 +16,15 @@
    argument is in the stub file and docs/INTERNALS.md).  Both backends
    therefore share one cache schema.
 
-   Checked (sanitizer) mode: the stubs cannot bounds-check, so under
-   PNN_CHECKED=1 each wrapper first asserts that every buffer holds the
-   elements the stub will touch ([need]), raising [Invalid_argument] before
-   the stub runs.  Both modes then call the same stub, so results are
-   bit-identical across modes by construction.
+   Bounds: the stubs cannot bounds-check, so each wrapper first asserts
+   that every buffer holds the elements the stub will touch ([need]),
+   raising [Invalid_argument] before the stub runs.
 
    Closures cannot cross the FFI, so [map] is an OCaml loop; so are the cold
    edge kernels with delicate NaN/-0.0 select semantics ([min_value]/
    [max_value]/[argmax_rows]), which are not worth a C twin that would have
-   to reproduce IEEE select quirks.  These loops use bounds-checked access
-   in both modes. *)
+   to reproduce IEEE select quirks.  These loops use bounds-checked
+   access. *)
 
 open Bigarray
 module TB = Tensor_backend
@@ -77,12 +75,11 @@ let load b a =
    ABI: flat Float64 bigarray data pointers + explicit [@untagged]
    dimensions, [@unboxed] float scalars, no callbacks, no OCaml-heap
    allocation ([@@noalloc]); each stub has a _byte twin for the bytecode
-   calling convention.  Bounds are never checked C-side: every wrapper
-   below is called from the Tensor dispatch layer, which validates shapes
-   before dispatch (PNN_CHECKED=1 additionally asserts every buffer length
-   in the wrapper before the stub is reached). *)
+   calling convention.  Bounds are never checked C-side: the Tensor
+   dispatch layer validates shapes before dispatch, and every wrapper below
+   asserts each buffer's length before the stub is reached. *)
 
-(* SAFETY: the [fill]/[blit] wrappers below check, in every mode, that
+(* SAFETY: the [fill]/[blit] wrappers below check that
    [pos, pos + len) lies inside each buffer; blit's memmove handles
    overlapping ranges of one buffer. *)
 external c_fill : buf -> (int[@untagged]) -> (int[@untagged]) -> (float[@unboxed]) -> unit
@@ -327,20 +324,20 @@ external c_adam_step_many :
   unit = "pnn_c_adam_step_many_byte" "pnn_c_adam_step_many"
 [@@noalloc]
 
-(* {2 Checked mode} *)
+(* {2 Length assertions} *)
 
-(* [need n b]: under PNN_CHECKED=1, [b] must hold at least [n] elements —
-   one O(1) assertion per buffer, made before the stub touches anything. *)
+(* [need n b]: [b] must hold at least [n] elements — one O(1) assertion
+   per buffer, made before the stub touches anything. *)
 let need n b =
-  if Atomic.get TB.checked && Array1.dim b < n then
+  if Array1.dim b < n then
     invalid_arg
       (Printf.sprintf "Kernels_c: buffer of %d elements, kernel needs %d"
          (Array1.dim b) n)
 
 (* {2 Kernel catalogue} *)
 
-(* [fill]/[blit] check their ranges in every mode, as the bounds-checked
-   OCaml loops they replaced did; that check covers checked mode's [need]. *)
+(* [fill]/[blit] check their ranges, as the bounds-checked OCaml loops they
+   replaced did; that check stands in for [need]. *)
 let range name b pos len =
   if pos < 0 || len < 0 || pos > Array1.dim b - len then
     invalid_arg
@@ -559,7 +556,7 @@ let sgd_step ~lr ~grad ~value n =
   c_sgd_step lr grad value n
 
 (* The moments are plain float arrays whose lengths the dispatch layer
-   checks in every mode. *)
+   checks. *)
 let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad ~value n =
   need n grad;
   need n value;

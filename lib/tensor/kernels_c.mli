@@ -4,11 +4,10 @@
     (pnn_kernels_stubs.c, compiled -O2 -fno-fast-math -ffp-contract=off).
     Every kernel is bit-identical to the reference backend, the matmul
     family included (its NaN outputs are recomputed with the reference's
-    rules).  Under
-    PNN_CHECKED=1 every stub call is preceded by an O(1) length assertion
-    per buffer that raises [Invalid_argument]; the stub itself is the same
-    in both modes.  Only the dispatch layer in {!Tensor} may call these
-    directly (pnnlint R6 enforces the boundary outside [lib/tensor]). *)
+    rules).  Every stub call is preceded by an O(1) length assertion per
+    buffer that raises [Invalid_argument].  Only the dispatch layer in
+    {!Tensor} may call these directly (pnnlint R6 enforces the boundary
+    outside [lib/tensor]). *)
 
 include
   Tensor_backend.KERNELS

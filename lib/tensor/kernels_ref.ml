@@ -5,24 +5,16 @@
    modules, in the same order, so every golden trajectory, checkpoint and
    determinism test pinned against the old code stays bit-identical.
 
-   Checked (sanitizer) mode: each hot kernel carries two loop bodies.  The
-   flag is tested once per kernel call, not per element (a per-element
-   dereference measured ~2.3x slower on the elementwise hot path).  The
-   rule for the two bodies:
-   - the checked body is the verbatim semantics: the naive loop with
-     bounds-checked indexing;
-   - the unchecked body may reorder and tile loops, but never the sequence
-     of operations any one output element sees, nor the operand order of
-     any operation.  Operand order matters for commutative adds: when two
-     NaNs meet, x86 keeps the first operand's payload (see [matmul]).
-   The two bodies are therefore bit-identical, NaN payloads included, and
-   test/test_backend.ml compares them. *)
+   One body per kernel: the naive loop with bounds-checked indexing, so an
+   out-of-range access raises [Invalid_argument].  Operand order is spelled
+   out wherever it can decide a NaN payload (when two NaNs meet, x86 keeps
+   the first operand's, see [matmul]); test/test_backend.ml pins the
+   resulting bits. *)
 
 module TB = Tensor_backend
 
 type buf = float array
 
-let checked () = Atomic.get TB.checked
 let create n = Array.make n 0.0
 let length = Array.length
 let get = Array.get
@@ -51,143 +43,63 @@ let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
 (* {1 Elementwise} *)
 
 let add a b dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- a.(i) +. b.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (Array.unsafe_get a i +. Array.unsafe_get b i)
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- a.(i) +. b.(i)
+  done
 
 let sub a b dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- a.(i) -. b.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (Array.unsafe_get a i -. Array.unsafe_get b i)
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- a.(i) -. b.(i)
+  done
 
 let mul a b dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- a.(i) *. b.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (Array.unsafe_get a i *. Array.unsafe_get b i)
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- a.(i) *. b.(i)
+  done
 
 let div a b dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- a.(i) /. b.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (Array.unsafe_get a i /. Array.unsafe_get b i)
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- a.(i) /. b.(i)
+  done
 
 let neg a dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- -.a.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (-.Array.unsafe_get a i)
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- -.a.(i)
+  done
 
-(* [scale]/[add_scalar]: the unchecked body's [k op load] keeps [k] in the
-   first operand, so a NaN [k] wins over a NaN element; the checked body
-   compiles the other way round and states the rule with [mul_first]. *)
+(* [scale]/[add_scalar]: a NaN [k] wins over a NaN element. *)
 let scale k a dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- mul_first k a.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (k *. Array.unsafe_get a i)
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- mul_first k a.(i)
+  done
 
 let add_scalar k a dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- add_first k a.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (k +. Array.unsafe_get a i)
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- add_first k a.(i)
+  done
 
 let map f a dst n =
-  if checked () then
-    for i = 0 to n - 1 do
-      dst.(i) <- f a.(i)
-    done
-  else
-    (* SAFETY: i < n and the dispatch layer checks shapes, so n <= each
-       array length *)
-    for i = 0 to n - 1 do
-      Array.unsafe_set dst i (f (Array.unsafe_get a i))
-    done
+  for i = 0 to n - 1 do
+    dst.(i) <- f a.(i)
+  done
 
 (* {1 Broadcasts} *)
 
 let add_rowvec md vd dst rows cols =
-  if checked () then
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      for c = 0 to cols - 1 do
-        dst.(base + c) <- md.(base + c) +. vd.(c)
-      done
+  for r = 0 to rows - 1 do
+    let base = r * cols in
+    for c = 0 to cols - 1 do
+      dst.(base + c) <- md.(base + c) +. vd.(c)
     done
-  else
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      (* SAFETY: base + c < rows * cols = length of md and dst;
-         c < cols = length vd — the dispatch layer checks all three shapes *)
-      for c = 0 to cols - 1 do
-        Array.unsafe_set dst (base + c)
-          (Array.unsafe_get md (base + c) +. Array.unsafe_get vd c)
-      done
-    done
+  done
 
 let mul_rowvec md vd dst rows cols =
-  if checked () then
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      for c = 0 to cols - 1 do
-        dst.(base + c) <- md.(base + c) *. vd.(c)
-      done
+  for r = 0 to rows - 1 do
+    let base = r * cols in
+    for c = 0 to cols - 1 do
+      dst.(base + c) <- md.(base + c) *. vd.(c)
     done
-  else
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      (* SAFETY: base + c < rows * cols = length of md and dst;
-         c < cols = length vd — the dispatch layer checks all three shapes *)
-      for c = 0 to cols - 1 do
-        Array.unsafe_set dst (base + c)
-          (Array.unsafe_get md (base + c) *. Array.unsafe_get vd c)
-      done
-    done
+  done
 
 (* {1 Linear algebra} *)
 
@@ -200,128 +112,43 @@ let mul_rowvec md vd dst rows cols =
    operand's payload, and ocamlopt swaps a commutative add's operands to
    fold a bare array load into the instruction, so [load +. product] and
    [acc +. product] would disagree on which NaN survives.  Product-first
-   yields the product's payload in every body below.
-
-   The checked body is the naive loop.  The unchecked body keeps 8 output
-   columns of row i in float registers across the whole p loop and stores
-   them once (columns past the last full tile keep the naive loop): every
-   element sees the same operations in the same order, so the two bodies
-   are bit-identical — pinned by test/test_backend.ml. *)
+   yields the product's payload. *)
 let matmul ad bd cd m k n =
   Array.fill cd 0 (m * n) 0.0;
-  if checked () then
-    for i = 0 to m - 1 do
-      let a_base = i * k and c_base = i * n in
-      for p = 0 to k - 1 do
-        let aip = ad.(a_base + p) in
-        (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-           NaN never skips; Float.equal would treat both differently *)
-        if aip <> 0.0 then begin
-          let b_base = p * n in
-          for j = 0 to n - 1 do
-            cd.(c_base + j) <- (aip *. bd.(b_base + j)) +. cd.(c_base + j)
-          done
-        end
-      done
-    done
-  else begin
-    let tiled = n - (n land 7) in
-    for i = 0 to m - 1 do
-      let a_base = i * k and c_base = i * n in
-      let j0 = ref 0 in
-      while !j0 < tiled do
-        let c0 = c_base + !j0 in
-        let s0 = ref cd.(c0) and s1 = ref cd.(c0 + 1) and s2 = ref cd.(c0 + 2) in
-        let s3 = ref cd.(c0 + 3) and s4 = ref cd.(c0 + 4) and s5 = ref cd.(c0 + 5) in
-        let s6 = ref cd.(c0 + 6) and s7 = ref cd.(c0 + 7) in
-        for p = 0 to k - 1 do
-          (* SAFETY: a_base + p < m * k = length ad *)
-          let aip = Array.unsafe_get ad (a_base + p) in
-          (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-             NaN never skips; Float.equal would treat both differently *)
-          if aip <> 0.0 then begin
-            let q = (p * n) + !j0 in
-            (* SAFETY: q + 7 < p * n + tiled <= k * n = length bd *)
-            s0 := (aip *. Array.unsafe_get bd q) +. !s0;
-            s1 := (aip *. Array.unsafe_get bd (q + 1)) +. !s1;
-            s2 := (aip *. Array.unsafe_get bd (q + 2)) +. !s2;
-            (* SAFETY: q + 7 < length bd, as above *)
-            s3 := (aip *. Array.unsafe_get bd (q + 3)) +. !s3;
-            s4 := (aip *. Array.unsafe_get bd (q + 4)) +. !s4;
-            s5 := (aip *. Array.unsafe_get bd (q + 5)) +. !s5;
-            (* SAFETY: q + 7 < length bd, as above *)
-            s6 := (aip *. Array.unsafe_get bd (q + 6)) +. !s6;
-            s7 := (aip *. Array.unsafe_get bd (q + 7)) +. !s7
-          end
-        done;
-        cd.(c0) <- !s0;
-        cd.(c0 + 1) <- !s1;
-        cd.(c0 + 2) <- !s2;
-        cd.(c0 + 3) <- !s3;
-        cd.(c0 + 4) <- !s4;
-        cd.(c0 + 5) <- !s5;
-        cd.(c0 + 6) <- !s6;
-        cd.(c0 + 7) <- !s7;
-        j0 := !j0 + 8
-      done;
-      if tiled < n then
-        for p = 0 to k - 1 do
-          (* SAFETY: a_base + p < m * k = length ad *)
-          let aip = Array.unsafe_get ad (a_base + p) in
-          (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-             NaN never skips; Float.equal would treat both differently *)
-          if aip <> 0.0 then begin
-            let b_base = p * n in
-            (* SAFETY: c_base + j < m * n = length cd and
-               b_base + j < k * n = length bd, by the loop bounds *)
-            for j = tiled to n - 1 do
-              Array.unsafe_set cd (c_base + j)
-                ((aip *. Array.unsafe_get bd (b_base + j)) +. Array.unsafe_get cd (c_base + j))
-            done
-          end
+  for i = 0 to m - 1 do
+    let a_base = i * k and c_base = i * n in
+    for p = 0 to k - 1 do
+      let aip = ad.(a_base + p) in
+      (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
+         NaN never skips; Float.equal would treat both differently *)
+      if aip <> 0.0 then begin
+        let b_base = p * n in
+        for j = 0 to n - 1 do
+          cd.(c_base + j) <- (aip *. bd.(b_base + j)) +. cd.(c_base + j)
         done
+      end
     done
-  end
+  done
 
 (* A · Bᵀ without materializing the transpose: rows of both operands are
    contiguous, so the p-loop streams both.  The accumulation order (and the
    skip of exact-zero A entries) mirrors [matmul a (transpose b)], keeping
    results bit-identical to that formulation. *)
 let matmul_nt ad bd cd m k n =
-  if checked () then
-    for i = 0 to m - 1 do
-      let a_base = i * k and c_base = i * n in
-      for j = 0 to n - 1 do
-        let b_base = j * k in
-        let acc = ref 0.0 in
-        for p = 0 to k - 1 do
-          let aip = ad.(a_base + p) in
-          (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-             NaN never skips; Float.equal would treat both differently *)
-          if aip <> 0.0 then acc := !acc +. (aip *. bd.(b_base + p))
-        done;
-        cd.(c_base + j) <- !acc
-      done
+  for i = 0 to m - 1 do
+    let a_base = i * k and c_base = i * n in
+    for j = 0 to n - 1 do
+      let b_base = j * k in
+      let acc = ref 0.0 in
+      for p = 0 to k - 1 do
+        let aip = ad.(a_base + p) in
+        (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
+           NaN never skips; Float.equal would treat both differently *)
+        if aip <> 0.0 then acc := !acc +. (aip *. bd.(b_base + p))
+      done;
+      cd.(c_base + j) <- !acc
     done
-  else
-    for i = 0 to m - 1 do
-      let a_base = i * k and c_base = i * n in
-      for j = 0 to n - 1 do
-        let b_base = j * k in
-        let acc = ref 0.0 in
-        for p = 0 to k - 1 do
-          (* SAFETY: a_base + p < m * k = length ad *)
-          let aip = Array.unsafe_get ad (a_base + p) in
-          (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-             NaN never skips; Float.equal would treat both differently *)
-          if aip <> 0.0 then
-            (* SAFETY: b_base + p < n * k = length bd *)
-            acc := !acc +. (aip *. Array.unsafe_get bd (b_base + p))
-        done;
-        (* SAFETY: c_base + j < m * n = length cd *)
-        Array.unsafe_set cd (c_base + j) !acc
-      done
-    done
+  done
 
 (* Blocked copy instead of a closure-per-element [init]: both the read and
    the write stay within a 32x32 tile, so one of the two strided streams is
@@ -330,73 +157,38 @@ let matmul_nt ad bd cd m k n =
    float it moves. *)
 let transpose (src : buf) (dst : buf) rows cols =
   let bs = 32 in
-  if checked () then begin
-    let r0 = ref 0 in
-    while !r0 < rows do
-      let rmax = Stdlib.min rows (!r0 + bs) in
-      let c0 = ref 0 in
-      while !c0 < cols do
-        let cmax = Stdlib.min cols (!c0 + bs) in
-        for r = !r0 to rmax - 1 do
-          let base = r * cols in
-          for c = !c0 to cmax - 1 do
-            dst.((c * rows) + r) <- src.(base + c)
-          done
-        done;
-        c0 := !c0 + bs
+  let r0 = ref 0 in
+  while !r0 < rows do
+    let rmax = Stdlib.min rows (!r0 + bs) in
+    let c0 = ref 0 in
+    while !c0 < cols do
+      let cmax = Stdlib.min cols (!c0 + bs) in
+      for r = !r0 to rmax - 1 do
+        let base = r * cols in
+        for c = !c0 to cmax - 1 do
+          dst.((c * rows) + r) <- src.(base + c)
+        done
       done;
-      r0 := !r0 + bs
-    done
-  end
-  else begin
-    let r0 = ref 0 in
-    while !r0 < rows do
-      let rmax = Stdlib.min rows (!r0 + bs) in
-      let c0 = ref 0 in
-      while !c0 < cols do
-        let cmax = Stdlib.min cols (!c0 + bs) in
-        for r = !r0 to rmax - 1 do
-          let base = r * cols in
-          (* SAFETY: r < rows and c < cols keep base + c < rows * cols =
-             length src and c * rows + r < cols * rows = length dst *)
-          for c = !c0 to cmax - 1 do
-            Array.unsafe_set dst ((c * rows) + r) (Array.unsafe_get src (base + c))
-          done
-        done;
-        c0 := !c0 + bs
-      done;
-      r0 := !r0 + bs
-    done
-  end
+      c0 := !c0 + bs
+    done;
+    r0 := !r0 + bs
+  done
 
 (* {1 Reductions} *)
 
 let dot a b n =
   let acc = ref 0.0 in
-  if checked () then
-    for i = 0 to n - 1 do
-      acc := !acc +. (a.(i) *. b.(i))
-    done
-  else
-    (* SAFETY: i < n = length of both (shapes checked by the dispatch
-       layer) *)
-    for i = 0 to n - 1 do
-      acc := !acc +. (Array.unsafe_get a i *. Array.unsafe_get b i)
-    done;
+  for i = 0 to n - 1 do
+    acc := !acc +. (a.(i) *. b.(i))
+  done;
   !acc
 
 let sum a n =
   (* left-to-right accumulation, same order as [Array.fold_left ( +. ) 0.0] *)
   let acc = ref 0.0 in
-  if checked () then
-    for i = 0 to n - 1 do
-      acc := !acc +. a.(i)
-    done
-  else
-    (* SAFETY: i < n = length a *)
-    for i = 0 to n - 1 do
-      acc := !acc +. Array.unsafe_get a i
-    done;
+  for i = 0 to n - 1 do
+    acc := !acc +. a.(i)
+  done;
   !acc
 
 (* Polymorphic [Stdlib.min]/[max] specialize to IEEE [<=]/[>=] selects on
@@ -408,23 +200,12 @@ let max_value a _n = Array.fold_left Stdlib.max a.(0) a
 
 (* [dst] must be pre-zeroed by the caller (column accumulators). *)
 let sum_rows src dst rows cols =
-  if checked () then
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      for c = 0 to cols - 1 do
-        dst.(c) <- dst.(c) +. src.(base + c)
-      done
+  for r = 0 to rows - 1 do
+    let base = r * cols in
+    for c = 0 to cols - 1 do
+      dst.(c) <- dst.(c) +. src.(base + c)
     done
-  else
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      (* SAFETY: base + c < rows * cols = length src and
-         c < cols = length dst *)
-      for c = 0 to cols - 1 do
-        Array.unsafe_set dst c
-          (Array.unsafe_get dst c +. Array.unsafe_get src (base + c))
-      done
-    done
+  done
 
 (* Strict [>]: the first maximum wins, and a NaN entry never displaces the
    incumbent (unordered compares are false); a NaN in column 0 is never
@@ -443,171 +224,76 @@ let argmax_rows a rows cols =
    Specialized direct loops rather than a generic [map f]: applying a
    [float -> float] closure per element boxes its argument and result on the
    minor heap, which dominated the training hot path's allocation profile.
-   Backward fuses [g *. df x y] in one expression.  Moved verbatim from the
-   autodiff layer; the dispatch layer guarantees all buffers share [n]. *)
+   Moved verbatim from the autodiff layer; the dispatch layer guarantees all
+   buffers share [n]. *)
 
 let unary op src dst n =
   match (op : TB.unop) with
   | TB.Tanh ->
-      if checked () then
-        for i = 0 to n - 1 do
-          dst.(i) <- Stdlib.tanh src.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of src and dst (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst i (Stdlib.tanh (Array.unsafe_get src i))
-        done
+      for i = 0 to n - 1 do
+        dst.(i) <- Stdlib.tanh src.(i)
+      done
   | TB.Sigmoid ->
-      if checked () then
-        for i = 0 to n - 1 do
-          dst.(i) <- 1.0 /. (1.0 +. Stdlib.exp (-.src.(i)))
-        done
-      else
-        (* SAFETY: i < n <= length of src and dst (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst i
-            (1.0 /. (1.0 +. Stdlib.exp (-.Array.unsafe_get src i)))
-        done
+      for i = 0 to n - 1 do
+        dst.(i) <- 1.0 /. (1.0 +. Stdlib.exp (-.src.(i)))
+      done
   | TB.Exp ->
-      if checked () then
-        for i = 0 to n - 1 do
-          dst.(i) <- Stdlib.exp src.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of src and dst (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst i (Stdlib.exp (Array.unsafe_get src i))
-        done
+      for i = 0 to n - 1 do
+        dst.(i) <- Stdlib.exp src.(i)
+      done
   | TB.Log ->
-      if checked () then
-        for i = 0 to n - 1 do
-          dst.(i) <- Stdlib.log src.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of src and dst (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst i (Stdlib.log (Array.unsafe_get src i))
-        done
+      for i = 0 to n - 1 do
+        dst.(i) <- Stdlib.log src.(i)
+      done
   | TB.Sqrt ->
-      if checked () then
-        for i = 0 to n - 1 do
-          dst.(i) <- Stdlib.sqrt src.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of src and dst (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst i (Stdlib.sqrt (Array.unsafe_get src i))
-        done
+      for i = 0 to n - 1 do
+        dst.(i) <- Stdlib.sqrt src.(i)
+      done
   | TB.Relu ->
-      if checked () then
-        for i = 0 to n - 1 do
-          let x = src.(i) in
-          dst.(i) <- (if x > 0.0 then x else 0.0)
-        done
-      else
-        (* SAFETY: i < n <= length of src and dst (dispatch layer) *)
-        for i = 0 to n - 1 do
-          let x = Array.unsafe_get src i in
-          Array.unsafe_set dst i (if x > 0.0 then x else 0.0)
-        done
+      for i = 0 to n - 1 do
+        let x = src.(i) in
+        dst.(i) <- (if x > 0.0 then x else 0.0)
+      done
   | TB.Abs ->
-      if checked () then
-        for i = 0 to n - 1 do
-          dst.(i) <- Stdlib.abs_float src.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of src and dst (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst i (Stdlib.abs_float (Array.unsafe_get src i))
-        done
+      for i = 0 to n - 1 do
+        dst.(i) <- Stdlib.abs_float src.(i)
+      done
 
-(* The checked bodies put the derivative factor first: the unchecked
-   [Array.unsafe_get g i *. factor] is a bare load, which ocamlopt swaps
-   into the second operand, so the factor's NaN payload wins there when
-   both are NaN (see [matmul]); factor-first makes the checked body agree. *)
+(* Backward fuses [g *. df x y] in one expression.  A computed derivative
+   factor comes first, so its NaN payload wins when both are NaN. *)
 let unary_bwd op ~x ~y ~g ~s n =
   match (op : TB.unop) with
   | TB.Tanh ->
-      if checked () then
-        for i = 0 to n - 1 do
-          let yi = y.(i) in
-          s.(i) <- (1.0 -. (yi *. yi)) *. g.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of y, g and s (dispatch layer) *)
-        for i = 0 to n - 1 do
-          let yi = Array.unsafe_get y i in
-          Array.unsafe_set s i (Array.unsafe_get g i *. (1.0 -. (yi *. yi)))
-        done
+      for i = 0 to n - 1 do
+        let yi = y.(i) in
+        s.(i) <- (1.0 -. (yi *. yi)) *. g.(i)
+      done
   | TB.Sigmoid ->
-      if checked () then
-        for i = 0 to n - 1 do
-          let yi = y.(i) in
-          s.(i) <- (yi *. (1.0 -. yi)) *. g.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of y, g and s (dispatch layer) *)
-        for i = 0 to n - 1 do
-          let yi = Array.unsafe_get y i in
-          Array.unsafe_set s i (Array.unsafe_get g i *. (yi *. (1.0 -. yi)))
-        done
+      for i = 0 to n - 1 do
+        let yi = y.(i) in
+        s.(i) <- (yi *. (1.0 -. yi)) *. g.(i)
+      done
   | TB.Exp ->
-      if checked () then
-        for i = 0 to n - 1 do
-          s.(i) <- g.(i) *. y.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of y, g and s (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set s i (Array.unsafe_get g i *. Array.unsafe_get y i)
-        done
+      for i = 0 to n - 1 do
+        s.(i) <- g.(i) *. y.(i)
+      done
   | TB.Log ->
-      if checked () then
-        for i = 0 to n - 1 do
-          s.(i) <- (1.0 /. x.(i)) *. g.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of x, g and s (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set s i (Array.unsafe_get g i *. (1.0 /. Array.unsafe_get x i))
-        done
+      for i = 0 to n - 1 do
+        s.(i) <- (1.0 /. x.(i)) *. g.(i)
+      done
   | TB.Sqrt ->
-      if checked () then
-        for i = 0 to n - 1 do
-          s.(i) <- (0.5 /. y.(i)) *. g.(i)
-        done
-      else
-        (* SAFETY: i < n <= length of y, g and s (dispatch layer) *)
-        for i = 0 to n - 1 do
-          Array.unsafe_set s i (Array.unsafe_get g i *. (0.5 /. Array.unsafe_get y i))
-        done
+      for i = 0 to n - 1 do
+        s.(i) <- (0.5 /. y.(i)) *. g.(i)
+      done
   | TB.Relu ->
-      if checked () then
-        for i = 0 to n - 1 do
-          s.(i) <- g.(i) *. (if x.(i) > 0.0 then 1.0 else 0.0)
-        done
-      else
-        for i = 0 to n - 1 do
-          (* SAFETY: i < n <= length of x, g and s (dispatch layer) *)
-          Array.unsafe_set s i
-            (Array.unsafe_get g i
-            *. (if Array.unsafe_get x i > 0.0 then 1.0 else 0.0))
-        done
+      for i = 0 to n - 1 do
+        s.(i) <- g.(i) *. (if x.(i) > 0.0 then 1.0 else 0.0)
+      done
   | TB.Abs ->
-      if checked () then
-        for i = 0 to n - 1 do
-          let xi = x.(i) in
-          s.(i) <- g.(i) *. (if xi > 0.0 then 1.0 else if xi < 0.0 then -1.0 else 0.0)
-        done
-      else
-        for i = 0 to n - 1 do
-          (* SAFETY: i < n <= length of x, g and s (dispatch layer) *)
-          let xi = Array.unsafe_get x i in
-          Array.unsafe_set s i
-            (Array.unsafe_get g i
-            *. (if xi > 0.0 then 1.0 else if xi < 0.0 then -1.0 else 0.0))
-        done
+      for i = 0 to n - 1 do
+        let xi = x.(i) in
+        s.(i) <- g.(i) *. (if xi > 0.0 then 1.0 else if xi < 0.0 then -1.0 else 0.0)
+      done
 
 (* {1 ptanh (paper Eq. 2)}
 
@@ -621,24 +307,16 @@ let unary_bwd op ~x ~y ~g ~s n =
    zeroed buffer (kept below: it turns −0.0 into +0.0), tanh's derivative
    factor precedes the incoming gradient as in [unary_bwd], and each η
    share is a left-to-right sum with the accumulator first, as [sum] has
-   it.  All operand orders are spelled out, so the checked and unchecked
-   bodies (and the C stub) agree bit for bit, NaN payloads included. *)
+   it.  All operand orders are spelled out, so this body and the C stub
+   agree bit for bit, NaN payloads included. *)
 
 let ptanh ~eta ~v ~h ~out n =
   let e0 = eta.(0) and e1 = eta.(1) and ne2 = -.eta.(2) and e3 = eta.(3) in
-  if checked () then
-    for i = 0 to n - 1 do
-      let hi = Stdlib.tanh (mul_first e3 (add_first ne2 v.(i))) in
-      h.(i) <- hi;
-      out.(i) <- add_first e0 (mul_first e1 hi)
-    done
-  else
-    for i = 0 to n - 1 do
-      (* SAFETY: i < n <= length of v, h and out (dispatch layer) *)
-      let hi = Stdlib.tanh (mul_first e3 (add_first ne2 (Array.unsafe_get v i))) in
-      Array.unsafe_set h i hi;
-      Array.unsafe_set out i (add_first e0 (mul_first e1 hi))
-    done
+  for i = 0 to n - 1 do
+    let hi = Stdlib.tanh (mul_first e3 (add_first ne2 v.(i))) in
+    h.(i) <- hi;
+    out.(i) <- add_first e0 (mul_first e1 hi)
+  done
 
 (* Per element, with gP/gH/gZ/gS the gradients of the replaced graph's
    η2·h, tanh, η4·s and s nodes: gP = 0 + g, gH = 0 + η2·gP,
@@ -647,32 +325,17 @@ let ptanh ~eta ~v ~h ~out n =
 let ptanh_bwd ~eta ~v ~h ~g ~dv ~deta n =
   let e1 = eta.(1) and ne2 = -.eta.(2) and e3 = eta.(3) in
   let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-  if checked () then
-    for i = 0 to n - 1 do
-      let gi = g.(i) and hi = h.(i) in
-      let gp = 0.0 +. gi in
-      let gz = 0.0 +. mul_first (1.0 -. (hi *. hi)) (0.0 +. mul_first e1 gp) in
-      let gs = 0.0 +. mul_first e3 gz in
-      s0 := add_first !s0 gi;
-      s1 := add_first !s1 (mul_first gp hi);
-      s2 := add_first !s2 gs;
-      s3 := add_first !s3 (mul_first gz (add_first ne2 v.(i)));
-      dv.(i) <- gs
-    done
-  else
-    for i = 0 to n - 1 do
-      (* SAFETY: i < n <= length of g, h, v and dv (dispatch layer) *)
-      let gi = Array.unsafe_get g i and hi = Array.unsafe_get h i in
-      let gp = 0.0 +. gi in
-      let gz = 0.0 +. mul_first (1.0 -. (hi *. hi)) (0.0 +. mul_first e1 gp) in
-      let gs = 0.0 +. mul_first e3 gz in
-      s0 := add_first !s0 gi;
-      s1 := add_first !s1 (mul_first gp hi);
-      s2 := add_first !s2 gs;
-      (* SAFETY: as above *)
-      s3 := add_first !s3 (mul_first gz (add_first ne2 (Array.unsafe_get v i)));
-      Array.unsafe_set dv i gs
-    done;
+  for i = 0 to n - 1 do
+    let gi = g.(i) and hi = h.(i) in
+    let gp = 0.0 +. gi in
+    let gz = 0.0 +. mul_first (1.0 -. (hi *. hi)) (0.0 +. mul_first e1 gp) in
+    let gs = 0.0 +. mul_first e3 gz in
+    s0 := add_first !s0 gi;
+    s1 := add_first !s1 (mul_first gp hi);
+    s2 := add_first !s2 gs;
+    s3 := add_first !s3 (mul_first gz (add_first ne2 v.(i)));
+    dv.(i) <- gs
+  done;
   deta.(0) <- 0.0 +. !s0;
   deta.(1) <- 0.0 +. !s1;
   deta.(2) <- 0.0 +. -.(0.0 +. !s2);
@@ -763,46 +426,23 @@ let crossbar_bwd ~x ~eta ~cond ~h ~inv_x ~num ~g ~gnum ~want_dx ~dx ~deta ~dcond
 (* Stable row-wise softmax; raw loops for the same unboxed-float reason as
    the nonlinearities above. *)
 let softmax_rows src out rows cols =
-  if checked () then
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      let mx = ref neg_infinity in
-      for c = 0 to cols - 1 do
-        let x = src.(base + c) in
-        if x > !mx then mx := x
-      done;
-      let z = ref 0.0 in
-      for c = 0 to cols - 1 do
-        let e = Stdlib.exp (src.(base + c) -. !mx) in
-        out.(base + c) <- e;
-        z := !z +. e
-      done;
-      for c = 0 to cols - 1 do
-        out.(base + c) <- out.(base + c) /. !z
-      done
+  for r = 0 to rows - 1 do
+    let base = r * cols in
+    let mx = ref neg_infinity in
+    for c = 0 to cols - 1 do
+      let x = src.(base + c) in
+      if x > !mx then mx := x
+    done;
+    let z = ref 0.0 in
+    for c = 0 to cols - 1 do
+      let e = Stdlib.exp (src.(base + c) -. !mx) in
+      out.(base + c) <- e;
+      z := !z +. e
+    done;
+    for c = 0 to cols - 1 do
+      out.(base + c) <- out.(base + c) /. !z
     done
-  else
-    for r = 0 to rows - 1 do
-      let base = r * cols in
-      let mx = ref neg_infinity in
-      (* SAFETY: base + c < rows * cols, the length of src and of out (the
-         dispatch layer checks both shapes) — holds for all three loops *)
-      for c = 0 to cols - 1 do
-        let x = Array.unsafe_get src (base + c) in
-        if x > !mx then mx := x
-      done;
-      let z = ref 0.0 in
-      (* SAFETY: base + c < rows * cols = length of src and out *)
-      for c = 0 to cols - 1 do
-        let e = Stdlib.exp (Array.unsafe_get src (base + c) -. !mx) in
-        Array.unsafe_set out (base + c) e;
-        z := !z +. e
-      done;
-      (* SAFETY: base + c < rows * cols = length of out *)
-      for c = 0 to cols - 1 do
-        Array.unsafe_set out (base + c) (Array.unsafe_get out (base + c) /. !z)
-      done
-    done
+  done
 
 (* [Stdlib.max p 1e-30] on floats, spelled monomorphically: the
    polymorphic [max] runs the generic comparison on boxed floats.  A NaN
@@ -813,20 +453,10 @@ let[@inline] clamp_prob p = if p >= 1e-30 then p else 1e-30
    every backend shares one division point. *)
 let ce_loss_sum p y n =
   let loss = ref 0.0 in
-  if checked () then
-    for i = 0 to n - 1 do
-      let yi = y.(i) in
-      if yi > 0.0 then
-        loss := !loss -. (yi *. Stdlib.log (clamp_prob p.(i)))
-    done
-  else
-    for i = 0 to n - 1 do
-      (* SAFETY: the dispatch layer checks p and y share a shape, so i is
-         below the length of both *)
-      let yi = Array.unsafe_get y i in
-      if yi > 0.0 then
-        loss := !loss -. (yi *. Stdlib.log (clamp_prob (Array.unsafe_get p i)))
-    done;
+  for i = 0 to n - 1 do
+    let yi = y.(i) in
+    if yi > 0.0 then loss := !loss -. (yi *. Stdlib.log (clamp_prob p.(i)))
+  done;
   !loss
 
 (* Optimizer steps, moved verbatim from lib/nn/optimizer.ml (safe indexing,

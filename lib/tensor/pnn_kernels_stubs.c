@@ -609,9 +609,8 @@ CAMLprim value pnn_c_unary_byte(value vop, value vsrc, value vdst, value vn)
   return pnn_c_unary(Long_val(vop), vsrc, vdst, Long_val(vn));
 }
 
-/* Operand order follows the reference's unchecked bodies: the derivative
- * factor's NaN wins over g's (ocamlopt folds g's load into the second
- * operand), except for exp, where g comes first.  Relu/abs factors are
+/* Operand order follows the reference's: the derivative factor's NaN
+ * wins over g's, except for exp, where g comes first.  Relu/abs factors are
  * never NaN; mul_first there keeps a NaN g quieted with its sign. */
 CAMLprim value pnn_c_unary_bwd(intnat op, value vx, value vy, value vg,
                                value vs, intnat n)

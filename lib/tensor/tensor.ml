@@ -38,9 +38,6 @@ let storage_backend = function F _ -> Reference | C _ -> C64
 
 let backend_of t = storage_backend t.store
 
-let set_checked b = Atomic.set TB.checked b
-let checked () = (Atomic.get TB.checked)
-
 (* {1 Storage helpers} *)
 
 let alloc_for b n =

@@ -65,21 +65,12 @@ val backend_choices : string
 val backend_of : t -> backend
 (** The backend owning this tensor's storage. *)
 
-(** {1 Sanitizer (checked) mode}
+(** {1 Bounds checks}
 
-    Setting [PNN_CHECKED=1] in the environment (read at module
-    initialization) or calling [set_checked true] makes every kernel refuse
-    out-of-bounds work with [Invalid_argument] instead of touching memory.
-    The reference kernels carry two loop bodies performing identical
-    floating-point operations in identical order, a raw one with unchecked
-    indexing and a bounds-checked one; the C kernels run the same stubs in
-    both modes, preceded in checked mode by one length assertion per
-    buffer.  Results are bit-identical across modes.  Checked mode composes
-    with either backend; CI runs the determinism suite under
-    [PNN_CHECKED=1] on both. *)
-
-val set_checked : bool -> unit
-val checked : unit -> bool
+    Every kernel refuses out-of-bounds work with [Invalid_argument] instead
+    of touching memory, on either backend: the reference kernels index
+    with bounds checks, and the C kernels assert every buffer's length
+    before the stub runs. *)
 
 (** {1 Construction} *)
 

@@ -9,18 +9,11 @@
    backend would be one more module satisfying {!KERNELS} plus one more
    storage constructor in [Tensor.t].
 
-   This module also owns the two process-wide mode flags the kernels consult:
-
-   - [checked]: the PNN_CHECKED sanitizer switch.  The reference kernels
-     carry two loop bodies performing identical floating-point operations in
-     identical order, the checked one with bounds-checked indexing; the C
-     kernels run the same stubs after an O(1) length assertion per buffer.
-     Results are bit-identical across modes by construction.
-   - [current]: the backend new tensors are created on (PNN_BACKEND, default
-     c; [reference] selects the oracle).  Dispatch itself is storage-driven
-     — a tensor computed on one backend keeps using that backend's kernels
-     even after the flag changes — so the flag only decides where fresh
-     allocations land. *)
+   This module also owns [current], the process-wide backend new tensors
+   are created on (PNN_BACKEND, default c; [reference] selects the oracle).
+   Dispatch itself is storage-driven — a tensor computed on one backend
+   keeps using that backend's kernels even after the flag changes — so the
+   flag only decides where fresh allocations land. *)
 
 type id = Reference | C64
 
@@ -38,12 +31,6 @@ let name = function Reference -> "reference" | C64 -> "c"
 
 let names = List.map name all
 let names_string = String.concat "|" names
-
-let checked =
-  Atomic.make
-    (match Sys.getenv_opt "PNN_CHECKED" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
 
 let current =
   Atomic.make
@@ -72,9 +59,8 @@ type unop = Tanh | Sigmoid | Exp | Log | Sqrt | Relu | Abs
       only, so the destination may alias an input.
     - [matmul] overwrites its destination; [sum_rows] accumulates into a
       destination the caller has pre-zeroed.
-    - When [checked] is set, an out-of-range access must raise
-      [Invalid_argument] instead of touching memory, and the floating-point
-      operations and their order must not change.
+    - An out-of-range access always raises [Invalid_argument] instead of
+      touching memory.
     - Every kernel returns the reference's bits, NaN payloads and signed
       zeros included: backends may reorder loops and vectorize, but each
       output must come out as {!Kernels_ref} computes it.  The NaN/−0.0

@@ -10,7 +10,7 @@
    and upstream gradients full of NaNs with distinct payloads (quiet and
    signalling, both signs), infinities and signed zeros — the cases where
    the order of two NaN operands decides the result.  Every check runs on
-   both backends, checked and unchecked. *)
+   both backends. *)
 
 module T = Tensor
 module A = Autodiff
@@ -31,17 +31,11 @@ let check_bits what a b =
 let modes f =
   List.iter
     (fun backend ->
-      List.iter
-        (fun checked ->
-          let prev_b = T.backend () and prev_c = T.checked () in
-          T.set_backend backend;
-          T.set_checked checked;
-          Fun.protect
-            ~finally:(fun () ->
-              T.set_backend prev_b;
-              T.set_checked prev_c)
-            (fun () -> f (Printf.sprintf "%s checked=%b" (T.backend_name backend) checked)))
-        [ false; true ])
+      let prev = T.backend () in
+      T.set_backend backend;
+      Fun.protect
+        ~finally:(fun () -> T.set_backend prev)
+        (fun () -> f (T.backend_name backend)))
     T.backends
 
 (* {1 Inputs} *)

@@ -380,8 +380,7 @@ let test_fit_golden_history () =
    the parameters themselves.  The digests were computed by the
    node-by-node graph of primitives that the printed layer's fused tape
    nodes replaced, so they pin the fused nodes to it, special-value payloads
-   included.  Both backends must match the one list, in checked and
-   unchecked mode. *)
+   included.  Both backends must match the one list. *)
 
 let digest_specials =
   [|
@@ -488,20 +487,14 @@ let digest_cases =
 let network_digests backend =
   List.map
     (fun (shape, sizes, rows, input) ->
-      let run checked =
-        let prev_b = T.backend () and prev_c = T.checked () in
-        T.set_backend backend;
-        T.set_checked checked;
+      let prev = T.backend () in
+      T.set_backend backend;
+      let digest =
         Fun.protect
-          ~finally:(fun () ->
-            T.set_backend prev_b;
-            T.set_checked prev_c)
+          ~finally:(fun () -> T.set_backend prev)
           (fun () -> network_digest ~sizes ~rows input)
       in
-      let label = Printf.sprintf "%s %s" shape (digest_input_name input) in
-      let unchecked = run false in
-      Alcotest.(check string) (label ^ ": checked = unchecked") unchecked (run true);
-      Printf.sprintf "%s: %s" label unchecked)
+      Printf.sprintf "%s %s: %s" shape (digest_input_name input) digest)
     digest_cases
 
 let expected_network_digests =
