@@ -29,20 +29,8 @@ let setup_cache ~cache_dir ~no_cache =
 let report_cache cache =
   if Cache.enabled cache then Printf.printf "%s\n" (Cache.summary cache)
 
-(* Select the tensor kernel backend before any tensor (dataset, surrogate,
-   network) is built, so the whole computation stays on one backend. *)
-let setup_backend name =
-  match Tensor.backend_of_string name with
-  | Some b -> Tensor.set_backend b
-  | None ->
-      Printf.eprintf "experiment: unknown backend %S (use %s)\n%!" name
-        Tensor.backend_choices;
-      exit 2
-
-let report_backend () =
-  Printf.printf "backend: %s (cache schema %s)\n"
-    (Tensor.backend_name (Tensor.backend ()))
-    (Pnn.Serialize.cache_schema ())
+let report_schema () =
+  Printf.printf "cache schema: %s\n" (Pnn.Serialize.cache_schema ())
 
 let load_datasets = function
   | None -> Datasets.Bench13.load_all ()
@@ -68,26 +56,24 @@ let run_table2 scale_name datasets_opt csv ~cache ~resume =
   | None -> ());
   table
 
-let cmd_table2 backend scale_name datasets_opt csv verbose cache_dir no_cache
+let cmd_table2 scale_name datasets_opt csv verbose cache_dir no_cache
     resume =
   setup_logs verbose;
-  setup_backend backend;
   let cache = setup_cache ~cache_dir ~no_cache in
   ignore (run_table2 scale_name datasets_opt csv ~cache ~resume);
-  report_backend ();
+  report_schema ();
   report_cache cache
 
-let cmd_table3 backend scale_name datasets_opt csv verbose cache_dir no_cache
+let cmd_table3 scale_name datasets_opt csv verbose cache_dir no_cache
     resume =
   setup_logs verbose;
-  setup_backend backend;
   let cache = setup_cache ~cache_dir ~no_cache in
   let scale = Experiments.Setup.of_name scale_name in
   let table2 = run_table2 scale_name datasets_opt csv ~cache ~resume in
   let table3 = Experiments.Table3.of_table2 scale table2 in
   print_newline ();
   print_string (Experiments.Table3.render table3);
-  report_backend ();
+  report_schema ();
   report_cache cache
 
 let cmd_fig2 csv verbose =
@@ -124,9 +110,8 @@ let cmd_fig4 seed verbose =
 
 let cmd_table1 () = print_string (Experiments.Figures.render_table1 ())
 
-let cmd_ablations backend which verbose cache_dir no_cache =
+let cmd_ablations which verbose cache_dir no_cache =
   setup_logs verbose;
-  setup_backend backend;
   let cache = setup_cache ~cache_dir ~no_cache in
   let all =
     [
@@ -149,25 +134,11 @@ let cmd_ablations backend which verbose cache_dir no_cache =
       print_string (run ());
       print_newline ())
     selected;
-  report_backend ();
+  report_schema ();
   report_cache cache
 
 let scale_arg =
   Arg.(value & opt string "quick" & info [ "scale" ] ~doc:"quick | committed | paper")
-
-let backend_arg =
-  (* default to whatever PNN_BACKEND selected at startup, so the flag and
-     the environment knob compose (flag wins when given) *)
-  Arg.(
-    value
-    & opt string (Tensor.backend_name (Tensor.backend ()))
-    & info [ "backend" ]
-        ~doc:
-          (Printf.sprintf
-             "tensor kernel backend (%s): $(b,reference) is the bit-identity \
-              oracle, $(b,c) (the default) the vectorized C-stub fast path with \
-              the same bits; cached results are shared"
-             Tensor.backend_choices))
 
 let datasets_arg =
   Arg.(
@@ -204,13 +175,13 @@ let table1_cmd =
 let table2_cmd =
   Cmd.v (Cmd.info "table2" ~doc:"run the main benchmark table")
     Term.(
-      const cmd_table2 $ backend_arg $ scale_arg $ datasets_arg $ csv_arg
+      const cmd_table2 $ scale_arg $ datasets_arg $ csv_arg
       $ verbose_arg $ cache_dir_arg $ no_cache_arg $ resume_arg)
 
 let table3_cmd =
   Cmd.v (Cmd.info "table3" ~doc:"run the ablation summary (includes table2)")
     Term.(
-      const cmd_table3 $ backend_arg $ scale_arg $ datasets_arg $ csv_arg
+      const cmd_table3 $ scale_arg $ datasets_arg $ csv_arg
       $ verbose_arg $ cache_dir_arg $ no_cache_arg $ resume_arg)
 
 let fig2_cmd =
@@ -221,16 +192,15 @@ let fig4_cmd =
   Cmd.v (Cmd.info "fig4" ~doc:"fit example and surrogate parity")
     Term.(const cmd_fig4 $ seed_arg $ verbose_arg)
 
-let cmd_lifetime backend scale_name dataset verbose =
+let cmd_lifetime scale_name dataset verbose =
   setup_logs verbose;
-  setup_backend backend;
   let scale = Experiments.Setup.of_name scale_name in
   let surrogate = Experiments.Setup.surrogate_of_scale scale in
   let result =
     Experiments.Lifetime.run ?dataset Pnn.Aging.default_model scale surrogate
   in
   print_string (Experiments.Lifetime.render result);
-  report_backend ()
+  report_schema ()
 
 let dataset_arg =
   Arg.(value & opt (some string) None & info [ "dataset" ] ~doc:"benchmark dataset name")
@@ -238,12 +208,11 @@ let dataset_arg =
 let lifetime_cmd =
   Cmd.v
     (Cmd.info "lifetime" ~doc:"extension: aging-aware vs aging-unaware training")
-    Term.(const cmd_lifetime $ backend_arg $ scale_arg $ dataset_arg $ verbose_arg)
+    Term.(const cmd_lifetime $ scale_arg $ dataset_arg $ verbose_arg)
 
-let cmd_faults backend scale_name dataset epsilon csv verbose cache_dir no_cache
+let cmd_faults scale_name dataset epsilon csv verbose cache_dir no_cache
     resume =
   setup_logs verbose;
-  setup_backend backend;
   let cache = setup_cache ~cache_dir ~no_cache in
   let scale = Experiments.Setup.of_name scale_name in
   let surrogate = Experiments.Setup.surrogate_of_scale scale in
@@ -261,7 +230,7 @@ let cmd_faults backend scale_name dataset epsilon csv verbose cache_dir no_cache
       Experiments.Report.write_csv ~path ~header ~rows;
       Printf.printf "wrote %s\n" path
   | None -> ());
-  report_backend ();
+  report_schema ();
   report_cache cache
 
 let epsilon_arg =
@@ -272,7 +241,7 @@ let faults_cmd =
     (Cmd.info "faults"
        ~doc:"extension: fault-injection grid and severity sweeps (Variation models)")
     Term.(
-      const cmd_faults $ backend_arg $ scale_arg $ dataset_arg $ epsilon_arg
+      const cmd_faults $ scale_arg $ dataset_arg $ epsilon_arg
       $ csv_arg $ verbose_arg $ cache_dir_arg $ no_cache_arg $ resume_arg)
 
 let which_arg =
@@ -285,7 +254,7 @@ let ablations_cmd =
   Cmd.v
     (Cmd.info "ablations" ~doc:"design-choice ablation benches (DESIGN.md §5)")
     Term.(
-      const cmd_ablations $ backend_arg $ which_arg $ verbose_arg
+      const cmd_ablations $ which_arg $ verbose_arg
       $ cache_dir_arg $ no_cache_arg)
 
 let main =

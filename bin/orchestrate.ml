@@ -37,20 +37,9 @@ let fresh_dir prefix =
 
 (* {1 run} *)
 
-let setup_backend name =
-  match Tensor.backend_of_string name with
-  | Some b -> Tensor.set_backend b
-  | None ->
-      Printf.eprintf "orchestrate: unknown backend %S (use %s)\n%!" name
-        Tensor.backend_choices;
-      exit 2
-
-let cmd_run backend scale_name datasets_arg workers lease cache_dir queue_dir
+let cmd_run scale_name datasets_arg workers lease cache_dir queue_dir
     faults fault_eps checkpoint_every =
   setup_logs ();
-  (* before any tensor work AND before the pool forks: workers inherit the
-     selection, so every shard computes (and cache-keys) on one backend *)
-  setup_backend backend;
   (* fork-safety: pin the pool to sequential before any pool work (the
      surrogate pipeline below would otherwise spawn domains and permanently
      disable Unix.fork); parallelism comes from the worker processes *)
@@ -205,16 +194,6 @@ let scale_arg =
     value & opt string "quick"
     & info [ "scale" ] ~doc:"experiment scale: quick|committed|paper|fragile")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt string (Tensor.backend_name (Tensor.backend ()))
-    & info [ "backend" ]
-        ~doc:
-          (Printf.sprintf
-             "tensor kernel backend for the coordinator and all workers (%s)"
-             Tensor.backend_choices))
-
 let datasets_arg =
   Arg.(
     value & opt string "all"
@@ -260,7 +239,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"orchestrate the experiment matrix across workers")
     Term.(
-      const cmd_run $ backend_arg $ scale_arg $ datasets_arg $ workers_arg
+      const cmd_run $ scale_arg $ datasets_arg $ workers_arg
       $ lease_arg $ cache_arg $ queue_arg $ faults_arg $ fault_eps_arg
       $ ckpt_every_arg)
 

@@ -3,28 +3,11 @@
    Examples:
      dune exec bin/serve.exe -- run --model net.pnn --socket /tmp/pnn.sock
      dune exec bin/serve.exe -- run --model net.pnn --socket /tmp/pnn.sock \
-       --backend c --max-batch 64 --linger-us 1000
+       --max-batch 64 --linger-us 1000
      dune exec bin/serve.exe -- smoke
 *)
 
 open Cmdliner
-
-let setup_backend name =
-  match Tensor.backend_of_string name with
-  | Some b -> Tensor.set_backend b
-  | None ->
-      Printf.eprintf "serve: unknown backend %S (use %s)\n%!" name
-        Tensor.backend_choices;
-      exit 2
-
-let backend_arg =
-  Arg.(
-    value
-    & opt string (Tensor.backend_name (Tensor.backend ()))
-    & info [ "backend" ]
-        ~doc:
-          (Printf.sprintf "tensor kernel backend on the serving hot path (%s)"
-             Tensor.backend_choices))
 
 let mc_model_of ~family ~param =
   match family with
@@ -38,9 +21,8 @@ let mc_model_of ~family ~param =
 
 (* {1 run} *)
 
-let cmd_run backend model_path sock_path digest max_batch linger_us mc_family
+let cmd_run model_path sock_path digest max_batch linger_us mc_family
     mc_param surrogate_n surrogate_epochs =
-  setup_backend backend;
   let surrogate =
     Surrogate.Pipeline.ensure ~n:surrogate_n ~max_epochs:surrogate_epochs ~seed:42 ()
   in
@@ -62,14 +44,13 @@ let cmd_run backend model_path sock_path digest max_batch linger_us mc_family
     Serving.Server.create ~config model (Unix.ADDR_UNIX sock_path)
   in
   Printf.printf
-    "serve: model %s (digest %s, %d -> %d), backend %s, batch <= %d, linger %d us\n\
+    "serve: model %s (digest %s, %d -> %d), batch <= %d, linger %d us\n\
      serve: listening on %s\n\
      %!"
     model_path
     (Serving.Serve_model.digest model)
     (Serving.Serve_model.inputs model)
     (Serving.Serve_model.outputs model)
-    (Tensor.backend_name (Tensor.backend ()))
     max_batch linger_us sock_path;
   Serving.Server.run server;
   let s = Serving.Server.stats server in
@@ -84,8 +65,7 @@ let cmd_run backend model_path sock_path digest max_batch linger_us mc_family
    temp socket, round-trip one predict / one MC / one stats request, shut
    down cleanly, and verify the corrupt-model refusal on the way out. *)
 
-let cmd_smoke backend =
-  setup_backend backend;
+let cmd_smoke () =
   let dataset = Surrogate.Pipeline.generate_dataset ~n:250 () in
   let surrogate, _ =
     Surrogate.Pipeline.train_surrogate ~arch:[ 10; 8; 6; 4 ] ~max_epochs:300
@@ -191,7 +171,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"serve a trained pNN over a unix socket")
     Term.(
-      const cmd_run $ backend_arg $ model_arg $ socket_arg $ digest_arg
+      const cmd_run $ model_arg $ socket_arg $ digest_arg
       $ max_batch_arg $ linger_arg $ mc_family_arg $ mc_param_arg
       $ surrogate_n_arg $ surrogate_epochs_arg)
 
@@ -199,7 +179,7 @@ let smoke_cmd =
   Cmd.v
     (Cmd.info "smoke"
        ~doc:"start a throwaway server, round-trip one request, shut down")
-    Term.(const cmd_smoke $ backend_arg)
+    Term.(const cmd_smoke $ const ())
 
 let main =
   Cmd.group

@@ -37,7 +37,6 @@ let leaf kind value =
 
 let param value = leaf Param value
 let const value = leaf Const value
-let scalar v = const (T.scalar v)
 let value n = n.value
 let is_param n = n.kind = Param
 let id n = n.id
@@ -46,7 +45,7 @@ let grad_buffer n =
   match n.grad with
   | Some g -> g
   | None ->
-      let g = T.zeros_as n.value (T.rows n.value) (T.cols n.value) in
+      let g = T.zeros (T.rows n.value) (T.cols n.value) in
       n.grad <- Some g;
       g
 
@@ -85,18 +84,16 @@ let accum p g =
 
 (* Per-node scratch buffers for backward temporaries: allocated on first
    backward, reused on every subsequent pass over the same graph.  Cells are
-   captured per closure, so distinct replicas never share scratch.  [like]
-   pins the scratch to an existing tensor's backend so a graph built on one
-   backend never mixes storage mid-pass. *)
-let scratch cell like rows cols =
+   captured per closure, so distinct replicas never share scratch. *)
+let scratch cell rows cols =
   match !cell with
   | Some s -> s
   | None ->
-      let s = T.zeros_as like rows cols in
+      let s = T.zeros rows cols in
       cell := Some s;
       s
 
-let scratch_like cell t = scratch cell t (T.rows t) (T.cols t)
+let scratch_like cell t = scratch cell (T.rows t) (T.cols t)
 
 (* {1 Arithmetic} *)
 
@@ -108,64 +105,6 @@ let add a b =
         let g = grad_buffer self in
         accum a g;
         accum b g
-      end)
-
-let sub a b =
-  let sc = ref None in
-  node (T.sub a.value b.value) [ a; b ]
-    ~recompute:(fun self -> T.sub_into a.value b.value ~dst:self.value)
-    (fun self ->
-      if self.needs_grad then begin
-        let g = grad_buffer self in
-        accum a g;
-        if b.needs_grad then begin
-          let s = scratch_like sc g in
-          T.neg_into g ~dst:s;
-          accum b s
-        end
-      end)
-
-let mul a b =
-  let sc = ref None in
-  node (T.mul a.value b.value) [ a; b ]
-    ~recompute:(fun self -> T.mul_into a.value b.value ~dst:self.value)
-    (fun self ->
-      if self.needs_grad then begin
-        let g = grad_buffer self in
-        if a.needs_grad then begin
-          let s = scratch_like sc g in
-          T.mul_into g b.value ~dst:s;
-          accum a s
-        end;
-        if b.needs_grad then begin
-          let s = scratch_like sc g in
-          T.mul_into g a.value ~dst:s;
-          accum b s
-        end
-      end)
-
-let div a b =
-  let s1c = ref None and s2c = ref None in
-  node (T.div a.value b.value) [ a; b ]
-    ~recompute:(fun self -> T.div_into a.value b.value ~dst:self.value)
-    (fun self ->
-      if self.needs_grad then begin
-        let g = grad_buffer self in
-        if a.needs_grad then begin
-          let s = scratch_like s1c g in
-          T.div_into g b.value ~dst:s;
-          accum a s
-        end;
-        if b.needs_grad then begin
-          (* d/db (a/b) = -a / b^2 *)
-          let s1 = scratch_like s1c g in
-          let s2 = scratch_like s2c g in
-          T.mul_into g a.value ~dst:s1;
-          T.mul_into b.value b.value ~dst:s2;
-          T.div_into s1 s2 ~dst:s1;
-          T.neg_into s1 ~dst:s1;
-          accum b s1
-        end
       end)
 
 let neg a =
@@ -192,23 +131,18 @@ let scale k a =
         accum a s
       end)
 
-let add_scalar k a =
-  node (T.add_scalar k a.value) [ a ]
-    ~recompute:(fun self -> T.add_scalar_into k a.value ~dst:self.value)
-    (fun self -> if a.needs_grad then accum a (grad_buffer self))
-
 (* {1 Nonlinearities}
 
-   Each op runs the backend's dedicated [unop] kernels rather than a generic
+   Each op runs the dedicated [unop] kernels rather than a generic
    [map f] helper: applying a [float -> float] closure per element boxes its
    argument and result on the minor heap, which dominated the training hot
-   path's allocation profile.  The backend's backward kernel fuses
+   path's allocation profile.  The backward kernel fuses
    [g *. df x y] in one expression — bitwise identical to the former
    [map2_into df; mul_into g] pair (same operations, same order). *)
 
 let unary_spec ~op a =
   let sc = ref None in
-  let v = T.zeros_as a.value (T.rows a.value) (T.cols a.value) in
+  let v = T.zeros (T.rows a.value) (T.cols a.value) in
   T.unop_into op a.value ~dst:v;
   node v [ a ]
     ~recompute:(fun self -> T.unop_into op a.value ~dst:self.value)
@@ -222,11 +156,7 @@ let unary_spec ~op a =
 
 let tanh a = unary_spec ~op:T.Tanh a
 let sigmoid a = unary_spec ~op:T.Sigmoid a
-let exp a = unary_spec ~op:T.Exp a
-let log a = unary_spec ~op:T.Log a
-let sqrt a = unary_spec ~op:T.Sqrt a
 let relu a = unary_spec ~op:T.Relu a
-let abs a = unary_spec ~op:T.Abs a
 
 (* {1 Linear algebra} *)
 
@@ -243,24 +173,12 @@ let matmul a b =
           accum a s
         end;
         if b.needs_grad then begin
-          let at = scratch st a.value (T.cols a.value) (T.rows a.value) in
+          let at = scratch st (T.cols a.value) (T.rows a.value) in
           T.transpose_into a.value ~dst:at;
           let s = scratch_like sb b.value in
           T.matmul_into at g ~dst:s;
           accum b s
         end
-      end)
-
-let transpose a =
-  let sc = ref None in
-  node (T.transpose a.value) [ a ]
-    ~recompute:(fun self -> T.transpose_into a.value ~dst:self.value)
-    (fun self ->
-      if a.needs_grad then begin
-        let g = grad_buffer self in
-        let s = scratch_like sc a.value in
-        T.transpose_into g ~dst:s;
-        accum a s
       end)
 
 let add_rowvec m v =
@@ -281,7 +199,7 @@ let add_rowvec m v =
 (* Fused dense-layer forward: one node for [unop (x·w +rowvec b)], the
    inner loop of every surrogate MLP evaluation (13 tiny layers per pNN
    layer per MC draw) where per-node dispatch dominated small-net cost.
-   Forward runs the backend's fused kernel when available (one stub call);
+   Forward runs the fused kernel (one stub call);
    backward replicates the legacy matmul -> add_rowvec -> unary node chain
    operation-for-operation, INCLUDING the [0.0 +. x] flush each
    intermediate node's first grad accumulation performed on its zeroed
@@ -293,8 +211,8 @@ let dense ?op x w b =
   (* [pre] persists across passes (refreshed in place on recompute); with a
      nonlinearity it plays the add_rowvec node's value, otherwise it IS the
      output buffer. *)
-  let pre = T.zeros_as x.value m n in
-  let out = match op with Some _ -> T.zeros_as x.value m n | None -> pre in
+  let pre = T.zeros m n in
+  let out = match op with Some _ -> T.zeros m n | None -> pre in
   T.matmul_bias_unop_into ?op x.value w.value b.value ~pre ~out;
   let ssc = ref None and gac = ref None in
   let svc = ref None and sxc = ref None and atc = ref None and swc = ref None in
@@ -324,7 +242,7 @@ let dense ?op x w b =
            signalling NaN, so a second 0.0 +. leaves it bit-for-bit
            unchanged and ga stands in for it. *)
         if b.needs_grad then begin
-          let sv = scratch svc b.value 1 n in
+          let sv = scratch svc 1 n in
           T.sum_rows_into ga ~dst:sv;
           accum b sv
         end;
@@ -336,7 +254,7 @@ let dense ?op x w b =
             accum x s
           end;
           if w.needs_grad then begin
-            let at = scratch atc x.value (T.cols x.value) (T.rows x.value) in
+            let at = scratch atc (T.cols x.value) (T.rows x.value) in
             T.transpose_into x.value ~dst:at;
             let s = scratch_like swc w.value in
             T.matmul_into at gm ~dst:s;
@@ -366,101 +284,7 @@ let mul_rowvec m v =
         end
       end)
 
-let div_rowvec m v =
-  (* [inv] is a persistent forward cache, refreshed in place on recompute so
-     the node stays correct when the graph is reused with new leaf values. *)
-  let inv = T.map (fun x -> 1.0 /. x) v.value in
-  let sm = ref None and sv2 = ref None and svec = ref None in
-  node (T.mul_rowvec m.value inv) [ m; v ]
-    ~recompute:(fun self ->
-      T.map_into (fun x -> 1.0 /. x) v.value ~dst:inv;
-      T.mul_rowvec_into m.value inv ~dst:self.value)
-    (fun self ->
-      if self.needs_grad then begin
-        let g = grad_buffer self in
-        if m.needs_grad then begin
-          let s = scratch_like sm g in
-          T.mul_rowvec_into g inv ~dst:s;
-          accum m s
-        end;
-        if v.needs_grad then begin
-          (* d/dv (m / v) = -m / v^2, summed over rows *)
-          let s = scratch_like sm g in
-          let iv2 = scratch_like sv2 v.value in
-          T.mul_into inv inv ~dst:iv2;
-          T.neg_into m.value ~dst:s;
-          T.mul_rowvec_into s iv2 ~dst:s;
-          T.mul_into g s ~dst:s;
-          let sv' = scratch_like svec v.value in
-          T.sum_rows_into s ~dst:sv';
-          accum v sv'
-        end
-      end)
-
-(* {1 Reductions} *)
-
-let sum a =
-  let sc = ref None in
-  node
-    (T.scalar (T.sum a.value))
-    [ a ]
-    ~recompute:(fun self -> T.set self.value 0 0 (T.sum a.value))
-    (fun self ->
-      if a.needs_grad then begin
-        let g = T.get (grad_buffer self) 0 0 in
-        let s = scratch_like sc a.value in
-        T.fill s g;
-        accum a s
-      end)
-
-let mean a =
-  let n = float_of_int (T.numel a.value) in
-  let sc = ref None in
-  node
-    (T.scalar (T.mean a.value))
-    [ a ]
-    ~recompute:(fun self -> T.set self.value 0 0 (T.mean a.value))
-    (fun self ->
-      if a.needs_grad then begin
-        let g = T.get (grad_buffer self) 0 0 /. n in
-        let s = scratch_like sc a.value in
-        T.fill s g;
-        accum a s
-      end)
-
-let sum_rows a =
-  let sc = ref None in
-  node (T.sum_rows a.value) [ a ]
-    ~recompute:(fun self -> T.sum_rows_into a.value ~dst:self.value)
-    (fun self ->
-      if a.needs_grad then begin
-        let g = grad_buffer self in
-        (* broadcast the 1 x cols gradient back over all rows *)
-        let s = scratch_like sc a.value in
-        T.broadcast_rowvec_into g ~dst:s;
-        accum a s
-      end)
-
 (* {1 Structure} *)
-
-let concat_cols a b =
-  let sa = ref None and sb = ref None in
-  node (T.concat_cols a.value b.value) [ a; b ]
-    ~recompute:(fun self -> T.concat_cols_into a.value b.value ~dst:self.value)
-    (fun self ->
-      if self.needs_grad then begin
-        let g = grad_buffer self in
-        if a.needs_grad then begin
-          let s = scratch_like sa a.value in
-          T.slice_cols_into g 0 (T.cols a.value) ~dst:s;
-          accum a s
-        end;
-        if b.needs_grad then begin
-          let s = scratch_like sb b.value in
-          T.slice_cols_into g (T.cols a.value) (T.cols b.value) ~dst:s;
-          accum b s
-        end
-      end)
 
 let concat_rows a b =
   let sa = ref None and sb = ref None in
@@ -479,20 +303,6 @@ let concat_rows a b =
           T.slice_rows_into g (T.rows a.value) (T.rows b.value) ~dst:s;
           accum b s
         end
-      end)
-
-let slice_cols a start len =
-  let sc = ref None in
-  node
-    (T.slice_cols a.value start len)
-    [ a ]
-    ~recompute:(fun self -> T.slice_cols_into a.value start len ~dst:self.value)
-    (fun self ->
-      if a.needs_grad then begin
-        let g = grad_buffer self in
-        let s = scratch_like sc a.value in
-        T.embed_cols_into g start ~dst:s;
-        accum a s
       end)
 
 let slice_rows a start len =
@@ -519,16 +329,16 @@ let fused value parents ~recompute ~backward =
 let needs_grad n = n.needs_grad
 let accumulate = accum
 
-let scratch_of like rows cols =
+let scratch_of rows cols =
   let cell = ref None in
-  fun () -> scratch cell like rows cols
+  fun () -> scratch cell rows cols
 
 (* {1 Losses} *)
 
 let softmax_rows_into m ~dst = T.softmax_rows_into m ~dst
 
 let softmax_rows m =
-  let out = T.zeros_as m (T.rows m) (T.cols m) in
+  let out = T.zeros (T.rows m) (T.cols m) in
   softmax_rows_into m ~dst:out;
   out
 
@@ -640,8 +450,3 @@ let backward_tape tape =
   List.iter (fun n -> n.push n) tape.order
 
 let backward root = backward_tape (compile root)
-
-let params root =
-  let order = reachable root in
-  let ps = List.filter is_param order in
-  List.sort (fun a b -> Int.compare a.id b.id) ps

@@ -39,7 +39,6 @@ val param : Tensor.t -> t
 val const : Tensor.t -> t
 (** Non-trainable leaf (inputs, labels, frozen weights, noise draws). *)
 
-val scalar : float -> t
 val value : t -> Tensor.t
 
 val grad : t -> Tensor.t
@@ -49,7 +48,6 @@ val grad : t -> Tensor.t
     you need to keep the values. *)
 
 val is_param : t -> bool
-val zero_grad : t -> unit
 
 val set_value : t -> Tensor.t -> unit
 (** [set_value leaf t] copies [t] into the leaf's value buffer (shape
@@ -69,30 +67,18 @@ val id : t -> int
 (** {1 Arithmetic} *)
 
 val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
-(** Hadamard product. *)
-
-val div : t -> t -> t
 val neg : t -> t
 val scale : float -> t -> t
-val add_scalar : float -> t -> t
 
 (** {1 Nonlinearities} *)
 
 val tanh : t -> t
 val sigmoid : t -> t
-val exp : t -> t
-val log : t -> t
-val sqrt : t -> t
 val relu : t -> t
-val abs : t -> t
-(** Subgradient 0 at 0. *)
 
 (** {1 Linear algebra and broadcasting} *)
 
 val matmul : t -> t -> t
-val transpose : t -> t
 val add_rowvec : t -> t -> t
 (** [add_rowvec m v] adds a [1 × cols] vector to each row of [m]. *)
 
@@ -100,35 +86,22 @@ val dense : ?op:Tensor.unop -> t -> t -> t -> t
 (** [dense ?op x w b] is the fused dense-layer forward
     [unop (x·w +rowvec b)] as a single node — bit-identical (values and
     gradients) to [unary_op (add_rowvec (matmul x w) b)], but forwarded
-    through the backend's fused kernel when one is available and with one
+    through the fused kernel (one stub call) and with one
     node's worth of tape/dispatch overhead instead of three.  With [op]
     absent, no nonlinearity is applied. *)
 
 val mul_rowvec : t -> t -> t
-val div_rowvec : t -> t -> t
-(** [div_rowvec m v] divides each row of [m] elementwise by [v]. *)
-
-(** {1 Reductions} *)
-
-val sum : t -> t
-(** Scalar [1 × 1] sum of all entries. *)
-
-val mean : t -> t
-val sum_rows : t -> t
-(** Column-wise sums: [1 × cols]. *)
+(** [mul_rowvec m v] multiplies each row of [m] elementwise by [v]. *)
 
 (** {1 Structure} *)
 
-val concat_cols : t -> t -> t
 val concat_rows : t -> t -> t
 (** Vertical stacking; gradients split back to the two blocks.  Lets
     independent row-batches (e.g. the act/neg circuit parameter rows of one
     pNN layer) share a single surrogate forward pass. *)
 
-val slice_cols : t -> int -> int -> t
-(** [slice_cols v start len]; gradient scatters back into the slice. *)
-
 val slice_rows : t -> int -> int -> t
+(** [slice_rows v start len]; gradient scatters back into the slice. *)
 
 (** {1 Fused nodes}
 
@@ -158,9 +131,9 @@ val accumulate : t -> Tensor.t -> unit
     gradient (a no-op otherwise); on a pass's first accumulation the buffer
     is zeroed, so [p]'s gradient becomes [0.0 +. g]. *)
 
-val scratch_of : Tensor.t -> int -> int -> unit -> Tensor.t
-(** [scratch_of like rows cols] returns a getter for one [rows × cols]
-    buffer on [like]'s backend, allocated on first use and then reused —
+val scratch_of : int -> int -> unit -> Tensor.t
+(** [scratch_of rows cols] returns a getter for one [rows × cols]
+    buffer, allocated on first use and then reused —
     backward temporaries for {!fused} nodes, so repeated passes allocate
     nothing and forward-only graphs never allocate them. *)
 
@@ -187,9 +160,6 @@ val mse : t -> Tensor.t -> t
 val backward : t -> unit
 (** [backward root] requires a [1 × 1] root; zeroes gradients of all reachable
     nodes, seeds the root gradient with 1 and back-propagates. *)
-
-val params : t -> t list
-(** All distinct {!param} leaves reachable from the node, in creation order. *)
 
 (** {1 Graph reuse}
 

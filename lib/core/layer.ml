@@ -48,12 +48,12 @@ let theta_shape t =
 let inputs t = fst (theta_shape t) - 2
 let outputs t = snd (theta_shape t)
 
-(* Left-operand NaN wins, as in Kernels_ref's [add_first]/[mul_first]
-   (which see); local copies so the loops below inline them (dev builds
-   compile every module -opaque, and a call across modules boxes its
-   floats).  test/test_fused.ml runs each fused node against the
-   Kernels_ref-backed graph it replaced on two-NaN operands, so a copy that
-   drifts from the rule fails it. *)
+(* Left-operand NaN wins, as in the [add_first]/[mul_first] of the kernel
+   oracle, test/oracle.ml (which see); local copies so the loops below
+   inline them (dev builds compile every module -opaque, and a call across
+   modules boxes its floats).  test/test_fused.ml runs each fused node
+   against the graph of primitives it replaced on two-NaN operands, so a
+   copy that drifts from the rule fails it. *)
 let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
 let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
 
@@ -157,9 +157,9 @@ let conductances config t ~theta_n =
     done;
     Tensor.write_from packed dst
   in
-  let out = Tensor.zeros_as theta ((2 * k) + 1) n in
+  let out = Tensor.zeros ((2 * k) + 1) n in
   forward out;
-  let dtheta = A.scratch_of theta rows n in
+  let dtheta = A.scratch_of rows n in
   A.fused out [ t.theta; theta_n ] ~recompute:forward ~backward:(fun g ->
       Tensor.read_into g packed;
       for r = 0 to rows - 1 do
@@ -181,17 +181,16 @@ let crossbar ~x ~neg_eta ~conductances =
   let module T = Tensor in
   let xv = A.value x in
   let m = T.rows xv and k = T.cols xv and n = T.cols (A.value conductances) in
-  let buf rows cols = T.zeros_as xv rows cols in
-  let h = buf m (k + 1) and inv_x = buf m (k + 1) and num = buf m n in
+  let h = T.zeros m (k + 1) and inv_x = T.zeros m (k + 1) and num = T.zeros m n in
   let forward dst =
     T.crossbar_into ~x:(A.value x) ~eta:(A.value neg_eta) ~cond:(A.value conductances) ~h
       ~inv_x ~num ~dst
   in
-  let out = buf m n in
+  let out = T.zeros m n in
   forward out;
-  let gnum = A.scratch_of xv m n and d_eta = A.scratch_of xv 1 4 in
-  let d_cond = A.scratch_of xv ((2 * (k + 1)) + 1) n in
-  let dx = if A.needs_grad x then Some (buf m k) else None in
+  let gnum = A.scratch_of m n and d_eta = A.scratch_of 1 4 in
+  let d_cond = A.scratch_of ((2 * (k + 1)) + 1) n in
+  let dx = if A.needs_grad x then Some (T.zeros m k) else None in
   A.fused out [ x; neg_eta; conductances ] ~recompute:forward ~backward:(fun g ->
       let d_eta = d_eta () and d_cond = d_cond () in
       T.crossbar_bwd_into ~x:(A.value x) ~eta:(A.value neg_eta) ~cond:(A.value conductances)

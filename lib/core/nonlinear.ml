@@ -23,12 +23,12 @@ let w_scaler = Surrogate.Scaler.of_bounds ~lo:Ds.learnable_lo ~hi:Ds.learnable_h
 let w_lo = Surrogate.Scaler.lo w_scaler
 let w_range = Surrogate.Scaler.range w_scaler
 
-(* Left-operand NaN wins, as in Kernels_ref's [add_first]/[mul_first]
-   (which see); local copies so the loops below inline them (dev builds
-   compile every module -opaque, and a call across modules boxes its
-   floats).  test/test_fused.ml runs each fused node against the
-   Kernels_ref-backed graph it replaced on two-NaN operands, so a copy that
-   drifts from the rule fails it. *)
+(* Left-operand NaN wins, as in the [add_first]/[mul_first] of the kernel
+   oracle, test/oracle.ml (which see); local copies so the loops below
+   inline them (dev builds compile every module -opaque, and a call across
+   modules boxes its floats).  test/test_fused.ml runs each fused node
+   against the graph of primitives it replaced on two-NaN operands, so a
+   copy that drifts from the rule fails it. *)
 let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
 let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
 
@@ -69,10 +69,9 @@ let printable_omega_node t ~noise_node =
     done;
     Tensor.write_from buf dst
   in
-  let like = A.value t.raw in
-  let out = Tensor.zeros_as like 1 d in
+  let out = Tensor.zeros 1 d in
   forward out;
-  let gw = Array.make d 0.0 and d_raw = A.scratch_of like 1 d in
+  let gw = Array.make d 0.0 and d_raw = A.scratch_of 1 d in
   A.fused out [ t.raw; noise_node ] ~recompute:forward ~backward:(fun g ->
       Tensor.read_into g buf;
       (* ω's gradient; the clips pass theirs straight through to R1·k1 and
@@ -116,10 +115,10 @@ let eta_pair act neg ~act_noise ~neg_noise =
    replaced bit for bit, so only the per-node overhead goes. *)
 let apply_eta eta_node v =
   let x = A.value v in
-  let h = Tensor.zeros_as x (Tensor.rows x) (Tensor.cols x) in
-  let out = Tensor.zeros_as x (Tensor.rows x) (Tensor.cols x) in
+  let h = Tensor.zeros (Tensor.rows x) (Tensor.cols x) in
+  let out = Tensor.zeros (Tensor.rows x) (Tensor.cols x) in
   Tensor.ptanh_into ~eta:(A.value eta_node) x ~h ~dst:out;
-  let dv = A.scratch_of x (Tensor.rows x) (Tensor.cols x) and deta = A.scratch_of x 1 4 in
+  let dv = A.scratch_of (Tensor.rows x) (Tensor.cols x) and deta = A.scratch_of 1 4 in
   A.fused out [ eta_node; v ]
     ~recompute:(fun dst -> Tensor.ptanh_into ~eta:(A.value eta_node) (A.value v) ~h ~dst)
     ~backward:(fun g ->

@@ -2,8 +2,8 @@ let magic = "pnn-save"
 let format_version = 2
 let schema_tag = Printf.sprintf "%s-%d" magic format_version
 
-(* The numerics tag: both kernel backends compute the reference's bits, so
-   there is one set of numerics and one cache partition.  A change to any
+(* The numerics tag: the kernels compute the oracle's bits (test/oracle.ml),
+   the numerics every cached result was computed with.  A change to any
    kernel's bits must change this tag. *)
 let cache_schema () = schema_tag ^ "+ref"
 

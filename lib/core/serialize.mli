@@ -17,9 +17,9 @@ val schema_tag : string
 
 val cache_schema : unit -> string
 (** {!schema_tag} plus the numerics tag (["pnn-save-2+ref"]) — the schema
-    string experiment cache keys must use.  Every kernel backend computes
-    the reference backend's bits, so the string is the same on all of them
-    and a cached result serves any backend. *)
+    string experiment cache keys must use.  The tag names the numerics of
+    the tensor kernels, pinned to the oracle in test/oracle.ml; a change to
+    any kernel's bits must change it. *)
 
 val float_line : float array -> string
 (** Space-joined [%h] hex floats — bit-exact round-trips including ±inf,

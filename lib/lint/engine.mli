@@ -22,7 +22,7 @@ val default_config : config
     are the cache-key and result-producing units (Cache, Serialize,
     Checkpoint, Evaluation, Training, the experiment tables); R7 seeds are
     Domain/Parallel/Coordinator/Thread with only Coordinator allowed to
-    fork; the registered stub pair is the Kernels_c backend. *)
+    fork; the registered stub pair is Kernels_c and its C stubs. *)
 
 type suppression = {
   sup_path : string;

@@ -74,15 +74,13 @@ let all_rules =
     };
     {
       id = "R6";
-      title = "no backend-internal storage access outside lib/tensor";
+      title = "no raw kernel access outside lib/tensor";
       detail =
-        "Kernels_ref, Kernels_c and Tensor_backend are the tensor \
-         library's internal kernel layer (the tensor library is unwrapped, \
-         so they are globally visible); touching them from outside \
-         lib/tensor bypasses the dispatch layer, breaking backend \
-         selection, mixed-storage fallback and shape validation.  Go \
-         through the Tensor API; tooling that genuinely needs raw buffers \
-         suppresses with a reason.";
+        "Kernels_c is the tensor library's internal kernel layer (the \
+         tensor library is unwrapped, so it is globally visible); calling \
+         it from outside lib/tensor bypasses Tensor's shape validation and \
+         hands out raw buffers.  Go through the Tensor API; tooling that \
+         genuinely needs raw buffers suppresses with a reason.";
     };
     {
       id = "R7";
@@ -167,11 +165,10 @@ let check_ident ctx lid line =
       f "R5"
         "polymorphic compare; use Int.compare / Float.compare / \
          String.compare or a typed comparator"
-  | ("Kernels_ref" | "Kernels_c" | "Tensor_backend") :: _
+  | "Kernels_c" :: _
     when Deps.find_substring ctx.file.Source.path "lib/tensor" = None ->
       f "R6"
-        (String.concat "." p
-        ^ " is backend-internal storage; go through the Tensor dispatch API")
+        (String.concat "." p ^ " is a raw kernel; go through the Tensor API")
   | [ "Unix"; "fork" ]
     when not (List.mem (Deps.unit_name ctx.file.Source.path) ctx.fork_allowed)
     ->

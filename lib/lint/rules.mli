@@ -12,7 +12,7 @@
       justification within {!safety_window} lines.
     - R5 — no polymorphic comparison at float-carrying types: bare
       [compare] anywhere, and [=]/[<>]/[==]/[!=] against float literals.
-    - R6 — no backend-internal storage access outside [lib/tensor].
+    - R6 — no raw kernel access outside [lib/tensor].
     - R7 — module-level mutable state ([ref]/[Hashtbl.create]/
       [Buffer.create] at structure level, record types with [mutable]
       fields and no [Mutex.t] field) in the dependency closure of

@@ -7,7 +7,7 @@ let apply t x =
   | Sigmoid -> Autodiff.sigmoid x
   | Linear -> x
 
-(* The backend unop implementing each activation — the bridge the fused
+(* The tensor unop implementing each activation — the bridge the fused
    dense kernels key on.  Formulas match the former [Tensor.map] closures
    exactly (tanh; if v > 0.0 then v else 0.0; 1/(1+exp(-v))), so routing
    through the unop kernels is bit-identical while avoiding the per-element
@@ -22,7 +22,7 @@ let apply_tensor t x =
   match unop t with
   | None -> x
   | Some op ->
-      let dst = Tensor.zeros_as x (Tensor.rows x) (Tensor.cols x) in
+      let dst = Tensor.zeros (Tensor.rows x) (Tensor.cols x) in
       Tensor.unop_into op x ~dst;
       dst
 

@@ -7,7 +7,7 @@ val apply_tensor : t -> Tensor.t -> Tensor.t
 (** Tape-free evaluation for inference. *)
 
 val unop : t -> Tensor.unop option
-(** The backend kernel implementing this activation ([None] for [Linear]) —
+(** The tensor kernel implementing this activation ([None] for [Linear]) —
     what the fused dense forward passes to {!Autodiff.dense} /
     {!Tensor.matmul_bias_unop_into}.  [apply_tensor] is bit-identical to
     running this kernel. *)

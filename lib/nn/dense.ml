@@ -17,13 +17,13 @@ let forward_fused act t x = Autodiff.dense ?op:(Activation.unop act) x t.w t.b
 let forward_tensor_fused act t x =
   let w = Autodiff.value t.w and b = Autodiff.value t.b in
   let m = Tensor.rows x and n = Tensor.cols w in
-  let pre = Tensor.zeros_as x m n in
+  let pre = Tensor.zeros m n in
   match Activation.unop act with
   | None ->
       Tensor.matmul_bias_unop_into x w b ~pre ~out:pre;
       pre
   | Some op ->
-      let out = Tensor.zeros_as x m n in
+      let out = Tensor.zeros m n in
       Tensor.matmul_bias_unop_into ~op x w b ~pre ~out;
       out
 let params t = [ t.w; t.b ]

@@ -8,8 +8,7 @@ val forward_tensor : t -> Tensor.t -> Tensor.t
 
 val forward_fused : Activation.t -> t -> Autodiff.t -> Autodiff.t
 (** [forward_fused act t x] is [Activation.apply act (forward t x)] as one
-    fused node — bit-identical values and gradients, one kernel call on
-    backends with the fused capability. *)
+    fused node — bit-identical values and gradients, one kernel call. *)
 
 val forward_tensor_fused : Activation.t -> t -> Tensor.t -> Tensor.t
 (** Tape-free fused counterpart of

@@ -112,9 +112,9 @@ let step t nodes =
       a.t <- a.t + 1;
       let bc1 = 1.0 -. (a.beta1 ** float_of_int a.t) in
       let bc2 = 1.0 -. (a.beta2 ** float_of_int a.t) in
-      (* One fused call over all leaves (single stub call on backends with
-         the capability); per-item updates are bit-identical to the former
-         per-node Tensor.adam_step loop. *)
+      (* One fused call over all leaves (a single stub call); per-item
+         updates are bit-identical to the former per-node Tensor.adam_step
+         loop. *)
       let items =
         List.map
           (fun node ->

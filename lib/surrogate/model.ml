@@ -18,12 +18,12 @@ let eval_batch t omegas =
     (fun row -> Fit.Ptanh.eta_of_array (Scaler.inverse t.eta_scaler row))
     (Tensor.to_arrays y)
 
-(* Left-operand NaN wins, as in Kernels_ref's [add_first]/[mul_first]
-   (which see); local copies so the loops below inline them (dev builds
-   compile every module -opaque, and a call across modules boxes its
-   floats).  test/test_fused.ml runs each fused node against the
-   Kernels_ref-backed graph it replaced on two-NaN operands, so a copy that
-   drifts from the rule fails it. *)
+(* Left-operand NaN wins, as in the [add_first]/[mul_first] of the kernel
+   oracle, test/oracle.ml (which see); local copies so the loops below
+   inline them (dev builds compile every module -opaque, and a call across
+   modules boxes its floats).  test/test_fused.ml runs each fused node
+   against the graph of primitives it replaced on two-NaN operands, so a
+   copy that drifts from the rule fails it. *)
 let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
 let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
 
@@ -57,9 +57,9 @@ let features_ad t x =
     done;
     Tensor.write_from ya dst
   in
-  let out = Tensor.zeros_as v n e in
+  let out = Tensor.zeros n e in
   forward out;
-  let gx = Array.make (n * d) 0.0 and dx = Autodiff.scratch_of v n d in
+  let gx = Array.make (n * d) 0.0 and dx = Autodiff.scratch_of n d in
   Autodiff.fused out [ x ] ~recompute:forward ~backward:(fun g ->
       Tensor.read_into g ya;
       for r = 0 to n - 1 do

@@ -1,20 +1,18 @@
-(* C-stub kernel backend: flat Bigarray.Float64 storage with the kernels
-   implemented as vectorized C foreign stubs in pnn_kernels_stubs.c — the
-   fast path next to the reference oracle.
+(* The tensor kernels: flat Bigarray.Float64 storage with the kernels
+   implemented as vectorized C foreign stubs in pnn_kernels_stubs.c.
 
-   Numeric contract (see Tensor_backend.KERNELS): every C kernel returns
-   the reference backend's bits.  The per-element kernels perform the
-   reference's floating-point operations in the reference order — the
-   stubs are compiled with -O2 -fno-fast-math -ffp-contract=off so the C
-   compiler may not re-associate or contract into FMA, the stubs pin NaN
+   Numeric contract (see kernels_c.mli): every kernel returns the bits of
+   the float array oracle in test/oracle.ml.  The per-element kernels
+   perform the oracle's floating-point operations in the oracle's order —
+   the stubs are compiled with -O2 -fno-fast-math -ffp-contract=off so the
+   C compiler may not re-associate or contract into FMA, the stubs pin NaN
    quieting and operand order themselves, and tanh/exp/log resolve to the
    same libm the OCaml runtime links.  [matmul]/[matmul_nt] (and the fused
    dense forward built on the matmul core) vectorize across output columns,
-   each lane accumulated in pure k order; they drop the reference's
-   exact-zero skip and its add operand order, which can only change a NaN
-   output, and recompute every NaN output with the reference's rules (the
-   argument is in the stub file and docs/INTERNALS.md).  Both backends
-   therefore share one cache schema.
+   each lane accumulated in pure k order; they drop the oracle's exact-zero
+   skip and its add operand order, which can only change a NaN output, and
+   recompute every NaN output with the oracle's rules (the argument is in
+   the stub file and docs/INTERNALS.md).
 
    Bounds: the stubs cannot bounds-check, so each wrapper first asserts
    that every buffer holds the elements the stub will touch ([need]),
@@ -27,9 +25,9 @@
    access. *)
 
 open Bigarray
-module TB = Tensor_backend
 
 type buf = (float, float64_elt, c_layout) Array1.t
+type unop = Tanh | Sigmoid | Relu
 
 (* Monomorphic accessors: the polymorphic [Bigarray.Array1.get] family only
    compiles to the inline load/store when the element kind and layout are
@@ -51,7 +49,6 @@ let create n =
   Array1.fill b 0.0;
   b
 
-let length = Array1.dim
 let get = Array1.get
 let set = Array1.set
 
@@ -76,7 +73,7 @@ let load b a =
    dimensions, [@unboxed] float scalars, no callbacks, no OCaml-heap
    allocation ([@@noalloc]); each stub has a _byte twin for the bytecode
    calling convention.  Bounds are never checked C-side: the Tensor
-   dispatch layer validates shapes before dispatch, and every wrapper below
+   layer validates shapes before each call, and every wrapper below
    asserts each buffer's length before the stub is reached. *)
 
 (* SAFETY: the [fill]/[blit] wrappers below check that
@@ -92,7 +89,7 @@ external c_blit :
   = "pnn_c_blit_byte" "pnn_c_blit"
 [@@noalloc]
 
-(* SAFETY: dispatch guarantees a, b and dst all have >= n elements; the stub
+(* SAFETY: Tensor guarantees a, b and dst all have >= n elements; the stub
    touches indices 0..n-1 only, and dst may alias an input (same-index
    read/write). *)
 external c_add : buf -> buf -> buf -> (int[@untagged]) -> unit
@@ -143,7 +140,7 @@ external c_mul_rowvec :
   = "pnn_c_mul_rowvec_byte" "pnn_c_mul_rowvec"
 [@@noalloc]
 
-(* SAFETY: a is m*k, b is k*n, c is m*n (validated by dispatch); c is
+(* SAFETY: a is m*k, b is k*n, c is m*n (validated by Tensor); c is
    overwritten and must not alias a or b. *)
 external c_matmul :
   buf ->
@@ -188,7 +185,7 @@ external c_sum_rows :
   = "pnn_c_sum_rows_byte" "pnn_c_sum_rows"
 [@@noalloc]
 
-(* SAFETY: src and dst have >= n elements; op is a valid unop code (0..6,
+(* SAFETY: src and dst have >= n elements; op is a valid unop code (0..2,
    produced only by unop_code below); aliasing ok. *)
 external c_unary : (int[@untagged]) -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_unary_byte" "pnn_c_unary"
@@ -216,7 +213,7 @@ external c_ptanh_bwd :
 [@@noalloc]
 
 (* SAFETY: for [m k n] with k1 = k + 1: x is m*k, eta has >= 4 elements,
-   cond (2*k1 + 1)*n, h and inv_x m*k1, num and out m*n (dispatch checks
+   cond (2*k1 + 1)*n, h and inv_x m*k1, num and out m*n (Tensor checks
    the shapes); the outputs must not alias each other or an input. *)
 external c_crossbar :
   buf ->
@@ -310,7 +307,7 @@ external c_matmul_bias_unop :
 
 (* SAFETY: each item (value, grad, m, v, numel) carries its own length:
    value/grad are bigarrays and m/v float arrays all of >= numel elements
-   (the dispatch layer builds items from same-shaped tensors and
+   (Tensor builds items from same-shaped tensors and
    optimizer-allocated moments); the stub reads tuple fields of the
    immutable items array and performs same-index updates only. *)
 external c_adam_step_many :
@@ -435,7 +432,7 @@ let sum a n =
   need n a;
   c_sum a n
 
-(* Monomorphic spellings of the reference backend's
+(* Monomorphic spellings of the oracle's
    [Array.fold_left Stdlib.min/max data.(0) data]: polymorphic min/max on
    floats are the IEEE selects [if acc <= x then acc else x] (resp. [>=]),
    where an unordered compare keeps [x] — so a NaN accumulator is displaced
@@ -463,7 +460,7 @@ let sum_rows src dst rows cols =
   need cols dst;
   c_sum_rows src dst rows cols
 
-(* Strict [>] as in the reference: first maximum wins; NaN never displaces
+(* Strict [>] as in the oracle: first maximum wins; NaN never displaces
    the incumbent (and a NaN in column 0 is never displaced). *)
 let argmax_rows b rows cols =
   Array.init rows (fun r ->
@@ -475,14 +472,7 @@ let argmax_rows b rows cols =
       !best)
 
 (* Codes match enum pnn_unop in pnn_kernels_stubs.c (declaration order). *)
-let unop_code = function
-  | TB.Tanh -> 0
-  | TB.Sigmoid -> 1
-  | TB.Exp -> 2
-  | TB.Log -> 3
-  | TB.Sqrt -> 4
-  | TB.Relu -> 5
-  | TB.Abs -> 6
+let unop_code = function Tanh -> 0 | Sigmoid -> 1 | Relu -> 2
 
 let unary op src dst n =
   need n src;
@@ -555,7 +545,7 @@ let sgd_step ~lr ~grad ~value n =
   need n value;
   c_sgd_step lr grad value n
 
-(* The moments are plain float arrays whose lengths the dispatch layer
+(* The moments are plain float arrays whose lengths Tensor
    checks. *)
 let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad ~value n =
   need n grad;

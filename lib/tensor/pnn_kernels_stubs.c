@@ -1,4 +1,4 @@
-/* C kernel cores for the Kernels_c backend.
+/* C kernel cores for Kernels_c, the tensor kernels.
  *
  * ABI (documented in docs/INTERNALS.md): every stub receives flat
  * Bigarray.Array1 Float64 buffers (data pointer via Caml_ba_data_val) plus
@@ -13,14 +13,14 @@
  * compiled with -O2 -fno-fast-math -ffp-contract=off so the compiler may
  * not re-associate, contract mul+add into FMA, or otherwise change IEEE
  * results (NaN signs and quieting are pinned in the code: see quiet()).
- * Every kernel below returns the bits of the reference backend
- * (lib/tensor/kernels_ref.ml).  Per-element kernels perform its exact
+ * Every kernel below returns the bits of the float array oracle kept with
+ * the tests (test/oracle.ml).  Per-element kernels perform its exact
  * floating-point operations in its exact order; libm calls (tanh/exp/log)
  * resolve to the same libm the OCaml runtime links.  The matmul family
  * vectorizes across output columns in pure k order and recomputes NaN
- * outputs with the reference's rules (the argument is above mm_core).
- * Both backends share one cache schema, so a change that alters any
- * kernel's bits must also change Serialize.cache_schema.
+ * outputs with the oracle's rules (the argument is above mm_core).
+ * Cached results are keyed by Serialize.cache_schema, so a change that
+ * alters any kernel's bits must also change the schema.
  *
  * Vectorization is portable: GCC/Clang generic vector extensions (lowered
  * to scalar code on targets without SIMD) behind __GNUC__, with a scalar
@@ -62,12 +62,12 @@ static inline void vstore(double *p, v2df v) { *(v2df_u *) p = v; }
 #define PNN_SPECIALISE static inline
 #endif
 
-/* NaN operand order (as in kernels_ref.ml): when both operands of
+/* NaN operand order (as in test/oracle.ml): when both operands of
  * an add/mul are NaN, x86 returns the first operand's NaN, and the
  * compiler is free to swap commutative operands (or to rewrite a + (-b) as
  * a - b, which keeps b's sign where the negation flipped it).  Where the
- * reference kernel's first operand can meet a NaN in the second, these
- * helpers pin the reference's choice: the left operand quieted when it is
+ * oracle kernel's first operand can meet a NaN in the second, these
+ * helpers pin the oracle's choice: the left operand quieted when it is
  * NaN, otherwise the plain operation (then at most one operand is NaN, so
  * the instruction order cannot matter).  Quieting sets the quiet bit, as
  * the hardware does, through the bits so that no float rewrite applies:
@@ -93,7 +93,7 @@ static inline double mul_first(double a, double b)
 /* Both operands' NaN cases spelled out: the hardware's rule (the left
  * NaN, else the right one, quieted) with no arithmetic left on a NaN.  For
  * an operand the code wrote as a negation: the compiler may rewrite
- * a + (-b) as a - b, which keeps a NaN b's sign where the reference's
+ * a + (-b) as a - b, which keeps a NaN b's sign where the oracle's
  * stored negation flipped it, and here the arithmetic never sees a NaN. */
 static inline double add_pin(double a, double b)
 {
@@ -171,7 +171,7 @@ CAMLprim value pnn_c_neg_byte(value va, value vdst, value vn)
   return pnn_c_neg(va, vdst, Long_val(vn));
 }
 
-/* The reference's NaN k wins over a NaN element; hoisting that case keeps
+/* The oracle's NaN k wins over a NaN element; hoisting that case keeps
  * the main loop branch-free. */
 CAMLprim value pnn_c_scale(double k, value va, value vdst, intnat n)
 {
@@ -248,29 +248,29 @@ CAMLprim value pnn_c_mul_rowvec_byte(value vm, value vv, value vdst,
 }
 
 /* ------------------------------------------------------------------ */
-/* Matmul family: vectorized, and bit-identical to the reference.      */
+/* Matmul family: vectorized, and bit-identical to the oracle.         */
 /* ------------------------------------------------------------------ */
 
 /* The vector loops below accumulate every term in pure k order from +0.0;
- * Kernels_ref.matmul/matmul_nt accumulate the same terms in the same
+ * the oracle's matmul/matmul_nt accumulate the same terms in the same
  * order, but skip exact-zero A entries and fix the add's operand order.
  * For a non-NaN C output both differences are invisible: a skipped term
  * is ±0 (a finite B entry times ±0), the accumulator starts at +0.0 and
  * can never become -0.0, so adding ±0 leaves it unchanged; and without a
  * NaN, IEEE add and multiply are commutative bit for bit.  C adds a
- * superset of the reference's terms and NaN is absorbing, so every
- * reference NaN is a C NaN too.  Only NaN outputs can differ — a skipped
- * 0·inf, or the payload when two NaNs meet — and those are recomputed
- * below with the reference's rules. */
+ * superset of the oracle's terms and NaN is absorbing, so every oracle
+ * NaN is a C NaN too.  Only NaN outputs can differ — a skipped 0·inf, or
+ * the payload when two NaNs meet — and those are recomputed below with
+ * the oracle's rules. */
 
-/* One term of Kernels_ref.matmul's element: an exact-zero A entry is
+/* One term of the oracle matmul's element: an exact-zero A entry is
  * skipped, otherwise the product is added first. */
 static inline double ref_term(double acc, double a, double b)
 {
   return a != 0.0 ? add_first(mul_first(a, b), acc) : acc;
 }
 
-/* Kernels_ref.matmul's element over k terms, the A entries a[p * as] and
+/* The oracle matmul's element over k terms, the A entries a[p * as] and
  * the B entries b[p * bs] (as = 0 repeats one A entry). */
 static double matmul_ref_elem(const double *a, intnat as, const double *b,
                               intnat bs, intnat k)
@@ -280,7 +280,7 @@ static double matmul_ref_elem(const double *a, intnat as, const double *b,
   return acc;
 }
 
-/* Kernels_ref.matmul_nt's element: accumulator-first add. */
+/* The oracle matmul_nt's element: accumulator-first add. */
 static double matmul_nt_ref_elem(const double *arow, const double *brow,
                                  intnat k)
 {
@@ -490,7 +490,7 @@ CAMLprim value pnn_c_matmul_nt_byte(value *argv, int argn)
                          Long_val(argv[4]), Long_val(argv[5]));
 }
 
-/* Blocked copy, same 32x32 tiling as the OCaml backends (copies are exact
+/* Blocked copy, same 32x32 tiling as the oracle (copies are exact
  * in any order). */
 CAMLprim value pnn_c_transpose(value vsrc, value vdst, intnat rows,
                                intnat cols)
@@ -517,7 +517,7 @@ CAMLprim value pnn_c_transpose_byte(value vsrc, value vdst, value vrows,
 
 /* ------------------------------------------------------------------ */
 /* Reductions: left-to-right single accumulator, same order as the    */
-/* reference (the compiler may not re-associate without -ffast-math). */
+/* oracle (the compiler may not re-associate without -ffast-math).    */
 /* ------------------------------------------------------------------ */
 
 CAMLprim double pnn_c_dot(value va, value vb, intnat n)
@@ -564,13 +564,12 @@ CAMLprim value pnn_c_sum_rows_byte(value vsrc, value vdst, value vrows,
 }
 
 /* --------------------------------------------------------------- */
-/* Nonlinearities: op tags match Tensor_backend.unop declaration   */
-/* order (Tanh..Abs = 0..6); formulas are the reference backend's, */
+/* Nonlinearities: op tags match Kernels_c.unop declaration order   */
+/* (Tanh, Sigmoid, Relu = 0..2); formulas are the oracle's, and     */
 /* libm calls resolve to the same libm the OCaml runtime links.    */
 /* --------------------------------------------------------------- */
 
-enum pnn_unop { PNN_TANH, PNN_SIGMOID, PNN_EXP, PNN_LOG, PNN_SQRT, PNN_RELU,
-                PNN_ABS };
+enum pnn_unop { PNN_TANH, PNN_SIGMOID, PNN_RELU };
 
 CAMLprim value pnn_c_unary(intnat op, value vsrc, value vdst, intnat n)
 {
@@ -583,23 +582,11 @@ CAMLprim value pnn_c_unary(intnat op, value vsrc, value vdst, intnat n)
   case PNN_SIGMOID:
     for (intnat i = 0; i < n; i++) dst[i] = 1.0 / (1.0 + exp(-src[i]));
     break;
-  case PNN_EXP:
-    for (intnat i = 0; i < n; i++) dst[i] = exp(src[i]);
-    break;
-  case PNN_LOG:
-    for (intnat i = 0; i < n; i++) dst[i] = log(src[i]);
-    break;
-  case PNN_SQRT:
-    for (intnat i = 0; i < n; i++) dst[i] = sqrt(src[i]);
-    break;
   case PNN_RELU:
     for (intnat i = 0; i < n; i++) {
       double x = src[i];
       dst[i] = x > 0.0 ? x : 0.0;
     }
-    break;
-  case PNN_ABS:
-    for (intnat i = 0; i < n; i++) dst[i] = fabs(src[i]);
     break;
   }
   return Val_unit;
@@ -609,9 +596,9 @@ CAMLprim value pnn_c_unary_byte(value vop, value vsrc, value vdst, value vn)
   return pnn_c_unary(Long_val(vop), vsrc, vdst, Long_val(vn));
 }
 
-/* Operand order follows the reference's: the derivative factor's NaN
- * wins over g's, except for exp, where g comes first.  Relu/abs factors are
- * never NaN; mul_first there keeps a NaN g quieted with its sign. */
+/* Operand order follows the oracle's: the derivative factor's NaN wins
+ * over g's.  The relu factor is never NaN; mul_first there keeps a NaN g
+ * quieted with its sign. */
 CAMLprim value pnn_c_unary_bwd(intnat op, value vx, value vy, value vg,
                                value vs, intnat n)
 {
@@ -632,24 +619,9 @@ CAMLprim value pnn_c_unary_bwd(intnat op, value vx, value vy, value vg,
       s[i] = mul_first(yi * (1.0 - yi), g[i]);
     }
     break;
-  case PNN_EXP:
-    for (intnat i = 0; i < n; i++) s[i] = mul_first(g[i], y[i]);
-    break;
-  case PNN_LOG:
-    for (intnat i = 0; i < n; i++) s[i] = mul_first(1.0 / x[i], g[i]);
-    break;
-  case PNN_SQRT:
-    for (intnat i = 0; i < n; i++) s[i] = mul_first(0.5 / y[i], g[i]);
-    break;
   case PNN_RELU:
     for (intnat i = 0; i < n; i++)
       s[i] = mul_first(g[i], x[i] > 0.0 ? 1.0 : 0.0);
-    break;
-  case PNN_ABS:
-    for (intnat i = 0; i < n; i++) {
-      double xi = x[i];
-      s[i] = mul_first(g[i], xi > 0.0 ? 1.0 : (xi < 0.0 ? -1.0 : 0.0));
-    }
     break;
   }
   return Val_unit;
@@ -662,8 +634,8 @@ CAMLprim value pnn_c_unary_bwd_byte(value *argv, int argn)
 }
 
 /* ------------------------------------------------------------------ */
-/* ptanh (paper Eq. 2): the reference kernels' operation sequence and  */
-/* operand order (lib/tensor/kernels_ref.ml), every commutative        */
+/* ptanh (paper Eq. 2): the oracle kernels' operation sequence and     */
+/* operand order (test/oracle.ml), every commutative                   */
 /* operation that can meet two NaNs pinned with add_first/mul_first.   */
 /* ------------------------------------------------------------------ */
 
@@ -726,7 +698,7 @@ CAMLprim value pnn_c_ptanh_bwd_byte(value *argv, int argn)
 }
 
 /* ------------------------------------------------------------------ */
-/* The crossbar (paper Eq. 1): Kernels_ref.crossbar/crossbar_bwd in    */
+/* The crossbar (paper Eq. 1): the oracle's crossbar/crossbar_bwd in   */
 /* one call each.  x is m × k without its bias column; cond packs θ⁺   */
 /* ((k+1) × n), θ⁻ ((k+1) × n) and the denominator row; h and inv_x    */
 /* are m × (k+1) with the bias column; num, out, g and gnum are m × n. */
@@ -785,7 +757,7 @@ CAMLprim value pnn_c_crossbar_byte(value *argv, int argn)
                         Long_val(argv[9]));
 }
 
-/* The gradients of the forward above, as Kernels_ref.crossbar_bwd
+/* The gradients of the forward above, as the oracle's crossbar_bwd
  * computes them: gnum receives the numerator's gradient, deta η's four
  * shares, dcond θ⁺'s, θ⁻'s and the denominator's, and dx (when want_dx)
  * x's share — inv(x)'s path first, then the θ⁺ matmul's.  One pass over
@@ -794,7 +766,7 @@ CAMLprim value pnn_c_crossbar_byte(value *argv, int argn)
  * order from +0.0, and η's shares are summed in row-major order, the bias
  * column included.
  *
- * One body, two modes.  Pinned, it spells out the reference's NaN operand
+ * One body, two modes.  Pinned, it spells out the oracle's NaN operand
  * rules and recomputes NaN matmul outputs as mm_core does.  Plain, it runs
  * the bare arithmetic: where no operand is NaN the rules pick nothing and
  * each operation's result is the same, so the two modes agree on every
@@ -939,8 +911,8 @@ CAMLprim value pnn_c_crossbar_bwd_byte(value *argv, int argn)
 }
 
 /* ------------------------------------------ */
-/* Training-path fused kernels (reference     */
-/* order per row/element, see kernels_ref.ml) */
+/* Training-path fused kernels (oracle order  */
+/* per row/element, see test/oracle.ml)       */
 /* ------------------------------------------ */
 
 static void softmax_rows_core(const double *src, double *out, intnat rows,
@@ -1042,7 +1014,7 @@ CAMLprim value pnn_c_adam_step_byte(value *argv, int argn)
 }
 
 /* ----------------------------------------------------------------- */
-/* Fused hot-path kernels (optional KERNELS capabilities).           */
+/* Fused hot-path kernels.                                           */
 /* ----------------------------------------------------------------- */
 
 /* One stub call for a dense-layer forward: pre := x·w + bias (matmul_core

@@ -6,82 +6,29 @@
     autodiff layer and the pNN rely on these checks to catch wiring mistakes
     early.
 
-    Storage lives behind a pluggable kernel backend (see {!section:backends});
-    the element type is always [float] (IEEE binary64) regardless of
-    backend. *)
-
-type t
-
-(** {1:backends Kernel backends}
-
-    Each tensor's flat buffer is owned by one of two kernel backends:
-
-    - {!Reference} — plain [float array] loops, operation-for-operation
-      identical to the pre-backend implementation.  The bit-identity oracle:
-      golden trajectories, the determinism suite, and cached experiment
-      results are pinned against it.
-    - {!C64} — flat c_layout [Bigarray.Array1] [float64] storage with the
-      kernels as vectorized C foreign stubs (compiled [-O2 -fno-fast-math
-      -ffp-contract=off], so C float semantics stay IEEE-strict).  The
-      default.  Every kernel returns the reference's bits, NaN payloads and
-      signed zeros included: per-element kernels perform the reference's
-      operations in its order, and the matmul family, which vectorizes in
-      pure k order, recomputes any NaN output with the reference's rules
-      (see docs/INTERNALS.md).  Also provides fused layer-forward / Adam
-      kernels (used automatically by the autodiff and optimizer hot paths;
-      see {!matmul_bias_unop_into}).
-
-    Selection: [PNN_BACKEND=reference|c] in the environment (read at module
-    initialization) or {!set_backend}.  The active backend decides where
-    {e constructors} ({!zeros}, {!create}, {!uniform}, …) allocate;
-    operations allocate their result on their {e first operand's} backend, so
-    a computation stays on one backend even if the flag changes mid-run.
-    Mixed-backend operands are supported (results are computed with the
-    reference kernels), but the intended use is to pick one backend per
-    process.  Both backends compute the same bits, so cached experiment
-    results are shared between them. *)
-
-type backend = Tensor_backend.id = Reference | C64
-
-val backend : unit -> backend
-(** The active backend used by constructors. *)
-
-val set_backend : backend -> unit
-
-val backend_of_string : string -> backend option
-(** Accepts ["reference"]/["ref"] and ["c"]/["c64"]. *)
-
-val backend_name : backend -> string
-(** ["reference"] or ["c"] — inverse of {!backend_of_string}. *)
-
-val backends : backend list
-(** Every live backend, in registry order — the single source the CLI
-    surfaces and the test matrix enumerate. *)
-
-val backend_choices : string
-(** The canonical names joined with ["|"] (["reference|c"]), for
-    [--backend] help text and error messages. *)
-
-val backend_of : t -> backend
-(** The backend owning this tensor's storage. *)
-
-(** {1 Bounds checks}
+    Storage is one flat c_layout [Bigarray.Array1] [float64] buffer per
+    tensor, and every operation runs a {!Kernels_c} kernel: vectorized C
+    foreign stubs compiled [-O2 -fno-fast-math -ffp-contract=off], so float
+    semantics stay IEEE-strict.  The kernels' outputs, NaN payloads and
+    signed zeros included, are pinned bit for bit against a plain
+    [float array] oracle kept with the tests (test/oracle.ml; see
+    docs/INTERNALS.md).
 
     Every kernel refuses out-of-bounds work with [Invalid_argument] instead
-    of touching memory, on either backend: the reference kernels index
-    with bounds checks, and the C kernels assert every buffer's length
-    before the stub runs. *)
+    of touching memory: the C wrappers assert every buffer's length before
+    the stub runs. *)
+
+type t
 
 (** {1 Construction} *)
 
 val create : int -> int -> float array -> t
-(** [create rows cols data] builds a tensor from [data] (length must equal
-    [rows * cols]).  On the [Reference] backend the array is wrapped without
-    copying; other backends copy.  Callers must not retain [data]. *)
+(** [create rows cols data] builds a tensor from a copy of [data] (length
+    must equal [rows * cols]); later writes to [data] do not reach the
+    tensor. *)
 
 val zeros : int -> int -> t
 val ones : int -> int -> t
-val full : int -> int -> float -> t
 
 val init : int -> int -> (int -> int -> float) -> t
 (** [init rows cols f] with [f row col] supplying each element; [f] is called
@@ -96,18 +43,11 @@ val of_array : float array -> t
 val of_arrays : float array array -> t
 (** Matrix from rows; all rows must have equal length. *)
 
-val row_of_list : float list -> t
-
 val copy : t -> t
-(** Deep copy on the same backend as the argument. *)
+(** Deep copy. *)
 
 val uniform : Rng.t -> int -> int -> lo:float -> hi:float -> t
 val gaussian : Rng.t -> int -> int -> mu:float -> sigma:float -> t
-
-val zeros_as : t -> int -> int -> t
-(** [zeros_as exemplar rows cols] is {!zeros} allocated on [exemplar]'s
-    backend rather than the active one — the way autodiff scratch and
-    gradient buffers follow their value tensors. *)
 
 (** {1 Access} *)
 
@@ -117,12 +57,9 @@ val numel : t -> int
 val shape : t -> int * int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
-val row : t -> int -> t
-(** Extract one row as a [1 × cols] tensor (copy). *)
 
 val to_array : t -> float array
-(** Fresh copy of the underlying data, row-major (never a live view,
-    regardless of backend). *)
+(** Fresh copy of the underlying data, row-major (never a live view). *)
 
 val to_arrays : t -> float array array
 
@@ -149,14 +86,6 @@ val mul_rowvec : t -> t -> t
 (** {1 Linear algebra} *)
 
 val matmul : t -> t -> t
-
-val matmul_nt : t -> t -> t
-(** [matmul_nt a b] is [matmul a (transpose b)] (requires
-    [cols a = cols b]) without materializing the transpose; on each backend,
-    results are bit-identical to that backend's [matmul] formulation.  Used
-    on the autodiff matmul backward path. *)
-
-val transpose : t -> t
 val dot : t -> t -> float
 (** Inner product of two tensors of identical shape. *)
 
@@ -172,33 +101,27 @@ val min_value : t -> float
     propagates (every comparison is false, so [x] is chosen only… never;
     once the accumulator is NaN it stays NaN), while a NaN {e element} is
     skipped; [-0.0] and [0.0] compare equal, so whichever is encountered
-    first wins.  Both backends agree bitwise.  Raises on empty tensors. *)
+    first wins.  Raises on empty tensors. *)
 
 val max_value : t -> float
 (** Dual of {!min_value} ([if acc >= x then acc else x]); same NaN and
-    signed-zero behavior, bitwise identical across backends. *)
-
-val sum_rows : t -> t
-(** Column-wise sum: result is [1 × cols]. *)
+    signed-zero behavior. *)
 
 val argmax_rows : t -> int array
 (** Index of the maximum entry of each row, first maximum winning (strict
     [>] against the incumbent).  A NaN never displaces the incumbent (strict
     comparison is false), but a leading NaN at column 0 becomes an incumbent
     that nothing displaces — so [argmax] of a row starting with NaN is [0].
-    [-0.0] does not displace [0.0] (they compare equal).  Both backends agree
-    exactly. *)
+    [-0.0] does not displace [0.0] (they compare equal). *)
 
 (** {1 Assembly} *)
 
-val concat_cols : t -> t -> t
-(** Horizontal concatenation of matrices with equal row counts. *)
-
 val concat_rows : t -> t -> t
+(** Vertical concatenation of matrices with equal column counts. *)
+
 val slice_rows : t -> int -> int -> t
 (** [slice_rows m start len]. *)
 
-val slice_cols : t -> int -> int -> t
 val take_rows : t -> int array -> t
 (** Gather rows by index (used for dataset splits). *)
 
@@ -210,13 +133,12 @@ val take_rows : t -> int array -> t
     version, so results are bit-identical — the autodiff scratch buffers and
     the variation-aware training hot path rely on this for determinism.
 
-    Aliasing convention: elementwise kernels ([map_into], [add_into] …
-    [div_into], [neg_into], [scale_into], [add_scalar_into], and the
-    [*_rowvec_into] broadcasts) read and write only index [i] (resp.
-    [(r, c)]) at a time, so [dst] may alias an input.  All other kernels
-    (matmul, transpose, slices, embeds, concats, reductions,
-    [broadcast_rowvec_into]) require [dst] to be distinct from every input;
-    aliasing them is undefined (and not checked).
+    Aliasing convention: elementwise kernels ([add_into], [sub_into],
+    [mul_into], [neg_into], [scale_into] and the [*_rowvec_into]
+    broadcasts) read and write only index [i] (resp. [(r, c)]) at a time,
+    so [dst] may alias an input.  All other kernels (matmul, transpose,
+    slices, embeds, concats, reductions) require [dst] to be distinct from
+    every input; aliasing them is undefined (and not checked).
 
     All kernels raise [Invalid_argument] if [dst] has the wrong shape. *)
 
@@ -224,13 +146,13 @@ val fill : t -> float -> unit
 (** Set every entry. *)
 
 val blit : src:t -> dst:t -> unit
-(** Copy [src] into [dst] (same shape; backends may differ). *)
+(** Copy [src] into [dst] (same shape). *)
 
 val blit_changed : src:t -> dst:t -> bool
 (** As {!blit}, and reports whether any element's IEEE bit pattern changed
     (so [-0.0] over [0.0] and one NaN payload over another count as
-    changes).  Allocation-free when both tensors share a backend; lets a
-    caller skip recomputing what depends only on [dst]. *)
+    changes).  Allocation-free; lets a caller skip recomputing what depends
+    only on [dst]. *)
 
 val read_into : t -> float array -> unit
 (** [read_into t a] copies [t]'s elements, row-major, into [a] (of length
@@ -240,56 +162,42 @@ val read_into : t -> float array -> unit
 val write_from : float array -> t -> unit
 (** [write_from a t] is the converse of {!read_into}. *)
 
-val map_into : (float -> float) -> t -> dst:t -> unit
 val add_into : t -> t -> dst:t -> unit
 val sub_into : t -> t -> dst:t -> unit
 val mul_into : t -> t -> dst:t -> unit
-val div_into : t -> t -> dst:t -> unit
 val neg_into : t -> dst:t -> unit
 val scale_into : float -> t -> dst:t -> unit
-val add_scalar_into : float -> t -> dst:t -> unit
 
 val add_rowvec_into : t -> t -> dst:t -> unit
 val mul_rowvec_into : t -> t -> dst:t -> unit
 
-val broadcast_rowvec_into : t -> dst:t -> unit
-(** Every row of [dst] := the [1 × cols] vector.  Bit-identical to
-    [mul_rowvec (ones …) v] (multiplying by 1.0 is exact). *)
-
 val matmul_into : t -> t -> dst:t -> unit
-val matmul_nt_into : t -> t -> dst:t -> unit
-val transpose_into : t -> dst:t -> unit
-val sum_rows_into : t -> dst:t -> unit
-(** [dst] is [1 × cols]. *)
 
-val slice_cols_into : t -> int -> int -> dst:t -> unit
-(** [slice_cols_into t start len ~dst] with [dst] of shape [rows × len]. *)
+val matmul_nt_into : t -> t -> dst:t -> unit
+(** [matmul_nt_into a b ~dst] is [a · bᵀ] (requires [cols a = cols b])
+    without materializing the transpose.  Used on the autodiff matmul
+    backward path. *)
+
+val transpose_into : t -> dst:t -> unit
+
+val sum_rows_into : t -> dst:t -> unit
+(** Column-wise sum; [dst] is [1 × cols]. *)
 
 val slice_rows_into : t -> int -> int -> dst:t -> unit
 
-val embed_cols_into : t -> int -> dst:t -> unit
-(** [embed_cols_into src start ~dst]: [dst] := zeros except columns
-    [start, start + cols src) := [src] — the scatter adjoint of
-    {!slice_cols}. *)
-
 val embed_rows_into : t -> int -> dst:t -> unit
-val concat_cols_into : t -> t -> dst:t -> unit
+(** [embed_rows_into src start ~dst]: [dst] := zeros except rows
+    [start, start + rows src) := [src] — the scatter adjoint of
+    {!slice_rows}. *)
+
 val concat_rows_into : t -> t -> dst:t -> unit
 
 (** {1 Nonlinearity and training-path kernels}
 
-    Backend-owned loops for the autodiff tape and the optimizer.  Routing
-    them through this module keeps raw backend buffers from escaping
-    [lib/tensor] (pnnlint R6). *)
+    Kernels for the autodiff tape and the optimizer.  Routing them through
+    this module keeps raw buffers from escaping [lib/tensor] (pnnlint R6). *)
 
-type unop = Tensor_backend.unop =
-  | Tanh
-  | Sigmoid
-  | Exp
-  | Log
-  | Sqrt
-  | Relu
-  | Abs
+type unop = Kernels_c.unop = Tanh | Sigmoid | Relu
 
 val unop_into : unop -> t -> dst:t -> unit
 (** Forward nonlinearity, elementwise ([dst] may alias the input). *)
@@ -297,13 +205,13 @@ val unop_into : unop -> t -> dst:t -> unit
 val unop_bwd_into : unop -> x:t -> y:t -> g:t -> dst:t -> unit
 (** Backward pass of [unop]: [dst.(i) := g.(i) * d/dx op] evaluated from the
     forward input [x] and output [y] (each formula reads whichever is
-    cheaper, e.g. tanh uses [y], log uses [x]).  [dst] may alias [g]. *)
+    cheaper, e.g. tanh uses [y], relu uses [x]).  [dst] may alias [g]. *)
 
 val ptanh_into : eta:t -> t -> h:t -> dst:t -> unit
 (** [ptanh_into ~eta v ~h ~dst] is the paper's Eq. 2 for a 4-element
     [eta = [η1; η2; η3; η4]]: [dst := η1 + η2·tanh((v − η3)·η4)] elementwise,
-    with [h := tanh((v − η3)·η4)] kept for {!ptanh_bwd_into}.  Bit-identical
-    on every backend, NaN payloads included, to the broadcast-scalar
+    with [h := tanh((v − η3)·η4)] kept for {!ptanh_bwd_into}.  Bit-identical,
+    NaN payloads included, to the broadcast-scalar
     sequence [add_scalar (−η3)], [scale η4], [unop Tanh], [scale η2],
     [add_scalar η1]. *)
 
@@ -320,8 +228,8 @@ val crossbar_into :
     then the denominator row: [dst := ([x 1]·θ⁺ + inv·θ⁻) / den] row by
     row, with [inv := −ptanh(eta, [x 1])] kept in [inv_x] and its tanh in
     [h] (both [m × (k + 1)], bias column included) and the numerator in
-    [num], for {!crossbar_bwd_into}.  Bit-identical on every backend to the
-    kernel sequence it replaced: {!ptanh_into} on the bias-augmented input,
+    [num], for {!crossbar_bwd_into}.  Bit-identical to the kernel sequence
+    it replaced: {!ptanh_into} on the bias-augmented input,
     {!neg_into}, [1 / den], two {!matmul_into}, {!add_into},
     {!mul_rowvec_into}. *)
 
@@ -375,11 +283,10 @@ val adam_step :
 
 (** {1 Fused hot-path kernels}
 
-    Single-call fusions of the dominant kernel sequences.  Each runs the C
-    backend's fused kernel when every operand lives on C; otherwise it
-    decomposes into the exact kernel sequence the fused kernel replicates.  Both routes are bit-identical on a given backend — the
-    fusion only removes dispatch and loop-restart overhead, never changes
-    float operations or their order. *)
+    Single-call fusions of the dominant kernel sequences, bit-identical to
+    the kernel sequences they replace: the fusion only removes dispatch and
+    loop-restart overhead, never changes float operations or their
+    order. *)
 
 val matmul_bias_unop_into : ?op:unop -> t -> t -> t -> pre:t -> out:t -> unit
 (** [matmul_bias_unop_into ?op x w b ~pre ~out] is the dense-layer forward:
@@ -398,7 +305,7 @@ val adam_step_many :
   unit
 (** One Adam update over every [(value, grad, m, v)] parameter leaf —
     semantically (and bitwise) per-leaf {!adam_step} calls, fused into one
-    kernel invocation when the backend allows. *)
+    kernel invocation. *)
 
 (** {1 Comparison and printing} *)
 

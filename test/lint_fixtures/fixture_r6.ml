@@ -1,7 +1,7 @@
-(* R6 fixture: backend-internal storage access outside lib/tensor. *)
-let bad () = Kernels_ref.create 4
+(* R6 fixture: raw kernel access outside lib/tensor. *)
+let bad () = Kernels_c.create 4
 
 (* pnnlint:allow R6 fixture: tooling that genuinely needs the raw buffer *)
-let ok () = Tensor_backend.tag backend
+let ok () = Kernels_c.to_float_array buf
 
 let bad_c () = Kernels_c.scale 2.0 buf

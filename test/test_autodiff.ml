@@ -54,108 +54,66 @@ let rng = Rng.create 12345
 let rand r c = T.uniform rng r c ~lo:0.3 ~hi:1.7
 let rand_signed r c = T.uniform rng r c ~lo:(-1.5) ~hi:1.5
 
-let with_backend b f =
-  let prev = T.backend () in
-  T.set_backend b;
-  Fun.protect ~finally:(fun () -> T.set_backend prev) f
-
-(* The gradient-check table.  Each case is a thunk run inside the backend
-   under test, so its parameter, its constants (captured once: the
-   finite-difference check re-invokes the builder, which must reconstruct
-   the same graph) and every kernel it reaches live on that backend.  Each
-   builds a scalar via sum/mean so shapes collapse.  [t] checks the
-   gradient of a fresh parameter; [leaf] of a parameter the case builds
-   itself (inside a layer or circuit). *)
+(* The gradient-check table.  Each case is a thunk whose constants are
+   captured once (the finite-difference check re-invokes the builder, which
+   must reconstruct the same graph).  Each builds a scalar via [Nodes.sum]
+   so shapes collapse.  [t] checks the gradient of a fresh parameter;
+   [leaf] of a parameter the case builds itself (inside a layer or
+   circuit). *)
 let t name mk = (name, fun () -> let build, init = mk () in check_grad name build init)
 let leaf ?tol name mk = (name, fun () -> let build, p = mk () in check_grad_leaf ?tol name build p)
 
-let cases backend table =
-  List.map
-    (fun (name, run) ->
-      Alcotest.test_case
-        (Printf.sprintf "%s [%s]" name (T.backend_name backend))
-        `Quick
-        (fun () -> with_backend backend run))
-    table
-
-let on_every_backend table = List.concat_map (fun b -> cases b table) T.backends
+let cases table =
+  List.map (fun (name, run) -> Alcotest.test_case name `Quick run) table
 
 let unary_cases =
   [
-    t "add self" (fun () -> ((fun p -> A.sum (A.add p p)), rand_signed 3 4));
-    t "sub" (fun () -> ((fun p -> A.sum (A.sub p (A.scale 0.5 p))), rand_signed 3 4));
-    t "mul" (fun () -> ((fun p -> A.sum (A.mul p p)), rand_signed 3 4));
-    t "div" (fun () -> ((fun p -> A.sum (A.div (A.add_scalar 3.0 p) p)), rand 3 4));
-    t "neg" (fun () -> ((fun p -> A.sum (A.neg p)), rand_signed 2 2));
-    t "scale" (fun () -> ((fun p -> A.sum (A.scale (-2.5) p)), rand_signed 2 5));
-    t "add_scalar" (fun () -> ((fun p -> A.sum (A.add_scalar 4.0 p)), rand_signed 2 2));
-    t "tanh" (fun () -> ((fun p -> A.sum (A.tanh p)), rand_signed 3 3));
-    t "sigmoid" (fun () -> ((fun p -> A.sum (A.sigmoid p)), rand_signed 3 3));
-    t "exp" (fun () -> ((fun p -> A.sum (A.exp p)), rand_signed 2 3));
-    t "log" (fun () -> ((fun p -> A.sum (A.log p)), rand 2 3));
-    t "sqrt" (fun () -> ((fun p -> A.sum (A.sqrt p)), rand 2 3));
-    t "relu" (fun () -> ((fun p -> A.sum (A.relu p)), rand 2 3));
-    t "abs" (fun () -> ((fun p -> A.sum (A.abs p)), rand 2 3));
-    t "mean" (fun () -> ((fun p -> A.mean (A.mul p p)), rand_signed 4 2));
+    t "add self" (fun () -> ((fun p -> Nodes.sum (A.add p p)), rand_signed 3 4));
+    t "neg" (fun () -> ((fun p -> Nodes.sum (A.neg p)), rand_signed 2 2));
+    t "scale" (fun () -> ((fun p -> Nodes.sum (A.scale (-2.5) p)), rand_signed 2 5));
+    t "tanh" (fun () -> ((fun p -> Nodes.sum (A.tanh p)), rand_signed 3 3));
+    t "sigmoid" (fun () -> ((fun p -> Nodes.sum (A.sigmoid p)), rand_signed 3 3));
+    t "relu" (fun () -> ((fun p -> Nodes.sum (A.relu p)), rand 2 3));
   ]
 
 let const_case name mk init = t name (fun () -> (mk (), init ()))
 
 let structural_cases =
   [
-    const_case "matmul left" (fun () -> let c = rand 4 2 in fun p -> A.sum (A.matmul p (A.const c)))
+    const_case "matmul left" (fun () -> let c = rand 4 2 in fun p -> Nodes.sum (A.matmul p (A.const c)))
       (fun () -> rand_signed 3 4);
-    const_case "matmul right" (fun () -> let c = rand 2 3 in fun p -> A.sum (A.matmul (A.const c) p))
+    const_case "matmul right" (fun () -> let c = rand 2 3 in fun p -> Nodes.sum (A.matmul (A.const c) p))
       (fun () -> rand_signed 3 4);
     const_case "matmul chain"
       (fun () ->
         let c33 = rand 3 3 and c32 = rand 3 2 in
-        fun p -> A.sum (A.matmul (A.matmul p (A.const c33)) (A.const c32)))
+        fun p -> Nodes.sum (A.matmul (A.matmul p (A.const c33)) (A.const c32)))
       (fun () -> rand_signed 2 3);
-    t "transpose" (fun () ->
-        ((fun p -> A.sum (A.mul (A.transpose p) (A.transpose p))), rand_signed 2 4));
-    const_case "add_rowvec m" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.add_rowvec p (A.const c)))
+    const_case "add_rowvec m" (fun () -> let c = rand 1 4 in fun p -> Nodes.sum (A.add_rowvec p (A.const c)))
       (fun () -> rand_signed 3 4);
-    const_case "add_rowvec v" (fun () -> let c = rand 3 4 in fun p -> A.sum (A.add_rowvec (A.const c) p))
+    const_case "add_rowvec v" (fun () -> let c = rand 3 4 in fun p -> Nodes.sum (A.add_rowvec (A.const c) p))
       (fun () -> rand_signed 1 4);
-    const_case "mul_rowvec m" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.mul_rowvec p (A.const c)))
+    const_case "mul_rowvec m" (fun () -> let c = rand 1 4 in fun p -> Nodes.sum (A.mul_rowvec p (A.const c)))
       (fun () -> rand_signed 3 4);
-    const_case "mul_rowvec v" (fun () -> let c = rand 3 4 in fun p -> A.sum (A.mul_rowvec (A.const c) p))
+    const_case "mul_rowvec v" (fun () -> let c = rand 3 4 in fun p -> Nodes.sum (A.mul_rowvec (A.const c) p))
       (fun () -> rand_signed 1 4);
-    const_case "div_rowvec m" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.div_rowvec p (A.const c)))
-      (fun () -> rand_signed 3 4);
-    const_case "div_rowvec v" (fun () -> let c = rand 3 4 in fun p -> A.sum (A.div_rowvec (A.const c) p))
-      (fun () -> rand 1 4);
-    const_case "sum_rows" (fun () -> let c = rand 1 4 in fun p -> A.sum (A.mul (A.sum_rows p) (A.const c)))
-      (fun () -> rand_signed 3 4);
-    const_case "concat_cols a"
-      (fun () ->
-        let c23 = rand 2 3 and c25 = rand 2 5 in
-        fun p -> A.sum (A.mul (A.concat_cols p (A.const c23)) (A.const c25)))
-      (fun () -> rand_signed 2 2);
-    const_case "concat_cols b"
-      (fun () ->
-        let c23 = rand 2 3 and c25 = rand 2 5 in
-        fun p -> A.sum (A.mul (A.concat_cols (A.const c23) p) (A.const c25)))
-      (fun () -> rand_signed 2 2);
     const_case "concat_rows a"
       (fun () ->
         let c33 = rand 3 3 and c53 = rand 5 3 in
-        fun p -> A.sum (A.mul (A.concat_rows p (A.const c33)) (A.const c53)))
+        fun p -> Nodes.sum (Nodes.mul (A.concat_rows p (A.const c33)) (A.const c53)))
       (fun () -> rand_signed 2 3);
     const_case "concat_rows b"
       (fun () ->
         let c23 = rand 2 3 and c53 = rand 5 3 in
-        fun p -> A.sum (A.mul (A.concat_rows (A.const c23) p) (A.const c53)))
+        fun p -> Nodes.sum (Nodes.mul (A.concat_rows (A.const c23) p) (A.const c53)))
       (fun () -> rand_signed 3 3);
-    t "slice_cols" (fun () -> ((fun p -> A.sum (A.slice_cols p 1 2)), rand_signed 3 4));
-    t "slice_rows" (fun () -> ((fun p -> A.sum (A.slice_rows p 1 2)), rand_signed 4 3));
+    t "slice_rows" (fun () -> ((fun p -> Nodes.sum (A.slice_rows p 1 2)), rand_signed 4 3));
     t "diamond graph" (fun () ->
-        ((fun p -> A.sum (A.mul (A.tanh p) (A.sigmoid p))), rand_signed 3 3));
+        ((fun p -> Nodes.sum (Nodes.mul (A.tanh p) (A.sigmoid p))), rand_signed 3 3));
     t "reused node" (fun () ->
         ((fun p ->
-           let a = A.mul p p in
-           A.sum (A.add a a)),
+           let a = Nodes.mul p p in
+           Nodes.sum (A.add a a)),
          rand_signed 2 2));
   ]
 
@@ -172,7 +130,7 @@ let dense_cases =
             let x, w, b, weights = shapes () in
             fun p ->
               let arg name v = if name = input then p else A.const v in
-              A.sum (A.mul (A.dense ?op (arg "x" x) (arg "w" w) (arg "b" b)) (A.const weights)))
+              Nodes.sum (Nodes.mul (A.dense ?op (arg "x" x) (arg "w" w) (arg "b" b)) (A.const weights)))
           (fun () ->
             match input with
             | "x" -> rand_signed 5 3
@@ -211,7 +169,7 @@ let printed_cases =
     layer
   in
   let noise () = List.hd (Pnn.Noise.draw (Rng.create 5) ~epsilon:0.05 ~theta_shapes:[ (5, 2) ]) in
-  let weighted out w = A.sum (A.mul out (A.const w)) in
+  let weighted out w = Nodes.sum (Nodes.mul out (A.const w)) in
   [
     const_case "ptanh eta, v const"
       (fun () ->
@@ -266,9 +224,9 @@ let printed_cases =
 
 let test_values () =
   let x = A.const (T.of_array [| 1.0; -2.0 |]) in
-  let y = A.add (A.abs x) (A.relu x) in
-  Alcotest.(check (float 1e-12)) "abs+relu" 2.0 (T.get (A.value y) 0 0);
-  Alcotest.(check (float 1e-12)) "abs+relu neg" 2.0 (T.get (A.value y) 0 1)
+  let y = A.add (A.scale 2.0 x) (A.relu x) in
+  Alcotest.(check (float 1e-12)) "2x+relu" 3.0 (T.get (A.value y) 0 0);
+  Alcotest.(check (float 1e-12)) "2x+relu neg" (-4.0) (T.get (A.value y) 0 1)
 
 let test_softmax_ce_value () =
   (* uniform logits -> loss = ln k *)
@@ -283,37 +241,9 @@ let test_backward_requires_scalar () =
     (Invalid_argument "Autodiff.backward: root must be a 1x1 scalar") (fun () ->
       A.backward (A.add p p))
 
-let test_params_collection () =
-  let p1 = A.param (T.zeros 1 2) in
-  let p2 = A.param (T.ones 1 2) in
-  let c = A.const (T.ones 1 2) in
-  let root = A.sum (A.add (A.mul p1 p2) c) in
-  let ps = A.params root in
-  Alcotest.(check int) "two params" 2 (List.length ps);
-  Alcotest.(check bool) "ordered by creation" true
-    (A.id (List.nth ps 0) < A.id (List.nth ps 1))
-
-let test_params_canonical_order () =
-  (* regression: [params] sorts on node id, so the returned order depends only
-     on creation order — not on how the graph traversal (a Hashtbl-backed
-     visited set) happens to encounter the nodes *)
-  let p1 = A.param (T.zeros 1 1) in
-  let p2 = A.param (T.ones 1 1) in
-  let p3 = A.param (T.scalar 2.0) in
-  (* reference p3 first so a traversal-order listing would reverse them *)
-  let root = A.sum (A.add (A.mul p3 p2) p1) in
-  let ids = List.map A.id (A.params root) in
-  Alcotest.(check (list int))
-    "creation order regardless of traversal order"
-    [ A.id p1; A.id p2; A.id p3 ]
-    ids;
-  Alcotest.(check (list int))
-    "repeat call identical" ids
-    (List.map A.id (A.params root))
-
 let test_grad_accumulation_reset () =
   let p = A.param (T.ones 1 1) in
-  let build () = A.sum (A.mul p p) in
+  let build () = Nodes.sum (Nodes.mul p p) in
   A.backward (build ());
   let g1 = T.get (A.grad p) 0 0 in
   A.backward (build ());
@@ -333,7 +263,7 @@ let qcheck_chain_rule =
     QCheck.(pair (float_range (-3.0) 3.0) (float_range (-2.0) 2.0))
     (fun (k, x0) ->
       let p = A.param (T.scalar x0) in
-      let root = A.sum (A.scale k (A.tanh p)) in
+      let root = Nodes.sum (A.scale k (A.tanh p)) in
       A.backward root;
       let g = T.get (A.grad p) 0 0 in
       let expected = k *. (1.0 -. (Float.tanh x0 *. Float.tanh x0)) in
@@ -342,19 +272,16 @@ let qcheck_chain_rule =
 let () =
   Alcotest.run "autodiff"
     [
-      ("unary gradients", on_every_backend unary_cases);
-      ("structural gradients", on_every_backend structural_cases);
-      ("dense gradients", on_every_backend dense_cases);
-      ("losses", on_every_backend loss_cases);
-      ("printed-layer gradients", on_every_backend printed_cases);
+      ("unary gradients", cases unary_cases);
+      ("structural gradients", cases structural_cases);
+      ("dense gradients", cases dense_cases);
+      ("losses", cases loss_cases);
+      ("printed-layer gradients", cases printed_cases);
       ( "semantics",
         [
           Alcotest.test_case "values" `Quick test_values;
           Alcotest.test_case "softmax value" `Quick test_softmax_ce_value;
           Alcotest.test_case "backward scalar only" `Quick test_backward_requires_scalar;
-          Alcotest.test_case "params collection" `Quick test_params_collection;
-          Alcotest.test_case "params canonical order" `Quick
-            test_params_canonical_order;
           Alcotest.test_case "grad reset" `Quick test_grad_accumulation_reset;
           Alcotest.test_case "shape errors" `Quick test_shape_errors;
           QCheck_alcotest.to_alcotest qcheck_chain_rule;

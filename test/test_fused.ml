@@ -5,12 +5,12 @@
    step, the two crossbar halves) promises the bits of the graph of
    primitives it stands for: values and every input's gradient, NaN
    payloads and signed zeros included.  The old graphs are rebuilt here from
-   the primitives that remain, plus test-local copies of the retired
-   broadcast-scalar and straight-through nodes, and both are run on inputs
+   the library's primitives, the copies in nodes.ml of the ones it no
+   longer exports, and test-local copies of the retired broadcast-scalar
+   and straight-through nodes, and both are run on inputs
    and upstream gradients full of NaNs with distinct payloads (quiet and
    signalling, both signs), infinities and signed zeros — the cases where
-   the order of two NaN operands decides the result.  Every check runs on
-   both backends. *)
+   the order of two NaN operands decides the result. *)
 
 module T = Tensor
 module A = Autodiff
@@ -27,16 +27,6 @@ let check_bits what a b =
         Alcotest.failf "%s: element %d: %016Lx (old graph) vs %016Lx (fused)" what i (bits x)
           (bits b.(i)))
     a
-
-let modes f =
-  List.iter
-    (fun backend ->
-      let prev = T.backend () in
-      T.set_backend backend;
-      Fun.protect
-        ~finally:(fun () -> T.set_backend prev)
-        (fun () -> f (T.backend_name backend)))
-    T.backends
 
 (* {1 Inputs} *)
 
@@ -66,7 +56,7 @@ let tensor ?(special = 0.3) rng rows cols ~lo ~hi =
 let run build inputs seed =
   let leaves = List.map (fun t -> A.param (T.copy t)) inputs in
   let out = build leaves in
-  A.backward (A.sum (A.mul out (A.const seed)));
+  A.backward (Nodes.sum (Nodes.mul out (A.const seed)));
   (T.copy (A.value out), List.map (fun p -> T.copy (A.grad p)) leaves)
 
 let against_old what ~old ~fused inputs seed =
@@ -81,7 +71,7 @@ let badd s m =
   A.fused
     (T.add_scalar (T.get (A.value s) 0 0) (A.value m))
     [ s; m ]
-    ~recompute:(fun dst -> T.add_scalar_into (T.get (A.value s) 0 0) (A.value m) ~dst)
+    ~recompute:(fun dst -> T.blit ~src:(T.add_scalar (T.get (A.value s) 0 0) (A.value m)) ~dst)
     ~backward:(fun g ->
       A.accumulate m g;
       A.accumulate s (T.scalar (T.sum g)))
@@ -97,7 +87,7 @@ let bmul s m =
 
 let map_ste f a =
   A.fused (T.map f (A.value a)) [ a ]
-    ~recompute:(fun dst -> T.map_into f (A.value a) ~dst)
+    ~recompute:(fun dst -> T.blit ~src:(T.map f (A.value a)) ~dst)
     ~backward:(fun g -> A.accumulate a g)
 
 let clamp_ste ~lo ~hi = map_ste (fun x -> if x < lo then lo else if x > hi then hi else x)
@@ -105,7 +95,7 @@ let clamp_ste ~lo ~hi = map_ste (fun x -> if x < lo then lo else if x > hi then 
 (* {1 The replaced graphs} *)
 
 let old_ptanh eta v =
-  let e i = A.slice_cols eta i 1 in
+  let e i = Nodes.slice_cols eta i 1 in
   let shifted = badd (A.neg (e 2)) v in
   badd (e 0) (bmul (e 1) (A.tanh (bmul (e 3) shifted)))
 
@@ -113,18 +103,18 @@ let w_scaler = Surrogate.Scaler.of_bounds ~lo:Ds.learnable_lo ~hi:Ds.learnable_h
 
 let old_omega raw noise =
   let w = Surrogate.Scaler.inverse_ad w_scaler (A.sigmoid raw) in
-  let field i = A.slice_cols w i 1 in
+  let field i = Nodes.slice_cols w i 1 in
   let r1 = field 0 and r3 = field 1 and r5 = field 2 in
   let wd = field 3 and ld = field 4 and k1 = field 5 and k2 = field 6 in
-  let r2 = clamp_ste ~lo:Ds.omega_lo.(1) ~hi:Ds.omega_hi.(1) (A.mul r1 k1) in
-  let r4 = clamp_ste ~lo:Ds.omega_lo.(3) ~hi:Ds.omega_hi.(3) (A.mul r3 k2) in
-  A.mul (List.fold_left A.concat_cols r1 [ r2; r3; r4; r5; wd; ld ]) noise
+  let r2 = clamp_ste ~lo:Ds.omega_lo.(1) ~hi:Ds.omega_hi.(1) (Nodes.mul r1 k1) in
+  let r4 = clamp_ste ~lo:Ds.omega_lo.(3) ~hi:Ds.omega_hi.(3) (Nodes.mul r3 k2) in
+  Nodes.mul (List.fold_left Nodes.concat_cols r1 [ r2; r3; r4; r5; wd; ld ]) noise
 
 let old_features (model : Surrogate.Model.t) x =
-  let col i = A.slice_cols x i 1 in
-  let k1 = A.div (col 1) (col 0) and k2 = A.div (col 3) (col 2) in
-  let k3 = A.div (col 5) (col 6) in
-  let ext = A.concat_cols (A.concat_cols (A.concat_cols x k1) k2) k3 in
+  let col i = Nodes.slice_cols x i 1 in
+  let k1 = Nodes.div (col 1) (col 0) and k2 = Nodes.div (col 3) (col 2) in
+  let k3 = Nodes.div (col 5) (col 6) in
+  let ext = Nodes.concat_cols (Nodes.concat_cols (Nodes.concat_cols x k1) k2) k3 in
   let sc = model.Surrogate.Model.omega_scaler in
   let inv_range = T.of_array (Array.map (fun r -> 1.0 /. r) (Surrogate.Scaler.range sc)) in
   let neg_lo = T.of_array (Array.map (fun l -> -.l) (Surrogate.Scaler.lo sc)) in
@@ -140,9 +130,9 @@ let project (config : Pnn.Config.t) v =
   else v
 
 let old_preactivation config theta theta_n neg_eta x =
-  let x_aug = A.concat_cols x (A.const (T.ones (T.rows (A.value x)) 1)) in
+  let x_aug = Nodes.concat_cols x (A.const (T.ones (T.rows (A.value x)) 1)) in
   let inv_x = A.neg (old_ptanh neg_eta x_aug) in
-  let theta = A.mul (map_ste (project config) theta) theta_n in
+  let theta = Nodes.mul (map_ste (project config) theta) theta_n in
   let pos = A.relu theta and neg_part = A.relu (A.neg theta) in
   let k = T.cols (A.value x) + 1 in
   let numerator =
@@ -150,76 +140,73 @@ let old_preactivation config theta theta_n neg_eta x =
       (A.matmul x_aug (A.slice_rows pos 0 k))
       (A.matmul inv_x (A.slice_rows neg_part 0 k))
   in
-  A.div_rowvec numerator (A.sum_rows (A.add pos neg_part))
+  Nodes.div_rowvec numerator (Nodes.sum_rows (A.add pos neg_part))
 
 (* {1 Tests} *)
 
 let test_ptanh () =
-  modes (fun mode ->
-      let rng = Rng.create 3 in
-      for trial = 0 to 11 do
-        let v = tensor rng 9 5 ~lo:(-2.0) ~hi:2.0 in
-        (* a third of the trials keep η finite, so the element-wise NaN
-           paths are reached as well as the all-NaN ones *)
-        let special = if trial mod 3 = 0 then 0.0 else 0.3 in
-        let eta = tensor ~special rng 1 4 ~lo:(-1.0) ~hi:3.0 in
-        let seed = tensor rng 9 5 ~lo:(-1.0) ~hi:1.0 in
-        let what = Printf.sprintf "ptanh %s trial %d" mode trial in
-        against_old what
-          ~old:(function [ e; v ] -> old_ptanh e v | _ -> assert false)
-          ~fused:(function [ e; v ] -> Pnn.Nonlinear.apply_eta e v | _ -> assert false)
-          [ eta; v ] seed;
-        (* v as a const: only η needs a gradient *)
-        against_old (what ^ " const v")
-          ~old:(function [ e ] -> old_ptanh e (A.const v) | _ -> assert false)
-          ~fused:(function [ e ] -> Pnn.Nonlinear.apply_eta e (A.const v) | _ -> assert false)
-          [ eta ] seed
-      done)
+  let rng = Rng.create 3 in
+  for trial = 0 to 11 do
+    let v = tensor rng 9 5 ~lo:(-2.0) ~hi:2.0 in
+    (* a third of the trials keep η finite, so the element-wise NaN
+       paths are reached as well as the all-NaN ones *)
+    let special = if trial mod 3 = 0 then 0.0 else 0.3 in
+    let eta = tensor ~special rng 1 4 ~lo:(-1.0) ~hi:3.0 in
+    let seed = tensor rng 9 5 ~lo:(-1.0) ~hi:1.0 in
+    let what = Printf.sprintf "ptanh trial %d" trial in
+    against_old what
+      ~old:(function [ e; v ] -> old_ptanh e v | _ -> assert false)
+      ~fused:(function [ e; v ] -> Pnn.Nonlinear.apply_eta e v | _ -> assert false)
+      [ eta; v ] seed;
+    (* v as a const: only η needs a gradient *)
+    against_old (what ^ " const v")
+      ~old:(function [ e ] -> old_ptanh e (A.const v) | _ -> assert false)
+      ~fused:(function [ e ] -> Pnn.Nonlinear.apply_eta e (A.const v) | _ -> assert false)
+      [ eta ] seed
+  done
 
 let test_omega () =
   let surrogate = Fixtures.surrogate () in
-  modes (fun mode ->
-      let rng = Rng.create 4 in
-      for trial = 0 to 19 do
-        let nl = Pnn.Nonlinear.create surrogate in
-        let raw = Pnn.Nonlinear.raw_param nl in
-        T.blit ~src:(tensor rng 1 7 ~lo:(-6.0) ~hi:6.0) ~dst:(A.value raw);
-        let noise = tensor ~special:0.2 rng 1 7 ~lo:0.9 ~hi:1.1 in
-        let seed = A.const (tensor rng 1 7 ~lo:(-1.0) ~hi:1.0) in
-        let run out =
-          A.backward (A.sum (A.mul out seed));
-          (T.copy (A.value out), T.copy (A.grad raw))
-        in
-        let v_old, g_old = run (old_omega raw (A.const noise)) in
-        let v_new, g_new = run (Pnn.Nonlinear.printable_omega nl ~noise) in
-        let what = Printf.sprintf "printable omega %s trial %d" mode trial in
-        check_bits (what ^ " value") v_old v_new;
-        check_bits (what ^ " grad") g_old g_new
-      done)
+  let rng = Rng.create 4 in
+  for trial = 0 to 19 do
+    let nl = Pnn.Nonlinear.create surrogate in
+    let raw = Pnn.Nonlinear.raw_param nl in
+    T.blit ~src:(tensor rng 1 7 ~lo:(-6.0) ~hi:6.0) ~dst:(A.value raw);
+    let noise = tensor ~special:0.2 rng 1 7 ~lo:0.9 ~hi:1.1 in
+    let seed = A.const (tensor rng 1 7 ~lo:(-1.0) ~hi:1.0) in
+    let run out =
+      A.backward (Nodes.sum (Nodes.mul out seed));
+      (T.copy (A.value out), T.copy (A.grad raw))
+    in
+    let v_old, g_old = run (old_omega raw (A.const noise)) in
+    let v_new, g_new = run (Pnn.Nonlinear.printable_omega nl ~noise) in
+    let what = Printf.sprintf "printable omega trial %d" trial in
+    check_bits (what ^ " value") v_old v_new;
+    check_bits (what ^ " grad") g_old g_new
+  done
 
 let test_features () =
   let surrogate = Fixtures.surrogate () in
-  modes (fun mode ->
-      let rng = Rng.create 5 in
-      for trial = 0 to 19 do
-        let om =
-          T.init 2 7 (fun _ c -> Rng.uniform rng ~lo:Ds.omega_lo.(c) ~hi:Ds.omega_hi.(c))
-        in
-        let specials = tensor ~special:0.4 rng 2 7 ~lo:1.0 ~hi:1.0 in
-        let om = T.mul om specials in
-        let seed = tensor rng 2 10 ~lo:(-1.0) ~hi:1.0 in
-        against_old
-          (Printf.sprintf "features %s trial %d" mode trial)
-          ~old:(function [ x ] -> old_features surrogate x | _ -> assert false)
-          ~fused:(function [ x ] -> Surrogate.Model.features_ad surrogate x | _ -> assert false)
-          [ om ] seed
-      done)
+  let rng = Rng.create 5 in
+  for trial = 0 to 19 do
+    let om =
+      T.init 2 7 (fun _ c -> Rng.uniform rng ~lo:Ds.omega_lo.(c) ~hi:Ds.omega_hi.(c))
+    in
+    let specials = tensor ~special:0.4 rng 2 7 ~lo:1.0 ~hi:1.0 in
+    let om = T.mul om specials in
+    let seed = tensor rng 2 10 ~lo:(-1.0) ~hi:1.0 in
+    against_old
+      (Printf.sprintf "features trial %d" trial)
+      ~old:(function [ x ] -> old_features surrogate x | _ -> assert false)
+      ~fused:(function [ x ] -> Surrogate.Model.features_ad surrogate x | _ -> assert false)
+      [ om ] seed
+  done
 
 (* One crossbar case: a layer with random θ and circuits, a noise draw
    with specials in ε_θ, and [rows] inputs, run through the old graph and
    the fused nodes.  With [const_x] the input is a const leaf, as in a
    network's first layer, so the crossbar skips x's gradient. *)
-let crossbar_case config surrogate rng mode ~rows ~inputs ~outputs ~trial ~const_x =
+let crossbar_case config surrogate rng ~rows ~inputs ~outputs ~trial ~const_x =
   let layer = Pnn.Layer.create (Rng.create trial) config surrogate ~inputs ~outputs in
   List.iter
     (fun p -> T.blit ~src:(tensor rng 1 7 ~lo:(-3.0) ~hi:3.0) ~dst:(A.value p))
@@ -237,7 +224,7 @@ let crossbar_case config surrogate rng mode ~rows ~inputs ~outputs ~trial ~const
   let x = tensor rng rows inputs ~lo:0.0 ~hi:1.0 in
   let seed = tensor rng rows outputs ~lo:(-1.0) ~hi:1.0 in
   let grads out =
-    A.backward (A.sum (A.mul out (A.const seed)));
+    A.backward (Nodes.sum (Nodes.mul out (A.const seed)));
     List.map
       (fun p -> T.copy (A.grad p))
       (Pnn.Layer.params_theta layer @ Pnn.Layer.params_omega layer)
@@ -255,9 +242,9 @@ let crossbar_case config surrogate rng mode ~rows ~inputs ~outputs ~trial ~const
   let fused = Pnn.Layer.preactivation config layer ~noise xn in
   let g_new = grads fused in
   let what =
-    Printf.sprintf "crossbar %d rows %dx%d%s %s trial %d" rows inputs outputs
+    Printf.sprintf "crossbar %d rows %dx%d%s trial %d" rows inputs outputs
       (if const_x then " const x" else "")
-      mode trial
+      trial
   in
   check_bits (what ^ " value") (A.value old) (A.value fused);
   if not const_x then check_bits (what ^ " x grad") (A.grad xo) (A.grad xn);
@@ -268,29 +255,28 @@ let crossbar_case config surrogate rng mode ~rows ~inputs ~outputs ~trial ~const
 let test_preactivation () =
   let surrogate = Fixtures.surrogate () in
   let config = Pnn.Config.default in
-  modes (fun mode ->
-      let rng = Rng.create 6 in
-      List.iter
-        (fun (inputs, outputs) ->
-          for trial = 0 to 5 do
-            List.iter
-              (fun const_x ->
-                crossbar_case config surrogate rng mode ~rows:7 ~inputs ~outputs ~trial ~const_x)
-              [ false; true ]
-          done)
-        [ (4, 3); (3, 5); (9, 2) ];
-      (* shapes straddling the C stub's four-row blocks (rows 1..9) and its
-         8-wide column tiles (n_out 1, 3, 7 | 8 | 9, 17) *)
-      for rows = 1 to 9 do
+  let rng = Rng.create 6 in
+  List.iter
+    (fun (inputs, outputs) ->
+      for trial = 0 to 5 do
         List.iter
-          (fun outputs ->
-            List.iter
-              (fun const_x ->
-                crossbar_case config surrogate rng mode ~rows ~inputs:(2 + (rows mod 3)) ~outputs
-                  ~trial:rows ~const_x)
-              [ false; true ])
-          [ 1; 3; 7; 8; 9; 17 ]
+          (fun const_x ->
+            crossbar_case config surrogate rng ~rows:7 ~inputs ~outputs ~trial ~const_x)
+          [ false; true ]
       done)
+    [ (4, 3); (3, 5); (9, 2) ];
+  (* shapes straddling the C stub's four-row blocks (rows 1..9) and its
+     8-wide column tiles (n_out 1, 3, 7 | 8 | 9, 17) *)
+  for rows = 1 to 9 do
+    List.iter
+      (fun outputs ->
+        List.iter
+          (fun const_x ->
+            crossbar_case config surrogate rng ~rows ~inputs:(2 + (rows mod 3)) ~outputs
+              ~trial:rows ~const_x)
+          [ false; true ])
+      [ 1; 3; 7; 8; 9; 17 ]
+  done
 
 let () =
   Alcotest.run "fused"

@@ -45,13 +45,8 @@ let test_elementwise_into_bitwise () =
       check "add" (T.add a b) (fun ~dst -> T.add_into a b ~dst);
       check "sub" (T.sub a b) (fun ~dst -> T.sub_into a b ~dst);
       check "mul" (T.mul a b) (fun ~dst -> T.mul_into a b ~dst);
-      check "div" (T.div a b) (fun ~dst -> T.div_into a b ~dst);
       check "neg" (T.neg a) (fun ~dst -> T.neg_into a ~dst);
       check "scale" (T.scale 0.3 a) (fun ~dst -> T.scale_into 0.3 a ~dst);
-      check "add_scalar" (T.add_scalar 1.7 a) (fun ~dst ->
-          T.add_scalar_into 1.7 a ~dst);
-      check "map" (T.map Stdlib.tanh a) (fun ~dst ->
-          T.map_into Stdlib.tanh a ~dst);
       (* elementwise kernels may alias dst with an input *)
       let aliased = T.copy a in
       T.add_into aliased b ~dst:aliased;
@@ -70,10 +65,7 @@ let test_rowvec_into_bitwise () =
         check_bits_tensor (Printf.sprintf "%s %dx%d" name rows cols) expected dst
       in
       check "add_rowvec" (T.add_rowvec m v) (fun ~dst -> T.add_rowvec_into m v ~dst);
-      check "mul_rowvec" (T.mul_rowvec m v) (fun ~dst -> T.mul_rowvec_into m v ~dst);
-      check "broadcast_rowvec"
-        (T.mul_rowvec (T.ones rows cols) v)
-        (fun ~dst -> T.broadcast_rowvec_into v ~dst))
+      check "mul_rowvec" (T.mul_rowvec m v) (fun ~dst -> T.mul_rowvec_into m v ~dst))
     shapes
 
 let test_linalg_into_bitwise () =
@@ -83,19 +75,16 @@ let test_linalg_into_bitwise () =
     (fun (m, k, n) ->
       let a = T.uniform rng m k ~lo:(-2.0) ~hi:2.0 in
       let b = T.uniform rng k n ~lo:(-2.0) ~hi:2.0 in
-      let bt = T.transpose b in
       let label name = Printf.sprintf "%s %dx%dx%d" name m k n in
+      let bt = garbage rng n k in
+      T.transpose_into b ~dst:bt;
+      check_bits_tensor (label "transpose") (T.init n k (fun j p -> T.get b p j)) bt;
       let dst = garbage rng m n in
       T.matmul_into a b ~dst;
       check_bits_tensor (label "matmul") (T.matmul a b) dst;
       let dst = garbage rng m n in
       T.matmul_nt_into a bt ~dst;
-      check_bits_tensor (label "matmul_nt") (T.matmul_nt a bt) dst;
-      check_bits_tensor (label "matmul_nt vs matmul") (T.matmul a b)
-        (T.matmul_nt a bt);
-      let dst = garbage rng k m in
-      T.transpose_into a ~dst;
-      check_bits_tensor (label "transpose") (T.transpose a) dst)
+      check_bits_tensor (label "matmul_nt vs matmul") (T.matmul a b) dst)
     triples
 
 let test_reduction_structure_into_bitwise () =
@@ -104,31 +93,26 @@ let test_reduction_structure_into_bitwise () =
     (fun (rows, cols) ->
       let t = T.uniform rng rows cols ~lo:(-2.0) ~hi:2.0 in
       let label name = Printf.sprintf "%s %dx%d" name rows cols in
-      let dst = garbage rng 1 cols in
+      (* sum_rows_into accumulates into dst: it must clear it first *)
+      let dst = garbage rng 1 cols and zeroed = T.zeros 1 cols in
       T.sum_rows_into t ~dst;
-      check_bits_tensor (label "sum_rows") (T.sum_rows t) dst;
-      let len = cols / 2 and start = cols / 4 in
-      let dst = garbage rng rows len in
-      T.slice_cols_into t start len ~dst;
-      check_bits_tensor (label "slice_cols") (T.slice_cols t start len) dst;
+      T.sum_rows_into t ~dst:zeroed;
+      check_bits_tensor (label "sum_rows") zeroed dst;
       let rlen = rows / 2 and rstart = rows / 4 in
       let dst = garbage rng rlen cols in
       T.slice_rows_into t rstart rlen ~dst;
       check_bits_tensor (label "slice_rows") (T.slice_rows t rstart rlen) dst;
       (* embed is the scatter adjoint of slice: slicing the embedding back
          out must recover the source, and everything else must be zero *)
-      let src = T.uniform rng rows len ~lo:(-2.0) ~hi:2.0 in
+      let src = T.uniform rng rlen cols ~lo:(-2.0) ~hi:2.0 in
       let dst = garbage rng rows cols in
-      T.embed_cols_into src start ~dst;
-      check_bits_tensor (label "embed_cols roundtrip") src
-        (T.slice_cols dst start len);
-      check_bits_float (label "embed_cols zeros") 0.0
+      T.embed_rows_into src rstart ~dst;
+      check_bits_tensor (label "embed_rows roundtrip") src
+        (T.slice_rows dst rstart rlen);
+      check_bits_float (label "embed_rows zeros") 0.0
         (T.sum (T.map Stdlib.abs_float dst)
         -. T.sum (T.map Stdlib.abs_float src));
       let u = T.uniform rng rows cols ~lo:(-2.0) ~hi:2.0 in
-      let dst = garbage rng rows (2 * cols) in
-      T.concat_cols_into t u ~dst;
-      check_bits_tensor (label "concat_cols") (T.concat_cols t u) dst;
       let dst = garbage rng (2 * rows) cols in
       T.concat_rows_into t u ~dst;
       check_bits_tensor (label "concat_rows") (T.concat_rows t u) dst)
@@ -171,7 +155,7 @@ let test_adam_in_place_bitwise () =
    slicing, concatenation and a softmax cross-entropy root. *)
 let build_graph x_node w v labels =
   let h = A.tanh (A.add_rowvec (A.matmul x_node w) v) in
-  let split = A.concat_cols (A.slice_cols h 0 1) (A.slice_cols h 1 2) in
+  let split = A.concat_rows (A.slice_rows h 0 2) (A.slice_rows h 2 4) in
   A.softmax_cross_entropy ~logits:(A.scale 3.0 split) ~labels
 
 let test_tape_refresh_bitwise () =
@@ -380,7 +364,7 @@ let test_fit_golden_history () =
    the parameters themselves.  The digests were computed by the
    node-by-node graph of primitives that the printed layer's fused tape
    nodes replaced, so they pin the fused nodes to it, special-value payloads
-   included.  Both backends must match the one list. *)
+   included. *)
 
 let digest_specials =
   [|
@@ -484,17 +468,11 @@ let digest_cases =
         [ Finite; Special_x; Special_noise; Special_params ])
     [ ("iris", [ 4; 3; 3 ], 90); ("64-48-16", [ 64; 48; 16 ], 64) ]
 
-let network_digests backend =
+let network_digests () =
   List.map
     (fun (shape, sizes, rows, input) ->
-      let prev = T.backend () in
-      T.set_backend backend;
-      let digest =
-        Fun.protect
-          ~finally:(fun () -> T.set_backend prev)
-          (fun () -> network_digest ~sizes ~rows input)
-      in
-      Printf.sprintf "%s %s: %s" shape (digest_input_name input) digest)
+      Printf.sprintf "%s %s: %s" shape (digest_input_name input)
+        (network_digest ~sizes ~rows input))
     digest_cases
 
 let expected_network_digests =
@@ -510,13 +488,7 @@ let expected_network_digests =
     ]
 
 let test_network_digests () =
-  let actual = List.map (fun b -> (b, network_digests b)) T.backends in
-  List.iter
-    (fun (backend, ds) ->
-      Alcotest.(check (list string))
-        (T.backend_name backend ^ " network digests")
-        expected_network_digests ds)
-    actual
+  Alcotest.(check (list string)) "network digests" expected_network_digests (network_digests ())
 
 let () =
   Alcotest.run "inplace"

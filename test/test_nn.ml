@@ -61,7 +61,7 @@ let test_mlp_frozen_only_input_grads () =
       ~output:Nn.Activation.Linear
   in
   let x = A.param (T.uniform (rng ()) 2 3 ~lo:(-1.0) ~hi:1.0) in
-  let loss = A.sum (Nn.Mlp.forward_frozen m x) in
+  let loss = Nodes.sum (Nn.Mlp.forward_frozen m x) in
   A.backward loss;
   let gx = T.sum (T.map Float.abs (A.grad x)) in
   Alcotest.(check bool) "input grad flows" true (gx > 1e-9);
@@ -129,7 +129,7 @@ let test_adam_state_distinct_per_param () =
   let opt = Nn.Optimizer.adam ~lr:0.1 () in
   for _ = 1 to 50 do
     let loss = A.add (A.mse p1 (T.scalar 1.0)) (A.mse p2 (T.scalar (-1.0))) in
-    A.backward (A.sum loss);
+    A.backward (Nodes.sum loss);
     Nn.Optimizer.step opt [ p1; p2 ]
   done;
   Alcotest.(check bool) "p1 toward +1" true (T.get (A.value p1) 0 0 > 0.5);
@@ -145,10 +145,10 @@ let test_adam_state_lines_order_independent () =
   let opt_b = Nn.Optimizer.adam ~lr:0.1 () in
   for _ = 1 to 5 do
     A.backward
-      (A.sum (A.add (A.mse p1 (T.scalar 1.0)) (A.mse p2 (T.scalar 1.0))));
+      (Nodes.sum (A.add (A.mse p1 (T.scalar 1.0)) (A.mse p2 (T.scalar 1.0))));
     Nn.Optimizer.step opt_a [ p1; p2 ];
     A.backward
-      (A.sum (A.add (A.mse q1 (T.scalar 1.0)) (A.mse q2 (T.scalar 1.0))));
+      (Nodes.sum (A.add (A.mse q1 (T.scalar 1.0)) (A.mse q2 (T.scalar 1.0))));
     (* same gradient histories, opposite first-step (insertion) order *)
     Nn.Optimizer.step opt_b [ q2; q1 ]
   done;

@@ -90,7 +90,7 @@ let test_nonlinear_gradient_to_w () =
   let nl = Pnn.Nonlinear.create (Lazy.force surrogate) in
   let noise = T.ones 1 7 in
   let x = A.const (T.of_array [| 0.2; 0.6 |]) in
-  A.backward (A.sum (Pnn.Nonlinear.apply nl ~noise x));
+  A.backward (Nodes.sum (Pnn.Nonlinear.apply nl ~noise x));
   let g = A.grad (Pnn.Nonlinear.raw_param nl) in
   Alcotest.(check bool) "gradient reaches w" true (T.sum (T.map Float.abs g) > 0.0)
 
@@ -162,7 +162,7 @@ let test_layer_gradients_flow () =
   in
   let noise = List.hd (Pnn.Noise.none ~theta_shapes:[ Pnn.Layer.theta_shape layer ]) in
   let x = A.const (T.uniform (Rng.create 5) 4 3 ~lo:0.0 ~hi:1.0) in
-  A.backward (A.sum (Pnn.Layer.forward config layer ~noise x));
+  A.backward (Nodes.sum (Pnn.Layer.forward config layer ~noise x));
   let gsum p = T.sum (T.map Float.abs (A.grad p)) in
   Alcotest.(check bool) "theta grad" true (gsum layer.Pnn.Layer.theta > 0.0);
   List.iter
@@ -403,7 +403,7 @@ let test_layer_theta_gradient_end_to_end () =
   let x = T.uniform (Rng.create 7) 4 3 ~lo:0.1 ~hi:0.9 in
   let noise = List.hd (Pnn.Noise.none ~theta_shapes:[ Pnn.Layer.theta_shape layer ]) in
   let loss_graph () =
-    A.sum (Pnn.Layer.forward config layer ~noise (A.const x))
+    Nodes.sum (Pnn.Layer.forward config layer ~noise (A.const x))
   in
   let loss_fn () = T.get (A.value (loss_graph ())) 0 0 in
   let grads = ref (T.zeros 1 1) in
@@ -428,7 +428,7 @@ let test_layer_omega_gradient_end_to_end () =
   for c = 0 to T.cols raw - 1 do
     T.set raw 0 c (0.3 *. float_of_int (c - 3))
   done;
-  let loss_graph () = A.sum (Pnn.Layer.forward config layer ~noise (A.const x)) in
+  let loss_graph () = Nodes.sum (Pnn.Layer.forward config layer ~noise (A.const x)) in
   let loss_fn () = T.get (A.value (loss_graph ())) 0 0 in
   A.backward (loss_graph ());
   let grads = T.copy (A.grad (Pnn.Nonlinear.raw_param layer.Pnn.Layer.act)) in

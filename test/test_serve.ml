@@ -6,8 +6,8 @@
    The concurrency suite's contract is the PR 7 acceptance criterion:
    every response that crosses the wire — classes and Monte-Carlo
    quantiles alike — is bit-identical to the single-threaded in-process
-   answer, for any pool size and either tensor backend.  The dune rules
-   re-run this executable under REPRO_JOBS 1/4 and PNN_BACKEND=reference. *)
+   answer, for any pool size.  The dune rules re-run this executable under
+   REPRO_JOBS 1, 2, 3 and 4. *)
 
 module P = Serving.Protocol
 module B = Serving.Batcher

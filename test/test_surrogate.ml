@@ -90,7 +90,7 @@ let test_eval_ad_matches_eval () =
 let test_eval_ad_differentiable () =
   let model, _ = Lazy.force trained in
   let p = Autodiff.param (Tensor.of_array (Lazy.force dataset).P.omegas.(7)) in
-  Autodiff.backward (Autodiff.sum (M.eval_ad model p));
+  Autodiff.backward (Nodes.sum (M.eval_ad model p));
   let g = Autodiff.grad p in
   Alcotest.(check bool) "gradient flows to omega" true
     (Tensor.sum (Tensor.map Float.abs g) > 0.0)

@@ -2,6 +2,17 @@
 
 module T = Tensor
 
+(* The library keeps only the destination-passing forms of these two. *)
+let transpose t =
+  let d = T.zeros (T.cols t) (T.rows t) in
+  T.transpose_into t ~dst:d;
+  d
+
+let sum_rows t =
+  let d = T.zeros 1 (T.cols t) in
+  T.sum_rows_into t ~dst:d;
+  d
+
 let tensor_eq ?(eps = 1e-12) msg a b =
   if not (T.equal ~eps a b) then
     Alcotest.failf "%s:\nexpected %s\ngot %s" msg (T.to_string a) (T.to_string b)
@@ -77,8 +88,8 @@ let test_transpose () =
   let a = T.of_arrays [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] in
   tensor_eq "transpose"
     (T.of_arrays [| [| 1.0; 4.0 |]; [| 2.0; 5.0 |]; [| 3.0; 6.0 |] |])
-    (T.transpose a);
-  tensor_eq "involution" a (T.transpose (T.transpose a))
+    (transpose a);
+  tensor_eq "involution" a (transpose (transpose a))
 
 let test_broadcast_ops () =
   let m = T.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
@@ -94,7 +105,7 @@ let test_reductions () =
   Alcotest.(check (float 1e-12)) "mean" 2.5 (T.mean m);
   Alcotest.(check (float 1e-12)) "min" 1.0 (T.min_value m);
   Alcotest.(check (float 1e-12)) "max" 4.0 (T.max_value m);
-  tensor_eq "sum_rows" (T.of_array [| 4.0; 6.0 |]) (T.sum_rows m)
+  tensor_eq "sum_rows" (T.of_array [| 4.0; 6.0 |]) (sum_rows m)
 
 let test_argmax_rows () =
   let m = T.of_arrays [| [| 0.1; 0.9; 0.5 |]; [| 2.0; 1.0; 0.0 |] |] in
@@ -105,9 +116,6 @@ let test_slicing () =
   tensor_eq "slice_rows"
     (T.of_arrays [| [| 3.0; 4.0; 5.0 |]; [| 6.0; 7.0; 8.0 |] |])
     (T.slice_rows m 1 2);
-  tensor_eq "slice_cols"
-    (T.init 4 2 (fun r c -> float_of_int ((r * 3) + c + 1)))
-    (T.slice_cols m 1 2);
   Alcotest.check_raises "slice oob"
     (Invalid_argument "Tensor.slice_rows: [3,6) out of 4 rows") (fun () ->
       ignore (T.slice_rows m 3 3))
@@ -115,8 +123,6 @@ let test_slicing () =
 let test_concat () =
   let a = T.of_arrays [| [| 1.0 |]; [| 2.0 |] |] in
   let b = T.of_arrays [| [| 3.0 |]; [| 4.0 |] |] in
-  tensor_eq "concat_cols" (T.of_arrays [| [| 1.0; 3.0 |]; [| 2.0; 4.0 |] |])
-    (T.concat_cols a b);
   tensor_eq "concat_rows" (T.create 4 1 [| 1.0; 2.0; 3.0; 4.0 |]) (T.concat_rows a b)
 
 let test_take_rows () =
@@ -130,6 +136,13 @@ let test_take_rows () =
 let test_dot () =
   let a = T.of_array [| 1.0; 2.0; 3.0 |] and b = T.of_array [| 4.0; 5.0; 6.0 |] in
   Alcotest.(check (float 1e-12)) "dot" 32.0 (T.dot a b)
+
+let test_create_copies () =
+  let data = [| 1.0; 2.0 |] in
+  let t = T.create 1 2 data in
+  data.(0) <- 99.0;
+  Alcotest.(check (float 0.0)) "later writes to the array do not reach the tensor" 1.0
+    (T.get t 0 0)
 
 let test_copy_isolated () =
   let a = T.zeros 2 2 in
@@ -149,7 +162,7 @@ let arb_mat = QCheck.make ~print:T.to_string small_mat
 
 let qcheck_transpose_involution =
   QCheck.Test.make ~name:"transpose involution" ~count:200 arb_mat (fun m ->
-      T.equal m (T.transpose (T.transpose m)))
+      T.equal m (transpose (transpose m)))
 
 let qcheck_add_commutes =
   QCheck.Test.make ~name:"add commutes" ~count:200 arb_mat (fun m ->
@@ -170,8 +183,8 @@ let qcheck_matmul_transpose =
         else T.init (T.cols a) (T.cols b0) (fun r c -> T.get b0 (r mod T.rows b0) c)
       in
       T.equal ~eps:1e-6
-        (T.transpose (T.matmul a b))
-        (T.matmul (T.transpose b) (T.transpose a)))
+        (transpose (T.matmul a b))
+        (T.matmul (transpose b) (transpose a)))
 
 let () =
   Alcotest.run "tensor"
@@ -182,6 +195,7 @@ let () =
           Alcotest.test_case "init layout" `Quick test_init_layout;
           Alcotest.test_case "get bounds" `Quick test_get_bounds;
           Alcotest.test_case "ragged" `Quick test_of_arrays_ragged;
+          Alcotest.test_case "create copies" `Quick test_create_copies;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
         ] );
       ( "ops",
