@@ -29,18 +29,11 @@ let accuracy_over_lifetime rng model network ~t_fracs ~n ~x ~y =
   let shapes = Network.theta_shapes network in
   List.map
     (fun t_frac ->
+      (* Array.init draws in index order: draw, evaluate, draw, ... *)
       let accuracies =
         Array.init n (fun _ ->
             let noise = draw rng model ~t_frac ~theta_shapes:shapes in
-            let pred = Network.predict network ~noise x in
-            let hits = ref 0 in
-            Array.iteri (fun i p -> if p = y.(i) then incr hits) pred;
-            float_of_int !hits /. float_of_int (Array.length y))
+            Evaluation.accuracy_under network noise ~x ~y)
       in
-      ( t_frac,
-        {
-          Evaluation.mean_accuracy = Stats.mean accuracies;
-          std_accuracy = (if n > 1 then Stats.std accuracies else 0.0);
-          accuracies;
-        } ))
+      (t_frac, Evaluation.summarize accuracies))
     t_fracs

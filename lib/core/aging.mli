@@ -57,4 +57,7 @@ val accuracy_over_lifetime :
   y:int array ->
   (float * Evaluation.result) list
 (** Accuracy at each life fraction, [n] Monte-Carlo κ draws each — the aging
-    curve of a design. *)
+    curve of a design.  Each draw is scored by {!Evaluation.accuracy_under}
+    and summarized by {!Evaluation.summarize}.
+
+    @raise Invalid_argument if [y]'s length is not [x]'s row count. *)

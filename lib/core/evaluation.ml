@@ -5,13 +5,21 @@ type result = {
 }
 
 let accuracy_under network noise ~x ~y =
-  (* forward pass in place on this domain's cached replica *)
-  let pred = Network.predict_cached network ~noise x in
-  if Array.length pred <> Array.length y then
+  if Tensor.rows x <> Array.length y then
     invalid_arg "Evaluation.accuracy: label count mismatch";
+  (* forward pass in place on this domain's compiled graph for x's shape *)
+  let p = Network.predictor_cached network ~rows:(Tensor.rows x) ~cols:(Tensor.cols x) in
+  let pred = Network.predictor_predict p ~noise x in
   let hits = ref 0 in
   Array.iteri (fun i p -> if p = y.(i) then incr hits) pred;
   float_of_int !hits /. float_of_int (Array.length y)
+
+let summarize accuracies =
+  {
+    mean_accuracy = Stats.mean accuracies;
+    std_accuracy = (if Array.length accuracies > 1 then Stats.std accuracies else 0.0);
+    accuracies;
+  }
 
 let nominal_accuracy network ~x ~y =
   let shapes = Network.theta_shapes network in
@@ -45,6 +53,18 @@ let with_cache cache compute =
         ~encode:(fun a -> [ accs_line a ])
         ~decode:accs_of_lines compute
 
+(* The Monte-Carlo fan-out: pre-draw every noise record sequentially on
+   the calling domain, so the RNG stream is consumed in exactly the
+   per-draw order of a sequential evaluation, then fan the pure forward
+   passes out over the pool. *)
+let fan_out pool network ~n ~draw ~x ~y =
+  let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
+  let noises = Array.make n [] in
+  for i = 0 to n - 1 do
+    noises.(i) <- draw ()
+  done;
+  Parallel.Pool.map_array pool (fun noise -> accuracy_under network noise ~x ~y) noises
+
 type mc_result = {
   mean : float;
   std : float;
@@ -60,17 +80,8 @@ let mc_result_under ?pool ?cache rng network ~model ~n ~x ~y =
   Variation.validate model;
   let accuracies =
     with_cache cache (fun () ->
-        let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
         let ctx = Variation.ctx_of_network network in
-        (* Same determinism pattern as [mc_accuracy]: pre-draw sequentially on
-           the calling domain, fan out the pure forward passes. *)
-        let noises = Array.make n [] in
-        for i = 0 to n - 1 do
-          noises.(i) <- Variation.draw rng model ctx
-        done;
-        Parallel.Pool.map_array pool
-          (fun noise -> accuracy_under network noise ~x ~y)
-          noises)
+        fan_out pool network ~n ~draw:(fun () -> Variation.draw rng model ctx) ~x ~y)
   in
   {
     mean = Stats.mean accuracies;
@@ -90,23 +101,9 @@ let mc_accuracy ?pool ?cache rng network ~epsilon ~n ~x ~y =
         (* pnnlint:allow R5 exact-zero sentinel selects the nominal path;
            IEEE equality also accepts -0.0 *)
         if epsilon = 0.0 then [| nominal_accuracy network ~x ~y |]
-        else begin
-          let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
-          (* Pre-draw every noise record sequentially: the RNG stream is
-             consumed in exactly the per-draw order of the sequential
-             implementation, and the fan-out below is then a pure forward
-             pass per draw. *)
-          let noises = Array.make n [] in
-          for i = 0 to n - 1 do
-            noises.(i) <- Noise.draw rng ~epsilon ~theta_shapes:shapes
-          done;
-          Parallel.Pool.map_array pool
-            (fun noise -> accuracy_under network noise ~x ~y)
-            noises
-        end)
+        else
+          fan_out pool network ~n
+            ~draw:(fun () -> Noise.draw rng ~epsilon ~theta_shapes:shapes)
+            ~x ~y)
   in
-  {
-    mean_accuracy = Stats.mean accuracies;
-    std_accuracy = (if Array.length accuracies > 1 then Stats.std accuracies else 0.0);
-    accuracies;
-  }
+  summarize accuracies

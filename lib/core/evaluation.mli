@@ -14,6 +14,18 @@ type result = {
           regardless of [n] (see {!mc_accuracy}). *)
 }
 
+val accuracy_under : Network.t -> Noise.t -> x:Tensor.t -> y:int array -> float
+(** Test accuracy of one draw: the share of rows of [x] whose argmax class
+    is the label in [y].  Runs on this domain's compiled logits graph for
+    [x]'s shape ({!Network.predictor_cached}), bit-identical to
+    {!Network.predict}.
+
+    @raise Invalid_argument if [y]'s length is not [x]'s row count. *)
+
+val summarize : float array -> result
+(** The {!result} of per-draw accuracies: their mean, their sample standard
+    deviation ([0.0] for a single draw) and the accuracies themselves. *)
+
 val mc_accuracy :
   ?pool:Parallel.Pool.t ->
   ?cache:Cache.t * string ->

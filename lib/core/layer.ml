@@ -70,7 +70,7 @@ let[@inline] project config v =
   else v
 
 (* Variation draws enter the graph as const leaf nodes so a compiled graph
-   can be re-fed new draws with [Autodiff.set_value] + [Autodiff.refresh].
+   can be re-fed new draws with [Autodiff.update_value] + [Autodiff.refresh].
    The leaves own copies of the draw tensors: on reuse the new draw is
    blitted into them, which must never mutate a caller-owned tensor (fixed
    validation draws are reused across epochs). *)
@@ -82,11 +82,6 @@ let noise_nodes_of (noise : Noise.layer_noise) =
     act_n = A.const (Tensor.copy noise.Noise.act_omega);
     neg_n = A.const (Tensor.copy noise.Noise.neg_omega);
   }
-
-let set_noise_nodes nodes (noise : Noise.layer_noise) =
-  A.set_value nodes.theta_n noise.Noise.theta;
-  A.set_value nodes.act_n noise.Noise.act_omega;
-  A.set_value nodes.neg_n noise.Noise.neg_omega
 
 let update_noise_nodes nodes (noise : Noise.layer_noise) =
   let theta = A.update_value nodes.theta_n noise.Noise.theta in

@@ -54,9 +54,9 @@ val forward :
 (** {2 Reusable-graph building blocks}
 
     The variation draw enters the graph through three const leaf nodes per
-    layer, so a compiled replica graph can be re-fed new draws in place
-    ({!set_noise_nodes} + {!Autodiff.refresh}) instead of being rebuilt —
-    see {!Network.mc_loss_pooled}. *)
+    layer, so a compiled graph can be re-fed new draws in place
+    ({!update_noise_nodes} + {!Autodiff.refresh}) instead of being rebuilt —
+    see {!Network.predictor_logits}. *)
 
 type noise_nodes = { theta_n : Autodiff.t; act_n : Autodiff.t; neg_n : Autodiff.t }
 
@@ -64,12 +64,11 @@ val noise_nodes_of : Noise.layer_noise -> noise_nodes
 (** Fresh const leaves holding {e copies} of the draw tensors (the caller
     keeps ownership of the originals). *)
 
-val set_noise_nodes : noise_nodes -> Noise.layer_noise -> unit
-(** Blit a new draw into the leaves (shape-checked). *)
-
 val update_noise_nodes : noise_nodes -> Noise.layer_noise -> bool
-(** As {!set_noise_nodes}, and reports whether any bit of the leaves
-    changed ({!Autodiff.update_value}); allocation-free. *)
+(** Blit a new draw into the leaves and report whether any bit of them
+    changed ({!Autodiff.update_value}); allocation-free.  A shape mismatch
+    raises [Invalid_argument], possibly after an earlier leaf was written:
+    check the draw with {!noise_misfit} first. *)
 
 val noise_misfit : noise_nodes -> Noise.layer_noise -> string option
 (** [Some "theta"] or [Some "omega"] when that part of the draw does not

@@ -1,5 +1,14 @@
 (** A printed neural network: a stack of printed layers (paper topology
-    [#input-3-#output]). *)
+    [#input-3-#output]).
+
+    {!forward}, {!logits}, {!predict}, {!loss} and {!mc_loss} build a fresh
+    autodiff graph per call.  The hot paths — training draws
+    ({!mc_loss_pooled}, {!mc_loss_value}), Monte-Carlo evaluation and
+    serving ({!predictor_cached}) — run compiled graphs instead: one per
+    domain, network, batch shape and root (loss or logits), kept in a
+    domain-local LRU.  Each call copies the batch (and labels), the
+    master's current parameters and the noise draw into the graph and
+    re-runs it in place, bit-identical to the fresh-graph functions. *)
 
 type t
 
@@ -32,12 +41,6 @@ val logits : t -> noise:Noise.t -> Tensor.t -> Autodiff.t
 val predict : t -> noise:Noise.t -> Tensor.t -> int array
 (** Argmax classification under a given variation draw. *)
 
-val predict_cached : t -> noise:Noise.t -> Tensor.t -> int array
-(** As {!predict}, but running the forward pass in place over this domain's
-    cached compiled replica (built on first use, keyed by the network and
-    input tensor identities, reused across draws).  Bit-identical to
-    {!predict}; the Monte-Carlo evaluation hot path. *)
-
 val loss : t -> noise:Noise.t -> x:Tensor.t -> labels:Tensor.t -> Autodiff.t
 (** Softmax cross-entropy of one variation draw. *)
 
@@ -57,24 +60,26 @@ val mc_loss_pooled :
     this network's parameters are bit-identical for any pool size).  The
     result supports {!Autodiff.backward} like {!mc_loss} does.
 
-    Each worker domain compiles its replica graph once and reuses it across
-    draws and epochs, re-running forward/backward in place after blitting
-    the master's parameters and the draw's noise into the leaves; gradients
-    are reduced in place into the first draw's buffers.  Allocation per draw
-    is limited to small per-parameter gradient copies. *)
+    Each worker domain runs its compiled loss graph for [x]'s shape
+    (compiled on first use, reused across draws and epochs), re-running
+    forward/backward in place; gradients are reduced in place into the
+    first draw's buffers.  Allocation per draw is limited to small
+    per-parameter gradient copies.  Raises [Invalid_argument] on labels
+    that are not [rows x × outputs] or on a noise draw of the wrong shape,
+    before any graph leaf is written. *)
 
 val mc_loss_value :
   Parallel.Pool.t ->
   t -> noises:Noise.t list -> x:Tensor.t -> labels:Tensor.t -> float
 (** Forward-only pooled Monte-Carlo loss (no gradients): bit-identical to
-    [Tensor.get (Autodiff.value (mc_loss ...)) 0 0] but runs on the cached
-    replicas.  The validation-loss hot path. *)
+    [Tensor.get (Autodiff.value (mc_loss ...)) 0 0] but runs on the
+    compiled loss graphs.  The validation-loss hot path. *)
 
 val draw_loss_and_grads :
   t -> noise:Noise.t -> x:Tensor.t -> labels:Tensor.t -> float * Tensor.t list
-(** One Monte-Carlo draw on this domain's cached replica: scalar loss plus
-    gradient copies in canonical order ([params_theta @ params_omega]).
-    Exposed for tests and benchmarks. *)
+(** One Monte-Carlo draw on this domain's compiled loss graph: scalar loss
+    plus gradient copies in canonical order ([params_theta @ params_omega]).
+    Raises as {!mc_loss_pooled} does.  Exposed for tests and benchmarks. *)
 
 val draw_loss_and_grads_alloc :
   t -> noise:Noise.t -> x:Tensor.t -> labels:Tensor.t -> float * Tensor.t list
@@ -82,18 +87,13 @@ val draw_loss_and_grads_alloc :
     (bit-identical; the allocating reference). *)
 
 type predictor
-(** A serve-time compiled forward graph with a fixed-shape blittable input
-    leaf: one compilation answers an unbounded stream of same-shaped batches
-    (the replica caches above key on input {e identity}, which only helps
-    when the same batch tensor is reused).  Single-domain mutable state, like
-    every compiled graph. *)
+(** A compiled logits graph with a fixed-shape blittable input leaf: one
+    compilation answers an unbounded stream of same-shaped batches.
+    Single-domain mutable state, like every compiled graph. *)
 
 val compile_predictor : t -> rows:int -> cols:int -> predictor
 (** Compile a logits graph for [rows × cols] input batches against a fresh
     replica of this network (nominal all-ones noise pre-bound). *)
-
-val predictor_shape : predictor -> int * int
-(** The [rows × cols] input shape the predictor was compiled for. *)
 
 val predictor_logits : predictor -> ?noise:Noise.t -> Tensor.t -> Tensor.t
 (** Blit the batch (and the master's current parameters, and [noise] or the
@@ -114,7 +114,7 @@ val predictor_predict : predictor -> ?noise:Noise.t -> Tensor.t -> int array
 
 val predictor_cached : t -> rows:int -> cols:int -> predictor
 (** This domain's LRU-cached {!compile_predictor} (keyed by network identity
-    and batch shape) — the serving hot path. *)
+    and batch shape) — the Monte-Carlo evaluation and serving hot path. *)
 
 val params_theta : t -> Autodiff.t list
 val params_omega : t -> Autodiff.t list

@@ -101,7 +101,7 @@ let fit ?pool ?train_sampler ?val_noises ?sampler_rng ?checkpoint rng network
             | Some _ | None -> ())
   in
   let val_loss () =
-    (* Forward-only on the cached replicas; bit-identical to the
+    (* Forward-only on the compiled loss graphs; bit-identical to the
        full-graph [Network.mc_loss] value. *)
     Network.mc_loss_value pool network ~noises:val_noises ~x:data.x_val
       ~labels:data.y_val

@@ -6,7 +6,7 @@
     defects (stuck resistors) and lifetime drift.  A {!model} describes any
     of these — or any composition of them — as a recipe for drawing
     multiplicative {!Noise.t} records, so the whole existing machinery
-    (variation-aware training, Monte-Carlo evaluation, compiled replicas,
+    (variation-aware training, Monte-Carlo evaluation, compiled graphs,
     the deterministic pool) applies to every family unchanged.
 
     {b Determinism contract.}  A draw consumes the [Rng.t] on the calling

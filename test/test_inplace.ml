@@ -1,6 +1,6 @@
 (* Regression tests for the allocation-free training hot path: in-place
    (destination-passing) tensor kernels, the reusable-gradient autodiff
-   tape, the per-domain replica cache, and the Adam optimizer must all be
+   tape, the per-domain compiled graphs, and the Adam optimizer must all be
    bit-identical to the allocating reference implementations.  Comparisons
    go through [Int64.bits_of_float] — approximate equality would hide
    exactly the regressions these tests guard against. *)
@@ -226,7 +226,7 @@ let test_tape_split () =
   A.backward_tape varying;
   check_bits_tensor "backward on a split tape" (snd (fresh x1 wt')) (A.grad w)
 
-(* {1 Replica-cache and golden-trajectory tests on a real printed network} *)
+(* {1 Compiled-graph and golden-trajectory tests on a real printed network} *)
 
 let golden_fixture =
   lazy
@@ -263,7 +263,7 @@ let golden_fixture =
      in
      (config, surrogate, Pnn.Training.of_split ~n_classes:2 split))
 
-let test_replica_cache_vs_alloc () =
+let test_loss_graph_vs_alloc () =
   let config, surrogate, data = Lazy.force golden_fixture in
   let net = Pnn.Network.create (Rng.create 23) config surrogate ~inputs:3 ~outputs:2 in
   let shapes = Pnn.Network.theta_shapes net in
@@ -358,8 +358,8 @@ let test_fit_golden_history () =
    printed network, digested bit-for-bit (FNV-1a over the bytes of
    [Int64.bits_of_float])
    on the iris 4-3-3 and the serving 64-48-16 shapes, through every route a
-   graph is run: a fresh graph, the compiled replica cache (build, then a
-   refreshed draw) and the split serve-time predictor.  Inputs are finite,
+   graph is run: a fresh graph, the cached loss graph (build, then a
+   refreshed draw) and a logits graph (predictor).  Inputs are finite,
    or carry ±0, NaN payloads and ±inf in the batch, in the noise draw or in
    the parameters themselves.  The digests were computed by the
    node-by-node graph of primitives that the printed layer's fused tape
@@ -490,6 +490,144 @@ let expected_network_digests =
 let test_network_digests () =
   Alcotest.(check (list string)) "network digests" expected_network_digests (network_digests ())
 
+(* {1 Compiled graphs are keyed by shape and fed by copy}
+
+   One graph per (network, batch shape, loss or logits): every call copies
+   the batch and labels in, so distinct tensors of one shape share a graph
+   and an input mutated in place is seen.  Every call is checked against
+   the throwaway-replica oracles. *)
+
+let loss_fixture () =
+  let config = { Pnn.Config.default with Pnn.Config.epsilon = 0.1 } in
+  let net =
+    Pnn.Network.create (Rng.create 41) config (Fixtures.surrogate ()) ~inputs:4 ~outputs:3
+  in
+  let rng = Rng.create 43 in
+  let pair shift =
+    ( T.uniform rng 12 4 ~lo:0.0 ~hi:1.0,
+      T.init 12 3 (fun r c -> if (r + shift) mod 3 = c then 1.0 else 0.0) )
+  in
+  let theta_shapes = Pnn.Network.theta_shapes net in
+  let draw () = Pnn.Noise.draw rng ~epsilon:0.1 ~theta_shapes in
+  (net, draw, [| pair 0; pair 1 |])
+
+let check_draw msg net ~noise ~x ~labels =
+  let l_alloc, g_alloc = Pnn.Network.draw_loss_and_grads_alloc net ~noise ~x ~labels in
+  let l, g = Pnn.Network.draw_loss_and_grads net ~noise ~x ~labels in
+  check_bits_float (msg ^ ": loss") l_alloc l;
+  List.iter2 (check_bits_tensor (msg ^ ": grads")) g_alloc g
+
+let check_value msg pool net ~noises ~x ~labels =
+  check_bits_float msg
+    (T.get (A.value (Pnn.Network.mc_loss net ~noises ~x ~labels)) 0 0)
+    (Pnn.Network.mc_loss_value pool net ~noises ~x ~labels)
+
+let test_loss_graph_alternating_pairs () =
+  let net, draw, pairs = loss_fixture () in
+  let pool = Parallel.get_pool () in
+  for i = 0 to 5 do
+    let x, labels = pairs.(i mod 2) in
+    let noise = draw () in
+    check_draw (Printf.sprintf "draw %d" i) net ~noise ~x ~labels;
+    check_value (Printf.sprintf "value %d" i) pool net ~noises:[ noise; draw () ] ~x ~labels
+  done
+
+(* The same tensors, the same noise, new contents: a graph that skipped the
+   copy for an input it had seen would answer with the old batch. *)
+let test_compiled_graph_sees_in_place_input () =
+  let net, draw, pairs = loss_fixture () in
+  let (x1, labels1), (x2, labels2) = (pairs.(0), pairs.(1)) in
+  let x = T.copy x1 and labels = T.copy labels1 in
+  let noise = draw () in
+  let pool = Parallel.Pool.create ~jobs:1 () in
+  let p = Pnn.Network.predictor_cached net ~rows:12 ~cols:4 in
+  let check msg =
+    check_draw msg net ~noise ~x ~labels;
+    check_value (msg ^ ": value") pool net ~noises:[ noise ] ~x ~labels;
+    check_bits_tensor (msg ^ ": logits")
+      (A.value (Pnn.Network.logits net ~noise x))
+      (Pnn.Network.predictor_logits p ~noise x)
+  in
+  check "as given";
+  T.blit ~src:x2 ~dst:x;
+  T.blit ~src:labels2 ~dst:labels;
+  check "after mutating x and labels in place"
+
+(* A refused call writes nothing.  The call after it uses the same noise
+   (or, for a bad draw, its valid layer 0): had the refused call written a
+   noise leaf, the next call would see no change there and keep stale
+   parameter-only results.  The pool is sequential, so every call runs on
+   this domain's one loss graph. *)
+let test_loss_graph_rejects_before_writing () =
+  let net, draw, pairs = loss_fixture () in
+  let x, labels = pairs.(0) in
+  let pool = Parallel.Pool.create ~jobs:1 () in
+  let good = draw () and other = draw () in
+  let mixed = [ List.hd other; List.nth good 1 ] in
+  let l1 = List.nth other 1 in
+  let with_layer1 l = [ List.hd other; l ] in
+  let bad =
+    [
+      ("labels shape mismatch", mixed, T.zeros 12 4);
+      ("labels shape mismatch", mixed, T.zeros 11 3);
+      ("noise/layer count mismatch", [ List.hd other ], labels);
+      ("noise/layer count mismatch", other @ other, labels);
+      ( "layer 1 theta noise shape mismatch",
+        with_layer1 { l1 with Pnn.Noise.theta = T.ones 2 2 },
+        labels );
+      ( "layer 1 omega noise shape mismatch",
+        with_layer1 { l1 with Pnn.Noise.act_omega = T.ones 1 6 },
+        labels );
+    ]
+  in
+  List.iter
+    (fun (msg, noise, bad_labels) ->
+      check_draw (msg ^ ": valid call") net ~noise:good ~x ~labels;
+      Alcotest.check_raises msg
+        (Invalid_argument ("Network.draw_loss_and_grads: " ^ msg))
+        (fun () -> ignore (Pnn.Network.draw_loss_and_grads net ~noise ~x ~labels:bad_labels));
+      check_draw (msg ^ ": next call") net ~noise:mixed ~x ~labels;
+      check_value (msg ^ ": valid value") pool net ~noises:[ good ] ~x ~labels;
+      Alcotest.check_raises msg
+        (Invalid_argument ("Network.mc_loss_value: " ^ msg))
+        (fun () ->
+          ignore (Pnn.Network.mc_loss_value pool net ~noises:[ noise ] ~x ~labels:bad_labels));
+      check_value (msg ^ ": next value") pool net ~noises:[ mixed ] ~x ~labels)
+    bad
+
+(* The aging curve scores each draw exactly as {!Network.predict} would,
+   drawing and scoring in turn from one stream. *)
+let test_lifetime_accuracy_vs_predict () =
+  let net, _, pairs = loss_fixture () in
+  let x, labels = pairs.(0) in
+  let y = T.argmax_rows labels in
+  let model = Pnn.Aging.default_model and t_fracs = [ 0.0; 0.5; 1.0 ] and n = 4 in
+  let theta_shapes = Pnn.Network.theta_shapes net in
+  let curve = Pnn.Aging.accuracy_over_lifetime (Rng.create 47) model net ~t_fracs ~n ~x ~y in
+  let rng = Rng.create 47 in
+  List.iter2
+    (fun t_frac (t_got, (r : Pnn.Evaluation.result)) ->
+      check_bits_float "life fraction" t_frac t_got;
+      let want =
+        Array.init n (fun _ ->
+            let noise = Pnn.Aging.draw rng model ~t_frac ~theta_shapes in
+            let pred = Pnn.Network.predict net ~noise x in
+            let hits = ref 0 in
+            Array.iteri (fun i p -> if p = y.(i) then incr hits) pred;
+            float_of_int !hits /. float_of_int (Array.length y))
+      in
+      Array.iteri
+        (fun i a -> check_bits_float (Printf.sprintf "t=%g draw %d" t_frac i) a r.accuracies.(i))
+        want;
+      check_bits_float "mean" (Stats.mean want) r.mean_accuracy;
+      check_bits_float "std" (Stats.std want) r.std_accuracy)
+    t_fracs curve;
+  Alcotest.check_raises "label count"
+    (Invalid_argument "Evaluation.accuracy: label count mismatch") (fun () ->
+      ignore
+        (Pnn.Aging.accuracy_over_lifetime (Rng.create 47) model net ~t_fracs ~n ~x
+           ~y:(Array.append y [| 0 |])))
+
 let () =
   Alcotest.run "inplace"
     [
@@ -511,9 +649,20 @@ let () =
           Alcotest.test_case "tape refresh vs fresh graph" `Quick
             test_tape_refresh_bitwise;
           Alcotest.test_case "split tape" `Quick test_tape_split;
-          Alcotest.test_case "replica cache vs alloc replica" `Quick
-            test_replica_cache_vs_alloc;
+          Alcotest.test_case "loss graph vs alloc replica" `Quick
+            test_loss_graph_vs_alloc;
           Alcotest.test_case "fit golden trajectory" `Quick test_fit_golden_history;
           Alcotest.test_case "printed-network digests" `Quick test_network_digests;
+        ] );
+      ( "compiled graphs",
+        [
+          Alcotest.test_case "alternating same-shaped pairs" `Quick
+            test_loss_graph_alternating_pairs;
+          Alcotest.test_case "input mutated in place" `Quick
+            test_compiled_graph_sees_in_place_input;
+          Alcotest.test_case "loss graph rejects before writing" `Quick
+            test_loss_graph_rejects_before_writing;
+          Alcotest.test_case "lifetime accuracy vs predict" `Quick
+            test_lifetime_accuracy_vs_predict;
         ] );
     ]

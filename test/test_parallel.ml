@@ -204,7 +204,7 @@ let test_generate_dataset_bit_identical () =
     (Array.map bits d1.Surrogate.Pipeline.fit_rmses)
     (Array.map bits d4.Surrogate.Pipeline.fit_rmses)
 
-(* A full (short) Training.fit — replica caches, in-place gradient reduction,
+(* A full (short) Training.fit — compiled loss graphs, in-place gradient reduction,
    Adam and early stopping included — must produce bit-identical loss
    histories and final parameters for 1 and 4 jobs. *)
 let test_fit_bit_identical () =
