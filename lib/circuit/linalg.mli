@@ -7,7 +7,11 @@ val solve : float array array -> float array -> float array
 
 val solve_in_place : float array array -> float array -> float array
 (** Like {!solve} but destroys its inputs (used in Newton inner loops to avoid
-    allocation). The result aliases [b]. *)
+    allocation). The result aliases [b].  On return, and when it raises,
+    [a] holds the caller's own row arrays in pivot order (a tie in
+    |pivot| goes to the first row), overwritten by the factors; callers
+    that reuse [a] restamp it by index, so the permutation is part of the
+    contract. *)
 
 val matvec : float array array -> float array -> float array
 val residual_norm : float array array -> float array -> float array -> float

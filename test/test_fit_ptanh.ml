@@ -88,14 +88,35 @@ let test_fit_simulated_circuit () =
   Alcotest.(check bool) "rmse < 10 mV" true (r.Ptanh.rmse < 0.01);
   Alcotest.(check bool) "rising fit" true (r.Ptanh.eta.Ptanh.eta2 *. r.Ptanh.eta.Ptanh.eta4 > 0.0)
 
+(* The ptanh residuals and Jacobian rows as the callbacks of the generic
+   solver in test/lm.ml, the oracle [Ptanh.fit] is compared with below. *)
+let oracle_problem ~vin ~vout =
+  let n = Array.length vin in
+  Lm.problem ~n_params:4 ~n_residuals:n
+    ~residuals:(fun p r th ->
+      for i = 0 to n - 1 do
+        let t = tanh ((vin.(i) -. p.(2)) *. p.(3)) in
+        th.(i) <- t;
+        r.(i) <- p.(0) +. (p.(1) *. t) -. vout.(i)
+      done)
+    ~jacobian_row:(fun p th i row ->
+      let t = th.(i) in
+      let sech2 = 1.0 -. (t *. t) in
+      row.(0) <- 1.0;
+      row.(1) <- t;
+      row.(2) <- -.(p.(1) *. sech2 *. p.(3));
+      row.(3) <- p.(1) *. sech2 *. (vin.(i) -. p.(2)))
+
 let test_jacobian_matches_finite_differences () =
-  (* The fit streams these analytic rows, built from the residual pass's
-     cached tanh values; check them against central differences of the
-     same problem's residuals at random η. *)
+  (* Two copies of the analytic rows against central differences of the
+     residuals at random η: [Ptanh.jacobian], which recomputes each tanh,
+     and the oracle's rows built from the residual pass's cached tanh
+     values.  [Ptanh.fit] streams the oracle's rows inline (it never
+     materialises J), and the oracle tests below pin it to them bit for
+     bit. *)
   let rng = Rng.create 17 in
   let vin = linspace 0.0 1.0 41 in
   let vout = Array.map (Ptanh.eval (eta 0.5 0.4 0.3 6.0)) vin in
-  let problem = Ptanh.problem ~vin ~vout in
   for trial = 1 to 25 do
     let p =
       [|
@@ -105,20 +126,27 @@ let test_jacobian_matches_finite_differences () =
         Rng.uniform rng ~lo:0.5 ~hi:15.0;
       |]
     in
-    let analytic = Fit.Lm.jacobian problem p in
     let numeric =
-      Fit.Lm.numerical_jacobian ~n_residuals:(Array.length vin) (Fit.Lm.residuals problem) p
+      Lm.numerical_jacobian ~n_residuals:(Array.length vin)
+        (fun p -> Ptanh.residuals ~vin ~vout (Ptanh.eta_of_array p))
+        p
     in
-    Array.iteri
-      (fun i row ->
+    List.iter
+      (fun (which, analytic) ->
         Array.iteri
-          (fun j a ->
-            let d = numeric.(i).(j) in
-            if Float.abs (a -. d) > 1e-6 *. Float.max 1.0 (Float.abs a) then
-              Alcotest.failf "trial %d: dr_%d/dη%d analytic %g vs finite difference %g" trial i
-                (j + 1) a d)
-          row)
-      analytic
+          (fun i row ->
+            Array.iteri
+              (fun j a ->
+                let d = numeric.(i).(j) in
+                if Float.abs (a -. d) > 1e-6 *. Float.max 1.0 (Float.abs a) then
+                  Alcotest.failf "trial %d, %s: dr_%d/dη%d analytic %g vs finite difference %g"
+                    trial which i (j + 1) a d)
+              row)
+          analytic)
+      [
+        ("Ptanh.jacobian", Ptanh.jacobian ~vin (Ptanh.eta_of_array p));
+        ("oracle rows", Lm.jacobian (oracle_problem ~vin ~vout) p);
+      ]
   done
 
 let qcheck_fit_recovers_function =
@@ -226,6 +254,135 @@ let test_fit_allocation_flat () =
       (5, true, "starts hit max_iterations");
     ]
 
+(* {2 The fit against its oracle}
+
+   [Ptanh.fit] runs a Levenberg–Marquardt solver written for the four ptanh
+   parameters.  test/lm.ml is the generic solver it replaced, and
+   [oracle_fit] is the fit as it was built on it: the ptanh residuals and
+   Jacobian rows as callbacks ([oracle_problem]), the same three starts and the same rule
+   for picking the best.  The two must agree in every bit of η and rmse,
+   and in [converged] once the oracle's flag is put through the rule that
+   a fit with a non-finite cost never converged. *)
+
+let oracle_initial_guess vin vout =
+  let n = Array.length vin in
+  let lo = Array.fold_left Stdlib.min vout.(0) vout in
+  let hi = Array.fold_left Stdlib.max vout.(0) vout in
+  let amp2 = Stdlib.max ((hi -. lo) /. 2.0) 1e-3 in
+  let mid = (hi +. lo) /. 2.0 in
+  let best_slope = ref 0.0 and best_center = ref vin.(n / 2) in
+  for i = 0 to n - 2 do
+    let dv = vin.(i + 1) -. vin.(i) in
+    if dv > 1e-12 then begin
+      let s = (vout.(i + 1) -. vout.(i)) /. dv in
+      if Float.abs s > Float.abs !best_slope then begin
+        best_slope := s;
+        best_center := (vin.(i) +. vin.(i + 1)) /. 2.0
+      end
+    end
+  done;
+  let sign = if !best_slope >= 0.0 then 1.0 else -1.0 in
+  let eta4 = Stdlib.max (Float.abs !best_slope /. amp2) 0.5 in
+  [| mid; sign *. amp2; !best_center; eta4 |]
+
+(* η, rmse, the solver's own [converged] and the final cost *)
+let oracle_fit ~vin ~vout =
+  let problem = oracle_problem ~vin ~vout in
+  let g0 = oracle_initial_guess vin vout in
+  let best =
+    List.fold_left
+      (fun acc g ->
+        let r = Lm.solve problem g in
+        match acc with
+        | Some (best : Lm.result) when best.Lm.cost <= r.Lm.cost -> acc
+        | _ -> Some r)
+      None
+      [ g0; [| g0.(0); g0.(1); g0.(2); g0.(3) *. 4.0 |]; [| g0.(0); g0.(1); 0.5; 2.0 |] ]
+  in
+  let r = Option.get best in
+  ( r.Lm.params,
+    sqrt (2.0 *. r.Lm.cost /. float_of_int (Array.length vin)),
+    r.Lm.converged,
+    r.Lm.cost )
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_against_oracle what ~vin ~vout =
+  let r = Ptanh.fit ~vin ~vout in
+  let params, rmse, converged, cost = oracle_fit ~vin ~vout in
+  let eta = Ptanh.eta_to_array r.Ptanh.eta in
+  Array.iteri
+    (fun j x ->
+      if not (same_bits x eta.(j)) then
+        Alcotest.failf "%s: η%d is %h, the oracle's %h" what (j + 1) eta.(j) x)
+    params;
+  if not (same_bits rmse r.Ptanh.rmse) then
+    Alcotest.failf "%s: rmse is %h, the oracle's %h" what r.Ptanh.rmse rmse;
+  let expected = converged && Float.is_finite cost in
+  if r.Ptanh.converged <> expected then
+    Alcotest.failf "%s: converged is %b, the oracle's %b (cost %g)" what r.Ptanh.converged
+      expected cost
+
+let test_fit_equals_oracle_lhs () =
+  (* seed 2: not the golden set's seed 1 *)
+  let omegas = Surrogate.Design_space.sample_lhs (Rng.create 2) ~n:4096 in
+  let fitted = ref 0 in
+  Array.iteri
+    (fun k omega ->
+      match Circuit.Ptanh_circuit.transfer (Circuit.Ptanh_circuit.omega_of_array omega) with
+      | exception Circuit.Mna.No_convergence _ -> ()
+      | vin, vout ->
+          incr fitted;
+          check_against_oracle (Printf.sprintf "LHS point %d" k) ~vin ~vout)
+    omegas;
+  (* the transfer sweep converges on most of the design space *)
+  if !fitted < 3000 then Alcotest.failf "only %d of 4096 design points were fitted" !fitted
+
+(* 41-point curves the pipeline never produces: one bad sample in a clean
+   sigmoid, a constant, a step, overflowing residuals, bad inputs *)
+let hostile_curves =
+  let vin = linspace 0.0 1.0 41 in
+  let clean = Array.map (Ptanh.eval (eta 0.5 0.4 0.3 6.0)) vin in
+  let with_sample i x =
+    let v = Array.copy clean in
+    v.(i) <- x;
+    v
+  in
+  [
+    ("one NaN sample", vin, with_sample 20 Float.nan);
+    ("one +inf sample", vin, with_sample 20 infinity);
+    ("one -inf sample", vin, with_sample 7 neg_infinity);
+    ("first sample NaN", vin, with_sample 0 Float.nan);
+    ("all NaN", vin, Array.make 41 Float.nan);
+    ("constant", vin, Array.make 41 0.5);
+    ("zero", vin, Array.make 41 0.0);
+    ("step", vin, Array.map (fun v -> if v < 0.5 then 0.1 else 0.9) vin);
+    ("overflowing residual", vin, with_sample 20 1e200);
+    ("NaN input voltage", Array.mapi (fun i v -> if i = 10 then Float.nan else v) vin, clean);
+  ]
+
+let test_fit_equals_oracle_hostile () =
+  List.iter (fun (what, vin, vout) -> check_against_oracle what ~vin ~vout) hostile_curves
+
+(* A curve with a NaN or infinite sample, or whose squared residuals
+   overflow, has no finite cost and is never converged; a constant curve
+   has a finite cost and converges. *)
+let test_non_finite_never_converged () =
+  List.iter
+    (fun (what, finite) ->
+      let _, vin, vout = List.find (fun (w, _, _) -> String.equal w what) hostile_curves in
+      let r = Ptanh.fit ~vin ~vout in
+      Alcotest.(check bool) (what ^ ": finite rmse") finite (Float.is_finite r.Ptanh.rmse);
+      Alcotest.(check bool) (what ^ ": converged") finite r.Ptanh.converged)
+    [
+      ("one NaN sample", false);
+      ("one +inf sample", false);
+      ("one -inf sample", false);
+      ("all NaN", false);
+      ("overflowing residual", false);
+      ("constant", true);
+    ]
+
 let () =
   Alcotest.run "fit_ptanh"
     [
@@ -251,5 +408,11 @@ let () =
           Alcotest.test_case "sweep + fit digests" `Quick test_golden_sweep_fit;
           Alcotest.test_case "dataset digest" `Quick test_golden_dataset;
           Alcotest.test_case "fit allocation flat" `Quick test_fit_allocation_flat;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "4096 LHS curves" `Quick test_fit_equals_oracle_lhs;
+          Alcotest.test_case "hostile curves" `Quick test_fit_equals_oracle_hostile;
+          Alcotest.test_case "non-finite never converged" `Quick test_non_finite_never_converged;
         ] );
     ]

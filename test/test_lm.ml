@@ -1,6 +1,5 @@
-(* Tests for the Levenberg–Marquardt solver. *)
-
-open Fit
+(* Tests for the Levenberg–Marquardt solver, the ptanh fit's oracle
+   (test/lm.ml). *)
 
 let test_linear_fit () =
   (* y = 2x + 1, exact fit *)
