@@ -21,7 +21,22 @@ let[@inline] softplus' alpha x =
   let z = x /. alpha in
   if z > 30.0 then 1.0 else if z < -30.0 then 0.0 else 1.0 /. (1.0 +. exp (-.z))
 
-let[@inline] evaluate_pos p ~wl ~vgs ~vds =
+type scratch = {
+  (* pnnlint:allow R7 a scratch belongs to one compiled circuit, and one
+     Newton solve on one domain uses it at a time (Mna.compiled is not
+     shared across domains) *)
+  mutable vgs : float;
+  mutable vds : float;
+  mutable id : float;
+  mutable gm : float;
+  mutable gds : float;
+}
+
+let scratch () = { vgs = 0.0; vds = 0.0; id = 0.0; gm = 0.0; gds = 0.0 }
+
+(* The model for vds ≥ 0, written into [s]: inlined into both entry
+   points, so no float is boxed on the way. *)
+let[@inline] evaluate_pos p ~wl ~vgs ~vds s =
   let ov = softplus p.alpha (vgs -. p.v_th) in
   let dov = softplus' p.alpha (vgs -. p.v_th) in
   let vsat = if ov >= 1e-3 then ov else 1e-3 in
@@ -38,18 +53,31 @@ let[@inline] evaluate_pos p ~wl ~vgs ~vds =
   let gds =
     (k *. ov *. ov *. sech2 /. vsat *. clm) +. (k *. ov *. ov *. t *. p.lambda)
   in
-  { id; gm; gds }
+  s.id <- id;
+  s.gm <- gm;
+  s.gds <- gds
 
-let evaluate p ~w_um ~l_um ~vgs ~vds =
+let evaluate_into p ~w_um ~l_um s =
   if w_um <= 0.0 || l_um <= 0.0 then invalid_arg "Egt.evaluate: non-positive geometry";
   let wl = w_um /. l_um in
-  if vds >= 0.0 then evaluate_pos p ~wl ~vgs ~vds
+  let vgs = s.vgs and vds = s.vds in
+  if vds >= 0.0 then evaluate_pos p ~wl ~vgs ~vds s
   else begin
     (* antisymmetry: swap drain/source. vgs seen from the new source is
        vgs - vds; current flips sign. *)
-    let e = evaluate_pos p ~wl ~vgs:(vgs -. vds) ~vds:(-.vds) in
+    evaluate_pos p ~wl ~vgs:(vgs -. vds) ~vds:(-.vds) s;
     (* I(vgs,vds) = -I+(vgs - vds, -vds)
        dI/dvgs = -dI+/dvgs
-       dI/dvds = -( dI+/dvgs * (-1) + dI+/dvds * (-1) ) = e.gm + e.gds *)
-    { id = -.e.id; gm = -.e.gm; gds = e.gm +. e.gds }
+       dI/dvds = -( dI+/dvgs * (-1) + dI+/dvds * (-1) ) = gm+ + gds+ *)
+    let gm = s.gm in
+    s.id <- -.s.id;
+    s.gm <- -.gm;
+    s.gds <- gm +. s.gds
   end
+
+let evaluate p ~w_um ~l_um ~vgs ~vds =
+  let s = scratch () in
+  s.vgs <- vgs;
+  s.vds <- vds;
+  evaluate_into p ~w_um ~l_um s;
+  ({ id = s.id; gm = s.gm; gds = s.gds } : eval)

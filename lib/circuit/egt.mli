@@ -30,3 +30,22 @@ type eval = { id : float; gm : float; gds : float }
 val evaluate : params -> w_um:float -> l_um:float -> vgs:float -> vds:float -> eval
 (** Evaluate the model. Handles negative [vds] by antisymmetry (source/drain
     swap), so the Newton solver can wander through sign changes. *)
+
+type scratch = {
+  mutable vgs : float;  (** input: V_GS *)
+  mutable vds : float;  (** input: V_DS *)
+  mutable id : float;  (** output: drain current *)
+  mutable gm : float;  (** output: ∂I_D/∂V_GS *)
+  mutable gds : float;  (** output: ∂I_D/∂V_DS *)
+}
+(** Inputs and outputs of {!evaluate_into}, which lets a caller evaluate the
+    model without allocating: a call across modules boxes its float
+    arguments and a returned {!eval} record, while the scratch's fields are
+    stored flat.  One scratch serves one caller at a time. *)
+
+val scratch : unit -> scratch
+
+val evaluate_into : params -> w_um:float -> l_um:float -> scratch -> unit
+(** [evaluate_into p ~w_um ~l_um s] is {!evaluate} at [s.vgs], [s.vds],
+    written into [s.id], [s.gm] and [s.gds] with the same bits.
+    Allocation-free. *)

@@ -29,8 +29,9 @@ type stamp =
 (* [stamps] are the netlist's elements in insertion order with capacitors
    (open in DC) dropped, which leaves the stamp order unchanged.  The
    Newton scratch — the system (a, rhs) that each iteration stamps and
-   [Linalg.solve_in_place] then factors in place, and the iterate [volts] —
-   lives here too, so a sweep of solves allocates nothing per point. *)
+   [Linalg.solve_in_place] then factors in place, the iterate [volts] and
+   the transistor evaluation's inputs and outputs [fet] — lives here too,
+   so a sweep of solves allocates nothing per point. *)
 type compiled = {
   model : Egt.params;
   n_nodes : int;
@@ -41,6 +42,7 @@ type compiled = {
   volts : float array;
   a : float array array;
   rhs : float array;
+  fet : Egt.scratch;
 }
 
 let compile model netlist =
@@ -78,6 +80,7 @@ let compile model netlist =
     volts = v0;
     a = Array.make_matrix dim dim 0.0;
     rhs = Array.make dim 0.0;
+    fet = Egt.scratch ();
   }
 
 let source_slot c name =
@@ -144,9 +147,11 @@ let newton ?(options = default_options) c =
           stamp_i rhs out_of (-.amps)
       | Fet { gate; drain; source; w_um; l_um } ->
           let vg = volts.(gate) and vd = volts.(drain) and vs = volts.(source) in
-          let { Egt.id; gm; gds } =
-            Egt.evaluate c.model ~w_um ~l_um ~vgs:(vg -. vs) ~vds:(vd -. vs)
-          in
+          let fet = c.fet in
+          fet.vgs <- vg -. vs;
+          fet.vds <- vd -. vs;
+          Egt.evaluate_into c.model ~w_um ~l_um fet;
+          let id = fet.id and gm = fet.gm and gds = fet.gds in
           (* Companion model: i_DS ≈ id0 + gm·Δvgs + gds·Δvds.
              Current leaves the drain node and enters the source node. *)
           let ieq = id -. (gm *. (vg -. vs)) -. (gds *. (vd -. vs)) in

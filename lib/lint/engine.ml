@@ -87,18 +87,25 @@ type report = {
 
 (* {2 Tree walking} *)
 
+(* The tree can change while it is walked (a test that writes a file next
+   to the sources may delete it again), and a dangling symlink has no
+   target to stat: an entry that cannot be stat'ed, or a directory that
+   cannot be read, counts as absent. *)
 let rec walk dir acc =
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Array.fold_left
-      (fun acc entry ->
-        let p = Filename.concat dir entry in
-        if Sys.is_directory p then
-          if entry = "_build" || String.length entry > 0 && entry.[0] = '.'
-          then acc
-          else walk p acc
-        else p :: acc)
-      acc (Sys.readdir dir)
-  else acc
+  match Sys.readdir dir with
+  | exception Sys_error _ -> acc
+  | entries ->
+      Array.fold_left
+        (fun acc entry ->
+          let p = Filename.concat dir entry in
+          match Sys.is_directory p with
+          | exception Sys_error _ -> acc
+          | true ->
+              if entry = "_build" || (String.length entry > 0 && entry.[0] = '.')
+              then acc
+              else walk p acc
+          | false -> p :: acc)
+        acc entries
 
 let excluded config path =
   List.exists (fun s -> Deps.find_substring path s <> None) config.exclude

@@ -99,7 +99,18 @@ let get_u64 cur what =
 
 let get_f64 cur what = Int64.float_of_bits (get_u64 cur what)
 
-let get_floats cur n what = Array.init n (fun _ -> get_f64 cur what)
+(* [n] floats in one pass: the whole run is checked once, so a declared
+   count larger than the payload is refused before the array exists, with
+   the message the first missing float would have given. *)
+let get_floats cur n what =
+  need cur (8 * n) what;
+  let a = Array.create_float n in
+  let pos = cur.pos in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.float_of_bits (Bytes.get_int64_be cur.data (pos + (8 * i)))
+  done;
+  cur.pos <- pos + (8 * n);
+  a
 
 let finish cur v =
   if cur.pos <> cur.limit then

@@ -89,6 +89,19 @@ external c_blit :
   = "pnn_c_blit_byte" "pnn_c_blit"
 [@@noalloc]
 
+(* SAFETY: the [blit_changed] wrapper checks that src and dst hold >= n
+   elements; the stub reads both and writes dst at indices 0..n-1 only. *)
+external c_blit_changed : buf -> buf -> (int[@untagged]) -> bool
+  = "pnn_c_blit_changed_byte" "pnn_c_blit_changed"
+[@@noalloc]
+
+(* SAFETY: takes and returns a bool, touches no buffer; it swaps the
+   function pointer the matmul stubs call, so no kernel may be running in
+   another domain. *)
+external c_set_wide_tiles : bool -> bool
+  = "pnn_c_set_wide_tiles_byte" "pnn_c_set_wide_tiles"
+[@@noalloc]
+
 (* SAFETY: Tensor guarantees a, b and dst all have >= n elements; the stub
    touches indices 0..n-1 only, and dst may alias an input (same-index
    read/write). *)
@@ -349,6 +362,13 @@ let blit src src_pos dst dst_pos len =
   range "blit" src src_pos len;
   range "blit" dst dst_pos len;
   c_blit src src_pos dst dst_pos len
+
+let blit_changed src dst n =
+  need n src;
+  need n dst;
+  c_blit_changed src dst n
+
+let set_wide_tiles = c_set_wide_tiles
 
 let add a b dst n =
   need n a;

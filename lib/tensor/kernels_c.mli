@@ -42,6 +42,12 @@ val set : buf -> int -> float -> unit
 val fill : buf -> pos:int -> len:int -> float -> unit
 val blit : buf -> int -> buf -> int -> int -> unit
 
+val blit_changed : buf -> buf -> int -> bool
+(** [blit_changed src dst n] copies the first [n] elements of [src] over
+    [dst] when some element differs in its 64-bit pattern, and returns
+    whether one did: -0.0 differs from +0.0, NaN payloads count, and
+    signalling NaNs are copied as they are. *)
+
 val of_float_array : float array -> buf
 (** Copies. *)
 
@@ -71,6 +77,17 @@ val mul_rowvec : buf -> buf -> buf -> int -> int -> unit
 
 val matmul : buf -> buf -> buf -> int -> int -> int -> unit
 val matmul_nt : buf -> buf -> buf -> int -> int -> int -> unit
+
+val set_wide_tiles : bool -> bool
+(** The matmul kernels ([matmul], the fused dense forward, the crossbar's
+    two products) run their n ≥ 8 tiles on 256-bit vectors where the CPU
+    has AVX2, chosen once when the process starts, and on 128-bit vectors
+    elsewhere; both give the same bits.  [set_wide_tiles wide] selects the
+    256-bit body when [wide] holds and the CPU has AVX2, the 128-bit one
+    otherwise, and returns whether the 256-bit body is now in use.  For
+    tests that run every matmul check through both bodies; it must not be
+    called while another domain may be running a kernel. *)
+
 val transpose : buf -> buf -> int -> int -> unit
 
 (** {1 Reductions} *)

@@ -25,7 +25,10 @@
  * Vectorization is portable: GCC/Clang generic vector extensions (lowered
  * to scalar code on targets without SIMD) behind __GNUC__, with a scalar
  * fallback of identical order for any other compiler.  No
- * ISA-specific intrinsics.
+ * ISA-specific intrinsics.  On x86-64 the matmul tiles have a second
+ * instance of the same source compiled for AVX2 (target("avx2"), 256-bit
+ * vectors), picked once per process with __builtin_cpu_supports; see
+ * mm_tiles.
  */
 
 #define CAML_NAME_SPACE
@@ -58,6 +61,14 @@ static inline void vstore(double *p, v2df v) { *(v2df_u *) p = v; }
 /* For a body that takes a mode flag: inlined at each call site, where the
  * flag is a constant, it compiles to one specialised copy per mode. */
 #define PNN_SPECIALISE static inline __attribute__((always_inline))
+#if defined(__x86_64__)
+/* The 4-lane twin, used only inside functions compiled for AVX2
+ * (PNN_WIDE), which run only where the CPU has it: see mm_tiles below. */
+typedef double v4df __attribute__((vector_size(32)));
+typedef double v4df_u __attribute__((vector_size(32), aligned(8)));
+#define PNN_WIDE __attribute__((target("avx2")))
+#define PNN_HAVE_WIDE 1
+#endif
 #else
 #define PNN_SPECIALISE static inline
 #endif
@@ -134,6 +145,31 @@ CAMLprim value pnn_c_blit_byte(value vsrc, value vsrc_pos, value vdst,
 {
   return pnn_c_blit(vsrc, Long_val(vsrc_pos), vdst, Long_val(vdst_pos),
                     Long_val(vlen));
+}
+
+/* Copies src over dst when some element differs in its bits, and says
+ * whether one did.  The comparison is on the 64-bit patterns, so -0.0
+ * differs from +0.0, NaN payloads count, and a NaN equals its own bits;
+ * the copy, from the first difference on, is a bit copy (signalling NaNs
+ * stay signalling), and the elements before it are already equal. */
+CAMLprim value pnn_c_blit_changed(value vsrc, value vdst, intnat n)
+{
+  const double *s = BA(vsrc);
+  double *d = BA(vdst);
+  intnat i = 0;
+  for (; i < n; i++) {
+    uint64_t a, b;
+    memcpy(&a, s + i, sizeof a);
+    memcpy(&b, d + i, sizeof b);
+    if (a != b) break;
+  }
+  if (i >= n) return Val_false;
+  memmove(d + i, s + i, (size_t) (n - i) * sizeof(double));
+  return Val_true;
+}
+CAMLprim value pnn_c_blit_changed_byte(value vsrc, value vdst, value vn)
+{
+  return pnn_c_blit_changed(vsrc, vdst, Long_val(vn));
 }
 
 /* ---------------------------------------------------------------- */
@@ -292,14 +328,207 @@ static double matmul_nt_ref_elem(const double *arow, const double *brow,
   return acc;
 }
 
+/* The n ≥ 8 tiles of mm_core: output columns [0, n8) of every row (n8 the
+ * last multiple of 8 ≤ n), 8 columns at a time.  Each output is one chain
+ * in pure k order from +0.0, then the bias add.  A row's 8 columns are two
+ * "quads" Q of 4 columns, with five operations: zero, load and store 4
+ * doubles, acc + s·b and acc + b.  The body is written once against them
+ * (MM_TILES) and instantiated per vector width: quad128 is two 2-lane
+ * vectors, quad256 one 4-lane vector.  The 256-bit tile takes two rows at
+ * a time (one for an odd last row): four independent accumulator chains
+ * then keep the adds busy.  The 128-bit tile takes one row, which already
+ * holds four 2-lane chains; a second row measured slower there (38 against
+ * 33 µs for a 64×65×48 product on an x86-64 Xeon).
+ *
+ * Why the width cannot change a bit: a lane is one output's chain, IEEE
+ * add and multiply are per lane and correctly rounded, and
+ * -ffp-contract=off holds inside the AVX2 body too (the avx2 target does
+ * not enable FMA), so both widths give every non-NaN output the same bits;
+ * NaN outputs are recomputed after either. */
+#ifdef PNN_HAVE_VEC
+typedef struct { v2df lo, hi; } quad128;
+PNN_SPECIALISE quad128 quad128_zero(void)
+{
+  quad128 q = { { 0.0, 0.0 }, { 0.0, 0.0 } };
+  return q;
+}
+PNN_SPECIALISE quad128 quad128_load(const double *p)
+{
+  quad128 q = { vload(p), vload(p + 2) };
+  return q;
+}
+PNN_SPECIALISE void quad128_store(double *p, quad128 q)
+{
+  vstore(p, q.lo);
+  vstore(p + 2, q.hi);
+}
+PNN_SPECIALISE quad128 quad128_madd(quad128 acc, double s, quad128 b)
+{
+  v2df sv = { s, s };
+  acc.lo = acc.lo + sv * b.lo;
+  acc.hi = acc.hi + sv * b.hi;
+  return acc;
+}
+PNN_SPECIALISE quad128 quad128_add(quad128 acc, quad128 b)
+{
+  acc.lo = acc.lo + b.lo;
+  acc.hi = acc.hi + b.hi;
+  return acc;
+}
+
+/* [two] is a constant at both call sites of NAME##_rows, so each inlines
+ * to its own copy: the two-row tile and the one-row tile.  PAIRS says
+ * whether the width runs the two-row tile. */
+#define MM_TILES(ATTR, NAME, Q, PAIRS)                                       \
+  ATTR PNN_SPECIALISE void NAME##_rows(const double *a0, const double *a1,  \
+                                       intnat k, int bias, const double *bd, \
+                                       double *c0, double *c1, intnat n,     \
+                                       int two)                              \
+  {                                                                          \
+    const double *bb = bd + k * n;                                           \
+    intnat n8 = n - (n & 7);                                                 \
+    for (intnat j0 = 0; j0 < n8; j0 += 8) {                                  \
+      Q x0 = Q##_zero(), x1 = Q##_zero(), y0 = Q##_zero(), y1 = Q##_zero(); \
+      for (intnat p = 0; p < k; p++) {                                       \
+        const double *br = bd + p * n + j0;                                  \
+        Q b0 = Q##_load(br), b1 = Q##_load(br + 4);                          \
+        x0 = Q##_madd(x0, a0[p], b0);                                        \
+        x1 = Q##_madd(x1, a0[p], b1);                                        \
+        if (two) {                                                           \
+          y0 = Q##_madd(y0, a1[p], b0);                                      \
+          y1 = Q##_madd(y1, a1[p], b1);                                      \
+        }                                                                    \
+      }                                                                      \
+      if (bias) {                                                            \
+        Q b0 = Q##_load(bb + j0), b1 = Q##_load(bb + j0 + 4);                \
+        x0 = Q##_add(x0, b0);                                                \
+        x1 = Q##_add(x1, b1);                                                \
+        y0 = Q##_add(y0, b0);                                                \
+        y1 = Q##_add(y1, b1);                                                \
+      }                                                                      \
+      Q##_store(c0 + j0, x0);                                                \
+      Q##_store(c0 + j0 + 4, x1);                                            \
+      if (two) {                                                             \
+        Q##_store(c1 + j0, y0);                                              \
+        Q##_store(c1 + j0 + 4, y1);                                          \
+      }                                                                      \
+    }                                                                        \
+  }                                                                          \
+  ATTR static void NAME(const double *ad, intnat lda, intnat k, int bias,    \
+                        const double *bd, double *cd, intnat m, intnat n)    \
+  {                                                                          \
+    intnat i = 0;                                                            \
+    if (PAIRS)                                                               \
+      for (; i + 2 <= m; i += 2)                                             \
+        NAME##_rows(ad + i * lda, ad + (i + 1) * lda, k, bias, bd,           \
+                    cd + i * n, cd + (i + 1) * n, n, 1);                     \
+    for (; i < m; i++)                                                       \
+      NAME##_rows(ad + i * lda, NULL, k, bias, bd, cd + i * n, NULL, n, 0);  \
+  }
+
+MM_TILES(, mm_tiles_128, quad128, 0)
+
+#ifdef PNN_HAVE_WIDE
+typedef v4df quad256;
+PNN_WIDE PNN_SPECIALISE quad256 quad256_zero(void)
+{
+  quad256 q = { 0.0, 0.0, 0.0, 0.0 };
+  return q;
+}
+PNN_WIDE PNN_SPECIALISE quad256 quad256_load(const double *p)
+{
+  return *(const v4df_u *) p;
+}
+PNN_WIDE PNN_SPECIALISE void quad256_store(double *p, quad256 q)
+{
+  *(v4df_u *) p = q;
+}
+PNN_WIDE PNN_SPECIALISE quad256 quad256_madd(quad256 acc, double s,
+                                             quad256 b)
+{
+  quad256 sv = { s, s, s, s };
+  return acc + sv * b;
+}
+PNN_WIDE PNN_SPECIALISE quad256 quad256_add(quad256 acc, quad256 b)
+{
+  return acc + b;
+}
+
+MM_TILES(PNN_WIDE, mm_tiles_256, quad256, 1)
+#endif
+#else
+/* Compilers without vector extensions: the same tiles, one row at a time,
+ * one scalar accumulator per column. */
+static void mm_tiles_128(const double *ad, intnat lda, intnat k, int bias,
+                         const double *bd, double *cd, intnat m, intnat n)
+{
+  const double *bb = bd + k * n;
+  intnat n8 = n - (n & 7);
+  for (intnat i = 0; i < m; i++) {
+    const double *arow = ad + i * lda;
+    double *crow = cd + i * n;
+    for (intnat j0 = 0; j0 < n8; j0 += 8) {
+      double c[8] = { 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0 };
+      for (intnat p = 0; p < k; p++) {
+        double a = arow[p];
+        const double *brow = bd + p * n + j0;
+        c[0] = c[0] + a * brow[0];  c[1] = c[1] + a * brow[1];
+        c[2] = c[2] + a * brow[2];  c[3] = c[3] + a * brow[3];
+        c[4] = c[4] + a * brow[4];  c[5] = c[5] + a * brow[5];
+        c[6] = c[6] + a * brow[6];  c[7] = c[7] + a * brow[7];
+      }
+      for (int q = 0; q < 8; q++)
+        crow[j0 + q] = bias ? c[q] + bb[j0 + q] : c[q];
+    }
+  }
+}
+#endif
+
+typedef void mm_tiles_fn(const double *ad, intnat lda, intnat k, int bias,
+                         const double *bd, double *cd, intnat m, intnat n);
+
+/* The tile body mm_core runs: chosen once per process, when the stubs are
+ * loaded and before any kernel runs, and changed after that only by
+ * pnn_c_set_wide_tiles. */
+static mm_tiles_fn *mm_tiles = mm_tiles_128;
+
+#ifdef PNN_HAVE_WIDE
+static int mm_have_avx2;
+
+__attribute__((constructor)) static void mm_tiles_pick(void)
+{
+  __builtin_cpu_init();
+  mm_have_avx2 = __builtin_cpu_supports("avx2");
+  if (mm_have_avx2) mm_tiles = mm_tiles_256;
+}
+#endif
+
+/* A hook for the tests, which run every matmul check through both bodies:
+ * selects the 256-bit body when [wide] is set and the CPU has AVX2, the
+ * 128-bit body otherwise, and returns whether the 256-bit body is now the
+ * one in use.  Not for use while another domain may run a kernel. */
+CAMLprim value pnn_c_set_wide_tiles(value vwide)
+{
+#ifdef PNN_HAVE_WIDE
+  mm_tiles = Bool_val(vwide) && mm_have_avx2 ? mm_tiles_256 : mm_tiles_128;
+  return Val_bool(mm_tiles == mm_tiles_256);
+#else
+  (void) vwide;
+  return Val_false;
+#endif
+}
+CAMLprim value pnn_c_set_wide_tiles_byte(value vwide)
+{
+  return pnn_c_set_wide_tiles(vwide);
+}
+
 /* C := A·B, c overwritten.  Row i of A is ad + i * lda with k entries;
  * with [bias] set it has one more, an implicit 1.0 (Eq. 1's bias input
  * V_b = 1), and B has k + 1 rows.  Each output is one chain in pure k
- * order from +0.0 (1.0 · b is b).  n ≥ 8 runs 8-wide column tiles (an
- * 8-accumulator register blocking) with a scalar loop for the columns past
- * the last tile; narrower outputs run four rows at once, so independent
- * chains interleave instead of one serial chain per element.  Then the NaN
- * recompute. */
+ * order from +0.0 (1.0 · b is b).  n ≥ 8 runs the register tiles above
+ * and a scalar loop for the columns past the last one; narrower outputs
+ * run four rows at once, so independent chains interleave instead of one
+ * serial chain per element.  Then the NaN recompute. */
 static void mm_core(const double *ad, intnat lda, intnat k, int bias,
                     const double *bd, double *cd, intnat m, intnat n)
 {
@@ -331,68 +560,13 @@ static void mm_core(const double *ad, intnat lda, intnat k, int bias,
         c[3 * n + j] = c3;
       }
     }
-  }
+  } else
+    mm_tiles(ad, lda, k, bias, bd, cd, m, n);
   intnat n8 = n - (n & 7);
-  for (; i < m; i++) {
-    const double *arow = ad + i * lda;
-    double *crow = cd + i * n;
-    intnat j0 = 0;
-#ifdef PNN_HAVE_VEC
-    for (; j0 < n8; j0 += 8) {
-      v2df acc0 = { 0.0, 0.0 };
-      v2df acc1 = { 0.0, 0.0 };
-      v2df acc2 = { 0.0, 0.0 };
-      v2df acc3 = { 0.0, 0.0 };
-      for (intnat p = 0; p < k; p++) {
-        double a = arow[p];
-        v2df av = { a, a };
-        const double *brow = bd + p * n + j0;
-        acc0 = acc0 + av * vload(brow);
-        acc1 = acc1 + av * vload(brow + 2);
-        acc2 = acc2 + av * vload(brow + 4);
-        acc3 = acc3 + av * vload(brow + 6);
-      }
-      if (bias) {
-        acc0 = acc0 + vload(bb + j0);
-        acc1 = acc1 + vload(bb + j0 + 2);
-        acc2 = acc2 + vload(bb + j0 + 4);
-        acc3 = acc3 + vload(bb + j0 + 6);
-      }
-      vstore(crow + j0, acc0);
-      vstore(crow + j0 + 2, acc1);
-      vstore(crow + j0 + 4, acc2);
-      vstore(crow + j0 + 6, acc3);
-    }
-#else
-    for (; j0 < n8; j0 += 8) {
-      double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-      double c4 = 0.0, c5 = 0.0, c6 = 0.0, c7 = 0.0;
-      for (intnat p = 0; p < k; p++) {
-        double a = arow[p];
-        const double *brow = bd + p * n + j0;
-        c0 = c0 + a * brow[0];
-        c1 = c1 + a * brow[1];
-        c2 = c2 + a * brow[2];
-        c3 = c3 + a * brow[3];
-        c4 = c4 + a * brow[4];
-        c5 = c5 + a * brow[5];
-        c6 = c6 + a * brow[6];
-        c7 = c7 + a * brow[7];
-      }
-      if (bias) {
-        const double *b = bb + j0;
-        c0 = c0 + b[0];  c1 = c1 + b[1];
-        c2 = c2 + b[2];  c3 = c3 + b[3];
-        c4 = c4 + b[4];  c5 = c5 + b[5];
-        c6 = c6 + b[6];  c7 = c7 + b[7];
-      }
-      crow[j0] = c0;  crow[j0 + 1] = c1;
-      crow[j0 + 2] = c2;  crow[j0 + 3] = c3;
-      crow[j0 + 4] = c4;  crow[j0 + 5] = c5;
-      crow[j0 + 6] = c6;  crow[j0 + 7] = c7;
-    }
-#endif
-    for (intnat j = j0; j < n; j++) {
+  for (intnat r = n < 8 ? i : 0; r < m; r++) {
+    const double *arow = ad + r * lda;
+    double *crow = cd + r * n;
+    for (intnat j = n8; j < n; j++) {
       double acc = 0.0;
       for (intnat p = 0; p < k; p++) acc = acc + arow[p] * bd[p * n + j];
       if (bias) acc = acc + bb[j];

@@ -233,21 +233,9 @@ let blit ~src ~dst =
   if src.rows <> dst.rows || src.cols <> dst.cols then shape_fail "blit" src dst;
   Kc.blit src.store 0 dst.store 0 (numel src)
 
-(* One pass, reading both buffers and writing only the elements that
-   differ: every load is an unboxed float and the comparison an unboxed
-   int64, so the call allocates nothing. *)
 let blit_changed ~src ~dst =
   if src.rows <> dst.rows || src.cols <> dst.cols then shape_fail "blit_changed" src dst;
-  let s = src.store and d = dst.store in
-  let changed = ref false in
-  for i = 0 to numel src - 1 do
-    let v = s.{i} in
-    if Int64.bits_of_float v <> Int64.bits_of_float d.{i} then begin
-      d.{i} <- v;
-      changed := true
-    end
-  done;
-  !changed
+  Kc.blit_changed src.store dst.store (numel src)
 
 let read_into t a =
   if Array.length a <> numel t then invalid_arg "Tensor.read_into: length mismatch";

@@ -32,6 +32,21 @@ let create n = Array.make n 0.0
 let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
 let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
 
+(* {1 Storage} *)
+
+(* Copies [src] over [dst] element by element where the bits differ and
+   reports whether any did: the OCaml loop the C stub replaced. *)
+let blit_changed (src : buf) (dst : buf) n =
+  let changed = ref false in
+  for i = 0 to n - 1 do
+    let v = src.(i) in
+    if Int64.bits_of_float v <> Int64.bits_of_float dst.(i) then begin
+      dst.(i) <- v;
+      changed := true
+    end
+  done;
+  !changed
+
 (* {1 Elementwise} *)
 
 let add a b dst n =

@@ -59,6 +59,7 @@ module type OPS = sig
   val dense : ?op:T.unop -> t -> t -> t -> t * t
   (** The dense-layer forward [(pre, out)]; without [op], [out] is [pre]. *)
 
+  val blit_changed : src:t -> dst:t -> bool
   val sgd_step : lr:float -> grad:t -> t -> unit
 
   val adam_step :
@@ -180,6 +181,7 @@ module Or : OPS = struct
     let pre = add_rowvec (matmul x w) b in
     (pre, match op with Some u -> unop u pre | None -> pre)
 
+  let blit_changed ~src ~dst = O.blit_changed src.d dst.d (numel src)
   let sgd_step ~lr ~grad value = O.sgd_step ~lr ~grad:grad.d ~value:value.d (numel value)
 
   let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad value =
@@ -257,6 +259,7 @@ module Tc : OPS with type t = T.t = struct
         T.matmul_bias_unop_into ?op x w b ~pre ~out;
         (pre, out)
 
+  let blit_changed = T.blit_changed
   let sgd_step = T.sgd_step
   let adam_step = T.adam_step
 end
@@ -361,6 +364,50 @@ let case name f = Alcotest.test_case name `Quick f
 
 (* [agree] as a test case named after what it checks. *)
 let agree_case what f = case what (fun () -> agree what f)
+
+(* {2 Both matmul tile widths}
+
+   The matmul kernels run their n ≥ 8 tiles on 256-bit vectors where the
+   CPU has AVX2 and on 128-bit vectors elsewhere, and both bodies must
+   return the oracle's bits.  [at_both_widths] runs each case under the
+   widest body the CPU has, keeping its name, and again under the 128-bit
+   body, named with a "[128-bit]" suffix; on a CPU without AVX2 the two
+   runs are the same. *)
+
+let set_wide_tiles wide =
+  (* pnnlint:allow R6 the test selects the C matmul body below the Tensor layer *)
+  Kernels_c.set_wide_tiles wide
+
+(* [set_wide_tiles true] restores the process default, the widest body the
+   CPU has. *)
+let with_tiles ~wide f =
+  ignore (set_wide_tiles wide);
+  Fun.protect ~finally:(fun () -> ignore (set_wide_tiles true)) f
+
+let at_both_widths cases =
+  List.concat_map
+    (fun (name, speed, f) ->
+      [
+        (name, speed, fun () -> with_tiles ~wide:true f);
+        (name ^ " [128-bit]", speed, fun () -> with_tiles ~wide:false f);
+      ])
+    cases
+
+(* On an x86-64 Linux host whose CPU lists AVX2, the 256-bit body must be
+   the one available (the stubs are built with GCC or Clang, whose vector
+   extensions both bodies are written in). *)
+let test_wide_tiles_on_avx2 () =
+  let cpu_has_avx2 =
+    Sys.file_exists "/proc/cpuinfo"
+    && In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
+       |> String.split_on_char '\n'
+       |> List.exists (fun l ->
+              String.starts_with ~prefix:"flags" l
+              && List.mem "avx2" (String.split_on_char ' ' l))
+  in
+  let wide = set_wide_tiles true in
+  if cpu_has_avx2 && Sys.word_size = 64 then
+    Alcotest.(check bool) "AVX2 CPU runs the 256-bit body" true wide
 
 (* {2 Agreement on ordinary data} *)
 
@@ -957,6 +1004,29 @@ let test_blit_changed () =
   let words = Gc.minor_words () -. before in
   if words > 64.0 then Alcotest.failf "allocation: %.0f minor words over 1000 calls" words
 
+(* The C comparison against the oracle's loop: every ordered pair of
+   [nan_specials] (signed zeros, NaN payloads of both signs, signalling
+   NaNs) at the same index, equal bits, and one difference at each
+   position of a row, which the C stub copies from. *)
+let blit_changed_cases =
+  let ns = Array.length nan_specials in
+  let run src dst (module M : OPS) =
+    let src = M.of_ot src and dst = M.of_ot dst in
+    let changed = M.blit_changed ~src ~dst in
+    Array.append [| (if changed then 1.0 else 0.0) |] (M.to_array dst)
+  in
+  let a = ot ns ns (fun i _ -> nan_specials.(i)) in
+  let b = ot ns ns (fun _ j -> nan_specials.(j)) in
+  let row = ot 1 ns (fun _ j -> nan_specials.(j)) in
+  [
+    agree_case "blit_changed every ordered pair" (run a b);
+    agree_case "blit_changed equal bits" (run a a);
+  ]
+  @ List.init ns (fun p ->
+        agree_case (Printf.sprintf "blit_changed one difference at %d" p)
+          (run row
+             (ot 1 ns (fun _ j -> if j = p then nan_specials.((j + 1) mod ns) else nan_specials.(j)))))
+
 (* {2 Fused hot-path kernels against the kernel sequences they replace} *)
 
 let fused_ops = [ None; Some T.Tanh; Some T.Relu; Some T.Sigmoid ]
@@ -1101,17 +1171,19 @@ let () =
     [
       ("elementwise", elementwise_cases);
       ("reductions", reduction_cases);
-      ("matmul family", matmul_cases);
+      ("matmul family", at_both_widths matmul_cases);
       ("training kernels", training_cases);
       ("two-NaN operands", two_nan_cases);
-      ("matmul family = oracle", matmul_oracle_cases);
-      ("crossbar pair = oracle", crossbar_cases);
+      ("matmul family = oracle", at_both_widths matmul_oracle_cases);
+      ("crossbar pair = oracle", at_both_widths crossbar_cases);
       ( "digests",
-        [
-          Alcotest.test_case "matmul special-value digest" `Quick test_matmul_specials_digest;
-          Alcotest.test_case "matmul digests" `Quick test_matmul_digests;
-          Alcotest.test_case "frozen numerics" `Quick test_frozen_numerics;
-        ]
+        at_both_widths
+          [
+            Alcotest.test_case "matmul special-value digest" `Quick
+              test_matmul_specials_digest;
+            Alcotest.test_case "matmul digests" `Quick test_matmul_digests;
+          ]
+        @ [ Alcotest.test_case "frozen numerics" `Quick test_frozen_numerics ]
         @ special_digest_cases );
       ( "edges",
         [
@@ -1120,12 +1192,17 @@ let () =
           Alcotest.test_case "C length assertion runs before the stub" `Quick
             test_c_length_assertion;
           Alcotest.test_case "blit_changed" `Quick test_blit_changed;
-        ] );
+        ]
+        @ blit_changed_cases );
       ( "fused",
+        at_both_widths [ Alcotest.test_case "dense fused vs decomposed" `Quick test_fused_dense ]
+        @ [
+            Alcotest.test_case "adam fused vs per-leaf" `Quick test_fused_adam;
+            Alcotest.test_case "autodiff dense node" `Quick test_fused_autodiff;
+          ] );
+      ( "surface",
         [
-          Alcotest.test_case "dense fused vs decomposed" `Quick test_fused_dense;
-          Alcotest.test_case "adam fused vs per-leaf" `Quick test_fused_adam;
-          Alcotest.test_case "autodiff dense node" `Quick test_fused_autodiff;
+          Alcotest.test_case "construction" `Quick test_surface;
+          Alcotest.test_case "AVX2 CPUs get the 256-bit matmul" `Quick test_wide_tiles_on_avx2;
         ] );
-      ("surface", [ Alcotest.test_case "construction" `Quick test_surface ]);
     ]

@@ -214,6 +214,30 @@ let test_live_tree_clean () =
       Alcotest.(check bool) "live tree was actually scanned" true
         (report.E.files_scanned > 50)
 
+(* A dangling symlink under a scanned directory cannot be stat'ed, the
+   same error an entry deleted between [readdir] and the stat raises (a
+   test writing and removing a file next to the sources while the gate
+   walks them); either counts as absent. *)
+let test_walk_skips_vanished () =
+  let root = Filename.temp_dir "pnnlint_walk" "" in
+  let lib = Filename.concat root "lib" in
+  Sys.mkdir lib 0o755;
+  let ok = Filename.concat lib "ok.ml" in
+  Out_channel.with_open_text ok (fun oc -> output_string oc "let x = 1\n");
+  let gone = Filename.concat lib "gone.ml" in
+  Unix.symlink (Filename.concat lib "missing.ml") gone;
+  let config = { E.default_config with scan_dirs = [ "lib" ]; cstub_pairs = [] } in
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter Sys.remove [ gone; ok ];
+        Sys.rmdir lib;
+        Sys.rmdir root)
+      (fun () -> E.run ~config ~root ())
+  in
+  Alcotest.(check int) "the readable file is scanned, the dangling link skipped" 1
+    report.E.files_scanned
+
 let () =
   Alcotest.run "lint"
     [
@@ -234,6 +258,8 @@ let () =
           Alcotest.test_case "render shapes" `Quick test_render_shapes;
           Alcotest.test_case "json output" `Quick test_json_output;
           Alcotest.test_case "stats golden" `Quick test_stats_golden;
+          Alcotest.test_case "walk skips vanished entries" `Quick
+            test_walk_skips_vanished;
         ] );
       ( "live-tree",
         [ Alcotest.test_case "clean" `Quick test_live_tree_clean ] );

@@ -167,6 +167,62 @@ let test_malformed_payloads () =
   Buffer.add_uint16_be b (P.max_features + 1);
   expect_decode_error "oversized feature count" (Buffer.to_bytes b)
 
+(* Every truncation of a valid Predict / Predict_mc payload is refused
+   with the message naming the field the cut falls in, the first field
+   that cannot be read whole.  Layout: version (1 byte), kind (1), id (4),
+   feature count (2), then for Predict_mc draw count (2) and seed (4), then
+   8 bytes per feature. *)
+let test_truncations_name_the_field () =
+  let features = [| 0.5; -0.0; Float.nan; 3.0e300; -7.25 |] in
+  let payload req =
+    let frame = P.encode_request req in
+    Bytes.sub frame 4 (Bytes.length frame - 4)
+  in
+  let check name req fields =
+    let full = payload req in
+    let fields = fields @ [ ("feature", 8 * Array.length features) ] in
+    let field_at len =
+      let rec go start = function
+        | (what, size) :: rest -> if len < start + size then what else go (start + size) rest
+        | [] -> Alcotest.failf "%s: no field at %d" name len
+      in
+      go 0 fields
+    in
+    for len = 0 to Bytes.length full - 1 do
+      let expected = "truncated payload reading " ^ field_at len in
+      match P.decode_request (Bytes.sub full 0 len) with
+      | Ok _ -> Alcotest.failf "%s cut to %d bytes decoded" name len
+      | Error e -> Alcotest.(check string) (Printf.sprintf "%s cut to %d bytes" name len) expected e
+    done;
+    match P.decode_request full with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: the whole payload failed: %s" name e
+  in
+  let head = [ ("version", 1); ("kind", 1); ("request id", 4); ("feature count", 2) ] in
+  check "predict" (P.Predict { id = 3l; features }) head;
+  check "predict_mc"
+    (P.Predict_mc { id = 4l; features; draws = 16; seed = 9l })
+    (head @ [ ("draw count", 2); ("mc seed", 4) ])
+
+(* A request that declares the largest feature count and carries none is
+   refused before the feature array exists. *)
+let test_declared_count_checked_before_allocation () =
+  let b = Buffer.create 16 in
+  Buffer.add_uint8 b P.version;
+  Buffer.add_uint8 b 1 (* predict *);
+  Buffer.add_int32_be b 1l;
+  Buffer.add_uint16_be b P.max_features;
+  Buffer.add_int64_be b 0L;
+  let payload = Buffer.to_bytes b in
+  let before = Gc.allocated_bytes () in
+  let result = P.decode_request payload in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check (result reject string))
+    "refused" (Error "truncated payload reading feature")
+    (Result.map (fun _ -> ()) result);
+  if words > float_of_int P.max_features then
+    Alcotest.failf "decoding the refused request allocated %.0f words" words
+
 let test_reader_incremental () =
   (* two frames delivered one byte at a time must come out intact *)
   let f1 = P.encode_request (P.Predict { id = 1l; features = [| 0.5; 0.25 |] }) in
@@ -673,6 +729,10 @@ let () =
           Alcotest.test_case "request round-trips" `Quick test_request_roundtrips;
           Alcotest.test_case "response round-trips" `Quick test_response_roundtrips;
           Alcotest.test_case "malformed payloads" `Quick test_malformed_payloads;
+          Alcotest.test_case "truncations name the field" `Quick
+            test_truncations_name_the_field;
+          Alcotest.test_case "declared count checked before allocation" `Quick
+            test_declared_count_checked_before_allocation;
           Alcotest.test_case "incremental reader" `Quick test_reader_incremental;
           Alcotest.test_case "oversized frame" `Quick test_reader_oversized_frame;
           Alcotest.test_case "partial frame" `Quick test_reader_partial_is_not_an_error;
