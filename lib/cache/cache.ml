@@ -21,6 +21,21 @@ let temp_path path =
     (Domain.self () :> int)
     (Atomic.fetch_and_add tmp_counter 1)
 
+(* Write a fresh temp sibling of [path] with [write]; the caller publishes it
+   (rename or link).  A failed write leaves no temp file behind. *)
+let write_temp path write =
+  mkdir_p (Filename.dirname path);
+  let tmp = temp_path path in
+  let oc = open_out_bin tmp in
+  (try
+     write oc;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  tmp
+
 module Blob = struct
   let magic = "pnncache"
   let version = 1
@@ -36,35 +51,19 @@ module Blob = struct
       invalid_arg "Cache.Blob.write: tag must not contain spaces";
     let body = String.concat "\n" lines in
     let digest = Digest.to_hex (Digest.string body) in
-    mkdir_p (Filename.dirname path);
-    let tmp = temp_path path in
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc (header ~tag ~digest ~nlines:(List.length lines));
-       output_char oc '\n';
-       if lines <> [] then begin
-         output_string oc body;
-         output_char oc '\n'
-       end;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
+    let tmp =
+      write_temp path (fun oc ->
+          output_string oc (header ~tag ~digest ~nlines:(List.length lines));
+          output_char oc '\n';
+          if lines <> [] then begin
+            output_string oc body;
+            output_char oc '\n'
+          end)
+    in
     Sys.rename tmp path;
     String.length body
 
-  let read_lines path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
+  let read_lines path = In_channel.with_open_bin path In_channel.input_lines
 
   let read ~tag path =
     if not (Sys.file_exists path) then Missing
@@ -343,16 +342,7 @@ let gc ?max_age_days ?tmp_stale_age ?(all = false) ~dir () =
    replaces, so it cannot arbitrate two claimants.) *)
 
 let publish_exclusive path content =
-  mkdir_p (Filename.dirname path);
-  let tmp = temp_path path in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc content;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
+  let tmp = write_temp path (fun oc -> output_string oc content) in
   let created =
     match Unix.link tmp path with
     | () -> true
@@ -362,14 +352,4 @@ let publish_exclusive path content =
   created
 
 let replace_file path content =
-  mkdir_p (Filename.dirname path);
-  let tmp = temp_path path in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc content;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  Sys.rename (write_temp path (fun oc -> output_string oc content)) path

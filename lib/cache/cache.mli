@@ -170,6 +170,9 @@ val publish_exclusive : string -> string -> bool
     Returns [false] to the losers; the temp file is always cleaned up. *)
 
 val replace_file : string -> string -> unit
-(** Atomic unconditional overwrite (temp + rename) — the companion of
-    {!publish_exclusive} for refreshing a file the caller already owns,
-    e.g. renewing a claim's lease. *)
+(** Atomic unconditional overwrite (temp + rename; parent directories are
+    created) — the companion of {!publish_exclusive} for refreshing a file
+    the caller already owns (renewing a claim's lease) and for publishing
+    an artifact other processes may be loading (a saved pNN or surrogate,
+    a result CSV): a reader sees the old bytes or the new, never a partial
+    write. *)

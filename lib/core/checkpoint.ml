@@ -20,31 +20,21 @@ let state_line (st : Nn.Train.state) =
   Printf.sprintf "state %d %d %d %b %h" st.Nn.Train.epoch st.Nn.Train.best_epoch
     st.Nn.Train.epochs_since_best st.Nn.Train.stopped_early st.Nn.Train.best_val
 
-(* Histories are stored newest-first, exactly as [Nn.Train.state] keeps them,
-   so a restored state is field-for-field identical. *)
-let hist_line label values =
-  Printf.sprintf "%s %d%s" label (List.length values)
-    (match values with
-    | [] -> ""
-    | _ -> " " ^ Serialize.float_line (Array.of_list values))
-
 let weights_lines label (ws : Network.weights) =
   Printf.sprintf "%s %d" label (List.length ws)
   :: List.concat_map
        (fun (theta, act, neg) ->
-         [
-           Serialize.tensor_line theta;
-           Serialize.tensor_line act;
-           Serialize.tensor_line neg;
-         ])
+         [ Lines.tensor_line theta; Lines.tensor_line act; Lines.tensor_line neg ])
        ws
 
 let save ~path ~config ~rng ~state ~network ~best ~optimizers =
   let lines =
-    (Serialize.config_line config :: Serialize.rng_line rng
+    (Serialize.config_line config :: Lines.rng_line rng
     :: state_line state
-    :: hist_line "train" state.Nn.Train.train_hist
-    :: hist_line "val" state.Nn.Train.val_hist
+    (* histories newest-first, exactly as [Nn.Train.state] keeps them, so a
+       restored state is field-for-field identical *)
+    :: Lines.counted_line "train" (Array.of_list state.Nn.Train.train_hist)
+    :: Lines.counted_line "val" (Array.of_list state.Nn.Train.val_hist)
     :: weights_lines "weights" (Network.snapshot network))
     @ weights_lines "best" best
     @ (Printf.sprintf "opts %d" (List.length optimizers)
@@ -54,34 +44,17 @@ let save ~path ~config ~rng ~state ~network ~best ~optimizers =
   in
   ignore (Cache.Blob.write ~tag path lines)
 
-let words line = String.split_on_char ' ' (String.trim line)
-
-let hist_of_line label line =
-  match words line with
-  | l :: n :: floats when l = label && int_of_string_opt n = Some (List.length floats)
-    ->
-      Array.to_list (Serialize.floats_of_words floats)
-  | _ -> failwith (Printf.sprintf "Checkpoint: bad %s history line" label)
+let fmt = "Checkpoint"
 
 let weights_of_lines label lines =
   match lines with
   | head :: rest -> (
-      match words head with
+      match Lines.words head with
       | [ l; n ] when l = label ->
-          let n = int_of_string n in
-          let rec take k lines acc =
-            if k = 0 then (List.rev acc, lines)
-            else
-              match lines with
-              | tl :: al :: nl :: rest ->
-                  take (k - 1) rest
-                    (( Serialize.tensor_of_line tl,
-                       Serialize.tensor_of_line al,
-                       Serialize.tensor_of_line nl )
-                    :: acc)
-              | _ -> failwith "Checkpoint: truncated weights section"
-          in
-          take n rest []
+          let tensor = Lines.tensor_of_line ~fmt in
+          Lines.take ~fmt label ~n:(Lines.count_field ~fmt (label ^ " count") n) ~width:3
+            (fun line -> (tensor (line 0), tensor (line 1), tensor (line 2)))
+            rest
       | _ -> failwith (Printf.sprintf "Checkpoint: bad %s header" label))
   | [] -> failwith (Printf.sprintf "Checkpoint: missing %s section" label)
 
@@ -89,26 +62,27 @@ let parse lines =
   match lines with
   | config_l :: rng_l :: state_l :: train_l :: val_l :: rest ->
       let config = Serialize.config_of_line config_l in
-      let rng = Serialize.rng_of_line rng_l in
+      let rng = Lines.rng_of_line ~fmt rng_l in
       let epoch, best_epoch, epochs_since_best, stopped_early, best_val =
-        match words state_l with
+        match Lines.words state_l with
         | [ "state"; e; be; esb; se; bv ] ->
-            ( int_of_string e,
-              int_of_string be,
-              int_of_string esb,
-              bool_of_string se,
-              float_of_string bv )
+            ( Lines.int_field ~fmt "epoch" e,
+              Lines.int_field ~fmt "best epoch" be,
+              Lines.int_field ~fmt "epochs since best" esb,
+              Lines.bool_field ~fmt "stopped early" se,
+              Lines.float_field ~fmt "best val" bv )
         | _ -> failwith "Checkpoint: bad state line"
       in
-      let train_hist = hist_of_line "train" train_l in
-      let val_hist = hist_of_line "val" val_l in
+      let hist label line = Array.to_list (Lines.counted_of_line ~fmt label line) in
+      let train_hist = hist "train" train_l in
+      let val_hist = hist "val" val_l in
       let weights, rest = weights_of_lines "weights" rest in
       let best, rest = weights_of_lines "best" rest in
       let opt_groups, opt_lines =
         match rest with
         | head :: opt_lines -> (
-            match words head with
-            | [ "opts"; n ] -> (int_of_string n, opt_lines)
+            match Lines.words head with
+            | [ "opts"; n ] -> (Lines.count_field ~fmt "optimizer count" n, opt_lines)
             | _ -> failwith "Checkpoint: bad opts header")
         | [] -> failwith "Checkpoint: missing opts section"
       in
@@ -131,7 +105,7 @@ let parse lines =
 
 let load path =
   match Cache.Blob.read ~tag path with
-  | Cache.Blob.Valid lines -> ( try Some (parse lines) with _ -> None)
+  | Cache.Blob.Valid lines -> ( try Some (parse lines) with Failure _ -> None)
   | Cache.Blob.Corrupt | Cache.Blob.Missing -> None
 
 let matches ck config = ck.config = config
@@ -154,12 +128,15 @@ let apply ck ~rng ~state ~network ~optimizers =
     failwith "Checkpoint: architecture mismatch";
   if ck.opt_groups <> List.length optimizers then
     failwith "Checkpoint: optimizer group mismatch";
-  let rest =
+  let installs, rest =
     List.fold_left
-      (fun lines (opt, params) -> Nn.Optimizer.restore_state opt params lines)
-      ck.opt_lines optimizers
+      (fun (installs, lines) (opt, params) ->
+        let install, rest = Nn.Optimizer.read_state opt params lines in
+        (install :: installs, rest))
+      ([], ck.opt_lines) optimizers
   in
   if rest <> [] then failwith "Checkpoint: trailing optimizer state";
+  List.iter (fun install -> install ()) installs;
   Network.restore network ck.weights;
   state.Nn.Train.epoch <- ck.epoch;
   state.Nn.Train.train_hist <- ck.train_hist;

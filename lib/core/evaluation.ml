@@ -28,18 +28,8 @@ let nominal_accuracy network ~x ~y =
 (* Cache payload: the raw per-draw accuracies in [%h]; every summary
    statistic is recomputed from the decoded bits, so a hit is bit-identical
    to the evaluation it replaced. *)
-let accs_line a =
-  Printf.sprintf "accs %d%s" (Array.length a)
-    (if Array.length a = 0 then "" else " " ^ Serialize.float_line a)
-
-let accs_of_lines lines =
-  match lines with
-  | [ line ] -> (
-      match String.split_on_char ' ' (String.trim line) with
-      | "accs" :: nw :: words when int_of_string_opt nw = Some (List.length words)
-        ->
-          Serialize.floats_of_words words
-      | _ -> failwith "Evaluation: bad accs line")
+let accs_of_lines = function
+  | [ line ] -> Lines.counted_of_line ~fmt:"Evaluation" "accs" line
   | _ -> failwith "Evaluation: bad cache payload"
 
 (* On a hit the evaluation rng is left untouched; callers hand every
@@ -50,7 +40,7 @@ let with_cache cache compute =
   | None -> compute ()
   | Some (c, key) ->
       Cache.memoize c ~kind:"mceval" ~key
-        ~encode:(fun a -> [ accs_line a ])
+        ~encode:(fun a -> [ Lines.counted_line "accs" a ])
         ~decode:accs_of_lines compute
 
 (* The Monte-Carlo fan-out: pre-draw every noise record sequentially on

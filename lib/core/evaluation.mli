@@ -79,3 +79,7 @@ val mc_result_under :
 
     @raise Invalid_argument if [n < 1] or the model fails
     {!Variation.validate}. *)
+
+val accs_of_lines : string list -> float array
+(** The decoder of an ["mceval"] cache payload (the per-draw accuracies,
+    one ["accs n v…"] line).  Raises [Failure] on malformed input. *)

@@ -7,47 +7,17 @@ let schema_tag = Printf.sprintf "%s-%d" magic format_version
    kernel's bits must change this tag. *)
 let cache_schema () = schema_tag ^ "+ref"
 
-let float_line a =
-  String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
-
 (* A truncated or corrupted save must surface as a clear [Failure
    "Serialize: ..."] the loader can report, never as an [Invalid_argument]
-   or a bare [Failure "int_of_string"] escaping from a field parse.  Every
-   field goes through an [_opt] parse, and value counts are checked against
-   the declared shape before any [Tensor.create]. *)
-let int_field what s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "Serialize: bad %s %S" what s)
+   or a bare [Failure "int_of_string"] escaping from a field parse: every
+   field and tensor goes through a {!Lines} reader named for this format. *)
+let fmt = "Serialize"
+let int_field = Lines.int_field ~fmt
+let float_field = Lines.float_field ~fmt
+let tensor = Lines.tensor_of_line ~fmt
 
-let float_field what s =
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "Serialize: bad %s %S" what s)
-
-let floats_of_words words =
-  Array.of_list (List.map (float_field "float value") words)
-
-let tensor_line t =
-  Printf.sprintf "%d %d %s" (Tensor.rows t) (Tensor.cols t)
-    (float_line (Tensor.to_array t))
-
-let tensor_of_line line =
-  match String.split_on_char ' ' (String.trim line) with
-  | rows :: cols :: values ->
-      let rows = int_field "tensor rows" rows
-      and cols = int_field "tensor cols" cols in
-      if rows < 0 || cols < 0 then
-        failwith "Serialize: negative tensor dimension";
-      let expect = rows * cols and got = List.length values in
-      if got <> expect then
-        failwith
-          (Printf.sprintf
-             "Serialize: truncated tensor line (%dx%d needs %d values, got %d)"
-             rows cols expect got);
-      Tensor.create rows cols
-        (Array.of_list (List.map (float_field "tensor value") values))
-  | [] | [ _ ] -> failwith "Serialize: malformed tensor line"
+(* The constructors' own shape checks, reported in this format's terms. *)
+let checked build = try build () with Invalid_argument msg -> failwith ("Serialize: " ^ msg)
 
 let config_line (c : Config.t) =
   Printf.sprintf "config %d %h %h %h %d %d %d %d %h %h %h %d" c.Config.hidden
@@ -56,7 +26,7 @@ let config_line (c : Config.t) =
     c.Config.g_max c.Config.logit_scale c.Config.val_every
 
 let config_of_line line =
-  match String.split_on_char ' ' (String.trim line) with
+  match Lines.words line with
   | "config" :: hidden :: lr_t :: lr_o :: eps :: mct :: mcv :: me :: pat
     :: gmin :: gmax :: ls :: rest ->
       (* [rest] distinguishes format versions: pre-val_every lines have 11
@@ -83,29 +53,14 @@ let config_of_line line =
       }
   | _ -> failwith "Serialize: bad config line"
 
-let rng_line rng =
-  let s = Rng.state rng in
-  Printf.sprintf "rng %Lx %Lx %Lx %Lx" s.(0) s.(1) s.(2) s.(3)
-
-let rng_of_line line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "rng"; a; b; c; d ] ->
-      let word w =
-        match Int64.of_string_opt ("0x" ^ w) with
-        | Some v -> v
-        | None -> failwith (Printf.sprintf "Serialize: bad rng word %S" w)
-      in
-      Rng.of_state (Array.map word [| a; b; c; d |])
-  | _ -> failwith "Serialize: bad rng line"
-
 let to_lines network =
   let layers = Network.layers network in
   let count = Printf.sprintf "pnn %d" (List.length layers) in
   let layer_lines layer =
     [
-      tensor_line (Autodiff.value layer.Layer.theta);
-      tensor_line (Nonlinear.snapshot layer.Layer.act);
-      tensor_line (Nonlinear.snapshot layer.Layer.neg);
+      Lines.tensor_line (Autodiff.value layer.Layer.theta);
+      Lines.tensor_line (Nonlinear.snapshot layer.Layer.act);
+      Lines.tensor_line (Nonlinear.snapshot layer.Layer.neg);
     ]
   in
   (Printf.sprintf "%s %d" magic format_version
@@ -116,7 +71,7 @@ let to_lines network =
 let strip_header lines =
   match lines with
   | first :: rest -> (
-      match String.split_on_char ' ' (String.trim first) with
+      match Lines.words first with
       | [ m; v ] when m = magic ->
           if int_of_string_opt v = Some format_version then rest
           else
@@ -131,50 +86,29 @@ let strip_header lines =
 let of_lines surrogate lines =
   match strip_header lines with
   | header :: config_l :: rest -> (
-      match String.split_on_char ' ' (String.trim header) with
+      match Lines.words header with
       | [ "pnn"; n ] ->
-          let n = int_field "layer count" n in
-          if n < 0 then failwith "Serialize: negative layer count";
+          let n = Lines.count_field ~fmt "layer count" n in
           let config = config_of_line config_l in
-          let rec take k lines acc =
-            if k = 0 then (List.rev acc, lines)
-            else
-              match lines with
-              | tl :: al :: nl :: rest ->
-                  let layer =
-                    Layer.of_parts surrogate ~theta:(tensor_of_line tl)
-                      ~act_w:(tensor_of_line al) ~neg_w:(tensor_of_line nl)
-                  in
-                  take (k - 1) rest (layer :: acc)
-              | _ -> failwith "Serialize: truncated layer section"
+          let layers, remaining =
+            Lines.take ~fmt "layer" ~n ~width:3
+              (fun line ->
+                checked (fun () ->
+                    Layer.of_parts surrogate ~theta:(tensor (line 0)) ~act_w:(tensor (line 1))
+                      ~neg_w:(tensor (line 2))))
+              rest
           in
-          let layers, remaining = take n rest [] in
-          (Network.of_layers config layers, remaining)
+          (checked (fun () -> Network.of_layers config layers), remaining)
       | _ -> failwith "Serialize: bad header")
   | _ -> failwith "Serialize: empty input"
 
 let digest network =
   Digest.to_hex (Digest.string (String.concat "\n" (to_lines network)))
 
-let save_file network path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) (to_lines network))
+let save_file network path = Cache.replace_file path (Lines.text (to_lines network))
 
 let load_file surrogate path =
-  let ic = open_in path in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
+  let lines = Lines.read_file path in
   (* Re-raise decode failures with the offending path so a server refusing
      to start can say which model file is corrupt. *)
   match of_lines surrogate lines with

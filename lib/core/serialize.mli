@@ -21,26 +21,6 @@ val cache_schema : unit -> string
     the tensor kernels, pinned to the oracle in test/oracle.ml; a change to
     any kernel's bits must change it. *)
 
-val float_line : float array -> string
-(** Space-joined [%h] hex floats — bit-exact round-trips including ±inf,
-    −0.0 and signed NaN. *)
-
-val floats_of_words : string list -> float array
-(** Parse a list of [%h] (or decimal) float words back.  Raises [Failure] on
-    malformed input. *)
-
-val rng_line : Rng.t -> string
-val rng_of_line : string -> Rng.t
-(** RNG stream-position codec (["rng <s0> <s1> <s2> <s3>"], hex words).  The
-    restored generator continues the stream bit-exactly.  Raises [Failure] on
-    malformed input. *)
-
-val tensor_line : Tensor.t -> string
-val tensor_of_line : string -> Tensor.t
-(** Single-tensor line codec ([rows cols v0 v1 …] with [%h] hex floats —
-    bit-exact round-trips including ±inf, −0.0 and signed NaN; NaN payloads
-    are canonicalized by [%h]).  Raises [Failure] on malformed input. *)
-
 val config_line : Config.t -> string
 val config_of_line : string -> Config.t
 (** Config line codec.  [config_of_line] accepts both the current 12-field
@@ -56,4 +36,8 @@ val digest : Network.t -> string
     evaluation results on the exact trained weights. *)
 
 val save_file : Network.t -> string -> unit
+(** Atomic publish (temp file + rename): a concurrent reader sees the old
+    file or the new one, never a partial write. *)
+
 val load_file : Surrogate.Model.t -> string -> Network.t
+(** Raises [Failure] naming [path] on malformed content. *)

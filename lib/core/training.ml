@@ -155,24 +155,15 @@ let train_fresh ?pool ?init ?checkpoint rng config surrogate ~n_classes split =
    full history, [%h]-exact so a cache hit is bit-identical to the compute it
    replaced. *)
 
-let floats_line label a =
-  Printf.sprintf "%s %d%s" label (Array.length a)
-    (if Array.length a = 0 then "" else " " ^ Serialize.float_line a)
-
-let floats_of_line label line =
-  match String.split_on_char ' ' (String.trim line) with
-  | l :: n :: words when l = label && int_of_string_opt n = Some (List.length words)
-    ->
-      Serialize.floats_of_words words
-  | _ -> failwith (Printf.sprintf "Training: bad %s line" label)
+let fmt = "Training"
 
 let result_lines r =
   Serialize.to_lines r.network
   @ [
       Printf.sprintf "hist %d %b %h" r.history.Nn.Train.best_epoch
         r.history.Nn.Train.stopped_early r.history.Nn.Train.best_val_loss;
-      floats_line "train" r.history.Nn.Train.train_losses;
-      floats_line "val" r.history.Nn.Train.val_losses;
+      Lines.counted_line "train" r.history.Nn.Train.train_losses;
+      Lines.counted_line "val" r.history.Nn.Train.val_losses;
     ]
 
 let result_of_lines surrogate lines =
@@ -180,15 +171,17 @@ let result_of_lines surrogate lines =
   match rest with
   | [ hist_l; train_l; val_l ] ->
       let best_epoch, stopped_early, best_val_loss =
-        match String.split_on_char ' ' (String.trim hist_l) with
+        match Lines.words hist_l with
         | [ "hist"; be; se; bv ] ->
-            (int_of_string be, bool_of_string se, float_of_string bv)
+            ( Lines.int_field ~fmt "best epoch" be,
+              Lines.bool_field ~fmt "stopped early" se,
+              Lines.float_field ~fmt "best val loss" bv )
         | _ -> failwith "Training: bad hist line"
       in
       let history =
         {
-          Nn.Train.train_losses = floats_of_line "train" train_l;
-          val_losses = floats_of_line "val" val_l;
+          Nn.Train.train_losses = Lines.counted_of_line ~fmt "train" train_l;
+          val_losses = Lines.counted_of_line ~fmt "val" val_l;
           best_epoch;
           best_val_loss;
           stopped_early;

@@ -95,6 +95,13 @@ let surrogate_small = lazy (Setup.surrogate_of_scale Setup.quick)
 let surrogate_small_digest =
   lazy (Cache.digest_lines (Surrogate.Model.to_lines (Lazy.force surrogate_small)))
 
+let cell_of_lines lines =
+  match List.map Lines.words lines with
+  | [ [ "acc"; a; m ] ] ->
+      let value = Lines.float_field ~fmt:"Ablations" "accuracy" in
+      (value a, value m)
+  | _ -> failwith "Ablations: bad cell payload"
+
 let init_name = function `Centered -> "centered" | `Random_sign -> "random_sign"
 
 let train_once ?cache ~init ~config ~seed data =
@@ -112,13 +119,7 @@ let train_once ?cache ~init ~config ~seed data =
   in
   Cache.memoize cache ~kind:"ablcell" ~key
     ~encode:(fun (acc, majority) -> [ Printf.sprintf "acc %h %h" acc majority ])
-    ~decode:(fun lines ->
-      match lines with
-      | [ line ] -> (
-          match String.split_on_char ' ' (String.trim line) with
-          | [ "acc"; a; m ] -> (float_of_string a, float_of_string m)
-          | _ -> failwith "Ablations: bad cell payload")
-      | _ -> failwith "Ablations: bad cell payload")
+    ~decode:cell_of_lines
     (fun () ->
       let split = Datasets.Synth.split (Rng.create (seed + 100)) data in
       let rng = Rng.create seed in

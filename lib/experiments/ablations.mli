@@ -13,6 +13,10 @@ val initialization_ablation : ?seeds:int -> unit -> string
     initialization: fraction of non-collapsed trainings and mean accuracy on
     two benchmark tasks. *)
 
+val cell_of_lines : string list -> float * float
+(** The decoder of an ["ablcell"] cache payload (["acc <accuracy>
+    <majority fraction>"]).  Raises [Failure] on malformed input. *)
+
 val temperature_ablation : ?seeds:int -> unit -> string
 (** Softmax temperature (logit scale) vs accuracy and variation robustness. *)
 

@@ -167,7 +167,7 @@ let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ())
                 string_of_int test_idx;
                 string_of_int scale.Setup.n_mc_test;
                 Cache.digest_lines
-                  [ Pnn.Serialize.tensor_line split.Datasets.Synth.x_test ];
+                  [ Lines.tensor_line split.Datasets.Synth.x_test ];
                 Cache.digest_lines
                   (List.map string_of_int
                      (Array.to_list split.Datasets.Synth.y_test));

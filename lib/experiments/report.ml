@@ -26,9 +26,4 @@ let csv_line fields =
        fields)
 
 let write_csv ~path ~header ~rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (csv_line header ^ "\n");
-      List.iter (fun r -> output_string oc (csv_line r ^ "\n")) rows)
+  Cache.replace_file path (Lines.text (csv_line header :: List.map csv_line rows))

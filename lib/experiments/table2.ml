@@ -147,7 +147,7 @@ let evaluate ?pool ?(cache = Cache.disabled ()) scale ~dataset_seed network
               string_of_int scale.Setup.n_mc_test;
               string_of_int dataset_seed;
               Cache.digest_lines
-                [ Pnn.Serialize.tensor_line split.Datasets.Synth.x_test ];
+                [ Lines.tensor_line split.Datasets.Synth.x_test ];
               Cache.digest_lines
                 (List.map string_of_int
                    (Array.to_list split.Datasets.Synth.y_test));

@@ -118,6 +118,19 @@ let all_rules =
          multiply-add site is reported as a contraction risk.  Suppress in \
          C with /* pnnlint:allow R8 reason */.";
     };
+    {
+      id = "R9";
+      title = "bytes from disk are parsed through Lines";
+      detail =
+        "int_of_string, float_of_string and bool_of_string raise a bare \
+         Failure naming neither the format nor the field, and a decoder \
+         built from them forks the one checked line codec.  In lib/ every \
+         text format reads its words through lib/tensor/lines.ml (the \
+         only place they may appear), whose readers raise Failure \
+         \"<format>: ...\" and check declared counts before allocating.  \
+         The _opt forms are fine; bin/ command-line parsing is out of \
+         scope.";
+    };
   ]
 
 type ctx = {
@@ -169,6 +182,12 @@ let check_ident ctx lid line =
     when Deps.find_substring ctx.file.Source.path "lib/tensor" = None ->
       f "R6"
         (String.concat "." p ^ " is a raw kernel; go through the Tensor API")
+  | [ ("int_of_string" | "float_of_string" | "bool_of_string") ]
+    when Deps.find_substring ctx.file.Source.path "lib/" <> None
+         && not (String.ends_with ~suffix:"lib/tensor/lines.ml" ctx.file.Source.path) ->
+      f "R9"
+        (String.concat "." p
+        ^ " parses outside the line codec; read the word with a Lines field reader")
   | [ "Unix"; "fork" ]
     when not (List.mem (Deps.unit_name ctx.file.Source.path) ctx.fork_allowed)
     ->

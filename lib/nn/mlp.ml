@@ -65,27 +65,8 @@ let restore t snaps = List.iter2 Dense.restore t.layers snaps
    Format:
      mlp <hidden> <output> <n0> <n1> ... <nk>
      <tensor line for W1> ; <tensor line for b1> ; ...
-   A tensor line is: rows cols v0 v1 ... (space separated, %h floats). *)
-
-let tensor_to_line t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (string_of_int (Tensor.rows t));
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (string_of_int (Tensor.cols t));
-  Array.iter
-    (fun v ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (Printf.sprintf "%h" v))
-    (Tensor.to_array t);
-  Buffer.contents buf
-
-let tensor_of_line line =
-  match String.split_on_char ' ' (String.trim line) with
-  | rows :: cols :: values ->
-      let rows = int_of_string rows and cols = int_of_string cols in
-      let data = Array.of_list (List.map float_of_string values) in
-      Tensor.create rows cols data
-  | [] | [ _ ] -> failwith "Mlp.of_lines: malformed tensor line"
+   with {!Lines} tensor lines.  Layer i's W must be n(i-1) × n(i) and its b
+   1 × n(i), as the header declares. *)
 
 let to_lines t =
   let header =
@@ -94,37 +75,45 @@ let to_lines t =
       (Activation.to_string t.output)
       (String.concat " " (List.map string_of_int t.arch))
   in
-  let weights =
-    List.concat_map
-      (fun l ->
-        [
-          tensor_to_line (Autodiff.value l.Dense.w);
-          tensor_to_line (Autodiff.value l.Dense.b);
-        ])
-      t.layers
-  in
-  header :: weights
+  header
+  :: List.concat_map
+       (fun l -> [ Lines.tensor_line (Autodiff.value l.Dense.w); Lines.tensor_line (Autodiff.value l.Dense.b) ])
+       t.layers
+
+let fmt = "Mlp.of_lines"
+
+let activation =
+  Lines.field ~fmt "activation" (fun s ->
+      match Activation.of_string s with a -> Some a | exception Invalid_argument _ -> None)
 
 let of_lines lines =
   match lines with
   | [] -> failwith "Mlp.of_lines: empty input"
   | header :: rest -> (
-      match String.split_on_char ' ' (String.trim header) with
-      | "mlp" :: hidden :: output :: sizes_s when List.length sizes_s >= 2 ->
-          let hidden = Activation.of_string hidden in
-          let output = Activation.of_string output in
-          let arch = List.map int_of_string sizes_s in
-          let n_layers = List.length arch - 1 in
-          let rec take_layers n lines acc =
-            if n = 0 then (List.rev acc, lines)
-            else
-              match lines with
-              | wl :: bl :: rest ->
-                  let w = Autodiff.param (tensor_of_line wl) in
-                  let b = Autodiff.param (tensor_of_line bl) in
-                  take_layers (n - 1) rest ({ Dense.w; b } :: acc)
-              | _ -> failwith "Mlp.of_lines: truncated weight section"
+      match Lines.words header with
+      | "mlp" :: hidden :: output :: (_ :: _ :: _ as sizes) ->
+          let hidden = activation hidden and output = activation output in
+          let arch = List.map (Lines.count_field ~fmt "layer size") sizes in
+          let tensor = Lines.tensor_of_line ~fmt in
+          let weights, remaining =
+            Lines.take ~fmt "weight" ~n:(List.length arch - 1) ~width:2
+              (fun line ->
+                (* W's buffer before b's, the order the surrogate's weights
+                   have always been allocated in: perfbench train ran 5 %
+                   slower with b's first, the same bytes at other addresses *)
+                let w = tensor (line 0) in
+                (w, tensor (line 1)))
+              rest
           in
-          let layers, remaining = take_layers n_layers rest [] in
+          let widths = Array.of_list arch in
+          let layers =
+            List.mapi
+              (fun i (w, b) ->
+                let expect = [ (widths.(i), widths.(i + 1)); (1, widths.(i + 1)) ] in
+                if [ Tensor.shape w; Tensor.shape b ] <> expect then
+                  failwith (Printf.sprintf "Mlp.of_lines: layer %d shapes disagree with the header" i);
+                { Dense.w = Autodiff.param w; b = Autodiff.param b })
+              weights
+          in
           ({ layers; hidden; output; arch }, remaining)
       | _ -> failwith "Mlp.of_lines: bad header")

@@ -28,26 +28,10 @@ let key_of node = Autodiff.id node
 
 (* {2 Checkpoint codec}
 
-   Self-describing text lines mirroring lib/core/serialize.ml's conventions
-   ([%h] floats for bit-exact round-trips, explicit counts so empty arrays
-   parse unambiguously).  Hashtbl keys are process-local node ids, so the
-   codec addresses state positionally by the caller's parameter list and
-   re-keys on restore. *)
-
-let float_words a =
-  if Array.length a = 0 then ""
-  else
-    " " ^ String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
-
-let moment_line label a =
-  Printf.sprintf "%s %d%s" label (Array.length a) (float_words a)
-
-let moment_of_line label line =
-  match String.split_on_char ' ' (String.trim line) with
-  | l :: n :: words when l = label && int_of_string_opt n = Some (List.length words)
-    ->
-      Array.of_list (List.map float_of_string words)
-  | _ -> failwith (Printf.sprintf "Optimizer: bad %s line" label)
+   Self-describing {!Lines} ([%h] floats for bit-exact round-trips, explicit
+   counts so empty arrays parse unambiguously).  Hashtbl keys are
+   process-local node ids, so the codec addresses state positionally by the
+   caller's parameter list and re-keys on restore. *)
 
 let param_size node = Tensor.numel (Autodiff.value node)
 
@@ -64,34 +48,43 @@ let state_lines t params =
               let n = param_size node in
               { m = Array.make n 0.0; v = Array.make n 0.0 }
         in
-        [ moment_line "m" s.m; moment_line "v" s.v ]
+        [ Lines.counted_line "m" s.m; Lines.counted_line "v" s.v ]
       in
       Printf.sprintf "adam %d %d" a.t (List.length params)
       :: List.concat_map per_param params
 
-let restore_state t params lines =
+let fmt = "Optimizer"
+
+(* The whole section is read and checked before anything is installed, so a
+   caller restoring several optimizers can refuse the lot before touching
+   any of them. *)
+let read_state t params lines =
   match (t.algo, lines) with
-  | Sgd, "sgd" :: rest -> rest
+  | Sgd, "sgd" :: rest -> ((fun () -> ()), rest)
   | Adam a, first :: rest -> (
-      match String.split_on_char ' ' (String.trim first) with
+      match Lines.words first with
       | [ "adam"; tt; np ] ->
-          if int_of_string np <> List.length params then
+          let steps = Lines.int_field ~fmt "step count" tt in
+          if Lines.count_field ~fmt "parameter count" np <> List.length params then
             failwith "Optimizer: parameter count mismatch";
-          a.t <- int_of_string tt;
-          Hashtbl.reset a.table;
-          List.fold_left
-            (fun lines node ->
-              match lines with
-              | ml :: vl :: rest ->
-                  let m = moment_of_line "m" ml
-                  and v = moment_of_line "v" vl in
-                  let n = param_size node in
-                  if Array.length m <> n || Array.length v <> n then
-                    failwith "Optimizer: moment size mismatch";
-                  Hashtbl.replace a.table (key_of node) { m; v };
-                  rest
-              | _ -> failwith "Optimizer: truncated state")
-            rest params
+          let moments, rest =
+            Lines.take ~fmt "moment" ~n:(List.length params) ~width:2
+              (fun line ->
+                { m = Lines.counted_of_line ~fmt "m" (line 0); v = Lines.counted_of_line ~fmt "v" (line 1) })
+              rest
+          in
+          List.iter2
+            (fun node s ->
+              let n = param_size node in
+              if Array.length s.m <> n || Array.length s.v <> n then
+                failwith "Optimizer: moment size mismatch")
+            params moments;
+          let install () =
+            a.t <- steps;
+            Hashtbl.reset a.table;
+            List.iter2 (fun node s -> Hashtbl.replace a.table (key_of node) s) params moments
+          in
+          (install, rest)
       | _ -> failwith "Optimizer: bad state header")
   | _, _ -> failwith "Optimizer: algorithm/state mismatch"
 

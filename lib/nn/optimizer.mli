@@ -30,11 +30,13 @@ val set_lr : t -> float -> unit
 val state_lines : t -> Autodiff.t list -> string list
 (** Serialize the optimizer's per-parameter state for the given parameter
     group as text lines ([%h] floats, bit-exact).  State is addressed
-    positionally by the list, so {!restore_state} must be given the same
+    positionally by the list, so {!read_state} must be given the same
     parameters in the same order. *)
 
-val restore_state : t -> Autodiff.t list -> string list -> string list
-(** [restore_state t params lines] consumes this optimizer's section from
-    [lines] (re-keying moment estimates onto [params]) and returns the
-    remaining lines.  Raises [Failure] on malformed input, a parameter-count
+val read_state : t -> Autodiff.t list -> string list -> (unit -> unit) * string list
+(** [read_state t params lines] reads and checks this optimizer's section of
+    [lines] without touching [t], and returns a thunk that installs it
+    (re-keying moment estimates onto [params]) with the remaining lines.  A
+    caller restoring several optimizers reads every section before
+    installing any.  Raises [Failure] on malformed input, a parameter-count
     or size mismatch, or an algorithm mismatch. *)

@@ -94,23 +94,5 @@ let of_lines = function
       ({ mlp; omega_scaler; eta_scaler }, rest)
   | _ -> failwith "Model.of_lines: bad header"
 
-let save_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) (to_lines t))
-
-let load_file path =
-  let ic = open_in path in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
-  fst (of_lines lines)
+let save_file t path = Cache.replace_file path (Lines.text (to_lines t))
+let load_file path = fst (of_lines (Lines.read_file path))

@@ -26,5 +26,12 @@ val eval_ad : t -> Autodiff.t -> Autodiff.t
 
 val to_lines : t -> string list
 val of_lines : string list -> t * string list
+(** Raises [Failure] on malformed input: a bad word, a count that disagrees
+    with what follows, an unknown activation or a weight whose shape
+    disagrees with the [mlp] header. *)
+
 val save_file : t -> string -> unit
+(** Atomic publish (temp file + rename): a process loading [path]
+    concurrently sees the old file or the new one, never a partial write. *)
+
 val load_file : string -> t

@@ -26,21 +26,21 @@ let eta_sane (e : Fit.Ptanh.eta) =
 let chunk_schema = "surchunk-1"
 let chunk_size = 256
 
-let hex_floats a =
-  String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
-
 let outcome_line = function
   | None -> "r"
-  | Some (_omega, eta, rmse) ->
-      Printf.sprintf "k %s %h" (hex_floats eta) rmse
+  | Some (_omega, eta, rmse) -> Printf.sprintf "k %s %h" (Lines.float_line eta) rmse
 
 let outcome_of_line omega line =
-  match String.split_on_char ' ' (String.trim line) with
+  match Lines.words line with
   | [ "r" ] -> None
-  | [ "k"; e1; e2; e3; e4; rmse ] ->
-      let f = float_of_string in
-      Some (omega, [| f e1; f e2; f e3; f e4 |], f rmse)
+  | "k" :: words ->
+      let values = Lines.floats ~fmt:"Pipeline" "outcome value" ~n:5 words in
+      Some (omega, Array.sub values 0 4, values.(4))
   | _ -> failwith "Pipeline: bad outcome line"
+
+let chunk_of_lines chunk lines =
+  if List.length lines <> Array.length chunk then failwith "Pipeline: chunk length mismatch";
+  Array.mapi (fun i line -> outcome_of_line chunk.(i) line) (Array.of_list lines)
 
 let generate_dataset ?pool ?cache ?(n = 10_000) ?(sweep_points = 41)
     ?(max_fit_rmse = 0.02) ?(sampler = `Sobol) () =
@@ -75,18 +75,13 @@ let generate_dataset ?pool ?cache ?(n = 10_000) ?(sweep_points = 41)
         [
           string_of_int sweep_points;
           Printf.sprintf "%h" max_fit_rmse;
-          Cache.digest_lines (Array.to_list (Array.map hex_floats chunk));
+          Cache.digest_lines (Array.to_list (Array.map Lines.float_line chunk));
         ]
     in
     Cache.memoize cache ~kind:"surchunk" ~key
       ~encode:(fun outcomes ->
         Array.to_list (Array.map outcome_line outcomes))
-      ~decode:(fun lines ->
-        if List.length lines <> Array.length chunk then
-          failwith "Pipeline: chunk length mismatch";
-        Array.mapi
-          (fun i line -> outcome_of_line chunk.(i) line)
-          (Array.of_list lines))
+      ~decode:(chunk_of_lines chunk)
       (fun () -> Parallel.Pool.map_array pool candidate chunk)
   in
   let outcomes =
@@ -224,9 +219,6 @@ let ensure ?(dir = "_artifacts") ?(n = 4000) ?(arch = Model.paper_arch)
     Logs.info (fun m ->
         m "surrogate trained: val MSE %.5f, test MSE %.5f (kept %d, rejected %d)"
           report.val_mse report.test_mse report.kept_samples report.rejected_samples);
-    (* EEXIST-tolerant: two processes may race to materialize the artifact
-       directory (the orchestrator's workers do) *)
-    Cache.mkdir_p dir;
     Model.save_file model path;
     model
   end

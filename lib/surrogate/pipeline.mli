@@ -37,6 +37,12 @@ val generate_dataset :
     streams exactly where a cold one would and returns a bit-identical
     dataset. *)
 
+val chunk_of_lines :
+  float array array -> string list -> (float array * float array * float) option array
+(** The decoder of a ["surchunk"] cache payload: per candidate ω of the
+    chunk, [Some (ω, η, fit rmse)] if kept, [None] if rejected.  Raises
+    [Failure] on malformed input. *)
+
 type split = { train : int array; validation : int array; test : int array }
 
 val split_dataset : Rng.t -> dataset -> split

@@ -58,23 +58,17 @@ let inverse_ad t x =
   let l = Autodiff.const (Tensor.of_array t.lo) in
   Autodiff.add_rowvec (Autodiff.mul_rowvec x r) l
 
-let float_line a =
-  String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
-
-let floats_of_line line =
-  Array.of_list (List.map float_of_string (String.split_on_char ' ' (String.trim line)))
-
 let to_lines t =
-  [ Printf.sprintf "scaler %d" (dim t); float_line t.lo; float_line t.hi ]
+  [ Printf.sprintf "scaler %d" (dim t); Lines.float_line t.lo; Lines.float_line t.hi ]
+
+let fmt = "Scaler.of_lines"
 
 let of_lines = function
   | header :: lo_line :: hi_line :: rest -> (
-      match String.split_on_char ' ' (String.trim header) with
+      match Lines.words header with
       | [ "scaler"; d ] ->
-          let d = int_of_string d in
-          let lo = floats_of_line lo_line and hi = floats_of_line hi_line in
-          if Array.length lo <> d || Array.length hi <> d then
-            failwith "Scaler.of_lines: dimension mismatch";
-          ({ lo; hi }, rest)
+          let n = Lines.count_field ~fmt "dimension" d in
+          let bounds line = Lines.floats ~fmt "bound" ~n (Lines.words line) in
+          ({ lo = bounds lo_line; hi = bounds hi_line }, rest)
       | _ -> failwith "Scaler.of_lines: bad header")
   | _ -> failwith "Scaler.of_lines: truncated input"

@@ -55,6 +55,9 @@ let test_golden_diagnostics () =
       "R5 lint_fixtures/fixture_r5.ml:2";
       "R6 lint_fixtures/fixture_r6.ml:2";
       "R6 lint_fixtures/fixture_r6.ml:7";
+      (* R9: bare parses in lib/, not the codec's own file *)
+      "R9 lint_fixtures/lib/fixture_r9.ml:2";
+      "R9 lint_fixtures/lib/fixture_r9.ml:3";
       "R5 lint_fixtures/fixture_r5.ml:3";
       "S1 lint_fixtures/fixture_s1.ml:2";
       "R5 lint_fixtures/fixture_s1.ml:3";
@@ -98,9 +101,9 @@ let test_golden_diagnostics () =
 
 let test_suppressions_counted () =
   let report = run_fixtures () in
-  Alcotest.(check int) "thirteen suppressed findings" 13
+  Alcotest.(check int) "fourteen suppressed findings" 14
     (List.length report.E.suppressed);
-  Alcotest.(check int) "thirteen valid suppression comments" 13
+  Alcotest.(check int) "fourteen valid suppression comments" 14
     (List.length report.E.suppressions);
   List.iter
     (fun (s : E.suppression) ->
@@ -154,8 +157,8 @@ let test_r7_needs_reachability () =
 
 let test_rule_catalogue () =
   Alcotest.(check (list string))
-    "eight documented rules"
-    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8" ]
+    "nine documented rules"
+    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9" ]
     (List.map (fun (r : R.rule_info) -> r.R.id) R.all_rules)
 
 let contains ~needle hay =
@@ -179,7 +182,7 @@ let test_json_output () =
 let test_stats_golden () =
   let report = run_fixtures () in
   let expected =
-    {|{"files_scanned":17,"rules":[{"id":"R1","findings":1,"suppressed":1,"allows":1},{"id":"R2","findings":4,"suppressed":3,"allows":3},{"id":"R3","findings":2,"suppressed":1,"allows":1},{"id":"R4","findings":3,"suppressed":2,"allows":2},{"id":"R5","findings":3,"suppressed":1,"allows":1},{"id":"R6","findings":2,"suppressed":1,"allows":1},{"id":"R7","findings":4,"suppressed":3,"allows":3},{"id":"R8","findings":13,"suppressed":1,"allows":1},{"id":"S1","findings":1,"suppressed":0,"allows":0},{"id":"P0","findings":1,"suppressed":0,"allows":0}],"totals":{"findings":34,"suppressed":13,"suppression_comments":13,"safety_comments":3}}
+    {|{"files_scanned":19,"rules":[{"id":"R1","findings":1,"suppressed":1,"allows":1},{"id":"R2","findings":4,"suppressed":3,"allows":3},{"id":"R3","findings":2,"suppressed":1,"allows":1},{"id":"R4","findings":3,"suppressed":2,"allows":2},{"id":"R5","findings":3,"suppressed":1,"allows":1},{"id":"R6","findings":2,"suppressed":1,"allows":1},{"id":"R7","findings":4,"suppressed":3,"allows":3},{"id":"R8","findings":13,"suppressed":1,"allows":1},{"id":"R9","findings":2,"suppressed":1,"allows":1},{"id":"S1","findings":1,"suppressed":0,"allows":0},{"id":"P0","findings":1,"suppressed":0,"allows":0}],"totals":{"findings":36,"suppressed":14,"suppression_comments":14,"safety_comments":3}}
 |}
   in
   Alcotest.(check string) "stats json is byte-stable" expected

@@ -33,14 +33,14 @@ let test_tensor_line_special_values () =
   let t =
     T.of_array [| nan; neg_nan; Float.infinity; Float.neg_infinity; -0.0; 1.5e-300 |]
   in
-  let t' = S.tensor_of_line (S.tensor_line t) in
+  let t' = Lines.tensor_of_line ~fmt:"Serialize" (Lines.tensor_line t) in
   check_tensor_bits "non-finite entries round-trip bit-exact" t t'
 
 let test_tensor_line_degenerate_shapes () =
   List.iter
     (fun (r, c) ->
       let t = T.zeros r c in
-      let t' = S.tensor_of_line (S.tensor_line t) in
+      let t' = Lines.tensor_of_line ~fmt:"Serialize" (Lines.tensor_line t) in
       Alcotest.(check (pair int int))
         (Printf.sprintf "%dx%d round-trips" r c)
         (r, c) (T.shape t'))
@@ -49,7 +49,7 @@ let test_tensor_line_degenerate_shapes () =
 let test_tensor_line_malformed () =
   List.iter
     (fun line ->
-      match S.tensor_of_line line with
+      match Lines.tensor_of_line ~fmt:"Serialize" line with
       | exception Failure _ -> ()
       | _ -> Alcotest.failf "expected Failure for %S" line)
     [ ""; "3" ]
@@ -62,8 +62,8 @@ let test_rng_line_roundtrip () =
   for _ = 1 to 57 do
     ignore (Rng.float rng)
   done;
-  let line = S.rng_line rng in
-  let rng' = S.rng_of_line line in
+  let line = Lines.rng_line rng in
+  let rng' = Lines.rng_of_line ~fmt:"Serialize" line in
   Alcotest.(check (array int64))
     "restored state words bit-equal" (Rng.state rng) (Rng.state rng');
   let next r = Array.init 64 (fun _ -> Int64.bits_of_float (Rng.float r)) in
@@ -74,16 +74,16 @@ let test_rng_line_restores_midstream () =
   (* the practical checkpoint use: record, keep drawing, rewind, re-draw *)
   let rng = Rng.create 9 in
   ignore (Rng.normal rng);
-  let line = S.rng_line rng in
+  let line = Lines.rng_line rng in
   let tail = Array.init 32 (fun _ -> Int64.bits_of_float (Rng.normal rng)) in
-  Rng.set_state rng (Rng.state (S.rng_of_line line));
+  Rng.set_state rng (Rng.state (Lines.rng_of_line ~fmt:"Serialize" line));
   let replay = Array.init 32 (fun _ -> Int64.bits_of_float (Rng.normal rng)) in
   Alcotest.(check (array int64)) "replay after set_state bit-equal" tail replay
 
 let test_rng_line_malformed () =
   List.iter
     (fun line ->
-      match S.rng_of_line line with
+      match Lines.rng_of_line ~fmt:"Serialize" line with
       | exception Failure _ -> ()
       | _ -> Alcotest.failf "expected Failure for %S" line)
     [ ""; "rng"; "rng 1 2 3"; "notrng 1 2 3 4"; "rng 1 2 3 zz" ]
@@ -215,15 +215,29 @@ let test_tensor_line_truncated_values () =
   (* shape says 2x3 = 6 values but only 4 survive: the length check must
      fire before any [Tensor.create] *)
   expect_serialize_failure "short value list" (fun () ->
-      S.tensor_of_line "2 3 0x1p0 0x1p1 0x1p2 0x1p3");
+      Lines.tensor_of_line ~fmt:"Serialize" "2 3 0x1p0 0x1p1 0x1p2 0x1p3");
   expect_serialize_failure "excess values" (fun () ->
-      S.tensor_of_line "1 1 0x1p0 0x1p1");
+      Lines.tensor_of_line ~fmt:"Serialize" "1 1 0x1p0 0x1p1");
   expect_serialize_failure "garbage dimension" (fun () ->
-      S.tensor_of_line "2 banana 0x1p0 0x1p1");
+      Lines.tensor_of_line ~fmt:"Serialize" "2 banana 0x1p0 0x1p1");
   expect_serialize_failure "garbage value" (fun () ->
-      S.tensor_of_line "1 2 0x1p0 spam");
+      Lines.tensor_of_line ~fmt:"Serialize" "1 2 0x1p0 spam");
   expect_serialize_failure "negative dimension" (fun () ->
-      S.tensor_of_line "-1 2 0x1p0 0x1p1")
+      Lines.tensor_of_line ~fmt:"Serialize" "-1 2 0x1p0 0x1p1")
+
+(* Well-formed lines whose shapes the layer and network constructors refuse:
+   their [Invalid_argument] must come out as a [Serialize:] failure. *)
+let test_shape_errors_are_serialize_failures () =
+  let config = S.config_line C.default in
+  let row = Lines.tensor_line (T.zeros 1 7) in
+  expect_serialize_failure "zero layers" (fun () ->
+      S.of_lines (Lazy.force surrogate) [ "pnn-save 2"; "pnn 0"; config ]);
+  expect_serialize_failure "theta with two rows" (fun () ->
+      S.of_lines (Lazy.force surrogate)
+        [ "pnn-save 2"; "pnn 1"; config; Lines.tensor_line (T.zeros 2 2); row; row ]);
+  expect_serialize_failure "circuit vector of six" (fun () ->
+      S.of_lines (Lazy.force surrogate)
+        [ "pnn-save 2"; "pnn 1"; config; Lines.tensor_line (T.zeros 5 2); Lines.tensor_line (T.zeros 1 6); row ])
 
 let test_load_file_truncated_rejected () =
   let net = make_net ~inputs:3 ~outputs:2 () in
@@ -305,6 +319,8 @@ let () =
           Alcotest.test_case "bad header/config" `Quick test_of_lines_malformed_header_or_config;
           Alcotest.test_case "truncated tensor line" `Quick
             test_tensor_line_truncated_values;
+          Alcotest.test_case "shape errors are Serialize failures" `Quick
+            test_shape_errors_are_serialize_failures;
           Alcotest.test_case "truncated file rejected with path" `Quick
             test_load_file_truncated_rejected;
         ] );
