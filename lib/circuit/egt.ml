@@ -41,7 +41,7 @@ let[@inline] evaluate_pos p ~wl ~vgs ~vds s =
   let dov = softplus' p.alpha (vgs -. p.v_th) in
   let vsat = if ov >= 1e-3 then ov else 1e-3 in
   let u = vds /. vsat in
-  let t = tanh u in
+  let t = Fmath.tanh u in
   let sech2 = 1.0 -. (t *. t) in
   let clm = 1.0 +. (p.lambda *. vds) in
   let k = p.k_prime *. wl in

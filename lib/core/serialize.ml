@@ -2,10 +2,11 @@ let magic = "pnn-save"
 let format_version = 2
 let schema_tag = Printf.sprintf "%s-%d" magic format_version
 
-(* The numerics tag: the kernels compute the oracle's bits (test/oracle.ml),
-   the numerics every cached result was computed with.  A change to any
-   kernel's bits must change this tag. *)
-let cache_schema () = schema_tag ^ "+ref"
+(* The numerics tag: the kernels compute the oracle's bits (test/oracle.ml)
+   with Fmath's tanh (fmath-1: the first source-defined tanh), the numerics
+   every cached result was computed with.  A change to any kernel's bits
+   must change this tag. *)
+let cache_schema () = schema_tag ^ "+fmath-1"
 
 (* A truncated or corrupted save must surface as a clear [Failure
    "Serialize: ..."] the loader can report, never as an [Invalid_argument]

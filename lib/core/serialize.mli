@@ -16,10 +16,11 @@ val schema_tag : string
     keys fold this in so any format bump re-keys the store. *)
 
 val cache_schema : unit -> string
-(** {!schema_tag} plus the numerics tag (["pnn-save-2+ref"]) — the schema
-    string experiment cache keys must use.  The tag names the numerics of
-    the tensor kernels, pinned to the oracle in test/oracle.ml; a change to
-    any kernel's bits must change it. *)
+(** {!schema_tag} plus the numerics tag (["pnn-save-2+fmath-1"]) — the
+    schema string experiment cache keys must use.  The tag names the
+    numerics of the tensor kernels, pinned to the oracle in test/oracle.ml,
+    and of their tanh ({!Fmath}); a change to any kernel's bits must change
+    it. *)
 
 val config_line : Config.t -> string
 val config_of_line : string -> Config.t

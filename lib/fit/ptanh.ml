@@ -1,6 +1,6 @@
 type eta = { eta1 : float; eta2 : float; eta3 : float; eta4 : float }
 
-let eval e v = e.eta1 +. (e.eta2 *. tanh ((v -. e.eta3) *. e.eta4))
+let eval e v = e.eta1 +. (e.eta2 *. Fmath.tanh ((v -. e.eta3) *. e.eta4))
 let eval_inv e v = -.eval e v
 let eta_to_array e = [| e.eta1; e.eta2; e.eta3; e.eta4 |]
 
@@ -15,13 +15,18 @@ type fit_result = { eta : eta; rmse : float; converged : bool }
    The residual pass caches each point's tanh((v − η3)·η4) in [th]; the
    Jacobian rows of the accepted point read it back instead of recomputing
    it.  Both passes evaluate the same expression on the same η, so the
-   cached value is the one a fresh [tanh] would return. *)
+   cached value is the one a fresh [Fmath.tanh] would return: the pass
+   writes the arguments into [th] and runs Fmath's array body over them,
+   which gives the scalar body's bits. *)
 let residuals_into vin vout p r th =
   let p0 = p.(0) and p1 = p.(1) and p2 = p.(2) and p3 = p.(3) in
-  for i = 0 to Array.length vin - 1 do
-    let t = tanh ((vin.(i) -. p2) *. p3) in
-    th.(i) <- t;
-    r.(i) <- p0 +. (p1 *. t) -. vout.(i)
+  let n = Array.length vin in
+  for i = 0 to n - 1 do
+    th.(i) <- (vin.(i) -. p2) *. p3
+  done;
+  Fmath.tanh_array th;
+  for i = 0 to n - 1 do
+    r.(i) <- p0 +. (p1 *. th.(i)) -. vout.(i)
   done
 
 (* ½·Σ r², summed in row order from 0.0 *)
@@ -44,7 +49,7 @@ let residuals ~vin ~vout e =
 let jacobian ~vin e =
   Array.map
     (fun v ->
-      let t = tanh ((v -. e.eta3) *. e.eta4) in
+      let t = Fmath.tanh ((v -. e.eta3) *. e.eta4) in
       let sech2 = 1.0 -. (t *. t) in
       [| 1.0; t; -.(e.eta2 *. sech2 *. e.eta4); e.eta2 *. sech2 *. (v -. e.eta3) |])
     vin

@@ -65,6 +65,7 @@ let default_config =
         ( "lib/tensor/pnn_kernels_stubs.c",
           "lib/tensor/kernels_c.ml",
           "lib/tensor/dune" );
+        ("lib/tensor/fmath_stubs.c", "lib/tensor/fmath.ml", "lib/tensor/dune");
       ];
   }
 

@@ -112,7 +112,8 @@ let all_rules =
          (caml_alloc*/caml_copy_*/CAMLparam/CAMLlocal/CAMLreturn) reachable \
          from a [@@noalloc] native body, and no orphan CAMLprim without a \
          binding.  The float contract bans fma(), libm calls outside the \
-         vetted allowlist (tanh exp log sqrt fabs), every #pragma, and \
+         vetted allowlist (exp log sqrt fabs; tanh is Fmath's), every \
+         #pragma, and \
          __attribute__((optimize ...)) escapes; the stub dune must pin \
          -fno-fast-math and -ffp-contract=off, otherwise every a*b+c \
          multiply-add site is reported as a contraction risk.  Suppress in \
@@ -130,6 +131,17 @@ let all_rules =
          \"<format>: ...\" and check declared counts before allocating.  \
          The _opt forms are fine; bin/ command-line parsing is out of \
          scope.";
+    };
+    {
+      id = "R10";
+      title = "tanh is Fmath's";
+      detail =
+        "Stdlib.tanh (bare tanh) and Float.tanh call the host's libm, \
+         whose tanh pins every result to one libm build and CPU \
+         dispatch.  In lib/ every tanh goes through Fmath.tanh or \
+         Fmath.tanh_array, whose bits are a function of the source; only \
+         lib/tensor/fmath.ml may name the others.  The C side is R8's \
+         (tanh left its libm allowlist).";
     };
   ]
 
@@ -188,6 +200,11 @@ let check_ident ctx lid line =
       f "R9"
         (String.concat "." p
         ^ " parses outside the line codec; read the word with a Lines field reader")
+  | [ "tanh" ] | [ "Float"; "tanh" ]
+    when Deps.find_substring ctx.file.Source.path "lib/" <> None
+         && not (String.ends_with ~suffix:"lib/tensor/fmath.ml" ctx.file.Source.path) ->
+      f "R10"
+        (String.concat "." p ^ " is libm's; use Fmath.tanh or Fmath.tanh_array")
   | [ "Unix"; "fork" ]
     when not (List.mem (Deps.unit_name ctx.file.Source.path) ctx.fork_allowed)
     ->

@@ -20,6 +20,10 @@
       confinement proof; [Unix.fork] only in the allowed units.
     - R8 — C-stub pairs match their externals and the IEEE-strict float
       contract (checked by {!Cstub}, reported under this rule id).
+    - R9 — no bare [int_of_string]/[float_of_string]/[bool_of_string] in
+      [lib/] outside the line codec ([lib/tensor/lines.ml]).
+    - R10 — no [tanh]/[Stdlib.tanh]/[Float.tanh] in [lib/] outside
+      [lib/tensor/fmath.ml]: every tanh is {!Fmath}'s.
 
     All checks are conservative approximations; intentional exceptions are
     silenced with counted [(* pnnlint:allow Rn reason *)] comments handled

@@ -98,9 +98,6 @@ let of_lines lines =
           let weights, remaining =
             Lines.take ~fmt "weight" ~n:(List.length arch - 1) ~width:2
               (fun line ->
-                (* W's buffer before b's, the order the surrogate's weights
-                   have always been allocated in: perfbench train ran 5 %
-                   slower with b's first, the same bytes at other addresses *)
                 let w = tensor (line 0) in
                 (w, tensor (line 1)))
               rest

@@ -23,7 +23,7 @@ let eta_sane (e : Fit.Ptanh.eta) =
 
 (* bump when the transfer sweep, the ptanh fit or the η sanity box changes:
    old verdict entries silently re-key instead of being replayed *)
-let chunk_schema = "surchunk-1"
+let chunk_schema = "surchunk-2"
 let chunk_size = 256
 
 let outcome_line = function

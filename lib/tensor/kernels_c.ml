@@ -6,8 +6,9 @@
    perform the oracle's floating-point operations in the oracle's order —
    the stubs are compiled with -O2 -fno-fast-math -ffp-contract=off so the
    C compiler may not re-associate or contract into FMA, the stubs pin NaN
-   quieting and operand order themselves, and tanh/exp/log resolve to the
-   same libm the OCaml runtime links.  [matmul]/[matmul_nt] (and the fused
+   quieting and operand order themselves, tanh is Fmath's (the oracle
+   calls the same function), and exp/log resolve to the same libm the
+   OCaml runtime links.  [matmul]/[matmul_nt] (and the fused
    dense forward built on the matmul core) vectorize across output columns,
    each lane accumulated in pure k order; they drop the oracle's exact-zero
    skip and its add operand order, which can only change a NaN output, and
@@ -44,15 +45,37 @@ end
 
 (* {2 Storage} *)
 
+(* SAFETY: takes unit and touches no buffer; it sets up the block
+   operations [c_create] uses, and runs once, below, before any buffer
+   exists or any domain is spawned. *)
+external c_init_buffers : unit -> unit = "pnn_c_init_buffers_byte" "pnn_c_init_buffers"
+[@@noalloc]
+
+let () = c_init_buffers ()
+
+(* SAFETY: allocates a fresh n-element buffer (the wrapper checks n >= 0)
+   and writes only inside it; not [@@noalloc]: it allocates the Bigarray
+   block. *)
+external c_create : (int[@untagged]) -> buf = "pnn_c_create_byte" "pnn_c_create"
+
+(* Zeroed storage whose data starts on a 64-byte boundary (see
+   pnn_c_create); take no Bigarray sub-array of it. *)
 let create n =
-  let b = Array1.create float64 c_layout n in
-  Array1.fill b 0.0;
-  b
+  if n < 0 then invalid_arg "Kernels_c.create: negative length";
+  c_create n
 
 let get = Array1.get
 let set = Array1.set
 
-let of_float_array a = Array1.of_array float64 c_layout a
+let load b a =
+  for i = 0 to Array.length a - 1 do
+    Array1.set b i a.(i)
+  done
+
+let of_float_array a =
+  let b = create (Array.length a) in
+  load b a;
+  b
 
 let to_float_array b =
   let n = Array1.dim b in
@@ -61,11 +84,6 @@ let to_float_array b =
     a.(i) <- Array1.get b i
   done;
   a
-
-let load b a =
-  for i = 0 to Array.length a - 1 do
-    Array1.set b i a.(i)
-  done
 
 (* {2 Foreign stubs}
 
@@ -96,8 +114,8 @@ external c_blit_changed : buf -> buf -> (int[@untagged]) -> bool
 [@@noalloc]
 
 (* SAFETY: takes and returns a bool, touches no buffer; it swaps the
-   function pointer the matmul stubs call, so no kernel may be running in
-   another domain. *)
+   function pointers the matmul and tanh stubs call, so no kernel may be
+   running in another domain. *)
 external c_set_wide_tiles : bool -> bool
   = "pnn_c_set_wide_tiles_byte" "pnn_c_set_wide_tiles"
 [@@noalloc]

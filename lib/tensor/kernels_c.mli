@@ -35,7 +35,9 @@ type unop = Tanh | Sigmoid | Relu
 (** {1 Storage} *)
 
 val create : int -> buf
-(** Zero-filled buffer. *)
+(** Zero-filled buffer whose data starts on a 64-byte boundary.  Raises
+    [Invalid_argument] on a negative length.  Its data lives only as long
+    as the buffer itself, so no Bigarray sub-array may be taken of it. *)
 
 val get : buf -> int -> float
 val set : buf -> int -> float -> unit
@@ -80,13 +82,15 @@ val matmul_nt : buf -> buf -> buf -> int -> int -> int -> unit
 
 val set_wide_tiles : bool -> bool
 (** The matmul kernels ([matmul], the fused dense forward, the crossbar's
-    two products) run their n ≥ 8 tiles on 256-bit vectors where the CPU
-    has AVX2, chosen once when the process starts, and on 128-bit vectors
-    elsewhere; both give the same bits.  [set_wide_tiles wide] selects the
-    256-bit body when [wide] holds and the CPU has AVX2, the 128-bit one
-    otherwise, and returns whether the 256-bit body is now in use.  For
-    tests that run every matmul check through both bodies; it must not be
-    called while another domain may be running a kernel. *)
+    two products) run their n ≥ 8 tiles, and the tanh kernels ([unary]
+    Tanh, [ptanh], the crossbar's inv(x)) and [Fmath.tanh_array] run
+    Fmath's array tanh, on 256-bit vectors where the CPU has AVX2, chosen
+    once when the process starts, and on 128-bit vectors elsewhere; both
+    give the same bits.  [set_wide_tiles wide] selects the 256-bit bodies
+    when [wide] holds and the CPU has AVX2, the 128-bit ones otherwise, and
+    returns whether the 256-bit bodies are now in use.  For tests that run
+    every matmul and tanh check through both bodies; it must not be called
+    while another domain may be running a kernel. *)
 
 val transpose : buf -> buf -> int -> int -> unit
 

@@ -15,7 +15,8 @@
  * results (NaN signs and quieting are pinned in the code: see quiet()).
  * Every kernel below returns the bits of the float array oracle kept with
  * the tests (test/oracle.ml).  Per-element kernels perform its exact
- * floating-point operations in its exact order; libm calls (tanh/exp/log)
+ * floating-point operations in its exact order; tanh is Fmath's
+ * (fmath_stubs.c, the same function the OCaml side calls), and exp/log
  * resolve to the same libm the OCaml runtime links.  The matmul family
  * vectorizes across output columns in pure k order and recomputes NaN
  * outputs with the oracle's rules (the argument is above mm_core).
@@ -25,18 +26,21 @@
  * Vectorization is portable: GCC/Clang generic vector extensions (lowered
  * to scalar code on targets without SIMD) behind __GNUC__, with a scalar
  * fallback of identical order for any other compiler.  No
- * ISA-specific intrinsics.  On x86-64 the matmul tiles have a second
- * instance of the same source compiled for AVX2 (target("avx2"), 256-bit
- * vectors), picked once per process with __builtin_cpu_supports; see
- * mm_tiles.
+ * ISA-specific intrinsics.  The vector types are in pnn_vec.h.  On x86-64
+ * the matmul tiles and Fmath's array tanh have a second instance of the
+ * same source compiled for AVX2 (target("avx2"), 256-bit vectors), picked
+ * once per process with __builtin_cpu_supports; see mm_tiles.
  */
 
 #define CAML_NAME_SPACE
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/bigarray.h>
+#include <caml/custom.h>
+#include <caml/fail.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define BA(v) ((double *) Caml_ba_data_val(v))
@@ -45,33 +49,7 @@
  * everywhere moments are touched). */
 #define FA(v) ((double *) (v))
 
-#if defined(__GNUC__) || defined(__clang__)
-/* 2-lane double vector — the width every mainstream double-SIMD target
- * supports natively (SSE2, NEON, VSX, z13), so GCC/Clang map it straight to
- * registers instead of running the generic-vector lowering pass, which
- * round-trips oversized vectors through the stack.  The naturally-aligned
- * type is the only one used for arithmetic; the aligned(8) twin exists
- * solely to express unaligned loads/stores of row slices — putting
- * aligned(8) on the arithmetic type itself also forces stack spills. */
-typedef double v2df __attribute__((vector_size(16)));
-typedef double v2df_u __attribute__((vector_size(16), aligned(8)));
-static inline v2df vload(const double *p) { return *(const v2df_u *) p; }
-static inline void vstore(double *p, v2df v) { *(v2df_u *) p = v; }
-#define PNN_HAVE_VEC 1
-/* For a body that takes a mode flag: inlined at each call site, where the
- * flag is a constant, it compiles to one specialised copy per mode. */
-#define PNN_SPECIALISE static inline __attribute__((always_inline))
-#if defined(__x86_64__)
-/* The 4-lane twin, used only inside functions compiled for AVX2
- * (PNN_WIDE), which run only where the CPU has it: see mm_tiles below. */
-typedef double v4df __attribute__((vector_size(32)));
-typedef double v4df_u __attribute__((vector_size(32), aligned(8)));
-#define PNN_WIDE __attribute__((target("avx2")))
-#define PNN_HAVE_WIDE 1
-#endif
-#else
-#define PNN_SPECIALISE static inline
-#endif
+#include "pnn_vec.h"
 
 /* NaN operand order (as in test/oracle.ml): when both operands of
  * an add/mul are NaN, x86 returns the first operand's NaN, and the
@@ -116,8 +94,74 @@ static inline double mul_pin(double a, double b)
 }
 
 /* ------------------------------------------------------------- */
-/* Storage: fill and copy (exact; the wrapper range-checks both). */
+/* Storage: allocation, fill and copy (exact; the wrappers        */
+/* range-check).                                                  */
 /* ------------------------------------------------------------- */
+
+/* Kernel buffers are one-dimensional Float64 Bigarrays whose data starts
+ * on a 64-byte boundary: a cache line, and a multiple of every vector
+ * width the kernels load, so where a buffer's rows fall relative to cache
+ * lines does not depend on the order of earlier allocations.  The data is
+ * one malloc of 64 bytes more than it needs, its first 64-byte boundary
+ * past the start (malloc's 16-byte alignment leaves 16 to 64 bytes below
+ * it, the last 8 of which keep the pointer malloc returned).  posix_memalign
+ * measured 65 ns a call slower than malloc for the small buffers a noise
+ * draw makes.  The block is the runtime's Bigarray block (caml_ba_ops:
+ * element access, comparison, hashing and marshalling as for any
+ * Bigarray) with one change, the finaliser, which frees malloc's pointer.
+ * The flags say EXTERNAL, so the runtime never frees the data itself: a
+ * Bigarray sub-array of a buffer would share its data without keeping it
+ * alive, and Kernels_c takes none. */
+
+/* runtime/bigarray.c exports it; bigarray.h does not declare it */
+extern struct custom_operations caml_ba_ops;
+static struct custom_operations pnn_buf_ops;
+
+static void pnn_buf_finalize(value v)
+{
+  free(((void **) Caml_ba_data_val(v))[-1]);
+}
+
+/* Called once, from Kernels_c's module initialisation: before any buffer
+ * exists and before any domain can be spawned. */
+CAMLprim value pnn_c_init_buffers(value unit)
+{
+  (void) unit;
+  pnn_buf_ops = caml_ba_ops;
+  pnn_buf_ops.finalize = pnn_buf_finalize;
+  return Val_unit;
+}
+CAMLprim value pnn_c_init_buffers_byte(value unit)
+{
+  return pnn_c_init_buffers(unit);
+}
+
+/* A zeroed buffer of n ≥ 0 doubles; the size the GC is told is the data's,
+ * as caml_ba_alloc tells it for Bigarray.Array1.create. */
+CAMLprim value pnn_c_create(intnat n)
+{
+  if ((uintnat) n > (SIZE_MAX - 64) / sizeof(double))
+    caml_raise_out_of_memory();
+  size_t bytes = (size_t) n * sizeof(double);
+  char *raw = malloc(bytes + 64);
+  if (raw == NULL) caml_raise_out_of_memory();
+  char *data = (char *) (((uintptr_t) raw + 64) & ~(uintptr_t) 63);
+  ((void **) data)[-1] = raw;
+  memset(data, 0, bytes);
+  value res = caml_alloc_custom_mem(&pnn_buf_ops,
+                                    SIZEOF_BA_ARRAY + sizeof(intnat), bytes);
+  struct caml_ba_array *b = Caml_ba_array_val(res);
+  b->data = data;
+  b->num_dims = 1;
+  b->flags = CAML_BA_FLOAT64 | CAML_BA_C_LAYOUT | CAML_BA_EXTERNAL;
+  b->proxy = NULL;
+  b->dim[0] = n;
+  return res;
+}
+CAMLprim value pnn_c_create_byte(value vn)
+{
+  return pnn_c_create(Long_val(vn));
+}
 
 CAMLprim value pnn_c_fill(value vb, intnat pos, intnat len, double v)
 {
@@ -500,17 +544,20 @@ __attribute__((constructor)) static void mm_tiles_pick(void)
   __builtin_cpu_init();
   mm_have_avx2 = __builtin_cpu_supports("avx2");
   if (mm_have_avx2) mm_tiles = mm_tiles_256;
+  pnn_fm_use_wide(mm_have_avx2);
 }
 #endif
 
-/* A hook for the tests, which run every matmul check through both bodies:
- * selects the 256-bit body when [wide] is set and the CPU has AVX2, the
- * 128-bit body otherwise, and returns whether the 256-bit body is now the
- * one in use.  Not for use while another domain may run a kernel. */
+/* A hook for the tests, which run every matmul and tanh check through both
+ * widths: selects the 256-bit bodies (the matmul tiles and Fmath's array
+ * tanh) when [wide] is set and the CPU has AVX2, the 128-bit bodies
+ * otherwise, and returns whether the 256-bit bodies are now the ones in
+ * use.  Not for use while another domain may run a kernel. */
 CAMLprim value pnn_c_set_wide_tiles(value vwide)
 {
 #ifdef PNN_HAVE_WIDE
   mm_tiles = Bool_val(vwide) && mm_have_avx2 ? mm_tiles_256 : mm_tiles_128;
+  pnn_fm_use_wide(mm_tiles == mm_tiles_256);
   return Val_bool(mm_tiles == mm_tiles_256);
 #else
   (void) vwide;
@@ -739,8 +786,8 @@ CAMLprim value pnn_c_sum_rows_byte(value vsrc, value vdst, value vrows,
 
 /* --------------------------------------------------------------- */
 /* Nonlinearities: op tags match Kernels_c.unop declaration order   */
-/* (Tanh, Sigmoid, Relu = 0..2); formulas are the oracle's, and     */
-/* libm calls resolve to the same libm the OCaml runtime links.    */
+/* (Tanh, Sigmoid, Relu = 0..2); formulas are the oracle's, tanh is */
+/* Fmath's array body and exp resolves to the runtime's libm.       */
 /* --------------------------------------------------------------- */
 
 enum pnn_unop { PNN_TANH, PNN_SIGMOID, PNN_RELU };
@@ -751,7 +798,7 @@ CAMLprim value pnn_c_unary(intnat op, value vsrc, value vdst, intnat n)
   double *dst = BA(vdst);
   switch ((enum pnn_unop) op) {
   case PNN_TANH:
-    for (intnat i = 0; i < n; i++) dst[i] = tanh(src[i]);
+    pnn_fm_tanh_n(src, dst, n);
     break;
   case PNN_SIGMOID:
     for (intnat i = 0; i < n; i++) dst[i] = 1.0 / (1.0 + exp(-src[i]));
@@ -821,11 +868,9 @@ CAMLprim value pnn_c_ptanh(value veta, value vv, value vh, value vout,
   double *h = BA(vh);
   double *out = BA(vout);
   double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
-  for (intnat i = 0; i < n; i++) {
-    double hi = tanh(mul_first(e3, add_first(ne2, v[i])));
-    h[i] = hi;
-    out[i] = add_first(e0, mul_first(e1, hi));
-  }
+  for (intnat i = 0; i < n; i++) h[i] = mul_first(e3, add_first(ne2, v[i]));
+  pnn_fm_tanh_n(h, h, n);
+  for (intnat i = 0; i < n; i++) out[i] = add_first(e0, mul_first(e1, h[i]));
   return Val_unit;
 }
 CAMLprim value pnn_c_ptanh_byte(value veta, value vv, value vh, value vout,
@@ -879,8 +924,9 @@ CAMLprim value pnn_c_ptanh_bwd_byte(value *argv, int argn)
 /* ------------------------------------------------------------------ */
 
 /* inv(x) = −ptanh(η, x) (the ptanh stub's element, negated), the two
- * matmuls and the row normalisation.  Every row's bias input is 1.0, so
- * its tanh is evaluated once: same inputs, same bits as once per row. */
+ * matmuls and the row normalisation.  The tanh arguments, the bias
+ * column's included (its input is 1.0 on every row), go into h, and one
+ * array tanh runs over it. */
 CAMLprim value pnn_c_crossbar(value vx, value veta, value vcond, value vh,
                               value vinv, value vnum, value vout, intnat m,
                               intnat k, intnat n)
@@ -894,20 +940,15 @@ CAMLprim value pnn_c_crossbar(value vx, value veta, value vcond, value vh,
   double *out = BA(vout);
   intnat k1 = k + 1;
   double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
-  double hb = tanh(mul_first(e3, add_first(ne2, 1.0)));
-  double ib = -add_first(e0, mul_first(e1, hb));
+  double zb = mul_first(e3, add_first(ne2, 1.0));
   for (intnat i = 0; i < m; i++) {
     const double *xr = x + i * k;
     double *hr = h + i * k1;
-    double *ir = inv + i * k1;
-    for (intnat p = 0; p < k; p++) {
-      double hi = tanh(mul_first(e3, add_first(ne2, xr[p])));
-      hr[p] = hi;
-      ir[p] = -add_first(e0, mul_first(e1, hi));
-    }
-    hr[k] = hb;
-    ir[k] = ib;
+    for (intnat p = 0; p < k; p++) hr[p] = mul_first(e3, add_first(ne2, xr[p]));
+    hr[k] = zb;
   }
+  pnn_fm_tanh_n(h, h, m * k1);
+  for (intnat q = 0; q < m * k1; q++) inv[q] = -add_first(e0, mul_first(e1, h[q]));
   /* x·θ⁺ (bias column implicit) into num, inv(x)·θ⁻ into out */
   mm_core(x, k, k, 1, cond, num, m, n);
   mm_core(inv, k1, k1, 0, cond + k1 * n, out, m, n);

@@ -68,7 +68,7 @@ CAMLprim value fix_uses_fma_byte(value va, value vn)
 CAMLprim value fix_uses_libm(value va, intnat n)
 {
   double *a = (double *) va;
-  for (intnat i = 0; i < n; i++) a[i] = sin(a[i]);
+  for (intnat i = 0; i < n; i++) a[i] = tanh(sin(a[i]));
   return Val_unit;
 }
 CAMLprim value fix_uses_libm_byte(value va, value vn)

@@ -10,7 +10,8 @@
    One body per kernel: the naive loop with bounds-checked indexing, so an
    out-of-range access raises [Invalid_argument].  Operand order is spelled
    out wherever it can decide a NaN payload (when two NaNs meet, x86 keeps
-   the first operand's, see [matmul]). *)
+   the first operand's, see [matmul]).  tanh is [Fmath.tanh], the scalar
+   body of the function the C kernels run over their buffers. *)
 
 type buf = float array
 
@@ -235,7 +236,7 @@ let unary (op : Tensor.unop) src dst n =
   match op with
   | Tanh ->
       for i = 0 to n - 1 do
-        dst.(i) <- Stdlib.tanh src.(i)
+        dst.(i) <- Fmath.tanh src.(i)
       done
   | Sigmoid ->
       for i = 0 to n - 1 do
@@ -284,7 +285,7 @@ let unary_bwd (op : Tensor.unop) ~x ~y ~g ~s n =
 let ptanh ~eta ~v ~h ~out n =
   let e0 = eta.(0) and e1 = eta.(1) and ne2 = -.eta.(2) and e3 = eta.(3) in
   for i = 0 to n - 1 do
-    let hi = Stdlib.tanh (mul_first e3 (add_first ne2 v.(i))) in
+    let hi = Fmath.tanh (mul_first e3 (add_first ne2 v.(i))) in
     h.(i) <- hi;
     out.(i) <- add_first e0 (mul_first e1 hi)
   done

@@ -365,17 +365,18 @@ let case name f = Alcotest.test_case name `Quick f
 (* [agree] as a test case named after what it checks. *)
 let agree_case what f = case what (fun () -> agree what f)
 
-(* {2 Both matmul tile widths}
+(* {2 Both vector widths}
 
-   The matmul kernels run their n ≥ 8 tiles on 256-bit vectors where the
-   CPU has AVX2 and on 128-bit vectors elsewhere, and both bodies must
-   return the oracle's bits.  [at_both_widths] runs each case under the
+   The matmul kernels run their n ≥ 8 tiles, and the tanh kernels (unary
+   tanh, ptanh, the crossbar's inv(x)) Fmath's array tanh, on 256-bit
+   vectors where the CPU has AVX2 and on 128-bit vectors elsewhere, and
+   both bodies must return the oracle's bits.  [at_both_widths] runs each case under the
    widest body the CPU has, keeping its name, and again under the 128-bit
    body, named with a "[128-bit]" suffix; on a CPU without AVX2 the two
    runs are the same. *)
 
 let set_wide_tiles wide =
-  (* pnnlint:allow R6 the test selects the C matmul body below the Tensor layer *)
+  (* pnnlint:allow R6 the test selects the C matmul and tanh bodies below the Tensor layer *)
   Kernels_c.set_wide_tiles wide
 
 (* [set_wide_tiles true] restores the process default, the widest body the
@@ -793,8 +794,8 @@ let expected_special_digests =
     "unop_bwd relu d7c8e5698c39f900";
     "ptanh 48512ca0c717ed79";
     "ptanh_bwd 912b52afacd5c855";
-    "crossbar de134ccd2d26b953";
-    "crossbar_bwd a942c0496e8f9512";
+    "crossbar 34b9f0a6264e7d6a";
+    "crossbar_bwd d4a676c9ee8867ea";
   ]
 
 let special_digests (module M : OPS) =
@@ -1159,20 +1160,20 @@ let loss_grads_entry () =
        grads
 
 let test_frozen_numerics () =
-  Alcotest.(check string) "cache schema" "pnn-save-2+ref" (Pnn.Serialize.cache_schema ());
+  Alcotest.(check string) "cache schema" "pnn-save-2+fmath-1" (Pnn.Serialize.cache_schema ());
   let entry = loss_grads_entry () in
-  Alcotest.(check string) "loss" "0x1.193fad10e4466p+0" (List.hd entry);
+  Alcotest.(check string) "loss" "0x1.193fad10e4467p+0" (List.hd entry);
   Alcotest.(check string)
-    "MD5 of the %h loss and gradient lines" "e9d3ced2b0777ff333a2b06934d27458"
+    "MD5 of the %h loss and gradient lines" "4a6faecab7f58181c9e1d5114466c486"
     (Digest.to_hex (Digest.string (String.concat "\n" entry)))
 
 let () =
   Alcotest.run "backend"
     [
-      ("elementwise", elementwise_cases);
+      ("elementwise", at_both_widths elementwise_cases);
       ("reductions", reduction_cases);
       ("matmul family", at_both_widths matmul_cases);
-      ("training kernels", training_cases);
+      ("training kernels", at_both_widths training_cases);
       ("two-NaN operands", two_nan_cases);
       ("matmul family = oracle", at_both_widths matmul_oracle_cases);
       ("crossbar pair = oracle", at_both_widths crossbar_cases);
@@ -1184,7 +1185,7 @@ let () =
             Alcotest.test_case "matmul digests" `Quick test_matmul_digests;
           ]
         @ [ Alcotest.test_case "frozen numerics" `Quick test_frozen_numerics ]
-        @ special_digest_cases );
+        @ at_both_widths special_digest_cases );
       ( "edges",
         [
           Alcotest.test_case "R2 clip NaN pass-through" `Quick test_clip_nan_passthrough;

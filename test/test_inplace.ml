@@ -288,43 +288,43 @@ let test_loss_graph_vs_alloc () =
    iteration order, gradient accumulation or replica reuse shows up here. *)
 let golden_train =
   [|
-    "0x1.a12ecf6ec164dp-1"; "0x1.8b63f2a98ca81p-1"; "0x1.6c2945fefa934p-1";
-    "0x1.4d9a074d0a9eep-1"; "0x1.415947761dc9cp-1"; "0x1.39b5a6eafc849p-1";
-    "0x1.29de42f0d2a5dp-1"; "0x1.30aad8d48691cp-1"; "0x1.2ecadf873497ap-1";
-    "0x1.28910424d4e52p-1"; "0x1.14345a750594dp-1"; "0x1.145844edd1aeap-1";
-    "0x1.071d9d0aff184p-1"; "0x1.18ad22efb2844p-1"; "0x1.034dccace622p-1";
-    "0x1.0d77ccc9aa4a9p-1"; "0x1.04187f7f10294p-1"; "0x1.0b1c7144a31b8p-1";
-    "0x1.00800c9e29aecp-1"; "0x1.ec71999496aa9p-2"; "0x1.e08c4763d6948p-2";
-    "0x1.d204f599067e6p-2"; "0x1.d486265d0f7d2p-2"; "0x1.dc8fc8301be32p-2";
-    "0x1.e95ec60d97dcp-2";
+    "0x1.a12ecf4e9d9d2p-1"; "0x1.8b63f2a12bc7ap-1"; "0x1.6c2945feb22fap-1";
+    "0x1.4d9a0750ad32dp-1"; "0x1.4159477a1052bp-1"; "0x1.39b5a6e74b328p-1";
+    "0x1.29de42eb1b5b4p-1"; "0x1.30aad8b8ecd3ep-1"; "0x1.2ecadf8b4dbbep-1";
+    "0x1.289104239f3abp-1"; "0x1.14345a742210ap-1"; "0x1.145844f27ab64p-1";
+    "0x1.071d9d1157c25p-1"; "0x1.18ad22f6dfc05p-1"; "0x1.034dccb12bccap-1";
+    "0x1.0d77cccdcb661p-1"; "0x1.04187f8179eacp-1"; "0x1.0b1c71412f2fp-1";
+    "0x1.00800ca2bebdep-1"; "0x1.ec7199a420da4p-2"; "0x1.e08c4786a2c72p-2";
+    "0x1.d204f5b66017p-2"; "0x1.d48626bc0858ap-2"; "0x1.dc8fc86fc4702p-2";
+    "0x1.e95ec624ae103p-2";
   |]
 
 let golden_val =
   [|
-    "0x1.9490ddc9fe211p-1"; "0x1.21f7c6b70d3cp-1"; "0x1.1048e09e6b89ep-1";
-    "0x1.0c7b7cb85a41fp-1"; "0x1.e8b0b1f1d5c09p-2";
+    "0x1.9490ddc19ca24p-1"; "0x1.21f7c6b23e2b2p-1"; "0x1.1048e0a617c65p-1";
+    "0x1.0c7b7cbd01feep-1"; "0x1.e8b0b2656fe6dp-2";
   |]
 
 let golden_params =
   [|
-    "0x1.a7cabca22718dp-2"; "0x1.d57a83254c3eep-2"; "0x1.5681a915874dp-2";
-    "0x1.092c75bd58608p+0"; "0x1.39335f5d7e462p+0"; "-0x1.2560456b877a4p-1";
-    "0x1.6386ee90203acp-4"; "0x1.f0ff8c34106cbp-3"; "-0x1.d2f2eaf110d8bp-3";
-    "-0x1.a7af0f1e3e788p-7"; "0x1.1c4a8baff0f83p-1"; "-0x1.3a91d448ec9acp-3";
-    "-0x1.1b3d6131b584p-13"; "-0x1.14e6142880a63p-4"; "0x1.ec53606702afdp-1";
-    "-0x1.c386cd0143f3ap-3"; "0x1.3770f6b88db41p+0"; "-0x1.8cbece171fb5ap-7";
-    "0x1.9601c6bd4357p-1"; "0x1.156f1a1f6ff94p-2"; "-0x1.ba2dd330177d9p-7";
-    "0x1.258a9d48e98d8p+0"; "0x1.9647f2550fb62p-3"; "-0x1.f8d44ea7566cep-6";
-    "0x1.34a66c2968559p-1"; "-0x1.b86c7d7a0a3f9p-8"; "-0x1.3bb66c4e3a0f2p-4";
-    "-0x1.188f3f1042944p-4"; "0x1.2a37771cbebe1p-4"; "-0x1.6987bcb9e9333p-4";
-    "0x1.a404710fb0919p-6"; "0x1.ca4d61d75070ap-6"; "-0x1.b95dadecca213p-9";
-    "0x1.504b944026f0dp-5"; "0x1.a25aa4292b7bp-5"; "-0x1.7e9e8f7d9974ap-9";
-    "0x1.e103bed6c1535p-6"; "-0x1.d7a4e9b976609p-7"; "-0x1.dd5f37a5bdcd9p-5";
-    "0x1.195c68a13a271p-7"; "-0x1.35a912fcb4786p-8"; "0x1.016f94c523e2dp-10";
-    "0x1.b88984488da2dp-8"; "-0x1.55714c70f192cp-6"; "0x1.36bc4e2d865dfp-10";
-    "0x1.b9a9fb7d6d178p-8"; "0x1.67363b494176fp-4"; "-0x1.0067f38d5a096p-4";
-    "0x1.3e5cf9b496a38p-4"; "0x1.72b0ed465e9dcp-4"; "-0x1.6e8e540466389p-4";
-    "-0x1.355bc8f76f5b3p-4"; "-0x1.22e86eb960918p-4";
+    "0x1.a7cabc9c54f74p-2"; "0x1.d57a82fac602ap-2"; "0x1.5681a896a3d9fp-2";
+    "0x1.092c75a7ae9cdp+0"; "0x1.39335f583081p+0"; "-0x1.2560459da9f24p-1";
+    "0x1.6386eefa08c6ep-4"; "0x1.f0ff8e456a431p-3"; "-0x1.d2f2e98bcecb2p-3";
+    "-0x1.a7af0b6990bfcp-7"; "0x1.1c4a8bcd7f097p-1"; "-0x1.3a91d51a2ecf4p-3";
+    "-0x1.1b3c20e2f718p-13"; "-0x1.14e61578b0becp-4"; "0x1.ec53608721911p-1";
+    "-0x1.c386ccff917e3p-3"; "0x1.3770f6b238ee4p+0"; "-0x1.8cbedd6ef29ep-7";
+    "0x1.9601c74352358p-1"; "0x1.156f19c2be2b5p-2"; "-0x1.ba2de128c350dp-7";
+    "0x1.258a9d525335cp+0"; "0x1.9647f233384c8p-3"; "-0x1.f8d45cfe297dp-6";
+    "0x1.34a66c1115c3p-1"; "-0x1.b86c873e1f04dp-8"; "-0x1.3bb66ce7caa04p-4";
+    "-0x1.188f428f3dc3ap-4"; "0x1.2a3777f985713p-4"; "-0x1.6987bd5322521p-4";
+    "0x1.a40472a46ed39p-6"; "0x1.ca4d5e63afa1dp-6"; "-0x1.b95d8696b2da2p-9";
+    "0x1.504b9492dcfa8p-5"; "0x1.a25aa5b16262ap-5"; "-0x1.7e9e8c7101bc3p-9";
+    "0x1.e103c01373b2fp-6"; "-0x1.d7a4f04aa9cf2p-7"; "-0x1.dd5f374595f73p-5";
+    "0x1.195c66cdb62fap-7"; "-0x1.35a919e83cfb3p-8"; "0x1.016f875dd4e63p-10";
+    "0x1.b8898a358b9b6p-8"; "-0x1.55714c68c4fefp-6"; "0x1.36bc56bcd43efp-10";
+    "0x1.b9a9fe6fc171p-8"; "0x1.67363b0b024aap-4"; "-0x1.0067f45d4ee24p-4";
+    "0x1.3e5cf95ec7ba8p-4"; "0x1.72b0ed5d5c78ap-4"; "-0x1.6e8e542b9f6d3p-4";
+    "-0x1.355bc80abeabdp-4"; "-0x1.22e86ef0b0079p-4";
   |]
 
 let check_golden_array msg expected actual =
@@ -477,14 +477,14 @@ let network_digests () =
 
 let expected_network_digests =
     [
-      "iris finite: logits df1b426cf42bfe16 preact c37ad8be6a68a42d fresh fbc011aaa2bb588a cached 76ea3ff3a58a8d6e pred 4c6233cfd056ac35";
-      "iris special-x: logits 33b2d90b5679afbb preact 73249a68e315d7bd fresh 3081fa3fa0ff9f0c cached b3eb6805341c4d40 pred 86f7bc9d7595d38b";
-      "iris special-noise: logits df1b426cf42bfe16 preact 471889c77dd1afc3 fresh d7fcccf05a4cce37 cached 86666a6590ecf0c3 pred ae98a307894553de";
-      "iris special-params: logits a9789f1eb7c9b499 preact 8b1a631e60fccc26 fresh dcc9d4151168adb1 cached 29c4fffa18ff552e pred d8019bfbaeed4cbb";
-      "64-48-16 finite: logits 90dca305d0b0ca85 preact 5db0bccf582a90ac fresh b896299fffd38e7a cached d95b383ab4fbb7d7 pred cb33c093184dffef";
+      "iris finite: logits d00a01f64711da7e preact 6a6c41db75fd57a4 fresh 195f08161375a2fe cached 1dfc2487a0aafb5a pred ea30e4ccbd941e47";
+      "iris special-x: logits 1022dd129531d153 preact 7f0fdbc0e3affae5 fresh 3081fa3fa0ff9f0c cached b3eb6805341c4d40 pred 5068b2a0438b18af";
+      "iris special-noise: logits d00a01f64711da7e preact 2199a1ba134a121b fresh d7fcccf05a4cce37 cached 41eba0b8054b42c3 pred 56406f5fb4847032";
+      "iris special-params: logits 61f229ca0afeae91 preact eefedd982723bd08 fresh 1e8f1735149ee310 cached 3b387322c3e9d6cd pred 9ce6e2a958170381";
+      "64-48-16 finite: logits aad65b41595536d0 preact c14c86df978faf0c fresh 525239535d7f0250 cached 671a902806018038 pred e86aa4cfd99b6de7";
       "64-48-16 special-x: logits 914f206b350cc925 preact a7896980cd49b6f3 fresh 12487b365f55593e cached fe4ccd82618385c5 pred 54ce7fa2cfe21525";
-      "64-48-16 special-noise: logits 90dca305d0b0ca85 preact b1655f5251f2f948 fresh 52c39af1ee43724e cached d6c71785b9e4c213 pred 3ebd729e519f3b04";
-      "64-48-16 special-params: logits 5ec9681a0196779b preact f64be3adef1c55c3 fresh b222ebc786ff8da4 cached 2a9ffaf356cb555d pred 562b441a97757e2c";
+      "64-48-16 special-noise: logits aad65b41595536d0 preact 7781409d5600a1ea fresh 52c39af1ee43724e cached 1aafda1498bb2376 pred 2eec2147d95ddd51";
+      "64-48-16 special-params: logits d4429256d0b5e4df preact 4829d0d1f6199e37 fresh 23809633dbb19021 cached 44b840a25b49d590 pred 564d0ec51691d05a";
     ]
 
 let test_network_digests () =

@@ -106,12 +106,12 @@ let test_network_digest () =
 let test_checkpoint_lines () =
   let lines = checkpoint_lines () in
   Alcotest.(check int) "line count" 34 (List.length lines);
-  Alcotest.(check string) "checkpoint lines" "4a7ea75f3422d54798b110c057f866ee" (digest lines)
+  Alcotest.(check string) "checkpoint lines" "b74e235ac5de62486309cbe9b5362a80" (digest lines)
 
 let test_result_lines () =
   let lines = Pnn.Training.result_lines (train ()) in
   Alcotest.(check int) "line count" 12 (List.length lines);
-  Alcotest.(check string) "result lines" "5abc95d7b0f466175fcce223c1eb7648" (digest lines)
+  Alcotest.(check string) "result lines" "65969c1d445d55afd6a68ab444869f66" (digest lines)
 
 let test_optimizer_lines () =
   Alcotest.(check (list string))
@@ -146,7 +146,7 @@ let test_cache_payloads () =
       Alcotest.(check (list (triple string string string))) "entries"
         [
           ("mceval", "pinned-key", "71bc9c16ff6d7d705da398db82f653e5");
-          ("surchunk", "a9c7647594968d8d03dc45056901c799", "cc9efcef560a5901d3fa68283ece986b");
+          ("surchunk", "cf735fd3889093d3ce84b4da898527b0", "f481480c2a1f331f0a4a160face1a781");
         ]
         got)
 
