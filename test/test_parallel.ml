@@ -235,28 +235,30 @@ let test_fit_bit_identical () =
     (fun i (a, b) -> check_tensor_bits (Printf.sprintf "final param %d" i) a b)
     (List.combine p1 p4)
 
-(* Table II at a tiny scale: two seeds so train_best actually fans out, one
-   test epsilon, a short training budget.  The rendered table (all cells) must
-   match exactly across job counts. *)
+(* Two seeds so the seed fan-out is exercised, one test epsilon, a short
+   training budget. *)
+let tiny_scale =
+  {
+    Experiments.Setup.seeds = [ 1; 2 ];
+    test_epsilons = [ 0.05 ];
+    n_mc_test = 4;
+    config =
+      {
+        Pnn.Config.default with
+        Pnn.Config.max_epochs = 20;
+        patience = 20;
+        n_mc_train = 2;
+        n_mc_val = 2;
+      };
+    init = `Centered;
+    surrogate_samples = 250;
+    surrogate_epochs = 150;
+  }
+
+(* Table II at the tiny scale: the rendered table (all cells) must match
+   exactly across job counts. *)
 let test_table2_bit_identical () =
-  let scale =
-    {
-      Experiments.Setup.seeds = [ 1; 2 ];
-      test_epsilons = [ 0.05 ];
-      n_mc_test = 4;
-      config =
-        {
-          Pnn.Config.default with
-          Pnn.Config.max_epochs = 20;
-          patience = 20;
-          n_mc_train = 2;
-          n_mc_val = 2;
-        };
-      init = `Centered;
-      surrogate_samples = 250;
-      surrogate_epochs = 150;
-    }
-  in
+  let scale = tiny_scale in
   let run pool =
     Experiments.Table2.run ~pool ~datasets:[ Lazy.force blob_data ] scale
       (Lazy.force surrogate)
@@ -267,6 +269,48 @@ let test_table2_bit_identical () =
     "rendered tables identical"
     (Experiments.Table2.render t1)
     (Experiments.Table2.render t4)
+
+(* {1 Runner digests}
+
+   Every float a runner reports, in [%h] notation, hashed: one pinned digest
+   that must hold at every REPRO_JOBS width the determinism alias runs. *)
+
+let hex_digest floats = Cache.digest_lines (List.map (Printf.sprintf "%h") floats)
+
+let faults_floats (t : Experiments.Faults.t) =
+  let mc (r : Pnn.Evaluation.mc_result) =
+    Pnn.Evaluation.[ r.mean; r.std; r.min; r.q05; r.median; r.q95 ]
+  in
+  let sweep s = List.concat_map (fun (_, pts) -> List.concat_map (fun (_, r) -> mc r) pts) s in
+  List.concat_map (fun (_, r) -> mc r) t.Experiments.Faults.grid
+  @ sweep t.Experiments.Faults.defect_sweep
+  @ sweep t.Experiments.Faults.sigma_sweep
+
+let run_faults ?pool () =
+  Experiments.Faults.run ?pool ~cache:(Cache.disabled ()) tiny_scale (Lazy.force surrogate)
+
+let test_faults_digest () =
+  Alcotest.(check string) "every mc_result field" "3cff339a615e0fa0892617f60e8bde4c" (hex_digest (faults_floats (run_faults ())))
+
+let test_faults_bit_identical () =
+  let t1 = run_faults ~pool:(Lazy.force pool1) () in
+  let t4 = run_faults ~pool:(Lazy.force pool4) () in
+  Alcotest.(check (list string))
+    "every mc_result field bitwise equal"
+    (List.map (Printf.sprintf "%h") (faults_floats t1))
+    (List.map (Printf.sprintf "%h") (faults_floats t4))
+
+let test_lifetime_digest () =
+  let t =
+    Experiments.Lifetime.run Pnn.Aging.default_model tiny_scale (Lazy.force surrogate)
+  in
+  let curve c =
+    List.concat_map (fun (_, (x : Experiments.Table2.cell)) -> [ x.mean; x.std ]) c
+  in
+  Alcotest.(check string) "aging-unaware curve" "871aa2b2d5c335c2c2a8a96c209cf288"
+    (hex_digest (curve t.Experiments.Lifetime.nominal_curve));
+  Alcotest.(check string) "aging-aware curve" "da0d53f64a5ba3d539cad540b60dc7f7"
+    (hex_digest (curve t.Experiments.Lifetime.aware_curve))
 
 let () =
   Alcotest.run "parallel"
@@ -294,5 +338,8 @@ let () =
             test_generate_dataset_bit_identical;
           Alcotest.test_case "table2 quick-scale bit-identical" `Quick
             test_table2_bit_identical;
+          Alcotest.test_case "faults digest" `Quick test_faults_digest;
+          Alcotest.test_case "faults bit-identical" `Quick test_faults_bit_identical;
+          Alcotest.test_case "lifetime digest" `Quick test_lifetime_digest;
         ] );
     ]
