@@ -8,21 +8,25 @@ let sample_random rng ~n =
              Rng.uniform rng ~lo ~hi:Surrogate.Design_space.learnable_hi.(i))
            Surrogate.Design_space.learnable_lo))
 
-let surrogate_quality ~epochs dataset =
+(* the simulation budget and training length of both surrogate ablations *)
+let samples = 1200
+let surrogate_epochs = 800
+
+let surrogate_quality dataset =
   let rng = Rng.create 42 in
   let _, report =
-    Surrogate.Pipeline.train_surrogate ~arch:[ 10; 9; 8; 6; 4 ] ~max_epochs:epochs rng
+    Surrogate.Pipeline.train_surrogate ~arch:[ 10; 9; 8; 6; 4 ] ~max_epochs:surrogate_epochs rng
       dataset
   in
   (report.Surrogate.Pipeline.val_mse, report.Surrogate.Pipeline.val_r2)
 
-let sampler_ablation ?(n = 1200) ?(epochs = 800) () =
+let sampler_ablation () =
   let make sampler =
     match sampler with
-    | `Sobol -> Surrogate.Pipeline.generate_dataset ~n ()
-    | `Lhs -> Surrogate.Pipeline.generate_dataset ~n ~sampler:(`Lhs (Rng.create 7)) ()
+    | `Sobol -> Surrogate.Pipeline.generate_dataset ~n:samples ()
+    | `Lhs -> Surrogate.Pipeline.generate_dataset ~n:samples ~sampler:(`Lhs (Rng.create 7)) ()
     | `Random ->
-        let omegas = sample_random (Rng.create 7) ~n in
+        let omegas = sample_random (Rng.create 7) ~n:samples in
         (* reuse the pipeline's simulate+fit by temporarily building a dataset
            from explicit omegas: simplest is to rerun its internals here *)
         let kept_o = ref [] and kept_e = ref [] and kept_r = ref [] in
@@ -53,7 +57,7 @@ let sampler_ablation ?(n = 1200) ?(epochs = 800) () =
     List.map
       (fun (name, sampler) ->
         let dataset = make sampler in
-        let mse, r2 = surrogate_quality ~epochs dataset in
+        let mse, r2 = surrogate_quality dataset in
         [
           name;
           string_of_int (Array.length dataset.Surrogate.Pipeline.omegas);
@@ -65,14 +69,14 @@ let sampler_ablation ?(n = 1200) ?(epochs = 800) () =
   "Ablation: design-space sampler (equal simulation budget)\n"
   ^ Report.table ~header:[ "sampler"; "kept"; "val MSE"; "val R2" ] ~rows
 
-let architecture_ablation ?(n = 1200) ?(epochs = 800) () =
-  let dataset = Surrogate.Pipeline.generate_dataset ~n () in
+let architecture_ablation () =
+  let dataset = Surrogate.Pipeline.generate_dataset ~n:samples () in
   let rows =
     List.map
       (fun (name, arch) ->
         let rng = Rng.create 42 in
         let _, report =
-          Surrogate.Pipeline.train_surrogate ~arch ~max_epochs:epochs rng dataset
+          Surrogate.Pipeline.train_surrogate ~arch ~max_epochs:surrogate_epochs rng dataset
         in
         [
           name;
@@ -92,8 +96,7 @@ let architecture_ablation ?(n = 1200) ?(epochs = 800) () =
 
 let surrogate_small = lazy (Setup.surrogate_of_scale Setup.quick)
 
-let surrogate_small_digest =
-  lazy (Cache.digest_lines (Surrogate.Model.to_lines (Lazy.force surrogate_small)))
+let surrogate_small_digest = lazy (Setup.surrogate_digest (Lazy.force surrogate_small))
 
 let cell_of_lines lines =
   match List.map Lines.words lines with
@@ -102,10 +105,8 @@ let cell_of_lines lines =
       (value a, value m)
   | _ -> failwith "Ablations: bad cell payload"
 
-let init_name = function `Centered -> "centered" | `Random_sign -> "random_sign"
-
-let train_once ?cache ~init ~config ~seed data =
-  let cache = match cache with Some c -> c | None -> Cache.get_default () in
+let train_once ~init ~config ~seed data =
+  let cache = Cache.get_default () in
   let spec = data.Datasets.Synth.spec in
   let key =
     Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"ablcell"
@@ -114,7 +115,7 @@ let train_once ?cache ~init ~config ~seed data =
         Pnn.Serialize.config_line config;
         spec.Datasets.Synth.name;
         string_of_int seed;
-        init_name init;
+        Setup.init_name init;
       ]
   in
   Cache.memoize cache ~kind:"ablcell" ~key
@@ -137,7 +138,8 @@ let train_once ?cache ~init ~config ~seed data =
       in
       (acc, Datasets.Synth.majority_fraction data))
 
-let initialization_ablation ?(seeds = 4) () =
+let initialization_ablation () =
+  let seeds = 4 in
   let config =
     { Pnn.Config.default with Pnn.Config.max_epochs = 400; patience = 120 }
   in
@@ -172,8 +174,9 @@ let initialization_ablation ?(seeds = 4) () =
       ~header:[ "dataset"; "init"; "beats majority"; "mean acc"; "best acc" ]
       ~rows
 
-let temperature_ablation ?(seeds = 3) () =
+let temperature_ablation () =
   let data = Datasets.Bench13.load "iris" in
+  let surrogate = Lazy.force surrogate_small in
   let rows =
     List.map
       (fun temp ->
@@ -185,70 +188,53 @@ let temperature_ablation ?(seeds = 3) () =
             patience = 150;
           }
         in
-        let best =
-          List.fold_left
-            (fun acc s ->
-              let split = Datasets.Synth.split (Rng.create (s + 200)) data in
-              let r =
-                Pnn.Training.train_fresh (Rng.create s) config
-                  (Lazy.force surrogate_small) ~n_classes:3 split
-              in
-              match acc with
-              | Some (b, _) when b.Pnn.Training.val_loss <= r.Pnn.Training.val_loss -> acc
-              | _ -> Some (r, split))
-            None
-            (List.init seeds (fun i -> i + 1))
+        let train s =
+          let split = Datasets.Synth.split (Rng.create (s + 200)) data in
+          (Pnn.Training.train_fresh (Rng.create s) config surrogate ~n_classes:3 split, split)
         in
-        match best with
-        | None -> assert false
-        | Some (r, split) ->
-            let eval eps =
-              Pnn.Evaluation.mc_accuracy (Rng.create 9) r.Pnn.Training.network
-                ~epsilon:eps ~n:40 ~x:split.Datasets.Synth.x_test
-                ~y:split.Datasets.Synth.y_test
-            in
-            let nominal =
-              Pnn.Evaluation.nominal_accuracy r.Pnn.Training.network
-                ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
-            in
-            let e10 = eval 0.10 in
-            [
-              Printf.sprintf "%.1f" temp;
-              Printf.sprintf "%.3f" nominal;
-              Report.cell e10.Pnn.Evaluation.mean_accuracy e10.Pnn.Evaluation.std_accuracy;
-            ])
+        let r, split = Seeds.chosen (Seeds.train train [ 1; 2; 3 ]) in
+        let e10 =
+          Pnn.Evaluation.mc_accuracy (Rng.create 9) r.Pnn.Training.network ~epsilon:0.10
+            ~n:40 ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+        in
+        let nominal =
+          Pnn.Evaluation.nominal_accuracy r.Pnn.Training.network
+            ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+        in
+        [
+          Printf.sprintf "%.1f" temp;
+          Printf.sprintf "%.3f" nominal;
+          Report.cell e10.Pnn.Evaluation.mean_accuracy e10.Pnn.Evaluation.std_accuracy;
+        ])
       [ 2.0; 4.0; 10.0 ]
   in
   "Ablation: softmax temperature (iris, nominal training)\n"
   ^ Report.table ~header:[ "logit scale"; "nominal acc"; "acc @10% variation" ] ~rows
 
-let depth_ablation ?(seeds = 2) () =
+let depth_ablation () =
   let data = Datasets.Bench13.load "pendigits" in
   let spec = data.Datasets.Synth.spec in
+  let surrogate = Lazy.force surrogate_small in
   let config = { Pnn.Config.default with Pnn.Config.max_epochs = 400; patience = 120 } in
   let rows =
     List.map
       (fun (label, hidden_sizes) ->
         let sizes = (spec.Datasets.Synth.features :: hidden_sizes) @ [ spec.Datasets.Synth.classes ] in
-        let accuracy_of_seed s =
+        let train s =
           let split = Datasets.Synth.split (Rng.create (s + 300)) data in
           let tdata = Pnn.Training.of_split ~n_classes:spec.Datasets.Synth.classes split in
-          let net =
-            Pnn.Network.create_deep (Rng.create s) config (Lazy.force surrogate_small)
-              ~sizes
-          in
-          let r = Pnn.Training.fit (Rng.create (s + 17)) net tdata in
-          Pnn.Evaluation.nominal_accuracy r.Pnn.Training.network
-            ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+          let net = Pnn.Network.create_deep (Rng.create s) config surrogate ~sizes in
+          (Pnn.Training.fit (Rng.create (s + 17)) net tdata, split)
         in
-        let best =
-          List.fold_left
-            (fun acc s -> Stdlib.max acc (accuracy_of_seed s))
-            0.0
-            (List.init seeds (fun i -> i + 1))
-        in
-        [ label; Printf.sprintf "%.3f" best ])
+        let r, split = Seeds.chosen (Seeds.train train [ 1; 2 ]) in
+        [
+          label;
+          Printf.sprintf "%.3f"
+            (Pnn.Evaluation.nominal_accuracy r.Pnn.Training.network
+               ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test);
+        ])
       [ ("3 (paper)", [ 3 ]); ("6", [ 6 ]); ("3-3", [ 3; 3 ]); ("6-4", [ 6; 4 ]) ]
   in
-  "Extension: pNN topology on the hardest task (pendigits; best of seeds)\n"
-  ^ Report.table ~header:[ "hidden layout"; "best nominal acc" ] ~rows
+  "Extension: pNN topology on the hardest task (pendigits; seed with the best \
+   validation loss)\n"
+  ^ Report.table ~header:[ "hidden layout"; "nominal test acc" ] ~rows

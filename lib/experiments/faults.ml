@@ -54,8 +54,6 @@ let model_tag = function None -> "nominal" | Some m -> model_desc m
 let split_for (data : Datasets.Synth.t) ~seed =
   Datasets.Synth.split (Rng.create (seed + 700)) data
 
-let init_name = function `Centered -> "centered" | `Random_sign -> "random_sign"
-
 (* [train_rng]'s tag covers (arm_idx, seed); the key carries both plus the
    model descriptor, so arms sharing a config never collide. *)
 let cell_key ~surrogate_digest ~scale ~dataset ~arm_idx ~model ~seed =
@@ -67,66 +65,31 @@ let cell_key ~surrogate_digest ~scale ~dataset ~arm_idx ~model ~seed =
       string_of_int arm_idx;
       model_tag model;
       string_of_int seed;
-      init_name scale.Setup.init;
+      Setup.init_name scale.Setup.init;
     ]
 
 (* One memoized training cell — the fault-table counterpart of
    {!Table2.train_cell}, and the unit the orchestrator distributes. *)
-let train_cell ?pool ?(cache = Cache.disabled ()) ?(checkpoints = false)
-    ?(checkpoint_every = 50) ?interrupt_after ~digest ~scale ~surrogate
-    ~dataset ~features ~n_classes ~arm_idx ~model ~seed ~split () =
-  let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
+let train_cell ?pool ?cache ?checkpoints ?checkpoint_every ?interrupt_after
+    ~digest ~scale ~surrogate ~dataset ~features ~n_classes ~arm_idx ~model
+    ~seed ~split () =
   let key = cell_key ~surrogate_digest:digest ~scale ~dataset ~arm_idx ~model ~seed in
-  Cache.memoize cache ~kind:"faultcell" ~key ~encode:Pnn.Training.result_lines
-    ~decode:(Pnn.Training.result_of_lines surrogate)
-    (fun () ->
+  Seeds.cell ?cache ?checkpoints ?checkpoint_every ?interrupt_after
+    ~kind:"faultcell" ~key surrogate (fun checkpoint ->
       let rng = train_rng ~arm_idx ~seed in
       let tdata = Pnn.Training.of_split ~n_classes split in
       let network =
         Pnn.Network.create ~init:scale.Setup.init rng scale.Setup.config
           surrogate ~inputs:features ~outputs:n_classes
       in
-      let checkpoint =
-        if not checkpoints then None
-        else
-          match Cache.member_path cache ~kind:"ckpt" ~key with
-          | None -> None
-          | Some path ->
-              Some
-                {
-                  Pnn.Training.ckpt_path = path;
-                  every = checkpoint_every;
-                  resume = true;
-                  interrupt_after;
-                }
-      in
-      let r =
-        match model with
-        | None -> Pnn.Training.fit ~pool ?checkpoint rng network tdata
-        | Some m ->
-            Pnn.Training.fit_under ~pool ?checkpoint rng ~model:m network tdata
-      in
-      (match checkpoint with
-      | Some c -> (
-          try Sys.remove c.Pnn.Training.ckpt_path with Sys_error _ -> ())
-      | None -> ());
-      r)
+      match model with
+      | None -> Pnn.Training.fit ?pool ?checkpoint rng network tdata
+      | Some m -> Pnn.Training.fit_under ?pool ?checkpoint rng ~model:m network tdata)
 
-let best_of candidates =
-  match candidates with
-  | [] -> invalid_arg "Faults.run: no seeds"
-  | first :: rest ->
-      List.fold_left
-        (fun (best, bsplit) (r, split) ->
-          if r.Pnn.Training.val_loss < best.Pnn.Training.val_loss then (r, split)
-          else (best, bsplit))
-        first rest
-
-let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ())
+let run ?pool ?cache ?checkpoints ?(progress = fun _ -> ())
     ?(dataset = "seeds") ?(epsilon = 0.10) scale surrogate =
-  let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
   let cache = match cache with Some c -> c | None -> Cache.get_default () in
-  let digest = Cache.digest_lines (Surrogate.Model.to_lines surrogate) in
+  let digest = Setup.surrogate_digest surrogate in
   let data = Datasets.Bench13.load dataset in
   let spec = data.Datasets.Synth.spec in
   let n_classes = spec.Datasets.Synth.classes in
@@ -134,46 +97,38 @@ let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ())
   let splits =
     List.map (fun seed -> (seed, split_for data ~seed)) scale.Setup.seeds
   in
-  let train_one ~arm_idx model (seed, split) =
-    let result =
-      train_cell ~pool ~cache ~checkpoints ~digest ~scale ~surrogate ~dataset
-        ~features:spec.Datasets.Synth.features ~n_classes ~arm_idx ~model ~seed
-        ~split ()
-    in
-    (result, split)
-  in
-  (* Train every arm (best-of-seeds by validation loss, as Table II does). *)
+  (* Train every arm; each keeps its best-validation-loss seed, as Table II
+     does. *)
   let trained =
     List.mapi
       (fun arm_idx (name, model) ->
         progress (Printf.sprintf "%s train %s" dataset name);
-        let result, split = best_of (List.map (train_one ~arm_idx model) splits) in
+        let result, split =
+          Seeds.chosen
+            (Seeds.train ?pool
+               (fun (seed, split) ->
+                 ( train_cell ?pool ~cache ?checkpoints ~digest ~scale ~surrogate
+                     ~dataset ~features:spec.Datasets.Synth.features ~n_classes
+                     ~arm_idx ~model ~seed ~split (),
+                   split ))
+               splits)
+        in
         (name, arm_idx, result.Pnn.Training.network, split))
       (train_arms epsilon)
   in
   let evaluate ~arm_idx ~test_idx network (split : Datasets.Synth.split) model =
     (* arm_idx and test_idx determine the evaluation stream ([eval_rng]), so
        both belong in the key alongside the content inputs. *)
-    let eval_cache =
-      if not (Cache.enabled cache) then None
-      else
-        Some
-          ( cache,
-            Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"mceval"
-              [
-                Pnn.Serialize.digest network;
-                model_tag (Some model);
-                string_of_int arm_idx;
-                string_of_int test_idx;
-                string_of_int scale.Setup.n_mc_test;
-                Cache.digest_lines
-                  [ Lines.tensor_line split.Datasets.Synth.x_test ];
-                Cache.digest_lines
-                  (List.map string_of_int
-                     (Array.to_list split.Datasets.Synth.y_test));
-              ] )
-    in
-    Pnn.Evaluation.mc_result_under ~pool ?cache:eval_cache
+    Pnn.Evaluation.mc_result_under ?pool
+      ?cache:
+        (Seeds.eval_cache cache network
+           [
+             model_tag (Some model);
+             string_of_int arm_idx;
+             string_of_int test_idx;
+             string_of_int scale.Setup.n_mc_test;
+           ]
+           split)
       (eval_rng ~arm_idx ~test_idx)
       network ~model ~n:scale.Setup.n_mc_test ~x:split.Datasets.Synth.x_test
       ~y:split.Datasets.Synth.y_test

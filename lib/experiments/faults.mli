@@ -77,8 +77,8 @@ val train_cell :
   split:Datasets.Synth.split ->
   unit ->
   Pnn.Training.result
-(** One memoized training cell, keyed with {!cell_key}.  [checkpoint_every]
-    and [interrupt_after] as in {!Table2.train_cell}. *)
+(** One memoized training cell ({!Seeds.cell}), keyed with {!cell_key}.
+    [checkpoint_every] and [interrupt_after] as in {!Table2.train_cell}. *)
 
 val run :
   ?pool:Parallel.Pool.t ->
@@ -90,9 +90,10 @@ val run :
   Setup.scale ->
   Surrogate.Model.t ->
   t
-(** Defaults: dataset ["seeds"], [epsilon = 0.10].  Trains best-of-seeds per
-    arm (validation loss, as Table II does) with {!Pnn.Training.fit_under},
-    then evaluates every view with [scale.n_mc_test] draws per cell.
+(** Defaults: dataset ["seeds"], [epsilon = 0.10].  Trains every seed of
+    each arm with {!Pnn.Training.fit_under} and keeps the one {!Seeds.train}
+    chooses (best validation loss, as Table II does), then evaluates every
+    view with [scale.n_mc_test] draws per cell.
 
     [cache] (default {!Cache.get_default}) memoizes per-(arm, seed) trainings
     and per-cell Monte-Carlo evaluations — keys cover the arm's fault model

@@ -5,17 +5,11 @@ type t = {
   aware_curve : (float * Table2.cell) list;
 }
 
-let best_of candidates =
-  match candidates with
-  | [] -> invalid_arg "Lifetime.run: no seeds"
-  | first :: rest ->
-      List.fold_left
-        (fun (best, bsplit) (r, split) ->
-          if r.Pnn.Training.val_loss < best.Pnn.Training.val_loss then (r, split)
-          else (best, bsplit))
-        first rest
+let seeds = [ 1; 2; 3 ]
+let n_mc = 40
+let t_fracs = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
-let run ?(dataset = "seeds") ?(seeds = [ 1; 2; 3 ]) ?(n_mc = 40) model scale surrogate =
+let run ?(dataset = "seeds") model scale surrogate =
   let data = Datasets.Bench13.load dataset in
   let spec = data.Datasets.Synth.spec in
   let n_classes = spec.Datasets.Synth.classes in
@@ -34,9 +28,8 @@ let run ?(dataset = "seeds") ?(seeds = [ 1; 2; 3 ]) ?(n_mc = 40) model scale sur
     in
     (result, split)
   in
-  let t_fracs = [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
   let curve aging =
-    let result, split = best_of (List.map (train aging) seeds) in
+    let result, split = Seeds.chosen (Seeds.train (train aging) seeds) in
     List.map
       (fun (t, e) ->
         ( t,

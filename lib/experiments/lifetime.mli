@@ -9,15 +9,9 @@ type t = {
   aware_curve : (float * Table2.cell) list;  (** aging-aware training *)
 }
 
-val run :
-  ?dataset:string ->
-  ?seeds:int list ->
-  ?n_mc:int ->
-  Pnn.Aging.model ->
-  Setup.scale ->
-  Surrogate.Model.t ->
-  t
-(** Defaults: dataset ["seeds"], seeds [[1; 2; 3]], 40 Monte-Carlo draws per
-    life point. *)
+val run : ?dataset:string -> Pnn.Aging.model -> Setup.scale -> Surrogate.Model.t -> t
+(** Default dataset ["seeds"].  Per curve, seeds 1–3 train and
+    {!Seeds.train} keeps the best validation loss; the chosen network gets
+    40 Monte-Carlo draws per life point. *)
 
 val render : t -> string

@@ -23,6 +23,8 @@ type scale = {
   surrogate_epochs : int;
 }
 
+let init_name = function `Centered -> "centered" | `Random_sign -> "random_sign"
+
 let quick =
   {
     seeds = [ 1; 2 ];
@@ -84,3 +86,5 @@ let of_name = function
 let surrogate_of_scale scale =
   Surrogate.Pipeline.ensure ~n:scale.surrogate_samples
     ~max_epochs:scale.surrogate_epochs ~seed:42 ()
+
+let surrogate_digest surrogate = Cache.digest_lines (Surrogate.Model.to_lines surrogate)

@@ -20,6 +20,9 @@ type scale = {
   surrogate_epochs : int;
 }
 
+val init_name : [ `Centered | `Random_sign ] -> string
+(** The initialization's name in cache keys. *)
+
 val quick : scale
 (** Small scale for the bench harness (minutes). *)
 
@@ -41,3 +44,7 @@ val of_name : string -> scale
 
 val surrogate_of_scale : scale -> Surrogate.Model.t
 (** Cached {!Surrogate.Pipeline.ensure} for the scale. *)
+
+val surrogate_digest : Surrogate.Model.t -> string
+(** Content digest of a frozen surrogate, folded into every training-cell
+    key. *)

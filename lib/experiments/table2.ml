@@ -26,44 +26,20 @@ let config_for scale arm eps =
   let base = Pnn.Config.with_learnable base arm.Setup.learnable in
   Pnn.Config.with_epsilon base (if arm.Setup.variation_aware then eps else 0.0)
 
-let init_tag = function `Centered -> "centered" | `Random_sign -> "random_sign"
-
 (* Content address of one (dataset, seed, arm) training cell: everything the
    run reads — the frozen surrogate, the resolved config (which encodes arm
    and ε), the dataset identity and both seed layers.  [run_seed]'s stream
    tag is derived from the same inputs, so the key covers it. *)
-let raw_cell_key ~kind ~surrogate_digest ~config ~dataset ~dataset_seed ~seed
-    ~init =
-  Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind
+let cell_key ~surrogate_digest ~config ~dataset ~dataset_seed ~seed ~init =
+  Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"t2cell"
     [
       surrogate_digest;
       Pnn.Serialize.config_line config;
       dataset;
       string_of_int dataset_seed;
       string_of_int seed;
-      init_tag init;
+      Setup.init_name init;
     ]
-
-let cell_key ~surrogate_digest ~config ~dataset ~dataset_seed ~seed ~init =
-  raw_cell_key ~kind:"t2cell" ~surrogate_digest ~config ~dataset ~dataset_seed
-    ~seed ~init
-
-let surrogate_digest surrogate =
-  Cache.digest_lines (Surrogate.Model.to_lines surrogate)
-
-let checkpoint_for cache ~checkpoints ~checkpoint_every ~interrupt_after ~key =
-  if not checkpoints then None
-  else
-    match Cache.member_path cache ~kind:"ckpt" ~key with
-    | None -> None
-    | Some path ->
-        Some
-          {
-            Pnn.Training.ckpt_path = path;
-            every = checkpoint_every;
-            resume = true;
-            interrupt_after;
-          }
 
 (* the per-seed train/validation/test split, shared by every arm so the arm
    comparison is fair; a function of (dataset identity, seed) only, so any
@@ -76,155 +52,99 @@ let split_for (data : Datasets.Synth.t) ~seed =
    orchestrator distributes, so everything here (the key, the RNG stream
    derivation, the checkpoint placement) must stay a pure function of the
    named inputs. *)
-let train_cell ?pool ?(cache = Cache.disabled ()) ?(checkpoints = false)
-    ?(checkpoint_every = 50) ?interrupt_after ~digest ~scale ~surrogate
-    ~dataset ~dataset_seed ~n_classes ~seed ~split ~arm ~eps () =
-  let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
+let train_cell ?pool ?cache ?checkpoints ?checkpoint_every ?interrupt_after
+    ~digest ~scale ~surrogate ~dataset ~dataset_seed ~n_classes ~seed ~split
+    ~arm ~eps () =
   let config = config_for scale arm eps in
   let key =
     cell_key ~surrogate_digest:digest ~config ~dataset ~dataset_seed ~seed
       ~init:scale.Setup.init
   in
-  Cache.memoize cache ~kind:"t2cell" ~key ~encode:Pnn.Training.result_lines
-    ~decode:(Pnn.Training.result_of_lines surrogate)
-    (fun () ->
-      let rng = run_seed ~dataset_seed ~arm ~eps ~seed in
-      let checkpoint =
-        checkpoint_for cache ~checkpoints ~checkpoint_every ~interrupt_after
-          ~key
-      in
-      let r =
-        Pnn.Training.train_fresh ~pool ~init:scale.Setup.init ?checkpoint rng
-          config surrogate ~n_classes split
-      in
-      (* the completed result supersedes any in-progress checkpoint *)
-      (match checkpoint with
-      | Some c -> (
-          try Sys.remove c.Pnn.Training.ckpt_path with Sys_error _ -> ())
-      | None -> ());
-      r)
+  Seeds.cell ?cache ?checkpoints ?checkpoint_every ?interrupt_after
+    ~kind:"t2cell" ~key surrogate (fun checkpoint ->
+      Pnn.Training.train_fresh ?pool ~init:scale.Setup.init ?checkpoint
+        (run_seed ~dataset_seed ~arm ~eps ~seed)
+        config surrogate ~n_classes split)
 
-(* Train one arm for every seed and keep the best model by validation loss.
-   The per-seed runs are independent (each derives its own RNG stream from
-   [run_seed]) and fan out over the pool; the best-of fold below stays in
-   seed order, so the selection is identical for any worker count. *)
-let train_best ?pool ?(cache = Cache.disabled ()) ?(checkpoints = false)
-    ?digest scale surrogate ~dataset ~dataset_seed ~n_classes ~splits arm eps =
-  let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
-  let digest =
-    match digest with Some d -> d | None -> surrogate_digest surrogate
-  in
-  let candidates =
-    Parallel.Pool.map_list pool
-      (fun (seed, split) ->
-        let result =
-          train_cell ~pool ~cache ~checkpoints ~digest ~scale ~surrogate
-            ~dataset ~dataset_seed ~n_classes ~seed ~split ~arm ~eps ()
-        in
-        (result, split))
-      splits
-  in
-  List.fold_left
-    (fun acc (result, split) ->
-      match acc with
-      | Some (best, _) when best.Pnn.Training.val_loss <= result.Pnn.Training.val_loss ->
-          acc
-      | _ -> Some (result, split))
-    None candidates
-
-let evaluate ?pool ?(cache = Cache.disabled ()) scale ~dataset_seed network
-    ~epsilon ~(split : Datasets.Synth.split) =
+let evaluate ?pool ~cache scale ~dataset_seed network ~epsilon
+    ~(split : Datasets.Synth.split) =
   let rng = Rng.create ((dataset_seed * 31) + int_of_float (epsilon *. 1e4) + 5) in
-  let eval_cache =
-    if not (Cache.enabled cache) then None
-    else
-      Some
-        ( cache,
-          Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"mceval"
-            [
-              Pnn.Serialize.digest network;
-              Printf.sprintf "%h" epsilon;
-              string_of_int scale.Setup.n_mc_test;
-              string_of_int dataset_seed;
-              Cache.digest_lines
-                [ Lines.tensor_line split.Datasets.Synth.x_test ];
-              Cache.digest_lines
-                (List.map string_of_int
-                   (Array.to_list split.Datasets.Synth.y_test));
-            ] )
-  in
   let r =
-    Pnn.Evaluation.mc_accuracy ?pool ?cache:eval_cache rng network ~epsilon
-      ~n:scale.Setup.n_mc_test ~x:split.Datasets.Synth.x_test
+    Pnn.Evaluation.mc_accuracy ?pool
+      ?cache:
+        (Seeds.eval_cache cache network
+           [
+             Printf.sprintf "%h" epsilon;
+             string_of_int scale.Setup.n_mc_test;
+             string_of_int dataset_seed;
+           ]
+           split)
+      rng network ~epsilon ~n:scale.Setup.n_mc_test ~x:split.Datasets.Synth.x_test
       ~y:split.Datasets.Synth.y_test
   in
   { mean = r.Pnn.Evaluation.mean_accuracy; std = r.Pnn.Evaluation.std_accuracy }
 
-let run_dataset ?pool ?cache ?checkpoints ?digest ?(progress = fun _ -> ())
-    scale surrogate (data : Datasets.Synth.t) =
+(* Per (dataset, arm): every seed trains (fanned out over the pool), the
+   best-validation-loss network is chosen, and the chosen one is evaluated at
+   each test ε.  Nominal arms train once; variation-aware arms train per ε. *)
+let run_dataset ?pool ~cache ?checkpoints ~digest ~progress scale surrogate
+    (data : Datasets.Synth.t) =
   let spec = data.Datasets.Synth.spec in
   let n_classes = spec.Datasets.Synth.classes in
   let dataset_seed = spec.Datasets.Synth.seed in
   let dataset = spec.Datasets.Synth.name in
-  let cache = match cache with Some c -> c | None -> Cache.disabled () in
-  let digest =
-    match digest with Some d -> d | None -> surrogate_digest surrogate
-  in
   (* one split per seed, shared by all arms for a fair comparison *)
   let splits =
     List.map (fun seed -> (seed, split_for data ~seed)) scale.Setup.seeds
   in
-  let train_best arm eps =
-    train_best ?pool ~cache ?checkpoints ~digest scale surrogate ~dataset
-      ~dataset_seed ~n_classes ~splits arm eps
+  let train arm eps =
+    Seeds.chosen
+      (Seeds.train ?pool
+         (fun (seed, split) ->
+           ( train_cell ?pool ~cache ?checkpoints ~digest ~scale ~surrogate
+               ~dataset ~dataset_seed ~n_classes ~seed ~split ~arm ~eps (),
+             split ))
+         splits)
   in
   let cells =
     List.concat_map
       (fun arm ->
+        let name = Printf.sprintf "%s %s" dataset (Setup.arm_name arm) in
+        let cell eps (result, split) =
+          ( (arm, eps),
+            evaluate ?pool ~cache scale ~dataset_seed result.Pnn.Training.network
+              ~epsilon:eps ~split )
+        in
         if arm.Setup.variation_aware then
           List.map
             (fun eps ->
-              progress
-                (Printf.sprintf "%s %s eps=%g" spec.Datasets.Synth.name
-                   (Setup.arm_name arm) eps);
-              match train_best arm eps with
-              | Some (result, split) ->
-                  ( (arm, eps),
-                    evaluate ?pool ~cache scale ~dataset_seed
-                      result.Pnn.Training.network ~epsilon:eps ~split )
-              | None -> assert false)
+              progress (Printf.sprintf "%s eps=%g" name eps);
+              cell eps (train arm eps))
             scale.Setup.test_epsilons
         else begin
-          progress
-            (Printf.sprintf "%s %s" spec.Datasets.Synth.name (Setup.arm_name arm));
-          match train_best arm 0.0 with
-          | Some (result, split) ->
-              List.map
-                (fun eps ->
-                  ( (arm, eps),
-                    evaluate ?pool ~cache scale ~dataset_seed
-                      result.Pnn.Training.network ~epsilon:eps ~split ))
-                scale.Setup.test_epsilons
-          | None -> assert false
+          progress name;
+          let chosen = train arm 0.0 in
+          List.map (fun eps -> cell eps chosen) scale.Setup.test_epsilons
         end)
       Setup.arms
   in
-  { dataset = spec.Datasets.Synth.name; cells }
+  { dataset; cells }
 
 let column_keys scale =
   List.concat_map
     (fun arm -> List.map (fun eps -> (arm, eps)) scale.Setup.test_epsilons)
     Setup.arms
 
-let run ?pool ?cache ?checkpoints ?progress ?datasets scale surrogate =
+let run ?pool ?cache ?checkpoints ?(progress = fun _ -> ()) ?datasets scale
+    surrogate =
   let datasets =
     match datasets with Some d -> d | None -> Datasets.Bench13.load_all ()
   in
   let cache = match cache with Some c -> c | None -> Cache.get_default () in
-  let digest = surrogate_digest surrogate in
+  let digest = Setup.surrogate_digest surrogate in
   let rows =
     List.map
-      (run_dataset ?pool ~cache ?checkpoints ~digest ?progress scale surrogate)
+      (run_dataset ?pool ~cache ?checkpoints ~digest ~progress scale surrogate)
       datasets
   in
   let average =

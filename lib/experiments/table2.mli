@@ -2,10 +2,10 @@
     {non-learnable, learnable} × {nominal, variation-aware} training, tested
     under 5 % and 10 % component variation.
 
-    Per (dataset, arm): one pNN is trained per seed, the best model w.r.t.
-    validation loss is selected (paper §IV-C), and the selected model is
-    evaluated with [n_mc_test] Monte-Carlo variation draws on the test set;
-    the cell reports the mean ± std over those draws.  Nominal arms are
+    Per (dataset, arm): one pNN is trained per seed, {!Seeds.train} chooses
+    the one with the best validation loss (paper §IV-C), and the chosen model
+    is evaluated with [n_mc_test] Monte-Carlo variation draws on the test
+    set; the cell reports the mean ± std over those draws.  Nominal arms are
     trained once and tested at every ε; variation-aware arms are trained at
     each ε and tested at the same ε. *)
 
@@ -54,9 +54,6 @@ val run :
 val config_for : Setup.scale -> Setup.arm -> float -> Pnn.Config.t
 (** The resolved training config of one (arm, train ε) column. *)
 
-val surrogate_digest : Surrogate.Model.t -> string
-(** Content digest of the frozen surrogate, folded into every cell key. *)
-
 val cell_key :
   surrogate_digest:string ->
   config:Pnn.Config.t ->
@@ -66,7 +63,8 @@ val cell_key :
   init:[ `Centered | `Random_sign ] ->
   string
 (** The content address of one (dataset, seed, arm) training cell — exactly
-    the key {!run} uses, so externally computed cells are cache hits. *)
+    the key {!run} uses, so externally computed cells are cache hits.
+    [surrogate_digest] is {!Setup.surrogate_digest}. *)
 
 val split_for : Datasets.Synth.t -> seed:int -> Datasets.Synth.split
 (** The per-seed train/validation/test split shared by every arm. *)
@@ -89,11 +87,12 @@ val train_cell :
   eps:float ->
   unit ->
   Pnn.Training.result
-(** One memoized training cell, keyed with {!cell_key}.  [checkpoint_every]
-    (default 50 epochs) sets the checkpoint cadence when [checkpoints] is on;
-    [interrupt_after] raises {!Pnn.Training.Interrupted} once that many
-    epochs have completed (after any due checkpoint write) — the
-    crash-injection hook the orchestrator's kill-recovery tests use. *)
+(** One memoized training cell ({!Seeds.cell}), keyed with {!cell_key}.
+    [checkpoint_every] (default 50 epochs) sets the checkpoint cadence when
+    [checkpoints] is on; [interrupt_after] raises
+    {!Pnn.Training.Interrupted} once that many epochs have completed (after
+    any due checkpoint write) — the crash-injection hook the orchestrator's
+    kill-recovery tests use. *)
 
 val cell_of : t -> dataset:string -> arm:Setup.arm -> epsilon:float -> cell
 (** Raises [Not_found]. *)

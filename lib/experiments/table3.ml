@@ -7,8 +7,8 @@ type claims = {
   epsilon : float;
   accuracy_gain : float;
   robustness_gain : float;
-  learnable_contribution : float;
-  va_contribution : float;
+  learnable_contribution : float option;
+  va_contribution : float option;
 }
 
 type t = { rows : summary_row list; claims : claims list }
@@ -40,12 +40,12 @@ let of_table2 scale table2 =
         let total_gain = full.Table2.mean -. baseline.Table2.mean in
         let learn_gain = learn_only.Table2.mean -. baseline.Table2.mean in
         let va_gain = va_only.Table2.mean -. baseline.Table2.mean in
-        (* contribution split (paper §IV-D); when neither single-factor arm
-           improves on the baseline the split is undefined — report 50/50 *)
+        (* contribution split (paper §IV-D): shares of a positive total, so
+           defined only when neither single-factor arm loses to the baseline *)
         let parts = learn_gain +. va_gain in
-        let learnable_contribution, va_contribution =
-          if parts > 1e-9 then (learn_gain /. parts, va_gain /. parts) else (0.5, 0.5)
-        in
+        let defined = learn_gain >= 0.0 && va_gain >= 0.0 && parts > 1e-9 in
+        let share g = if defined then Some (g /. parts) else None in
+        let learnable_contribution = share learn_gain and va_contribution = share va_gain in
         {
           epsilon = eps;
           accuracy_gain = total_gain /. Stdlib.max baseline.Table2.mean 1e-9;
@@ -81,13 +81,19 @@ let render t =
   let claims_lines =
     List.map
       (fun c ->
-        Printf.sprintf
-          "@%g%%: accuracy +%.0f%%, robustness (std) -%.0f%%; contributions: learnable %.0f%%, variation-aware %.0f%%"
+        let contributions =
+          match (c.learnable_contribution, c.va_contribution) with
+          | Some l, Some v ->
+              Printf.sprintf "learnable %.0f%%, variation-aware %.0f%%" (l *. 100.0)
+                (v *. 100.0)
+          | _ -> "undefined"
+        in
+        (* the robustness gain prints as the signed change of the std *)
+        Printf.sprintf "@%g%%: accuracy %+.0f%%, robustness (std) %+.0f%%; contributions: %s"
           (c.epsilon *. 100.0)
           (c.accuracy_gain *. 100.0)
-          (c.robustness_gain *. 100.0)
-          (c.learnable_contribution *. 100.0)
-          (c.va_contribution *. 100.0))
+          (-.(c.robustness_gain *. 100.0))
+          contributions)
       t.claims
   in
   Report.table ~header ~rows ^ String.concat "\n" claims_lines ^ "\n"

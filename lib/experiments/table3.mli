@@ -16,10 +16,12 @@ type claims = {
   epsilon : float;
   accuracy_gain : float;  (** relative: (full − baseline) / baseline *)
   robustness_gain : float;  (** relative std reduction *)
-  learnable_contribution : float;
+  learnable_contribution : float option;
       (** share of the accuracy improvement attributable to the learnable
-          circuit (paper: 58 % @5 %, 52 % @10 %) *)
-  va_contribution : float;
+          circuit (paper: 58 % @5 %, 52 % @10 %); [None] — printed
+          ["undefined"] — unless both single-factor gains are ≥ 0 and their
+          sum is > 1e-9 *)
+  va_contribution : float option;  (** [Some] exactly when the other is *)
 }
 
 type t = { rows : summary_row list; claims : claims list }

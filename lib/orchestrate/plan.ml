@@ -14,7 +14,7 @@ let create ?(datasets = []) ?faults ?(checkpoints = true)
   {
     scale;
     surrogate;
-    digest = Experiments.Table2.surrogate_digest surrogate;
+    digest = Experiments.Setup.surrogate_digest surrogate;
     datasets;
     faults;
     cache;
