@@ -197,7 +197,7 @@ let cmd_lifetime scale_name dataset verbose =
   let scale = Experiments.Setup.of_name scale_name in
   let surrogate = Experiments.Setup.surrogate_of_scale scale in
   let result =
-    Experiments.Lifetime.run ?dataset Pnn.Aging.default_model scale surrogate
+    Experiments.Lifetime.run ?dataset scale surrogate
   in
   print_string (Experiments.Lifetime.render result);
   report_schema ()

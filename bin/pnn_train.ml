@@ -56,11 +56,12 @@ let run dataset_name epsilon learnable seed epochs patience n_mc n_test verbose 
   List.iter
     (fun eps ->
       let eval =
-        Pnn.Evaluation.mc_accuracy (Rng.create (seed + 1000)) net ~epsilon:eps
-          ~n:n_test ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+        Pnn.Evaluation.mc_accuracy (Rng.create (seed + 1000)) net
+          ~model:(Pnn.Variation.Uniform eps) ~n:n_test ~x:split.Datasets.Synth.x_test
+          ~y:split.Datasets.Synth.y_test
       in
       Printf.printf "test @ %.0f%% variation: %.3f +/- %.3f (%d draws)\n" (eps *. 100.0)
-        eval.Pnn.Evaluation.mean_accuracy eval.Pnn.Evaluation.std_accuracy n_test)
+        eval.Pnn.Evaluation.mean eval.Pnn.Evaluation.std n_test)
     [ 0.05; 0.10 ];
   List.iteri
     (fun i layer ->

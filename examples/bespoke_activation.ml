@@ -55,9 +55,10 @@ let () =
   let accuracy result =
     let eval =
       Pnn.Evaluation.mc_accuracy (Rng.create 99) result.Pnn.Training.network
-        ~epsilon:0.05 ~n:100 ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+        ~model:(Pnn.Variation.Uniform 0.05) ~n:100 ~x:split.Datasets.Synth.x_test
+        ~y:split.Datasets.Synth.y_test
     in
-    (eval.Pnn.Evaluation.mean_accuracy, eval.Pnn.Evaluation.std_accuracy)
+    (eval.Pnn.Evaluation.mean, eval.Pnn.Evaluation.std)
   in
   let f_mean, f_std = accuracy fixed in
   let l_mean, l_std = accuracy learned in

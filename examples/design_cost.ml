@@ -26,12 +26,12 @@ let () =
   in
   let result = Pnn.Training.fit rng net tdata in
   let accuracy =
-    Pnn.Evaluation.mc_accuracy (Rng.create 7) result.Pnn.Training.network ~epsilon:0.05
-      ~n:50 ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+    Pnn.Evaluation.mc_accuracy (Rng.create 7) result.Pnn.Training.network
+      ~model:(Pnn.Variation.Uniform 0.05) ~n:50 ~x:split.Datasets.Synth.x_test
+      ~y:split.Datasets.Synth.y_test
   in
   Printf.printf "task %s: accuracy %.3f +/- %.3f under 5%% variation\n\n"
-    spec.Datasets.Synth.name accuracy.Pnn.Evaluation.mean_accuracy
-    accuracy.Pnn.Evaluation.std_accuracy;
+    spec.Datasets.Synth.name accuracy.Pnn.Evaluation.mean accuracy.Pnn.Evaluation.std;
 
   (* 2. printable design *)
   print_string (Pnn.Export.design_report result.Pnn.Training.network);
@@ -59,16 +59,16 @@ let () =
 
   (* 5. aging curve *)
   print_newline ();
-  let model = Pnn.Aging.default_model in
-  let curve =
-    Pnn.Aging.accuracy_over_lifetime (Rng.create 11) model result.Pnn.Training.network
-      ~t_fracs:[ 0.0; 0.5; 1.0 ] ~n:40 ~x:split.Datasets.Synth.x_test
-      ~y:split.Datasets.Synth.y_test
-  in
+  let kappa_max = 0.2 in
   Printf.printf "Accuracy over lifetime (variation-aware-trained design, drift up to %.0f%%):\n"
-    (model.Pnn.Aging.kappa_max *. 100.0);
+    (kappa_max *. 100.0);
+  let rng = Rng.create 11 in
   List.iter
-    (fun (t, e) ->
-      Printf.printf "  t=%.2f: %.3f +/- %.3f\n" t e.Pnn.Evaluation.mean_accuracy
-        e.Pnn.Evaluation.std_accuracy)
-    curve
+    (fun t ->
+      let e =
+        Pnn.Evaluation.mc_accuracy rng result.Pnn.Training.network
+          ~model:(Pnn.Variation.Aging { kappa_max; beta = 0.5; t_frac = Some t })
+          ~n:40 ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+      in
+      Printf.printf "  t=%.2f: %.3f +/- %.3f\n" t e.Pnn.Evaluation.mean e.Pnn.Evaluation.std)
+    [ 0.0; 0.5; 1.0 ]

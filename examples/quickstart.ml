@@ -31,11 +31,12 @@ let () =
     (Array.length result.Pnn.Training.history.Nn.Train.train_losses);
   let eval =
     Pnn.Evaluation.mc_accuracy (Rng.create 99) result.Pnn.Training.network
-      ~epsilon:config.Pnn.Config.epsilon ~n:100 ~x:split.Datasets.Synth.x_test
+      ~model:(Pnn.Variation.Uniform config.Pnn.Config.epsilon) ~n:100
+      ~x:split.Datasets.Synth.x_test
       ~y:split.Datasets.Synth.y_test
   in
   Printf.printf "test accuracy under 5%% variation: %.3f +/- %.3f (100 MC draws)\n"
-    eval.Pnn.Evaluation.mean_accuracy eval.Pnn.Evaluation.std_accuracy;
+    eval.Pnn.Evaluation.mean eval.Pnn.Evaluation.std;
   (* show the bespoke activation the training chose *)
   let layer = List.hd (Pnn.Network.layers result.Pnn.Training.network) in
   let eta = Pnn.Nonlinear.eta_values layer.Pnn.Layer.act in

@@ -47,11 +47,11 @@ let () =
       List.iter
         (fun eps ->
           let r =
-            Pnn.Evaluation.mc_accuracy (Rng.create 77) net ~epsilon:eps ~n:60
-              ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+            Pnn.Evaluation.mc_accuracy (Rng.create 77) net
+              ~model:(Pnn.Variation.Uniform eps) ~n:60 ~x:split.Datasets.Synth.x_test
+              ~y:split.Datasets.Synth.y_test
           in
-          Printf.printf "  %5.3f+-%.2f" r.Pnn.Evaluation.mean_accuracy
-            r.Pnn.Evaluation.std_accuracy)
+          Printf.printf "  %5.3f+-%.2f" r.Pnn.Evaluation.mean r.Pnn.Evaluation.std)
         epsilons;
       print_newline ())
     trained

@@ -1,6 +1,10 @@
 type result = {
-  mean_accuracy : float;
-  std_accuracy : float;
+  mean : float;
+  std : float;
+  min : float;
+  q05 : float;
+  median : float;
+  q95 : float;
   accuracies : float array;
 }
 
@@ -13,13 +17,6 @@ let accuracy_under network noise ~x ~y =
   let hits = ref 0 in
   Array.iteri (fun i p -> if p = y.(i) then incr hits) pred;
   float_of_int !hits /. float_of_int (Array.length y)
-
-let summarize accuracies =
-  {
-    mean_accuracy = Stats.mean accuracies;
-    std_accuracy = (if Array.length accuracies > 1 then Stats.std accuracies else 0.0);
-    accuracies;
-  }
 
 let nominal_accuracy network ~x ~y =
   let shapes = Network.theta_shapes network in
@@ -43,57 +40,27 @@ let with_cache cache compute =
         ~encode:(fun a -> [ Lines.counted_line "accs" a ])
         ~decode:accs_of_lines compute
 
-(* The Monte-Carlo fan-out: pre-draw every noise record sequentially on
-   the calling domain, so the RNG stream is consumed in exactly the
-   per-draw order of a sequential evaluation, then fan the pure forward
-   passes out over the pool. *)
-let fan_out pool network ~n ~draw ~x ~y =
-  let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
-  let noises = Array.make n [] in
-  for i = 0 to n - 1 do
-    noises.(i) <- draw ()
-  done;
-  Parallel.Pool.map_array pool (fun noise -> accuracy_under network noise ~x ~y) noises
-
-type mc_result = {
-  mean : float;
-  std : float;
-  min : float;
-  q05 : float;
-  median : float;
-  q95 : float;
-  accuracies : float array;
-}
-
-let mc_result_under ?pool ?cache rng network ~model ~n ~x ~y =
-  if n < 1 then invalid_arg "Evaluation.mc_result_under: n < 1";
+let mc_accuracy ?pool ?cache rng network ~model ~n ~x ~y =
+  if n < 1 then invalid_arg "Evaluation.mc_accuracy: n < 1";
   Variation.validate model;
   let accuracies =
     with_cache cache (fun () ->
-        let ctx = Variation.ctx_of_network network in
-        fan_out pool network ~n ~draw:(fun () -> Variation.draw rng model ctx) ~x ~y)
+        (* Pre-draw every noise record sequentially on the calling domain,
+           so the RNG stream is consumed in exactly the per-draw order of a
+           sequential evaluation, then fan the pure forward passes out. *)
+        let noises =
+          Array.of_list
+            (Variation.mc_draws rng model (Variation.ctx_of_network network) ~n)
+        in
+        let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
+        Parallel.Pool.map_array pool (fun noise -> accuracy_under network noise ~x ~y) noises)
   in
   {
     mean = Stats.mean accuracies;
-    std = (if n > 1 then Stats.std accuracies else 0.0);
+    std = (if Array.length accuracies > 1 then Stats.std accuracies else 0.0);
     min = Stats.min accuracies;
     q05 = Stats.quantile accuracies 0.05;
     median = Stats.median accuracies;
     q95 = Stats.quantile accuracies 0.95;
     accuracies;
   }
-
-let mc_accuracy ?pool ?cache rng network ~epsilon ~n ~x ~y =
-  if n < 1 then invalid_arg "Evaluation.mc_accuracy: n < 1";
-  let shapes = Network.theta_shapes network in
-  let accuracies =
-    with_cache cache (fun () ->
-        (* pnnlint:allow R5 exact-zero sentinel selects the nominal path;
-           IEEE equality also accepts -0.0 *)
-        if epsilon = 0.0 then [| nominal_accuracy network ~x ~y |]
-        else
-          fan_out pool network ~n
-            ~draw:(fun () -> Noise.draw rng ~epsilon ~theta_shapes:shapes)
-            ~x ~y)
-  in
-  summarize accuracies

@@ -19,7 +19,7 @@ let none ~theta_shapes =
     theta_shapes
 
 let draw rng ~epsilon ~theta_shapes =
-  if epsilon < 0.0 || epsilon >= 1.0 then invalid_arg "Noise.draw: epsilon outside [0,1)";
+  if not (0.0 <= epsilon && epsilon < 1.0) then invalid_arg "Noise.draw: epsilon outside [0,1)";
   (* pnnlint:allow R5 exact-zero sentinel selects the no-noise draw;
      IEEE equality also accepts -0.0 *)
   if epsilon = 0.0 then none ~theta_shapes

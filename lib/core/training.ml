@@ -28,39 +28,34 @@ type checkpoint = {
 
 exception Interrupted
 
-let fit ?pool ?train_sampler ?val_noises ?sampler_rng ?checkpoint rng network
-    data =
+(* Sub-stream derivation follows the split-only convention (docs/INTERNALS).
+   Without a model the config's ε is [Uniform ε]: training noise comes from
+   [rng] itself and the fixed validation draws from one split, taken only
+   when ε > 0.  An explicit model takes two splits, training first, so
+   neither derived stream aliases the caller's — later caller draws never
+   replay training noise. *)
+let fit ?pool ?model ?checkpoint rng network data =
   let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
-  (* The generator consumed inside the epoch loop; its position is part of
-     every checkpoint.  The default [fit] path draws training noise from the
-     caller's [rng]; [fit_under] samples from its derived train stream. *)
-  let sampler_rng = match sampler_rng with Some r -> r | None -> rng in
   let config = Network.config network in
-  let shapes = Network.theta_shapes network in
-  let epsilon = config.Config.epsilon in
-  (* pnnlint:allow R5 exact-zero sentinel selects nominal training;
-     IEEE equality also accepts -0.0 *)
-  let nominal = epsilon = 0.0 in
-  let draw_train =
-    match train_sampler with
-    | Some sampler -> sampler
-    | None ->
-        fun () ->
-          if nominal then [ Noise.none ~theta_shapes:shapes ]
-          else
-            Noise.draw_many rng ~epsilon ~theta_shapes:shapes
-              ~n:config.Config.n_mc_train
+  let law =
+    match model with Some m -> m | None -> Variation.Uniform config.Config.epsilon
+  in
+  Variation.validate law;
+  let train_rng, val_rng =
+    match model with
+    | None -> (rng, if Variation.nominal law then rng else Rng.split rng)
+    | Some _ ->
+        let train_rng = Rng.split rng in
+        (train_rng, Rng.split rng)
+  in
+  (* Fresh training draws read the current parameters through [ctx], so
+     defect models track the optimizer. *)
+  let ctx = Variation.ctx_of_network network in
+  let draw_train () =
+    Variation.mc_draws train_rng law ctx ~n:config.Config.n_mc_train
   in
   (* Fixed validation draws: a stable early-stopping signal across epochs. *)
-  let val_noises =
-    match val_noises with
-    | Some n -> n
-    | None ->
-        if nominal then [ Noise.none ~theta_shapes:shapes ]
-        else
-          Noise.draw_many (Rng.split rng) ~epsilon ~theta_shapes:shapes
-            ~n:config.Config.n_mc_val
-  in
+  let val_noises = Variation.mc_draws val_rng law ctx ~n:config.Config.n_mc_val in
   let opt_theta = Nn.Optimizer.adam ~lr:config.Config.lr_theta () in
   let optimizers =
     let groups = [ (opt_theta, Network.params_theta network) ] in
@@ -81,7 +76,7 @@ let fit ?pool ?train_sampler ?val_noises ?sampler_rng ?checkpoint rng network
       match Checkpoint.load ck.ckpt_path with
       | Some c when Checkpoint.matches c config -> (
           match
-            Checkpoint.apply c ~rng:sampler_rng ~state:st ~network ~optimizers
+            Checkpoint.apply c ~rng:train_rng ~state:st ~network ~optimizers
           with
           | b -> best := b
           | exception Failure _ -> ())
@@ -94,7 +89,7 @@ let fit ?pool ?train_sampler ?val_noises ?sampler_rng ?checkpoint rng network
         Some
           (fun (s : Nn.Train.state) ->
             if ck.every > 0 && s.Nn.Train.epoch mod ck.every = 0 then
-              Checkpoint.save ~path:ck.ckpt_path ~config ~rng:sampler_rng
+              Checkpoint.save ~path:ck.ckpt_path ~config ~rng:train_rng
                 ~state:s ~network ~best:!best ~optimizers;
             match ck.interrupt_after with
             | Some n when s.Nn.Train.epoch >= n -> raise Interrupted
@@ -127,21 +122,6 @@ let fit ?pool ?train_sampler ?val_noises ?sampler_rng ?checkpoint rng network
       ()
   in
   { network; history; val_loss = history.Nn.Train.best_val_loss }
-
-(* Sub-stream derivation follows the split-only convention (docs/INTERNALS):
-   the caller's rng is advanced by exactly two splits, and neither derived
-   stream aliases it — later caller draws never replay training noise. *)
-let fit_under ?pool ?checkpoint rng ~model network data =
-  let config = Network.config network in
-  let ctx = Variation.ctx_of_network network in
-  let train_rng = Rng.split rng in
-  let val_rng = Rng.split rng in
-  let train_sampler =
-    Variation.sampler train_rng model ctx ~n:config.Config.n_mc_train
-  in
-  let val_noises = Variation.draw_many val_rng model ctx ~n:config.Config.n_mc_val in
-  fit ?pool ~train_sampler ~val_noises ~sampler_rng:train_rng ?checkpoint rng
-    network data
 
 let train_fresh ?pool ?init ?checkpoint rng config surrogate ~n_classes split =
   let data = of_split ~n_classes split in

@@ -41,44 +41,36 @@ exception Interrupted
 
 val fit :
   ?pool:Parallel.Pool.t ->
-  ?train_sampler:(unit -> Noise.t list) ->
-  ?val_noises:Noise.t list ->
-  ?sampler_rng:Rng.t ->
+  ?model:Variation.model ->
   ?checkpoint:checkpoint ->
   Rng.t ->
   Network.t ->
   data ->
   result
-(** Trains the given network in place according to its config ([epsilon = 0]
-    ⇒ nominal, else variation-aware with [n_mc_train] draws per epoch) and
-    restores the best-validation weights.  [train_sampler] / [val_noises]
-    override the default variation model — the hook used by aging-aware
-    training ({!Aging}).
+(** Trains the given network in place and restores the best-validation
+    weights.  Each epoch's loss is the Monte-Carlo mean over
+    [n_mc_train] fresh draws of [model] ({!Variation.mc_draws}); early
+    stopping reads the mean over [n_mc_val] fixed draws.  [model] defaults
+    to the config's [Uniform epsilon], the paper's variation-aware training;
+    [Uniform 0.] is nominal training, one all-ones draw for training and one
+    for validation.  Any other model — a fault family, aging over the
+    lifetime — trains against that law instead.  Fresh training draws read
+    the {e current} parameters, so defect models track the optimizer.
+    Raises [Invalid_argument] on an ill-formed model ({!Variation.validate})
+    before touching [rng].
+
+    {b Streams.}  Without [model], training noise comes from [rng] itself
+    and the validation draws from one [Rng.split rng], taken only when
+    [epsilon > 0] and before any training draw.  With [model], [rng] is
+    advanced by exactly two splits — training stream first, then
+    validation — and neither derived stream aliases it.
 
     The per-epoch Monte-Carlo loss runs data-parallel over [pool] (default:
     the shared {!Parallel.get_pool}) via {!Network.mc_loss_pooled}; noises
     are drawn on the training loop's domain, so the RNG stream and the
     resulting parameter trajectory are bit-identical for any pool size.
-
-    [sampler_rng] names the generator consumed {e inside} the epoch loop
-    (defaults to [rng], which is what the default training sampler draws
-    from); its stream position is saved in every [checkpoint] so a resumed
-    run continues the noise sequence exactly.  Callers passing a custom
-    [train_sampler] that draws from a different generator must name it here
-    for checkpointing to be exact. *)
-
-val fit_under :
-  ?pool:Parallel.Pool.t ->
-  ?checkpoint:checkpoint ->
-  Rng.t -> model:Variation.model -> Network.t -> data -> result
-(** {!fit} with training and validation noise drawn from an arbitrary
-    {!Variation.model} instead of the config's uniform ε — variation-aware
-    training against any fault family.  The training sampler and the fixed
-    validation draws get independent sub-streams via [Rng.split] (the
-    caller's generator is advanced by exactly two splits and is never
-    aliased), and fresh training draws target the {e current} parameters, so
-    defect models track the optimizer.  Raises [Invalid_argument] on an
-    ill-formed model ({!Variation.validate}). *)
+    Every [checkpoint] saves the training stream's position, so a resumed
+    run continues the noise sequence exactly. *)
 
 val train_fresh :
   ?pool:Parallel.Pool.t ->

@@ -33,28 +33,32 @@ let ctx_of_network network =
             (Network.layers network));
   }
 
+(* Every range check is written so that NaN fails it. *)
 let rec validate = function
   | Uniform epsilon ->
-      if epsilon < 0.0 || epsilon >= 1.0 then
+      if not (0.0 <= epsilon && epsilon < 1.0) then
         invalid_arg "Variation: Uniform epsilon outside [0,1)"
   | Gaussian sigma ->
-      if sigma < 0.0 || not (Float.is_finite sigma) then
+      if not (0.0 <= sigma && Float.is_finite sigma) then
         invalid_arg "Variation: Gaussian sigma < 0"
   | Correlated { global; local } ->
-      if global < 0.0 || global >= 1.0 || local < 0.0 || local >= 1.0 then
+      if not (0.0 <= global && global < 1.0 && 0.0 <= local && local < 1.0) then
         invalid_arg "Variation: Correlated magnitudes outside [0,1)"
   | Defects { p_open; p_short } ->
-      if p_open < 0.0 || p_short < 0.0 || p_open +. p_short > 1.0 then
+      if not (0.0 <= p_open && 0.0 <= p_short && p_open +. p_short <= 1.0) then
         invalid_arg "Variation: Defects probabilities outside [0,1]"
   | Aging { kappa_max; beta; t_frac } ->
-      if kappa_max < 0.0 || kappa_max >= 1.0 then
+      if not (0.0 <= kappa_max && kappa_max < 1.0) then
         invalid_arg "Variation: Aging kappa_max outside [0,1)";
-      if beta <= 0.0 then invalid_arg "Variation: Aging beta <= 0";
+      if not (beta > 0.0) then invalid_arg "Variation: Aging beta <= 0";
       (match t_frac with
-      | Some t when t < 0.0 || t > 1.0 ->
+      | Some t when not (0.0 <= t && t <= 1.0) ->
           invalid_arg "Variation: Aging t_frac outside [0,1]"
       | _ -> ())
   | Compose models -> List.iter validate models
+
+(* [Float.equal] against 0.0 is IEEE equality: -0.0 counts, NaN does not. *)
+let nominal = function Uniform epsilon -> Float.equal epsilon 0.0 | _ -> false
 
 let rec name = function
   | Uniform epsilon -> Printf.sprintf "uniform(%g)" epsilon
@@ -200,6 +204,6 @@ let draw_many rng model ctx ~n =
   validate model;
   List.init n (fun _ -> draw_validated rng model ctx)
 
-let sampler rng model ctx ~n =
-  validate model;
-  fun () -> List.init n (fun _ -> draw_validated rng model ctx)
+let mc_draws rng model ctx ~n =
+  if nominal model then [ Noise.none ~theta_shapes:ctx.theta_shapes ]
+  else draw_many rng model ctx ~n

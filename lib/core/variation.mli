@@ -44,12 +44,14 @@ type model =
   | Aging of { kappa_max : float; beta : float; t_frac : float option }
       (** Lifetime drift δ = κ·t^β, κ ~ U[0, κ_max] per component:
           conductances decay by (1 − δ), circuit resistances grow by
-          (1 + δ), geometry does not age ({!Aging.model} re-expressed).
-          [t_frac = None] samples t ~ U[0,1] per draw (the training-time
-          lifetime sampler); [Some t] fixes the life fraction. *)
+          (1 + δ), geometry does not age — the aging model of the paper's
+          reference [5] (Zhao et al., ICCAD 2022).  [t_frac = None] samples
+          t ~ U[0,1] per draw (aging-aware training over the whole
+          lifetime); [Some t] fixes the life fraction (one point of an
+          aging curve). *)
   | Compose of model list
       (** Element-wise product of the component draws, drawn in list order
-          from the same stream.  [Compose []] is nominal (all ones). *)
+          from the same stream.  [Compose []] draws all ones. *)
 
 type ctx
 (** What a draw needs to know about the target network: the per-layer θ
@@ -67,9 +69,16 @@ val ctx_of_network : Network.t -> ctx
 
 val validate : model -> unit
 (** Raises [Invalid_argument] on out-of-range parameters: Uniform/Correlated
-    magnitudes outside [0, 1), negative σ, defect probabilities outside
-    [0, 1] or summing above 1, κ_max outside [0, 1), β ≤ 0, t_frac outside
-    [0, 1]. *)
+    magnitudes outside [0, 1), negative or infinite σ, defect probabilities
+    outside [0, 1] or summing above 1, κ_max outside [0, 1), β ≤ 0, t_frac
+    outside [0, 1].  A NaN in any field is out of range. *)
+
+val nominal : model -> bool
+(** [true] exactly for [Uniform 0.] (either zero): the one model whose
+    draws are all ones without touching the stream, so Monte-Carlo callers
+    take a single draw for it ({!mc_draws}).  Every other model draws, even
+    where its draws come out all ones ([Gaussian 0.], [Defects] at rate 0,
+    [Aging] at t = 0, [Compose []]). *)
 
 val name : model -> string
 (** Stable short label, e.g. ["uniform(0.1)"], ["defects(0.02,0.01)"],
@@ -79,7 +88,8 @@ val draw : Rng.t -> model -> ctx -> Noise.t
 (** One realization.  Validates the model first. *)
 
 val draw_many : Rng.t -> model -> ctx -> n:int -> Noise.t list
+(** [n] realizations, drawn in order.  Validates the model first. *)
 
-val sampler : Rng.t -> model -> ctx -> n:int -> unit -> Noise.t list
-(** A training-time sampler: each call draws [n] fresh realizations from the
-    captured [Rng.t] — plug for {!Training.fit}'s [train_sampler]. *)
+val mc_draws : Rng.t -> model -> ctx -> n:int -> Noise.t list
+(** The draws of one Monte-Carlo estimate: {!draw_many}, except that a
+    {!nominal} model gives one all-ones draw and consumes nothing. *)

@@ -194,8 +194,9 @@ let temperature_ablation () =
         in
         let r, split = Seeds.chosen (Seeds.train train [ 1; 2; 3 ]) in
         let e10 =
-          Pnn.Evaluation.mc_accuracy (Rng.create 9) r.Pnn.Training.network ~epsilon:0.10
-            ~n:40 ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+          Pnn.Evaluation.mc_accuracy (Rng.create 9) r.Pnn.Training.network
+            ~model:(Pnn.Variation.Uniform 0.10) ~n:40 ~x:split.Datasets.Synth.x_test
+            ~y:split.Datasets.Synth.y_test
         in
         let nominal =
           Pnn.Evaluation.nominal_accuracy r.Pnn.Training.network
@@ -204,7 +205,7 @@ let temperature_ablation () =
         [
           Printf.sprintf "%.1f" temp;
           Printf.sprintf "%.3f" nominal;
-          Report.cell e10.Pnn.Evaluation.mean_accuracy e10.Pnn.Evaluation.std_accuracy;
+          Report.cell e10.Pnn.Evaluation.mean e10.Pnn.Evaluation.std;
         ])
       [ 2.0; 4.0; 10.0 ]
   in

@@ -3,9 +3,9 @@ type t = {
   epsilon : float;
   train_arms : string list;
   test_families : string list;
-  grid : ((string * string) * Pnn.Evaluation.mc_result) list;
-  defect_sweep : (string * (float * Pnn.Evaluation.mc_result) list) list;
-  sigma_sweep : (string * (float * Pnn.Evaluation.mc_result) list) list;
+  grid : ((string * string) * Pnn.Evaluation.result) list;
+  defect_sweep : (string * (float * Pnn.Evaluation.result) list) list;
+  sigma_sweep : (string * (float * Pnn.Evaluation.result) list) list;
 }
 
 (* The four fault families at a comparable severity: uniform at the paper's
@@ -82,12 +82,11 @@ let train_cell ?pool ?cache ?checkpoints ?checkpoint_every ?interrupt_after
         Pnn.Network.create ~init:scale.Setup.init rng scale.Setup.config
           surrogate ~inputs:features ~outputs:n_classes
       in
-      match model with
-      | None -> Pnn.Training.fit ?pool ?checkpoint rng network tdata
-      | Some m -> Pnn.Training.fit_under ?pool ?checkpoint rng ~model:m network tdata)
+      Pnn.Training.fit ?pool ?model ?checkpoint rng network tdata)
 
 let run ?pool ?cache ?checkpoints ?(progress = fun _ -> ())
     ?(dataset = "seeds") ?(epsilon = 0.10) scale surrogate =
+  List.iter (fun (_, m) -> Pnn.Variation.validate m) (families epsilon);
   let cache = match cache with Some c -> c | None -> Cache.get_default () in
   let digest = Setup.surrogate_digest surrogate in
   let data = Datasets.Bench13.load dataset in
@@ -119,7 +118,7 @@ let run ?pool ?cache ?checkpoints ?(progress = fun _ -> ())
   let evaluate ~arm_idx ~test_idx network (split : Datasets.Synth.split) model =
     (* arm_idx and test_idx determine the evaluation stream ([eval_rng]), so
        both belong in the key alongside the content inputs. *)
-    Pnn.Evaluation.mc_result_under ?pool
+    Pnn.Evaluation.mc_accuracy ?pool
       ?cache:
         (Seeds.eval_cache cache network
            [
@@ -218,7 +217,7 @@ let to_csv_rows t =
       "median"; "q95";
     ]
   in
-  let row ~kind ~train ~test ~param (r : Pnn.Evaluation.mc_result) =
+  let row ~kind ~train ~test ~param (r : Pnn.Evaluation.result) =
     [
       kind; train; test; param;
       Printf.sprintf "%.4f" r.Pnn.Evaluation.mean;

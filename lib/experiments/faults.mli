@@ -12,7 +12,7 @@
       and stuck-short) for every trained arm;
     - accuracy vs. gaussian {e σ} for every trained arm.
 
-    Each cell is a full {!Pnn.Evaluation.mc_result} — the min/quantiles
+    Each cell is a full {!Pnn.Evaluation.result} — the min/quantiles
     matter here, because rare catastrophic defect draws vanish in a mean.
     All RNG streams are derived from fixed arithmetic tags and every
     reduction is in fixed order, so results are bit-identical for any
@@ -23,11 +23,11 @@ type t = {
   epsilon : float;  (** severity anchor for the train/test families *)
   train_arms : string list;  (** ["nominal"] + one per family, in order *)
   test_families : string list;
-  grid : ((string * string) * Pnn.Evaluation.mc_result) list;
+  grid : ((string * string) * Pnn.Evaluation.result) list;
       (** keyed by (train arm, test family) *)
-  defect_sweep : (string * (float * Pnn.Evaluation.mc_result) list) list;
+  defect_sweep : (string * (float * Pnn.Evaluation.result) list) list;
       (** per train arm: (total defect rate, result) *)
-  sigma_sweep : (string * (float * Pnn.Evaluation.mc_result) list) list;
+  sigma_sweep : (string * (float * Pnn.Evaluation.result) list) list;
       (** per train arm: (gaussian σ, result) *)
 }
 
@@ -91,9 +91,11 @@ val run :
   Surrogate.Model.t ->
   t
 (** Defaults: dataset ["seeds"], [epsilon = 0.10].  Trains every seed of
-    each arm with {!Pnn.Training.fit_under} and keeps the one {!Seeds.train}
-    chooses (best validation loss, as Table II does), then evaluates every
-    view with [scale.n_mc_test] draws per cell.
+    each arm with {!Pnn.Training.fit} under the arm's model and keeps the
+    one {!Seeds.train} chooses (best validation loss, as Table II does),
+    then evaluates every view with {!Pnn.Evaluation.mc_accuracy} at
+    [scale.n_mc_test] draws per cell.  Raises [Invalid_argument] before
+    any training when [epsilon] makes a family ill-formed (NaN included).
 
     [cache] (default {!Cache.get_default}) memoizes per-(arm, seed) trainings
     and per-cell Monte-Carlo evaluations — keys cover the arm's fault model

@@ -9,37 +9,38 @@ let seeds = [ 1; 2; 3 ]
 let n_mc = 40
 let t_fracs = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
-let run ?(dataset = "seeds") model scale surrogate =
+(* κ_max = 0.2, β = 0.5; [None] samples the life fraction per draw. *)
+let aging t_frac = Pnn.Variation.Aging { kappa_max = 0.2; beta = 0.5; t_frac }
+
+let run ?(dataset = "seeds") scale surrogate =
   let data = Datasets.Bench13.load dataset in
   let spec = data.Datasets.Synth.spec in
   let n_classes = spec.Datasets.Synth.classes in
   let config = scale.Setup.config in
-  let train aging seed =
+  let train aware seed =
     let split = Datasets.Synth.split (Rng.create (seed + 400)) data in
     let tdata = Pnn.Training.of_split ~n_classes split in
-    let rng = Rng.create (seed + (if aging then 9000 else 0)) in
+    let rng = Rng.create (seed + (if aware then 9000 else 0)) in
     let net =
       Pnn.Network.create rng config surrogate ~inputs:spec.Datasets.Synth.features
         ~outputs:n_classes
     in
-    let result =
-      if aging then Pnn.Aging.fit_aging_aware rng model net tdata
-      else Pnn.Training.fit rng net tdata
-    in
-    (result, split)
+    let model = if aware then Some (aging None) else None in
+    (Pnn.Training.fit ?model rng net tdata, split)
   in
-  let curve aging =
-    let result, split = Seeds.chosen (Seeds.train (train aging) seeds) in
+  let curve aware =
+    let result, split = Seeds.chosen (Seeds.train (train aware) seeds) in
+    (* every life point draws from the one stream, in order *)
+    let rng = Rng.create 555 in
     List.map
-      (fun (t, e) ->
-        ( t,
-          {
-            Table2.mean = e.Pnn.Evaluation.mean_accuracy;
-            std = e.Pnn.Evaluation.std_accuracy;
-          } ))
-      (Pnn.Aging.accuracy_over_lifetime (Rng.create 555) model
-         result.Pnn.Training.network ~t_fracs ~n:n_mc
-         ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test)
+      (fun t ->
+        let e =
+          Pnn.Evaluation.mc_accuracy rng result.Pnn.Training.network
+            ~model:(aging (Some t)) ~n:n_mc ~x:split.Datasets.Synth.x_test
+            ~y:split.Datasets.Synth.y_test
+        in
+        (t, { Table2.mean = e.Pnn.Evaluation.mean; std = e.Pnn.Evaluation.std }))
+      t_fracs
   in
   {
     dataset;

@@ -9,9 +9,12 @@ type t = {
   aware_curve : (float * Table2.cell) list;  (** aging-aware training *)
 }
 
-val run : ?dataset:string -> Pnn.Aging.model -> Setup.scale -> Surrogate.Model.t -> t
-(** Default dataset ["seeds"].  Per curve, seeds 1–3 train and
+val run : ?dataset:string -> Setup.scale -> Surrogate.Model.t -> t
+(** Default dataset ["seeds"].  The drift law is
+    [Variation.Aging { kappa_max = 0.2; beta = 0.5 }].  Per curve, seeds 1–3
+    train — aging-aware training samples the life fraction per draw — and
     {!Seeds.train} keeps the best validation loss; the chosen network gets
-    40 Monte-Carlo draws per life point. *)
+    40 Monte-Carlo draws per life point, every point drawing in order from
+    one [Rng.create 555] stream. *)
 
 val render : t -> string

@@ -79,10 +79,10 @@ let evaluate ?pool ~cache scale ~dataset_seed network ~epsilon
              string_of_int dataset_seed;
            ]
            split)
-      rng network ~epsilon ~n:scale.Setup.n_mc_test ~x:split.Datasets.Synth.x_test
-      ~y:split.Datasets.Synth.y_test
+      rng network ~model:(Pnn.Variation.Uniform epsilon) ~n:scale.Setup.n_mc_test
+      ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
   in
-  { mean = r.Pnn.Evaluation.mean_accuracy; std = r.Pnn.Evaluation.std_accuracy }
+  { mean = r.Pnn.Evaluation.mean; std = r.Pnn.Evaluation.std }
 
 (* Per (dataset, arm): every seed trains (fanned out over the pool), the
    best-validation-loss network is chosen, and the chosen one is evaluated at

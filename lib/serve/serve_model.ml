@@ -102,7 +102,9 @@ let predict_mc m ~pool ~model ~draws ~seed features =
     invalid_arg "Serve_model.predict_mc: feature width mismatch";
   if draws < 1 then invalid_arg "Serve_model.predict_mc: draws < 1";
   (* Pre-draw sequentially from the request-seeded stream, then fan the pure
-     forward passes out — the Evaluation.mc_accuracy pattern. *)
+     forward passes out, as Evaluation.mc_accuracy does.  Unlike it, every
+     model takes [draws] draws here, [Uniform 0.] included: the reply
+     averages probabilities over the draws. *)
   let rng = Rng.create seed in
   let noises = Array.of_list (Variation.draw_many rng model m.ctx ~n:draws) in
   let x = Tensor.create 1 m.inputs features in

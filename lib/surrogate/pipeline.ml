@@ -212,7 +212,10 @@ let ensure ?(dir = "_artifacts") ?(n = 4000) ?(arch = Model.paper_arch)
   let path = Printf.sprintf "%s/surrogate_n%d_%s_seed%d.txt" dir n arch_tag seed in
   if Sys.file_exists path then Model.load_file path
   else begin
-    Logs.info (fun m -> m "surrogate cache miss; running pipeline (n=%d) -> %s" n path);
+    (* Unconditional: a run from another directory misses the committed
+       artifact and its numbers differ from the repo root's. *)
+    let abs = if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path in
+    Printf.eprintf "surrogate: %s not found; training a new surrogate (n=%d)\n%!" abs n;
     let dataset = generate_dataset ~cache:(Cache.get_default ()) ~n () in
     let rng = Rng.create seed in
     let model, report = train_surrogate ~arch ~max_epochs rng dataset in

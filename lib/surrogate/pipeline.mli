@@ -85,6 +85,9 @@ val ensure :
   seed:int ->
   unit ->
   Model.t
-(** Loads the cached surrogate artifact from [dir] (default ["_artifacts"]),
-    or runs the full pipeline and caches it.  The cache key includes [n],
-    the architecture and the seed. *)
+(** Loads the cached surrogate artifact from [dir] (default ["_artifacts"],
+    relative to the working directory), or runs the full pipeline and
+    caches it.  The cache key includes [n], the architecture and the seed.
+    A miss always prints one stderr line naming the absolute path it looked
+    for, whatever the log level: the new surrogate is not the committed one,
+    so every number that depends on it moves. *)

@@ -595,22 +595,22 @@ let test_loss_graph_rejects_before_writing () =
       check_value (msg ^ ": next value") pool net ~noises:[ mixed ] ~x ~labels)
     bad
 
-(* The aging curve scores each draw exactly as {!Network.predict} would,
-   drawing and scoring in turn from one stream. *)
+(* An aging curve scores each draw exactly as {!Network.predict} would,
+   every life point drawing in order from one stream. *)
 let test_lifetime_accuracy_vs_predict () =
   let net, _, pairs = loss_fixture () in
   let x, labels = pairs.(0) in
   let y = T.argmax_rows labels in
-  let model = Pnn.Aging.default_model and t_fracs = [ 0.0; 0.5; 1.0 ] and n = 4 in
-  let theta_shapes = Pnn.Network.theta_shapes net in
-  let curve = Pnn.Aging.accuracy_over_lifetime (Rng.create 47) model net ~t_fracs ~n ~x ~y in
-  let rng = Rng.create 47 in
-  List.iter2
-    (fun t_frac (t_got, (r : Pnn.Evaluation.result)) ->
-      check_bits_float "life fraction" t_frac t_got;
+  let t_fracs = [ 0.0; 0.5; 1.0 ] and n = 4 in
+  let model t_frac = Pnn.Variation.Aging { kappa_max = 0.2; beta = 0.5; t_frac = Some t_frac } in
+  let ctx = Pnn.Variation.ctx_of_shapes (Pnn.Network.theta_shapes net) in
+  let got = Rng.create 47 and rng = Rng.create 47 in
+  List.iter
+    (fun t_frac ->
+      let r = Pnn.Evaluation.mc_accuracy got net ~model:(model t_frac) ~n ~x ~y in
       let want =
         Array.init n (fun _ ->
-            let noise = Pnn.Aging.draw rng model ~t_frac ~theta_shapes in
+            let noise = Pnn.Variation.draw rng (model t_frac) ctx in
             let pred = Pnn.Network.predict net ~noise x in
             let hits = ref 0 in
             Array.iteri (fun i p -> if p = y.(i) then incr hits) pred;
@@ -619,13 +619,13 @@ let test_lifetime_accuracy_vs_predict () =
       Array.iteri
         (fun i a -> check_bits_float (Printf.sprintf "t=%g draw %d" t_frac i) a r.accuracies.(i))
         want;
-      check_bits_float "mean" (Stats.mean want) r.mean_accuracy;
-      check_bits_float "std" (Stats.std want) r.std_accuracy)
-    t_fracs curve;
+      check_bits_float "mean" (Stats.mean want) r.mean;
+      check_bits_float "std" (Stats.std want) r.std)
+    t_fracs;
   Alcotest.check_raises "label count"
     (Invalid_argument "Evaluation.accuracy: label count mismatch") (fun () ->
       ignore
-        (Pnn.Aging.accuracy_over_lifetime (Rng.create 47) model net ~t_fracs ~n ~x
+        (Pnn.Evaluation.mc_accuracy (Rng.create 47) net ~model:(model 0.5) ~n ~x
            ~y:(Array.append y [| 0 |])))
 
 let () =

@@ -131,8 +131,8 @@ let test_cache_payloads () =
       let x = T.of_arrays (Array.init 5 (fun i -> Array.init 4 (fun j -> float_of_int (i + j) /. 8.0))) in
       let y = [| 0; 1; 2; 0; 1 |] in
       ignore
-        (Pnn.Evaluation.mc_accuracy ~cache:(cache, "pinned-key") (Rng.create 3) net ~epsilon:0.1
-           ~n:4 ~x ~y);
+        (Pnn.Evaluation.mc_accuracy ~cache:(cache, "pinned-key") (Rng.create 3) net
+           ~model:(Pnn.Variation.Uniform 0.1) ~n:4 ~x ~y);
       let payload (e : Cache.entry) =
         match Cache.find cache ~kind:e.Cache.kind ~key:e.Cache.key with
         | Some lines -> (e.Cache.kind, e.Cache.key, digest lines)
@@ -383,8 +383,8 @@ let test_damaged_entry_recomputed () =
       let net = fixed_network () in
       let x = T.of_arrays (Array.init 5 (fun i -> Array.init 4 (fun j -> float_of_int (i * j) /. 9.0))) in
       let eval () =
-        (Pnn.Evaluation.mc_accuracy ~cache:(cache, "k") (Rng.create 3) net ~epsilon:0.1 ~n:4 ~x
-           ~y:[| 0; 1; 2; 0; 1 |])
+        (Pnn.Evaluation.mc_accuracy ~cache:(cache, "k") (Rng.create 3) net
+           ~model:(Pnn.Variation.Uniform 0.1) ~n:4 ~x ~y:[| 0; 1; 2; 0; 1 |])
           .Pnn.Evaluation.accuracies
       in
       let fresh = eval () in

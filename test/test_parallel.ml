@@ -135,7 +135,8 @@ let test_mc_accuracy_bit_identical () =
   let net = make_net 11 in
   let split = blob_split () in
   let eval pool =
-    Pnn.Evaluation.mc_accuracy ~pool (Rng.create 5) net ~epsilon:0.08 ~n:16
+    Pnn.Evaluation.mc_accuracy ~pool (Rng.create 5) net
+      ~model:(Pnn.Variation.Uniform 0.08) ~n:16
       ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
   in
   let r1 = eval (Lazy.force pool1) in
@@ -147,8 +148,8 @@ let test_mc_accuracy_bit_identical () =
     (Array.map bits r4.Pnn.Evaluation.accuracies);
   Alcotest.(check bool) "means bitwise equal" true
     (Int64.equal
-       (bits r1.Pnn.Evaluation.mean_accuracy)
-       (bits r4.Pnn.Evaluation.mean_accuracy))
+       (bits r1.Pnn.Evaluation.mean)
+       (bits r4.Pnn.Evaluation.mean))
 
 (* One full training step (pooled MC loss -> backward -> Adam) must move the
    parameters to bit-identical values for 1 and 4 jobs. *)
@@ -278,7 +279,7 @@ let test_table2_bit_identical () =
 let hex_digest floats = Cache.digest_lines (List.map (Printf.sprintf "%h") floats)
 
 let faults_floats (t : Experiments.Faults.t) =
-  let mc (r : Pnn.Evaluation.mc_result) =
+  let mc (r : Pnn.Evaluation.result) =
     Pnn.Evaluation.[ r.mean; r.std; r.min; r.q05; r.median; r.q95 ]
   in
   let sweep s = List.concat_map (fun (_, pts) -> List.concat_map (fun (_, r) -> mc r) pts) s in
@@ -302,7 +303,7 @@ let test_faults_bit_identical () =
 
 let test_lifetime_digest () =
   let t =
-    Experiments.Lifetime.run Pnn.Aging.default_model tiny_scale (Lazy.force surrogate)
+    Experiments.Lifetime.run tiny_scale (Lazy.force surrogate)
   in
   let curve c =
     List.concat_map (fun (_, (x : Experiments.Table2.cell)) -> [ x.mean; x.std ]) c

@@ -315,21 +315,25 @@ let test_mc_accuracy_stats () =
     Pnn.Training.train_fresh (Rng.create 4) cfg (Lazy.force surrogate) ~n_classes:2 split
   in
   let eval =
-    Pnn.Evaluation.mc_accuracy (Rng.create 5) result.Pnn.Training.network ~epsilon:0.05
-      ~n:20 ~x:split.Datasets.Synth.x_test ~y:split.Datasets.Synth.y_test
+    Pnn.Evaluation.mc_accuracy (Rng.create 5) result.Pnn.Training.network
+      ~model:(Pnn.Variation.Uniform 0.05) ~n:20 ~x:split.Datasets.Synth.x_test
+      ~y:split.Datasets.Synth.y_test
   in
   Alcotest.(check int) "20 draws" 20 (Array.length eval.Pnn.Evaluation.accuracies);
   Alcotest.(check bool) "mean in [0,1]" true
-    (eval.Pnn.Evaluation.mean_accuracy >= 0.0 && eval.Pnn.Evaluation.mean_accuracy <= 1.0);
-  Alcotest.(check bool) "std >= 0" true (eval.Pnn.Evaluation.std_accuracy >= 0.0)
+    (eval.Pnn.Evaluation.mean >= 0.0 && eval.Pnn.Evaluation.mean <= 1.0);
+  Alcotest.(check bool) "std >= 0" true (eval.Pnn.Evaluation.std >= 0.0)
 
 let test_mc_accuracy_nominal_single_draw () =
   let net = make_net ~inputs:3 ~outputs:2 () in
   let x = T.uniform (Rng.create 2) 10 3 ~lo:0.0 ~hi:1.0 in
   let y = Array.init 10 (fun i -> i mod 2) in
-  let eval = Pnn.Evaluation.mc_accuracy (Rng.create 5) net ~epsilon:0.0 ~n:50 ~x ~y in
+  let eval =
+    Pnn.Evaluation.mc_accuracy (Rng.create 5) net ~model:(Pnn.Variation.Uniform 0.0) ~n:50
+      ~x ~y
+  in
   Alcotest.(check int) "single eval at eps=0" 1 (Array.length eval.Pnn.Evaluation.accuracies);
-  Alcotest.(check (float 0.0)) "no spread" 0.0 eval.Pnn.Evaluation.std_accuracy
+  Alcotest.(check (float 0.0)) "no spread" 0.0 eval.Pnn.Evaluation.std
 
 let test_export_design_report () =
   let net = make_net ~inputs:3 ~outputs:2 () in
@@ -359,8 +363,8 @@ let test_mc_accuracy_invalid_n () =
   let net = make_net ~inputs:2 ~outputs:2 () in
   Alcotest.check_raises "n" (Invalid_argument "Evaluation.mc_accuracy: n < 1") (fun () ->
       ignore
-        (Pnn.Evaluation.mc_accuracy (Rng.create 1) net ~epsilon:0.1 ~n:0
-           ~x:(T.ones 1 2) ~y:[| 0 |]))
+        (Pnn.Evaluation.mc_accuracy (Rng.create 1) net ~model:(Pnn.Variation.Uniform 0.1)
+           ~n:0 ~x:(T.ones 1 2) ~y:[| 0 |]))
 
 (* {1 End-to-end gradient checks}
 
@@ -496,16 +500,19 @@ let test_power_empty_sample () =
 
 (* {1 Aging} *)
 
+let aging t_frac = Pnn.Variation.Aging { kappa_max = 0.2; beta = 0.5; t_frac }
+
+let aging_draw t_frac theta_shapes =
+  Pnn.Variation.draw (Rng.create 1) (aging (Some t_frac))
+    (Pnn.Variation.ctx_of_shapes theta_shapes)
+
 let test_aging_draw_shapes_and_range () =
-  let model = Pnn.Aging.default_model in
-  let noise =
-    Pnn.Aging.draw (Rng.create 1) model ~t_frac:1.0 ~theta_shapes:[ (5, 3) ]
-  in
+  let kappa_max = 0.2 in
   List.iter
     (fun ln ->
       Array.iter
         (fun v ->
-          if v > 1.0 || v < 1.0 -. model.Pnn.Aging.kappa_max -. 1e-9 then
+          if v > 1.0 || v < 1.0 -. kappa_max -. 1e-9 then
             Alcotest.failf "theta multiplier out of range: %f" v)
         (T.to_array ln.Pnn.Noise.theta);
       (* omegas grow; geometry (last two entries) untouched *)
@@ -513,27 +520,20 @@ let test_aging_draw_shapes_and_range () =
       Array.iteri
         (fun j v ->
           if j >= 5 then Alcotest.(check (float 0.0)) "geometry does not age" 1.0 v
-          else if v < 1.0 || v > 1.0 +. model.Pnn.Aging.kappa_max +. 1e-9 then
+          else if v < 1.0 || v > 1.0 +. kappa_max +. 1e-9 then
             Alcotest.failf "omega multiplier out of range: %f" v)
         o)
-    noise
+    (aging_draw 1.0 [ (5, 3) ])
 
 let test_aging_fresh_device_unaged () =
-  let noise =
-    Pnn.Aging.draw (Rng.create 1) Pnn.Aging.default_model ~t_frac:0.0
-      ~theta_shapes:[ (3, 2) ]
-  in
   List.iter
     (fun ln ->
       Alcotest.(check (float 1e-12)) "no drift at t=0" 1.0 (T.mean ln.Pnn.Noise.theta))
-    noise
+    (aging_draw 0.0 [ (3, 2) ])
 
 let test_aging_invalid_t () =
-  Alcotest.check_raises "t_frac" (Invalid_argument "Aging.draw: t_frac outside [0,1]")
-    (fun () ->
-      ignore
-        (Pnn.Aging.draw (Rng.create 1) Pnn.Aging.default_model ~t_frac:1.5
-           ~theta_shapes:[ (1, 1) ]))
+  Alcotest.check_raises "t_frac" (Invalid_argument "Variation: Aging t_frac outside [0,1]")
+    (fun () -> ignore (aging_draw 1.5 [ (1, 1) ]))
 
 let test_aging_aware_training_runs () =
   let split = blob_split () in
@@ -542,25 +542,23 @@ let test_aging_aware_training_runs () =
   let net =
     Pnn.Network.create (Rng.create 4) cfg (Lazy.force surrogate) ~inputs:3 ~outputs:2
   in
-  let result =
-    Pnn.Aging.fit_aging_aware (Rng.create 4) Pnn.Aging.default_model net tdata
-  in
+  let result = Pnn.Training.fit ~model:(aging None) (Rng.create 4) net tdata in
   Alcotest.(check bool) "finite val loss" true (Float.is_finite result.Pnn.Training.val_loss)
 
 let test_aging_curve_shape () =
   let net = make_net ~inputs:3 ~outputs:2 () in
   let x = T.uniform (Rng.create 2) 12 3 ~lo:0.0 ~hi:1.0 in
   let y = Array.init 12 (fun i -> i mod 2) in
-  let curve =
-    Pnn.Aging.accuracy_over_lifetime (Rng.create 5) Pnn.Aging.default_model net
-      ~t_fracs:[ 0.0; 1.0 ] ~n:10 ~x ~y
-  in
-  Alcotest.(check int) "two points" 2 (List.length curve);
+  let rng = Rng.create 5 in
   List.iter
-    (fun (_, e) ->
+    (fun t ->
+      let e =
+        Pnn.Evaluation.mc_accuracy rng net ~model:(aging (Some t)) ~n:10 ~x ~y
+      in
+      Alcotest.(check int) "10 draws" 10 (Array.length e.Pnn.Evaluation.accuracies);
       Alcotest.(check bool) "accuracy in [0,1]" true
-        (e.Pnn.Evaluation.mean_accuracy >= 0.0 && e.Pnn.Evaluation.mean_accuracy <= 1.0))
-    curve
+        (e.Pnn.Evaluation.mean >= 0.0 && e.Pnn.Evaluation.mean <= 1.0))
+    [ 0.0; 1.0 ]
 
 (* {1 Properties} *)
 
