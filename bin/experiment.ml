@@ -234,7 +234,9 @@ let cmd_faults scale_name dataset epsilon csv verbose cache_dir no_cache
   report_cache cache
 
 let epsilon_arg =
-  Arg.(value & opt float 0.10 & info [ "epsilon" ] ~doc:"family severity anchor")
+  Arg.(
+    value & opt Severity.fault_anchor 0.10
+    & info [ "epsilon" ] ~doc:"family severity anchor")
 
 let faults_cmd =
   Cmd.v

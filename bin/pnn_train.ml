@@ -74,7 +74,10 @@ let dataset_arg =
   Arg.(value & opt string "iris" & info [ "dataset" ] ~doc:"benchmark dataset name")
 
 let epsilon_arg =
-  Arg.(value & opt float 0.05 & info [ "epsilon" ] ~doc:"training variation (0 = nominal)")
+  Arg.(
+    value
+    & opt (Severity.conv (fun e -> [ Pnn.Variation.Uniform e ])) 0.05
+    & info [ "epsilon" ] ~doc:"training variation (0 = nominal)")
 
 let learnable_arg =
   Arg.(value & opt bool true & info [ "learnable" ] ~doc:"learn the nonlinear circuits")

@@ -9,20 +9,10 @@
 
 open Cmdliner
 
-let mc_model_of ~family ~param =
-  match family with
-  | "uniform" -> Pnn.Variation.Uniform param
-  | "gaussian" -> Pnn.Variation.Gaussian param
-  | "correlated" -> Pnn.Variation.Correlated { global = param; local = param }
-  | other ->
-      Printf.eprintf "serve: unknown mc model %S (use uniform | gaussian | correlated)\n%!"
-        other;
-      exit 2
-
 (* {1 run} *)
 
-let cmd_run model_path sock_path digest max_batch linger_us mc_family
-    mc_param surrogate_n surrogate_epochs =
+let cmd_run model_path sock_path digest max_batch linger_us mc_model
+    surrogate_n surrogate_epochs =
   let surrogate =
     Surrogate.Pipeline.ensure ~n:surrogate_n ~max_epochs:surrogate_epochs ~seed:42 ()
   in
@@ -37,7 +27,7 @@ let cmd_run model_path sock_path digest max_batch linger_us mc_family
     {
       Serving.Server.max_batch;
       linger = float_of_int linger_us *. 1e-6;
-      mc_model = mc_model_of ~family:mc_family ~param:mc_param;
+      mc_model;
     }
   in
   let server =
@@ -147,7 +137,13 @@ let linger_arg =
 
 let mc_family_arg =
   Arg.(
-    value & opt string "uniform"
+    value
+    & opt
+        (enum
+           [
+             ("uniform", `Uniform); ("gaussian", `Gaussian); ("correlated", `Correlated);
+           ])
+        `Uniform
     & info [ "mc-model" ]
         ~doc:"variation family for MC requests: uniform | gaussian | correlated")
 
@@ -155,6 +151,22 @@ let mc_param_arg =
   Arg.(
     value & opt float 0.1
     & info [ "mc-param" ] ~doc:"magnitude parameter of the MC variation family")
+
+(* --mc-param's valid range depends on the family, so the pair is checked
+   together, by the severity flags' rule *)
+let mc_model_arg =
+  let model family p =
+    let m =
+      match family with
+      | `Uniform -> Pnn.Variation.Uniform p
+      | `Gaussian -> Pnn.Variation.Gaussian p
+      | `Correlated -> Pnn.Variation.Correlated { global = p; local = p }
+    in
+    match Severity.check [ m ] with
+    | Ok () -> `Ok m
+    | Error msg -> `Error (true, "option '--mc-param': " ^ msg)
+  in
+  Term.(ret (const model $ mc_family_arg $ mc_param_arg))
 
 let surrogate_n_arg =
   Arg.(
@@ -172,7 +184,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"serve a trained pNN over a unix socket")
     Term.(
       const cmd_run $ model_arg $ socket_arg $ digest_arg
-      $ max_batch_arg $ linger_arg $ mc_family_arg $ mc_param_arg
+      $ max_batch_arg $ linger_arg $ mc_model_arg
       $ surrogate_n_arg $ surrogate_epochs_arg)
 
 let smoke_cmd =

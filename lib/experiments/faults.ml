@@ -49,71 +49,76 @@ let rec model_desc = function
 
 let model_tag = function None -> "nominal" | Some m -> model_desc m
 
-(* the per-seed split, shared by all arms; a function of the seed only (the
-   dataset is fixed per run), so any process can reproduce it *)
-let split_for (data : Datasets.Synth.t) ~seed =
-  Datasets.Synth.split (Rng.create (seed + 700)) data
-
-(* [train_rng]'s tag covers (arm_idx, seed); the key carries both plus the
-   model descriptor, so arms sharing a config never collide. *)
-let cell_key ~surrogate_digest ~scale ~dataset ~arm_idx ~model ~seed =
-  Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"faultcell"
-    [
-      surrogate_digest;
-      Pnn.Serialize.config_line scale.Setup.config;
-      dataset;
-      string_of_int arm_idx;
-      model_tag model;
-      string_of_int seed;
-      Setup.init_name scale.Setup.init;
-    ]
-
-(* One memoized training cell — the fault-table counterpart of
-   {!Table2.train_cell}, and the unit the orchestrator distributes. *)
-let train_cell ?pool ?cache ?checkpoints ?checkpoint_every ?interrupt_after
-    ~digest ~scale ~surrogate ~dataset ~features ~n_classes ~arm_idx ~model
-    ~seed ~split () =
-  let key = cell_key ~surrogate_digest:digest ~scale ~dataset ~arm_idx ~model ~seed in
-  Seeds.cell ?cache ?checkpoints ?checkpoint_every ?interrupt_after
-    ~kind:"faultcell" ~key surrogate (fun checkpoint ->
-      let rng = train_rng ~arm_idx ~seed in
-      let tdata = Pnn.Training.of_split ~n_classes split in
-      let network =
-        Pnn.Network.create ~init:scale.Setup.init rng scale.Setup.config
-          surrogate ~inputs:features ~outputs:n_classes
-      in
-      Pnn.Training.fit ?pool ?model ?checkpoint rng network tdata)
-
-let run ?pool ?cache ?checkpoints ?(progress = fun _ -> ())
-    ?(dataset = "seeds") ?(epsilon = 0.10) scale surrogate =
+(* The trained arms, in the order [run] trains them, each with one job per
+   seed paired with that seed's split.  The split is shared by all arms for
+   a fair comparison and is a function of the seed only (the dataset is
+   fixed per run), so any process can reproduce it.  Raises before building
+   any job when a family is ill-formed. *)
+let arm_jobs ?pool ~cache ?checkpoint_every ~dataset ~epsilon scale surrogate =
   List.iter (fun (_, m) -> Pnn.Variation.validate m) (families epsilon);
-  let cache = match cache with Some c -> c | None -> Cache.get_default () in
   let digest = Setup.surrogate_digest surrogate in
   let data = Datasets.Bench13.load dataset in
   let spec = data.Datasets.Synth.spec in
   let n_classes = spec.Datasets.Synth.classes in
-  (* one split per seed, shared by all arms for a fair comparison *)
   let splits =
-    List.map (fun seed -> (seed, split_for data ~seed)) scale.Setup.seeds
+    List.map
+      (fun seed -> (seed, Datasets.Synth.split (Rng.create (seed + 700)) data))
+      scale.Setup.seeds
   in
+  List.mapi
+    (fun arm_idx (name, model) ->
+      (* [train_rng]'s tag covers (arm_idx, seed); the key carries both plus
+         the model descriptor, so arms sharing a config never collide. *)
+      let job seed split =
+        Seeds.job ~cache ?checkpoint_every ~kind:"faultcell"
+          ~key:
+            (Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"faultcell"
+               [
+                 digest;
+                 Pnn.Serialize.config_line scale.Setup.config;
+                 dataset;
+                 string_of_int arm_idx;
+                 model_tag model;
+                 string_of_int seed;
+                 Setup.init_name scale.Setup.init;
+               ])
+          ~label:
+            (Printf.sprintf "faultcell %s %s seed=%d eps=%g" dataset name seed
+               epsilon)
+          surrogate
+          (fun checkpoint ->
+            let rng = train_rng ~arm_idx ~seed in
+            let network =
+              Pnn.Network.create ~init:scale.Setup.init rng scale.Setup.config
+                surrogate ~inputs:spec.Datasets.Synth.features ~outputs:n_classes
+            in
+            Pnn.Training.fit ?pool ?model ?checkpoint rng network
+              (Pnn.Training.of_split ~n_classes split))
+      in
+      (name, arm_idx, List.map (fun (seed, split) -> (job seed split, split)) splits))
+    (train_arms epsilon)
+
+let jobs ~cache ?checkpoint_every ~dataset ~epsilon scale surrogate =
+  List.concat_map
+    (fun (_, _, seeds) -> List.map fst seeds)
+    (arm_jobs ~cache ?checkpoint_every ~dataset ~epsilon scale surrogate)
+
+let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ())
+    ?(dataset = "seeds") ?(epsilon = 0.10) scale surrogate =
+  let cache = match cache with Some c -> c | None -> Cache.get_default () in
+  let checkpoint_every = if checkpoints then Some 50 else None in
   (* Train every arm; each keeps its best-validation-loss seed, as Table II
      does. *)
   let trained =
-    List.mapi
-      (fun arm_idx (name, model) ->
+    List.map
+      (fun (name, arm_idx, seeds) ->
         progress (Printf.sprintf "%s train %s" dataset name);
         let result, split =
           Seeds.chosen
-            (Seeds.train ?pool
-               (fun (seed, split) ->
-                 ( train_cell ?pool ~cache ?checkpoints ~digest ~scale ~surrogate
-                     ~dataset ~features:spec.Datasets.Synth.features ~n_classes
-                     ~arm_idx ~model ~seed ~split (),
-                   split ))
-               splits)
+            (Seeds.train ?pool (fun (job, split) -> (job.Seeds.train (), split)) seeds)
         in
         (name, arm_idx, result.Pnn.Training.network, split))
-      (train_arms epsilon)
+      (arm_jobs ?pool ~cache ?checkpoint_every ~dataset ~epsilon scale surrogate)
   in
   let evaluate ~arm_idx ~test_idx network (split : Datasets.Synth.split) model =
     (* arm_idx and test_idx determine the evaluation stream ([eval_rng]), so

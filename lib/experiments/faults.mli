@@ -35,50 +35,20 @@ val families : float -> (string * Pnn.Variation.model) list
 (** The four test families anchored at severity [epsilon]: uniform ε,
     gaussian ε/2, correlated ε/2+ε/2, defects 3 %+1 %. *)
 
-val train_arms : float -> (string * Pnn.Variation.model option) list
-(** [("nominal", None)] followed by {!families} — the trained arms, in the
-    order {!run} trains them (the list index is the cell key's [arm_idx]). *)
-
-(** {1 Cell-level building blocks}
-
-    Pure functions of their named inputs, exposed so the multi-process
-    orchestrator can compute individual fault-table training cells that land
-    on exactly the cache entries {!run} reads back. *)
-
-val split_for : Datasets.Synth.t -> seed:int -> Datasets.Synth.split
-(** The per-seed split shared by every arm. *)
-
-val cell_key :
-  surrogate_digest:string ->
-  scale:Setup.scale ->
-  dataset:string ->
-  arm_idx:int ->
-  model:Pnn.Variation.model option ->
-  seed:int ->
-  string
-(** The content address of one (arm, seed) training cell — exactly the key
-    {!run} uses. *)
-
-val train_cell :
-  ?pool:Parallel.Pool.t ->
-  ?cache:Cache.t ->
-  ?checkpoints:bool ->
+val jobs :
+  cache:Cache.t ->
   ?checkpoint_every:int ->
-  ?interrupt_after:int ->
-  digest:string ->
-  scale:Setup.scale ->
-  surrogate:Surrogate.Model.t ->
   dataset:string ->
-  features:int ->
-  n_classes:int ->
-  arm_idx:int ->
-  model:Pnn.Variation.model option ->
-  seed:int ->
-  split:Datasets.Synth.split ->
-  unit ->
-  Pnn.Training.result
-(** One memoized training cell ({!Seeds.cell}), keyed with {!cell_key}.
-    [checkpoint_every] and [interrupt_after] as in {!Table2.train_cell}. *)
+  epsilon:float ->
+  Setup.scale ->
+  Surrogate.Model.t ->
+  Seeds.job list
+(** Every (arm, seed) training cell of {!run} on benchmark [dataset], in the
+    order it trains them: ["nominal"], then one arm per {!families} entry,
+    each over every seed.  A job trained anywhere lands on exactly the
+    ["faultcell"] entry {!run} reads back.  [checkpoint_every] turns on
+    checkpoints at that cadence.  Raises [Invalid_argument] when [epsilon]
+    makes a family ill-formed (NaN included). *)
 
 val run :
   ?pool:Parallel.Pool.t ->
@@ -101,7 +71,8 @@ val run :
     and per-cell Monte-Carlo evaluations — keys cover the arm's fault model
     and both stream indices, so arms sharing a config never collide; hits
     are bit-identical to the computes they replace.  [checkpoints] as in
-    {!Table2.run}. *)
+    {!Table2.run}.  Training goes through {!jobs}: per arm, {!Seeds.train}
+    runs over the arm's per-seed jobs. *)
 
 val render : t -> string
 

@@ -19,23 +19,36 @@ let train ?pool f seeds =
 
 let chosen t = List.nth t.runs t.chosen
 
-let cell ?(cache = Cache.disabled ()) ?(checkpoints = false)
-    ?(checkpoint_every = 50) ?interrupt_after ~kind ~key surrogate fit =
-  let path = if checkpoints then Cache.member_path cache ~kind:"ckpt" ~key else None in
-  let checkpoint =
-    Option.map
-      (fun ckpt_path ->
-        { Pnn.Training.ckpt_path; every = checkpoint_every; resume = true; interrupt_after })
-      path
+type job = {
+  key : string;
+  kind : string;
+  label : string;
+  train : ?interrupt_after:int -> unit -> Pnn.Training.result;
+}
+
+let job ~cache ?checkpoint_every ~kind ~key ~label surrogate fit =
+  let train ?interrupt_after () =
+    let checkpoint =
+      match checkpoint_every with
+      | None -> None
+      | Some every ->
+          Option.map
+            (fun ckpt_path ->
+              { Pnn.Training.ckpt_path; every; resume = true; interrupt_after })
+            (Cache.member_path cache ~kind:"ckpt" ~key)
+    in
+    let r =
+      Cache.memoize cache ~kind ~key ~encode:Pnn.Training.result_lines
+        ~decode:(Pnn.Training.result_of_lines surrogate)
+        (fun () -> fit checkpoint)
+    in
+    (* the landed result supersedes any in-progress checkpoint *)
+    Option.iter
+      (fun c -> try Sys.remove c.Pnn.Training.ckpt_path with Sys_error _ -> ())
+      checkpoint;
+    r
   in
-  let r =
-    Cache.memoize cache ~kind ~key ~encode:Pnn.Training.result_lines
-      ~decode:(Pnn.Training.result_of_lines surrogate)
-      (fun () -> fit checkpoint)
-  in
-  (* the landed result supersedes any in-progress checkpoint *)
-  Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) path;
-  r
+  { key; kind; label; train }
 
 let eval_cache cache network parts (split : Datasets.Synth.split) =
   if not (Cache.enabled cache) then None

@@ -21,50 +21,72 @@ let run_seed ~dataset_seed ~arm ~eps ~seed =
   in
   Rng.create tag
 
-let config_for scale arm eps =
-  let base = scale.Setup.config in
-  let base = Pnn.Config.with_learnable base arm.Setup.learnable in
-  Pnn.Config.with_epsilon base (if arm.Setup.variation_aware then eps else 0.0)
-
-(* Content address of one (dataset, seed, arm) training cell: everything the
-   run reads — the frozen surrogate, the resolved config (which encodes arm
-   and ε), the dataset identity and both seed layers.  [run_seed]'s stream
-   tag is derived from the same inputs, so the key covers it. *)
-let cell_key ~surrogate_digest ~config ~dataset ~dataset_seed ~seed ~init =
-  Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"t2cell"
-    [
-      surrogate_digest;
-      Pnn.Serialize.config_line config;
-      dataset;
-      string_of_int dataset_seed;
-      string_of_int seed;
-      Setup.init_name init;
-    ]
-
-(* the per-seed train/validation/test split, shared by every arm so the arm
-   comparison is fair; a function of (dataset identity, seed) only, so any
-   process can reproduce it *)
-let split_for (data : Datasets.Synth.t) ~seed =
-  let dataset_seed = data.Datasets.Synth.spec.Datasets.Synth.seed in
-  Datasets.Synth.split (Rng.create (dataset_seed + seed)) data
-
-(* One memoized training cell — the unit of work the multi-process
-   orchestrator distributes, so everything here (the key, the RNG stream
-   derivation, the checkpoint placement) must stay a pure function of the
-   named inputs. *)
-let train_cell ?pool ?cache ?checkpoints ?checkpoint_every ?interrupt_after
-    ~digest ~scale ~surrogate ~dataset ~dataset_seed ~n_classes ~seed ~split
-    ~arm ~eps () =
-  let config = config_for scale arm eps in
-  let key =
-    cell_key ~surrogate_digest:digest ~config ~dataset ~dataset_seed ~seed
-      ~init:scale.Setup.init
+(* The training groups of one dataset, in the order [run] trains them: one
+   per (arm, train ε) — nominal arms once at ε = 0, variation-aware arms once
+   per test ε — each holding one job per seed with that seed's split.  A
+   split is shared by every arm, so the arm comparison is fair, and is a
+   function of (dataset identity, seed) only, so any process can reproduce
+   it. *)
+let groups ?pool ~cache ?checkpoint_every ~digest scale surrogate
+    (data : Datasets.Synth.t) =
+  let spec = data.Datasets.Synth.spec in
+  let dataset = spec.Datasets.Synth.name in
+  let dataset_seed = spec.Datasets.Synth.seed in
+  let splits =
+    List.map
+      (fun seed -> (seed, Datasets.Synth.split (Rng.create (dataset_seed + seed)) data))
+      scale.Setup.seeds
   in
-  Seeds.cell ?cache ?checkpoints ?checkpoint_every ?interrupt_after
-    ~kind:"t2cell" ~key surrogate (fun checkpoint ->
-      Pnn.Training.train_fresh ?pool ~init:scale.Setup.init ?checkpoint
-        (run_seed ~dataset_seed ~arm ~eps ~seed)
-        config surrogate ~n_classes split)
+  List.concat_map
+    (fun arm ->
+      let train_epsilons =
+        if arm.Setup.variation_aware then scale.Setup.test_epsilons else [ 0.0 ]
+      in
+      List.map
+        (fun eps ->
+          let config =
+            Pnn.Config.with_epsilon
+              (Pnn.Config.with_learnable scale.Setup.config arm.Setup.learnable)
+              eps
+          in
+          (* Content address of one (dataset, seed, arm) training cell:
+             everything the run reads — the frozen surrogate, the resolved
+             config (which encodes arm and ε), the dataset identity and both
+             seed layers.  [run_seed]'s stream tag is derived from the same
+             inputs, so the key covers it. *)
+          let job seed split =
+            Seeds.job ~cache ?checkpoint_every ~kind:"t2cell"
+              ~key:
+                (Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"t2cell"
+                   [
+                     digest;
+                     Pnn.Serialize.config_line config;
+                     dataset;
+                     string_of_int dataset_seed;
+                     string_of_int seed;
+                     Setup.init_name scale.Setup.init;
+                   ])
+              ~label:
+                (Printf.sprintf "t2cell %s seed=%d %s eps=%g" dataset seed
+                   (Setup.arm_name arm) eps)
+              surrogate
+              (fun checkpoint ->
+                Pnn.Training.train_fresh ?pool ~init:scale.Setup.init ?checkpoint
+                  (run_seed ~dataset_seed ~arm ~eps ~seed)
+                  config surrogate ~n_classes:spec.Datasets.Synth.classes split)
+          in
+          (arm, eps, List.map (fun (seed, split) -> (job seed split, split)) splits))
+        train_epsilons)
+    Setup.arms
+
+let jobs ~cache ?checkpoint_every ~datasets scale surrogate =
+  let digest = Setup.surrogate_digest surrogate in
+  List.concat_map
+    (fun data ->
+      List.concat_map
+        (fun (_, _, seeds) -> List.map fst seeds)
+        (groups ~cache ?checkpoint_every ~digest scale surrogate data))
+    datasets
 
 let evaluate ?pool ~cache scale ~dataset_seed network ~epsilon
     ~(split : Datasets.Synth.split) =
@@ -84,49 +106,33 @@ let evaluate ?pool ~cache scale ~dataset_seed network ~epsilon
   in
   { mean = r.Pnn.Evaluation.mean; std = r.Pnn.Evaluation.std }
 
-(* Per (dataset, arm): every seed trains (fanned out over the pool), the
+(* Per training group: every seed trains (fanned out over the pool), the
    best-validation-loss network is chosen, and the chosen one is evaluated at
-   each test ε.  Nominal arms train once; variation-aware arms train per ε. *)
-let run_dataset ?pool ~cache ?checkpoints ~digest ~progress scale surrogate
+   each test ε it covers — every test ε for a nominal arm, its own for a
+   variation-aware one. *)
+let run_dataset ?pool ~cache ?checkpoint_every ~digest ~progress scale surrogate
     (data : Datasets.Synth.t) =
   let spec = data.Datasets.Synth.spec in
-  let n_classes = spec.Datasets.Synth.classes in
-  let dataset_seed = spec.Datasets.Synth.seed in
   let dataset = spec.Datasets.Synth.name in
-  (* one split per seed, shared by all arms for a fair comparison *)
-  let splits =
-    List.map (fun seed -> (seed, split_for data ~seed)) scale.Setup.seeds
-  in
-  let train arm eps =
-    Seeds.chosen
-      (Seeds.train ?pool
-         (fun (seed, split) ->
-           ( train_cell ?pool ~cache ?checkpoints ~digest ~scale ~surrogate
-               ~dataset ~dataset_seed ~n_classes ~seed ~split ~arm ~eps (),
-             split ))
-         splits)
-  in
   let cells =
     List.concat_map
-      (fun arm ->
+      (fun (arm, eps, seeds) ->
         let name = Printf.sprintf "%s %s" dataset (Setup.arm_name arm) in
-        let cell eps (result, split) =
-          ( (arm, eps),
-            evaluate ?pool ~cache scale ~dataset_seed result.Pnn.Training.network
-              ~epsilon:eps ~split )
+        let va = arm.Setup.variation_aware in
+        progress (if va then Printf.sprintf "%s eps=%g" name eps else name);
+        let result, split =
+          Seeds.chosen
+            (Seeds.train ?pool
+               (fun (job, split) -> (job.Seeds.train (), split))
+               seeds)
         in
-        if arm.Setup.variation_aware then
-          List.map
-            (fun eps ->
-              progress (Printf.sprintf "%s eps=%g" name eps);
-              cell eps (train arm eps))
-            scale.Setup.test_epsilons
-        else begin
-          progress name;
-          let chosen = train arm 0.0 in
-          List.map (fun eps -> cell eps chosen) scale.Setup.test_epsilons
-        end)
-      Setup.arms
+        List.map
+          (fun eps ->
+            ( (arm, eps),
+              evaluate ?pool ~cache scale ~dataset_seed:spec.Datasets.Synth.seed
+                result.Pnn.Training.network ~epsilon:eps ~split ))
+          (if va then [ eps ] else scale.Setup.test_epsilons))
+      (groups ?pool ~cache ?checkpoint_every ~digest scale surrogate data)
   in
   { dataset; cells }
 
@@ -135,16 +141,17 @@ let column_keys scale =
     (fun arm -> List.map (fun eps -> (arm, eps)) scale.Setup.test_epsilons)
     Setup.arms
 
-let run ?pool ?cache ?checkpoints ?(progress = fun _ -> ()) ?datasets scale
+let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ()) ?datasets scale
     surrogate =
   let datasets =
     match datasets with Some d -> d | None -> Datasets.Bench13.load_all ()
   in
   let cache = match cache with Some c -> c | None -> Cache.get_default () in
   let digest = Setup.surrogate_digest surrogate in
+  let checkpoint_every = if checkpoints then Some 50 else None in
   let rows =
     List.map
-      (run_dataset ?pool ~cache ?checkpoints ~digest ~progress scale surrogate)
+      (run_dataset ?pool ~cache ?checkpoint_every ~digest ~progress scale surrogate)
       datasets
   in
   let average =

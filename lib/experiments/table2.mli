@@ -40,59 +40,24 @@ val run :
     training cell and each Monte-Carlo evaluation; hits are bit-identical to
     the computes they replace, so a warm run reproduces the cold table
     exactly.  With [checkpoints = true] (and an enabled cache) each in-flight
-    training writes periodic {!Pnn.Training.checkpoint}s inside the cache
-    tree and resumes from them after an interruption; a cell's checkpoint is
-    deleted once its result lands in the cache. *)
+    training writes a {!Pnn.Training.checkpoint} every 50 epochs inside the
+    cache tree and resumes from it after an interruption; a cell's
+    checkpoint is deleted once its result lands in the cache.  Training goes
+    through {!jobs}: per (dataset, arm, train ε), {!Seeds.train} runs over
+    the group's per-seed jobs. *)
 
-(** {1 Cell-level building blocks}
-
-    The orchestrator distributes Table II work one training cell at a time, so
-    the key derivation, the per-seed split and the memoized training step are
-    exposed as pure functions of their named inputs: any process computing the
-    same cell arrives at the same cache entry. *)
-
-val config_for : Setup.scale -> Setup.arm -> float -> Pnn.Config.t
-(** The resolved training config of one (arm, train ε) column. *)
-
-val cell_key :
-  surrogate_digest:string ->
-  config:Pnn.Config.t ->
-  dataset:string ->
-  dataset_seed:int ->
-  seed:int ->
-  init:[ `Centered | `Random_sign ] ->
-  string
-(** The content address of one (dataset, seed, arm) training cell — exactly
-    the key {!run} uses, so externally computed cells are cache hits.
-    [surrogate_digest] is {!Setup.surrogate_digest}. *)
-
-val split_for : Datasets.Synth.t -> seed:int -> Datasets.Synth.split
-(** The per-seed train/validation/test split shared by every arm. *)
-
-val train_cell :
-  ?pool:Parallel.Pool.t ->
-  ?cache:Cache.t ->
-  ?checkpoints:bool ->
+val jobs :
+  cache:Cache.t ->
   ?checkpoint_every:int ->
-  ?interrupt_after:int ->
-  digest:string ->
-  scale:Setup.scale ->
-  surrogate:Surrogate.Model.t ->
-  dataset:string ->
-  dataset_seed:int ->
-  n_classes:int ->
-  seed:int ->
-  split:Datasets.Synth.split ->
-  arm:Setup.arm ->
-  eps:float ->
-  unit ->
-  Pnn.Training.result
-(** One memoized training cell ({!Seeds.cell}), keyed with {!cell_key}.
-    [checkpoint_every] (default 50 epochs) sets the checkpoint cadence when
-    [checkpoints] is on; [interrupt_after] raises
-    {!Pnn.Training.Interrupted} once that many epochs have completed (after
-    any due checkpoint write) — the crash-injection hook the orchestrator's
-    kill-recovery tests use. *)
+  datasets:Datasets.Synth.t list ->
+  Setup.scale ->
+  Surrogate.Model.t ->
+  Seeds.job list
+(** Every (dataset, arm, train ε, seed) training cell of {!run}, in the order
+    it trains them: per dataset, per arm, per train ε ([0] for nominal arms,
+    each test ε for variation-aware ones), per seed.  A job trained anywhere
+    lands on exactly the ["t2cell"] entry {!run} reads back.
+    [checkpoint_every] turns on checkpoints at that cadence. *)
 
 val cell_of : t -> dataset:string -> arm:Setup.arm -> epsilon:float -> cell
 (** Raises [Not_found]. *)

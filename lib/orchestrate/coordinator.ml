@@ -11,9 +11,9 @@ type report = { units : int; workers : int; respawns : int; completed : int }
 
 exception Workers_failed of string
 
-let default_max_respawns workers = (2 * workers) + 2
+let max_respawns workers = (2 * workers) + 2
 
-let spawn_child ?chaos q ctx ~units ~lease ~index =
+let spawn_child ?chaos q ~units ~lease ~index =
   flush stdout;
   flush stderr;
   match Unix.fork () with
@@ -24,7 +24,7 @@ let spawn_child ?chaos q ctx ~units ~lease ~index =
       let code =
         try
           let owner = Printf.sprintf "w%d.%d" index (Unix.getpid ()) in
-          ignore (Worker.run ?chaos q ctx ~units ~owner ~lease ());
+          ignore (Worker.run ?chaos q ~units ~owner ~lease ());
           0
         with
         | Pnn.Training.Interrupted -> 10
@@ -33,12 +33,12 @@ let spawn_child ?chaos q ctx ~units ~lease ~index =
       Unix._exit code
   | pid -> pid
 
-let run ?(workers = 1) ?(lease = 30.0) ?(max_respawns = -1)
-    ?(chaos = fun _ -> None) ~queue_root ctx =
+let run ?(workers = 1) ?(lease = 30.0) ?(chaos = fun _ -> None) ~queue_root
+    ctx =
   let units = Plan.units ctx in
   let q =
     Work_queue.init ~root:queue_root
-      ~units:(List.map (fun (k, s) -> (k, Spec.describe s)) units)
+      ~units:(List.map (fun j -> Experiments.Seeds.(j.key, j.label)) units)
   in
   let n_units = List.length units in
   let respawns = ref 0 in
@@ -49,17 +49,11 @@ let run ?(workers = 1) ?(lease = 30.0) ?(max_respawns = -1)
        count) plus content addressing (cache hits are bit-identical to
        computes). *)
     let completed =
-      match chaos 0 with
-      | Some c ->
-          Worker.run ~chaos:c ~ticker:false q ctx ~units ~owner:"w0" ~lease ()
-      | None -> Worker.run ~ticker:false q ctx ~units ~owner:"w0" ~lease ()
+      Worker.run ?chaos:(chaos 0) ~ticker:false q ~units ~owner:"w0" ~lease ()
     in
     { units = n_units; workers = 1; respawns = 0; completed }
   end
   else begin
-    let max_respawns =
-      if max_respawns >= 0 then max_respawns else default_max_respawns workers
-    in
     (* Fork safety: OCaml 5 refuses Unix.fork in any process that ever
        spawned a domain, so the shared pool must never have left the
        sequential path.  [require_sequential] pins it (creating it with
@@ -72,7 +66,7 @@ let run ?(workers = 1) ?(lease = 30.0) ?(max_respawns = -1)
             use workers=1)");
     let live = Hashtbl.create workers in
     for index = 0 to workers - 1 do
-      let pid = spawn_child ?chaos:(chaos index) q ctx ~units ~lease ~index in
+      let pid = spawn_child ?chaos:(chaos index) q ~units ~lease ~index in
       Hashtbl.replace live pid index
     done;
     let failures = ref [] in
@@ -90,9 +84,10 @@ let run ?(workers = 1) ?(lease = 30.0) ?(max_respawns = -1)
                  worker's claim stays until its lease expires; the respawn
                  (or a surviving sibling) steals it and resumes from the
                  last checkpoint. *)
-              if Work_queue.pending q <> [] && !respawns < max_respawns then begin
+              if Work_queue.pending q <> [] && !respawns < max_respawns workers
+              then begin
                 incr respawns;
-                let pid' = spawn_child q ctx ~units ~lease ~index in
+                let pid' = spawn_child q ~units ~lease ~index in
                 Hashtbl.replace live pid' index
               end
               else if Work_queue.pending q <> [] then
@@ -123,16 +118,13 @@ let run ?(workers = 1) ?(lease = 30.0) ?(max_respawns = -1)
    identical reductions — so the rendered tables are byte-identical to a
    run that never forked at all. *)
 
-let table2 ?pool ctx =
-  Experiments.Table2.run ?pool ~cache:ctx.Plan.cache
-    ~checkpoints:ctx.Plan.checkpoints ~datasets:ctx.Plan.datasets
-    ctx.Plan.scale ctx.Plan.surrogate
+let table2 ctx =
+  Experiments.Table2.run ~cache:ctx.Plan.cache ~checkpoints:true
+    ~datasets:ctx.Plan.datasets ctx.Plan.scale ctx.Plan.surrogate
 
-let fault_table ?pool ctx =
-  match ctx.Plan.faults with
-  | None -> None
-  | Some (dataset, epsilon) ->
-      Some
-        (Experiments.Faults.run ?pool ~cache:ctx.Plan.cache
-           ~checkpoints:ctx.Plan.checkpoints ~dataset ~epsilon ctx.Plan.scale
-           ctx.Plan.surrogate)
+let fault_table ctx =
+  Option.map
+    (fun (dataset, epsilon) ->
+      Experiments.Faults.run ~cache:ctx.Plan.cache ~checkpoints:true ~dataset
+        ~epsilon ctx.Plan.scale ctx.Plan.surrogate)
+    ctx.Plan.faults

@@ -6,10 +6,10 @@
     process has never spawned a domain (OCaml 5's permanent fork guard) —
     {!Parallel.require_sequential} is used as the latch and a
     {!Workers_failed} is raised if it is already open.  Workers that exit
-    abnormally — crash, [kill -9], injected chaos — are respawned (bounded
-    by [max_respawns], default [2 × workers + 2]); their half-done unit is
-    recovered through lease expiry, stealing, and checkpoint resume, losing
-    at most one checkpoint interval of training progress.
+    abnormally — crash, [kill -9], injected chaos — are respawned (at most
+    [2 × workers + 2] times); their half-done unit is recovered through
+    lease expiry, stealing, and checkpoint resume, losing at most one
+    checkpoint interval of training progress.
 
     Because units are keyed by cache content address, the assembled tables
     ({!table2} / {!fault_table}) are byte-identical to a single-process run
@@ -26,7 +26,6 @@ exception Workers_failed of string
 val run :
   ?workers:int ->
   ?lease:float ->
-  ?max_respawns:int ->
   ?chaos:(int -> Worker.chaos option) ->
   queue_root:string ->
   Plan.ctx ->
@@ -37,8 +36,8 @@ val run :
     leases.  Re-running with the same [queue_root] resumes: done units are
     skipped, stale claims are stolen. *)
 
-val table2 : ?pool:Parallel.Pool.t -> Plan.ctx -> Experiments.Table2.t
+val table2 : Plan.ctx -> Experiments.Table2.t
 (** Assemble Table II from the warm cache (pure reader after {!run}). *)
 
-val fault_table : ?pool:Parallel.Pool.t -> Plan.ctx -> Experiments.Faults.t option
+val fault_table : Plan.ctx -> Experiments.Faults.t option
 (** Assemble the fault tables when the plan has a fault block. *)

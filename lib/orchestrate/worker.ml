@@ -3,7 +3,7 @@
    The worker is the only orchestration layer that reads a wall clock, and
    only to operate the lease protocol (claim expiry stamps, renewal cadence,
    waiting for other workers' leases).  Results never see the clock: a
-   unit's computation is a pure function of the plan ctx, and its identity
+   unit's computation is a pure function of its job, and its identity
    is its content address. *)
 
 type chaos = { interrupt_after : int option }
@@ -43,20 +43,19 @@ let with_lease_renewal q ~owner ~lease ~key f =
       Domain.join ticker)
     f
 
-let run ?pool ?(chaos = no_chaos) ?(ticker = true) q ctx ~units ~owner ~lease
-    () =
+let run ?(chaos = no_chaos) ?(ticker = true) q ~units ~owner ~lease () =
   let completed = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     match Work_queue.acquire q ~owner ~now:(now ()) ~lease with
     | Some key ->
-        let spec =
-          match List.assoc_opt key units with
-          | Some s -> s
+        let job =
+          match List.find_opt (fun j -> j.Experiments.Seeds.key = key) units with
+          | Some j -> j
           | None -> failwith ("Orchestrate.Worker: unknown unit " ^ key)
         in
         let execute () =
-          Plan.execute ?pool ?interrupt_after:chaos.interrupt_after ctx spec
+          ignore (job.Experiments.Seeds.train ?interrupt_after:chaos.interrupt_after ())
         in
         (* On any exception the claim is deliberately left in place: a
            crashing worker cannot release, so the simulated and the real

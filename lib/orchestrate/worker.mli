@@ -1,8 +1,8 @@
 (** The claim–execute–publish loop one worker process runs.
 
     A worker repeatedly {!Work_queue.acquire}s the first claimable unit
-    (stealing expired leases), computes it via {!Plan.execute} while a
-    ticker domain renews the lease, publishes the done marker and releases
+    (stealing expired leases), trains its job ({!Experiments.Seeds.job}) while
+    a ticker domain renews the lease, publishes the done marker and releases
     the claim.  It exits when no pending units remain.
 
     Crash discipline: on any exception the claim is {e not} released — the
@@ -20,17 +20,16 @@ type chaos = {
 val no_chaos : chaos
 
 val run :
-  ?pool:Parallel.Pool.t ->
   ?chaos:chaos ->
   ?ticker:bool ->
   Work_queue.t ->
-  Plan.ctx ->
-  units:(string * Spec.t) list ->
+  units:Experiments.Seeds.job list ->
   owner:string ->
   lease:float ->
   unit ->
   int
-(** Returns the number of units this worker completed.  [owner] must be
+(** Returns the number of units this worker completed.  [units] is
+    {!Plan.units}; the queue's keys are their cache keys.  [owner] must be
     unique among live workers; [lease] is the claim lease in seconds —
     longer than the renewal cadence ([lease / 3]) by construction, and it
     bounds how long a dead worker's unit stays unstealable.

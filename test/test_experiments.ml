@@ -311,22 +311,29 @@ let test_train_runs_every_seed () =
    rendered text of runs whose bytes must not move when the runners are
    restructured. *)
 
+(* The ablations load the committed quick surrogate by its path relative to
+   the build root. *)
+let in_build_root f =
+  let here = Sys.getcwd () in
+  Sys.chdir "..";
+  Fun.protect ~finally:(fun () -> Sys.chdir here) f
+
 (* the committed quick surrogate's content digest (pinned in test_lines) *)
 let quick_surrogate_digest = "1a904f4164ce9887d42b56a75f40e467"
 
 let test_cell_key_pins () =
-  let iris = Datasets.Bench13.load "iris" in
-  let arm = { E.Setup.learnable = true; variation_aware = true } in
+  let surrogate = in_build_root (fun () -> E.Setup.surrogate_of_scale E.Setup.quick) in
+  Alcotest.(check string) "quick surrogate" quick_surrogate_digest
+    (E.Setup.surrogate_digest surrogate);
+  let cache = Cache.disabled () in
+  let key label jobs = (List.find (fun j -> j.E.Seeds.label = label) jobs).E.Seeds.key in
   Alcotest.(check string) "t2cell" "16cb1b15a984f8fe04332751c02d824d"
-    (E.Table2.cell_key ~surrogate_digest:quick_surrogate_digest
-       ~config:(E.Table2.config_for E.Setup.quick arm 0.05)
-       ~dataset:"iris" ~dataset_seed:iris.Datasets.Synth.spec.Datasets.Synth.seed ~seed:1
-       ~init:`Centered);
+    (key "t2cell iris seed=1 learnable/va eps=0.05"
+       (E.Table2.jobs ~cache ~datasets:[ Datasets.Bench13.load "iris" ] E.Setup.quick
+          surrogate));
   Alcotest.(check string) "faultcell" "4fb32f33213448e28d5665dd94479a17"
-    (E.Faults.cell_key ~surrogate_digest:quick_surrogate_digest ~scale:E.Setup.quick
-       ~dataset:"seeds" ~arm_idx:1
-       ~model:(snd (List.nth (E.Faults.train_arms 0.1) 1))
-       ~seed:2)
+    (key "faultcell seeds uniform seed=2 eps=0.1"
+       (E.Faults.jobs ~cache ~dataset:"seeds" ~epsilon:0.1 E.Setup.quick surrogate))
 
 (* Runs [f] against a fresh store and returns its result with every entry
    the run wrote, as ["kind key"] lines in store order. *)
@@ -361,13 +368,6 @@ let test_faults_key_pins () =
   check_keys "faults" ~count:80 ~digest:"0caf0e0c3725ba87b09767e10e7d82f6"
     ~has:[ "faultcell 49295001dc366c1a602919456c652155"; "mceval 0125633655dce771892bc1edf8e411ec" ]
     keys
-
-(* The ablations load the committed quick surrogate by its path relative to
-   the build root. *)
-let in_build_root f =
-  let here = Sys.getcwd () in
-  Sys.chdir "..";
-  Fun.protect ~finally:(fun () -> Sys.chdir here) f
 
 let test_ablation_key_pins () =
   let text, keys =
