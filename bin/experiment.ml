@@ -34,8 +34,7 @@ let report_schema () =
 
 let load_datasets = function
   | None -> Datasets.Bench13.load_all ()
-  | Some names ->
-      List.map Datasets.Bench13.load (String.split_on_char ',' names)
+  | Some names -> List.map Datasets.Bench13.load names
 
 let run_table2 scale_name datasets_opt csv ~cache ~resume =
   let scale = Experiments.Setup.of_name scale_name in
@@ -143,7 +142,7 @@ let scale_arg =
 let datasets_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Dataset_flag.names) None
     & info [ "datasets" ] ~doc:"comma-separated dataset names (default: all 13)")
 
 let csv_arg = Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"write CSV here")
@@ -203,7 +202,8 @@ let cmd_lifetime scale_name dataset verbose =
   report_schema ()
 
 let dataset_arg =
-  Arg.(value & opt (some string) None & info [ "dataset" ] ~doc:"benchmark dataset name")
+  Arg.(
+    value & opt (some Dataset_flag.name) None & info [ "dataset" ] ~doc:"benchmark dataset name")
 
 let lifetime_cmd =
   Cmd.v

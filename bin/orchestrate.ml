@@ -38,14 +38,8 @@ let cmd_run scale_name datasets_arg workers lease cache_dir queue_dir
   let cache = Cache.create ~dir:cache_dir in
   Cache.set_default cache;
   let surrogate = Experiments.Setup.surrogate_of_scale scale in
-  let datasets =
-    match datasets_arg with
-    | "all" -> Datasets.Bench13.load_all ()
-    | names ->
-        List.map Datasets.Bench13.load
-          (List.filter (fun s -> s <> "") (String.split_on_char ',' names))
-  in
-  let faults = match faults with "" -> None | d -> Some (d, fault_eps) in
+  let datasets = List.map Datasets.Bench13.load datasets_arg in
+  let faults = Option.map (fun d -> (d, fault_eps)) faults in
   let ctx =
     O.Plan.create ~datasets ?faults ~checkpoint_every ~cache scale surrogate
   in
@@ -81,7 +75,7 @@ let scale_arg =
 
 let datasets_arg =
   Arg.(
-    value & opt string "all"
+    value & opt Dataset_flag.names Dataset_flag.known
     & info [ "datasets" ] ~doc:"comma-separated benchmark names, or 'all'")
 
 let workers_arg =
@@ -105,7 +99,7 @@ let queue_arg =
 
 let faults_arg =
   Arg.(
-    value & opt string ""
+    value & opt (some Dataset_flag.name) None
     & info [ "faults" ]
         ~doc:"also run the fault-table block on this dataset (e.g. seeds)")
 

@@ -71,7 +71,7 @@ let run dataset_name epsilon learnable seed epochs patience n_mc n_test verbose 
     (Pnn.Network.layers net)
 
 let dataset_arg =
-  Arg.(value & opt string "iris" & info [ "dataset" ] ~doc:"benchmark dataset name")
+  Arg.(value & opt Dataset_flag.name "iris" & info [ "dataset" ] ~doc:"benchmark dataset name")
 
 let epsilon_arg =
   Arg.(

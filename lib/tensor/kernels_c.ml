@@ -229,15 +229,15 @@ external c_unary_bwd :
   = "pnn_c_unary_bwd_byte" "pnn_c_unary_bwd"
 [@@noalloc]
 
-(* SAFETY: eta has >= 4 elements; v, h and out have >= n; h and out are
-   written at index i from v's index i only (out may alias v, not h). *)
+(* SAFETY: eta has >= 4 elements; v, h and out have >= n; h and out must
+   not alias each other or an input (the NaN rerun reads v and eta again). *)
 external c_ptanh : buf -> buf -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_ptanh_byte" "pnn_c_ptanh"
 [@@noalloc]
 
-(* SAFETY: eta and deta have >= 4 elements, v, h, g and dv >= n; dv is
-   written at index i after g/h/v's index i are read (dv may alias g);
-   deta is written once at the end and must not alias eta. *)
+(* SAFETY: eta and deta have >= 4 elements, v, h, g and dv >= n; dv and
+   deta must not alias each other or an input (the NaN rerun reads the
+   inputs again). *)
 external c_ptanh_bwd :
   buf -> buf -> buf -> buf -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_ptanh_bwd_byte" "pnn_c_ptanh_bwd"

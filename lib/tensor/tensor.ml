@@ -337,10 +337,26 @@ let ptanh_check name eta =
   if numel eta <> 4 then
     invalid_arg (Printf.sprintf "Tensor.%s: eta has %d elements, expected 4" name (numel eta))
 
+(* The Eq. 1 / Eq. 2 kernels write their outputs in a first pass and may
+   read their inputs again in a second (see the stub file's two-mode
+   kernels), so no output may share storage with an input or with another
+   output.  [shares o a b c d e f g] says whether [o] shares storage with
+   one of the others; a call with fewer operands repeats one.  Spelled out
+   so that the check allocates nothing. *)
+let shares o a b c d e f g =
+  let s = o.store in
+  s == a.store || s == b.store || s == c.store || s == d.store || s == e.store || s == f.store
+  || s == g.store
+
+let distinct_check name clash =
+  if clash then
+    invalid_arg (Printf.sprintf "Tensor.%s: an output shares storage with another operand" name)
+
 let ptanh_into ~eta v ~h ~dst =
   ptanh_check "ptanh_into" eta;
   shape_check_dst "ptanh_into" h v.rows v.cols;
   shape_check_dst "ptanh_into" dst v.rows v.cols;
+  distinct_check "ptanh_into" (shares h dst eta v v v v v || shares dst eta v v v v v v);
   Kc.ptanh ~eta:eta.store ~v:v.store ~h:h.store ~out:dst.store (numel v)
 
 let ptanh_bwd_into ~eta v ~h ~g ~dv ~deta =
@@ -349,6 +365,7 @@ let ptanh_bwd_into ~eta v ~h ~g ~dv ~deta =
   binop_check "ptanh_bwd_into" v g;
   shape_check_dst "ptanh_bwd_into" dv v.rows v.cols;
   shape_check_dst "ptanh_bwd_into" deta eta.rows eta.cols;
+  distinct_check "ptanh_bwd_into" (shares dv deta eta v h g g g || shares deta eta v h g g g g);
   Kc.ptanh_bwd ~eta:eta.store ~v:v.store ~h:h.store ~g:g.store ~dv:dv.store ~deta:deta.store
     (numel v)
 
@@ -365,6 +382,11 @@ let crossbar_check name ~x ~eta ~cond ~h ~inv_x ~num =
 let crossbar_into ~x ~eta ~cond ~h ~inv_x ~num ~dst =
   crossbar_check "crossbar_into" ~x ~eta ~cond ~h ~inv_x ~num;
   shape_check_dst "crossbar_into" dst x.rows cond.cols;
+  distinct_check "crossbar_into"
+    (shares h inv_x num dst x eta cond cond
+    || shares inv_x num dst x eta cond cond cond
+    || shares num dst x eta cond cond cond cond
+    || shares dst x eta cond cond cond cond cond);
   Kc.crossbar ~x:x.store ~eta:eta.store ~cond:cond.store ~h:h.store ~inv_x:inv_x.store
     ~num:num.store ~out:dst.store x.rows x.cols cond.cols
 
@@ -378,6 +400,13 @@ let crossbar_bwd_into ~x ~eta ~cond ~h ~inv_x ~num ~g ~gnum ~dx ~deta ~dcond =
   (* without x's share the stub never touches [dx]: any buffer will do *)
   let dx = match dx with Some d -> d | None -> gnum in
   if want_dx then shape_check_dst "crossbar_bwd_into" dx x.rows x.cols;
+  distinct_check "crossbar_bwd_into"
+    ((want_dx && (shares dx gnum deta dcond x eta cond h || shares dx inv_x num g g g g g))
+    || shares gnum deta dcond x eta cond h inv_x
+    || shares gnum num g g g g g g
+    || shares deta dcond x eta cond h inv_x num
+    || shares deta g g g g g g g
+    || shares dcond x eta cond h inv_x num g);
   Kc.crossbar_bwd ~x:x.store ~eta:eta.store ~cond:cond.store ~h:h.store ~inv_x:inv_x.store
     ~num:num.store ~g:g.store ~gnum:gnum.store ~want_dx ~dx:dx.store ~deta:deta.store
     ~dcond:dcond.store x.rows x.cols cond.cols

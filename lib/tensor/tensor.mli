@@ -213,12 +213,15 @@ val ptanh_into : eta:t -> t -> h:t -> dst:t -> unit
     with [h := tanh((v − η3)·η4)] kept for {!ptanh_bwd_into}.  Bit-identical,
     NaN payloads included, to the broadcast-scalar
     sequence [add_scalar (−η3)], [scale η4], [unop Tanh], [scale η2],
-    [add_scalar η1]. *)
+    [add_scalar η1].  Raises [Invalid_argument] when [h] or [dst] shares
+    storage with another operand. *)
 
 val ptanh_bwd_into : eta:t -> t -> h:t -> g:t -> dv:t -> deta:t -> unit
 (** Backward of {!ptanh_into} for the output gradient [g]: [dv] gets [v]'s
     share and [deta] (shaped like [eta]) the four η shares — the values the
-    node-by-node graph of the same formula accumulated, bit for bit. *)
+    node-by-node graph of the same formula accumulated, bit for bit.
+    Raises [Invalid_argument] when [dv] or [deta] shares storage with
+    another operand. *)
 
 val crossbar_into :
   x:t -> eta:t -> cond:t -> h:t -> inv_x:t -> num:t -> dst:t -> unit
@@ -231,7 +234,8 @@ val crossbar_into :
     [num], for {!crossbar_bwd_into}.  Bit-identical to the kernel sequence
     it replaced: {!ptanh_into} on the bias-augmented input,
     {!neg_into}, [1 / den], two {!matmul_into}, {!add_into},
-    {!mul_rowvec_into}. *)
+    {!mul_rowvec_into}.  Raises [Invalid_argument] when an output ([h],
+    [inv_x], [num], [dst]) shares storage with another operand. *)
 
 val crossbar_bwd_into :
   x:t ->
@@ -251,7 +255,8 @@ val crossbar_bwd_into :
     gradient (a workspace, [m × n]), [deta] (shaped like [eta]) the four η
     shares, [dcond] (shaped like [cond]) the conductances' gradient and
     [dx], when given, x's share — the values the node-by-node graph
-    accumulated, bit for bit. *)
+    accumulated, bit for bit.  Raises [Invalid_argument] when an output
+    ([gnum], [dx], [deta], [dcond]) shares storage with another operand. *)
 
 val softmax_rows_into : t -> dst:t -> unit
 (** Numerically-stable row-wise softmax (max-shifted); [dst] must not alias
