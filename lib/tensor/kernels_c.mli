@@ -82,7 +82,9 @@ val matmul_nt : buf -> buf -> buf -> int -> int -> int -> unit
 
 val set_wide_tiles : bool -> bool
 (** The matmul kernels ([matmul], the fused dense forward, the crossbar's
-    two products) run their n ≥ 8 tiles, and the tanh kernels ([unary]
+    products both ways) run their n ≥ 8 tiles and their narrow product
+    (the columns past the tiles, and the crossbar backward's Xᵀ·G and
+    inv(x)ᵀ·G), and the tanh kernels ([unary]
     Tanh, [ptanh], the crossbar's inv(x)) and [Fmath.tanh_array] run
     Fmath's array tanh, on 256-bit vectors where the CPU has AVX2, chosen
     once when the process starts, and on 128-bit vectors elsewhere; both
