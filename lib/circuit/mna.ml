@@ -61,7 +61,6 @@ let compile model netlist =
             names := name :: !names;
             values := v :: !values;
             Some (Vsource { plus; minus; slot })
-        | Netlist.Capacitor _ -> None
         | Netlist.Isource { into; out_of; amps } -> Some (Current { into; out_of; amps })
         | Netlist.Transistor { gate; drain; source; w_um; l_um } ->
             Some (Fet { gate; drain; source; w_um; l_um }))

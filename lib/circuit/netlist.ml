@@ -4,7 +4,6 @@ type element =
   | Resistor of { a : node; b : node; ohms : float }
   | Vsource of { name : string; plus : node; minus : node; volts : float }
   | Transistor of { gate : node; drain : node; source : node; w_um : float; l_um : float }
-  | Capacitor of { a : node; b : node; farads : float }
   | Isource of { into : node; out_of : node; amps : float }
 
 (* pnnlint:allow R7 a builder is used by one domain during construction;
@@ -41,7 +40,7 @@ let source_count t =
     (List.filter
        (function
          | Vsource _ -> true
-         | Resistor _ | Transistor _ | Capacitor _ | Isource _ -> false)
+         | Resistor _ | Transistor _ | Isource _ -> false)
        t.elems)
 
 let validate t =
@@ -64,10 +63,6 @@ let validate t =
         if not (ok_node gate && ok_node drain && ok_node source) then
           Error "transistor references unknown node"
         else if w_um <= 0.0 || l_um <= 0.0 then Error "non-positive transistor geometry"
-        else check rest
-    | Capacitor { a; b; farads } :: rest ->
-        if not (ok_node a && ok_node b) then Error "capacitor references unknown node"
-        else if farads <= 0.0 then Error "non-positive capacitance"
         else check rest
     | Isource { into; out_of; _ } :: rest ->
         if not (ok_node into && ok_node out_of) then Error "current source references unknown node"

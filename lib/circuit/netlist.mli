@@ -10,10 +10,8 @@ type element =
   | Resistor of { a : node; b : node; ohms : float }
   | Vsource of { name : string; plus : node; minus : node; volts : float }
   | Transistor of { gate : node; drain : node; source : node; w_um : float; l_um : float }
-  | Capacitor of { a : node; b : node; farads : float }
-      (** Open circuit in DC analysis; integrated by {!Transient}. *)
   | Isource of { into : node; out_of : node; amps : float }
-      (** Ideal current source (used internally for companion models). *)
+      (** Ideal current source. *)
 
 type t
 

@@ -16,9 +16,7 @@ let omega_of_array a =
 
 let omega_to_array o = [| o.r1; o.r2; o.r3; o.r4; o.r5; o.w_um; o.l_um |]
 
-type nodes = { g1 : Netlist.node; g2 : Netlist.node; out : Netlist.node }
-
-let build_nodes o =
+let build o =
   let open Netlist in
   let nl = create () in
   let n_in = fresh_node nl in
@@ -40,27 +38,7 @@ let build_nodes o =
   add nl (Transistor { gate = n_g2; drain = n_out; source = ground; w_um = o.w_um; l_um = o.l_um });
   add nl (Resistor { a = n_vdd; b = n_out; ohms = o.r5 });
   ignore n_in;
-  (nl, { g1 = n_g1; g2 = n_g2; out = n_out })
-
-let build o =
-  let nl, nodes = build_nodes o in
-  (nl, nodes.out)
-
-let build_with_parasitics ?(c_gate = 1e-9) ?(c_load = 1e-9) o =
-  let nl, nodes = build_nodes o in
-  let open Netlist in
-  add nl (Capacitor { a = nodes.g1; b = ground; farads = c_gate });
-  add nl (Capacitor { a = nodes.g2; b = ground; farads = c_gate });
-  add nl (Capacitor { a = nodes.out; b = ground; farads = c_load });
-  (nl, nodes.out)
-
-let latency ?(model = Egt.default) ?c_gate ?c_load ?(dt = 2e-5) ?(duration = 4e-2) o =
-  let netlist, out = build_with_parasitics ?c_gate ?c_load o in
-  let result =
-    Transient.run ~model ~netlist ~source:"vin" ~waveform:(Transient.step ())
-      ~duration ~dt ()
-  in
-  Transient.settle_time result ~node:out ()
+  (nl, n_out)
 
 let transfer ?(model = Egt.default) ?(points = 41) o =
   let netlist, out = build o in

@@ -45,21 +45,3 @@ val transfer :
   ?model:Egt.params -> ?points:int -> omega -> (float array * float array)
 (** [transfer omega] sweeps Vin over [0, vdd] and returns
     [(vin_array, vout_array)]. Default 41 points. *)
-
-val build_with_parasitics :
-  ?c_gate:float -> ?c_load:float -> omega -> Netlist.t * Netlist.node
-(** Like {!build} with capacitors at the transistor gates ([c_gate], default
-    1 nF — electrolyte gating has large capacitance) and at the output
-    ([c_load], default 1 nF): the model used for latency analysis. *)
-
-val latency :
-  ?model:Egt.params ->
-  ?c_gate:float ->
-  ?c_load:float ->
-  ?dt:float ->
-  ?duration:float ->
-  omega ->
-  float option
-(** Settle time (2 % band) of the output after a full-swing input step —
-    the inference latency of one printed neuron's nonlinear stage.  Defaults:
-    dt = 20 µs, duration = 40 ms.  [None] if it does not settle. *)

@@ -24,16 +24,13 @@ let egt_expression p ~w_over_l ~gate ~drain ~source =
 let to_spice ?(title = "printed neuromorphic circuit") ?(model = Egt.default) netlist =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf ("* " ^ title ^ "\n");
-  let r = ref 0 and c = ref 0 and i = ref 0 and b = ref 0 in
+  let r = ref 0 and i = ref 0 and b = ref 0 in
   List.iter
     (fun e ->
       match e with
       | Netlist.Resistor { a; b = nb; ohms } ->
           incr r;
           Buffer.add_string buf (Printf.sprintf "R%d %d %d %g\n" !r a nb ohms)
-      | Netlist.Capacitor { a; b = nb; farads } ->
-          incr c;
-          Buffer.add_string buf (Printf.sprintf "C%d %d %d %g\n" !c a nb farads)
       | Netlist.Vsource { name; plus; minus; volts } ->
           Buffer.add_string buf (Printf.sprintf "V%s %d %d DC %g\n" name plus minus volts)
       | Netlist.Isource { into; out_of; amps } ->

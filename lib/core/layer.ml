@@ -48,15 +48,6 @@ let theta_shape t =
 let inputs t = fst (theta_shape t) - 2
 let outputs t = snd (theta_shape t)
 
-(* Left-operand NaN wins, as in the [add_first]/[mul_first] of the kernel
-   oracle, test/oracle.ml (which see); local copies so the loops below
-   inline them (dev builds compile every module -opaque, and a call across
-   modules boxes its floats).  test/test_fused.ml runs each fused node
-   against the graph of primitives it replaced on two-NaN operands, so a
-   copy that drifts from the rule fails it. *)
-let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
-let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
-
 (* Projection onto the printable set {0} ∪ [g_min, g_max] (by magnitude,
    keeping the sign); nearest-point projection, STE backward.  Inlined so
    the crossbar's loop never boxes a float. *)
@@ -139,7 +130,7 @@ let conductances config t ~theta_n =
     for r = 0 to rows - 1 do
       for c = 0 to n - 1 do
         let i = (r * n) + c in
-        let v = mul_first (project config th.(i)) eps.(i) in
+        let v = project config th.(i) *. eps.(i) in
         te.(i) <- v;
         let pos = relu v and neg = relu (-.v) in
         if r < k then begin
@@ -160,12 +151,12 @@ let conductances config t ~theta_n =
       for r = 0 to rows - 1 do
         for c = 0 to n - 1 do
           let i = (r * n) + c and gden = 0.0 +. packed.((2 * k * n) + c) in
-          let gpos = if r < k then add_first gden packed.(i) else gden in
-          let gneg = if r < k then add_first gden packed.((k * n) + i) else gden in
+          let gpos = if r < k then gden +. packed.(i) else gden in
+          let gneg = if r < k then gden +. packed.((k * n) + i) else gden in
           let v = te.(i) in
           let gnt = 0.0 +. (gneg *. if -.v > 0.0 then 1.0 else 0.0) in
-          let gt = add_first (0.0 +. -.gnt) (gpos *. if v > 0.0 then 1.0 else 0.0) in
-          th.(i) <- 0.0 +. mul_first gt eps.(i)
+          let gt = 0.0 +. -.gnt +. (gpos *. if v > 0.0 then 1.0 else 0.0) in
+          th.(i) <- 0.0 +. (gt *. eps.(i))
         done
       done;
       let dtheta = dtheta () in

@@ -23,15 +23,6 @@ let w_scaler = Surrogate.Scaler.of_bounds ~lo:Ds.learnable_lo ~hi:Ds.learnable_h
 let w_lo = Surrogate.Scaler.lo w_scaler
 let w_range = Surrogate.Scaler.range w_scaler
 
-(* Left-operand NaN wins, as in the [add_first]/[mul_first] of the kernel
-   oracle, test/oracle.ml (which see); local copies so the loops below
-   inline them (dev builds compile every module -opaque, and a call across
-   modules boxes its floats).  test/test_fused.ml runs each fused node
-   against the graph of primitives it replaced on two-NaN operands, so a
-   copy that drifts from the rule fails it. *)
-let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
-let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
-
 (* Fig. 5's map from 𝔴 to the printable ω, as one tape node:
      y = sigmoid 𝔴,  w = y·(hi − lo) + lo = [R1; R3; R5; W; L; k1; k2],
      ω = [R1; clip(R1·k1); R3; clip(R3·k2); R5; W; L] × ε_ω.
@@ -58,14 +49,14 @@ let printable_omega_node t ~noise_node =
       w.(j) <- (y.(j) *. w_range.(j)) +. w_lo.(j)
     done;
     buf.(0) <- w.(0);
-    buf.(1) <- clip 1 (mul_first w.(0) w.(5));
+    buf.(1) <- clip 1 (w.(0) *. w.(5));
     buf.(2) <- w.(1);
-    buf.(3) <- clip 3 (mul_first w.(1) w.(6));
+    buf.(3) <- clip 3 (w.(1) *. w.(6));
     buf.(4) <- w.(2);
     buf.(5) <- w.(3);
     buf.(6) <- w.(4);
     for j = 0 to d - 1 do
-      buf.(j) <- mul_first buf.(j) eps.(j)
+      buf.(j) <- buf.(j) *. eps.(j)
     done;
     Tensor.write_from buf dst
   in
@@ -76,19 +67,19 @@ let printable_omega_node t ~noise_node =
       Tensor.read_into g buf;
       (* ω's gradient; the clips pass theirs straight through to R1·k1 and
          R3·k2, R1 takes its own share before the product's, R3 after *)
-      let[@inline] go j = 0.0 +. mul_first buf.(j) eps.(j) in
+      let[@inline] go j = 0.0 +. (buf.(j) *. eps.(j)) in
       let g1 = go 1 and g3 = go 3 in
-      gw.(0) <- add_first (go 0) (mul_first g1 w.(5));
-      gw.(1) <- add_first (0.0 +. mul_first g3 w.(6)) (go 2);
+      gw.(0) <- go 0 +. (g1 *. w.(5));
+      gw.(1) <- 0.0 +. (g3 *. w.(6)) +. go 2;
       gw.(2) <- go 4;
       gw.(3) <- go 5;
       gw.(4) <- go 6;
-      gw.(5) <- 0.0 +. mul_first g1 w.(0);
-      gw.(6) <- 0.0 +. mul_first g3 w.(1);
+      gw.(5) <- 0.0 +. (g1 *. w.(0));
+      gw.(6) <- 0.0 +. (g3 *. w.(1));
       (* back through the scaler and the sigmoid *)
       for j = 0 to d - 1 do
         let gy = 0.0 +. (gw.(j) *. w_range.(j)) in
-        buf.(j) <- mul_first (y.(j) *. (1.0 -. y.(j))) gy
+        buf.(j) <- y.(j) *. (1.0 -. y.(j)) *. gy
       done;
       let d_raw = d_raw () in
       Tensor.write_from buf d_raw;

@@ -18,7 +18,7 @@ val schema_tag : string
 val cache_schema : unit -> string
 (** {!schema_tag} plus the numerics tag (["pnn-save-2+fmath-1"]) — the
     schema string experiment cache keys must use.  The tag names the
-    numerics of the tensor kernels, pinned to the oracle in test/oracle.ml,
+    numerics of the tensor kernels, held to the oracle in test/oracle.ml,
     and of their tanh ({!Fmath}); a change to any kernel's bits must change
     it. *)
 

@@ -777,7 +777,7 @@ let analyze ~c_path ~c_file ~(ml : Source.file) ~dune_path ~dune_file () =
                add c_path a.line
                  (Printf.sprintf
                     "libm call %s() is outside the vetted allowlist (%s); \
-                     its rounding is not pinned by the kernel contract"
+                     its rounding is not fixed by the kernel contract"
                     a.t
                     (String.concat " " libm_allowlist)));
             scan_calls tl

@@ -4,7 +4,9 @@
    Floats travel as the big-endian bits of their IEEE-754 double
    representation ([Int64.bits_of_float]), so feature vectors and
    Monte-Carlo quantiles cross the wire bit-exactly — the determinism
-   contract extends to the protocol.
+   contract extends to the protocol.  A NaN of any payload or sign is
+   written as one NaN ([Lines.canonical]), so the bytes do not depend on
+   which NaN a kernel made.
 
    This module is a pure codec over [bytes]: no sockets, no clocks, no
    global state.  The server, the load generator and the tests all speak
@@ -58,7 +60,7 @@ let add_u8 b v = Buffer.add_uint8 b (v land 0xff)
 let add_u16 b v = Buffer.add_uint16_be b (v land 0xffff)
 let add_u32 b (v : int32) = Buffer.add_int32_be b v
 let add_u64 b (v : int64) = Buffer.add_int64_be b v
-let add_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
+let add_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float (Lines.canonical v))
 
 (* Decoding reads from a payload [bytes] with explicit bounds: every getter
    checks before it reads, so truncated payloads surface as [Error _]

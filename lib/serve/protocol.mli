@@ -2,7 +2,8 @@
 
     Framing is a 4-byte big-endian payload length followed by the payload;
     floats travel as big-endian IEEE-754 double bits, so feature vectors and
-    Monte-Carlo quantiles cross the wire bit-exactly.  A pure codec over
+    Monte-Carlo quantiles cross the wire bit-exactly, every NaN as one
+    canonical NaN ([Lines.canonical]).  A pure codec over
     [bytes] — no sockets, no clocks, no global state. *)
 
 val version : int

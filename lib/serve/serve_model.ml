@@ -132,9 +132,7 @@ let predict_mc m ~pool ~model ~draws ~seed features =
   done;
   let cls = argmax mean in
   let p_cls = Array.map (fun row -> row.(cls)) per_draw in
-  {
-    cls;
-    mean_p = mean.(cls);
-    q05 = Stats.quantile p_cls 0.05;
-    q95 = Stats.quantile p_cls 0.95;
-  }
+  (* a NaN feature makes NaN probabilities, which have no order statistic:
+     the quantiles are NaN then, and the request is still answered *)
+  let quantile q = if Array.exists Float.is_nan p_cls then Float.nan else Stats.quantile p_cls q in
+  { cls; mean_p = mean.(cls); q05 = quantile 0.05; q95 = quantile 0.95 }

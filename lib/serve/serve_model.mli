@@ -51,4 +51,5 @@ val predict_mc :
   mc_summary
 (** Monte-Carlo uncertainty for one feature vector: [draws] realizations of
     [model] from [Rng.create seed], fanned over the pool, reduced in draw
-    order — bit-identical for any pool size. *)
+    order — bit-identical for any pool size.  When a draw's probability of
+    the class is NaN (a NaN feature), [q05] and [q95] are NaN. *)

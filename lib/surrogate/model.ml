@@ -18,15 +18,6 @@ let eval_batch t omegas =
     (fun row -> Fit.Ptanh.eta_of_array (Scaler.inverse t.eta_scaler row))
     (Tensor.to_arrays y)
 
-(* Left-operand NaN wins, as in the [add_first]/[mul_first] of the kernel
-   oracle, test/oracle.ml (which see); local copies so the loops below
-   inline them (dev builds compile every module -opaque, and a call across
-   modules boxes its floats).  test/test_fused.ml runs each fused node
-   against the graph of primitives it replaced on two-NaN operands, so a
-   copy that drifts from the rule fails it. *)
-let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
-let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
-
 (* Fig. 5's feature step as one tape node: ω → extended ω (appending
    k1 = R2/R1, k2 = R4/R3, k3 = W/L, as [Design_space.extend]) → min-max
    normalised.  It replays the graph it replaced (column slices,
@@ -67,14 +58,14 @@ let features_ad t x =
         let[@inline] ga j = 0.0 +. (ya.(yo + j) *. inv_range.(j)) and[@inline] x j = xa.(xo + j) in
         (* k = a / b: a's share g/b, b's share −(g·a)/b² *)
         let[@inline] over k b = 0.0 +. (ga k /. x b)
-        and[@inline] under k a b = 0.0 +. -.(mul_first (ga k) (x a) /. (x b *. x b)) in
-        gx.(xo + 0) <- add_first (ga 0) (under 7 1 0);
-        gx.(xo + 1) <- add_first (ga 1) (over 7 0);
-        gx.(xo + 2) <- add_first (under 8 3 2) (ga 2);
-        gx.(xo + 3) <- add_first (over 8 2) (ga 3);
+        and[@inline] under k a b = 0.0 +. -.(ga k *. x a /. (x b *. x b)) in
+        gx.(xo + 0) <- ga 0 +. under 7 1 0;
+        gx.(xo + 1) <- ga 1 +. over 7 0;
+        gx.(xo + 2) <- under 8 3 2 +. ga 2;
+        gx.(xo + 3) <- over 8 2 +. ga 3;
         gx.(xo + 4) <- ga 4;
-        gx.(xo + 5) <- add_first (over 9 6) (ga 5);
-        gx.(xo + 6) <- add_first (under 9 5 6) (ga 6)
+        gx.(xo + 5) <- over 9 6 +. ga 5;
+        gx.(xo + 6) <- under 9 5 6 +. ga 6
       done;
       let dx = dx () in
       Tensor.write_from gx dx;

@@ -23,7 +23,7 @@
  *   and the sign of x put back with a bit OR, so tanh(−x) = −tanh(x).
  * Lane selects: a < 2^−27 (zeros, subnormals and tiny x, where tanh(x)
  * rounds to x within an ulp) gives x; a ≥ 22 (and ±inf) gives ±1; NaN
- * gives x quieted, sign kept.  The error against glibc's tanh is pinned by
+ * gives x quieted, sign kept.  The error against glibc's tanh is bounded by
  * test/test_fmath.ml. */
 
 #define CAML_NAME_SPACE
@@ -72,7 +72,7 @@
  *   L_abs       |x|, by clearing the sign bit;
  *   L_signed    h (≥ 0, not NaN) with x's sign;
  *   L_pow2      2^k from ks = k + 1.5·2^52 (k sits in ks's low bits);
- *   L_isnan, L_quiet  NaN test, and x with the quiet bit set.
+ *   L_isnan, L_quieted  NaN test, and x with the quiet bit set.
  * The scalar lane keeps its selects as C conditionals, so the compiler
  * need not move each value through an integer register; the vector lanes
  * select by bits.  Both compute each lane's value with the same IEEE
@@ -100,7 +100,7 @@ typedef int f1_m;
 #define f1_signed(h, x) ((x) < 0.0 ? -(h) : (h))
 #define f1_pow2(ks) f1_dbl((f1_bits(ks) - FM_SHIFT_BITS + 1023) << 52)
 #define f1_isnan(x) ((x) != (x))
-#define f1_quiet(x) f1_dbl(f1_bits(x) | FM_QUIET)
+#define f1_quieted(x) f1_dbl(f1_bits(x) | FM_QUIET)
 
 #define FM_TANH(ATTR, NAME, L)                                               \
   ATTR PNN_SPECIALISE L##_t NAME(L##_t x)                                    \
@@ -126,7 +126,7 @@ typedef int f1_m;
     L##_t h = L##_sel(below1, q, 1.0 - q);                                   \
     h = L##_sel(L##_ge(a, 22.0), L##_splat(1.0), h);                         \
     h = L##_sel(L##_lt(a, 0x1p-27), x, L##_signed(h, x));                    \
-    return L##_sel(L##_isnan(x), L##_quiet(x), h);                           \
+    return L##_sel(L##_isnan(x), L##_quieted(x), h);                         \
   }
 
 FM_TANH(, fm_tanh1, f1)
@@ -144,7 +144,7 @@ typedef v2du f2_m;
 #define f2_signed(h, x) ((v2df) ((v2du) (h) | ((v2du) (x) & FM_SIGN)))
 #define f2_pow2(ks) ((v2df) (((v2du) (ks) - FM_SHIFT_BITS + 1023) << 52))
 #define f2_isnan(x) ((v2du) ((x) != (x)))
-#define f2_quiet(x) ((v2df) ((v2du) (x) | FM_QUIET))
+#define f2_quieted(x) ((v2df) ((v2du) (x) | FM_QUIET))
 FM_TANH(, fm_tanh2, f2)
 
 static void fm_tanh_128(const double *src, double *dst, intnat n)
@@ -171,7 +171,7 @@ typedef v4du f4_m;
 #define f4_signed(h, x) ((v4df) ((v4du) (h) | ((v4du) (x) & FM_SIGN)))
 #define f4_pow2(ks) ((v4df) (((v4du) (ks) - FM_SHIFT_BITS + 1023) << 52))
 #define f4_isnan(x) ((v4du) ((x) != (x)))
-#define f4_quiet(x) ((v4df) ((v4du) (x) | FM_QUIET))
+#define f4_quieted(x) ((v4df) ((v4du) (x) | FM_QUIET))
 FM_TANH(PNN_WIDE, fm_tanh4, f4)
 
 PNN_WIDE static void fm_tanh_256(const double *src, double *dst, intnat n)

@@ -2,18 +2,17 @@
    implemented as vectorized C foreign stubs in pnn_kernels_stubs.c.
 
    Numeric contract (see kernels_c.mli): every kernel returns the bits of
-   the float array oracle in test/oracle.ml.  The per-element kernels
-   perform the oracle's floating-point operations in the oracle's order —
-   the stubs are compiled with -O2 -fno-fast-math -ffp-contract=off so the
-   C compiler may not re-associate or contract into FMA, the stubs pin NaN
-   quieting and operand order themselves, tanh is Fmath's (the oracle
-   calls the same function), and exp/log resolve to the same libm the
-   OCaml runtime links.  [matmul]/[matmul_nt] (and the fused
-   dense forward built on the matmul core) vectorize across output columns,
-   each lane accumulated in pure k order; they drop the oracle's exact-zero
-   skip and its add operand order, which can only change a NaN output, and
-   recompute every NaN output with the oracle's rules (the argument is in
-   the stub file and docs/INTERNALS.md).
+   the float array oracle in test/oracle.ml wherever the oracle's output is
+   not NaN, and a NaN exactly where it is NaN; which NaN is left open.
+   Every kernel performs the oracle's floating-point operations in the
+   oracle's order — the stubs are compiled with -O2 -fno-fast-math
+   -ffp-contract=off so the C compiler may not re-associate or contract
+   into FMA, tanh is Fmath's (the oracle calls the same function), and
+   exp/log resolve to the same libm the OCaml runtime links.
+   [matmul]/[matmul_nt] (and the fused dense forward built on the matmul
+   core) vectorize across output columns, each lane accumulated in pure k
+   order, the oracle's (the argument is in the stub file and
+   docs/INTERNALS.md).
 
    Bounds: the stubs cannot bounds-check, so each wrapper first asserts
    that every buffer holds the elements the stub will touch ([need]),
@@ -230,14 +229,14 @@ external c_unary_bwd :
 [@@noalloc]
 
 (* SAFETY: eta has >= 4 elements; v, h and out have >= n; h and out must
-   not alias each other or an input (the NaN rerun reads v and eta again). *)
+   not alias each other or an input (both are kept for the backward pass). *)
 external c_ptanh : buf -> buf -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_ptanh_byte" "pnn_c_ptanh"
 [@@noalloc]
 
 (* SAFETY: eta and deta have >= 4 elements, v, h, g and dv >= n; dv and
-   deta must not alias each other or an input (the NaN rerun reads the
-   inputs again). *)
+   deta must not alias each other or an input (η's shares read g after dv
+   is written). *)
 external c_ptanh_bwd :
   buf -> buf -> buf -> buf -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_ptanh_bwd_byte" "pnn_c_ptanh_bwd"
@@ -245,7 +244,8 @@ external c_ptanh_bwd :
 
 (* SAFETY: for [m k n] with k1 = k + 1: x is m*k, eta has >= 4 elements,
    cond (2*k1 + 1)*n, h and inv_x m*k1, num and out m*n (Tensor checks
-   the shapes); the outputs must not alias each other or an input. *)
+   the shapes); the outputs must not alias each other or an input (the
+   x·θ⁺ product reads x after h and inv_x are written). *)
 external c_crossbar :
   buf ->
   buf ->
@@ -262,7 +262,8 @@ external c_crossbar :
 
 (* SAFETY: the forward's shapes, plus g and gnum m*n, dx m*k (written only
    when want_dx is nonzero), deta >= 4 and dcond (2*k1 + 1)*n; gnum, dx,
-   deta and dcond must not alias each other or an input. *)
+   deta and dcond must not alias each other or an input (the last pass
+   reads x, inv_x and gnum after dx and dcond are written). *)
 external c_crossbar_bwd :
   buf ->
   buf ->

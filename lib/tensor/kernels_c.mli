@@ -16,15 +16,16 @@
       destination the caller has pre-zeroed.
     - Every kernel returns the bits of a plain [float array] loop nest — the
       oracle in test/oracle.ml, which replays the operations of the
-      pre-kernel tensor/autodiff/optimizer code in their order — NaN
-      payloads and signed zeros included.  The kernels may reorder loops
-      and vectorize, but each output must come out as the oracle computes
-      it.  The NaN/−0.0 contracts ([min_value]/[max_value] fold IEEE
+      pre-kernel tensor/autodiff/optimizer code in their order — signed
+      zeros included, wherever the oracle's output is not NaN, and a NaN
+      exactly where it is NaN (which NaN, payload and sign, is left open).
+      The kernels may reorder loops and vectorize, but each output must
+      come out as the oracle computes it.  The NaN/−0.0 contracts ([min_value]/[max_value] fold IEEE
       comparisons left-to-right so an unordered pair keeps the second
       operand; [argmax_rows] keeps the first strict maximum and never
       displaces the incumbent on an unordered compare) are part of that.
-      The test suite pins both the oracle and these kernels to digests of
-      the same special-value table. *)
+      The test suite holds both the oracle and these kernels to digests of
+      the same special-value table, every NaN hashed as one. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -88,7 +89,7 @@ val set_wide_tiles : bool -> bool
     Tanh, [ptanh], the crossbar's inv(x)) and [Fmath.tanh_array] run
     Fmath's array tanh, on 256-bit vectors where the CPU has AVX2, chosen
     once when the process starts, and on 128-bit vectors elsewhere; both
-    give the same bits.  [set_wide_tiles wide] selects the 256-bit bodies
+    give the same bits, NaN payloads aside.  [set_wide_tiles wide] selects the 256-bit bodies
     when [wide] holds and the CPU has AVX2, the 128-bit ones otherwise, and
     returns whether the 256-bit bodies are now in use.  For tests that run
     every matmul and tanh check through both bodies; it must not be called

@@ -1,6 +1,10 @@
 (* {1 Writers} *)
 
-let float_line a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+let canonical_nan = Int64.float_of_bits 0x7ff8000000000001L
+let canonical x = if Float.is_nan x then canonical_nan else x
+
+let float_line a =
+  String.concat " " (Array.to_list (Array.map (fun x -> Printf.sprintf "%h" (canonical x)) a))
 
 let counted_line label a =
   if Array.length a = 0 then label ^ " 0"

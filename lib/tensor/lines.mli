@@ -2,9 +2,10 @@
 
     Saved pNNs, the surrogate artifact, training checkpoints, optimizer
     moments and every cache payload are lists of space-separated text lines
-    with floats in [%h] hex, so a round trip is bit-exact (±inf, −0.0 and a
-    NaN's sign included; [%h] canonicalises NaN payloads).  The writers'
-    bytes feed content digests and cache keys, so they are frozen.
+    with floats in [%h] hex, so a round trip is bit-exact (±inf and −0.0
+    included) for every value but NaN: any NaN is written as [nan], which
+    reads back as [float_of_string "nan"].  The writers' bytes feed content
+    digests and cache keys, so they are frozen.
 
     Every reader takes [~fmt], the name of the format being read, and raises
     only [Failure "<fmt>: …"]: never [Invalid_argument], [Not_found] or a
@@ -13,8 +14,18 @@
 
 (** {1 Writers} *)
 
+val canonical : float -> float
+(** [x], or the quiet NaN with bits [0x7ff8000000000001] ([Float.nan] on
+    OCaml 5.1) when [x] is a NaN of any payload or sign: the one NaN
+    written where bits leave the process.  The kernels promise a NaN where
+    their oracle has one but not which NaN, so a writer that copied a NaN's
+    payload or sign would make bytes depend on the vector body that made
+    it.  {!float_line} and the wire protocol's float fields write through
+    it. *)
+
 val float_line : float array -> string
-(** Space-joined [%h] words; [""] for an empty array. *)
+(** Space-joined [%h] words of {!canonical}'s values; [""] for an empty
+    array. *)
 
 val counted_line : string -> float array -> string
 (** ["label n v0 … v(n-1)"]; just ["label 0"] when empty. *)

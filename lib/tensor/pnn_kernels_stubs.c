@@ -12,32 +12,19 @@
  * Float semantics contract (compiler flags set in lib/tensor/dune):
  * compiled with -O2 -fno-fast-math -ffp-contract=off so the compiler may
  * not re-associate, contract mul+add into FMA, or otherwise change IEEE
- * results (NaN signs and quieting are pinned in the code: see quiet()).
- * Every kernel below returns the bits of the float array oracle kept with
- * the tests (test/oracle.ml).  Per-element kernels perform its exact
- * floating-point operations in its exact order; tanh is Fmath's
- * (fmath_stubs.c, the same function the OCaml side calls), and exp/log
- * resolve to the same libm the OCaml runtime links.  The matmul family
- * vectorizes in pure k order and recomputes NaN outputs with the oracle's
- * rules (the argument is above mm_core).  Cached results are keyed by
- * Serialize.cache_schema, so a change that alters any kernel's bits must
- * also change the schema.
- *
- * Two-mode kernels.  The Eq. 1 and Eq. 2 kernels (ptanh, ptanh_bwd,
- * crossbar, crossbar_bwd) each have two bodies.  The plain body runs bare
- * IEEE arithmetic, laid out so that it vectorises.  The pinned body spells
- * out the oracle's NaN rules: add_first/mul_first operand order, and the
- * matmul NaN recompute.  Where no operand of an operation is NaN the rules
- * pick nothing, so the two bodies give the same bits wherever no NaN was
- * met.  The pinned body only skips terms (exact-zero matmul entries) and
- * picks which NaN survives, so each of its NaNs is a NaN of the plain body
- * too.  And every intermediate reaches some output through additions and
- * multiplications only, which propagate NaN.  So a NaN met anywhere leaves
- * a NaN in an output: each stub runs the plain body, scans the outputs (or
- * those every intermediate reaches), and reruns the pinned body over them
- * when one is NaN.  The rerun reads the inputs again, so no output may
- * share storage with an input or another output; Tensor rejects such
- * calls.
+ * results.  Every kernel below returns the bits of the float array oracle
+ * kept with the tests (test/oracle.ml) wherever the oracle's output is not
+ * NaN, and a NaN exactly where it is NaN; which NaN (payload, sign,
+ * quiet or signalling) is not part of the contract, and the process's
+ * writers (Lines.float_line, Protocol) write one canonical NaN.  Each
+ * kernel performs the oracle's floating-point operations in its order;
+ * tanh is Fmath's (fmath_stubs.c, the same function the OCaml side calls),
+ * and exp/log resolve to the same libm the OCaml runtime links.  IEEE add
+ * and multiply are commutative wherever no operand is NaN, and a NaN
+ * operand gives a NaN result whichever side it is on, so the operand order
+ * within one operation decides nothing the contract covers.  Cached results
+ * are keyed by Serialize.cache_schema, so a change that alters any
+ * kernel's non-NaN bits must also change the schema.
  *
  * Vectorization is portable: GCC/Clang generic vector extensions (lowered
  * to scalar code on targets without SIMD) behind __GNUC__, with a scalar
@@ -68,48 +55,6 @@
 #define FA(v) ((double *) (v))
 
 #include "pnn_vec.h"
-
-/* NaN operand order (as in test/oracle.ml): when both operands of
- * an add/mul are NaN, x86 returns the first operand's NaN, and the
- * compiler is free to swap commutative operands (or to rewrite a + (-b) as
- * a - b, which keeps b's sign where the negation flipped it).  Where the
- * oracle kernel's first operand can meet a NaN in the second, these
- * helpers pin the oracle's choice: the left operand quieted when it is
- * NaN, otherwise the plain operation (then at most one operand is NaN, so
- * the instruction order cannot matter).  Quieting sets the quiet bit, as
- * the hardware does, through the bits so that no float rewrite applies:
- * the compiler may fold g * 1.0 to g (leaving a signalling NaN unquieted)
- * or g * -1.0 to -g (flipping a NaN's sign), and mul_first(g, ±1.0) is
- * immune to both. */
-static inline double quiet(double a)
-{
-  uint64_t u;
-  memcpy(&u, &a, sizeof u);
-  u |= UINT64_C(0x0008000000000000);
-  memcpy(&a, &u, sizeof a);
-  return a;
-}
-static inline double add_first(double a, double b)
-{
-  return a != a ? quiet(a) : a + b;
-}
-static inline double mul_first(double a, double b)
-{
-  return a != a ? quiet(a) : a * b;
-}
-/* Both operands' NaN cases spelled out: the hardware's rule (the left
- * NaN, else the right one, quieted) with no arithmetic left on a NaN.  For
- * an operand the code wrote as a negation: the compiler may rewrite
- * a + (-b) as a - b, which keeps a NaN b's sign where the oracle's
- * stored negation flipped it, and here the arithmetic never sees a NaN. */
-static inline double add_pin(double a, double b)
-{
-  return a != a ? quiet(a) : b != b ? quiet(b) : a + b;
-}
-static inline double mul_pin(double a, double b)
-{
-  return a != a ? quiet(a) : b != b ? quiet(b) : a * b;
-}
 
 /* ------------------------------------------------------------- */
 /* Storage: allocation, fill and copy (exact; the wrappers        */
@@ -269,17 +214,11 @@ CAMLprim value pnn_c_neg_byte(value va, value vdst, value vn)
   return pnn_c_neg(va, vdst, Long_val(vn));
 }
 
-/* The oracle's NaN k wins over a NaN element; hoisting that case keeps
- * the main loop branch-free. */
 CAMLprim value pnn_c_scale(double k, value va, value vdst, intnat n)
 {
   const double *a = BA(va);
   double *dst = BA(vdst);
-  if (k != k) {
-    double q = quiet(k);
-    for (intnat i = 0; i < n; i++) dst[i] = q;
-  } else
-    for (intnat i = 0; i < n; i++) dst[i] = k * a[i];
+  for (intnat i = 0; i < n; i++) dst[i] = k * a[i];
   return Val_unit;
 }
 CAMLprim value pnn_c_scale_byte(value vk, value va, value vdst, value vn)
@@ -291,11 +230,7 @@ CAMLprim value pnn_c_add_scalar(double k, value va, value vdst, intnat n)
 {
   const double *a = BA(va);
   double *dst = BA(vdst);
-  if (k != k) {
-    double q = quiet(k);
-    for (intnat i = 0; i < n; i++) dst[i] = q;
-  } else
-    for (intnat i = 0; i < n; i++) dst[i] = k + a[i];
+  for (intnat i = 0; i < n; i++) dst[i] = k + a[i];
   return Val_unit;
 }
 CAMLprim value pnn_c_add_scalar_byte(value vk, value va, value vdst, value vn)
@@ -349,46 +284,10 @@ CAMLprim value pnn_c_mul_rowvec_byte(value vm, value vv, value vdst,
 /* Matmul family: vectorized, and bit-identical to the oracle.         */
 /* ------------------------------------------------------------------ */
 
-/* The vector loops below accumulate every term in pure k order from +0.0;
- * the oracle's matmul/matmul_nt accumulate the same terms in the same
- * order, but skip exact-zero A entries and fix the add's operand order.
- * For a non-NaN C output both differences are invisible: a skipped term
- * is ±0 (a finite B entry times ±0), the accumulator starts at +0.0 and
- * can never become -0.0, so adding ±0 leaves it unchanged; and without a
- * NaN, IEEE add and multiply are commutative bit for bit.  C adds a
- * superset of the oracle's terms and NaN is absorbing, so every oracle
- * NaN is a C NaN too.  Only NaN outputs can differ — a skipped 0·inf, or
- * the payload when two NaNs meet — and those are recomputed below with
- * the oracle's rules. */
-
-/* One term of the oracle matmul's element: an exact-zero A entry is
- * skipped, otherwise the product is added first. */
-static inline double ref_term(double acc, double a, double b)
-{
-  return a != 0.0 ? add_first(mul_first(a, b), acc) : acc;
-}
-
-/* The oracle matmul's element over k terms, the A entries a[p * as] and
- * the B entries b[p * bs] (as = 0 repeats one A entry). */
-static double matmul_ref_elem(const double *a, intnat as, const double *b,
-                              intnat bs, intnat k)
-{
-  double acc = 0.0;
-  for (intnat p = 0; p < k; p++) acc = ref_term(acc, a[p * as], b[p * bs]);
-  return acc;
-}
-
-/* The oracle matmul_nt's element: accumulator-first add. */
-static double matmul_nt_ref_elem(const double *arow, const double *brow,
-                                 intnat k)
-{
-  double acc = 0.0;
-  for (intnat p = 0; p < k; p++) {
-    double a = arow[p];
-    if (a != 0.0) acc = add_first(acc, mul_first(a, brow[p]));
-  }
-  return acc;
-}
+/* Each output of the matmul family is one chain in pure k order from
+ * +0.0, the oracle's matmul/matmul_nt order: every term is added, exact
+ * zeros and NaNs alike, so the kernels perform the oracle's operations and
+ * meet its contract (see the top of the file) at any vector width. */
 
 /* The narrow product: mm_core's columns past the tiles (all of them when
  * n < 8), and the crossbar backward's Xᵀ·G and inv(x)ᵀ·G, which read A
@@ -423,8 +322,8 @@ struct mm_view {
  * Why the width cannot change a bit: a lane is one output's chain, IEEE
  * add and multiply are per lane and correctly rounded, and
  * -ffp-contract=off holds inside the AVX2 body too (the avx2 target does
- * not enable FMA), so both widths give every non-NaN output the same bits;
- * NaN outputs are recomputed after either. */
+ * not enable FMA), so both widths give every output the same bits but for
+ * a NaN's payload. */
 #ifdef PNN_HAVE_VEC
 typedef struct { v2df lo, hi; } quad128;
 PNN_SPECIALISE quad128 quad128_zero(void)
@@ -723,10 +622,9 @@ CAMLprim value pnn_c_set_wide_tiles_byte(value vwide)
  * V_b = 1), and B has k + 1 rows.  Each output is one chain in pure k
  * order from +0.0 (1.0 · b is b).  The register tiles above take the
  * columns below the last multiple of 8 and the narrow product the rest,
- * every column when n < 8.  mm_plain stops there; mm_core then recomputes
- * the NaN outputs. */
-static void mm_plain(const double *ad, intnat lda, intnat k, int bias,
-                     const double *bd, double *cd, intnat m, intnat n)
+ * every column when n < 8. */
+static void mm_core(const double *ad, intnat lda, intnat k, int bias,
+                    const double *bd, double *cd, intnat m, intnat n)
 {
   const double *bb = bd + k * n; /* the bias row of B, when [bias] */
   intnat n8 = n - (n & 7);
@@ -734,22 +632,6 @@ static void mm_plain(const double *ad, intnat lda, intnat k, int bias,
   struct mm_view v = { ad, lda, 1, bd + n8, n, 1, bias ? bb + n8 : NULL,
                        cd + n8, n };
   mm_body->narrow(&v, m, n - n8, k);
-}
-
-static void mm_core(const double *ad, intnat lda, intnat k, int bias,
-                    const double *bd, double *cd, intnat m, intnat n)
-{
-  const double *bb = bd + k * n;
-  mm_plain(ad, lda, k, bias, bd, cd, m, n);
-  for (intnat i = 0; i < m; i++) {
-    const double *arow = ad + i * lda;
-    double *crow = cd + i * n;
-    for (intnat j = 0; j < n; j++)
-      if (crow[j] != crow[j]) {
-        double acc = matmul_ref_elem(arow, 1, bd + j, n, k);
-        crow[j] = bias ? ref_term(acc, 1.0, bb[j]) : acc;
-      }
-  }
 }
 
 static void matmul_core(const double *ad, const double *bd, double *cd,
@@ -772,8 +654,7 @@ CAMLprim value pnn_c_matmul_byte(value *argv, int argn)
 }
 
 /* A · Bᵀ: 4 output columns at a time, each accumulated in pure k order
- * (the B rows are strided, so each lane pair is loaded scalar by scalar),
- * then the NaN recompute. */
+ * (the B rows are strided, so each lane pair is loaded scalar by scalar). */
 CAMLprim value pnn_c_matmul_nt(value va, value vb, value vc, intnat m,
                                intnat k, intnat n)
 {
@@ -820,8 +701,6 @@ CAMLprim value pnn_c_matmul_nt(value va, value vb, value vc, intnat m,
       for (intnat p = 0; p < k; p++) acc = acc + arow[p] * brow[p];
       crow[j] = acc;
     }
-    for (intnat j = 0; j < n; j++)
-      if (crow[j] != crow[j]) crow[j] = matmul_nt_ref_elem(arow, bd + j * k, k);
   }
   return Val_unit;
 }
@@ -938,9 +817,6 @@ CAMLprim value pnn_c_unary_byte(value vop, value vsrc, value vdst, value vn)
   return pnn_c_unary(Long_val(vop), vsrc, vdst, Long_val(vn));
 }
 
-/* Operand order follows the oracle's: the derivative factor's NaN wins
- * over g's.  The relu factor is never NaN; mul_first there keeps a NaN g
- * quieted with its sign. */
 CAMLprim value pnn_c_unary_bwd(intnat op, value vx, value vy, value vg,
                                value vs, intnat n)
 {
@@ -952,18 +828,18 @@ CAMLprim value pnn_c_unary_bwd(intnat op, value vx, value vy, value vg,
   case PNN_TANH:
     for (intnat i = 0; i < n; i++) {
       double yi = y[i];
-      s[i] = mul_first(1.0 - yi * yi, g[i]);
+      s[i] = (1.0 - yi * yi) * g[i];
     }
     break;
   case PNN_SIGMOID:
     for (intnat i = 0; i < n; i++) {
       double yi = y[i];
-      s[i] = mul_first(yi * (1.0 - yi), g[i]);
+      s[i] = yi * (1.0 - yi) * g[i];
     }
     break;
   case PNN_RELU:
     for (intnat i = 0; i < n; i++)
-      s[i] = mul_first(g[i], x[i] > 0.0 ? 1.0 : 0.0);
+      s[i] = g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
     break;
   }
   return Val_unit;
@@ -976,53 +852,18 @@ CAMLprim value pnn_c_unary_bwd_byte(value *argv, int argn)
 }
 
 /* ------------------------------------------------------------------ */
-/* ptanh (paper Eq. 2) and the crossbar (paper Eq. 1): two-mode        */
-/* kernels (see the top of the file).  The pinned bodies follow the    */
-/* oracle kernels' operation sequence and operand order                */
-/* (test/oracle.ml), every commutative operation that can meet two     */
-/* NaNs pinned with add_first/mul_first.                               */
+/* ptanh (paper Eq. 2) and the crossbar (paper Eq. 1): the oracle      */
+/* kernels' operations in their order (test/oracle.ml), laid out so    */
+/* that they vectorise.  Each reads an input after it has written      */
+/* some output, or writes two outputs the backward pass reads, so      */
+/* Tensor refuses an output that shares storage with another operand.  */
 /* ------------------------------------------------------------------ */
 
-/* Elements per block buffer of the plain bodies (a kilobyte of stack). */
+/* Elements per block buffer (a kilobyte of stack). */
 #define PNN_BLOCK 128
 
-/* Whether one of p[0 .. n) is NaN. */
-static int any_nan(const double *p, intnat n)
-{
-  intnat i = 0;
-  int nan = 0;
-#ifdef PNN_HAVE_VEC
-  v2du acc = { 0, 0 };
-  for (; i + 2 <= n; i += 2) {
-    v2df x = vload(p + i);
-    acc |= (v2du) (x != x);
-  }
-  nan = (acc[0] | acc[1]) != 0;
-#endif
-  for (; i < n; i++) nan |= p[i] != p[i];
-  return nan;
-}
-
-static void ptanh_pinned(const double *eta, const double *v, double *h,
-                         double *out, intnat n)
-{
-  double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
-  for (intnat i = 0; i < n; i++) h[i] = mul_first(e3, add_first(ne2, v[i]));
-  pnn_fm_tanh_n(h, h, n);
-  for (intnat i = 0; i < n; i++) out[i] = add_first(e0, mul_first(e1, h[i]));
-}
-
-/* A NaN in h is a NaN in out, so out alone is scanned. */
-static int ptanh_plain(const double *eta, const double *v, double *h,
-                       double *out, intnat n)
-{
-  double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
-  for (intnat i = 0; i < n; i++) h[i] = e3 * (ne2 + v[i]);
-  pnn_fm_tanh_n(h, h, n);
-  for (intnat i = 0; i < n; i++) out[i] = e0 + e1 * h[i];
-  return any_nan(out, n);
-}
-
+/* h keeps the tanh of every element for the backward pass, so out may not
+ * be h. */
 CAMLprim value pnn_c_ptanh(value veta, value vv, value vh, value vout,
                            intnat n)
 {
@@ -1030,7 +871,10 @@ CAMLprim value pnn_c_ptanh(value veta, value vv, value vh, value vout,
   const double *v = BA(vv);
   double *h = BA(vh);
   double *out = BA(vout);
-  if (ptanh_plain(eta, v, h, out, n)) ptanh_pinned(eta, v, h, out, n);
+  double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
+  for (intnat i = 0; i < n; i++) h[i] = e3 * (ne2 + v[i]);
+  pnn_fm_tanh_n(h, h, n);
+  for (intnat i = 0; i < n; i++) out[i] = e0 + e1 * h[i];
   return Val_unit;
 }
 CAMLprim value pnn_c_ptanh_byte(value veta, value vv, value vh, value vout,
@@ -1039,39 +883,18 @@ CAMLprim value pnn_c_ptanh_byte(value veta, value vv, value vh, value vout,
   return pnn_c_ptanh(veta, vv, vh, vout, Long_val(vn));
 }
 
-static void ptanh_bwd_pinned(const double *eta, const double *v,
-                             const double *h, const double *g, double *dv,
-                             double *deta, intnat n)
-{
-  double e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  for (intnat i = 0; i < n; i++) {
-    double gi = g[i], hi = h[i];
-    double gp = 0.0 + gi;
-    double gz = 0.0 + mul_first(1.0 - hi * hi, 0.0 + mul_first(e1, gp));
-    double gs = 0.0 + mul_first(e3, gz);
-    s0 = add_first(s0, gi);
-    s1 = add_first(s1, mul_first(gp, hi));
-    s2 = add_first(s2, gs);
-    s3 = add_first(s3, mul_first(gz, add_first(ne2, v[i])));
-    dv[i] = gs;
-  }
-  deta[0] = 0.0 + s0;
-  deta[1] = 0.0 + s1;
-  /* 0 + −(0 + s2), with the negation kept: see quiet() */
-  double ns2 = -(0.0 + s2);
-  deta[2] = ns2 != ns2 ? quiet(ns2) : 0.0 + ns2;
-  deta[3] = 0.0 + s3;
-}
-
 /* The element terms go into block buffers, vectorised; η's four shares
- * then run as four scalar chains over the buffers in element order.  Every
- * term, dv's among them, is summed into a share, so deta alone is
- * scanned. */
-static int ptanh_bwd_plain(const double *eta, const double *v,
-                           const double *h, const double *g, double *dv,
-                           double *deta, intnat n)
+ * then run as four scalar chains over the buffers in element order.  The
+ * chains read g after the block's dv is written, so dv may not be g. */
+CAMLprim value pnn_c_ptanh_bwd(value veta, value vv, value vh, value vg,
+                               value vdv, value vdeta, intnat n)
 {
+  const double *eta = BA(veta);
+  const double *v = BA(vv);
+  const double *h = BA(vh);
+  const double *g = BA(vg);
+  double *dv = BA(vdv);
+  double *deta = BA(vdeta);
   double e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   for (intnat i0 = 0; i0 < n; i0 += PNN_BLOCK) {
@@ -1098,20 +921,6 @@ static int ptanh_bwd_plain(const double *eta, const double *v,
   deta[1] = 0.0 + s1;
   deta[2] = 0.0 + -(0.0 + s2);
   deta[3] = 0.0 + s3;
-  return any_nan(deta, 4);
-}
-
-CAMLprim value pnn_c_ptanh_bwd(value veta, value vv, value vh, value vg,
-                               value vdv, value vdeta, intnat n)
-{
-  const double *eta = BA(veta);
-  const double *v = BA(vv);
-  const double *h = BA(vh);
-  const double *g = BA(vg);
-  double *dv = BA(vdv);
-  double *deta = BA(vdeta);
-  if (ptanh_bwd_plain(eta, v, h, g, dv, deta, n))
-    ptanh_bwd_pinned(eta, v, h, g, dv, deta, n);
   return Val_unit;
 }
 CAMLprim value pnn_c_ptanh_bwd_byte(value *argv, int argn)
@@ -1128,58 +937,19 @@ CAMLprim value pnn_c_ptanh_bwd_byte(value *argv, int argn)
 /* are m × (k+1) with the bias column; num, out, g and gnum are m × n. */
 /* ------------------------------------------------------------------ */
 
-/* The forward's operands. */
-struct xbar {
-  const double *x, *eta, *cond;
-  double *h, *inv, *num, *out;
-  intnat m, k, n;
-};
-
 /* inv(x) = −ptanh(η, x) (the ptanh stub's element, negated), the two
- * matmuls and the row normalisation.  The tanh arguments, the bias
- * column's included (its input is 1.0 on every row), go into h, and one
- * array tanh runs over it. */
-static void crossbar_pinned(const struct xbar *a)
+ * matmuls and the row normalisation.  The tanh arguments of x's columns go
+ * through block buffers, and the bias column's (its input is 1.0 on every
+ * row) takes one tanh.  The x·θ⁺ product reads x after h and inv(x) are
+ * written, and the normalisation reads num and out back, so no output may
+ * be an input or another output. */
+CAMLprim value pnn_c_crossbar(value vx, value veta, value vcond, value vh,
+                              value vinv, value vnum, value vout, intnat m,
+                              intnat k, intnat n)
 {
-  const double *x = a->x, *eta = a->eta, *cond = a->cond;
-  double *h = a->h, *inv = a->inv, *num = a->num, *out = a->out;
-  intnat m = a->m, k = a->k, n = a->n, k1 = k + 1;
-  double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
-  double zb = mul_first(e3, add_first(ne2, 1.0));
-  for (intnat i = 0; i < m; i++) {
-    const double *xr = x + i * k;
-    double *hr = h + i * k1;
-    for (intnat p = 0; p < k; p++) hr[p] = mul_first(e3, add_first(ne2, xr[p]));
-    hr[k] = zb;
-  }
-  pnn_fm_tanh_n(h, h, m * k1);
-  for (intnat q = 0; q < m * k1; q++) inv[q] = -add_first(e0, mul_first(e1, h[q]));
-  /* x·θ⁺ (bias column implicit) into num, inv(x)·θ⁻ into out */
-  mm_core(x, k, k, 1, cond, num, m, n);
-  mm_core(inv, k1, k1, 0, cond + k1 * n, out, m, n);
-  const double *den = cond + 2 * k1 * n;
-  for (intnat j = 0; j < n; j++) {
-    double r = 1.0 / den[j];
-    for (intnat i = 0; i < m; i++) {
-      intnat q = i * n + j;
-      double s = add_first(num[q], out[q]);
-      num[q] = s;
-      out[q] = mul_first(s, r);
-    }
-  }
-}
-
-/* The same with bare arithmetic and mm_plain.  The tanh arguments of x's
- * columns go through block buffers, and the bias column's, the same on
- * every row, takes one tanh.  The normalisation runs row by row with 1/den
- * in a block buffer.  A NaN in h is one in inv(x), one in inv(x) is one in
- * every output of its row, and one in num is one in out, so out is
- * scanned (inv(x) when there are no outputs). */
-static int crossbar_plain(const struct xbar *a)
-{
-  const double *x = a->x, *eta = a->eta, *cond = a->cond;
-  double *h = a->h, *inv = a->inv, *num = a->num, *out = a->out;
-  intnat m = a->m, k = a->k, n = a->n, k1 = k + 1;
+  const double *x = BA(vx), *eta = BA(veta), *cond = BA(vcond);
+  double *h = BA(vh), *inv = BA(vinv), *num = BA(vnum), *out = BA(vout);
+  intnat k1 = k + 1;
   double e0 = eta[0], e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
   double zb = e3 * (ne2 + 1.0), tb;
   pnn_fm_tanh_n(&zb, &tb, 1);
@@ -1208,8 +978,10 @@ static int crossbar_plain(const struct xbar *a)
     h[i * k1 + k] = tb;
     inv[i * k1 + k] = ib;
   }
-  mm_plain(x, k, k, 1, cond, num, m, n);
-  mm_plain(inv, k1, k1, 0, cond + k1 * n, out, m, n);
+  /* x·θ⁺ (bias column implicit) into num, inv(x)·θ⁻ into out */
+  mm_core(x, k, k, 1, cond, num, m, n);
+  mm_core(inv, k1, k1, 0, cond + k1 * n, out, m, n);
+  /* the row normalisation, 1/den in a block buffer */
   const double *den = cond + 2 * k1 * n;
   for (intnat j0 = 0; j0 < n; j0 += PNN_BLOCK) {
     intnat jn = n - j0 < PNN_BLOCK ? n - j0 : PNN_BLOCK;
@@ -1224,16 +996,6 @@ static int crossbar_plain(const struct xbar *a)
       }
     }
   }
-  return n > 0 ? any_nan(out, m * n) : any_nan(inv, m * k1);
-}
-
-CAMLprim value pnn_c_crossbar(value vx, value veta, value vcond, value vh,
-                              value vinv, value vnum, value vout, intnat m,
-                              intnat k, intnat n)
-{
-  struct xbar a = { BA(vx), BA(veta), BA(vcond), BA(vh), BA(vinv), BA(vnum),
-                    BA(vout), m, k, n };
-  if (crossbar_plain(&a)) crossbar_pinned(&a);
   return Val_unit;
 }
 CAMLprim value pnn_c_crossbar_byte(value *argv, int argn)
@@ -1244,19 +1006,6 @@ CAMLprim value pnn_c_crossbar_byte(value *argv, int argn)
                         Long_val(argv[9]));
 }
 
-/* The gradients of the forward above, as the oracle's crossbar_bwd
- * computes them: gnum receives the numerator's gradient, deta η's four
- * shares, dcond θ⁺'s, θ⁻'s and the denominator's, and dx (when want_dx)
- * x's share — inv(x)'s path first, then the θ⁺ matmul's.  Every matmul
- * output is one chain in pure order from +0.0, and η's shares are summed
- * in row-major order, the bias column included. */
-struct xbar_bwd {
-  const double *x, *cond, *h, *inv, *num, *g;
-  double *gnum, *dx, *deta, *dcond;
-  double e1, ne2, e3;
-  intnat want_dx, m, k, n;
-};
-
 /* Σ a[j]·b[j] for j < n, one chain in j order from +0.0. */
 static inline double dot_chain(const double *a, const double *b, intnat n)
 {
@@ -1265,102 +1014,33 @@ static inline double dot_chain(const double *a, const double *b, intnat n)
   return acc;
 }
 
-/* One pass over the rows does the matmul_nt elements, ptanh_bwd's element
- * and the Xᵀ·G / inv(x)ᵀ·G updates, with the oracle's NaN operand rules
- * (add_pin/mul_pin for an operand written as a negation) and mm_core's
- * recompute of NaN matmul outputs. */
-static void crossbar_bwd_pinned(const struct xbar_bwd *a)
+/* The gradients of the forward above, as the oracle's crossbar_bwd
+ * computes them: gnum receives the numerator's gradient, deta η's four
+ * shares, dcond θ⁺'s, θ⁻'s and the denominator's, and dx (when want_dx)
+ * x's share — inv(x)'s path first, then the θ⁺ matmul's.  Every matmul
+ * output is one chain in pure order from +0.0, and η's shares are summed
+ * in row-major order, the bias column included.
+ *
+ * Three passes.  The row division, four columns at a time, with the bias
+ * row's Σ G.  Then row by row: each element of G·θ⁻ᵀ (and of G·θ⁺ᵀ for
+ * dx) one chain over the row's n entries, ptanh_bwd's element, and η's
+ * four shares as scalar chains in row-major order.  Last, Xᵀ·G and
+ * inv(x)ᵀ·G by the narrow product, vectorised across p.  The later passes
+ * read x, inv(x) and gnum after dx and dcond are written, so no output may
+ * be an input or another output. */
+CAMLprim value pnn_c_crossbar_bwd(value vx, value veta, value vcond,
+                                  value vh, value vinv, value vnum, value vg,
+                                  value vgnum, value vdx, value vdeta,
+                                  value vdcond, intnat want_dx, intnat m,
+                                  intnat k, intnat n)
 {
-  static const double one = 1.0;
-  const double *x = a->x, *h = a->h, *inv = a->inv, *num = a->num, *g = a->g;
-  double *gnum = a->gnum, *dx = a->dx, *deta = a->deta, *dcond = a->dcond;
-  double e1 = a->e1, ne2 = a->ne2, e3 = a->e3;
-  intnat m = a->m, k = a->k, n = a->n, k1 = k + 1;
-  const double *pos = a->cond, *neg = pos + k1 * n, *den = pos + 2 * k1 * n;
-  double *dpos = dcond, *dneg = dcond + k1 * n, *dden = dcond + 2 * k1 * n;
-  /* the row division: the numerator's gradient 0 + g/den, and the
-   * denominator's, g·(−num·(1/den)²) summed over rows */
-  for (intnat j = 0; j < n; j++) {
-    double r = 1.0 / den[j];
-    double rr = r * r;
-    double acc = 0.0;
-    for (intnat i = 0; i < m; i++) {
-      intnat q = i * n + j;
-      gnum[q] = 0.0 + mul_first(g[q], r);
-      acc = add_first(acc, mul_first(g[q], mul_pin(-num[q], rr)));
-    }
-    dden[j] = acc;
-  }
-  for (intnat q = 0; q < 2 * k1 * n; q++) dcond[q] = 0.0;
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  for (intnat i = 0; i < m; i++) {
-    const double *gn = gnum + i * n;
-    const double *xr = x + i * k;
-    const double *hr = h + i * k1;
-    const double *ir = inv + i * k1;
-    for (intnat p = 0; p < k1; p++) {
-      /* inv(x)'s gradient G·θ⁻ᵀ, negated into ptanh's */
-      const double *nrow = neg + p * n;
-      double gi = dot_chain(gn, nrow, n);
-      if (gi != gi) gi = matmul_nt_ref_elem(gn, nrow, n);
-      double gm = -gi;
-      double v = p < k ? xr[p] : 1.0, hi = hr[p];
-      double gp = add_pin(0.0, gm);
-      double gz = 0.0 + mul_first(1.0 - hi * hi, 0.0 + mul_first(e1, gp));
-      double gs = 0.0 + mul_first(e3, gz);
-      s0 = add_pin(s0, gm);
-      s1 = add_first(s1, mul_first(gp, hi));
-      s2 = add_first(s2, gs);
-      s3 = add_first(s3, mul_first(gz, add_first(ne2, v)));
-      if (a->want_dx && p < k) {
-        /* x's second share, G·θ⁺ᵀ */
-        const double *prow = pos + p * n;
-        double t = dot_chain(gn, prow, n);
-        if (t != t) t = matmul_nt_ref_elem(gn, prow, n);
-        dx[i * k + p] = add_first(gs, t);
-      }
-    }
-    /* Xᵀ·G and inv(x)ᵀ·G without a transpose: row i's terms */
-    for (intnat p = 0; p < k1; p++) {
-      double xa = p < k ? xr[p] : 1.0, ia = ir[p];
-      double *dp = dpos + p * n;
-      double *dn = dneg + p * n;
-      for (intnat j = 0; j < n; j++) {
-        dp[j] = dp[j] + xa * gn[j];
-        dn[j] = dn[j] + ia * gn[j];
-      }
-    }
-  }
-  deta[0] = 0.0 + s0;
-  deta[1] = 0.0 + s1;
-  /* 0 + −(0 + s2), with the negation kept: see quiet() */
-  double ns2 = -(0.0 + s2);
-  deta[2] = ns2 != ns2 ? quiet(ns2) : 0.0 + ns2;
-  deta[3] = 0.0 + s3;
-  for (intnat p = 0; p < k1; p++)
-    for (intnat j = 0; j < n; j++) {
-      intnat q = p * n + j;
-      if (dpos[q] != dpos[q])
-        dpos[q] = p < k ? matmul_ref_elem(x + p, k, gnum + j, n, m)
-                        : matmul_ref_elem(&one, 0, gnum + j, n, m);
-      if (dneg[q] != dneg[q])
-        dneg[q] = matmul_ref_elem(inv + p, k1, gnum + j, n, m);
-    }
-}
-
-/* The plain body in three passes.  The row division, four columns at a
- * time, with the bias row's Σ G.  Then row by row: each element of G·θ⁻ᵀ
- * (and of G·θ⁺ᵀ for dx) one chain over the row's n entries, ptanh_bwd's
- * element, and η's four shares as scalar chains in row-major order.  Last,
- * Xᵀ·G and inv(x)ᵀ·G by the narrow product, vectorised across p.  Every
- * intermediate reaches dcond, deta or dx, so those are scanned. */
-static int crossbar_bwd_plain(const struct xbar_bwd *a)
-{
-  const double *x = a->x, *h = a->h, *inv = a->inv, *num = a->num, *g = a->g;
-  double *gnum = a->gnum, *dx = a->dx, *deta = a->deta, *dcond = a->dcond;
-  double e1 = a->e1, ne2 = a->ne2, e3 = a->e3;
-  intnat m = a->m, k = a->k, n = a->n, k1 = k + 1;
-  const double *pos = a->cond, *neg = pos + k1 * n, *den = pos + 2 * k1 * n;
+  const double *x = BA(vx), *eta = BA(veta), *h = BA(vh), *inv = BA(vinv);
+  const double *num = BA(vnum), *g = BA(vg);
+  double *gnum = BA(vgnum), *dx = BA(vdx), *deta = BA(vdeta);
+  double *dcond = BA(vdcond);
+  intnat k1 = k + 1;
+  double e1 = eta[1], ne2 = -eta[2], e3 = eta[3];
+  const double *pos = BA(vcond), *neg = pos + k1 * n, *den = pos + 2 * k1 * n;
   double *dpos = dcond, *dneg = dcond + k1 * n, *dden = dcond + 2 * k1 * n;
   /* the row division four columns at a time, past the last column
    * repeating it: the numerator's gradient, and the denominator's and the
@@ -1413,7 +1093,7 @@ static int crossbar_bwd_plain(const struct xbar_bwd *a)
     const double *gn = gnum + i * n, *xr = x + i * k, *hr = h + i * k1;
     for (intnat p = 0; p < k; p++) {
       XB_ELEM(dot_chain(gn, neg + p * n, n), hr[p], xr[p]);
-      if (a->want_dx) dx[i * k + p] = gs + dot_chain(gn, pos + p * n, n);
+      if (want_dx) dx[i * k + p] = gs + dot_chain(gn, pos + p * n, n);
     }
     XB_ELEM(dot_chain(gn, neg + k * n, n), hr[k], 1.0);
   }
@@ -1426,23 +1106,6 @@ static int crossbar_bwd_plain(const struct xbar_bwd *a)
   mm_body->narrow(&xg, k, n, m);
   struct mm_view ig = { inv, 1, k1, gnum, n, 1, NULL, dneg, n };
   mm_body->narrow(&ig, k1, n, m);
-  return any_nan(dcond, (2 * k1 + 1) * n) || any_nan(deta, 4)
-         || (a->want_dx && any_nan(dx, m * k));
-}
-
-CAMLprim value pnn_c_crossbar_bwd(value vx, value veta, value vcond,
-                                  value vh, value vinv, value vnum, value vg,
-                                  value vgnum, value vdx, value vdeta,
-                                  value vdcond, intnat want_dx, intnat m,
-                                  intnat k, intnat n)
-{
-  const double *eta = BA(veta);
-  struct xbar_bwd a = {
-    BA(vx), BA(vcond), BA(vh), BA(vinv), BA(vnum), BA(vg),
-    BA(vgnum), BA(vdx), BA(vdeta), BA(vdcond),
-    eta[1], -eta[2], eta[3], want_dx, m, k, n
-  };
-  if (crossbar_bwd_plain(&a)) crossbar_bwd_pinned(&a);
   return Val_unit;
 }
 CAMLprim value pnn_c_crossbar_bwd_byte(value *argv, int argn)

@@ -337,10 +337,11 @@ let ptanh_check name eta =
   if numel eta <> 4 then
     invalid_arg (Printf.sprintf "Tensor.%s: eta has %d elements, expected 4" name (numel eta))
 
-(* The Eq. 1 / Eq. 2 kernels write their outputs in a first pass and may
-   read their inputs again in a second (see the stub file's two-mode
-   kernels), so no output may share storage with an input or with another
-   output.  [shares o a b c d e f g] says whether [o] shares storage with
+(* The Eq. 1 / Eq. 2 kernels read inputs after they have written outputs
+   (crossbar's x·θ⁺ product reads x after h and inv_x are written,
+   ptanh_bwd's η shares read g after dv), and ptanh's h and out are both
+   kept for the backward pass, so no output may share storage with an
+   input or with another output.  [shares o a b c d e f g] says whether [o] shares storage with
    one of the others; a call with fewer operands repeats one.  Spelled out
    so that the check allocates nothing. *)
 let shares o a b c d e f g =

@@ -9,10 +9,10 @@
     Storage is one flat c_layout [Bigarray.Array1] [float64] buffer per
     tensor, and every operation runs a {!Kernels_c} kernel: vectorized C
     foreign stubs compiled [-O2 -fno-fast-math -ffp-contract=off], so float
-    semantics stay IEEE-strict.  The kernels' outputs, NaN payloads and
-    signed zeros included, are pinned bit for bit against a plain
-    [float array] oracle kept with the tests (test/oracle.ml; see
-    docs/INTERNALS.md).
+    semantics stay IEEE-strict.  The kernels' outputs, signed zeros
+    included, match a plain [float array] oracle kept with the tests
+    (test/oracle.ml; see docs/INTERNALS.md) bit for bit wherever the
+    oracle's output is not NaN, and are NaN exactly where it is NaN.
 
     Every kernel refuses out-of-bounds work with [Invalid_argument] instead
     of touching memory: the C wrappers assert every buffer's length before
@@ -210,18 +210,18 @@ val unop_bwd_into : unop -> x:t -> y:t -> g:t -> dst:t -> unit
 val ptanh_into : eta:t -> t -> h:t -> dst:t -> unit
 (** [ptanh_into ~eta v ~h ~dst] is the paper's Eq. 2 for a 4-element
     [eta = [η1; η2; η3; η4]]: [dst := η1 + η2·tanh((v − η3)·η4)] elementwise,
-    with [h := tanh((v − η3)·η4)] kept for {!ptanh_bwd_into}.  Bit-identical,
-    NaN payloads included, to the broadcast-scalar
+    with [h := tanh((v − η3)·η4)] kept for {!ptanh_bwd_into}.  Bit-identical
+    (NaN where it has a NaN) to the broadcast-scalar
     sequence [add_scalar (−η3)], [scale η4], [unop Tanh], [scale η2],
     [add_scalar η1].  Raises [Invalid_argument] when [h] or [dst] shares
-    storage with another operand. *)
+    storage with another operand: both are kept for the backward pass. *)
 
 val ptanh_bwd_into : eta:t -> t -> h:t -> g:t -> dv:t -> deta:t -> unit
 (** Backward of {!ptanh_into} for the output gradient [g]: [dv] gets [v]'s
     share and [deta] (shaped like [eta]) the four η shares — the values the
     node-by-node graph of the same formula accumulated, bit for bit.
     Raises [Invalid_argument] when [dv] or [deta] shares storage with
-    another operand. *)
+    another operand: the η shares read [g] after [dv] is written. *)
 
 val crossbar_into :
   x:t -> eta:t -> cond:t -> h:t -> inv_x:t -> num:t -> dst:t -> unit
@@ -235,7 +235,8 @@ val crossbar_into :
     it replaced: {!ptanh_into} on the bias-augmented input,
     {!neg_into}, [1 / den], two {!matmul_into}, {!add_into},
     {!mul_rowvec_into}.  Raises [Invalid_argument] when an output ([h],
-    [inv_x], [num], [dst]) shares storage with another operand. *)
+    [inv_x], [num], [dst]) shares storage with another operand: the
+    [x·θ⁺] product reads [x] after [h] and [inv_x] are written. *)
 
 val crossbar_bwd_into :
   x:t ->
@@ -256,7 +257,9 @@ val crossbar_bwd_into :
     shares, [dcond] (shaped like [cond]) the conductances' gradient and
     [dx], when given, x's share — the values the node-by-node graph
     accumulated, bit for bit.  Raises [Invalid_argument] when an output
-    ([gnum], [dx], [deta], [dcond]) shares storage with another operand. *)
+    ([gnum], [dx], [deta], [dcond]) shares storage with another operand:
+    the last pass reads [x], [inv_x] and [gnum] after [dx] and [dcond] are
+    written. *)
 
 val softmax_rows_into : t -> dst:t -> unit
 (** Numerically-stable row-wise softmax (max-shifted); [dst] must not alias

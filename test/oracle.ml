@@ -3,35 +3,21 @@
    Every kernel here performs the floating-point operations of the
    original [float array] loops of the pre-kernel tensor/autodiff/optimizer
    code, in the same order; the C kernels (lib/tensor/kernels_c.ml) must
-   return these bits.  test_backend.ml runs each Tensor operation next to
-   the oracle kernel on the same inputs and compares bits, and pins both to
-   the same special-value digests.
+   return these bits wherever an output is not NaN, and a NaN exactly where
+   it is NaN.  Which NaN (payload, sign) is left open: when two NaNs meet,
+   the one an instruction keeps depends on operand order, which the
+   compilers are free to pick.  test_backend.ml runs each Tensor operation
+   next to the oracle kernel on the same inputs and compares them so, and
+   holds both to the same special-value digests, which hash every NaN as
+   [Float.nan].
 
    One body per kernel: the naive loop with bounds-checked indexing, so an
-   out-of-range access raises [Invalid_argument].  Operand order is spelled
-   out wherever it can decide a NaN payload (when two NaNs meet, x86 keeps
-   the first operand's, see [matmul]).  tanh is [Fmath.tanh], the scalar
-   body of the function the C kernels run over their buffers. *)
+   out-of-range access raises [Invalid_argument].  tanh is [Fmath.tanh],
+   the scalar body of the function the C kernels run over their buffers. *)
 
 type buf = float array
 
 let create n = Array.make n 0.0
-
-(* {1 NaN operand order}
-
-   When both operands of an x86 add/mul are NaN the result is the first
-   operand's NaN (quieted), and ocamlopt may swap a commutative operation's
-   operands (to fold a load, say).  [add_first]/[mul_first] pin the left
-   operand's NaN: if [a] is NaN the result is [a] quieted ([a +. 0.0], a
-   lone NaN operand), otherwise [a op b], where at most one operand is NaN
-   so the instruction order cannot matter.  The C stubs have the same pair,
-   and so do the library modules that replay a graph (Layer, Nonlinear,
-   Surrogate.Model): dune's development builds compile modules [-opaque],
-   which rules out cross-module inlining, and a call would box every
-   float. *)
-
-let[@inline] add_first a b = if Float.is_nan a then a +. 0.0 else a +. b
-let[@inline] mul_first a b = if Float.is_nan a then a +. 0.0 else a *. b
 
 (* {1 Storage} *)
 
@@ -75,15 +61,14 @@ let neg a dst n =
     dst.(i) <- -.a.(i)
   done
 
-(* [scale]/[add_scalar]: a NaN [k] wins over a NaN element. *)
 let scale k a dst n =
   for i = 0 to n - 1 do
-    dst.(i) <- mul_first k a.(i)
+    dst.(i) <- k *. a.(i)
   done
 
 let add_scalar k a dst n =
   for i = 0 to n - 1 do
-    dst.(i) <- add_first k a.(i)
+    dst.(i) <- k +. a.(i)
   done
 
 let map f a dst n =
@@ -112,36 +97,27 @@ let mul_rowvec md vd dst rows cols =
 (* {1 Linear algebra} *)
 
 (* ikj loop order: streams through b rows, cache friendly for row-major.
-   [cd] is zeroed first, then accumulated into.
-
-   Each output element c(i,j) starts from +0.0 and adds aip * b(p,j) for
-   p = 0 .. k-1 in order, skipping exact-zero A entries.  The add is written
-   product-first: when both operands are NaN, x86 returns the first
-   operand's payload, and ocamlopt swaps a commutative add's operands to
-   fold a bare array load into the instruction, so [load +. product] and
-   [acc +. product] would disagree on which NaN survives.  Product-first
-   yields the product's payload. *)
+   [cd] is zeroed first, then accumulated into: each output element c(i,j)
+   starts from +0.0 and adds aip * b(p,j) for p = 0 .. k-1 in order, every
+   term included (an exact-zero A entry against an infinite or NaN B entry
+   makes a NaN). *)
 let matmul ad bd cd m k n =
   Array.fill cd 0 (m * n) 0.0;
   for i = 0 to m - 1 do
     let a_base = i * k and c_base = i * n in
     for p = 0 to k - 1 do
       let aip = ad.(a_base + p) in
-      (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-         NaN never skips; Float.equal would treat both differently *)
-      if aip <> 0.0 then begin
-        let b_base = p * n in
-        for j = 0 to n - 1 do
-          cd.(c_base + j) <- (aip *. bd.(b_base + j)) +. cd.(c_base + j)
-        done
-      end
+      let b_base = p * n in
+      for j = 0 to n - 1 do
+        cd.(c_base + j) <- cd.(c_base + j) +. (aip *. bd.(b_base + j))
+      done
     done
   done
 
 (* A · Bᵀ without materializing the transpose: rows of both operands are
-   contiguous, so the p-loop streams both.  The accumulation order (and the
-   skip of exact-zero A entries) mirrors [matmul a (transpose b)], keeping
-   results bit-identical to that formulation. *)
+   contiguous, so the p-loop streams both.  The accumulation order mirrors
+   [matmul a (transpose b)], keeping results bit-identical to that
+   formulation. *)
 let matmul_nt ad bd cd m k n =
   for i = 0 to m - 1 do
     let a_base = i * k and c_base = i * n in
@@ -149,10 +125,7 @@ let matmul_nt ad bd cd m k n =
       let b_base = j * k in
       let acc = ref 0.0 in
       for p = 0 to k - 1 do
-        let aip = ad.(a_base + p) in
-        (* pnnlint:allow R5 exact-zero skip is IEEE on purpose: -0.0 skips,
-           NaN never skips; Float.equal would treat both differently *)
-        if aip <> 0.0 then acc := !acc +. (aip *. bd.(b_base + p))
+        acc := !acc +. (ad.(a_base + p) *. bd.(b_base + p))
       done;
       cd.(c_base + j) <- !acc
     done
@@ -248,8 +221,7 @@ let unary (op : Tensor.unop) src dst n =
         dst.(i) <- (if x > 0.0 then x else 0.0)
       done
 
-(* Backward fuses [g *. df x y] in one expression.  A computed derivative
-   factor comes first, so its NaN payload wins when both are NaN. *)
+(* Backward fuses [g *. df x y] in one expression. *)
 let unary_bwd (op : Tensor.unop) ~x ~y ~g ~s n =
   match op with
   | Tanh ->
@@ -272,22 +244,17 @@ let unary_bwd (op : Tensor.unop) ~x ~y ~g ~s n =
    ptanh(v) = η1 + η2·tanh((v − η3)·η4) over a batch, as one kernel in
    place of the node-by-node graph it replaced.  The forward replays that
    graph's operations per element — s = (−η3) + v, z = η4·s, h = tanh z,
-   out = η1 + η2·h — with each scalar on the left, as the graph's
-   broadcast-scalar kernels had it ([add_first]/[mul_first] make a NaN η
-   win over a NaN element on every compiler).  The backward replays the graph's
-   per-node gradients: every node's first accumulation was [0.0 +. x] on a
-   zeroed buffer (kept below: it turns −0.0 into +0.0), tanh's derivative
-   factor precedes the incoming gradient as in [unary_bwd], and each η
-   share is a left-to-right sum with the accumulator first, as [sum] has
-   it.  All operand orders are spelled out, so this body and the C stub
-   agree bit for bit, NaN payloads included. *)
+   out = η1 + η2·h.  The backward replays the graph's per-node gradients:
+   every node's first accumulation was [0.0 +. x] on a zeroed buffer (kept
+   below: it turns −0.0 into +0.0), and each η share is a left-to-right
+   sum, as [sum] has it. *)
 
 let ptanh ~eta ~v ~h ~out n =
   let e0 = eta.(0) and e1 = eta.(1) and ne2 = -.eta.(2) and e3 = eta.(3) in
   for i = 0 to n - 1 do
-    let hi = Fmath.tanh (mul_first e3 (add_first ne2 v.(i))) in
+    let hi = Fmath.tanh (e3 *. (ne2 +. v.(i))) in
     h.(i) <- hi;
-    out.(i) <- add_first e0 (mul_first e1 hi)
+    out.(i) <- e0 +. (e1 *. hi)
   done
 
 (* Per element, with gP/gH/gZ/gS the gradients of the replaced graph's
@@ -300,12 +267,12 @@ let ptanh_bwd ~eta ~v ~h ~g ~dv ~deta n =
   for i = 0 to n - 1 do
     let gi = g.(i) and hi = h.(i) in
     let gp = 0.0 +. gi in
-    let gz = 0.0 +. mul_first (1.0 -. (hi *. hi)) (0.0 +. mul_first e1 gp) in
-    let gs = 0.0 +. mul_first e3 gz in
-    s0 := add_first !s0 gi;
-    s1 := add_first !s1 (mul_first gp hi);
-    s2 := add_first !s2 gs;
-    s3 := add_first !s3 (mul_first gz (add_first ne2 v.(i)));
+    let gz = 0.0 +. ((1.0 -. (hi *. hi)) *. (0.0 +. (e1 *. gp))) in
+    let gs = 0.0 +. (e3 *. gz) in
+    s0 := !s0 +. gi;
+    s1 := !s1 +. (gp *. hi);
+    s2 := !s2 +. gs;
+    s3 := !s3 +. (gz *. (ne2 +. v.(i)));
     dv.(i) <- gs
   done;
   deta.(0) <- 0.0 +. !s0;

@@ -155,87 +155,6 @@ let qcheck_transfer_bounded =
       | exception Circuit.Mna.No_convergence _ -> true (* acceptable, filtered upstream *)
       | _, vout -> Array.for_all (fun v -> v >= -0.05 && v <= P.vdd +. 0.05) vout)
 
-(* {1 Transient analysis} *)
-
-let test_rc_step_response () =
-  (* RC low-pass: V(t) = 1 - exp(-t/RC); compare against the analytic law *)
-  let nl = N.create () in
-  let top = N.fresh_node nl in
-  let out = N.fresh_node nl in
-  let r = 10_000.0 and c = 1e-6 in
-  N.add nl (N.Vsource { name = "vin"; plus = top; minus = N.ground; volts = 0.0 });
-  N.add nl (N.Resistor { a = top; b = out; ohms = r });
-  N.add nl (N.Capacitor { a = out; b = N.ground; farads = c });
-  let tau = r *. c in
-  let result =
-    Circuit.Transient.run ~model:Circuit.Egt.default ~netlist:nl ~source:"vin"
-      ~waveform:(Circuit.Transient.step ()) ~duration:(5.0 *. tau) ~dt:(tau /. 100.0) ()
-  in
-  Array.iteri
-    (fun k t ->
-      let expected = 1.0 -. exp (-.t /. tau) in
-      let got = result.Circuit.Transient.voltages.(k).(out) in
-      if Float.abs (got -. expected) > 0.01 then
-        Alcotest.failf "RC response at t=%.4f: %.4f vs %.4f" t got expected)
-    result.Circuit.Transient.times
-
-let test_rc_settle_time () =
-  let nl = N.create () in
-  let top = N.fresh_node nl in
-  let out = N.fresh_node nl in
-  let r = 10_000.0 and c = 1e-6 in
-  N.add nl (N.Vsource { name = "vin"; plus = top; minus = N.ground; volts = 0.0 });
-  N.add nl (N.Resistor { a = top; b = out; ohms = r });
-  N.add nl (N.Capacitor { a = out; b = N.ground; farads = c });
-  let tau = r *. c in
-  let result =
-    Circuit.Transient.run ~model:Circuit.Egt.default ~netlist:nl ~source:"vin"
-      ~waveform:(Circuit.Transient.step ()) ~duration:(8.0 *. tau) ~dt:(tau /. 50.0) ()
-  in
-  match Circuit.Transient.settle_time result ~node:out () with
-  | None -> Alcotest.fail "RC did not settle"
-  | Some t ->
-      (* 2% band -> ln(50) tau ~ 3.9 tau *)
-      Alcotest.(check bool)
-        (Printf.sprintf "settle %.4f ~ 3.9 tau" t)
-        true
-        (t > 3.0 *. tau && t < 5.0 *. tau)
-
-let test_capacitor_open_in_dc () =
-  (* DC solve: capacitor has no effect on the divider *)
-  let nl = N.create () in
-  let top = N.fresh_node nl in
-  let mid = N.fresh_node nl in
-  N.add nl (N.Vsource { name = "v"; plus = top; minus = N.ground; volts = 2.0 });
-  N.add nl (N.Resistor { a = top; b = mid; ohms = 1000.0 });
-  N.add nl (N.Resistor { a = mid; b = N.ground; ohms = 1000.0 });
-  N.add nl (N.Capacitor { a = mid; b = N.ground; farads = 1e-6 });
-  let sol = Circuit.Mna.solve Circuit.Egt.default nl in
-  Alcotest.(check (float 1e-6)) "divider unchanged" 1.0 sol.Circuit.Mna.voltages.(mid)
-
-let test_transient_validations () =
-  let nl = N.create () in
-  let top = N.fresh_node nl in
-  N.add nl (N.Vsource { name = "vin"; plus = top; minus = N.ground; volts = 0.0 });
-  N.add nl (N.Resistor { a = top; b = N.ground; ohms = 100.0 });
-  match
-    Circuit.Transient.run ~model:Circuit.Egt.default ~netlist:nl ~source:"vin"
-      ~waveform:(Circuit.Transient.step ()) ~duration:0.0 ~dt:1e-3 ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected invalid duration error"
-
-let test_ptanh_latency_millisecond_scale () =
-  (* printed neuron nonlinear stage with nF parasitics settles in ~ms *)
-  let o = P.omega_of_array mid_omega in
-  match P.latency ~dt:5e-5 ~duration:4e-2 o with
-  | None -> Alcotest.fail "ptanh stage did not settle"
-  | Some t ->
-      Alcotest.(check bool)
-        (Printf.sprintf "latency %.2f ms in [0.01, 40] ms" (t *. 1e3))
-        true
-        (t > 1e-5 && t < 4e-2)
-
 let () =
   Alcotest.run "circuit"
     [
@@ -291,13 +210,5 @@ let () =
                   (List.filter (fun l -> String.length l > 0 && l.[0] = 'R') lines)
               in
               Alcotest.(check int) "6 resistors in the 2-stage circuit" 6 resistors);
-        ] );
-      ( "transient",
-        [
-          Alcotest.test_case "RC step response" `Quick test_rc_step_response;
-          Alcotest.test_case "RC settle time" `Quick test_rc_settle_time;
-          Alcotest.test_case "capacitor open in DC" `Quick test_capacitor_open_in_dc;
-          Alcotest.test_case "validations" `Quick test_transient_validations;
-          Alcotest.test_case "ptanh latency" `Quick test_ptanh_latency_millisecond_scale;
         ] );
     ]

@@ -395,9 +395,21 @@ let test_damaged_entry_recomputed () =
         (Some [ Lines.counted_line "accs" fresh ])
         (Cache.find cache ~kind:"mceval" ~key:"k"))
 
+(* Every NaN is written as [nan], whatever its payload or sign; every
+   other value keeps its sign. *)
+let test_float_line_nan () =
+  let nans = List.map Int64.float_of_bits [ 0xfff8000000000000L; 0x7ff8000000000abcL; 0xfff0000000000123L ] in
+  List.iter
+    (fun v -> Alcotest.(check string) (Printf.sprintf "%016Lx" (Int64.bits_of_float v)) "nan" (Lines.float_line [| v |]))
+    nans;
+  Alcotest.(check string) "mixed line"
+    (Printf.sprintf "nan %h nan %h" (-0.0) Float.neg_infinity)
+    (Lines.float_line [| List.hd nans; -0.0; List.nth nans 2; Float.neg_infinity |])
+
 let () =
   Alcotest.run "lines"
     [
+      ("writers", [ Alcotest.test_case "float_line writes one NaN" `Quick test_float_line_nan ]);
       ( "pins",
         [
           Alcotest.test_case "committed surrogates round-trip" `Quick test_artifacts_roundtrip;

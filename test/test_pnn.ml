@@ -472,32 +472,6 @@ let test_serialize_bad_input () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure"
 
-(* {1 Power} *)
-
-let test_power_estimate_sane () =
-  let net = make_net ~inputs:4 ~outputs:3 () in
-  let x = T.uniform (Rng.create 3) 20 4 ~lo:0.0 ~hi:1.0 in
-  let r = Pnn.Power.estimate net ~x_sample:x in
-  Alcotest.(check bool) "crossbar power positive" true (r.Pnn.Power.crossbar_power_w > 0.0);
-  Alcotest.(check bool) "nonlinear power positive" true (r.Pnn.Power.nonlinear_power_w > 0.0);
-  Alcotest.(check bool) "total consistent" true
-    (Float.abs
-       (r.Pnn.Power.total_power_w
-       -. (r.Pnn.Power.crossbar_power_w +. r.Pnn.Power.nonlinear_power_w))
-    < 1e-12);
-  Alcotest.(check int) "activation circuits = neurons" 6 r.Pnn.Power.activation_circuits;
-  Alcotest.(check bool) "area positive" true (r.Pnn.Power.area_mm2 > 0.0);
-  (* power scales with the conductance unit *)
-  let r2 = Pnn.Power.estimate ~g_unit:2e-4 net ~x_sample:x in
-  Alcotest.(check (float 1e-12)) "crossbar power scales linearly"
-    (2.0 *. r.Pnn.Power.crossbar_power_w)
-    r2.Pnn.Power.crossbar_power_w
-
-let test_power_empty_sample () =
-  let net = make_net ~inputs:2 ~outputs:2 () in
-  Alcotest.check_raises "empty" (Invalid_argument "Power.estimate: empty sample")
-    (fun () -> ignore (Pnn.Power.estimate net ~x_sample:(T.zeros 0 2)))
-
 (* {1 Aging} *)
 
 let aging t_frac = Pnn.Variation.Aging { kappa_max = 0.2; beta = 0.5; t_frac }
@@ -647,11 +621,6 @@ let () =
           Alcotest.test_case "lines roundtrip" `Quick test_serialize_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_serialize_file_roundtrip;
           Alcotest.test_case "bad input" `Quick test_serialize_bad_input;
-        ] );
-      ( "power",
-        [
-          Alcotest.test_case "estimate sane" `Quick test_power_estimate_sane;
-          Alcotest.test_case "empty sample" `Quick test_power_empty_sample;
         ] );
       ( "aging",
         [

@@ -138,6 +138,24 @@ let expect_decode_error msg payload =
   | Error _ -> ()
   | Ok _ -> Alcotest.failf "%s: malformed payload decoded" msg
 
+(* A NaN of any payload or sign leaves as one NaN, 0x7ff8000000000001: the
+   kernels do not promise which NaN they make, so the bytes must not carry
+   it.  An Mc_class frame ends with its three floats. *)
+let test_response_nan_is_canonical () =
+  List.iter
+    (fun nan_bits ->
+      let v = Int64.float_of_bits nan_bits in
+      let frame = P.encode_response (P.Mc_class { id = 1l; cls = 0; mean_p = v; q05 = 0.5; q95 = v }) in
+      let at back = Bytes.get_int64_be frame (Bytes.length frame - back) in
+      let what = Printf.sprintf "%016Lx" nan_bits in
+      Alcotest.(check int64) (what ^ " mean_p") 0x7ff8000000000001L (at 24);
+      Alcotest.(check int64) (what ^ " q05") (bits 0.5) (at 16);
+      Alcotest.(check int64) (what ^ " q95") 0x7ff8000000000001L (at 8))
+    [
+      0x7ff8000000000001L; 0xfff8000000000000L; 0x7ff8000000000abcL; 0xfff0000000000123L;
+      0x7ff0000000000001L;
+    ]
+
 let test_malformed_payloads () =
   expect_decode_error "empty" Bytes.empty;
   (* wrong protocol version *)
@@ -584,6 +602,36 @@ let test_wire_matches_inprocess () =
       Alcotest.(check float_bits) "mc q05" direct.SM.q05 q05;
       Alcotest.(check float_bits) "mc q95" direct.SM.q95 q95)
 
+(* A Monte-Carlo request whose features hold NaNs of other payloads and
+   signs, sent as raw bytes so that no encoder canonicalises them: every
+   float field of the answer that is NaN must be 0x7ff8000000000001,
+   whichever NaN the kernels made. *)
+let test_wire_nan_is_canonical () =
+  with_temp_dir (fun dir ->
+      let live = start_server dir in
+      Fun.protect ~finally:(fun () -> stop_server live) @@ fun () ->
+      let client = Serving.Client.connect (Unix.ADDR_UNIX live.sock) in
+      Fun.protect ~finally:(fun () -> Serving.Client.close client) @@ fun () ->
+      let frame =
+        P.encode_request
+          (P.Predict_mc { id = 5l; features = [| 0.5; 0.25; 0.75; 1.0 |]; draws = 16; seed = 3l })
+      in
+      (* the features follow the length, version, kind, id, feature count,
+         draw count and seed: 4 + 1 + 1 + 4 + 2 + 2 + 4 bytes *)
+      Bytes.set_int64_be frame 18 0xfff8000000000abcL;
+      Bytes.set_int64_be frame 34 0x7ff0000000000123L;
+      Serving.Client.send_raw client frame;
+      match Serving.Client.recv client with
+      | P.Mc_class { id = 5l; mean_p; q05; q95; _ } ->
+          let fields = [ ("mean_p", mean_p); ("q05", q05); ("q95", q95) ] in
+          if not (List.exists (fun (_, v) -> Float.is_nan v) fields) then
+            Alcotest.fail "no NaN field in the answer";
+          List.iter
+            (fun (name, v) ->
+              if Float.is_nan v then Alcotest.(check int64) name 0x7ff8000000000001L (bits v))
+            fields
+      | _ -> Alcotest.fail "no Monte-Carlo answer")
+
 let test_wire_rejects_bad_requests () =
   with_temp_dir (fun dir ->
       let live = start_server dir in
@@ -738,6 +786,7 @@ let () =
         [
           Alcotest.test_case "request round-trips" `Quick test_request_roundtrips;
           Alcotest.test_case "response round-trips" `Quick test_response_roundtrips;
+          Alcotest.test_case "a NaN is written as one NaN" `Quick test_response_nan_is_canonical;
           Alcotest.test_case "malformed payloads" `Quick test_malformed_payloads;
           Alcotest.test_case "truncations name the field" `Quick
             test_truncations_name_the_field;
@@ -774,6 +823,7 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "matches in-process" `Quick test_wire_matches_inprocess;
+          Alcotest.test_case "NaN answers are one NaN" `Quick test_wire_nan_is_canonical;
           Alcotest.test_case "rejects bad requests" `Quick test_wire_rejects_bad_requests;
           Alcotest.test_case "atomic stats counters" `Quick
             test_stats_counters_atomic;
