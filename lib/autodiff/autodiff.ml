@@ -449,4 +449,11 @@ let backward_tape tape =
   T.set (grad_buffer tape.root) 0 0 1.0;
   List.iter (fun n -> n.push n) tape.order
 
+let backward_seeded tape seed =
+  if T.shape tape.root.value <> T.shape seed then
+    invalid_arg "Autodiff.backward_seeded: seed/root shape mismatch";
+  List.iter zero_grad tape.order;
+  T.blit ~src:seed ~dst:(grad_buffer tape.root);
+  List.iter (fun n -> n.push n) tape.order
+
 let backward root = backward_tape (compile root)

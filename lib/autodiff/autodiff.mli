@@ -192,3 +192,9 @@ val split : tape -> input:t -> tape * tape
 
 val backward_tape : tape -> unit
 (** As {!backward}, but reusing the compiled order. *)
+
+val backward_seeded : tape -> Tensor.t -> unit
+(** As {!backward_tape} for a root of any shape, whose gradient is a copy
+    of the given seed (the root's shape) instead of 1: the backward half of
+    a stage whose output feeds graphs run elsewhere, seeded with the
+    gradients those graphs computed for it. *)

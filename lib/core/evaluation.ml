@@ -8,19 +8,20 @@ type result = {
   accuracies : float array;
 }
 
-let accuracy_under network noise ~x ~y =
+let check_labels ~x ~y =
   if Tensor.rows x <> Array.length y then
-    invalid_arg "Evaluation.accuracy: label count mismatch";
-  (* forward pass in place on this domain's compiled graph for x's shape *)
-  let p = Network.predictor_cached network ~rows:(Tensor.rows x) ~cols:(Tensor.cols x) in
-  let pred = Network.predictor_predict p ~noise x in
+    invalid_arg "Evaluation.accuracy: label count mismatch"
+
+let accuracy ~y pred =
   let hits = ref 0 in
   Array.iteri (fun i p -> if p = y.(i) then incr hits) pred;
   float_of_int !hits /. float_of_int (Array.length y)
 
 let nominal_accuracy network ~x ~y =
-  let shapes = Network.theta_shapes network in
-  accuracy_under network (Noise.none ~theta_shapes:shapes) ~x ~y
+  check_labels ~x ~y;
+  (* forward pass in place on this domain's compiled graph for x's shape *)
+  let p = Network.predictor_cached network ~rows:(Tensor.rows x) ~cols:(Tensor.cols x) in
+  accuracy ~y (Network.predictor_predict p x)
 
 (* Cache payload: the raw per-draw accuracies in [%h]; every summary
    statistic is recomputed from the decoded bits, so a hit is bit-identical
@@ -43,6 +44,7 @@ let with_cache cache compute =
 let mc_accuracy ?pool ?cache rng network ~model ~n ~x ~y =
   if n < 1 then invalid_arg "Evaluation.mc_accuracy: n < 1";
   Variation.validate model;
+  check_labels ~x ~y;
   let accuracies =
     with_cache cache (fun () ->
         (* Pre-draw every noise record sequentially on the calling domain,
@@ -53,7 +55,8 @@ let mc_accuracy ?pool ?cache rng network ~model ~n ~x ~y =
             (Variation.mc_draws rng model (Variation.ctx_of_network network) ~n)
         in
         let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
-        Parallel.Pool.map_array pool (fun noise -> accuracy_under network noise ~x ~y) noises)
+        Network.mc_logits pool network ~noises x ~f:(fun logits ->
+            accuracy ~y (Tensor.argmax_rows logits)))
   in
   {
     mean = Stats.mean accuracies;

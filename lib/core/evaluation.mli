@@ -40,8 +40,9 @@ val mc_accuracy :
     (pure) forward passes are fanned out over [pool] (default: the shared
     {!Parallel.get_pool}).  Results are bit-identical for any worker count,
     and the RNG stream is consumed exactly as by a sequential evaluation.
-    Each draw runs on its domain's compiled logits graph for [x]'s shape
-    ({!Network.predictor_cached}), bit-identical to {!Network.predict}.
+    The surrogate runs once for all draws, before the fan-out, and each
+    draw on its domain's compiled logits graph for [x]'s shape
+    ({!Network.mc_logits}), bit-identical to {!Network.predict}.
 
     [cache] is an optional [(store, key)] pair memoizing the raw per-draw
     accuracies; the key must cover everything the draws depend on (network

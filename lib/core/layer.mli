@@ -47,36 +47,39 @@ val outputs : t -> int
 
 val forward :
   Config.t -> t -> noise:Noise.layer_noise -> Autodiff.t -> Autodiff.t
-(** Batch forward: [n × n_in] → [n × n_out] (after the ptanh activation).
-    Both of the layer's nonlinear circuits go through a single batched
-    surrogate evaluation ({!Nonlinear.eta_pair}). *)
+(** Batch forward: [n × n_in] → [n × n_out] (after the ptanh activation),
+    as a fresh graph: each circuit's η goes through its own surrogate pass
+    ({!Nonlinear.eta}). *)
 
-(** {2 Reusable-graph building blocks}
+(** {2 Compiled-graph building blocks}
 
-    The variation draw enters the graph through three const leaf nodes per
-    layer, so a compiled graph can be re-fed new draws in place
-    ({!update_noise_nodes} + {!Autodiff.refresh}) instead of being rebuilt —
-    see {!Network.predictor_logits}. *)
+    In a compiled graph a draw enters through three leaves per layer, so
+    the graph can be re-fed new draws in place instead of being rebuilt:
+    the θ noise, and both circuits' η, which the network's η stage computes
+    for every draw and layer in one surrogate batch (see {!Network}). *)
 
-type noise_nodes = { theta_n : Autodiff.t; act_n : Autodiff.t; neg_n : Autodiff.t }
+type draw_nodes = { theta_n : Autodiff.t; act_eta : Autodiff.t; neg_eta : Autodiff.t }
+(** [theta_n] is a const leaf of θ's shape; [act_eta] and [neg_eta] are
+    1 × 4 param leaves, so a backward pass leaves ∂L/∂η in their
+    gradients. *)
 
-val noise_nodes_of : Noise.layer_noise -> noise_nodes
-(** Fresh const leaves holding {e copies} of the draw tensors (the caller
-    keeps ownership of the originals). *)
+val draw_nodes : t -> draw_nodes
+(** Fresh leaves for this layer: all-ones θ noise, zero η. *)
 
-val update_noise_nodes : noise_nodes -> Noise.layer_noise -> bool
-(** Blit a new draw into the leaves and report whether any bit of them
-    changed ({!Autodiff.update_value}); allocation-free.  A shape mismatch
-    raises [Invalid_argument], possibly after an earlier leaf was written:
-    check the draw with {!noise_misfit} first. *)
+val update_theta_noise : draw_nodes -> Noise.layer_noise -> bool
+(** Blit the draw's θ noise into its leaf and report whether any bit
+    changed ({!Autodiff.update_value}); allocation-free.  Raises
+    [Invalid_argument] on a shape mismatch: check the draw with
+    {!noise_misfit} first. *)
 
-val noise_misfit : noise_nodes -> Noise.layer_noise -> string option
+val noise_misfit : t -> Noise.layer_noise -> string option
 (** [Some "theta"] or [Some "omega"] when that part of the draw does not
-    have the leaves' shape, [None] when the whole draw fits.  Lets a caller
-    validate every layer before writing any leaf. *)
+    fit this layer (θ's shape, 1 × 7 per circuit), [None] when the whole
+    draw fits.  Lets a caller validate every layer before writing any
+    leaf. *)
 
-val forward_nodes : Config.t -> t -> noise_nodes -> Autodiff.t -> Autodiff.t
-(** As {!forward}, with the noise already in the graph. *)
+val forward_nodes : Config.t -> t -> draw_nodes -> Autodiff.t -> Autodiff.t
+(** As {!forward}, with the draw already in the graph. *)
 
 val preactivation :
   Config.t -> t -> noise:Noise.layer_noise -> Autodiff.t -> Autodiff.t

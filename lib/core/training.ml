@@ -96,8 +96,8 @@ let fit ?pool ?model ?checkpoint rng network data =
             | Some _ | None -> ())
   in
   let val_loss () =
-    (* Forward-only on the compiled loss graphs; bit-identical to the
-       full-graph [Network.mc_loss] value. *)
+    (* Forward-only: one η stage for the fixed draws, then the compiled
+       loss graphs; the mean of the one-draw losses, summed in draw order. *)
     Network.mc_loss_value pool network ~noises:val_noises ~x:data.x_val
       ~labels:data.y_val
   in

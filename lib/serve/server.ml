@@ -146,6 +146,13 @@ let respond t conn resp =
 
 (* {1 Request dispatch} *)
 
+(* A model that raises fails the requests it was answering, not the
+   server: each gets an [Error] naming the exception, and the loop (and the
+   shared pool, which re-raises a worker's exception only after every
+   claimed draw finished) carries on. *)
+let model_error id e =
+  P.Error { id; message = "model failed: " ^ Printexc.to_string e }
+
 let handle_request t conn ~admitted req =
   match req with
   | P.Predict { id; features } ->
@@ -172,14 +179,16 @@ let handle_request t conn ~admitted req =
                    (Serve_model.inputs t.model) (Array.length features);
              })
       else begin
-        let { Serve_model.cls; mean_p; q05; q95 } =
+        match
           Serve_model.predict_mc t.model
             ~pool:(Parallel.get_pool ())
             ~model:t.cfg.mc_model ~draws ~seed:(Int32.to_int seed land 0x3fffffff)
             features
-        in
-        Atomic.incr t.mc_served;
-        respond t conn (P.Mc_class { id; cls; mean_p; q05; q95 })
+        with
+        | { Serve_model.cls; mean_p; q05; q95 } ->
+            Atomic.incr t.mc_served;
+            respond t conn (P.Mc_class { id; cls; mean_p; q05; q95 })
+        | exception e -> respond t conn (model_error id e)
       end
   | P.Stats { id } -> respond t conn (P.Stats_reply { id; stats = stats t })
   | P.Shutdown { id } ->
@@ -192,14 +201,15 @@ let run_batch t batch =
   | _ ->
       let items = Array.of_list batch in
       let rows = Array.map (fun p -> p.p_features) items in
-      let classes = Serve_model.predict_batch t.model rows in
-      Array.iteri
-        (fun i p -> respond t p.p_conn (P.Class { id = p.p_id; cls = classes.(i) }))
-        items;
-      let k = Array.length items in
-      ignore (Atomic.fetch_and_add t.served k);
+      (match Serve_model.predict_batch t.model rows with
+      | classes ->
+          Array.iteri
+            (fun i p -> respond t p.p_conn (P.Class { id = p.p_id; cls = classes.(i) }))
+            items;
+          ignore (Atomic.fetch_and_add t.served (Array.length items))
+      | exception e -> Array.iter (fun p -> respond t p.p_conn (model_error p.p_id e)) items);
       Atomic.incr t.batches;
-      Atomic.incr t.occupancy.(k - 1)
+      Atomic.incr t.occupancy.(Array.length items - 1)
 
 let flush_batches t ~force =
   if force then List.iter (run_batch t) (Batcher.drain t.batcher)

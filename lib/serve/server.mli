@@ -31,7 +31,9 @@ val run : t -> unit
 (** The event loop.  Blocks until a [Shutdown] request arrives or {!stop}
     is called, drains pending batches, flushes every connection, closes the
     socket, and returns.  The Monte-Carlo seed from the wire is masked to a
-    non-negative int before reaching [Rng.create]. *)
+    non-negative int before reaching [Rng.create].  A model that raises
+    answers each request it was serving with an [Error] (counted in
+    [errors]) and the loop keeps serving. *)
 
 val stop : t -> unit
 (** Request a graceful stop; safe to call from any domain (atomic flag +

@@ -237,6 +237,14 @@ let blit_changed ~src ~dst =
   if src.rows <> dst.rows || src.cols <> dst.cols then shape_fail "blit_changed" src dst;
   Kc.blit_changed src.store dst.store (numel src)
 
+let blit_rows ~src i ~dst j n =
+  if src.cols <> dst.cols || n < 0 || i < 0 || j < 0 || i + n > src.rows || j + n > dst.rows
+  then
+    invalid_arg
+      (Printf.sprintf "Tensor.blit_rows: rows [%d,%d) of %s over [%d,%d) of %s" i (i + n)
+         (shape_string src.rows src.cols) j (j + n) (shape_string dst.rows dst.cols));
+  Kc.blit src.store (i * src.cols) dst.store (j * dst.cols) (n * src.cols)
+
 let read_into t a =
   if Array.length a <> numel t then invalid_arg "Tensor.read_into: length mismatch";
   let b = t.store in

@@ -154,6 +154,11 @@ val blit_changed : src:t -> dst:t -> bool
     changes).  Allocation-free; lets a caller skip recomputing what depends
     only on [dst]. *)
 
+val blit_rows : src:t -> int -> dst:t -> int -> int -> unit
+(** [blit_rows ~src i ~dst j n] copies rows [\[i, i + n)] of [src] over rows
+    [\[j, j + n)] of [dst] (same column count); [src] and [dst] must be
+    distinct.  Raises [Invalid_argument] on a range outside either tensor. *)
+
 val read_into : t -> float array -> unit
 (** [read_into t a] copies [t]'s elements, row-major, into [a] (of length
     [numel t]) without allocating — for code that runs a small formula on

@@ -232,12 +232,9 @@ let crossbar_case config surrogate rng ~rows ~inputs ~outputs ~trial ~const_x =
   in
   let leaf () = if const_x then A.const (T.copy x) else A.param (T.copy x) in
   let xo = leaf () in
-  let nodes = Pnn.Layer.noise_nodes_of noise in
-  let _, neg_eta =
-    Pnn.Nonlinear.eta_pair layer.Pnn.Layer.act layer.Pnn.Layer.neg
-      ~act_noise:nodes.Pnn.Layer.act_n ~neg_noise:nodes.Pnn.Layer.neg_n
-  in
-  let old = old_preactivation config layer.Pnn.Layer.theta nodes.Pnn.Layer.theta_n neg_eta xo in
+  let neg_eta = Pnn.Nonlinear.eta layer.Pnn.Layer.neg ~noise:noise.Pnn.Noise.neg_omega in
+  let theta_n = A.const noise.Pnn.Noise.theta in
+  let old = old_preactivation config layer.Pnn.Layer.theta theta_n neg_eta xo in
   let g_old = grads old in
   let xn = leaf () in
   let fused = Pnn.Layer.preactivation config layer ~noise xn in

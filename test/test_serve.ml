@@ -558,8 +558,7 @@ type live = {
   net : Pnn.Network.t;
 }
 
-let start_server ?(max_batch = 8) ?(linger = 0.0005) dir =
-  let net = make_net ~inputs:4 ~outputs:3 () in
+let start_server ?(max_batch = 8) ?(linger = 0.0005) ?(net = make_net ~inputs:4 ~outputs:3 ()) dir =
   let model = SM.of_network net in
   let sock = Filename.concat dir "serve.sock" in
   let config =
@@ -765,6 +764,40 @@ let test_stats_counters_atomic () =
       Alcotest.(check int64) "wire served" s.P.served wire.P.served;
       Alcotest.(check int64) "wire batches" s.P.batches wire.P.batches)
 
+(* A model that raises fails its requests, not the server.  The network's
+   surrogate MLP ends in 3 outputs where η has 4, so the η stage of the
+   first forward pass raises; both request kinds must get an [Error] with
+   their own id, and the server must keep answering. *)
+let test_model_failure_is_contained () =
+  with_temp_dir (fun dir ->
+      let broken =
+        {
+          (Lazy.force surrogate) with
+          Surrogate.Model.mlp =
+            Nn.Mlp.create (Rng.create 3) ~sizes:[ 10; 6; 3 ] ~hidden:Nn.Activation.Tanh
+              ~output:Nn.Activation.Linear;
+        }
+      in
+      let net = Pnn.Network.create (Rng.create 7) Pnn.Config.default broken ~inputs:4 ~outputs:3 in
+      let live = start_server ~net dir in
+      Fun.protect ~finally:(fun () -> stop_server live) @@ fun () ->
+      let client = Serving.Client.connect (Unix.ADDR_UNIX live.sock) in
+      Fun.protect ~finally:(fun () -> Serving.Client.close client) @@ fun () ->
+      let x = features_of ~inputs:4 3 in
+      (match Serving.Client.rpc client (P.Predict { id = 1l; features = x }) with
+      | P.Error { id = 1l; message } ->
+          Alcotest.(check bool) "names the failure" true (contains message "model failed")
+      | _ -> Alcotest.fail "a failing predict was not answered with an error");
+      (match
+         Serving.Client.rpc client (P.Predict_mc { id = 2l; features = x; draws = 4; seed = 1l })
+       with
+      | P.Error { id = 2l; _ } -> ()
+      | _ -> Alcotest.fail "a failing Monte-Carlo predict was not answered with an error");
+      let s = Serving.Client.stats client in
+      Alcotest.(check int64) "errors" 2L s.P.errors;
+      Alcotest.(check int64) "served" 0L s.P.served;
+      Alcotest.(check int64) "mc_served" 0L s.P.mc_served)
+
 let test_shutdown_request_stops_server () =
   with_temp_dir (fun dir ->
       let live = start_server dir in
@@ -830,5 +863,6 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients_bit_identical;
           Alcotest.test_case "shutdown request" `Quick test_shutdown_request_stops_server;
+          Alcotest.test_case "model failure is contained" `Quick test_model_failure_is_contained;
         ] );
     ]
