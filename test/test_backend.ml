@@ -1252,7 +1252,10 @@ let loss_grads_entry () =
   let noise =
     Pnn.Noise.draw rng ~epsilon:0.1 ~theta_shapes:(Pnn.Network.theta_shapes net)
   in
-  let loss, grads = Pnn.Network.draw_loss_and_grads net ~noise ~x ~labels in
+  let loss, grads =
+    (Pnn.Network.draws_loss_and_grads (Parallel.Pool.create ~jobs:1 ()) net ~noises:[| noise |]
+       ~x ~labels).(0)
+  in
   Printf.sprintf "%h" loss
   :: List.map
        (fun g ->
