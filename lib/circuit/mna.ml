@@ -17,7 +17,6 @@ exception No_convergence of { iterations : int; residual : float }
 type stamp =
   | Conductance of { n1 : Netlist.node; n2 : Netlist.node; g : float }
   | Vsource of { plus : Netlist.node; minus : Netlist.node; slot : int }
-  | Current of { into : Netlist.node; out_of : Netlist.node; amps : float }
   | Fet of {
       gate : Netlist.node;
       drain : Netlist.node;
@@ -26,8 +25,7 @@ type stamp =
       l_um : float;
     }
 
-(* [stamps] are the netlist's elements in insertion order with capacitors
-   (open in DC) dropped, which leaves the stamp order unchanged.  The
+(* [stamps] are the netlist's elements in insertion order.  The
    Newton scratch — the system (a, rhs) that each iteration stamps and
    [Linalg.solve_in_place] then factors in place, the iterate [volts] and
    the transistor evaluation's inputs and outputs [fet] — lives here too,
@@ -52,18 +50,16 @@ let compile model netlist =
   let n_nodes = Netlist.node_count netlist in
   let names = ref [] and values = ref [] in
   let stamps =
-    List.filter_map
+    List.map
       (function
-        | Netlist.Resistor { a = n1; b = n2; ohms } ->
-            Some (Conductance { n1; n2; g = 1.0 /. ohms })
+        | Netlist.Resistor { a = n1; b = n2; ohms } -> Conductance { n1; n2; g = 1.0 /. ohms }
         | Netlist.Vsource { name; plus; minus; volts = v } ->
             let slot = List.length !names in
             names := name :: !names;
             values := v :: !values;
-            Some (Vsource { plus; minus; slot })
-        | Netlist.Isource { into; out_of; amps } -> Some (Current { into; out_of; amps })
+            Vsource { plus; minus; slot }
         | Netlist.Transistor { gate; drain; source; w_um; l_um } ->
-            Some (Fet { gate; drain; source; w_um; l_um }))
+            Fet { gate; drain; source; w_um; l_um })
       (Netlist.elements netlist)
   in
   let dim = n_nodes - 1 + List.length !names in
@@ -141,9 +137,6 @@ let newton ?(options = default_options) c =
             a.(k).(minus - 1) <- a.(k).(minus - 1) -. 1.0
           end;
           rhs.(k) <- c.source_volts.(slot)
-      | Current { into; out_of; amps } ->
-          stamp_i rhs into amps;
-          stamp_i rhs out_of (-.amps)
       | Fet { gate; drain; source; w_um; l_um } ->
           let vg = volts.(gate) and vd = volts.(drain) and vs = volts.(source) in
           let fet = c.fet in

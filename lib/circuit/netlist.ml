@@ -4,7 +4,6 @@ type element =
   | Resistor of { a : node; b : node; ohms : float }
   | Vsource of { name : string; plus : node; minus : node; volts : float }
   | Transistor of { gate : node; drain : node; source : node; w_um : float; l_um : float }
-  | Isource of { into : node; out_of : node; amps : float }
 
 (* pnnlint:allow R7 a builder is used by one domain during construction;
    compiled circuits read it immutably afterwards *)
@@ -40,7 +39,7 @@ let source_count t =
     (List.filter
        (function
          | Vsource _ -> true
-         | Resistor _ | Transistor _ | Isource _ -> false)
+         | Resistor _ | Transistor _ -> false)
        t.elems)
 
 let validate t =
@@ -63,9 +62,6 @@ let validate t =
         if not (ok_node gate && ok_node drain && ok_node source) then
           Error "transistor references unknown node"
         else if w_um <= 0.0 || l_um <= 0.0 then Error "non-positive transistor geometry"
-        else check rest
-    | Isource { into; out_of; _ } :: rest ->
-        if not (ok_node into && ok_node out_of) then Error "current source references unknown node"
         else check rest
   in
   check (elements t)

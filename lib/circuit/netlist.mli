@@ -10,8 +10,6 @@ type element =
   | Resistor of { a : node; b : node; ohms : float }
   | Vsource of { name : string; plus : node; minus : node; volts : float }
   | Transistor of { gate : node; drain : node; source : node; w_um : float; l_um : float }
-  | Isource of { into : node; out_of : node; amps : float }
-      (** Ideal current source. *)
 
 type t
 

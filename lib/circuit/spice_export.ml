@@ -24,7 +24,7 @@ let egt_expression p ~w_over_l ~gate ~drain ~source =
 let to_spice ?(title = "printed neuromorphic circuit") ?(model = Egt.default) netlist =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf ("* " ^ title ^ "\n");
-  let r = ref 0 and i = ref 0 and b = ref 0 in
+  let r = ref 0 and b = ref 0 in
   List.iter
     (fun e ->
       match e with
@@ -33,11 +33,6 @@ let to_spice ?(title = "printed neuromorphic circuit") ?(model = Egt.default) ne
           Buffer.add_string buf (Printf.sprintf "R%d %d %d %g\n" !r a nb ohms)
       | Netlist.Vsource { name; plus; minus; volts } ->
           Buffer.add_string buf (Printf.sprintf "V%s %d %d DC %g\n" name plus minus volts)
-      | Netlist.Isource { into; out_of; amps } ->
-          incr i;
-          (* SPICE convention: current flows from node1 through the source to
-             node2, so (out_of, into) injects into [into]. *)
-          Buffer.add_string buf (Printf.sprintf "I%d %d %d DC %g\n" !i out_of into amps)
       | Netlist.Transistor { gate; drain; source; w_um; l_um } ->
           incr b;
           let expr =

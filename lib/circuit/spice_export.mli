@@ -5,6 +5,9 @@
     emitted as a behavioural current source (B-source) implementing the same
     smoothed square-law equation as {!Egt}. *)
 
+(* Reserved for the ROADMAP item "The composed circuit: simulate the trained
+   pNN as one netlist", which gives it its first non-test caller. *)
+
 val to_spice : ?title:string -> ?model:Egt.params -> Netlist.t -> string
 (** Complete netlist file ending in [.end].  Node 0 is SPICE ground. *)
 

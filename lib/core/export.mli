@@ -8,6 +8,10 @@
     learned nonlinear circuits with the MNA solver to measure how honest the
     surrogate was at the chosen design point. *)
 
+(* Reserved for the ROADMAP items "Surrogate fidelity, measured in volts
+   against the simulator" and "The composed circuit: simulate the trained
+   pNN as one netlist"; today only examples/ and tests call it. *)
+
 type circuit_check = {
   layer : int;
   kind : [ `Activation | `Negative_weight ];

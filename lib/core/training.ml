@@ -105,8 +105,7 @@ let fit ?pool ?model ?checkpoint rng network data =
     Nn.Train.run ~state:st ?on_epoch
       ~config:
         {
-          Nn.Train.default_config with
-          max_epochs = config.Config.max_epochs;
+          Nn.Train.max_epochs = config.Config.max_epochs;
           patience = config.Config.patience;
           val_every = config.Config.val_every;
         }

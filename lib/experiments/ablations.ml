@@ -25,33 +25,7 @@ let sampler_ablation () =
     match sampler with
     | `Sobol -> Surrogate.Pipeline.generate_dataset ~n:samples ()
     | `Lhs -> Surrogate.Pipeline.generate_dataset ~n:samples ~sampler:(`Lhs (Rng.create 7)) ()
-    | `Random ->
-        let omegas = sample_random (Rng.create 7) ~n:samples in
-        (* reuse the pipeline's simulate+fit by temporarily building a dataset
-           from explicit omegas: simplest is to rerun its internals here *)
-        let kept_o = ref [] and kept_e = ref [] and kept_r = ref [] in
-        let rejected = ref 0 in
-        Array.iter
-          (fun omega ->
-            match
-              Circuit.Ptanh_circuit.transfer (Circuit.Ptanh_circuit.omega_of_array omega)
-            with
-            | exception Circuit.Mna.No_convergence _ -> incr rejected
-            | vin, vout ->
-                let { Fit.Ptanh.eta; rmse; _ } = Fit.Ptanh.fit ~vin ~vout in
-                if rmse <= 0.02 then begin
-                  kept_o := omega :: !kept_o;
-                  kept_e := Fit.Ptanh.eta_to_array eta :: !kept_e;
-                  kept_r := rmse :: !kept_r
-                end
-                else incr rejected)
-          omegas;
-        {
-          Surrogate.Pipeline.omegas = Array.of_list !kept_o;
-          etas = Array.of_list !kept_e;
-          fit_rmses = Array.of_list !kept_r;
-          rejected = !rejected;
-        }
+    | `Random -> Surrogate.Pipeline.dataset_of_omegas (sample_random (Rng.create 7) ~n:samples)
   in
   let rows =
     List.map

@@ -1,7 +1,6 @@
 type eta = { eta1 : float; eta2 : float; eta3 : float; eta4 : float }
 
 let eval e v = e.eta1 +. (e.eta2 *. Fmath.tanh ((v -. e.eta3) *. e.eta4))
-let eval_inv e v = -.eval e v
 let eta_to_array e = [| e.eta1; e.eta2; e.eta3; e.eta4 |]
 
 let eta_of_array a =
@@ -248,7 +247,3 @@ let fit ~vin ~vout =
     rmse = sqrt (2.0 *. best.cost /. float_of_int n);
     converged = best.converged && Float.is_finite best.cost;
   }
-
-let fit_inv ~vin ~vout =
-  (* Eq. 3: vout ≈ −(η1 + η2 tanh((v−η3)η4)); fit the negated data with Eq. 2. *)
-  fit ~vin ~vout:(Array.map (fun v -> -.v) vout)

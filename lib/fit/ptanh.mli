@@ -3,18 +3,17 @@
 
       ptanh_η(v) = η1 + η2 · tanh((v − η3) · η4)
 
-    The negative-weight circuit model (Eq. 3) is [inv(v) = −ptanh_η(v)] with η
-    fitted against the negated curve; {!fit_inv} returns that η. *)
+    The negative-weight circuit model (Eq. 3) is [inv(v) = −ptanh_η(v)]. *)
 
 type eta = { eta1 : float; eta2 : float; eta3 : float; eta4 : float }
 
 val eval : eta -> float -> float
-val eval_inv : eta -> float -> float
-(** [eval_inv eta v = -. eval eta v]. *)
 
 val eta_to_array : eta -> float array
 val eta_of_array : float array -> eta
 
+(* [residuals] and [jacobian] are reserved for the ROADMAP item "Surrogate
+   fidelity, measured in volts against the simulator" (its adjoint check). *)
 val residuals : vin:float array -> vout:float array -> eta -> float array
 (** [residuals ~vin ~vout eta] is Eq. 2's residual vector,
     [ptanh_η(vin.(i)) − vout.(i)], computed by the expression {!fit}
@@ -37,6 +36,3 @@ val fit : vin:float array -> vout:float array -> fit_result
     cost is not finite) is never converged.  A fit allocates its scratch
     once, whatever its iteration count.  Raises [Invalid_argument] on
     length mismatch or fewer than 5 points. *)
-
-val fit_inv : vin:float array -> vout:float array -> fit_result
-(** Fit of Eq. 3: finds η such that [−ptanh_η] matches the data. *)

@@ -1,17 +1,13 @@
 type t = { w : Autodiff.t; b : Autodiff.t }
 
-let create rng ?(init = Init.Xavier) ~inputs ~outputs () =
-  let w = Autodiff.param (Init.tensor rng init ~inputs ~outputs) in
+let create rng ~inputs ~outputs =
+  let a = sqrt (6.0 /. float_of_int (inputs + outputs)) in
+  let w = Autodiff.param (Tensor.uniform rng inputs outputs ~lo:(-.a) ~hi:a) in
   let b = Autodiff.param (Tensor.zeros 1 outputs) in
   { w; b }
 
-let forward t x = Autodiff.add_rowvec (Autodiff.matmul x t.w) t.b
-let forward_tensor t x = Tensor.add_rowvec (Tensor.matmul x (Autodiff.value t.w)) (Autodiff.value t.b)
-
-(* Fused forwards: layer + activation in one node / one kernel call —
-   bit-identical to [Activation.apply act (forward t x)] (resp. the
-   apply_tensor chain); the win is dispatch and tape overhead, which
-   dominates the 13-tiny-layer surrogate evaluation. *)
+(* Layer + activation in one node / one kernel call: dispatch and tape
+   overhead dominate the 13-tiny-layer surrogate evaluation. *)
 let forward_fused act t x = Autodiff.dense ?op:(Activation.unop act) x t.w t.b
 
 let forward_tensor_fused act t x =
@@ -26,9 +22,8 @@ let forward_tensor_fused act t x =
       let out = Tensor.zeros m n in
       Tensor.matmul_bias_unop_into ~op x w b ~pre ~out;
       out
+
 let params t = [ t.w; t.b ]
-let inputs t = Tensor.rows (Autodiff.value t.w)
-let outputs t = Tensor.cols (Autodiff.value t.w)
 let snapshot t = (Tensor.copy (Autodiff.value t.w), Tensor.copy (Autodiff.value t.b))
 
 let write_into dst src =

@@ -1,22 +1,20 @@
-(** A fully-connected layer [y = x·W + b]. *)
+(** A fully-connected layer [y = act (x·W + b)], Xavier-initialised. *)
 
 type t = { w : Autodiff.t; b : Autodiff.t }
 
-val create : Rng.t -> ?init:Init.scheme -> inputs:int -> outputs:int -> unit -> t
-val forward : t -> Autodiff.t -> Autodiff.t
-val forward_tensor : t -> Tensor.t -> Tensor.t
+val create : Rng.t -> inputs:int -> outputs:int -> t
+(** Weights drawn Glorot-uniform, U[−a, a] with a = √(6 / (inputs +
+    outputs)), in row-major order; zero bias. *)
 
 val forward_fused : Activation.t -> t -> Autodiff.t -> Autodiff.t
-(** [forward_fused act t x] is [Activation.apply act (forward t x)] as one
-    fused node — bit-identical values and gradients, one kernel call. *)
+(** [forward_fused act t x] is the layer and its activation as one fused
+    node, one kernel call. *)
 
 val forward_tensor_fused : Activation.t -> t -> Tensor.t -> Tensor.t
-(** Tape-free fused counterpart of
-    [Activation.apply_tensor act (forward_tensor t x)]. *)
+(** Tape-free counterpart of {!forward_fused}. *)
 
 val params : t -> Autodiff.t list
-val inputs : t -> int
-val outputs : t -> int
+
 val snapshot : t -> Tensor.t * Tensor.t
 (** Copies of the current weights (for best-epoch restoration). *)
 

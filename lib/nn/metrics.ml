@@ -1,15 +1,3 @@
-let accuracy_idx ~logits ~labels =
-  let pred = Tensor.argmax_rows logits in
-  if Array.length pred <> Array.length labels then
-    invalid_arg "Metrics.accuracy_idx: row count mismatch";
-  if Array.length labels = 0 then invalid_arg "Metrics.accuracy_idx: empty";
-  let hits = ref 0 in
-  Array.iteri (fun i p -> if p = labels.(i) then incr hits) pred;
-  float_of_int !hits /. float_of_int (Array.length labels)
-
-let accuracy ~logits ~labels =
-  accuracy_idx ~logits ~labels:(Tensor.argmax_rows labels)
-
 let mse a b =
   if Tensor.shape a <> Tensor.shape b then invalid_arg "Metrics.mse: shape mismatch";
   let d = Tensor.sub a b in
@@ -29,17 +17,3 @@ let r2 ~pred ~target =
       ss_tot := !ss_tot +. (d *. d))
     t;
   1.0 -. (!ss_res /. Stdlib.max !ss_tot 1e-30)
-
-let confusion ~logits ~labels ~n_classes =
-  let pred = Tensor.argmax_rows logits in
-  if Array.length pred <> Array.length labels then
-    invalid_arg "Metrics.confusion: row count mismatch";
-  let m = Array.make_matrix n_classes n_classes 0 in
-  Array.iteri
-    (fun i p ->
-      let t = labels.(i) in
-      if t < 0 || t >= n_classes || p < 0 || p >= n_classes then
-        invalid_arg "Metrics.confusion: class index out of range";
-      m.(t).(p) <- m.(t).(p) + 1)
-    pred;
-  m

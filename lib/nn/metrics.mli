@@ -1,12 +1,5 @@
-(** Classification and regression metrics. *)
+(** Regression metrics of the surrogate pipeline. *)
 
-val accuracy : logits:Tensor.t -> labels:Tensor.t -> float
-(** Fraction of rows whose argmax matches the one-hot label argmax. *)
-
-val accuracy_idx : logits:Tensor.t -> labels:int array -> float
 val mse : Tensor.t -> Tensor.t -> float
 val r2 : pred:Tensor.t -> target:Tensor.t -> float
 (** Coefficient of determination over all entries. *)
-
-val confusion : logits:Tensor.t -> labels:int array -> n_classes:int -> int array array
-(** [confusion.(true_class).(predicted_class)] counts. *)

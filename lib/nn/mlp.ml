@@ -13,14 +13,13 @@ let create rng ~sizes ~hidden ~output =
   if List.length sizes < 2 then invalid_arg "Mlp.create: need at least 2 sizes";
   let layers =
     List.map
-      (fun (inputs, outputs) -> Dense.create rng ~inputs ~outputs ())
+      (fun (inputs, outputs) -> Dense.create rng ~inputs ~outputs)
       (pairs sizes)
   in
   { layers; hidden; output; arch = sizes }
 
 (* All three forwards route each layer + activation through the fused dense
-   path (one node / one kernel call instead of three) — bit-identical to the
-   former matmul/add_rowvec/activation chains. *)
+   path: one node / one kernel call per layer. *)
 let rec forward_layers act_hidden act_out layers x =
   match layers with
   | [] -> x
@@ -56,7 +55,6 @@ let forward_frozen t x =
   go t.layers x
 
 let params t = List.concat_map Dense.params t.layers
-let sizes t = t.arch
 let snapshot t = List.map Dense.snapshot t.layers
 let restore t snaps = List.iter2 Dense.restore t.layers snaps
 

@@ -23,7 +23,6 @@ val forward_frozen : t -> Autodiff.t -> Autodiff.t
     participates in pNN training. *)
 
 val params : t -> Autodiff.t list
-val sizes : t -> int list
 val snapshot : t -> (Tensor.t * Tensor.t) list
 val restore : t -> (Tensor.t * Tensor.t) list -> unit
 

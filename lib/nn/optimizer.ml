@@ -1,26 +1,18 @@
 type adam_state = { m : float array; v : float array }
 
-type algo =
-  | Sgd
-  | Adam of {
-      beta1 : float;
-      beta2 : float;
-      eps : float;
-      mutable t : int;
-      table : (int, adam_state) Hashtbl.t;
-    }
-
-(* pnnlint:allow R7 optimizer state is per-trainer and stays on the domain
-   running the update loop; parallel sweeps build one optimizer per worker *)
-type t = { mutable lr : float; algo : algo }
-
-let sgd ~lr = { lr; algo = Sgd }
+type t = {
+  lr : float;
+  beta1 : float;
+  beta2 : float;
+  eps : float;
+  (* pnnlint:allow R7 optimizer state is per-trainer and stays on the domain
+     running the update loop; parallel sweeps build one optimizer per worker *)
+  mutable steps : int;
+  table : (int, adam_state) Hashtbl.t;
+}
 
 let adam ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) ~lr () =
-  { lr; algo = Adam { beta1; beta2; eps; t = 0; table = Hashtbl.create 16 } }
-
-let lr t = t.lr
-let set_lr t v = t.lr <- v
+  { lr; beta1; beta2; eps; steps = 0; table = Hashtbl.create 16 }
 
 (* Parameter leaves persist across training steps (graphs are rebuilt around
    them), so the node id is a stable key for per-parameter state. *)
@@ -36,22 +28,18 @@ let key_of node = Autodiff.id node
 let param_size node = Tensor.numel (Autodiff.value node)
 
 let state_lines t params =
-  match t.algo with
-  | Sgd -> [ "sgd" ]
-  | Adam a ->
-      let per_param node =
-        let s =
-          match Hashtbl.find_opt a.table (key_of node) with
-          | Some s -> s
-          | None ->
-              (* never stepped yet: zeros are what the first step would see *)
-              let n = param_size node in
-              { m = Array.make n 0.0; v = Array.make n 0.0 }
-        in
-        [ Lines.counted_line "m" s.m; Lines.counted_line "v" s.v ]
-      in
-      Printf.sprintf "adam %d %d" a.t (List.length params)
-      :: List.concat_map per_param params
+  let per_param node =
+    let s =
+      match Hashtbl.find_opt t.table (key_of node) with
+      | Some s -> s
+      | None ->
+          (* never stepped yet: zeros are what the first step would see *)
+          let n = param_size node in
+          { m = Array.make n 0.0; v = Array.make n 0.0 }
+    in
+    [ Lines.counted_line "m" s.m; Lines.counted_line "v" s.v ]
+  in
+  Printf.sprintf "adam %d %d" t.steps (List.length params) :: List.concat_map per_param params
 
 let fmt = "Optimizer"
 
@@ -59,9 +47,8 @@ let fmt = "Optimizer"
    caller restoring several optimizers can refuse the lot before touching
    any of them. *)
 let read_state t params lines =
-  match (t.algo, lines) with
-  | Sgd, "sgd" :: rest -> ((fun () -> ()), rest)
-  | Adam a, first :: rest -> (
+  match lines with
+  | first :: rest -> (
       match Lines.words first with
       | [ "adam"; tt; np ] ->
           let steps = Lines.int_field ~fmt "step count" tt in
@@ -80,13 +67,13 @@ let read_state t params lines =
                 failwith "Optimizer: moment size mismatch")
             params moments;
           let install () =
-            a.t <- steps;
-            Hashtbl.reset a.table;
-            List.iter2 (fun node s -> Hashtbl.replace a.table (key_of node) s) params moments
+            t.steps <- steps;
+            Hashtbl.reset t.table;
+            List.iter2 (fun node s -> Hashtbl.replace t.table (key_of node) s) params moments
           in
           (install, rest)
       | _ -> failwith "Optimizer: bad state header")
-  | _, _ -> failwith "Optimizer: algorithm/state mismatch"
+  | [] -> failwith "Optimizer: missing state section"
 
 let step t nodes =
   List.iter
@@ -94,36 +81,25 @@ let step t nodes =
       if not (Autodiff.is_param node) then
         invalid_arg "Optimizer.step: node is not a parameter")
     nodes;
-  match t.algo with
-  | Sgd ->
-      List.iter
-        (fun node ->
-          let value = Autodiff.value node and grad = Autodiff.grad node in
-          Tensor.sgd_step ~lr:t.lr ~grad value)
-        nodes
-  | Adam a ->
-      a.t <- a.t + 1;
-      let bc1 = 1.0 -. (a.beta1 ** float_of_int a.t) in
-      let bc2 = 1.0 -. (a.beta2 ** float_of_int a.t) in
-      (* One fused call over all leaves (a single stub call); per-item
-         updates are bit-identical to the former per-node Tensor.adam_step
-         loop. *)
-      let items =
-        List.map
-          (fun node ->
-            let value = Autodiff.value node and grad = Autodiff.grad node in
-            let n = param_size node in
-            let state =
-              let k = key_of node in
-              match Hashtbl.find_opt a.table k with
-              | Some s -> s
-              | None ->
-                  let s = { m = Array.make n 0.0; v = Array.make n 0.0 } in
-                  Hashtbl.add a.table k s;
-                  s
-            in
-            (value, grad, state.m, state.v))
-          nodes
-      in
-      Tensor.adam_step_many ~lr:t.lr ~beta1:a.beta1 ~beta2:a.beta2 ~eps:a.eps
-        ~bc1 ~bc2 items
+  t.steps <- t.steps + 1;
+  let bc1 = 1.0 -. (t.beta1 ** float_of_int t.steps) in
+  let bc2 = 1.0 -. (t.beta2 ** float_of_int t.steps) in
+  (* One fused call over all leaves (a single stub call). *)
+  let items =
+    List.map
+      (fun node ->
+        let value = Autodiff.value node and grad = Autodiff.grad node in
+        let n = param_size node in
+        let state =
+          let k = key_of node in
+          match Hashtbl.find_opt t.table k with
+          | Some s -> s
+          | None ->
+              let s = { m = Array.make n 0.0; v = Array.make n 0.0 } in
+              Hashtbl.add t.table k s;
+              s
+        in
+        (value, grad, state.m, state.v))
+      nodes
+  in
+  Tensor.adam_step_many ~lr:t.lr ~beta1:t.beta1 ~beta2:t.beta2 ~eps:t.eps ~bc1 ~bc2 items

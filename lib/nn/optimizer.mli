@@ -1,4 +1,4 @@
-(** Gradient-based optimizers.
+(** The Adam optimizer (Kingma & Ba), the paper's only one.
 
     An optimizer owns per-parameter state keyed by the parameter node, so the
     same optimizer instance must be used across steps.  [step] consumes the
@@ -12,7 +12,6 @@
 
 type t
 
-val sgd : lr:float -> t
 val adam : ?beta1:float -> ?beta2:float -> ?eps:float -> lr:float -> unit -> t
 (** Defaults: beta1 = 0.9, beta2 = 0.999, eps = 1e-8 (Kingma & Ba). *)
 
@@ -22,10 +21,6 @@ val step : t -> Autodiff.t list -> unit
     Updates run in place: parameter tensors and the Adam moment estimates
     are mutated directly, with no per-step tensor allocation (beyond the
     one-time state created on a parameter's first step). *)
-
-val lr : t -> float
-val set_lr : t -> float -> unit
-(** Mutate the learning rate (for schedules). *)
 
 val state_lines : t -> Autodiff.t list -> string list
 (** Serialize the optimizer's per-parameter state for the given parameter
@@ -39,4 +34,4 @@ val read_state : t -> Autodiff.t list -> string list -> (unit -> unit) * string 
     (re-keying moment estimates onto [params]) with the remaining lines.  A
     caller restoring several optimizers reads every section before
     installing any.  Raises [Failure] on malformed input, a parameter-count
-    or size mismatch, or an algorithm mismatch. *)
+    or size mismatch, or a missing or non-Adam section. *)

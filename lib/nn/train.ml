@@ -1,13 +1,10 @@
 type config = {
   max_epochs : int;
   patience : int;
-  min_delta : float;
-  log_every : int;
   val_every : int;
 }
 
-let default_config =
-  { max_epochs = 1000; patience = 100; min_delta = 0.0; log_every = 0; val_every = 1 }
+let default_config = { max_epochs = 1000; patience = 100; val_every = 1 }
 
 type history = {
   train_losses : float array;
@@ -55,11 +52,8 @@ let run ?state ?on_epoch ~config ~optimizers ~train_loss ~val_loss ~snapshot
        if epoch mod config.val_every = 0 then begin
          let vl = val_loss () in
          st.val_hist <- vl :: st.val_hist;
-         if config.log_every > 0 && epoch mod config.log_every = 0 then
-           Logs.info (fun m ->
-               m "epoch %d: train %.5f val %.5f (best %.5f @%d)" epoch tl vl
-                 st.best_val st.best_epoch);
-         if vl < st.best_val -. config.min_delta then begin
+         (* a NaN loss never compares below the best, so it is never kept *)
+         if vl < st.best_val then begin
            st.best_val <- vl;
            st.best_epoch <- epoch;
            st.epochs_since_best <- 0;

@@ -9,8 +9,6 @@
 type config = {
   max_epochs : int;
   patience : int;  (** epochs without validation improvement before stopping *)
-  min_delta : float;  (** improvement threshold (paper: plain early stopping → 0.) *)
-  log_every : int;  (** 0 disables logging *)
   val_every : int;
       (** evaluate the validation loss every [val_every] epochs (≥ 1).  The
           Monte-Carlo validation loss of variation-aware training is as
@@ -57,8 +55,10 @@ val run :
   history
 (** Runs until [max_epochs] or patience exhaustion, keeping the best weights
     (by validation loss) via [snapshot]; calls [restore] before returning so
-    the model ends at its best validation epoch.  Each optimizer updates its
-    own parameter group, enabling the paper's two learning rates.
+    the model ends at its best validation epoch.  A NaN validation loss is
+    never the best: if no epoch's loss is below [infinity], [best_val_loss]
+    stays [infinity] and [restore] is not called.  Each optimizer updates
+    its own parameter group, enabling the paper's two learning rates.
 
     [state] (default {!fresh_state}) is where progress lives; pass a restored
     one to resume mid-run — the loop continues from [state.epoch] exactly as

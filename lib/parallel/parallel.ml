@@ -142,30 +142,6 @@ module Pool = struct
 
   let map_array pool f a = mapi_array pool (fun _ x -> f x) a
   let map_list pool f l = Array.to_list (map_array pool f (Array.of_list l))
-
-  let default_chunk = 16
-
-  let map_reduce_ordered pool ?(chunk = default_chunk) ~map ~reduce a =
-    if chunk < 1 then invalid_arg "Parallel.map_reduce_ordered: chunk < 1";
-    let n = Array.length a in
-    if n = 0 then None
-    else begin
-      let n_chunks = (n + chunk - 1) / chunk in
-      let partials = Array.make n_chunks None in
-      parallel_for pool ~n:n_chunks (fun ci ->
-          let lo = ci * chunk in
-          let hi = Stdlib.min n (lo + chunk) - 1 in
-          let acc = ref (map a.(lo)) in
-          for i = lo + 1 to hi do
-            acc := reduce !acc (map a.(i))
-          done;
-          partials.(ci) <- Some !acc);
-      let total = ref (Option.get partials.(0)) in
-      for ci = 1 to n_chunks - 1 do
-        total := reduce !total (Option.get partials.(ci))
-      done;
-      Some !total
-    end
 end
 
 (* pnnlint:allow R7 every read and write of [shared] happens under

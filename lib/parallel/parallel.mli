@@ -1,17 +1,16 @@
 (** Deterministic multicore execution for Monte-Carlo and experiment fan-out.
 
-    A fixed-size pool of worker domains (OCaml 5 [Domain]s) with map and
-    ordered-reduction combinators.  The design contract is {b determinism}:
-    for pure per-element work, every entry point returns bit-identical
-    results for any worker count, including [jobs = 1] (which never spawns a
-    domain and runs plain sequential loops).
+    A fixed-size pool of worker domains (OCaml 5 [Domain]s) with map
+    combinators.  The design contract is {b determinism}: for pure
+    per-element work, every entry point returns bit-identical results for
+    any worker count, including [jobs = 1] (which never spawns a domain and
+    runs plain sequential loops).
 
-    How the contract is kept:
-    - element [i]'s result is always stored at slot [i]; scheduling order is
-      irrelevant to the output;
-    - reductions ({!Pool.map_reduce_ordered}) combine fixed-size chunks whose
-      boundaries depend only on the chunk size — never on the worker count —
-      and fold the chunk partials in ascending chunk order.
+    How the contract is kept: element [i]'s result is always stored at slot
+    [i], so scheduling order is irrelevant to the output.  A caller that
+    reduces the results folds them itself, in index order, after the map
+    returns (as the Monte-Carlo loss and gradient sums do), so the
+    reduction order never depends on the worker count.
 
     Callers are responsible for the "pure per-element work" part: pre-draw
     RNG streams before fanning out and do not mutate shared state inside the
@@ -49,17 +48,6 @@ module Pool : sig
 
   val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
   (** Parallel [List.map] (via an intermediate array). *)
-
-  val map_reduce_ordered :
-    t -> ?chunk:int -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) ->
-    'a array -> 'b option
-  (** [map_reduce_ordered pool ~chunk ~map ~reduce a] maps every element and
-      reduces left-to-right inside fixed [chunk]-sized blocks
-      ([\[0, chunk)], [\[chunk, 2 chunk)], ...), then folds the block partials
-      in ascending block order.  Because block boundaries are a function of
-      [chunk] only, the float-summation order — and therefore the result —
-      is bit-identical for any worker count.  [None] on an empty array.
-      Default [chunk] is [16]. *)
 
   val shutdown : t -> unit
   (** Joins all worker domains.  Idempotent; after shutdown the pool remains

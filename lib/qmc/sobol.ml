@@ -98,5 +98,3 @@ let next_in_box t ~lo ~hi =
     invalid_arg "Sobol.next_in_box: bounds dimension mismatch";
   let p = next t in
   Array.mapi (fun i u -> lo.(i) +. ((hi.(i) -. lo.(i)) *. u)) p
-
-let generate t n = Array.init n (fun _ -> next t)

@@ -22,6 +22,3 @@ val next : t -> float array
 
 val next_in_box : t -> lo:float array -> hi:float array -> float array
 (** Next point scaled to the axis-aligned box. *)
-
-val generate : t -> int -> float array array
-(** [generate t n] draws the next [n] points. *)

@@ -57,11 +57,3 @@ let sample_sobol ~n =
 let sample_lhs rng ~n =
   let pts = Qmc.Lhs.sample_in_box rng ~lo:learnable_lo ~hi:learnable_hi ~n in
   Array.map assemble pts
-
-let clip_omega omega =
-  if Array.length omega <> dim then invalid_arg "Design_space.clip_omega: need 7 values";
-  let o = Array.mapi (fun i v -> clip omega_lo.(i) omega_hi.(i) v) omega in
-  (* restore the strict inequalities if noise broke them *)
-  o.(1) <- Stdlib.min o.(1) (margin *. o.(0));
-  o.(3) <- Stdlib.min o.(3) (margin *. o.(2));
-  o

@@ -43,6 +43,3 @@ val sample_sobol : n:int -> float array array
 
 val sample_lhs : Rng.t -> n:int -> float array array
 
-val clip_omega : float array -> float array
-(** Clip a (possibly perturbed) ω back into the feasible box, preserving the
-    inequality margins — used after variation noise is applied. *)

@@ -8,16 +8,6 @@ let eval t omega =
   let y = Nn.Mlp.forward_tensor t.mlp x in
   Fit.Ptanh.eta_of_array (Scaler.inverse t.eta_scaler (Tensor.to_array y))
 
-let eval_batch t omegas =
-  let x =
-    Tensor.of_arrays
-      (Array.map (fun o -> Scaler.transform t.omega_scaler (Design_space.extend o)) omegas)
-  in
-  let y = Nn.Mlp.forward_tensor t.mlp x in
-  Array.map
-    (fun row -> Fit.Ptanh.eta_of_array (Scaler.inverse t.eta_scaler row))
-    (Tensor.to_arrays y)
-
 (* Fig. 5's feature step as one tape node: ω → extended ω (appending
    k1 = R2/R1, k2 = R4/R3, k3 = W/L, as [Design_space.extend]) → min-max
    normalised.  It replays the graph it replaced (column slices,

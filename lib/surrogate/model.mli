@@ -13,8 +13,6 @@ val paper_arch : int list
 val eval : t -> float array -> Fit.Ptanh.eta
 (** Predict η for one raw ω. *)
 
-val eval_batch : t -> float array array -> Fit.Ptanh.eta array
-
 val features_ad : t -> Autodiff.t -> Autodiff.t
 (** The surrogate's input features for a batch of raw ω, as one tape node
     ([n × 7] → [n × 10]): {!Design_space.extend}'s ratios k1, k2, k3

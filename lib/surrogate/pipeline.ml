@@ -42,21 +42,12 @@ let chunk_of_lines chunk lines =
   if List.length lines <> Array.length chunk then failwith "Pipeline: chunk length mismatch";
   Array.mapi (fun i line -> outcome_of_line chunk.(i) line) (Array.of_list lines)
 
-let generate_dataset ?pool ?cache ?(n = 10_000) ?(sweep_points = 41)
-    ?(max_fit_rmse = 0.02) ?(sampler = `Sobol) () =
+(* Each candidate's MNA DC sweep + LM fit is independent and fans out over
+   the pool.  Acceptance is then folded in candidate order, so the dataset is
+   bit-identical for any worker count. *)
+let dataset_of_omegas ?pool ?cache ?(sweep_points = 41) ?(max_fit_rmse = 0.02) omegas =
   let pool = match pool with Some p -> p | None -> Parallel.get_pool () in
   let cache = match cache with Some c -> c | None -> Cache.disabled () in
-  (* Candidates are sampled up-front on this domain (the Sobol / LHS streams
-     stay sequential); each candidate's MNA DC sweep + LM fit is independent
-     and fans out over the pool.  Acceptance is then folded in candidate
-     order, so the dataset is bit-identical for any worker count — and
-     sampling stays ahead of the cache, so hits leave every RNG stream
-     exactly where a cold run would. *)
-  let omegas =
-    match sampler with
-    | `Sobol -> Design_space.sample_sobol ~n
-    | `Lhs rng -> Design_space.sample_lhs rng ~n
-  in
   let candidate omega =
     match
       Circuit.Ptanh_circuit.transfer ~points:sweep_points
@@ -112,6 +103,18 @@ let generate_dataset ?pool ?cache ?(n = 10_000) ?(sweep_points = 41)
     rejected = !rejected;
   }
 
+(* Candidates are sampled up-front on this domain (the Sobol / LHS streams
+   stay sequential), ahead of the cache, so hits leave every RNG stream
+   exactly where a cold run would. *)
+let generate_dataset ?pool ?cache ?(n = 10_000) ?sweep_points ?max_fit_rmse
+    ?(sampler = `Sobol) () =
+  let omegas =
+    match sampler with
+    | `Sobol -> Design_space.sample_sobol ~n
+    | `Lhs rng -> Design_space.sample_lhs rng ~n
+  in
+  dataset_of_omegas ?pool ?cache ?sweep_points ?max_fit_rmse omegas
+
 type split = { train : int array; validation : int array; test : int array }
 
 let split_dataset rng dataset =
@@ -164,7 +167,7 @@ let train_surrogate ?(arch = Model.paper_arch) ?(max_epochs = 3000) ?(patience =
   let best = ref (Nn.Mlp.snapshot mlp) in
   let history =
     Nn.Train.run
-      ~config:{ Nn.Train.default_config with max_epochs; patience; log_every = 0 }
+      ~config:{ Nn.Train.default_config with max_epochs; patience }
       ~optimizers:[ (opt, params) ]
       ~train_loss:(fun () -> Autodiff.mse (Nn.Mlp.forward mlp x_train_node) y_train)
       ~val_loss:(fun () -> Nn.Metrics.mse (Nn.Mlp.forward_tensor mlp x_val) y_val)

@@ -14,6 +14,24 @@ type dataset = {
   rejected : int;  (** samples dropped by the fit-quality filter *)
 }
 
+val dataset_of_omegas :
+  ?pool:Parallel.Pool.t ->
+  ?cache:Cache.t ->
+  ?sweep_points:int ->
+  ?max_fit_rmse:float ->
+  float array array ->
+  dataset
+(** The sweep-fit-filter step over given candidate ω: each candidate's DC
+    sweep ([sweep_points], default 41) and LM fit fan out over [pool]
+    (default: the shared {!Parallel.get_pool}), and a candidate is kept when
+    its sweep converges, its fit rmse is at most [max_fit_rmse] (default
+    0.02 V) and its η lies in the sanity box.  Acceptance keeps candidate
+    order, so the dataset is bit-identical for any worker count.
+
+    [cache] (default: disabled) memoizes sweep+fit outcomes in fixed-size
+    chunks keyed by chunk content and every sweep/fit/filter knob, and
+    returns a bit-identical dataset. *)
+
 val generate_dataset :
   ?pool:Parallel.Pool.t ->
   ?cache:Cache.t ->
@@ -23,19 +41,10 @@ val generate_dataset :
   ?sampler:[ `Sobol | `Lhs of Rng.t ] ->
   unit ->
   dataset
-(** Defaults: [n = 10_000] (paper), [sweep_points = 41],
-    [max_fit_rmse = 0.02] V, Sobol sampling.
-
-    Candidates are sampled sequentially, then each candidate's DC sweep and
-    LM fit fan out over [pool] (default: the shared {!Parallel.get_pool});
-    acceptance keeps candidate order, so the dataset is bit-identical for any
-    worker count.
-
-    [cache] (default: disabled) memoizes sweep+fit outcomes in fixed-size
-    chunks keyed by chunk content and every sweep/fit/filter knob; candidates
-    are sampled before the cache is consulted, so a warm run leaves all RNG
-    streams exactly where a cold one would and returns a bit-identical
-    dataset. *)
+(** [n] candidates (default 10_000, the paper's) sampled sequentially by
+    [sampler] (default Sobol), then {!dataset_of_omegas}.  Candidates are
+    sampled before the cache is consulted, so a warm run leaves all RNG
+    streams exactly where a cold one would. *)
 
 val chunk_of_lines :
   float array array -> string list -> (float array * float array * float) option array

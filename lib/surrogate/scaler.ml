@@ -41,16 +41,6 @@ let inverse t x =
 
 let range t = Array.mapi (fun i l -> t.hi.(i) -. l) t.lo
 
-let transform_tensor t m =
-  if Tensor.cols m <> dim t then invalid_arg "Scaler.transform_tensor: dimension mismatch";
-  let inv_range = Tensor.of_array (Array.map (fun r -> 1.0 /. r) (range t)) in
-  let neg_lo = Tensor.of_array (Array.map (fun l -> -.l) t.lo) in
-  Tensor.mul_rowvec (Tensor.add_rowvec m neg_lo) inv_range
-
-let inverse_tensor t m =
-  if Tensor.cols m <> dim t then invalid_arg "Scaler.inverse_tensor: dimension mismatch";
-  Tensor.add_rowvec (Tensor.mul_rowvec m (Tensor.of_array (range t))) (Tensor.of_array t.lo)
-
 let inverse_ad t x =
   if Tensor.cols (Autodiff.value x) <> dim t then
     invalid_arg "Scaler.inverse_ad: dimension mismatch";

@@ -23,11 +23,6 @@ val transform : t -> float array -> float array
 
 val inverse : t -> float array -> float array
 
-val transform_tensor : t -> Tensor.t -> Tensor.t
-(** Row-wise transform of a [n × dim] matrix. *)
-
-val inverse_tensor : t -> Tensor.t -> Tensor.t
-
 val inverse_ad : t -> Autodiff.t -> Autodiff.t
 (** Differentiable inverse of a [n × dim] node. *)
 

@@ -18,11 +18,9 @@
    that every buffer holds the elements the stub will touch ([need]),
    raising [Invalid_argument] before the stub runs.
 
-   Closures cannot cross the FFI, so [map] is an OCaml loop; so are the cold
-   edge kernels with delicate NaN/-0.0 select semantics ([min_value]/
-   [max_value]/[argmax_rows]), which are not worth a C twin that would have
-   to reproduce IEEE select quirks.  These loops use bounds-checked
-   access. *)
+   Closures cannot cross the FFI, so [map] is an OCaml loop; so is the cold
+   [argmax_rows], whose NaN select semantics are not worth a C twin.  These
+   loops use bounds-checked access. *)
 
 open Bigarray
 
@@ -136,11 +134,6 @@ external c_mul : buf -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_mul_byte" "pnn_c_mul"
 [@@noalloc]
 
-(* SAFETY: same contract as c_add — n bounds all three buffers. *)
-external c_div : buf -> buf -> buf -> (int[@untagged]) -> unit
-  = "pnn_c_div_byte" "pnn_c_div"
-[@@noalloc]
-
 (* SAFETY: a and dst have >= n elements; indices 0..n-1 only; aliasing ok. *)
 external c_neg : buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_neg_byte" "pnn_c_neg"
@@ -149,12 +142,6 @@ external c_neg : buf -> buf -> (int[@untagged]) -> unit
 (* SAFETY: a and dst have >= n elements; indices 0..n-1 only; aliasing ok. *)
 external c_scale : (float[@unboxed]) -> buf -> buf -> (int[@untagged]) -> unit
   = "pnn_c_scale_byte" "pnn_c_scale"
-[@@noalloc]
-
-(* SAFETY: a and dst have >= n elements; indices 0..n-1 only; aliasing ok. *)
-external c_add_scalar :
-  (float[@unboxed]) -> buf -> buf -> (int[@untagged]) -> unit
-  = "pnn_c_add_scalar_byte" "pnn_c_add_scalar"
 [@@noalloc]
 
 (* SAFETY: m and dst have >= rows*cols elements, v has >= cols; row strides
@@ -297,30 +284,6 @@ external c_ce_loss_sum : buf -> buf -> (int[@untagged]) -> (float[@unboxed])
   = "pnn_c_ce_loss_sum_byte" "pnn_c_ce_loss_sum"
 [@@noalloc]
 
-(* SAFETY: grad and value have >= n elements; value updated in place at
-   index i from index i only. *)
-external c_sgd_step : (float[@unboxed]) -> buf -> buf -> (int[@untagged]) -> unit
-  = "pnn_c_sgd_step_byte" "pnn_c_sgd_step"
-[@@noalloc]
-
-(* SAFETY: m and v are float arrays of length >= n (flat unboxed doubles;
-   the optimizer allocates moments at the parameter's size), grad and value
-   are bigarrays of >= n elements; all updates are same-index. *)
-external c_adam_step :
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  float array ->
-  float array ->
-  buf ->
-  buf ->
-  (int[@untagged]) ->
-  unit = "pnn_c_adam_step_byte" "pnn_c_adam_step"
-[@@noalloc]
-
 (* SAFETY: x is m*k, w is k*n, b has >= n, pre and out are m*n; pre/out
    must not alias x/w/b; out may equal pre.  op is -1 (none) or a valid
    unop code. *)
@@ -407,12 +370,6 @@ let mul a b dst n =
   need n dst;
   c_mul a b dst n
 
-let div a b dst n =
-  need n a;
-  need n b;
-  need n dst;
-  c_div a b dst n
-
 let neg a dst n =
   need n a;
   need n dst;
@@ -422,11 +379,6 @@ let scale k a dst n =
   need n a;
   need n dst;
   c_scale k a dst n
-
-let add_scalar k a dst n =
-  need n a;
-  need n dst;
-  c_add_scalar k a dst n
 
 let map f a dst n =
   for i = 0 to n - 1 do
@@ -470,29 +422,6 @@ let dot a b n =
 let sum a n =
   need n a;
   c_sum a n
-
-(* Monomorphic spellings of the oracle's
-   [Array.fold_left Stdlib.min/max data.(0) data]: polymorphic min/max on
-   floats are the IEEE selects [if acc <= x then acc else x] (resp. [>=]),
-   where an unordered compare keeps [x] — so a NaN accumulator is displaced
-   by the next element and a NaN element never displaces the accumulator.
-   The i = 0 start replays the fold's seed element, matching the fold
-   bit-for-bit (including all-NaN and -0.0/0.0 inputs). *)
-let min_value b n =
-  let acc = ref (Array1.get b 0) in
-  for i = 0 to n - 1 do
-    let x = Array1.get b i in
-    acc := if !acc <= x then !acc else x
-  done;
-  !acc
-
-let max_value b n =
-  let acc = ref (Array1.get b 0) in
-  for i = 0 to n - 1 do
-    let x = Array1.get b i in
-    acc := if !acc >= x then !acc else x
-  done;
-  !acc
 
 let sum_rows src dst rows cols =
   need (rows * cols) src;
@@ -579,22 +508,10 @@ let ce_loss_sum p y n =
   need n y;
   c_ce_loss_sum p y n
 
-let sgd_step ~lr ~grad ~value n =
-  need n grad;
-  need n value;
-  c_sgd_step lr grad value n
-
-(* The moments are plain float arrays whose lengths Tensor
-   checks. *)
-let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad ~value n =
-  need n grad;
-  need n value;
-  c_adam_step lr beta1 beta2 eps bc1 bc2 m v grad value n
-
 (* {2 Fused kernels}
 
-   Bit-identical to the decomposed kernel sequences they replace
-   ([matmul] into [pre], [add_rowvec], [unary]; per-leaf [adam_step]). *)
+   [matmul_bias_unop] is bit-identical to [matmul] into [pre], [add_rowvec]
+   and [unary] in sequence. *)
 
 let matmul_bias_unop op ~x ~w ~b ~pre ~out m k n =
   need (m * k) x;

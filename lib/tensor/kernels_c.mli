@@ -20,10 +20,9 @@
       zeros included, wherever the oracle's output is not NaN, and a NaN
       exactly where it is NaN (which NaN, payload and sign, is left open).
       The kernels may reorder loops and vectorize, but each output must
-      come out as the oracle computes it.  The NaN/−0.0 contracts ([min_value]/[max_value] fold IEEE
-      comparisons left-to-right so an unordered pair keeps the second
-      operand; [argmax_rows] keeps the first strict maximum and never
-      displaces the incumbent on an unordered compare) are part of that.
+      come out as the oracle computes it.  [argmax_rows]'s NaN contract
+      (it keeps the first strict maximum and never displaces the incumbent
+      on an unordered compare) is part of that.
       The test suite holds both the oracle and these kernels to digests of
       the same special-value table, every NaN hashed as one. *)
 
@@ -65,10 +64,8 @@ val load : buf -> float array -> unit
 val add : buf -> buf -> buf -> int -> unit
 val sub : buf -> buf -> buf -> int -> unit
 val mul : buf -> buf -> buf -> int -> unit
-val div : buf -> buf -> buf -> int -> unit
 val neg : buf -> buf -> int -> unit
 val scale : float -> buf -> buf -> int -> unit
-val add_scalar : float -> buf -> buf -> int -> unit
 val map : (float -> float) -> buf -> buf -> int -> unit
 
 (** {1 Broadcasts} ([rows cols] trailing arguments) *)
@@ -101,8 +98,6 @@ val transpose : buf -> buf -> int -> int -> unit
 
 val dot : buf -> buf -> int -> float
 val sum : buf -> int -> float
-val min_value : buf -> int -> float
-val max_value : buf -> int -> float
 val sum_rows : buf -> buf -> int -> int -> unit
 val argmax_rows : buf -> int -> int -> int array
 
@@ -156,23 +151,6 @@ val crossbar_bwd :
 
 val softmax_rows : buf -> buf -> int -> int -> unit
 val ce_loss_sum : buf -> buf -> int -> float
-val sgd_step : lr:float -> grad:buf -> value:buf -> int -> unit
-
-val adam_step :
-  lr:float ->
-  beta1:float ->
-  beta2:float ->
-  eps:float ->
-  bc1:float ->
-  bc2:float ->
-  m:float array ->
-  v:float array ->
-  grad:buf ->
-  value:buf ->
-  int ->
-  unit
-(** Moment buffers [m]/[v] are optimizer-owned plain arrays (they are
-    checkpointed by the optimizer codec and never enter tensor math). *)
 
 (** {1 Fused kernels} *)
 
@@ -202,5 +180,6 @@ val adam_step_many :
   (buf * buf * float array * float array * int) array ->
   unit
 (** One call for an Adam step over every parameter leaf.  Each item is
-    [(value, grad, m, v, numel)]; leaves are updated independently,
-    bit-identically to per-leaf {!adam_step} calls. *)
+    [(value, grad, m, v, numel)]; leaves are updated independently.  The
+    moment buffers [m]/[v] are optimizer-owned plain arrays (they are
+    checkpointed by the optimizer codec and never enter tensor math). *)

@@ -200,7 +200,6 @@ CAMLprim value pnn_c_blit_changed_byte(value vsrc, value vdst, value vn)
 EW2(pnn_c_add, a[i] + b[i])
 EW2(pnn_c_sub, a[i] - b[i])
 EW2(pnn_c_mul, a[i] * b[i])
-EW2(pnn_c_div, a[i] / b[i])
 
 CAMLprim value pnn_c_neg(value va, value vdst, intnat n)
 {
@@ -224,18 +223,6 @@ CAMLprim value pnn_c_scale(double k, value va, value vdst, intnat n)
 CAMLprim value pnn_c_scale_byte(value vk, value va, value vdst, value vn)
 {
   return pnn_c_scale(Double_val(vk), va, vdst, Long_val(vn));
-}
-
-CAMLprim value pnn_c_add_scalar(double k, value va, value vdst, intnat n)
-{
-  const double *a = BA(va);
-  double *dst = BA(vdst);
-  for (intnat i = 0; i < n; i++) dst[i] = k + a[i];
-  return Val_unit;
-}
-CAMLprim value pnn_c_add_scalar_byte(value vk, value va, value vdst, value vn)
-{
-  return pnn_c_add_scalar(Double_val(vk), va, vdst, Long_val(vn));
 }
 
 /* ------------------------------------------------- */
@@ -1163,9 +1150,10 @@ CAMLprim double pnn_c_ce_loss_sum(value vp, value vy, intnat n)
   for (intnat i = 0; i < n; i++) {
     double yi = y[i];
     if (yi > 0.0) {
-      /* Stdlib.max p 1e-30 = if p >= 1e-30 then p else 1e-30 (NaN -> 1e-30) */
+      /* a p below 1e-30 reads as 1e-30; a NaN p fails the compare and
+       * stays NaN, so the sum is NaN */
       double pi = p[i];
-      double cl = pi >= 1e-30 ? pi : 1e-30;
+      double cl = pi < 1e-30 ? 1e-30 : pi;
       loss = loss - yi * log(cl);
     }
   }
@@ -1174,19 +1162,6 @@ CAMLprim double pnn_c_ce_loss_sum(value vp, value vy, intnat n)
 CAMLprim value pnn_c_ce_loss_sum_byte(value vp, value vy, value vn)
 {
   return caml_copy_double(pnn_c_ce_loss_sum(vp, vy, Long_val(vn)));
-}
-
-CAMLprim value pnn_c_sgd_step(double lr, value vgrad, value vvalue, intnat n)
-{
-  const double *grad = BA(vgrad);
-  double *val = BA(vvalue);
-  for (intnat i = 0; i < n; i++) val[i] = val[i] - lr * grad[i];
-  return Val_unit;
-}
-CAMLprim value pnn_c_sgd_step_byte(value vlr, value vgrad, value vvalue,
-                                   value vn)
-{
-  return pnn_c_sgd_step(Double_val(vlr), vgrad, vvalue, Long_val(vn));
 }
 
 static void adam_core(double lr, double beta1, double beta2, double eps,
@@ -1201,23 +1176,6 @@ static void adam_core(double lr, double beta1, double beta2, double eps,
     double vhat = v[i] / bc2;
     val[i] = val[i] - lr * mhat / (sqrt(vhat) + eps);
   }
-}
-
-CAMLprim value pnn_c_adam_step(double lr, double beta1, double beta2,
-                               double eps, double bc1, double bc2, value vm,
-                               value vv, value vgrad, value vvalue, intnat n)
-{
-  adam_core(lr, beta1, beta2, eps, bc1, bc2, FA(vm), FA(vv), BA(vgrad),
-            BA(vvalue), n);
-  return Val_unit;
-}
-CAMLprim value pnn_c_adam_step_byte(value *argv, int argn)
-{
-  (void) argn;
-  return pnn_c_adam_step(Double_val(argv[0]), Double_val(argv[1]),
-                         Double_val(argv[2]), Double_val(argv[3]),
-                         Double_val(argv[4]), Double_val(argv[5]), argv[6],
-                         argv[7], argv[8], argv[9], Long_val(argv[10]));
 }
 
 /* ----------------------------------------------------------------- */
@@ -1259,8 +1217,8 @@ CAMLprim value pnn_c_matmul_bias_unop_byte(value *argv, int argn)
 
 /* One stub call for an Adam step over every parameter leaf.  items is an
  * OCaml array of (value, grad, m, v, numel) tuples: value/grad are Float64
- * bigarrays, m/v are OCaml float arrays.  Leaves are independent, so
- * per-leaf results are bit-identical to one pnn_c_adam_step call each. */
+ * bigarrays, m/v are OCaml float arrays.  Leaves are independent: each
+ * runs adam_core on its own buffers. */
 CAMLprim value pnn_c_adam_step_many(double lr, double beta1, double beta2,
                                     double eps, double bc1, double bc2,
                                     value vitems)

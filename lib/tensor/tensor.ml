@@ -83,9 +83,6 @@ let copy t =
 let uniform rng rows cols ~lo ~hi =
   init rows cols (fun _ _ -> Rng.uniform rng ~lo ~hi)
 
-let gaussian rng rows cols ~mu ~sigma =
-  init rows cols (fun _ _ -> Rng.gaussian rng ~mu ~sigma)
-
 (* {1 Access} *)
 
 let get t r c =
@@ -124,7 +121,6 @@ let ew2 name k a b =
 let add a b = ew2 "add" Kc.add a b
 let sub a b = ew2 "sub" Kc.sub a b
 let mul a b = ew2 "mul" Kc.mul a b
-let div a b = ew2 "div" Kc.div a b
 
 let neg t =
   let dst = zeros t.rows t.cols in
@@ -134,11 +130,6 @@ let neg t =
 let scale k t =
   let dst = zeros t.rows t.cols in
   Kc.scale k t.store dst.store (numel t);
-  dst
-
-let add_scalar k t =
-  let dst = zeros t.rows t.cols in
-  Kc.add_scalar k t.store dst.store (numel t);
   dst
 
 (* {1 Broadcast helpers} *)
@@ -177,14 +168,6 @@ let sum t = Kc.sum t.store (numel t)
 let mean t =
   if numel t = 0 then invalid_arg "Tensor.mean: empty tensor";
   sum t /. float_of_int (numel t)
-
-let min_value t =
-  if numel t = 0 then invalid_arg "Tensor.min_value: empty tensor";
-  Kc.min_value t.store (numel t)
-
-let max_value t =
-  if numel t = 0 then invalid_arg "Tensor.max_value: empty tensor";
-  Kc.max_value t.store (numel t)
 
 let argmax_rows t =
   if t.cols = 0 then invalid_arg "Tensor.argmax_rows: zero columns";
@@ -428,19 +411,9 @@ let ce_loss_sum probs labels =
   binop_check "ce_loss_sum" probs labels;
   Kc.ce_loss_sum probs.store labels.store (numel probs)
 
-let sgd_step ~lr ~grad value =
-  binop_check "sgd_step" value grad;
-  Kc.sgd_step ~lr ~grad:grad.store ~value:value.store (numel value)
-
 let moments_check name value m v =
   if Array.length m <> numel value || Array.length v <> numel value then
     invalid_arg (Printf.sprintf "Tensor.%s: moment length mismatch" name)
-
-let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad value =
-  binop_check "adam_step" value grad;
-  moments_check "adam_step" value m v;
-  Kc.adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad:grad.store ~value:value.store
-    (numel value)
 
 (* {1 Fused hot-path entry points} *)
 
@@ -462,7 +435,7 @@ let adam_step_many ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 items =
             (value.store, grad.store, m, v, numel value))
           items))
 
-(* {1 Comparison and printing} *)
+(* {1 Comparison} *)
 
 let equal ?(eps = 0.0) a b =
   a.rows = b.rows && a.cols = b.cols
@@ -477,18 +450,3 @@ let equal ?(eps = 0.0) a b =
        done;
        !ok
      end
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>tensor %dx%d" t.rows t.cols;
-  for r = 0 to Stdlib.min (t.rows - 1) 7 do
-    Format.fprintf fmt "@,[";
-    for c = 0 to Stdlib.min (t.cols - 1) 9 do
-      Format.fprintf fmt "%s%.5g" (if c > 0 then "; " else "") (get t r c)
-    done;
-    if t.cols > 10 then Format.fprintf fmt "; ...";
-    Format.fprintf fmt "]"
-  done;
-  if t.rows > 8 then Format.fprintf fmt "@,...";
-  Format.fprintf fmt "@]"
-
-let to_string t = Format.asprintf "%a" pp t

@@ -47,7 +47,6 @@ val copy : t -> t
 (** Deep copy. *)
 
 val uniform : Rng.t -> int -> int -> lo:float -> hi:float -> t
-val gaussian : Rng.t -> int -> int -> mu:float -> sigma:float -> t
 
 (** {1 Access} *)
 
@@ -71,10 +70,8 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 (** Hadamard product. *)
 
-val div : t -> t -> t
 val neg : t -> t
 val scale : float -> t -> t
-val add_scalar : float -> t -> t
 
 (** {1 Broadcast helpers} *)
 
@@ -93,19 +90,6 @@ val dot : t -> t -> float
 
 val sum : t -> float
 val mean : t -> float
-
-val min_value : t -> float
-(** Minimum entry, folded left with the IEEE select
-    [if acc <= x then acc else x] starting from the first element.  With any
-    NaN present the result depends on position — a NaN {e accumulator}
-    propagates (every comparison is false, so [x] is chosen only… never;
-    once the accumulator is NaN it stays NaN), while a NaN {e element} is
-    skipped; [-0.0] and [0.0] compare equal, so whichever is encountered
-    first wins.  Raises on empty tensors. *)
-
-val max_value : t -> float
-(** Dual of {!min_value} ([if acc >= x then acc else x]); same NaN and
-    signed-zero behavior. *)
 
 val argmax_rows : t -> int array
 (** Index of the maximum entry of each row, first maximum winning (strict
@@ -216,9 +200,8 @@ val ptanh_into : eta:t -> t -> h:t -> dst:t -> unit
 (** [ptanh_into ~eta v ~h ~dst] is the paper's Eq. 2 for a 4-element
     [eta = [η1; η2; η3; η4]]: [dst := η1 + η2·tanh((v − η3)·η4)] elementwise,
     with [h := tanh((v − η3)·η4)] kept for {!ptanh_bwd_into}.  Bit-identical
-    (NaN where it has a NaN) to the broadcast-scalar
-    sequence [add_scalar (−η3)], [scale η4], [unop Tanh], [scale η2],
-    [add_scalar η1].  Raises [Invalid_argument] when [h] or [dst] shares
+    (NaN where it has a NaN) to the elementwise steps [(−η3) + v],
+    [η4 · _], tanh, [η2 · _], [η1 + _] in that order.  Raises [Invalid_argument] when [h] or [dst] shares
     storage with another operand: both are kept for the backward pass. *)
 
 val ptanh_bwd_into : eta:t -> t -> h:t -> g:t -> dv:t -> deta:t -> unit
@@ -272,27 +255,9 @@ val softmax_rows_into : t -> dst:t -> unit
 
 val ce_loss_sum : t -> t -> float
 (** [ce_loss_sum probs labels] is the {e summed} cross-entropy
-    [-Σ y·log (max p 1e-30)] over all entries; callers divide by the batch
-    size for the mean. *)
-
-val sgd_step : lr:float -> grad:t -> t -> unit
-(** [sgd_step ~lr ~grad value]: [value := value - lr * grad], in place. *)
-
-val adam_step :
-  lr:float ->
-  beta1:float ->
-  beta2:float ->
-  eps:float ->
-  bc1:float ->
-  bc2:float ->
-  m:float array ->
-  v:float array ->
-  grad:t ->
-  t ->
-  unit
-(** One Adam update in place on the value tensor; [m]/[v] are the caller-owned
-    first/second-moment buffers ([bc1]/[bc2] the bias corrections
-    [1 - betaᵢ^t]). *)
+    [-Σ y·log p] over the entries with [y > 0], a [p] below [1e-30] read as
+    [1e-30]; callers divide by the batch size for the mean.  A NaN [p] at
+    such an entry makes the sum NaN. *)
 
 (** {1 Fused hot-path kernels}
 
@@ -316,16 +281,15 @@ val adam_step_many :
   bc2:float ->
   (t * t * float array * float array) list ->
   unit
-(** One Adam update over every [(value, grad, m, v)] parameter leaf —
-    semantically (and bitwise) per-leaf {!adam_step} calls, fused into one
-    kernel invocation. *)
+(** One Adam update in place over every [(value, grad, m, v)] parameter
+    leaf, in one kernel invocation; [m]/[v] are the caller-owned
+    first/second-moment buffers and [bc1]/[bc2] the bias corrections
+    [1 - betaᵢ^t]. *)
 
-(** {1 Comparison and printing} *)
+(** {1 Comparison} *)
 
 (** [equal ?eps a b] is shape equality plus entrywise [|a - b| <= eps]
     (default exact).  Any NaN entry on either side makes the result [false]
     (IEEE comparison semantics): a NaN never equals anything, including
     another NaN. *)
 val equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

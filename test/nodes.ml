@@ -32,13 +32,16 @@ let mul a b =
       A.accumulate a (T.mul g (A.value b));
       A.accumulate b (T.mul g (A.value a)))
 
+(* Elementwise [x / y]. *)
+let quotient x y = T.init (T.rows x) (T.cols x) (fun r c -> T.get x r c /. T.get y r c)
+
 let div a b =
-  A.fused (T.div (A.value a) (A.value b)) [ a; b ]
-    ~recompute:(fun dst -> T.blit ~src:(T.div (A.value a) (A.value b)) ~dst)
+  A.fused (quotient (A.value a) (A.value b)) [ a; b ]
+    ~recompute:(fun dst -> T.blit ~src:(quotient (A.value a) (A.value b)) ~dst)
     ~backward:(fun g ->
-      A.accumulate a (T.div g (A.value b));
+      A.accumulate a (quotient g (A.value b));
       (* d/db (a/b) = -a / b^2 *)
-      A.accumulate b (T.neg (T.div (T.mul g (A.value a)) (T.mul (A.value b) (A.value b)))))
+      A.accumulate b (T.neg (quotient (T.mul g (A.value a)) (T.mul (A.value b) (A.value b)))))
 
 (* [div_rowvec m v] divides each row of [m] elementwise by the [1 × cols]
    vector [v], through the reciprocal [1 / v]. *)

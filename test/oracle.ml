@@ -51,11 +51,6 @@ let mul a b dst n =
     dst.(i) <- a.(i) *. b.(i)
   done
 
-let div a b dst n =
-  for i = 0 to n - 1 do
-    dst.(i) <- a.(i) /. b.(i)
-  done
-
 let neg a dst n =
   for i = 0 to n - 1 do
     dst.(i) <- -.a.(i)
@@ -64,11 +59,6 @@ let neg a dst n =
 let scale k a dst n =
   for i = 0 to n - 1 do
     dst.(i) <- k *. a.(i)
-  done
-
-let add_scalar k a dst n =
-  for i = 0 to n - 1 do
-    dst.(i) <- k +. a.(i)
   done
 
 let map f a dst n =
@@ -171,13 +161,6 @@ let sum a n =
     acc := !acc +. a.(i)
   done;
   !acc
-
-(* Polymorphic [Stdlib.min]/[max] specialize to IEEE [<=]/[>=] selects on
-   floats: an unordered (NaN) compare keeps the right operand, and -0.0/0.0
-   compare equal so the left one wins.  Kernels_c spells out the same
-   selects monomorphically — the fold here is the defining order. *)
-let min_value a _n = Array.fold_left Stdlib.min a.(0) a
-let max_value a _n = Array.fold_left Stdlib.max a.(0) a
 
 (* [dst] must be pre-zeroed by the caller (column accumulators). *)
 let sum_rows src dst rows cols =
@@ -300,8 +283,7 @@ let with_bias x m k =
 
 (* θ⁺, θ⁻ and 1/den from the packed conductances *)
 let unpack cond k1 n =
-  let inv = create n in
-  div (Array.make n 1.0) (Array.sub cond (2 * k1 * n) n) inv n;
+  let inv = Array.init n (fun j -> 1.0 /. cond.((2 * k1 * n) + j)) in
   (Array.sub cond 0 (k1 * n), Array.sub cond (k1 * n) (k1 * n), inv)
 
 let crossbar ~x ~eta ~cond ~h ~inv_x ~num ~out m k n =
@@ -382,10 +364,9 @@ let softmax_rows src out rows cols =
     done
   done
 
-(* [Stdlib.max p 1e-30] on floats, spelled monomorphically: the
-   polymorphic [max] runs the generic comparison on boxed floats.  A NaN
-   compares false and becomes 1e-30, as in the C stub. *)
-let[@inline] clamp_prob p = if p >= 1e-30 then p else 1e-30
+(* A probability below 1e-30 reads as 1e-30.  A NaN compares false and
+   stays NaN, as in the C stub, so the loss of a NaN draw is NaN. *)
+let[@inline] clamp_prob p = if p < 1e-30 then 1e-30 else p
 
 (* Summed (not averaged) cross-entropy: the caller divides by the batch. *)
 let ce_loss_sum p y n =
@@ -396,19 +377,17 @@ let ce_loss_sum p y n =
   done;
   !loss
 
-(* Optimizer steps, as lib/nn/optimizer.ml had them. *)
-
-let sgd_step ~lr ~grad ~value n =
-  for i = 0 to n - 1 do
-    value.(i) <- value.(i) -. (lr *. grad.(i))
-  done
-
-let adam_step ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 ~m ~v ~grad ~value n =
-  for i = 0 to n - 1 do
-    let g = grad.(i) in
-    m.(i) <- (beta1 *. m.(i)) +. ((1.0 -. beta1) *. g);
-    v.(i) <- (beta2 *. v.(i)) +. ((1.0 -. beta2) *. g *. g);
-    let mhat = m.(i) /. bc1 in
-    let vhat = v.(i) /. bc2 in
-    value.(i) <- value.(i) -. (lr *. mhat /. (Stdlib.sqrt vhat +. eps))
-  done
+(* The optimizer's Adam step, as lib/nn/optimizer.ml had it: leaf by leaf,
+   each item [(value, grad, m, v)]. *)
+let adam_step_many ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 items =
+  List.iter
+    (fun (value, grad, m, v) ->
+      for i = 0 to Array.length value - 1 do
+        let g = grad.(i) in
+        m.(i) <- (beta1 *. m.(i)) +. ((1.0 -. beta1) *. g);
+        v.(i) <- (beta2 *. v.(i)) +. ((1.0 -. beta2) *. g *. g);
+        let mhat = m.(i) /. bc1 in
+        let vhat = v.(i) /. bc2 in
+        value.(i) <- value.(i) -. (lr *. mhat /. (Stdlib.sqrt vhat +. eps))
+      done)
+    items

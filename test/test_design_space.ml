@@ -81,12 +81,6 @@ let test_sample_lhs_feasible () =
       if not (Ds.contains omega) then Alcotest.fail "infeasible LHS sample")
     samples
 
-let test_clip_omega () =
-  (* noise pushed values out of the box; clip restores feasibility *)
-  let noisy = [| 600.0; 620.0; 5e3; 450e3; 600e3; 900.0; 5.0 |] in
-  let clipped = Ds.clip_omega noisy in
-  Alcotest.(check bool) "feasible after clip" true (Ds.contains clipped)
-
 let qcheck_assemble_always_feasible =
   QCheck.Test.make ~name:"assemble of any raw point is feasible" ~count:500
     QCheck.(
@@ -120,7 +114,6 @@ let () =
           Alcotest.test_case "sobol feasible" `Quick test_sample_sobol_feasible;
           Alcotest.test_case "sobol spans" `Quick test_sample_sobol_spans_space;
           Alcotest.test_case "lhs feasible" `Quick test_sample_lhs_feasible;
-          Alcotest.test_case "clip omega" `Quick test_clip_omega;
           QCheck_alcotest.to_alcotest qcheck_assemble_always_feasible;
           QCheck_alcotest.to_alcotest qcheck_extend_ratios_below_one;
         ] );

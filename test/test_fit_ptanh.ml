@@ -9,8 +9,7 @@ let eta a b c d = { Ptanh.eta1 = a; eta2 = b; eta3 = c; eta4 = d }
 
 let test_eval () =
   let e = eta 0.5 0.4 0.3 6.0 in
-  Alcotest.(check (float 1e-12)) "at center" 0.5 (Ptanh.eval e 0.3);
-  Alcotest.(check (float 1e-12)) "inv negates" (-0.5) (Ptanh.eval_inv e 0.3)
+  Alcotest.(check (float 1e-12)) "at center" 0.5 (Ptanh.eval e 0.3)
 
 let test_eta_array_roundtrip () =
   let e = eta 0.1 0.2 0.3 0.4 in
@@ -59,19 +58,6 @@ let test_recover_with_noise () =
   let r = Ptanh.fit ~vin ~vout in
   Alcotest.(check bool) "rmse near noise floor" true (r.Ptanh.rmse < 0.01);
   Alcotest.(check bool) "eta4 in range" true (Float.abs (r.Ptanh.eta.Ptanh.eta4) < 20.0)
-
-let test_fit_inv_negation () =
-  (* Eq. 3: fitting the negated curve recovers eta with flipped eta1/eta2 *)
-  let e = eta 0.5 0.4 0.3 6.0 in
-  let vin = linspace 0.0 1.0 41 in
-  let vout = Array.map (fun v -> -.Ptanh.eval e v) vin in
-  let r = Ptanh.fit_inv ~vin ~vout in
-  Array.iteri
-    (fun i v ->
-      let reconstructed = Ptanh.eval_inv r.Ptanh.eta v in
-      if Float.abs (reconstructed -. vout.(i)) > 1e-5 then
-        Alcotest.failf "inv mismatch at %f" v)
-    vin
 
 let test_fit_validations () =
   Alcotest.check_raises "length mismatch" (Invalid_argument "Ptanh.fit: length mismatch")
@@ -396,7 +382,6 @@ let () =
         [
           Alcotest.test_case "recover known" `Quick test_recover_known_curves;
           Alcotest.test_case "recover noisy" `Quick test_recover_with_noise;
-          Alcotest.test_case "fit_inv" `Quick test_fit_inv_negation;
           Alcotest.test_case "validations" `Quick test_fit_validations;
           Alcotest.test_case "simulated circuit" `Quick test_fit_simulated_circuit;
           QCheck_alcotest.to_alcotest qcheck_fit_recovers_function;

@@ -68,11 +68,14 @@ let against_old what ~old ~fused inputs seed =
 
 (* {1 The retired primitives, as they were} *)
 
+(* [k + x] elementwise. *)
+let add_scalar k x = T.map (fun v -> k +. v) x
+
 let badd s m =
   A.fused
-    (T.add_scalar (T.get (A.value s) 0 0) (A.value m))
+    (add_scalar (T.get (A.value s) 0 0) (A.value m))
     [ s; m ]
-    ~recompute:(fun dst -> T.blit ~src:(T.add_scalar (T.get (A.value s) 0 0) (A.value m)) ~dst)
+    ~recompute:(fun dst -> T.blit ~src:(add_scalar (T.get (A.value s) 0 0) (A.value m)) ~dst)
     ~backward:(fun g ->
       A.accumulate m g;
       A.accumulate s (T.scalar (T.sum g)))

@@ -484,12 +484,12 @@ let network_digests () =
 let expected_network_digests =
     [
       "iris finite: logits d00a01f64711da7e preact 6a6c41db75fd57a4 fresh 195f08161375a2fe cached 1dfc2487a0aafb5a pred ea30e4ccbd941e47";
-      "iris special-x: logits 81a2f43c1658aff0 preact e48c2c7b836da15b fresh 58165402a84701dd cached 6b715f222e66f9b0 pred 62aa97970646ac44";
-      "iris special-noise: logits d00a01f64711da7e preact 9e8b0946d80812df fresh 131cffad3a327166 cached 4ca9981200fde8f2 pred 19cbdb496f0d8122";
+      "iris special-x: logits 81a2f43c1658aff0 preact e48c2c7b836da15b fresh e19ae91629ca6ac5 cached 87a23d9e55ffa665 pred 62aa97970646ac44";
+      "iris special-noise: logits d00a01f64711da7e preact 9e8b0946d80812df fresh e19ae91629ca6ac5 cached 7519d440230e01a9 pred 19cbdb496f0d8122";
       "iris special-params: logits 61f229ca0afeae91 preact eefedd982723bd08 fresh 1e8f1735149ee310 cached 3b387322c3e9d6cd pred 9ce6e2a958170381";
       "64-48-16 finite: logits aad65b41595536d0 preact c14c86df978faf0c fresh 525239535d7f0250 cached 671a902806018038 pred e86aa4cfd99b6de7";
-      "64-48-16 special-x: logits 32bc04c7e6dbe325 preact fe2fd1cd4c4f6325 fresh 13bed5cad39486ae cached d5b853cadf1fe805 pred fe2fd1cd4c4f6325";
-      "64-48-16 special-noise: logits aad65b41595536d0 preact ef9af0534c3530d6 fresh 13bed5cad39486ae cached 0e95bc450c8227d6 pred a409320cae7cbd51";
+      "64-48-16 special-x: logits 32bc04c7e6dbe325 preact fe2fd1cd4c4f6325 fresh f04b9c6539b641b1 cached 9e2862a11ac3bf05 pred fe2fd1cd4c4f6325";
+      "64-48-16 special-noise: logits aad65b41595536d0 preact ef9af0534c3530d6 fresh f04b9c6539b641b1 cached ce1a854bd092e089 pred a409320cae7cbd51";
       "64-48-16 special-params: logits d4429256d0b5e4df preact 4829d0d1f6199e37 fresh 23809633dbb19021 cached 44b840a25b49d590 pred 564d0ec51691d05a";
     ]
 
@@ -672,12 +672,26 @@ let test_poisoned_draw_rows_independent () =
           check_draw_against (msg "padded logits") ~poisoned ~expected:solo padded.(d);
           check_bits_float (msg "accuracy") (accuracy_of ~y solo) accs.(d))
         noises;
-      (* the poison reaches the draw's logits (its loss stays finite: the
-         cross-entropy clamps a NaN probability), so the clean draws were
+      (* the poison reaches the draw's logits, so the clean draws were
          checked next to a NaN draw *)
       Alcotest.(check bool) (Printf.sprintf "stack %d: poisoned logits are NaN" n) true
         (Array.for_all Float.is_nan (T.to_array logits.(poison))))
     [ (1, Float.nan); (3, Float.infinity); (5, Float.neg_infinity); (100, Float.nan) ]
+
+(* A draw whose logits are NaN has a NaN cross-entropy (a NaN probability
+   is not clamped), so a Monte-Carlo loss over it is NaN, never a finite
+   number that early stopping could select. *)
+let test_nan_draw_gives_nan_loss () =
+  let net, draw, pairs = loss_fixture () in
+  let x, labels = pairs.(0) in
+  let pool = Parallel.get_pool () in
+  let noises = Array.to_list (poisoned_stack draw ~n:3 ~poison:1 Float.nan) in
+  let clean = List.filteri (fun d _ -> d <> 1) noises in
+  let value noises = Pnn.Network.mc_loss_value pool net ~noises ~x ~labels in
+  let v = value clean in
+  if not (Float.is_finite v) then Alcotest.failf "loss over the clean draws: %h" v;
+  let v = value noises in
+  if not (Float.is_nan v) then Alcotest.failf "loss over a NaN draw: %h (expected NaN)" v
 
 (* The pooled loss and its gradients are the solo draws' folded in draw
    order — sums from draw 0 on, each gradient a one-draw graph's — then
@@ -786,6 +800,8 @@ let () =
             test_lifetime_accuracy_vs_predict;
           Alcotest.test_case "poisoned draw: stacked rows independent" `Quick
             test_poisoned_draw_rows_independent;
+          Alcotest.test_case "a NaN draw gives a NaN Monte-Carlo loss" `Quick
+            test_nan_draw_gives_nan_loss;
           Alcotest.test_case "pooled loss folds the solo draws" `Quick
             test_pooled_loss_folds_solo_draws;
         ] );

@@ -37,24 +37,6 @@ let test_mapi_and_list () =
     (List.map (fun x -> x * x) l)
     (P.map_list (Lazy.force pool4) (fun x -> x * x) l)
 
-let test_map_reduce_ordered_bit_identical () =
-  (* Float summation is order sensitive; the fixed-chunk ordered reduction
-     must give the exact same bits for 1 and 4 workers. *)
-  let a = Array.init 10_000 (fun i -> Stdlib.sin (float_of_int i) *. 1e3) in
-  let reduce x y = x +. y in
-  let s1 = P.map_reduce_ordered (Lazy.force pool1) ~map:Fun.id ~reduce a in
-  let s4 = P.map_reduce_ordered (Lazy.force pool4) ~map:Fun.id ~reduce a in
-  (match (s1, s4) with
-  | Some x, Some y ->
-      Alcotest.(check bool)
-        (Printf.sprintf "bitwise equal sums (%h vs %h)" x y)
-        true
-        (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-  | _ -> Alcotest.fail "empty reduction");
-  Alcotest.(check bool)
-    "empty -> None" true
-    (P.map_reduce_ordered (Lazy.force pool4) ~map:Fun.id ~reduce [||] = None)
-
 let test_parallel_for_covers_all_indices () =
   let n = 5000 in
   let hits = Array.make n 0 in
@@ -320,8 +302,6 @@ let () =
         [
           Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
           Alcotest.test_case "mapi and map_list" `Quick test_mapi_and_list;
-          Alcotest.test_case "ordered map-reduce" `Quick
-            test_map_reduce_ordered_bit_identical;
           Alcotest.test_case "parallel_for coverage" `Quick
             test_parallel_for_covers_all_indices;
           Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;

@@ -16,6 +16,9 @@ let surrogate =
 let config = C.default
 let ones_noise net = Pnn.Noise.none ~theta_shapes:(Pnn.Network.theta_shapes net)
 
+(* every entry strictly inside (−bound, bound) *)
+let within bound t = Array.for_all (fun v -> v > -.bound && v < bound) (T.to_array t)
+
 let make_net ?(seed = 1) ?(config = config) ~inputs ~outputs () =
   Pnn.Network.create (Rng.create seed) config (Lazy.force surrogate) ~inputs ~outputs
 
@@ -123,7 +126,7 @@ let test_layer_forward_shape_and_range () =
   let y = A.value (Pnn.Layer.forward config layer ~noise x) in
   Alcotest.(check (pair int int)) "batch preserved" (8, 3) (T.shape y);
   (* the ptanh family stays within the supply rails *)
-  Alcotest.(check bool) "bounded" true (T.min_value y > -1.1 && T.max_value y < 1.1)
+  Alcotest.(check bool) "bounded" true (within 1.1 y)
 
 let test_layer_input_width_check () =
   let layer =
@@ -547,7 +550,7 @@ let qcheck_forward_bounded =
           ~theta_shapes:(Pnn.Network.theta_shapes net)
       in
       let out = A.value (Pnn.Network.forward net ~noise (A.const x)) in
-      T.min_value out > -1.5 && T.max_value out < 1.5)
+      within 1.5 out)
 
 let qcheck_denominator_positive =
   QCheck.Test.make ~name:"crossbar normalization never divides by zero" ~count:50

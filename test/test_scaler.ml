@@ -30,31 +30,12 @@ let test_roundtrip () =
   let back = Sc.inverse s (Sc.transform s x) in
   Alcotest.(check (array (float 1e-9))) "roundtrip" x back
 
-let test_tensor_matches_scalar_path () =
-  let s = Sc.fit data in
-  let m = Tensor.of_arrays data in
-  let via_tensor = Sc.transform_tensor s m in
-  Array.iteri
-    (fun r row ->
-      let expected = Sc.transform s row in
-      Array.iteri
-        (fun c e ->
-          Alcotest.(check (float 1e-12)) "entry" e (Tensor.get via_tensor r c))
-        expected)
-    data
-
-let test_inverse_tensor_roundtrip () =
-  let s = Sc.fit data in
-  let m = Tensor.of_arrays data in
-  let back = Sc.inverse_tensor s (Sc.transform_tensor s m) in
-  Alcotest.(check bool) "tensor roundtrip" true (Tensor.equal ~eps:1e-9 m back)
-
-let test_ad_matches_tensor () =
+let test_ad_matches_scalar () =
   let s = Sc.fit data in
   let m = Tensor.of_arrays data in
   let inv_ad = Autodiff.value (Sc.inverse_ad s (Autodiff.const m)) in
-  Alcotest.(check bool) "inverse ad = tensor" true
-    (Tensor.equal ~eps:1e-12 inv_ad (Sc.inverse_tensor s m))
+  Alcotest.(check bool) "inverse ad = scalar path" true
+    (Tensor.equal ~eps:1e-12 inv_ad (Tensor.of_arrays (Array.map (Sc.inverse s) data)))
 
 let test_ad_gradients () =
   (* the inverse is affine: gradient of sum(inverse x) wrt x is the range *)
@@ -100,9 +81,7 @@ let () =
           Alcotest.test_case "zero range" `Quick test_fit_zero_range;
           Alcotest.test_case "transform known" `Quick test_transform_known;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
-          Alcotest.test_case "tensor path" `Quick test_tensor_matches_scalar_path;
-          Alcotest.test_case "tensor roundtrip" `Quick test_inverse_tensor_roundtrip;
-          Alcotest.test_case "ad path" `Quick test_ad_matches_tensor;
+          Alcotest.test_case "ad path" `Quick test_ad_matches_scalar;
           Alcotest.test_case "ad gradients" `Quick test_ad_gradients;
           Alcotest.test_case "serialization" `Quick test_serialization_roundtrip;
           Alcotest.test_case "of_bounds" `Quick test_of_bounds_validation;

@@ -2,6 +2,9 @@
 
 module S = Qmc.Sobol
 
+(* the next [n] points of [t] *)
+let generate t n = Array.init n (fun _ -> S.next t)
+
 let test_dimension_bounds () =
   Alcotest.check_raises "dim 0"
     (Invalid_argument "Sobol.create: dimension 0 outside 1..10") (fun () ->
@@ -36,14 +39,14 @@ let test_no_skip_starts_at_origin () =
   Alcotest.(check (array (float 0.0))) "origin" [| 0.0; 0.0; 0.0 |] p
 
 let test_deterministic () =
-  let a = S.generate (S.create 5) 100 in
-  let b = S.generate (S.create 5) 100 in
+  let a = generate (S.create 5) 100 in
+  let b = generate (S.create 5) 100 in
   Alcotest.(check bool) "same sequence" true (a = b)
 
 let test_distinct_dimensions () =
   (* dimensions must not be identical copies of one another *)
   let s = S.create 10 in
-  let pts = S.generate s 64 in
+  let pts = generate s 64 in
   for d1 = 0 to 9 do
     for d2 = d1 + 1 to 9 do
       let same = ref true in
@@ -56,7 +59,7 @@ let test_balance_powers_of_two () =
   (* a (0,m,s)-net property consequence: the first 2^k points have exactly
      half below 1/2 in each coordinate *)
   let s = S.create 4 ~skip:0 in
-  let pts = S.generate s 64 in
+  let pts = generate s 64 in
   for d = 0 to 3 do
     let below = Array.fold_left (fun acc p -> if p.(d) < 0.5 then acc + 1 else acc) 0 pts in
     Alcotest.(check int) (Printf.sprintf "dim %d balanced" d) 32 below
@@ -64,7 +67,7 @@ let test_balance_powers_of_two () =
 
 let test_uniformity_vs_bins () =
   let s = S.create 2 in
-  let pts = S.generate s 1024 in
+  let pts = generate s 1024 in
   let bins = Array.make 16 0 in
   Array.iter
     (fun p ->
@@ -97,7 +100,7 @@ let test_low_discrepancy_beats_random () =
     done;
     !worst
   in
-  let sobol = S.generate (S.create 2) 512 in
+  let sobol = generate (S.create 2) 512 in
   let rng = Rng.create 4 in
   let random = Array.init 512 (fun _ -> [| Rng.float rng; Rng.float rng |]) in
   Alcotest.(check bool) "sobol more uniform" true (disc sobol < disc random)
@@ -137,7 +140,7 @@ let qcheck_sobol_range =
     QCheck.(pair (int_range 1 10) (int_range 0 50))
     (fun (dim, skip) ->
       let s = S.create ~skip dim in
-      let pts = S.generate s 50 in
+      let pts = generate s 50 in
       Array.for_all (Array.for_all (fun v -> v >= 0.0 && v < 1.0)) pts)
 
 let () =

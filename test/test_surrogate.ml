@@ -58,19 +58,6 @@ let test_model_eval_eta_shape () =
   Alcotest.(check bool) "eta finite" true
     (Float.is_finite eta.Fit.Ptanh.eta1 && Float.is_finite eta.Fit.Ptanh.eta4)
 
-let test_eval_batch_matches_single () =
-  let model, _ = Lazy.force trained in
-  let d = Lazy.force dataset in
-  let omegas = Array.sub d.P.omegas 0 5 in
-  let batch = M.eval_batch model omegas in
-  Array.iteri
-    (fun i omega ->
-      let single = M.eval model omega in
-      let b = batch.(i) in
-      Alcotest.(check (float 1e-9)) "eta1" single.Fit.Ptanh.eta1 b.Fit.Ptanh.eta1;
-      Alcotest.(check (float 1e-9)) "eta4" single.Fit.Ptanh.eta4 b.Fit.Ptanh.eta4)
-    omegas
-
 let test_features_ad_matches_extend () =
   let model, _ = Lazy.force trained in
   let omega = [| 100.0; 50.0; 200e3; 100e3; 300e3; 400.0; 20.0 |] in
@@ -150,7 +137,6 @@ let () =
       ( "model",
         [
           Alcotest.test_case "eval" `Quick test_model_eval_eta_shape;
-          Alcotest.test_case "batch = single" `Quick test_eval_batch_matches_single;
           Alcotest.test_case "features ad" `Quick test_features_ad_matches_extend;
           Alcotest.test_case "eval ad value" `Quick test_eval_ad_matches_eval;
           Alcotest.test_case "eval ad gradient" `Quick test_eval_ad_differentiable;

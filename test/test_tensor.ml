@@ -13,9 +13,13 @@ let sum_rows t =
   T.sum_rows_into t ~dst:d;
   d
 
+let to_string t =
+  String.concat "; "
+    (Array.to_list (Array.map (fun row -> String.concat " " (Array.to_list (Array.map string_of_float row))) (T.to_arrays t)))
+
 let tensor_eq ?(eps = 1e-12) msg a b =
   if not (T.equal ~eps a b) then
-    Alcotest.failf "%s:\nexpected %s\ngot %s" msg (T.to_string a) (T.to_string b)
+    Alcotest.failf "%s:\nexpected %s\ngot %s" msg (to_string a) (to_string b)
 
 let test_create_checks () =
   Alcotest.check_raises "bad length"
@@ -45,12 +49,8 @@ let test_elementwise () =
   tensor_eq "add" (T.of_arrays [| [| 6.0; 8.0 |]; [| 10.0; 12.0 |] |]) (T.add a b);
   tensor_eq "sub" (T.of_arrays [| [| -4.0; -4.0 |]; [| -4.0; -4.0 |] |]) (T.sub a b);
   tensor_eq "mul" (T.of_arrays [| [| 5.0; 12.0 |]; [| 21.0; 32.0 |] |]) (T.mul a b);
-  tensor_eq "div" (T.of_arrays [| [| 0.2; 2.0 /. 6.0 |]; [| 3.0 /. 7.0; 0.5 |] |])
-    (T.div a b);
   tensor_eq "neg" (T.of_arrays [| [| -1.0; -2.0 |]; [| -3.0; -4.0 |] |]) (T.neg a);
-  tensor_eq "scale" (T.of_arrays [| [| 2.0; 4.0 |]; [| 6.0; 8.0 |] |]) (T.scale 2.0 a);
-  tensor_eq "add_scalar" (T.of_arrays [| [| 2.0; 3.0 |]; [| 4.0; 5.0 |] |])
-    (T.add_scalar 1.0 a)
+  tensor_eq "scale" (T.of_arrays [| [| 2.0; 4.0 |]; [| 6.0; 8.0 |] |]) (T.scale 2.0 a)
 
 let test_shape_mismatch () =
   let a = T.zeros 2 2 and b = T.zeros 2 3 in
@@ -103,8 +103,6 @@ let test_reductions () =
   let m = T.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
   Alcotest.(check (float 1e-12)) "sum" 10.0 (T.sum m);
   Alcotest.(check (float 1e-12)) "mean" 2.5 (T.mean m);
-  Alcotest.(check (float 1e-12)) "min" 1.0 (T.min_value m);
-  Alcotest.(check (float 1e-12)) "max" 4.0 (T.max_value m);
   tensor_eq "sum_rows" (T.of_array [| 4.0; 6.0 |]) (sum_rows m)
 
 let test_argmax_rows () =
@@ -158,7 +156,7 @@ let small_mat =
               (fun values -> T.create n m (Array.of_list values))
               (list_repeat (n * m) (float_range (-10.0) 10.0)))))
 
-let arb_mat = QCheck.make ~print:T.to_string small_mat
+let arb_mat = QCheck.make ~print:to_string small_mat
 
 let qcheck_transpose_involution =
   QCheck.Test.make ~name:"transpose involution" ~count:200 arb_mat (fun m ->
