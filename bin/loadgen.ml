@@ -483,8 +483,18 @@ let mc_every_arg =
     value & opt int 0
     & info [ "mc-every" ] ~doc:"every k-th request asks for MC uncertainty (0 = never)")
 
+(* a draw count the protocol cannot carry is a usage error, not a request
+   the encoder refuses mid-run *)
+let mc_draws_conv =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        if n >= 1 && n <= P.max_mc_draws then Ok n
+        else Error (`Msg (Printf.sprintf "%d draws is outside [1, %d]" n P.max_mc_draws)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let mc_draws_arg =
-  Arg.(value & opt int 32 & info [ "mc-draws" ] ~doc:"draws per MC request")
+  Arg.(value & opt mc_draws_conv 32 & info [ "mc-draws" ] ~doc:"draws per MC request")
 
 let seed_arg =
   Arg.(value & opt int 1234 & info [ "seed" ] ~doc:"synthetic feature stream seed")

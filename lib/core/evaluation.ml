@@ -17,11 +17,15 @@ let accuracy ~y pred =
   Array.iteri (fun i p -> if p = y.(i) then incr hits) pred;
   float_of_int !hits /. float_of_int (Array.length y)
 
+(* One draw runs on the calling domain, so this pool never spawns one. *)
+let sequential = Parallel.Pool.create ~jobs:1 ()
+
 let nominal_accuracy network ~x ~y =
   check_labels ~x ~y;
-  (* forward pass in place on this domain's compiled graph for x's shape *)
-  let p = Network.predictor_cached network ~rows:(Tensor.rows x) ~cols:(Tensor.cols x) in
-  accuracy ~y (Network.predictor_predict p x)
+  (* the ε = 0 draw, in place on this domain's compiled graph for x's shape *)
+  let nominal = [| Noise.none ~theta_shapes:(Network.theta_shapes network) |] in
+  (Network.mc_logits sequential network ~noises:nominal x ~f:(fun logits ->
+       accuracy ~y (Tensor.argmax_rows logits))).(0)
 
 (* Cache payload: the raw per-draw accuracies in [%h]; every summary
    statistic is recomputed from the decoded bits, so a hit is bit-identical

@@ -73,7 +73,7 @@ let replicate t = { layers = List.map Layer.replicate t.layers; config = t.confi
      stays small; row independence keeps padding from touching a real
      row, and a padded stage never runs backward.
 
-   - A draw graph ({!predictor}) is the rest of the network over a fresh
+   - A draw graph ({!graph}) is the rest of the network over a fresh
      replica (fresh θ leaves, per layer a const θ-noise leaf and two 1 × 4
      η leaves, a const input leaf of a fixed batch shape and, for a loss
      graph, an owned labels buffer) plus its topological tape: the
@@ -91,8 +91,10 @@ let replicate t = { layers = List.map Layer.replicate t.layers; config = t.confi
    leaf (crossbar matmuls and division, activations, logit scale, loss)
    and those that do not (θ projection and variation, crossbar
    denominator); the second part re-runs only when a θ or θ-noise bit
-   changed.  Nominal serving of a read-only master therefore runs neither
-   the surrogate nor the θ part, while every Monte-Carlo draw runs both.
+   changed.  Nominal prediction — a one-draw {!mc_logits} with the
+   all-ones draw, as serving and {!Evaluation.nominal_accuracy} run it —
+   of a read-only master therefore runs neither the surrogate nor the θ
+   part, while every Monte-Carlo draw runs both.
 
    Every op on either path is row-independent (matmul row i reads only
    input row i; activations, the scaler and the logit scale are
@@ -106,22 +108,21 @@ let forward_nodes t ~draw_nodes x =
     (fun acc layer nodes -> Layer.forward_nodes t.config layer nodes acc)
     x t.layers draw_nodes
 
-type predictor = {
-  p_master : t; (* physical-identity key *)
-  p_rows : int;
-  p_cols : int;
-  p_x : A.t; (* const leaf the batch is blitted into *)
-  p_labels : Tensor.t option; (* loss graphs: the buffer the labels are blitted into *)
-  p_replica_theta : A.t list;
-  p_master_theta : A.t list;
-  p_draw : Layer.draw_nodes list;
-  p_nominal : Noise.t; (* all-ones draw, reused when no draw is given *)
-  p_root : A.t; (* loss (1×1) or scaled logits (rows × outputs) *)
-  p_fixed : A.tape; (* nodes that do not depend on [p_x] *)
-  p_varying : A.tape; (* nodes downstream of [p_x] *)
+type graph = {
+  g_master : t; (* physical-identity key *)
+  g_rows : int;
+  g_cols : int;
+  g_x : A.t; (* const leaf the batch is blitted into *)
+  g_labels : Tensor.t option; (* loss graphs: the buffer the labels are blitted into *)
+  g_replica_theta : A.t list;
+  g_master_theta : A.t list;
+  g_draw : Layer.draw_nodes list;
+  g_root : A.t; (* loss (1×1) or scaled logits (rows × outputs) *)
+  g_fixed : A.tape; (* nodes that do not depend on [g_x] *)
+  g_varying : A.tape; (* nodes downstream of [g_x] *)
   (* pnnlint:allow R7 a compiled graph is confined to the domain that
      compiled it: [cached] keeps one cache per domain (DLS) *)
-  mutable p_stale : bool; (* a leaf changed and [p_fixed] has not re-run *)
+  mutable g_stale : bool; (* a leaf changed and [g_fixed] has not re-run *)
 }
 
 let compile ~loss t ~rows ~cols =
@@ -139,23 +140,20 @@ let compile ~loss t ~rows ~cols =
   in
   let fixed, varying = A.split (A.compile root) ~input:x_leaf in
   {
-    p_master = t;
-    p_rows = rows;
-    p_cols = cols;
-    p_x = x_leaf;
-    p_labels = labels;
-    p_replica_theta = params_theta replica;
-    p_master_theta = params_theta t;
-    p_draw = draw_nodes;
-    p_nominal = Noise.none ~theta_shapes:(theta_shapes t);
-    p_root = root;
-    p_fixed = fixed;
-    p_varying = varying;
+    g_master = t;
+    g_rows = rows;
+    g_cols = cols;
+    g_x = x_leaf;
+    g_labels = labels;
+    g_replica_theta = params_theta replica;
+    g_master_theta = params_theta t;
+    g_draw = draw_nodes;
+    g_root = root;
+    g_fixed = fixed;
+    g_varying = varying;
     (* building the graph evaluated every node from the leaves as they are *)
-    p_stale = false;
+    g_stale = false;
   }
-
-let compile_predictor t ~rows ~cols = compile ~loss:false t ~rows ~cols
 
 (* A stage is confined to the domain that compiled it, like a draw graph.
    During a fan-out the draws, on any domain, only read [s_eta]; the stage
@@ -233,20 +231,18 @@ let lru_add cache ~capacity p =
   cache := take capacity (p :: !cache);
   p
 
-let graphs : predictor list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+let graphs : graph list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 let stages : stage list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
 let cached ~loss t ~rows ~cols =
   let cache = Domain.DLS.get graphs in
-  let hit p =
-    p.p_master == t && p.p_rows = rows && p.p_cols = cols
-    && Option.is_some p.p_labels = loss
+  let hit g =
+    g.g_master == t && g.g_rows = rows && g.g_cols = cols
+    && Option.is_some g.g_labels = loss
   in
   match List.find_opt hit !cache with
-  | Some p -> lru_hit cache p
+  | Some g -> lru_hit cache g
   | None -> lru_add cache ~capacity:12 (compile ~loss t ~rows ~cols)
-
-let predictor_cached t ~rows ~cols = cached ~loss:false t ~rows ~cols
 
 let stage_cached t ~draws =
   let cache = Domain.DLS.get stages in
@@ -334,9 +330,9 @@ let rec gather_eta_grads dst row = function
 
 (* One draw on a draw graph: blit everything in, re-run what the new bits
    reach, and return the live root buffer.  The call was validated. *)
-let run_draw p s d ?labels ~noise x =
-  A.set_value p.p_x x;
-  (match (p.p_labels, labels) with
+let run_draw g s d ?labels ~noise x =
+  A.set_value g.g_x x;
+  (match (g.g_labels, labels) with
   | Some buf, Some l -> Tensor.blit ~src:l ~dst:buf
   | _ -> ());
   (* The master is read-only at serve time, but re-copying keeps the graph
@@ -344,45 +340,30 @@ let run_draw p s d ?labels ~noise x =
   let params_changed =
     List.fold_left2
       (fun changed rp mp -> A.update_value rp (A.value mp) || changed)
-      false p.p_replica_theta p.p_master_theta
+      false g.g_replica_theta g.g_master_theta
   in
   let noise_changed =
     List.fold_left2
       (fun changed nodes layer_noise -> Layer.update_theta_noise nodes layer_noise || changed)
-      false p.p_draw noise
+      false g.g_draw noise
   in
   (* η feeds only input-dependent nodes: the varying part re-reads it *)
-  feed_eta s.s_eta (d * s.s_circuits) p.p_draw;
-  if params_changed || noise_changed then p.p_stale <- true;
-  if p.p_stale then begin
-    A.refresh p.p_fixed;
-    p.p_stale <- false
+  feed_eta s.s_eta (d * s.s_circuits) g.g_draw;
+  if params_changed || noise_changed then g.g_stale <- true;
+  if g.g_stale then begin
+    A.refresh g.g_fixed;
+    g.g_stale <- false
   end;
-  A.refresh p.p_varying;
-  A.value p.p_root
-
-let predictor_logits p ?noise x =
-  let who = "Network.predictor_logits" in
-  if Tensor.rows x <> p.p_rows || Tensor.cols x <> p.p_cols then
-    invalid_arg (who ^ ": batch shape mismatch");
-  let noise =
-    match noise with
-    | Some n ->
-        check_noise who p.p_master n;
-        n
-    | None -> p.p_nominal
-  in
-  run_draw p (run_stage p.p_master [| noise |]) 0 ~noise x
-
-let predictor_predict p ?noise x = Tensor.argmax_rows (predictor_logits p ?noise x)
+  A.refresh g.g_varying;
+  A.value g.g_root
 
 let mc_logits ?pad pool t ~noises x ~f =
   check_draws "Network.mc_logits" t ~x noises;
   let s = run_stage ?pad t noises in
   Parallel.Pool.mapi_array pool
     (fun d noise ->
-      let p = cached ~loss:false t ~rows:(Tensor.rows x) ~cols:(Tensor.cols x) in
-      f (run_draw p s d ~noise x))
+      let g = cached ~loss:false t ~rows:(Tensor.rows x) ~cols:(Tensor.cols x) in
+      f (run_draw g s d ~noise x))
     noises
 
 (* One draw on this domain's loss graph: the loss. *)
@@ -405,10 +386,10 @@ let run_draws who pool t ~noises ~x ~labels =
     Parallel.Pool.mapi_array pool
       (fun d noise ->
         let g, l = draw_loss t s d ~noise ~x ~labels in
-        A.backward_tape g.p_varying;
+        A.backward_tape g.g_varying;
         let deta = Tensor.zeros k Nonlinear.eta_dim in
-        gather_eta_grads deta 0 g.p_draw;
-        (l, List.map (fun p -> Tensor.copy (A.grad p)) g.p_replica_theta, deta))
+        gather_eta_grads deta 0 g.g_draw;
+        (l, List.map (fun p -> Tensor.copy (A.grad p)) g.g_replica_theta, deta))
       noises
   in
   Array.iteri (fun d (_, _, deta) -> Tensor.blit_rows ~src:deta 0 ~dst:s.s_seed (d * k) k) per_draw;

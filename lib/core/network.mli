@@ -4,14 +4,14 @@
     {!forward}, {!logits}, {!predict} and {!loss} build a fresh autodiff
     graph per call, each circuit's η through its own surrogate pass: the
     reference the compiled paths are held to.  The hot paths — training
-    draws ({!mc_loss_pooled}, {!mc_loss_value}), Monte-Carlo evaluation
-    ({!mc_logits}) and serving ({!predictor_cached}) — run compiled graphs
-    split at η.  Before a draw fan-out, one η stage on the calling domain
-    evaluates the surrogate for every (draw, layer, circuit) in a single
-    batch; each draw then runs its domain's compiled draw graph, which
-    takes its η rows as leaves; after a loss fan-out, one surrogate
-    backward over the stacked ∂L/∂η rows folds the 𝔴 gradients in draw
-    order.  Stages and draw graphs are cached per domain (draw graphs by
+    draws ({!mc_loss_pooled}, {!mc_loss_value}) and prediction
+    ({!mc_logits}, Monte-Carlo or nominal: nominal prediction is its
+    one-draw case under {!Noise.none}) — run compiled graphs split at η.
+    Before a draw fan-out, one η stage on the calling domain evaluates the
+    surrogate for every (draw, layer, circuit) in a single batch; each draw
+    then runs its domain's compiled draw graph, which takes its η rows as
+    leaves; after a loss fan-out, one surrogate backward over the stacked
+    ∂L/∂η rows folds the 𝔴 gradients in draw order.  Stages and draw graphs are cached per domain (draw graphs by
     network, batch shape and root, stages by network and draw count).
     Every call copies what it needs into them and re-runs in place,
     bit-identical to the fresh-graph functions, for any pool size. *)
@@ -95,45 +95,19 @@ val mc_logits :
     returns [f] of each draw's temperature-scaled logits, in draw order.
     [f] receives the graph's live root buffer on the domain that ran the
     draw: it must read or copy it before returning.  Each draw's logits are
-    bit-identical to {!logits} under that draw.  With [~pad:true] (default
+    bit-identical to {!logits} under that draw, and each row of them to
+    {!logits} on that row alone: batch composition never changes an
+    answer.  A single draw runs on the calling domain, whatever [pool];
+    its surrogate re-runs only when a 𝔴 or ε_ω bit changed since this
+    domain's stage last ran, and the nodes that do not depend on [x] only
+    when a θ or θ-noise bit changed, so repeated nominal calls on a
+    read-only network run neither.  With [~pad:true] (default
     false) the stage is compiled for the draw count rounded up to a power
     of two, the extra rows nominal, so a stream of arbitrary counts up to
     [n] compiles at most [1 + log2 n] stages — serving's case; a run's
     fixed count compiles exactly.  Padding changes no answer.  Raises
     [Invalid_argument] on no draws or a noise draw of the wrong shape,
     before any leaf is written. *)
-
-type predictor
-(** A compiled logits graph with a fixed-shape blittable input leaf: one
-    compilation answers an unbounded stream of same-shaped batches.
-    Single-domain mutable state, like every compiled graph. *)
-
-val compile_predictor : t -> rows:int -> cols:int -> predictor
-(** Compile a logits graph for [rows × cols] input batches against a fresh
-    replica of this network. *)
-
-val predictor_logits : predictor -> ?noise:Noise.t -> Tensor.t -> Tensor.t
-(** Run the calling domain's one-draw η stage for [noise] (or the nominal
-    all-ones draw), blit the batch, the master's current parameters and
-    the draw into the graph leaves, refresh, and return the live
-    temperature-scaled logits ([rows × outputs]).  The surrogate re-runs
-    only when a 𝔴 or ε_ω bit changed since the stage last ran, and the
-    other nodes that do not depend on the batch only when a θ or θ-noise
-    bit changed.  Each row is bit-identical to {!predict}'s logits for that
-    row alone — the forward pass is row-independent, so batch composition
-    never changes an answer.  The returned tensor is the graph's root
-    buffer: read or copy it before the next call.  Raises
-    [Invalid_argument] on a batch shape mismatch, a noise draw with the
-    wrong number of layers, or a layer whose θ or ω noise has the wrong
-    shape — always before any leaf is written, so a rejected call changes
-    nothing. *)
-
-val predictor_predict : predictor -> ?noise:Noise.t -> Tensor.t -> int array
-(** Argmax rows of {!predictor_logits}; bit-identical to {!predict}. *)
-
-val predictor_cached : t -> rows:int -> cols:int -> predictor
-(** This domain's LRU-cached {!compile_predictor} (keyed by network identity
-    and batch shape) — the serving hot path. *)
 
 val params_theta : t -> Autodiff.t list
 val params_omega : t -> Autodiff.t list

@@ -75,9 +75,10 @@ let read_claim t key =
   | Some content -> (
       match String.split_on_char '\n' content with
       | owner :: expires :: _ -> (
+          (* nan or inf would never expire: damaged, not live *)
           match float_of_string_opt expires with
-          | Some e -> Some { owner; expires = e }
-          | None -> None)
+          | Some e when Float.is_finite e -> Some { owner; expires = e }
+          | Some _ | None -> None)
       | _ -> None)
 
 let claim_content ~owner ~expires =

@@ -42,8 +42,9 @@ val is_done : t -> string -> bool
 type claim = { owner : string; expires : float }
 
 val read_claim : t -> string -> claim option
-(** [None] if unclaimed or the claim file is unreadable/corrupt (a corrupt
-    claim reads as unclaimed, so a torn write degrades to a re-claim). *)
+(** [None] if unclaimed or the claim file is unreadable/corrupt, a
+    non-finite expiry included (a corrupt claim reads as unclaimed, so a
+    torn write degrades to a re-claim). *)
 
 val claim : t -> owner:string -> now:float -> lease:float -> string -> bool
 (** Atomically take the unit's claim file; [true] iff this caller created

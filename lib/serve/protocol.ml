@@ -138,7 +138,20 @@ let kind_predict_mc = 2
 let kind_stats = 3
 let kind_shutdown = 4
 
+(* The wire carries counts in 16 bits: a count the decoder would refuse is
+   refused here, before [add_u16] could wrap it into one it accepts. *)
+let check_features features =
+  if Array.length features > max_features then
+    invalid_arg "Protocol.encode_request: feature count exceeds max_features"
+
 let encode_request req =
+  (match req with
+  | Predict { features; _ } -> check_features features
+  | Predict_mc { features; draws; _ } ->
+      check_features features;
+      if draws < 1 || draws > max_mc_draws then
+        invalid_arg "Protocol.encode_request: draws outside [1, max_mc_draws]"
+  | Stats _ | Shutdown _ -> ());
   let b = Buffer.create 64 in
   add_u8 b version;
   (match req with
@@ -269,6 +282,8 @@ let decode_response payload =
       let batches = get_u64 cur "batches" in
       let errors = get_u64 cur "errors" in
       let n = get_u16 cur "occupancy length" in
+      (* the whole run is checked before the array exists, as in get_floats *)
+      need cur (8 * n) "occupancy";
       let occupancy = Array.init n (fun _ -> get_u64 cur "occupancy") in
       finish cur (Stats_reply { id; stats = { served; mc_served; batches; errors; occupancy } })
     end

@@ -48,7 +48,10 @@ val request_id : request -> int32
 val response_id : response -> int32
 
 val encode_request : request -> bytes
-(** Full frame: length prefix + payload. *)
+(** Full frame: length prefix + payload.  Raises [Invalid_argument] on more
+    than {!max_features} features or on [draws] outside
+    [[1, max_mc_draws]]: the wire's 16-bit counts would otherwise carry a
+    different request than the one given. *)
 
 val decode_request : bytes -> (request, string) result
 (** Decode one payload (no length prefix).  Never raises: truncated or

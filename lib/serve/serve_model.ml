@@ -4,12 +4,15 @@
    [Network.t] it treats as strictly read-only — no optimizer, no loss
    graphs, no weight mutation ever goes through this module.  Everything a
    server needs is here: digest-verified loading, batched nominal
-   classification on cached fixed-shape predictors, and per-request
-   Monte-Carlo uncertainty with the deterministic ordered reduction.
+   classification, and per-request Monte-Carlo uncertainty with the
+   deterministic ordered reduction.  Both run {!Network.mc_logits}: a
+   nominal batch is its one-draw case, the all-ones draw on a sequential
+   pool, so a server that only answers nominal requests never starts the
+   shared pool's domains.
 
    Determinism contract: answers depend only on (model file, request
    payload).  Batch composition cannot change an answer (the forward pass is
-   row-independent — see {!Network.predictor_logits}), the MC reduction is
+   row-independent — see {!Network.mc_logits}), the MC reduction is
    ordered by draw index, and draws are pre-drawn sequentially from a
    request-seeded [Rng.t] before any fan-out, so results are bit-identical
    for any pool size and any batching schedule. *)
@@ -25,6 +28,8 @@ type t = {
   outputs : int;
   digest : string;
   ctx : Variation.ctx;
+  nominal : Pnn.Noise.t array; (* the one all-ones draw of predict_batch *)
+  sequential : Parallel.Pool.t; (* jobs 1: one draw never needs a domain *)
 }
 
 let of_network network =
@@ -37,6 +42,8 @@ let of_network network =
     outputs = Layer.outputs last;
     digest = Serialize.digest network;
     ctx = Variation.ctx_of_network network;
+    nominal = [| Pnn.Noise.none ~theta_shapes:(Network.theta_shapes network) |];
+    sequential = Parallel.Pool.create ~jobs:1 ();
   }
 
 let load ?expect_digest surrogate path =
@@ -58,8 +65,8 @@ let inputs m = m.inputs
 let outputs m = m.outputs
 let digest m = m.digest
 
-(* Batches are padded up to the next power of two before hitting a
-   predictor, so the compiled-graph working set stays at the handful of
+(* Batches are padded up to the next power of two before the forward
+   pass, so the compiled-graph working set stays at the handful of
    shapes {1, 2, 4, ...} instead of one graph per occupancy.  Padding rows
    are zeros; row independence means they cannot perturb the real rows, and
    their answers are discarded. *)
@@ -82,8 +89,9 @@ let batch_tensor m rows =
 
 let predict_batch m rows =
   let x = batch_tensor m rows in
-  let p = Network.predictor_cached m.network ~rows:(Tensor.rows x) ~cols:m.inputs in
-  let all = Network.predictor_predict p x in
+  let all =
+    (Network.mc_logits m.sequential m.network ~noises:m.nominal x ~f:Tensor.argmax_rows).(0)
+  in
   Array.sub all 0 (Array.length rows)
 
 (* {1 Monte-Carlo uncertainty} *)

@@ -29,7 +29,7 @@ val digest : t -> string
 
 val padded_rows : int -> int
 (** The row count a [k]-request batch is padded to (next power of two) —
-    exposed so tests can pin the predictor-shape working set. *)
+    exposed so tests can pin the compiled-graph working set. *)
 
 val predict_batch : t -> float array array -> int array
 (** Classify a batch of feature vectors under nominal variation.  Each

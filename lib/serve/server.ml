@@ -1,7 +1,7 @@
 (* The long-running inference server: a single-domain [Unix.select] event
    loop over a listening socket, per-connection frame readers/write buffers,
    and the {!Batcher} coalescing window.  Predict requests are batched into
-   single forward passes on {!Serve_model}'s cached predictors; Monte-Carlo
+   single forward passes on {!Serve_model}'s compiled graphs; Monte-Carlo
    requests fan their draws over the shared {!Parallel} pool.
 
    Division of labour with the rest of the library: {!Protocol},

@@ -1,7 +1,7 @@
 (** The long-running inference server: a single-domain [Unix.select] event
     loop speaking {!Protocol} over a unix-domain or TCP socket, coalescing
     predict requests through {!Batcher} into batched forward passes on
-    {!Serve_model}'s cached predictors, and fanning Monte-Carlo draws over
+    {!Serve_model}'s compiled graphs, and fanning Monte-Carlo draws over
     the shared {!Parallel} pool.
 
     The clock only schedules (linger deadlines, select timeouts) and counts

@@ -856,7 +856,10 @@ let matmul_digests (module M : OPS) =
 
 (* Operands: [specials] in every ordered pair at the same index,
    [nan_specials] likewise with each value as the scalar operand and in
-   each η slot; the backward kernels get [g = a] against [x = y = b]. *)
+   each η slot; the backward kernels get [g = a] against [x = y = b].
+   ce_loss_sum pins one sum per row, each value of [nan_specials] the
+   probability of one finite one-hot label, so the entry sees the 1e-30
+   clamp, a NaN probability's NaN sum and the skipped zero labels. *)
 let expected_special_digests =
   [
     "add cfb58dd48546fd3c";
@@ -871,7 +874,7 @@ let expected_special_digests =
     "sum dot 0198b97b03b9cedf";
     "matmul_nt 09cdae08cc5ebee5";
     "softmax_rows 4a6dfceba5e752ed";
-    "ce_loss_sum 8d1818291ff72671";
+    "ce_loss_sum 576267924c9097c0";
     "unop tanh ac0fd441ad7197b1";
     "unop_bwd tanh 349744a052aaa6ef";
     "unop sigmoid 2297d356af48b275";
@@ -900,6 +903,11 @@ let special_digests (module M : OPS) =
   let nb_ot = ot nn nn (fun _ j -> nan_specials.(j)) in
   let nb = M.of_ot nb_ot in
   let by_scalar f = List.map f (Array.to_list nan_specials) in
+  (* row i: [nan_specials] rotated by i, hot on column 0, so each value is
+     the labelled probability of one row's sum and sits at a zero label in
+     the others *)
+  let ce_p = ot nn nn (fun i j -> s (i + j)) in
+  let ce_y = ot nn nn (fun _ j -> if j = 0 then 1.0 else 0.0) in
   (* base η, then every value of [nan_specials] in every slot *)
   let etas =
     ot 1 4 (fun _ j -> base_eta.(j))
@@ -944,7 +952,8 @@ let special_digests (module M : OPS) =
       [ Array.init nn (fun i -> M.sum (M.of_ot (row_of na_ot i))); [| M.dot na nb; M.dot nb na |] ];
     t "matmul_nt" [ M.matmul_nt a b ];
     t "softmax_rows" [ M.softmax_rows a ];
-    pin "ce_loss_sum" [ [| M.ce_loss_sum na (M.of_ot (ot_map Float.abs nb_ot)) |] ];
+    pin "ce_loss_sum"
+      [ Array.init nn (fun i -> M.(ce_loss_sum (of_ot (row_of ce_p i)) (of_ot (row_of ce_y i)))) ];
   ]
   @ List.concat_map
       (fun op ->

@@ -269,6 +269,11 @@ let draw_loss_and_grads net ~noise ~x ~labels =
   let pool = Parallel.Pool.create ~jobs:1 () in
   (Pnn.Network.draws_loss_and_grads pool net ~noises:[| noise |] ~x ~labels).(0)
 
+(* One draw through the compiled logits path, copied out of the live root. *)
+let one_draw_logits net ~noise x =
+  let pool = Parallel.Pool.create ~jobs:1 () in
+  (Pnn.Network.mc_logits pool net ~noises:[| noise |] x ~f:T.copy).(0)
+
 let test_loss_graph_vs_alloc () =
   let config, surrogate, data = Lazy.force golden_fixture in
   let net = Pnn.Network.create (Rng.create 23) config surrogate ~inputs:3 ~outputs:2 in
@@ -365,9 +370,9 @@ let test_fit_golden_history () =
    [Int64.bits_of_float], every NaN hashed as [Float.nan])
    on the iris 4-3-3 and the serving 64-48-16 shapes, through every route a
    graph is run: a fresh graph, the cached loss graph (build, then a
-   refreshed draw) and a logits graph (predictor).  Inputs are finite,
-   or carry ±0, NaN payloads and ±inf in the batch, in the noise draw or in
-   the parameters themselves.  The finite rows were computed by the
+   refreshed draw) and the cached logits graph (one-draw [mc_logits]).
+   Inputs are finite, or carry ±0, NaN payloads and ±inf in the batch, in
+   the noise draw or in the parameters themselves.  The finite rows were computed by the
    node-by-node graph of primitives that the printed layer's fused tape
    nodes replaced, so they hold the fused nodes to it. *)
 
@@ -457,10 +462,9 @@ let network_digest ~sizes ~rows input =
   let fresh = loss_grads (Net_oracle.draw_loss_and_grads_alloc net ~noise:noise2 ~x ~labels) in
   let cached1 = loss_grads (draw_loss_and_grads net ~noise:noise1 ~x ~labels) in
   let cached2 = loss_grads (draw_loss_and_grads net ~noise:noise2 ~x ~labels) in
-  let p = Pnn.Network.compile_predictor net ~rows ~cols:n_in in
-  let pred1 = T.copy (Pnn.Network.predictor_logits p ~noise:noise2 x) in
-  let pred2 = T.copy (Pnn.Network.predictor_logits p x) in
-  let pred3 = T.copy (Pnn.Network.predictor_logits p ~noise:noise1 x) in
+  let pred1 = one_draw_logits net ~noise:noise2 x in
+  let pred2 = one_draw_logits net ~noise:(Pnn.Noise.none ~theta_shapes:shapes) x in
+  let pred3 = one_draw_logits net ~noise:noise1 x in
   Printf.sprintf "logits %s preact %s fresh %s cached %s pred %s" (fnv_tensors [ logits ])
     (fnv_tensors [ preact ]) (fnv_tensors fresh)
     (fnv_tensors (cached1 @ cached2))
@@ -546,13 +550,12 @@ let test_compiled_graph_sees_in_place_input () =
   let x = T.copy x1 and labels = T.copy labels1 in
   let noise = draw () in
   let pool = Parallel.Pool.create ~jobs:1 () in
-  let p = Pnn.Network.predictor_cached net ~rows:12 ~cols:4 in
   let check msg =
     check_draw msg net ~noise ~x ~labels;
     check_value (msg ^ ": value") pool net ~noises:[ noise ] ~x ~labels;
     check_bits_tensor (msg ^ ": logits")
       (A.value (Pnn.Network.logits net ~noise x))
-      (Pnn.Network.predictor_logits p ~noise x)
+      (one_draw_logits net ~noise x)
   in
   check "as given";
   T.blit ~src:x2 ~dst:x;

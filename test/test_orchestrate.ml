@@ -93,6 +93,23 @@ let test_queue_acquire_order_and_corruption () =
     (Some "c")
     (Q.acquire q ~owner:"w4" ~now:1.0 ~lease:100.0)
 
+(* An expiry of nan or inf parses as a float but never compares as past:
+   such a claim is damaged, and must not stay live forever. *)
+let test_queue_non_finite_expiry () =
+  List.iter
+    (fun expiry ->
+      let root = Filename.concat (tmp_root ()) "q" in
+      let q = Q.init ~root ~units:[ ("u", "-") ] in
+      let path = Filename.concat (Filename.concat root "claims") "u.claim" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc ("w9\n" ^ expiry ^ "\n"));
+      Alcotest.(check bool) (expiry ^ " claim reads as none") true
+        (Q.read_claim q "u" = None);
+      Alcotest.(check (option string)) (expiry ^ " claim stolen and reclaimed")
+        (Some "u")
+        (Q.acquire q ~owner:"w4" ~now:1.0 ~lease:100.0))
+    [ "nan"; "inf" ]
+
 (* {1 Fixtures (mirroring test_parallel's tiny scale)} *)
 
 let surrogate =
@@ -311,6 +328,8 @@ let () =
             test_queue_claim_lease_steal;
           Alcotest.test_case "acquire order and corrupt claims" `Quick
             test_queue_acquire_order_and_corruption;
+          Alcotest.test_case "non-finite claim expiry is stealable" `Quick
+            test_queue_non_finite_expiry;
         ] );
       ( "plan",
         [

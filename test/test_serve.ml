@@ -222,18 +222,12 @@ let test_truncations_name_the_field () =
     (P.Predict_mc { id = 4l; features; draws = 16; seed = 9l })
     (head @ [ ("draw count", 2); ("mc seed", 4) ])
 
-(* A request that declares the largest feature count and carries none is
-   refused before the feature array exists: the refusal costs a cursor and
-   an error, a few dozen words, where the declared array would take
-   max_features + 1. *)
+(* A payload that declares the largest count and carries one element is
+   refused before the array exists: the refusal costs a cursor and an
+   error, a few dozen words, where the declared array would take thousands.
+   Two such payloads: a Predict request declaring max_features features
+   and a Stats reply declaring 0xffff occupancy counters. *)
 let test_declared_count_checked_before_allocation () =
-  let b = Buffer.create 16 in
-  Buffer.add_uint8 b P.version;
-  Buffer.add_uint8 b 1 (* predict *);
-  Buffer.add_int32_be b 1l;
-  Buffer.add_uint16_be b P.max_features;
-  Buffer.add_int64_be b 0L;
-  let payload = Buffer.to_bytes b in
   (* as test_lines measures: [Gc.minor_words] is exact on the allocating
      domain (Gc.allocated_bytes only catches up with the minor heap at a
      collection), and the counters' major words take the direct major
@@ -242,14 +236,66 @@ let test_declared_count_checked_before_allocation () =
     let _, _, major = Gc.counters () in
     Gc.minor_words () +. major
   in
-  let before = words () in
-  let result = P.decode_request payload in
-  let words = words () -. before in
-  Alcotest.(check (result reject string))
-    "refused" (Error "truncated payload reading feature")
-    (Result.map (fun _ -> ()) result);
-  if words > 256.0 then
-    Alcotest.failf "decoding the refused request allocated %.0f words (bound 256)" words
+  let refused name ~decode ~expected payload =
+    let before = words () in
+    let result = decode payload in
+    let words = words () -. before in
+    Alcotest.(check (result reject string))
+      (name ^ " refused") (Error expected)
+      (Result.map (fun _ -> ()) result);
+    if words > 256.0 then
+      Alcotest.failf "decoding the refused %s allocated %.0f words (bound 256)" name words
+  in
+  let b = Buffer.create 16 in
+  Buffer.add_uint8 b P.version;
+  Buffer.add_uint8 b 1 (* predict *);
+  Buffer.add_int32_be b 1l;
+  Buffer.add_uint16_be b P.max_features;
+  Buffer.add_int64_be b 0L;
+  refused "request" ~decode:P.decode_request ~expected:"truncated payload reading feature"
+    (Buffer.to_bytes b);
+  let b = Buffer.create 64 in
+  Buffer.add_uint8 b P.version;
+  Buffer.add_uint8 b 0 (* status ok *);
+  Buffer.add_uint8 b 3 (* stats *);
+  Buffer.add_int32_be b 1l;
+  for _ = 1 to 4 (* served, mc_served, batches, errors *) do
+    Buffer.add_int64_be b 0L
+  done;
+  Buffer.add_uint16_be b 0xffff;
+  Buffer.add_int64_be b 0L;
+  refused "stats reply" ~decode:P.decode_response
+    ~expected:"truncated payload reading occupancy" (Buffer.to_bytes b)
+
+(* The wire's counts are 16 bits wide.  A request whose count does not fit
+   the protocol's bounds is refused at encoding: 65537 draws would
+   otherwise go out as 1.  The bounds themselves still round-trip. *)
+let test_encode_refuses_out_of_range_counts () =
+  let refused name msg req =
+    Alcotest.check_raises name (Invalid_argument ("Protocol.encode_request: " ^ msg))
+      (fun () -> ignore (P.encode_request req))
+  in
+  let draws_msg = "draws outside [1, max_mc_draws]" in
+  let features_msg = "feature count exceeds max_features" in
+  let mc ?(features = [| 0.5 |]) draws = P.Predict_mc { id = 1l; features; draws; seed = 2l } in
+  refused "65537 draws" draws_msg (mc 65537);
+  refused "max_mc_draws + 1 draws" draws_msg (mc (P.max_mc_draws + 1));
+  refused "0 draws" draws_msg (mc 0);
+  refused "-1 draws" draws_msg (mc (-1));
+  let too_many = Array.make (P.max_features + 1) 0.0 in
+  refused "predict, max_features + 1" features_msg (P.Predict { id = 1l; features = too_many });
+  refused "predict_mc, max_features + 1" features_msg (mc ~features:too_many 1);
+  let round_trip name req =
+    let frame = P.encode_request req in
+    match P.decode_request (Bytes.sub frame 4 (Bytes.length frame - 4)) with
+    | Ok got -> Alcotest.(check bool) name true (got = req)
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let full = Array.make P.max_features 0.25 in
+  round_trip "max_mc_draws draws" (mc P.max_mc_draws);
+  round_trip "1 draw" (mc 1);
+  round_trip "predict, max_features" (P.Predict { id = 1l; features = full });
+  round_trip "predict_mc, max_features" (mc ~features:full 3)
 
 let test_reader_incremental () =
   (* two frames delivered one byte at a time must come out intact *)
@@ -390,7 +436,7 @@ let test_predict_mc_pool_size_invariant () =
   Alcotest.(check float_bits) "q05" a.SM.q05 b.SM.q05;
   Alcotest.(check float_bits) "q95" a.SM.q95 b.SM.q95
 
-(* {2 Predictors on a wide network}
+(* {2 Compiled logits on a wide network}
 
    The hidden-3 networks above never fill an 8-wide tile of the reference
    matmul; the 64-48-16 serving network (64-row batches, crossbar shapes
@@ -411,6 +457,12 @@ let check_tensor_bits msg want got =
 
 let fresh_logits net ~noise x = Autodiff.value (Pnn.Network.logits net ~noise x)
 
+(* One draw through the compiled path serving runs, copied out of the live
+   root (a one-worker pool runs it on this domain's stage and graph). *)
+let one_draw_logits net ~noise x =
+  let pool = Parallel.Pool.create ~jobs:1 () in
+  (Pnn.Network.mc_logits pool net ~noises:[| noise |] x ~f:Tensor.copy).(0)
+
 let test_wide_batch_matches_predict () =
   let net = Lazy.force wide_net in
   let model = SM.of_network net in
@@ -426,16 +478,15 @@ let test_wide_batch_matches_predict () =
         rows)
     [ 1; 3; 64 ]
 
-(* A reused predictor must see every change to its master: in-place
+(* A reused compiled graph must see every change to its master: in-place
    weight restores and optimizer steps both go through the parameter-only
    part of the graph, which a call re-runs only when a leaf bit changed. *)
-let test_predictor_follows_master () =
+let test_one_draw_follows_master () =
   let net = make_wide_net 8 in
   let x = batch_of ~inputs:64 64 31 in
   let noise = nominal_noise net in
-  let p = Pnn.Network.compile_predictor net ~rows:64 ~cols:64 in
   let agree msg =
-    check_tensor_bits msg (fresh_logits net ~noise x) (Pnn.Network.predictor_logits p x)
+    check_tensor_bits msg (fresh_logits net ~noise x) (one_draw_logits net ~noise x)
   in
   agree "as compiled";
   agree "repeated call";
@@ -452,22 +503,18 @@ let test_predictor_follows_master () =
   Pnn.Network.restore net saved;
   agree "after restoring the original weights"
 
-let test_predictor_noisy_nominal_alternate () =
+let test_one_draw_noisy_nominal_alternate () =
   let net = Lazy.force wide_net in
   let x = batch_of ~inputs:64 64 32 in
-  let p = Pnn.Network.predictor_cached net ~rows:64 ~cols:64 in
   let rng = Rng.create 5 in
   let theta_shapes = Pnn.Network.theta_shapes net in
   for i = 0 to 7 do
     let noise =
-      if i mod 2 = 0 then None
-      else Some (Pnn.Noise.draw rng ~epsilon:0.1 ~theta_shapes)
+      if i mod 2 = 0 then nominal_noise net
+      else Pnn.Noise.draw rng ~epsilon:0.1 ~theta_shapes
     in
-    let want =
-      fresh_logits net ~noise:(Option.value noise ~default:(nominal_noise net)) x
-    in
-    check_tensor_bits (Printf.sprintf "call %d" i) want
-      (Pnn.Network.predictor_logits p ?noise x)
+    check_tensor_bits (Printf.sprintf "call %d" i) (fresh_logits net ~noise x)
+      (one_draw_logits net ~noise x)
   done
 
 (* A draw of the wrong shape is refused with a message naming what is
@@ -475,32 +522,31 @@ let test_predictor_noisy_nominal_alternate () =
    layer 0 taken from [other]; the call after it uses that same layer 0.  Had
    the refused call written layer 0, the next call would see no change there
    and keep stale parameter-only results. *)
-let test_predictor_rejects_bad_noise () =
+let test_one_draw_rejects_bad_noise () =
   let net = make_net ~inputs:4 ~outputs:3 () in
   let theta_shapes = Pnn.Network.theta_shapes net in
   let x = batch_of ~inputs:4 2 33 in
-  let p = Pnn.Network.compile_predictor net ~rows:2 ~cols:4 in
   let good = Pnn.Noise.draw (Rng.create 6) ~epsilon:0.1 ~theta_shapes in
   let other = Pnn.Noise.draw (Rng.create 9) ~epsilon:0.1 ~theta_shapes in
   let mixed = [ List.hd other; List.nth good 1 ] in
-  let logits ?noise () = Pnn.Network.predictor_logits p ?noise x in
+  let logits ~noise () = one_draw_logits net ~noise x in
   let l1 = List.nth other 1 in
   let with_layer1 l = [ List.hd other; l ] in
   let bad =
     [
-      ([ List.hd other ], "Network.predictor_logits: noise/layer count mismatch");
-      (other @ other, "Network.predictor_logits: noise/layer count mismatch");
+      ([ List.hd other ], "Network.mc_logits: noise/layer count mismatch");
+      (other @ other, "Network.mc_logits: noise/layer count mismatch");
       ( with_layer1 { l1 with Pnn.Noise.theta = Tensor.ones 2 2 },
-        "Network.predictor_logits: layer 1 theta noise shape mismatch" );
+        "Network.mc_logits: layer 1 theta noise shape mismatch" );
       ( with_layer1 { l1 with Pnn.Noise.act_omega = Tensor.ones 1 6 },
-        "Network.predictor_logits: layer 1 omega noise shape mismatch" );
+        "Network.mc_logits: layer 1 omega noise shape mismatch" );
       ( with_layer1 { l1 with Pnn.Noise.neg_omega = Tensor.ones 7 1 },
-        "Network.predictor_logits: layer 1 omega noise shape mismatch" );
+        "Network.mc_logits: layer 1 omega noise shape mismatch" );
     ]
   in
   let refused msg noise =
     Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
-        ignore (Pnn.Network.predictor_logits p ~noise x))
+        ignore (one_draw_logits net ~noise x))
   in
   List.iter
     (fun (noise, msg) ->
@@ -512,7 +558,7 @@ let test_predictor_rejects_bad_noise () =
       refused msg noise;
       check_tensor_bits (msg ^ ": next nominal call")
         (fresh_logits net ~noise:(nominal_noise net) x)
-        (logits ()))
+        (logits ~noise:(nominal_noise net) ()))
     bad
 
 let with_temp_dir f =
@@ -828,6 +874,8 @@ let () =
           Alcotest.test_case "incremental reader" `Quick test_reader_incremental;
           Alcotest.test_case "oversized frame" `Quick test_reader_oversized_frame;
           Alcotest.test_case "partial frame" `Quick test_reader_partial_is_not_an_error;
+          Alcotest.test_case "encode refuses out-of-range counts" `Quick
+            test_encode_refuses_out_of_range_counts;
         ] );
       ( "batcher",
         [
@@ -846,12 +894,12 @@ let () =
           Alcotest.test_case "load verifies digest" `Quick test_load_verifies_digest;
           Alcotest.test_case "wide batch matches predict" `Quick
             test_wide_batch_matches_predict;
-          Alcotest.test_case "predictor follows master" `Quick
-            test_predictor_follows_master;
-          Alcotest.test_case "predictor noisy/nominal alternate" `Quick
-            test_predictor_noisy_nominal_alternate;
-          Alcotest.test_case "predictor rejects bad noise" `Quick
-            test_predictor_rejects_bad_noise;
+          Alcotest.test_case "one-draw logits follow master" `Quick
+            test_one_draw_follows_master;
+          Alcotest.test_case "one-draw noisy/nominal alternate" `Quick
+            test_one_draw_noisy_nominal_alternate;
+          Alcotest.test_case "one-draw logits reject bad noise" `Quick
+            test_one_draw_rejects_bad_noise;
         ] );
       ( "wire",
         [
