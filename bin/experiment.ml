@@ -16,15 +16,8 @@ let setup_logs verbose =
 
 let progress msg = Printf.eprintf "[table2] %s\n%!" msg
 
-(* Install the process-wide default cache from the CLI flags so library
-   entry points that consult {!Cache.get_default} (surrogate pipeline,
-   ablation cells) agree with what the command was given. *)
 let setup_cache ~cache_dir ~no_cache =
-  let cache =
-    if no_cache then Cache.disabled () else Cache.create ~dir:cache_dir
-  in
-  Cache.set_default cache;
-  cache
+  if no_cache then Cache.disabled () else Cache.create ~dir:cache_dir
 
 let report_cache cache =
   if Cache.enabled cache then Printf.printf "%s\n" (Cache.summary cache)
@@ -38,7 +31,7 @@ let load_datasets = function
 
 let run_table2 scale_name datasets_opt csv ~cache ~resume =
   let scale = Experiments.Setup.of_name scale_name in
-  let surrogate = Experiments.Setup.surrogate_of_scale scale in
+  let surrogate = Experiments.Setup.surrogate_of_scale ~cache scale in
   let datasets = load_datasets datasets_opt in
   let t0 = Unix.gettimeofday () in
   let table =
@@ -116,7 +109,7 @@ let cmd_ablations which verbose cache_dir no_cache =
     [
       ("sampler", fun () -> Experiments.Ablations.sampler_ablation ());
       ("architecture", fun () -> Experiments.Ablations.architecture_ablation ());
-      ("init", fun () -> Experiments.Ablations.initialization_ablation ());
+      ("init", fun () -> Experiments.Ablations.initialization_ablation ~cache ());
       ("temperature", fun () -> Experiments.Ablations.temperature_ablation ());
       ("depth", fun () -> Experiments.Ablations.depth_ablation ());
     ]
@@ -215,7 +208,7 @@ let cmd_faults scale_name dataset epsilon csv verbose cache_dir no_cache
   setup_logs verbose;
   let cache = setup_cache ~cache_dir ~no_cache in
   let scale = Experiments.Setup.of_name scale_name in
-  let surrogate = Experiments.Setup.surrogate_of_scale scale in
+  let surrogate = Experiments.Setup.surrogate_of_scale ~cache scale in
   let progress msg = Printf.eprintf "[faults] %s\n%!" msg in
   let t0 = Unix.gettimeofday () in
   let result =

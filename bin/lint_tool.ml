@@ -1,53 +1,23 @@
 (* pnnlint: repo-invariant static analyzer.
 
-   Examples:
-     dune exec bin/lint_tool.exe -- check
-     dune exec bin/lint_tool.exe -- check --json
-     dune exec bin/lint_tool.exe -- check --root . --r2-root Cache
-     dune exec bin/lint_tool.exe -- stats --json
-     dune exec bin/lint_tool.exe -- list-rules
-     dune exec bin/lint_tool.exe -- allow-report
+   Example:
+     dune exec bin/lint_tool.exe -- check --root .
 
-   `check` exits 1 when any unsuppressed finding remains — `dune build @lint`
-   wires it into the default test gate.  `--json` output is byte-stable so
-   CI can diff lint posture across commits. *)
+   `check` prints every unsuppressed finding and one summary line, and
+   exits 1 when a finding remains or when it scanned no file (a gate
+   pointed at the wrong root must not pass).  `dune build @lint` wires it
+   into the default test gate. *)
 
 open Cmdliner
 
-let config root_override r2_roots =
-  let base = Pnnlint.Engine.default_config in
-  let base =
-    match r2_roots with
-    | [] -> base
-    | roots -> { base with Pnnlint.Engine.r2_roots = roots }
-  in
-  (root_override, base)
-
-let cmd_check (root, config) verbose json =
-  let report = Pnnlint.Engine.run ~config ~root () in
-  if json then print_string (Pnnlint.Engine.render_json report)
-  else begin
-    print_string (Pnnlint.Engine.render_report report);
-    if verbose && report.Pnnlint.Engine.suppressed <> [] then begin
-      print_string "-- suppressed --\n";
-      List.iter
-        (fun (f, _) ->
-          Printf.printf "%s (suppressed)\n" (Pnnlint.Engine.render_finding f))
-        report.Pnnlint.Engine.suppressed
-    end
+let cmd_check root =
+  let report = Pnnlint.Engine.run ~root () in
+  print_string (Pnnlint.Engine.render_report report);
+  if report.Pnnlint.Engine.files_scanned = 0 then begin
+    Printf.eprintf "pnnlint: no source file under %s\n" root;
+    exit 1
   end;
   if report.Pnnlint.Engine.findings <> [] then exit 1
-
-let cmd_stats (root, config) json =
-  let report = Pnnlint.Engine.run ~config ~root () in
-  if json then print_string (Pnnlint.Engine.render_stats_json report)
-  else print_string (Pnnlint.Engine.render_stats report)
-
-let cmd_list_rules () = print_string (Pnnlint.Engine.render_rules ())
-
-let cmd_allow_report (root, config) =
-  let report = Pnnlint.Engine.run ~config ~root () in
-  print_string (Pnnlint.Engine.render_allow_report report)
 
 let root_arg =
   Arg.(
@@ -55,53 +25,13 @@ let root_arg =
     & opt string "."
     & info [ "root" ] ~doc:"repository root to scan (default: cwd)")
 
-let r2_roots_arg =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "r2-root" ]
-        ~doc:
-          "override the R2 reachability roots (repeatable; default: the \
-           cache/result units)")
-
-let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"also print suppressed findings")
-
-let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ] ~doc:"machine-readable JSON output (byte-stable)")
-
-let config_term = Term.(const config $ root_arg $ r2_roots_arg)
-
 let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"scan the tree and fail on any unsuppressed finding")
-    Term.(const cmd_check $ config_term $ verbose_arg $ json_arg)
-
-let stats_cmd =
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"per-rule posture: findings, suppressed findings and allow \
-             comments for every rule")
-    Term.(const cmd_stats $ config_term $ json_arg)
-
-let list_rules_cmd =
-  Cmd.v
-    (Cmd.info "list-rules" ~doc:"describe every rule id")
-    Term.(const cmd_list_rules $ const ())
-
-let allow_report_cmd =
-  Cmd.v
-    (Cmd.info "allow-report"
-       ~doc:"show every suppression in force and every SAFETY justification")
-    Term.(const cmd_allow_report $ config_term)
+    Term.(const cmd_check $ root_arg)
 
 let () =
   let info =
     Cmd.info "lint_tool" ~doc:"pnnlint — repo-invariant static analyzer"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ check_cmd; stats_cmd; list_rules_cmd; allow_report_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ check_cmd ]))

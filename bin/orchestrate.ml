@@ -36,8 +36,7 @@ let cmd_run scale_name datasets_arg workers lease cache_dir queue_dir
     failwith "orchestrate: domains already spawned; cannot fork workers";
   let scale = Experiments.Setup.of_name scale_name in
   let cache = Cache.create ~dir:cache_dir in
-  Cache.set_default cache;
-  let surrogate = Experiments.Setup.surrogate_of_scale scale in
+  let surrogate = Experiments.Setup.surrogate_of_scale ~cache scale in
   let datasets = List.map Datasets.Bench13.load datasets_arg in
   let faults = Option.map (fun d -> (d, fault_eps)) faults in
   let ctx =

@@ -4,7 +4,8 @@ type t = {
   id : int;
   value : T.t;
   (* pnnlint:allow R7 tape nodes are confined to the domain that built the
-     tape; parallel training replicates tapes per worker (see Network.copy) *)
+     tape; parallel training replicates tapes per worker (see
+     Network.replicate) *)
   mutable grad : T.t option; (* allocated lazily, zeroed in place *)
   parents : t list;
   push : t -> unit; (* propagate self's grad into parents' grads *)

@@ -110,23 +110,6 @@ let enabled t = t.root <> None
 let dir t = t.root
 let stats t = t.stats
 
-let default_cache : t option Atomic.t = Atomic.make None
-
-let rec get_default () =
-  match Atomic.get default_cache with
-  | Some c -> c
-  | None ->
-      let c =
-        match Sys.getenv_opt "REPRO_CACHE_DIR" with
-        | Some d when d <> "" -> create ~dir:d
-        | Some _ | None -> disabled ()
-      in
-      (* a racing set_default wins: keep whatever landed first *)
-      if Atomic.compare_and_set default_cache None (Some c) then c
-      else get_default ()
-
-let set_default c = Atomic.set default_cache (Some c)
-
 let check_kind kind =
   if
     kind = ""

@@ -56,14 +56,6 @@ val disabled : unit -> t
 val enabled : t -> bool
 val dir : t -> string option
 
-val get_default : unit -> t
-(** The process-wide default consulted by library entry points when no cache
-    is passed explicitly.  Initialized on first use from the
-    [REPRO_CACHE_DIR] environment variable (unset or empty ⇒ {!disabled});
-    binaries override it from their flags via {!set_default}. *)
-
-val set_default : t -> unit
-
 val key : schema:string -> kind:string -> string list -> string
 (** [key ~schema ~kind parts] is the content address: the MD5 hex digest of
     the canonical concatenation of [schema], [kind] and [parts].  [schema]

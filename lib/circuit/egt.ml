@@ -6,8 +6,6 @@ type params = { k_prime : float; v_th : float; lambda : float; alpha : float }
    leads to tanh-like characteristic curves". *)
 let default = { k_prime = 1.5e-5; v_th = 0.08; lambda = 0.05; alpha = 0.1 }
 
-type eval = { id : float; gm : float; gds : float }
-
 (* softplus with overflow guard: alpha * ln(1 + exp(x/alpha)).  These and
    the float selects below are inlined and type-specialised so that a
    Newton iteration's device evaluations box no intermediate float. *)
@@ -58,7 +56,7 @@ let[@inline] evaluate_pos p ~wl ~vgs ~vds s =
   s.gds <- gds
 
 let evaluate_into p ~w_um ~l_um s =
-  if w_um <= 0.0 || l_um <= 0.0 then invalid_arg "Egt.evaluate: non-positive geometry";
+  if w_um <= 0.0 || l_um <= 0.0 then invalid_arg "Egt.evaluate_into: non-positive geometry";
   let wl = w_um /. l_um in
   let vgs = s.vgs and vds = s.vds in
   if vds >= 0.0 then evaluate_pos p ~wl ~vgs ~vds s
@@ -74,10 +72,3 @@ let evaluate_into p ~w_um ~l_um s =
     s.gm <- -.gm;
     s.gds <- gm +. s.gds
   end
-
-let evaluate p ~w_um ~l_um ~vgs ~vds =
-  let s = scratch () in
-  s.vgs <- vgs;
-  s.vds <- vds;
-  evaluate_into p ~w_um ~l_um s;
-  ({ id = s.id; gm = s.gm; gds = s.gds } : eval)

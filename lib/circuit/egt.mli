@@ -24,13 +24,6 @@ type params = {
 val default : params
 (** Calibrated for the printed pPDK-like regime used in this reproduction. *)
 
-type eval = { id : float; gm : float; gds : float }
-(** Drain current and its partial derivatives w.r.t. V_GS and V_DS. *)
-
-val evaluate : params -> w_um:float -> l_um:float -> vgs:float -> vds:float -> eval
-(** Evaluate the model. Handles negative [vds] by antisymmetry (source/drain
-    swap), so the Newton solver can wander through sign changes. *)
-
 type scratch = {
   mutable vgs : float;  (** input: V_GS *)
   mutable vds : float;  (** input: V_DS *)
@@ -40,12 +33,15 @@ type scratch = {
 }
 (** Inputs and outputs of {!evaluate_into}, which lets a caller evaluate the
     model without allocating: a call across modules boxes its float
-    arguments and a returned {!eval} record, while the scratch's fields are
+    arguments and any returned record, while the scratch's fields are
     stored flat.  One scratch serves one caller at a time. *)
 
 val scratch : unit -> scratch
 
 val evaluate_into : params -> w_um:float -> l_um:float -> scratch -> unit
-(** [evaluate_into p ~w_um ~l_um s] is {!evaluate} at [s.vgs], [s.vds],
-    written into [s.id], [s.gm] and [s.gds] with the same bits.
-    Allocation-free. *)
+(** [evaluate_into p ~w_um ~l_um s] evaluates the model at [s.vgs],
+    [s.vds] and writes the drain current and its partial derivatives
+    w.r.t. V_GS and V_DS into [s.id], [s.gm] and [s.gds].  Handles negative
+    [vds] by antisymmetry (source/drain swap), so the Newton solver can
+    wander through sign changes.  Allocation-free.  Raises
+    [Invalid_argument] on a non-positive [w_um] or [l_um]. *)

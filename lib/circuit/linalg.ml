@@ -52,26 +52,3 @@ let solve_in_place a b =
     b.(i) <- !acc /. rowi.(i)
   done;
   b
-
-let solve a b =
-  let a' = Array.map Array.copy a in
-  let b' = Array.copy b in
-  solve_in_place a' b'
-
-let matvec a x =
-  Array.map
-    (fun row ->
-      let acc = ref 0.0 in
-      Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
-      !acc)
-    a
-
-let residual_norm a x b =
-  let ax = matvec a x in
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i v ->
-      let e = Float.abs (v -. b.(i)) in
-      if e > !worst then worst := e)
-    ax;
-  !worst

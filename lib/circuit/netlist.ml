@@ -34,14 +34,6 @@ let set_source t name volts =
 let elements t = List.rev t.elems
 let node_count t = t.next_node
 
-let source_count t =
-  List.length
-    (List.filter
-       (function
-         | Vsource _ -> true
-         | Resistor _ | Transistor _ -> false)
-       t.elems)
-
 let validate t =
   let ok_node n = n >= 0 && n < t.next_node in
   let seen_names = Hashtbl.create 8 in

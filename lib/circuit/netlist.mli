@@ -30,8 +30,6 @@ val elements : t -> element list
 val node_count : t -> int
 (** Number of nodes including ground. *)
 
-val source_count : t -> int
-
 val validate : t -> (unit, string) result
 (** Checks that every referenced node was allocated, resistances are positive
     and source names are unique. *)

@@ -14,7 +14,6 @@ let omega_of_array a =
   if Array.length a <> 7 then invalid_arg "Ptanh_circuit.omega_of_array: need 7 values";
   { r1 = a.(0); r2 = a.(1); r3 = a.(2); r4 = a.(3); r5 = a.(4); w_um = a.(5); l_um = a.(6) }
 
-let omega_to_array o = [| o.r1; o.r2; o.r3; o.r4; o.r5; o.w_um; o.l_um |]
 
 let build o =
   let open Netlist in

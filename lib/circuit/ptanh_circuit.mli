@@ -36,8 +36,6 @@ val vdd : float
 val omega_of_array : float array -> omega
 (** From [[|r1; r2; r3; r4; r5; w; l|]] in Ω/Ω/Ω/Ω/Ω/µm/µm. *)
 
-val omega_to_array : omega -> float array
-
 val build : omega -> Netlist.t * Netlist.node
 (** Netlist with a sweepable source named ["vin"]; returns the output node. *)
 

@@ -150,7 +150,6 @@ let apply_eta eta_node v =
       A.accumulate eta_node deta)
 
 let apply t ~noise v = apply_eta (eta t ~noise) v
-let apply_inv t ~noise v = A.neg (apply t ~noise v)
 
 let ones_noise = Tensor.ones 1 Ds.dim
 

@@ -68,9 +68,6 @@ val apply_eta : Autodiff.t -> Autodiff.t -> Autodiff.t
 val apply : t -> noise:Tensor.t -> Autodiff.t -> Autodiff.t
 (** [apply t ~noise v] is ptanh(v) elementwise over the batch. *)
 
-val apply_inv : t -> noise:Tensor.t -> Autodiff.t -> Autodiff.t
-(** Eq. 3: the negative-weight transfer −ptanh(v). *)
-
 val omega_values : t -> float array
 (** Current printable ω (no variation), as plain floats — for reports. *)
 

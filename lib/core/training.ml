@@ -22,7 +22,6 @@ let of_split ~n_classes (s : Datasets.Synth.split) =
 type checkpoint = {
   ckpt_path : string;
   every : int;
-  resume : bool;
   interrupt_after : int option;
 }
 
@@ -72,7 +71,7 @@ let fit ?pool ?model ?checkpoint rng network data =
      optimizer moments, in-loop RNG position — re-enters the interrupted
      trajectory bit-exactly.  Anything wrong with the file is a fresh start. *)
   (match checkpoint with
-  | Some ck when ck.resume -> (
+  | Some ck -> (
       match Checkpoint.load ck.ckpt_path with
       | Some c when Checkpoint.matches c config -> (
           match
@@ -81,7 +80,7 @@ let fit ?pool ?model ?checkpoint rng network data =
           | b -> best := b
           | exception Failure _ -> ())
       | Some _ | None -> ())
-  | Some _ | None -> ());
+  | None -> ());
   let on_epoch =
     match checkpoint with
     | None -> None

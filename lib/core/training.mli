@@ -24,14 +24,14 @@ val of_split : n_classes:int -> Datasets.Synth.split -> data
 type checkpoint = {
   ckpt_path : string;  (** blob file location (inside the cache tree) *)
   every : int;  (** write a checkpoint every [every] completed epochs *)
-  resume : bool;  (** restore from [ckpt_path] before the first epoch *)
   interrupt_after : int option;
       (** crash-injection test hook: raise {!Interrupted} once this many
           epochs have completed (after any due checkpoint write) *)
 }
 (** Periodic checkpointing for {!fit}: every state the loop reads — weights,
     best snapshot, progress, optimizer moments, in-loop RNG position — is
-    persisted atomically, so an interrupted run resumed with [resume = true]
+    persisted atomically, and {!fit} restores from [ckpt_path] before the
+    first epoch, so an interrupted run rerun with the same checkpoint
     finishes bit-identically to an uninterrupted one.  A missing, corrupt or
     mismatched checkpoint silently falls back to a fresh start. *)
 

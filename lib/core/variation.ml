@@ -60,17 +60,6 @@ let rec validate = function
 (* [Float.equal] against 0.0 is IEEE equality: -0.0 counts, NaN does not. *)
 let nominal = function Uniform epsilon -> Float.equal epsilon 0.0 | _ -> false
 
-let rec name = function
-  | Uniform epsilon -> Printf.sprintf "uniform(%g)" epsilon
-  | Gaussian sigma -> Printf.sprintf "gaussian(%g)" sigma
-  | Correlated { global; local } -> Printf.sprintf "correlated(%g,%g)" global local
-  | Defects { p_open; p_short } -> Printf.sprintf "defects(%g,%g)" p_open p_short
-  | Aging { kappa_max; beta; t_frac } -> (
-      match t_frac with
-      | None -> Printf.sprintf "aging(%g,%g)" kappa_max beta
-      | Some t -> Printf.sprintf "aging(%g,%g,t=%g)" kappa_max beta t)
-  | Compose models -> "compose(" ^ String.concat "+" (List.map name models) ^ ")"
-
 let omega_dim = Surrogate.Design_space.dim
 
 (* Each family draws in the same fixed per-layer order — θ row-major, then

@@ -80,10 +80,6 @@ val nominal : model -> bool
     where its draws come out all ones ([Gaussian 0.], [Defects] at rate 0,
     [Aging] at t = 0, [Compose []]). *)
 
-val name : model -> string
-(** Stable short label, e.g. ["uniform(0.1)"], ["defects(0.02,0.01)"],
-    ["compose(uniform(0.05)+defects(0.02,0))"] — used by reports and CSV. *)
-
 val draw : Rng.t -> model -> ctx -> Noise.t
 (** One realization.  Validates the model first. *)
 

@@ -79,8 +79,7 @@ let cell_of_lines lines =
       (value a, value m)
   | _ -> failwith "Ablations: bad cell payload"
 
-let train_once ~init ~config ~seed data =
-  let cache = Cache.get_default () in
+let train_once ~cache ~init ~config ~seed data =
   let spec = data.Datasets.Synth.spec in
   let key =
     Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"ablcell"
@@ -112,7 +111,7 @@ let train_once ~init ~config ~seed data =
       in
       (acc, Datasets.Synth.majority_fraction data))
 
-let initialization_ablation () =
+let initialization_ablation ?(cache = Cache.disabled ()) () =
   let seeds = 4 in
   let config =
     { Pnn.Config.default with Pnn.Config.max_epochs = 400; patience = 120 }
@@ -124,7 +123,7 @@ let initialization_ablation () =
         List.map
           (fun (label, init) ->
             let results =
-              List.init seeds (fun s -> train_once ~init ~config ~seed:(s + 1) data)
+              List.init seeds (fun s -> train_once ~cache ~init ~config ~seed:(s + 1) data)
             in
             let accs = Array.of_list (List.map fst results) in
             let majority = snd (List.hd results) in

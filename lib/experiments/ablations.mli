@@ -9,10 +9,11 @@ val sampler_ablation : unit -> string
 val architecture_ablation : unit -> string
 (** The paper's deep narrow 13-layer surrogate vs shallow alternatives. *)
 
-val initialization_ablation : unit -> string
+val initialization_ablation : ?cache:Cache.t -> unit -> string
 (** Transition-centred crossbar initialization (ours) vs naive random-sign
     initialization: fraction of non-collapsed trainings and mean accuracy
-    over four seeds on two benchmark tasks. *)
+    over four seeds on two benchmark tasks.  [cache] (default: disabled)
+    memoizes each training cell. *)
 
 val cell_of_lines : string list -> float * float
 (** The decoder of an ["ablcell"] cache payload (["acc <accuracy>

@@ -103,9 +103,9 @@ let jobs ~cache ?checkpoint_every ~dataset ~epsilon scale surrogate =
     (fun (_, _, seeds) -> List.map fst seeds)
     (arm_jobs ~cache ?checkpoint_every ~dataset ~epsilon scale surrogate)
 
-let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ())
-    ?(dataset = "seeds") ?(epsilon = 0.10) scale surrogate =
-  let cache = match cache with Some c -> c | None -> Cache.get_default () in
+let run ?pool ?(cache = Cache.disabled ()) ?(checkpoints = false)
+    ?(progress = fun _ -> ()) ?(dataset = "seeds") ?(epsilon = 0.10) scale
+    surrogate =
   let checkpoint_every = if checkpoints then Some 50 else None in
   (* Train every arm; each keeps its best-validation-loss seed, as Table II
      does. *)

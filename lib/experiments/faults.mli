@@ -67,7 +67,7 @@ val run :
     [scale.n_mc_test] draws per cell.  Raises [Invalid_argument] before
     any training when [epsilon] makes a family ill-formed (NaN included).
 
-    [cache] (default {!Cache.get_default}) memoizes per-(arm, seed) trainings
+    [cache] (default {!Cache.disabled}) memoizes per-(arm, seed) trainings
     and per-cell Monte-Carlo evaluations — keys cover the arm's fault model
     and both stream indices, so arms sharing a config never collide; hits
     are bit-identical to the computes they replace.  [checkpoints] as in

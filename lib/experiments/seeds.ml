@@ -34,7 +34,7 @@ let job ~cache ?checkpoint_every ~kind ~key ~label surrogate fit =
       | Some every ->
           Option.map
             (fun ckpt_path ->
-              { Pnn.Training.ckpt_path; every; resume = true; interrupt_after })
+              { Pnn.Training.ckpt_path; every; interrupt_after })
             (Cache.member_path cache ~kind:"ckpt" ~key)
     in
     let r =

@@ -83,8 +83,8 @@ let of_name = function
   | "fragile" -> fragile
   | s -> invalid_arg ("Setup.of_name: unknown scale " ^ s)
 
-let surrogate_of_scale scale =
-  Surrogate.Pipeline.ensure ~n:scale.surrogate_samples
+let surrogate_of_scale ?cache scale =
+  Surrogate.Pipeline.ensure ?cache ~n:scale.surrogate_samples
     ~max_epochs:scale.surrogate_epochs ~seed:42 ()
 
 let surrogate_digest surrogate = Cache.digest_lines (Surrogate.Model.to_lines surrogate)

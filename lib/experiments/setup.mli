@@ -42,8 +42,9 @@ val of_name : string -> scale
 (** ["quick" | "committed" | "paper" | "fragile"]. Raises
     [Invalid_argument]. *)
 
-val surrogate_of_scale : scale -> Surrogate.Model.t
-(** Cached {!Surrogate.Pipeline.ensure} for the scale. *)
+val surrogate_of_scale : ?cache:Cache.t -> scale -> Surrogate.Model.t
+(** {!Surrogate.Pipeline.ensure} for the scale; [cache] (default: disabled)
+    memoizes the pipeline's chunks when the artifact is missing. *)
 
 val surrogate_digest : Surrogate.Model.t -> string
 (** Content digest of a frozen surrogate, folded into every training-cell

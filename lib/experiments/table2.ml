@@ -141,12 +141,11 @@ let column_keys scale =
     (fun arm -> List.map (fun eps -> (arm, eps)) scale.Setup.test_epsilons)
     Setup.arms
 
-let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ()) ?datasets scale
-    surrogate =
+let run ?pool ?(cache = Cache.disabled ()) ?(checkpoints = false)
+    ?(progress = fun _ -> ()) ?datasets scale surrogate =
   let datasets =
     match datasets with Some d -> d | None -> Datasets.Bench13.load_all ()
   in
-  let cache = match cache with Some c -> c | None -> Cache.get_default () in
   let digest = Setup.surrogate_digest surrogate in
   let checkpoint_every = if checkpoints then Some 50 else None in
   let rows =
@@ -164,10 +163,6 @@ let run ?pool ?cache ?(checkpoints = false) ?(progress = fun _ -> ()) ?datasets 
       (column_keys scale)
   in
   { rows; average }
-
-let cell_of t ~dataset ~arm ~epsilon =
-  let row = List.find (fun r -> r.dataset = dataset) t.rows in
-  List.assoc (arm, epsilon) row.cells
 
 let average_of t ~arm ~epsilon = List.assoc (arm, epsilon) t.average
 

@@ -36,7 +36,7 @@ val run :
     {!Parallel.get_pool}) and every reduction is in fixed seed/draw order, so
     the table is bit-identical for any worker count.
 
-    [cache] (default {!Cache.get_default}) memoizes each (dataset, seed, arm)
+    [cache] (default {!Cache.disabled}) memoizes each (dataset, seed, arm)
     training cell and each Monte-Carlo evaluation; hits are bit-identical to
     the computes they replace, so a warm run reproduces the cold table
     exactly.  With [checkpoints = true] (and an enabled cache) each in-flight
@@ -58,9 +58,6 @@ val jobs :
     each test ε for variation-aware ones), per seed.  A job trained anywhere
     lands on exactly the ["t2cell"] entry {!run} reads back.
     [checkpoint_every] turns on checkpoints at that cadence. *)
-
-val cell_of : t -> dataset:string -> arm:Setup.arm -> epsilon:float -> cell
-(** Raises [Not_found]. *)
 
 val average_of : t -> arm:Setup.arm -> epsilon:float -> cell
 

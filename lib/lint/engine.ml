@@ -71,7 +71,6 @@ let default_config =
 
 type suppression = {
   sup_path : string;
-  sup_line : int;
   rules : string list;
   reason : string;
   first_covered : int;
@@ -80,9 +79,7 @@ type suppression = {
 
 type report = {
   findings : Rules.finding list;  (* unsuppressed: these fail the gate *)
-  suppressed : (Rules.finding * suppression) list;
-  suppressions : suppression list;  (* every valid suppression in the tree *)
-  safety : (string * int * string) list;  (* SAFETY comments: path, line, text *)
+  suppressed : Rules.finding list;
   files_scanned : int;
 }
 
@@ -162,7 +159,6 @@ let parse_suppression path (c : Source.comment) =
       Some
         {
           sup_path = path;
-          sup_line = c.Source.start_line;
           rules;
           reason = String.concat " " reason_words;
           first_covered = c.Source.start_line;
@@ -213,7 +209,6 @@ let run ?(config = default_config) ~root () =
   in
   let all_findings = ref [] in
   let all_sups = ref [] in
-  let safety = ref [] in
   let take_suppressions path comments =
     List.iter
       (fun c ->
@@ -225,7 +220,7 @@ let run ?(config = default_config) ~root () =
                 {
                   Rules.rule = "S1";
                   path;
-                  line = s.sup_line;
+                  line = s.first_covered;
                   msg =
                     "suppression must list rule ids and a non-empty \
                      reason: pnnlint:allow R<n> <why>";
@@ -251,13 +246,7 @@ let run ?(config = default_config) ~root () =
         }
       in
       all_findings := Rules.run ctx @ !all_findings;
-      take_suppressions f.Source.path f.Source.comments;
-      List.iter
-        (fun (c : Source.comment) ->
-          safety :=
-            (f.Source.path, c.Source.start_line, String.trim c.Source.text)
-            :: !safety)
-        (Rules.safety_comments f))
+      take_suppressions f.Source.path f.Source.comments)
     files;
   (* R8: registered C-stub pairs (cross-language, so outside the per-file
      loop; C-side comments join the same suppression pass) *)
@@ -282,13 +271,9 @@ let run ?(config = default_config) ~root () =
       all_findings := findings @ !all_findings;
       take_suppressions c_path c_comments)
     config.cstub_pairs;
-  let sups = List.rev !all_sups in
   let suppressed, findings =
-    List.partition_map
-      (fun f ->
-        match List.find_opt (fun s -> suppresses s f) sups with
-        | Some s -> Either.Left (f, s)
-        | None -> Either.Right f)
+    List.partition
+      (fun f -> List.exists (fun s -> suppresses s f) !all_sups)
       (List.rev !all_findings)
   in
   let by_site (a : Rules.finding) (b : Rules.finding) =
@@ -302,8 +287,6 @@ let run ?(config = default_config) ~root () =
   {
     findings = List.sort by_site findings;
     suppressed;
-    suppressions = sups;
-    safety = List.rev !safety;
     files_scanned = List.length files;
   }
 
@@ -320,153 +303,6 @@ let render_report r =
     r.findings;
   Buffer.add_string b
     (Printf.sprintf
-       "pnnlint: %d file(s), %d finding(s), %d suppressed, %d suppression \
-        comment(s), %d SAFETY comment(s)\n"
-       r.files_scanned (List.length r.findings) (List.length r.suppressed)
-       (List.length r.suppressions) (List.length r.safety));
+       "pnnlint: %d file(s), %d finding(s), %d suppressed\n"
+       r.files_scanned (List.length r.findings) (List.length r.suppressed));
   Buffer.contents b
-
-let render_allow_report r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "== pnnlint suppressions ==\n";
-  List.iter
-    (fun s ->
-      let used =
-        List.length (List.filter (fun (_, s') -> s' == s) r.suppressed)
-      in
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d: allow %s (%d finding(s)) — %s\n" s.sup_path
-           s.sup_line
-           (String.concat "," s.rules)
-           used s.reason))
-    r.suppressions;
-  Buffer.add_string b
-    (Printf.sprintf "== SAFETY justifications: %d ==\n"
-       (List.length r.safety));
-  List.iter
-    (fun (path, line, text) ->
-      let text =
-        if String.length text > 72 then String.sub text 0 72 ^ "..." else text
-      in
-      Buffer.add_string b (Printf.sprintf "%s:%d: %s\n" path line text))
-    r.safety;
-  Buffer.contents b
-
-let render_rules () =
-  String.concat "\n"
-    (List.map
-       (fun (r : Rules.rule_info) ->
-         Printf.sprintf "%s  %s\n    %s" r.Rules.id r.Rules.title
-           r.Rules.detail)
-       Rules.all_rules)
-  ^ "\n"
-
-(* {2 Machine-readable output}
-
-   Hand-rolled JSON with a fixed key order so the output is byte-stable
-   across runs and can be golden-tested; no JSON library in the dependency
-   cone. *)
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let json_list f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
-
-let json_finding (f : Rules.finding) =
-  Printf.sprintf "{\"rule\":%s,\"path\":%s,\"line\":%d,\"msg\":%s}"
-    (json_string f.Rules.rule) (json_string f.Rules.path) f.Rules.line
-    (json_string f.Rules.msg)
-
-let json_suppression r s =
-  let used = List.length (List.filter (fun (_, s') -> s' == s) r.suppressed) in
-  Printf.sprintf
-    "{\"path\":%s,\"line\":%d,\"rules\":%s,\"reason\":%s,\"findings\":%d}"
-    (json_string s.sup_path) s.sup_line
-    (json_list json_string s.rules)
-    (json_string s.reason) used
-
-let render_json r =
-  Printf.sprintf
-    "{\"files_scanned\":%d,\"findings\":%s,\"suppressed\":%s,\"suppressions\":%s,\"safety_comments\":%d}\n"
-    r.files_scanned
-    (json_list json_finding r.findings)
-    (json_list
-       (fun (f, s) ->
-         Printf.sprintf
-           "{\"rule\":%s,\"path\":%s,\"line\":%d,\"by_path\":%s,\"by_line\":%d}"
-           (json_string f.Rules.rule) (json_string f.Rules.path) f.Rules.line
-           (json_string s.sup_path) s.sup_line)
-       r.suppressed)
-    (json_list (json_suppression r) r.suppressions)
-    (List.length r.safety)
-
-(* Per-rule posture: how many findings each rule produced, how many were
-   absorbed by suppressions, and how many allow comments name the rule. *)
-
-let stats_rows r =
-  let ids =
-    List.map (fun (ri : Rules.rule_info) -> ri.Rules.id) Rules.all_rules
-    @ [ "S1"; "P0" ]
-  in
-  List.map
-    (fun id ->
-      let findings =
-        List.length (List.filter (fun f -> f.Rules.rule = id) r.findings)
-      in
-      let suppressed =
-        List.length
-          (List.filter (fun (f, _) -> f.Rules.rule = id) r.suppressed)
-      in
-      let allows =
-        List.length
-          (List.filter (fun s -> List.mem id s.rules) r.suppressions)
-      in
-      (id, findings, suppressed, allows))
-    ids
-
-let render_stats r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "rule  findings  suppressed  allows\n";
-  List.iter
-    (fun (id, findings, suppressed, allows) ->
-      Buffer.add_string b
-        (Printf.sprintf "%-4s  %8d  %10d  %6d\n" id findings suppressed
-           allows))
-    (stats_rows r);
-  Buffer.add_string b
-    (Printf.sprintf
-       "total: %d file(s), %d finding(s), %d suppressed, %d suppression \
-        comment(s), %d SAFETY comment(s)\n"
-       r.files_scanned (List.length r.findings) (List.length r.suppressed)
-       (List.length r.suppressions) (List.length r.safety));
-  Buffer.contents b
-
-let render_stats_json r =
-  Printf.sprintf
-    "{\"files_scanned\":%d,\"rules\":%s,\"totals\":{\"findings\":%d,\"suppressed\":%d,\"suppression_comments\":%d,\"safety_comments\":%d}}\n"
-    r.files_scanned
-    (json_list
-       (fun (id, findings, suppressed, allows) ->
-         Printf.sprintf
-           "{\"id\":%s,\"findings\":%d,\"suppressed\":%d,\"allows\":%d}"
-           (json_string id) findings suppressed allows)
-       (stats_rows r))
-    (List.length r.findings)
-    (List.length r.suppressed)
-    (List.length r.suppressions)
-    (List.length r.safety)

@@ -1,9 +1,9 @@
 (** pnnlint driver: scan a source tree, run every rule, apply suppressions.
 
-    The gate contract: {!run} exits through {!report}; a report with a
-    non-empty [findings] list must fail the build.  Suppressed findings and
-    SAFETY justifications are carried alongside so `lint_tool allow-report`
-    can show every waiver in force. *)
+    The gate contract: a {!report} with a non-empty [findings] list, or one
+    that scanned no file, fails the build ([lint_tool check]).  A waiver is
+    a visible [(* pnnlint:allow Rn reason *)] comment at its site; the
+    findings it absorbs are kept apart in [suppressed]. *)
 
 type config = {
   scan_dirs : string list;  (** relative to the root *)
@@ -20,49 +20,19 @@ type config = {
 val default_config : config
 (** Scans [lib], [bin], [test]; excludes [lint_fixtures]; R2 roots
     are the cache-key and result-producing units (Cache, Serialize,
-    Checkpoint, Evaluation, Training, the experiment tables); R7 seeds are
-    Domain/Parallel/Coordinator/Thread with only Coordinator allowed to
-    fork; the registered stub pair is Kernels_c and its C stubs. *)
-
-type suppression = {
-  sup_path : string;
-  sup_line : int;
-  rules : string list;
-  reason : string;
-  first_covered : int;
-  last_covered : int;
-}
+    Checkpoint, Evaluation, Training, the experiment tables, serving and
+    orchestration); R7 seeds are Domain/Parallel/Coordinator/Thread with
+    only Coordinator allowed to fork; the registered stub pairs are
+    Kernels_c and Fmath with their C stubs. *)
 
 type report = {
   findings : Rules.finding list;  (** unsuppressed: these fail the gate *)
-  suppressed : (Rules.finding * suppression) list;
-  suppressions : suppression list;
-  safety : (string * int * string) list;
-      (** SAFETY comments: path, line, text *)
+  suppressed : Rules.finding list;  (** absorbed by a [pnnlint:allow] *)
   files_scanned : int;
 }
 
 val run : ?config:config -> root:string -> unit -> report
 
-val render_finding : Rules.finding -> string
-(** ["path:line: [Rn] message"]. *)
-
 val render_report : report -> string
-
-val render_allow_report : report -> string
-(** Every suppression in force (with how many findings each absorbs) and
-    every SAFETY justification. *)
-
-val render_rules : unit -> string
-
-val render_json : report -> string
-(** The whole report as one line of JSON with a fixed key order
-    (byte-stable, golden-testable): files scanned, findings, suppressed
-    findings, suppressions in force, SAFETY count. *)
-
-val render_stats : report -> string
-(** Per-rule posture table: findings / suppressed / allow comments for
-    R1..Rn plus S1 and P0, with totals. *)
-
-val render_stats_json : report -> string
-(** {!render_stats} as one line of JSON. *)
+(** Each finding as ["path:line: [Rn] message"], then one summary line:
+    ["pnnlint: F file(s), N finding(s), S suppressed"]. *)

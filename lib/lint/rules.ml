@@ -2,148 +2,12 @@
 
    Every rule is a syntactic check over the untyped AST.  The checks are
    deliberately conservative approximations of the semantic invariants they
-   guard (documented per rule below); a site that is actually fine is
-   silenced with an explicit [(* pnnlint:allow Rn reason *)] so the waiver
-   is visible and counted, never implicit. *)
+   guard (documented per rule in rules.mli and docs/INTERNALS.md); a site
+   that is actually fine is silenced with an explicit
+   [(* pnnlint:allow Rn reason *)] so the waiver is visible, never
+   implicit. *)
 
 type finding = { rule : string; path : string; line : int; msg : string }
-
-type rule_info = { id : string; title : string; detail : string }
-
-let all_rules =
-  [
-    {
-      id = "R1";
-      title = "no Rng stream aliasing";
-      detail =
-        "Rng.copy duplicates generator state, so two consumers replay the \
-         same draws (the fit_aging_aware bug fixed in PR 3).  Derive \
-         sub-streams with Rng.split instead.  Tests that exercise copy \
-         semantics themselves suppress with a reason.";
-    };
-    {
-      id = "R2";
-      title = "no wall clock or global Random near results";
-      detail =
-        "Sys.time, Unix.gettimeofday, Unix.time and Stdlib.Random are \
-         banned in every module reachable from cache-key or \
-         result-producing roots: a timestamp or ambient-random draw in \
-         that closure silently breaks bit-identical reproduction.  The \
-         serving stack is in the closure too: a response payload is a \
-         result.  Scheduling clocks (batch linger, select timeouts) and \
-         latency observability are legitimate — suppress those sites with \
-         a reason saying the time never reaches a response.  Timing for \
-         progress logs belongs in bin/ shells outside the closure.";
-    };
-    {
-      id = "R3";
-      title = "no order-dependent Hashtbl traversal";
-      detail =
-        "Hashtbl.iter/fold visit entries in hash-bucket order, which \
-         depends on insertion history and hashing; any traversal whose \
-         result can escape (lists, tables, serialized state, cache keys) \
-         must walk a sorted or insertion-ordered view.  The rule flags \
-         every traversal; provably order-free ones carry a suppression.";
-    };
-    {
-      id = "R4";
-      title = "unsafe accesses carry a SAFETY justification";
-      detail =
-        "Array.unsafe_get/unsafe_set, Bytes/String.unsafe_* and \
-         Bigarray.Array1.unsafe_get/unsafe_set skip bounds checks; \
-         each site must have a (* SAFETY: ... *) comment within 3 lines \
-         stating why every index is in range.  The same applies to every \
-         external C-stub declaration in lib/tensor (non-% primitives): the \
-         stub crosses the FFI with raw buffers, so the declaration must \
-         document its bounds/ABI contract.  lib/ has no unsafe OCaml \
-         array access (every tensor kernel indexes with bounds \
-         checks), so in the live tree R4 guards the C externals.";
-    };
-    {
-      id = "R5";
-      title = "no polymorphic compare at float-carrying types";
-      detail =
-        "Polymorphic compare on floats orders NaN and signed zeros \
-         structurally, diverging from IEEE comparison and from \
-         Float.compare's total order; on tensors/records it silently \
-         compares mutable buffers.  The check flags bare compare / \
-         Stdlib.compare anywhere and =/<>/==/!= with a float-literal \
-         operand; use Int.compare, Float.compare, String.compare or \
-         Tensor.equal, or suppress where IEEE +/-0.0 equality is the \
-         point.";
-    };
-    {
-      id = "R6";
-      title = "no raw kernel access outside lib/tensor";
-      detail =
-        "Kernels_c is the tensor library's internal kernel layer (the \
-         tensor library is unwrapped, so it is globally visible); calling \
-         it from outside lib/tensor bypasses Tensor's shape validation and \
-         hands out raw buffers.  Go through the Tensor API; tooling that \
-         genuinely needs raw buffers suppresses with a reason.";
-    };
-    {
-      id = "R7";
-      title = "domain-shared mutable state is mediated or confined";
-      detail =
-        "Any module that mentions Domain, Parallel, Coordinator or Thread \
-         seeds a concurrency closure; in every module that closure can \
-         reach, module-level mutable state — ref / Hashtbl.create / \
-         Buffer.create bound at structure level, and record types with \
-         mutable fields but no Mutex.t field — is a data-race candidate \
-         under OCaml 5 domains.  Mediate with Atomic.t (or a Mutex held \
-         around every access) or suppress with a confinement proof naming \
-         the single domain that owns the state.  Unix.fork is flagged \
-         everywhere outside the allowed units (default: Coordinator, whose \
-         pre-domain latch guarantees no domain has ever been spawned): \
-         forking a multi-domain runtime duplicates locks and domains in an \
-         undefined state.";
-    };
-    {
-      id = "R8";
-      title = "C stubs match their externals and the IEEE-strict contract";
-      detail =
-        "Every external in a registered stub pair is cross-checked against \
-         its CAMLprim definitions: the two-name byte/native convention \
-         (byte twin named <native>_byte), native parameter/return layout \
-         matching [@untagged] (intnat) / [@unboxed] (double) / boxed \
-         (value) declarations, byte twins taking all-value parameters (or \
-         the argv/argn form above arity 5), no OCaml heap interaction \
-         (caml_alloc*/caml_copy_*/CAMLparam/CAMLlocal/CAMLreturn) reachable \
-         from a [@@noalloc] native body, and no orphan CAMLprim without a \
-         binding.  The float contract bans fma(), libm calls outside the \
-         vetted allowlist (exp log sqrt fabs; tanh is Fmath's), every \
-         #pragma, and \
-         __attribute__((optimize ...)) escapes; the stub dune must pin \
-         -fno-fast-math and -ffp-contract=off, otherwise every a*b+c \
-         multiply-add site is reported as a contraction risk.  Suppress in \
-         C with /* pnnlint:allow R8 reason */.";
-    };
-    {
-      id = "R9";
-      title = "bytes from disk are parsed through Lines";
-      detail =
-        "int_of_string, float_of_string and bool_of_string raise a bare \
-         Failure naming neither the format nor the field, and a decoder \
-         built from them forks the one checked line codec.  In lib/ every \
-         text format reads its words through lib/tensor/lines.ml (the \
-         only place they may appear), whose readers raise Failure \
-         \"<format>: ...\" and check declared counts before allocating.  \
-         The _opt forms are fine; bin/ command-line parsing is out of \
-         scope.";
-    };
-    {
-      id = "R10";
-      title = "tanh is Fmath's";
-      detail =
-        "Stdlib.tanh (bare tanh) and Float.tanh call the host's libm, \
-         whose tanh pins every result to one libm build and CPU \
-         dispatch.  In lib/ every tanh goes through Fmath.tanh or \
-         Fmath.tanh_array, whose bits are a function of the source; only \
-         lib/tensor/fmath.ml may name the others.  The C side is R8's \
-         (tanh left its libm allowlist).";
-    };
-  ]
 
 type ctx = {
   file : Source.file;
@@ -455,6 +319,3 @@ let run ctx =
       | 0 -> String.compare a.rule b.rule
       | c -> c)
     findings
-
-let safety_comments (file : Source.file) =
-  List.filter is_safety_comment file.Source.comments

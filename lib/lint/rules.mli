@@ -8,8 +8,9 @@
     - R3 — no [Hashtbl.iter]/[Hashtbl.fold]: hash-order traversal must be
       replaced by a sorted or insertion-ordered view (or suppressed with a
       reason when the order provably cannot escape).
-    - R4 — every qualified [unsafe_*] access carries a [(* SAFETY: ... *)]
-      justification within {!safety_window} lines.
+    - R4 — every qualified [unsafe_*] access, and every C-stub [external]
+      in [lib/tensor], carries a [(* SAFETY: ... *)] justification on its
+      line or ending at most 3 lines above it.
     - R5 — no polymorphic comparison at float-carrying types: bare
       [compare] anywhere, and [=]/[<>]/[==]/[!=] against float literals.
     - R6 — no raw kernel access outside [lib/tensor].
@@ -26,14 +27,10 @@
       [lib/tensor/fmath.ml]: every tanh is {!Fmath}'s.
 
     All checks are conservative approximations; intentional exceptions are
-    silenced with counted [(* pnnlint:allow Rn reason *)] comments handled
+    silenced with visible [(* pnnlint:allow Rn reason *)] comments handled
     by {!Engine}. *)
 
 type finding = { rule : string; path : string; line : int; msg : string }
-
-type rule_info = { id : string; title : string; detail : string }
-
-val all_rules : rule_info list
 
 type ctx = {
   file : Source.file;
@@ -48,11 +45,3 @@ type ctx = {
 val run : ctx -> finding list
 (** All rule findings for one file, sorted by line.  R4 candidates covered
     by a SAFETY comment are already filtered out. *)
-
-val safety_window : int
-(** A SAFETY comment justifies unsafe sites on its own lines and up to this
-    many lines below it. *)
-
-val is_safety_comment : Source.comment -> bool
-
-val safety_comments : Source.file -> Source.comment list

@@ -156,19 +156,29 @@ let error_info path = function
   | exn -> Some (0, "cannot parse " ^ path ^ ": " ^ Printexc.to_string exn)
 
 let load path =
-  let text = read_all path in
   let kind = if Filename.check_suffix path ".mli" then Mli else Ml in
-  let comments = scan_comments text in
-  let structure, signature, parse_error =
-    match kind with
-    | Ml -> (
-        try (with_lexbuf path text Parse.implementation, [], None)
-        with exn -> ([], [], error_info path exn))
-    | Mli -> (
-        try ([], with_lexbuf path text Parse.interface, None)
-        with exn -> ([], [], error_info path exn))
-  in
-  { path; kind; structure; signature; comments; parse_error }
+  match read_all path with
+  | exception (Sys_error _ as exn) ->
+      {
+        path;
+        kind;
+        structure = [];
+        signature = [];
+        comments = [];
+        parse_error = error_info path exn;
+      }
+  | text ->
+      let structure, signature, parse_error =
+        match kind with
+        | Ml -> (
+            try (with_lexbuf path text Parse.implementation, [], None)
+            with exn -> ([], [], error_info path exn))
+        | Mli -> (
+            try ([], with_lexbuf path text Parse.interface, None)
+            with exn -> ([], [], error_info path exn))
+      in
+      { path; kind; structure; signature; comments = scan_comments text;
+        parse_error }
 
 (* Process-level parse cache.  The engine asks for the same file once per
    run, but a run consults each AST from several passes (rules, R2/R7

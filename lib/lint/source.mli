@@ -23,9 +23,9 @@ type file = {
 }
 
 val load : string -> file
-(** Read and parse one source file.  Parse failures are reported through
-    [parse_error] rather than raised: an unparseable file must fail the lint
-    gate with a diagnostic, not crash the tool. *)
+(** Read and parse one source file.  Read and parse failures are reported
+    through [parse_error] rather than raised: an unreadable or unparseable
+    file must fail the lint gate with a diagnostic, not crash the tool. *)
 
 val load_cached : string -> file
 (** Like {!load}, memoized by path for the life of the process: every pass

@@ -119,12 +119,12 @@ let run ?(workers = 1) ?(lease = 30.0) ?(chaos = fun _ -> None) ~queue_root
    run that never forked at all. *)
 
 let table2 ctx =
-  Experiments.Table2.run ~cache:ctx.Plan.cache ~checkpoints:true
-    ~datasets:ctx.Plan.datasets ctx.Plan.scale ctx.Plan.surrogate
+  Experiments.Table2.run ~cache:ctx.Plan.cache ~datasets:ctx.Plan.datasets
+    ctx.Plan.scale ctx.Plan.surrogate
 
 let fault_table ctx =
   Option.map
     (fun (dataset, epsilon) ->
-      Experiments.Faults.run ~cache:ctx.Plan.cache ~checkpoints:true ~dataset
-        ~epsilon ctx.Plan.scale ctx.Plan.surrogate)
+      Experiments.Faults.run ~cache:ctx.Plan.cache ~dataset ~epsilon
+        ctx.Plan.scale ctx.Plan.surrogate)
     ctx.Plan.faults

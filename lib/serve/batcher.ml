@@ -19,8 +19,6 @@ let create ~max_batch ~linger =
     invalid_arg "Batcher.create: bad linger";
   { max_batch; linger; q = Queue.create () }
 
-let max_batch t = t.max_batch
-let linger t = t.linger
 let pending t = Queue.length t.q
 
 let push t ~now item = Queue.add (item, now) t.q

@@ -11,8 +11,6 @@ val create : max_batch:int -> linger:float -> 'a t
 (** Raises [Invalid_argument] on [max_batch < 1] or a negative/non-finite
     [linger] (seconds). *)
 
-val max_batch : 'a t -> int
-val linger : 'a t -> float
 val pending : 'a t -> int
 
 val push : 'a t -> now:float -> 'a -> unit

@@ -209,7 +209,7 @@ let parity_rows model dataset split =
   in
   rows "train" split.train @ rows "val" split.validation @ rows "test" split.test
 
-let ensure ?(dir = "_artifacts") ?(n = 4000) ?(arch = Model.paper_arch)
+let ensure ?(dir = "_artifacts") ?cache ?(n = 4000) ?(arch = Model.paper_arch)
     ?(max_epochs = 3000) ~seed () =
   let arch_tag = String.concat "-" (List.map string_of_int arch) in
   let path = Printf.sprintf "%s/surrogate_n%d_%s_seed%d.txt" dir n arch_tag seed in
@@ -219,7 +219,7 @@ let ensure ?(dir = "_artifacts") ?(n = 4000) ?(arch = Model.paper_arch)
        artifact and its numbers differ from the repo root's. *)
     let abs = if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path in
     Printf.eprintf "surrogate: %s not found; training a new surrogate (n=%d)\n%!" abs n;
-    let dataset = generate_dataset ~cache:(Cache.get_default ()) ~n () in
+    let dataset = generate_dataset ?cache ~n () in
     let rng = Rng.create seed in
     let model, report = train_surrogate ~arch ~max_epochs rng dataset in
     Logs.info (fun m ->

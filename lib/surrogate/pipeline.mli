@@ -88,6 +88,7 @@ val parity_rows :
 
 val ensure :
   ?dir:string ->
+  ?cache:Cache.t ->
   ?n:int ->
   ?arch:int list ->
   ?max_epochs:int ->
@@ -96,7 +97,9 @@ val ensure :
   Model.t
 (** Loads the cached surrogate artifact from [dir] (default ["_artifacts"],
     relative to the working directory), or runs the full pipeline and
-    caches it.  The cache key includes [n], the architecture and the seed.
+    saves the artifact there; the pipeline memoizes its sweep+fit chunks
+    in [cache] (default: disabled), as {!generate_dataset} does.  The
+    artifact's name includes [n], the architecture and the seed.
     A miss always prints one stderr line naming the absolute path it looked
     for, whatever the log level: the new surrogate is not the committed one,
     so every number that depends on it moves. *)

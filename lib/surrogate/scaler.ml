@@ -25,7 +25,6 @@ let fit rows =
   { lo; hi }
 
 let lo t = Array.copy t.lo
-let hi t = Array.copy t.hi
 let dim t = Array.length t.lo
 
 let check t x name =

@@ -11,7 +11,6 @@ val fit : float array array -> t
 
 val of_bounds : lo:float array -> hi:float array -> t
 val lo : t -> float array
-val hi : t -> float array
 
 val range : t -> float array
 (** [hi − lo] per component (a fresh array). *)

@@ -34,4 +34,3 @@ let quantile a q =
   (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
 let median a = quantile a 0.5
-let mean_std a = (mean a, std a)

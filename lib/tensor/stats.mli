@@ -18,4 +18,3 @@ val quantile : float array -> float -> float
     empty input, [q] outside [\[0,1]], or any NaN entry (a NaN has no order
     statistic). *)
 
-val mean_std : float array -> float * float

@@ -92,7 +92,6 @@ let test_interrupt_resume_bit_identical () =
     {
       Pnn.Training.ckpt_path = path;
       every = 4;
-      resume = false;
       interrupt_after = Some 11;
     }
   in
@@ -104,7 +103,7 @@ let test_interrupt_resume_bit_identical () =
   let resumed =
     train
       ~checkpoint:
-        { Pnn.Training.ckpt_path = path; every = 4; resume = true;
+        { Pnn.Training.ckpt_path = path; every = 4;
           interrupt_after = None }
       ()
   in
@@ -115,16 +114,16 @@ let test_interrupt_resume_bit_identical () =
 let test_double_interrupt_resume () =
   (* crash, resume, crash again later, resume again: still bit-identical *)
   let path = ckpt_path () in
-  let ck ~resume ~stop =
-    { Pnn.Training.ckpt_path = path; every = 2; resume; interrupt_after = stop }
+  let ck ~stop =
+    { Pnn.Training.ckpt_path = path; every = 2; interrupt_after = stop }
   in
-  (match train ~checkpoint:(ck ~resume:false ~stop:(Some 5)) () with
+  (match train ~checkpoint:(ck ~stop:(Some 5)) () with
   | exception Pnn.Training.Interrupted -> ()
   | _ -> Alcotest.fail "first interrupt");
-  (match train ~checkpoint:(ck ~resume:true ~stop:(Some 13)) () with
+  (match train ~checkpoint:(ck ~stop:(Some 13)) () with
   | exception Pnn.Training.Interrupted -> ()
   | _ -> Alcotest.fail "second interrupt");
-  let resumed = train ~checkpoint:(ck ~resume:true ~stop:None) () in
+  let resumed = train ~checkpoint:(ck ~stop:None) () in
   check_same "twice-interrupted vs uninterrupted" (Lazy.force baseline)
     (fingerprint resumed);
   Sys.remove path
@@ -136,7 +135,7 @@ let test_checkpointing_is_invisible () =
   let res =
     train
       ~checkpoint:
-        { Pnn.Training.ckpt_path = path; every = 3; resume = false;
+        { Pnn.Training.ckpt_path = path; every = 3;
           interrupt_after = None }
       ()
   in
@@ -150,7 +149,7 @@ let test_missing_checkpoint_fresh_start () =
   let res =
     train
       ~checkpoint:
-        { Pnn.Training.ckpt_path = ckpt_path (); every = 4; resume = true;
+        { Pnn.Training.ckpt_path = ckpt_path (); every = 4;
           interrupt_after = None }
       ()
   in
@@ -164,7 +163,7 @@ let test_corrupt_checkpoint_fresh_start () =
   let res =
     train
       ~checkpoint:
-        { Pnn.Training.ckpt_path = path; every = 4; resume = true;
+        { Pnn.Training.ckpt_path = path; every = 4;
           interrupt_after = None }
       ()
   in
@@ -178,7 +177,7 @@ let test_mismatched_config_fresh_start () =
   (match
      train ~config:other
        ~checkpoint:
-         { Pnn.Training.ckpt_path = path; every = 2; resume = false;
+         { Pnn.Training.ckpt_path = path; every = 2;
            interrupt_after = Some 5 }
        ()
    with
@@ -188,7 +187,7 @@ let test_mismatched_config_fresh_start () =
   let res =
     train
       ~checkpoint:
-        { Pnn.Training.ckpt_path = path; every = 4; resume = true;
+        { Pnn.Training.ckpt_path = path; every = 4;
           interrupt_after = None }
       ()
   in

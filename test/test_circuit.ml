@@ -7,7 +7,9 @@ let mid_omega = [| 255.0; 127.0; 255e3; 127e3; 255e3; 500.0; 40.0 |]
 
 let test_omega_roundtrip () =
   let o = P.omega_of_array mid_omega in
-  Alcotest.(check (array (float 0.0))) "roundtrip" mid_omega (P.omega_to_array o)
+  Alcotest.(check (array (float 0.0)))
+    "roundtrip" mid_omega
+    [| o.P.r1; o.P.r2; o.P.r3; o.P.r4; o.P.r5; o.P.w_um; o.P.l_um |]
 
 let test_omega_of_array_invalid () =
   Alcotest.check_raises "wrong length"
@@ -19,8 +21,7 @@ let test_build_validates () =
   (match N.validate nl with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invalid netlist: %s" msg);
-  Alcotest.(check bool) "output node allocated" true (out > 0 && out < N.node_count nl);
-  Alcotest.(check int) "two sources" 2 (N.source_count nl)
+  Alcotest.(check bool) "output node allocated" true (out > 0 && out < N.node_count nl)
 
 let test_transfer_rising_tanh_like () =
   let _, vout = P.transfer (P.omega_of_array mid_omega) in

@@ -125,6 +125,24 @@ let surrogate =
 let table2_result =
   lazy (E.Table2.run ~datasets:[ mini_dataset ] mini_scale (Lazy.force surrogate))
 
+let cell_of t ~dataset ~arm ~epsilon =
+  let row = List.find (fun r -> r.E.Table2.dataset = dataset) t.E.Table2.rows in
+  List.assoc (arm, epsilon) row.E.Table2.cells
+
+(* A run given no cache writes none, whatever the environment says: a test
+   of changed training code must never pass on results an older build
+   stored under the same key. *)
+let test_no_ambient_cache () =
+  let dir = Filename.temp_dir "pnn_ambient_cache" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "REPRO_CACHE_DIR" "";
+      Fixtures.rm_rf dir)
+    (fun () ->
+      Unix.putenv "REPRO_CACHE_DIR" dir;
+      ignore (E.Table2.run ~datasets:[ mini_dataset ] mini_scale (Lazy.force surrogate));
+      Alcotest.(check (list string)) "nothing stored" [] (Array.to_list (Sys.readdir dir)))
+
 let test_table2_structure () =
   let t = Lazy.force table2_result in
   Alcotest.(check int) "one row" 1 (List.length t.E.Table2.rows);
@@ -141,7 +159,7 @@ let test_table2_structure () =
 let test_table2_lookup () =
   let t = Lazy.force table2_result in
   let arm = { E.Setup.learnable = true; variation_aware = true } in
-  let cell = E.Table2.cell_of t ~dataset:"mini" ~arm ~epsilon:0.05 in
+  let cell = cell_of t ~dataset:"mini" ~arm ~epsilon:0.05 in
   let avg = E.Table2.average_of t ~arm ~epsilon:0.05 in
   Alcotest.(check (float 1e-9)) "single dataset: average = cell" cell.E.Table2.mean
     avg.E.Table2.mean
@@ -224,8 +242,8 @@ let test_table2_determinism () =
   let t1 = Lazy.force table2_result in
   let t2 = E.Table2.run ~datasets:[ mini_dataset ] mini_scale (Lazy.force surrogate) in
   let arm = { E.Setup.learnable = false; variation_aware = false } in
-  let c1 = E.Table2.cell_of t1 ~dataset:"mini" ~arm ~epsilon:0.05 in
-  let c2 = E.Table2.cell_of t2 ~dataset:"mini" ~arm ~epsilon:0.05 in
+  let c1 = cell_of t1 ~dataset:"mini" ~arm ~epsilon:0.05 in
+  let c2 = cell_of t2 ~dataset:"mini" ~arm ~epsilon:0.05 in
   Alcotest.(check (float 1e-12)) "deterministic mean" c1.E.Table2.mean c2.E.Table2.mean;
   Alcotest.(check (float 1e-12)) "deterministic std" c1.E.Table2.std c2.E.Table2.std
 
@@ -372,11 +390,7 @@ let test_faults_key_pins () =
 let test_ablation_key_pins () =
   let text, keys =
     with_store (fun cache ->
-        let prev = Cache.get_default () in
-        Cache.set_default cache;
-        Fun.protect
-          ~finally:(fun () -> Cache.set_default prev)
-          (fun () -> in_build_root (fun () -> E.Ablations.initialization_ablation ())))
+        in_build_root (fun () -> E.Ablations.initialization_ablation ~cache ()))
   in
   check_keys "init ablation" ~count:16 ~digest:"63f91036f64dc5d82c9446fc9e544e5d"
     ~has:[ "ablcell 0ba269dd6c06b882ef82437a1b021d71" ] keys;
@@ -430,6 +444,9 @@ let test_depth_ablation_pin () =
 let () =
   Alcotest.run "experiments"
     [
+      (* first, so that no earlier case has touched a cache *)
+      ( "hermetic",
+        [ Alcotest.test_case "no ambient cache" `Quick test_no_ambient_cache ] );
       ( "report",
         [
           Alcotest.test_case "cell" `Quick test_report_cell;

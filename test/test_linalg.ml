@@ -4,37 +4,45 @@ module L = Circuit.Linalg
 
 let feq = Alcotest.(check (float 1e-9))
 
+(* Solves on copies, so a case can reuse its system. *)
+let solve a b = L.solve_in_place (Array.map Array.copy a) (Array.copy b)
+
+(* max_i |(a·x - b)_i| *)
+let residual_norm a x b =
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun i row ->
+      let acc = ref 0.0 in
+      Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
+      let e = Float.abs (!acc -. b.(i)) in
+      if e > !worst then worst := e)
+    a;
+  !worst
+
 let test_identity () =
   let a = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
-  let x = L.solve a [| 3.0; -4.0 |] in
+  let x = solve a [| 3.0; -4.0 |] in
   feq "x0" 3.0 x.(0);
   feq "x1" (-4.0) x.(1)
 
 let test_known_2x2 () =
   (* 2x + y = 5 ; x - y = 1  => x = 2, y = 1 *)
   let a = [| [| 2.0; 1.0 |]; [| 1.0; -1.0 |] |] in
-  let x = L.solve a [| 5.0; 1.0 |] in
+  let x = solve a [| 5.0; 1.0 |] in
   feq "x" 2.0 x.(0);
   feq "y" 1.0 x.(1)
 
 let test_pivoting_required () =
   (* zero on the leading diagonal forces a row swap *)
   let a = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = L.solve a [| 7.0; 9.0 |] in
+  let x = solve a [| 7.0; 9.0 |] in
   feq "x" 9.0 x.(0);
   feq "y" 7.0 x.(1)
 
 let test_singular () =
   let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
   Alcotest.check_raises "singular" (Failure "Linalg.solve: singular") (fun () ->
-      ignore (L.solve a [| 1.0; 2.0 |]))
-
-let test_inputs_not_modified () =
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; -1.0 |] |] in
-  let b = [| 5.0; 1.0 |] in
-  ignore (L.solve a b);
-  feq "a intact" 2.0 a.(0).(0);
-  feq "b intact" 5.0 b.(0)
+      ignore (solve a [| 1.0; 2.0 |]))
 
 let test_random_systems () =
   let rng = Rng.create 77 in
@@ -46,16 +54,10 @@ let test_random_systems () =
     (* diagonally dominate to avoid accidental singularity *)
     Array.iteri (fun i row -> row.(i) <- row.(i) +. 20.0) a;
     let b = Array.init n (fun _ -> Rng.uniform rng ~lo:(-5.0) ~hi:5.0) in
-    let x = L.solve a b in
-    let r = L.residual_norm a x b in
+    let x = solve a b in
+    let r = residual_norm a x b in
     if r > 1e-8 then Alcotest.failf "residual %g too large (n=%d)" r n
   done
-
-let test_matvec () =
-  let a = [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let y = L.matvec a [| 1.0; 1.0 |] in
-  feq "y0" 3.0 y.(0);
-  feq "y1" 7.0 y.(1)
 
 let qcheck_solve_residual =
   QCheck.Test.make ~name:"solve leaves small residual" ~count:100
@@ -68,8 +70,8 @@ let qcheck_solve_residual =
                 Rng.uniform rng ~lo:(-3.0) ~hi:3.0 +. if i = j then 12.0 else 0.0))
       in
       let b = Array.init n (fun _ -> Rng.uniform rng ~lo:(-3.0) ~hi:3.0) in
-      let x = L.solve a b in
-      L.residual_norm a x b < 1e-8)
+      let x = solve a b in
+      residual_norm a x b < 1e-8)
 
 
 (* {2 Pinned bits of [solve_in_place]}
@@ -266,9 +268,7 @@ let () =
           Alcotest.test_case "known 2x2" `Quick test_known_2x2;
           Alcotest.test_case "pivoting" `Quick test_pivoting_required;
           Alcotest.test_case "singular" `Quick test_singular;
-          Alcotest.test_case "inputs preserved" `Quick test_inputs_not_modified;
           Alcotest.test_case "random systems" `Quick test_random_systems;
-          Alcotest.test_case "matvec" `Quick test_matvec;
           QCheck_alcotest.to_alcotest qcheck_solve_residual;
         ] );
       ( "pinned",

@@ -56,7 +56,7 @@ let checkpoint_lines () =
       (match
          train
            ~checkpoint:
-             { Pnn.Training.ckpt_path; every = 1; resume = false; interrupt_after = Some 2 }
+             { Pnn.Training.ckpt_path; every = 1; interrupt_after = Some 2 }
            ()
        with
       | exception Pnn.Training.Interrupted -> ()

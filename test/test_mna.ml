@@ -97,9 +97,10 @@ let test_kcl_residual () =
   let sol = M.solve model nl in
   let v = sol.M.voltages in
   let i_r = (v.(vdd) -. v.(drain)) /. 100_000.0 in
-  let e =
-    Circuit.Egt.evaluate model ~w_um:400.0 ~l_um:30.0 ~vgs:(v.(gate)) ~vds:(v.(drain))
-  in
+  let e = Circuit.Egt.scratch () in
+  e.Circuit.Egt.vgs <- v.(gate);
+  e.Circuit.Egt.vds <- v.(drain);
+  Circuit.Egt.evaluate_into model ~w_um:400.0 ~l_um:30.0 e;
   Alcotest.(check (float 1e-9)) "KCL at drain" 0.0 (i_r -. e.Circuit.Egt.id)
 
 let test_warm_start () =

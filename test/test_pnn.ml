@@ -81,14 +81,6 @@ let test_nonlinear_eta_changes_with_w () =
     (Float.abs (ea.Fit.Ptanh.eta1 -. eb.Fit.Ptanh.eta1) > 1e-6
     || Float.abs (ea.Fit.Ptanh.eta4 -. eb.Fit.Ptanh.eta4) > 1e-6)
 
-let test_nonlinear_apply_inv_negates () =
-  let nl = Pnn.Nonlinear.create (Lazy.force surrogate) in
-  let noise = T.ones 1 7 in
-  let x = A.const (T.of_array [| 0.1; 0.5; 0.9 |]) in
-  let fwd = A.value (Pnn.Nonlinear.apply nl ~noise x) in
-  let inv = A.value (Pnn.Nonlinear.apply_inv nl ~noise x) in
-  Alcotest.(check bool) "inv = -ptanh" true (T.equal ~eps:1e-12 inv (T.neg fwd))
-
 let test_nonlinear_gradient_to_w () =
   let nl = Pnn.Nonlinear.create (Lazy.force surrogate) in
   let noise = T.ones 1 7 in
@@ -582,7 +574,6 @@ let () =
         [
           Alcotest.test_case "printable feasible" `Quick test_nonlinear_printable_feasible;
           Alcotest.test_case "eta responds to w" `Quick test_nonlinear_eta_changes_with_w;
-          Alcotest.test_case "inv negates" `Quick test_nonlinear_apply_inv_negates;
           Alcotest.test_case "gradient to w" `Quick test_nonlinear_gradient_to_w;
           Alcotest.test_case "snapshot" `Quick test_nonlinear_snapshot_restore;
         ] );

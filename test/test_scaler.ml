@@ -7,7 +7,7 @@ let data = [| [| 0.0; 10.0 |]; [| 5.0; 20.0 |]; [| 10.0; 30.0 |] |]
 let test_fit_bounds () =
   let s = Sc.fit data in
   Alcotest.(check (array (float 0.0))) "lo" [| 0.0; 10.0 |] (Sc.lo s);
-  Alcotest.(check (array (float 0.0))) "hi" [| 10.0; 30.0 |] (Sc.hi s)
+  Alcotest.(check (array (float 0.0))) "hi - lo" [| 10.0; 20.0 |] (Sc.range s)
 
 let test_fit_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Scaler.fit: empty data") (fun () ->
@@ -51,7 +51,8 @@ let test_serialization_roundtrip () =
   let s', rest = Sc.of_lines (Sc.to_lines s) in
   Alcotest.(check int) "consumed all" 0 (List.length rest);
   Alcotest.(check (array (float 0.0))) "lo" (Sc.lo s) (Sc.lo s');
-  Alcotest.(check (array (float 0.0))) "hi" (Sc.hi s) (Sc.hi s')
+  Alcotest.(check (array (float 0.0))) "hi - lo" (Sc.range s) (Sc.range s');
+  Alcotest.(check (list string)) "same lines" (Sc.to_lines s) (Sc.to_lines s')
 
 let test_of_bounds_validation () =
   Alcotest.check_raises "hi < lo" (Invalid_argument "Scaler.of_bounds: hi < lo") (fun () ->

@@ -48,11 +48,6 @@ let test_quantile_negative_zero_sorts () =
   feq "q0 with signed zeros" (-1.0) (Stats.quantile [| 0.0; -0.0; -1.0 |] 0.0);
   feq "q1 with signed zeros" 0.0 (Stats.quantile [| 0.0; -0.0; -1.0 |] 1.0)
 
-let test_mean_std () =
-  let m, s = Stats.mean_std [| 1.0; 3.0 |] in
-  feq "mean" 2.0 m;
-  feq "std" 1.0 s
-
 let qcheck_std_nonneg =
   QCheck.Test.make ~name:"std >= 0" ~count:300
     QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (float_range (-100.) 100.))
@@ -96,7 +91,6 @@ let () =
           Alcotest.test_case "quantile singleton" `Quick test_quantile_single_element;
           Alcotest.test_case "quantile rejects nan" `Quick test_quantile_rejects_nan;
           Alcotest.test_case "quantile signed zeros" `Quick test_quantile_negative_zero_sorts;
-          Alcotest.test_case "mean_std" `Quick test_mean_std;
         ] );
       ( "properties",
         [

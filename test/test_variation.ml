@@ -260,10 +260,94 @@ let test_validate_rejects_nan () =
   Alcotest.check_raises "Noise.draw" (Invalid_argument "Noise.draw: epsilon outside [0,1)")
     (fun () -> ignore (Pnn.Noise.draw (Rng.create 1) ~epsilon:nan ~theta_shapes:shapes))
 
-let test_names () =
-  Alcotest.(check string) "uniform" "uniform(0.1)" (V.name (V.Uniform 0.1));
-  Alcotest.(check string) "compose" "compose(uniform(0.05)+defects(0.02,0))"
-    (V.name (V.Compose [ V.Uniform 0.05; V.Defects { p_open = 0.02; p_short = 0.0 } ]))
+(* Each documented range edge is accepted, and the next float past it is
+   rejected: open bounds at 1 for ε, the correlated magnitudes and κ_max,
+   closed bounds at 0 and at 1 for the defect sum and t_frac, σ finite. *)
+let test_validate_range_edges () =
+  let below_one = Float.pred 1.0 in
+  let accepted =
+    [
+      ("uniform 0", V.Uniform 0.0);
+      ("uniform -0", V.Uniform (-0.0));
+      ("uniform below 1", V.Uniform below_one);
+      ("gaussian 0", V.Gaussian 0.0);
+      ("gaussian max_float", V.Gaussian Float.max_float);
+      ("correlated 0", V.Correlated { global = 0.0; local = 0.0 });
+      ("correlated below 1", V.Correlated { global = below_one; local = below_one });
+      ("defects sum 1", V.Defects { p_open = 0.5; p_short = 0.5 });
+      ("defects all open", V.Defects { p_open = 1.0; p_short = 0.0 });
+      ("defects all short", V.Defects { p_open = 0.0; p_short = 1.0 });
+      ("aging kappa 0", V.Aging { kappa_max = 0.0; beta = 0.5; t_frac = None });
+      ("aging kappa below 1", V.Aging { kappa_max = below_one; beta = 0.5; t_frac = None });
+      ("aging tiny beta", V.Aging { kappa_max = 0.2; beta = Float.min_float; t_frac = None });
+      ("aging t 0", aging (Some 0.0));
+      ("aging t 1", aging (Some 1.0));
+      ("empty compose", V.Compose []);
+      ("nested compose", V.Compose [ V.Compose [ V.Uniform 0.1 ]; V.Gaussian 0.0 ]);
+    ]
+  in
+  List.iter
+    (fun (label, model) ->
+      match V.validate model with
+      | () -> ()
+      | exception Invalid_argument msg -> Alcotest.failf "%s: rejected (%s)" label msg)
+    accepted;
+  let rejected =
+    [
+      ("uniform below -0", V.Uniform (-.Float.min_float));
+      ("gaussian inf", V.Gaussian Float.infinity);
+      ("correlated local 1", V.Correlated { global = 0.0; local = 1.0 });
+      ("correlated local below 0", V.Correlated { global = 0.0; local = -.Float.min_float });
+      (* the sum is the float after 1, exactly *)
+      ("defects sum above 1", V.Defects { p_open = Float.succ 0.5; p_short = Float.succ 0.5 });
+      ("defects open above 1", V.Defects { p_open = Float.succ 1.0; p_short = 0.0 });
+      ("aging kappa below 0", V.Aging { kappa_max = -.Float.min_float; beta = 0.5; t_frac = None });
+      ("aging beta -0", V.Aging { kappa_max = 0.2; beta = -0.0; t_frac = None });
+      ("aging beta -inf", V.Aging { kappa_max = 0.2; beta = Float.neg_infinity; t_frac = None });
+      ("aging t above 1", aging (Some (Float.succ 1.0)));
+      ("aging t below 0", aging (Some (-.Float.min_float)));
+    ]
+  in
+  List.iter
+    (fun (label, model) ->
+      match V.validate model with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: expected Invalid_argument" label)
+    rejected
+
+(* [draw], [draw_many] and [mc_draws] validate the whole model before they
+   draw, so an invalid model raises with the caller's stream untouched —
+   also when a composition's invalid part comes after a valid one that
+   would otherwise have drawn first. *)
+let test_invalid_model_consumes_nothing () =
+  let invalid =
+    [
+      ("uniform 1", V.Uniform 1.0);
+      ("bad second component", V.Compose [ V.Uniform 0.1; V.Gaussian (-1.0) ]);
+      ("bad nested t", V.Compose [ V.Gaussian 0.05; V.Compose [ aging (Some 2.0) ] ]);
+    ]
+  in
+  let entry_points =
+    [
+      ("draw", fun rng model -> ignore (V.draw rng model ctx));
+      ("draw_many", fun rng model -> ignore (V.draw_many rng model ctx ~n:3));
+      ("draw_many 0", fun rng model -> ignore (V.draw_many rng model ctx ~n:0));
+      ("mc_draws", fun rng model -> ignore (V.mc_draws rng model ctx ~n:3));
+    ]
+  in
+  List.iter
+    (fun (entry, run) ->
+      List.iter
+        (fun (label, model) ->
+          let rng = Rng.create 21 in
+          (match run rng model with
+          | exception Invalid_argument _ -> ()
+          | () -> Alcotest.failf "%s %s: expected Invalid_argument" entry label);
+          Alcotest.(check int64)
+            (Printf.sprintf "%s %s: stream untouched" entry label)
+            (Rng.uint64 (Rng.create 21)) (Rng.uint64 rng))
+        invalid)
+    entry_points
 
 (* {1 Rng convention: split, never copy}
 
@@ -470,6 +554,38 @@ let test_fit_all_families () =
         (Float.is_finite result.Pnn.Training.val_loss))
     family_models
 
+(* {1 draw_many is n draws in order} *)
+
+(* [draw_many ~n] yields exactly the draws of [n] successive [draw] calls on
+   the same stream, for every family (Defects against a network context),
+   and leaves the stream where they leave it; [n = 0] draws nothing. *)
+let test_draw_many_is_sequential () =
+  let net, _, _ = eval_fixture () in
+  let vctx = V.ctx_of_network net in
+  List.iter
+    (fun (label, model) ->
+      let rng_many = Rng.create 31 and rng_one = Rng.create 31 in
+      let many = V.draw_many rng_many model vctx ~n:3 in
+      let d0 = V.draw rng_one model vctx in
+      let d1 = V.draw rng_one model vctx in
+      let d2 = V.draw rng_one model vctx in
+      Alcotest.(check int) (label ^ " three draws") 3 (List.length many);
+      List.iteri
+        (fun i (a, b) -> check_noise_equal (Printf.sprintf "%s draw %d" label i) b a)
+        (List.combine many [ d0; d1; d2 ]);
+      Alcotest.(check int64) (label ^ " same stream after") (Rng.uint64 rng_one)
+        (Rng.uint64 rng_many);
+      let rng_none = Rng.create 31 in
+      Alcotest.(check int) (label ^ " n=0 is empty") 0
+        (List.length (V.draw_many rng_none model vctx ~n:0));
+      Alcotest.(check int64) (label ^ " n=0 consumes nothing") (Rng.uint64 (Rng.create 31))
+        (Rng.uint64 rng_none))
+    (family_models
+    @ [
+        ("aging lifetime", aging None);
+        ("compose", V.Compose [ V.Uniform 0.05; V.Defects { p_open = 0.02; p_short = 0.0 } ]);
+      ])
+
 (* {1 Faults experiment (micro scale)} *)
 
 let test_faults_experiment_smoke () =
@@ -609,7 +725,7 @@ let pin_fit_digests ?model config =
       Sys.mkdir dir 0o755;
       let ckpt_path = Filename.concat dir "ck.pce" in
       let checkpoint =
-        { Pnn.Training.ckpt_path; every = 1; resume = false; interrupt_after = None }
+        { Pnn.Training.ckpt_path; every = 1; interrupt_after = None }
       in
       let rng = Rng.create 6 in
       let result = pin_fit ~checkpoint ?model rng net tdata in
@@ -696,7 +812,9 @@ let () =
         [
           Alcotest.test_case "rejects bad parameters" `Quick test_validate_rejects;
           Alcotest.test_case "rejects NaN in every field" `Quick test_validate_rejects_nan;
-          Alcotest.test_case "names" `Quick test_names;
+          Alcotest.test_case "range edges" `Quick test_validate_range_edges;
+          Alcotest.test_case "invalid model consumes nothing" `Quick
+            test_invalid_model_consumes_nothing;
         ] );
       ( "nominal",
         [
@@ -725,6 +843,11 @@ let () =
       ( "training",
         [
           Alcotest.test_case "fit ~model all families" `Quick test_fit_all_families;
+        ] );
+      ( "draws",
+        [
+          Alcotest.test_case "draw_many is n draws in order" `Quick
+            test_draw_many_is_sequential;
         ] );
       ( "pins",
         [
