@@ -22,7 +22,7 @@ let temp_path path =
     (Atomic.fetch_and_add tmp_counter 1)
 
 (* Write a fresh temp sibling of [path] with [write]; the caller publishes it
-   (rename or link).  A failed write leaves no temp file behind. *)
+   with a rename.  A failed write leaves no temp file behind. *)
 let write_temp path write =
   mkdir_p (Filename.dirname path);
   let tmp = temp_path path in
@@ -315,24 +315,6 @@ let gc ?max_age_days ?tmp_stale_age ?(all = false) ~dir () =
       incr removed)
     (stale_tmp_files ~stale_age ~now ~dir ());
   (!removed, !kept)
-
-(* {1 Exclusive publish (claim files)}
-
-   The write-side discipline is the same temp-file one {!Blob.write} uses;
-   the publish step is a hard [link] instead of a [rename], which fails with
-   [EEXIST] when the destination already exists — the atomic test-and-set a
-   directory-based work queue needs for claim files.  ([rename] silently
-   replaces, so it cannot arbitrate two claimants.) *)
-
-let publish_exclusive path content =
-  let tmp = write_temp path (fun oc -> output_string oc content) in
-  let created =
-    match Unix.link tmp path with
-    | () -> true
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false
-  in
-  (try Sys.remove tmp with Sys_error _ -> ());
-  created
 
 let replace_file path content =
   Sys.rename (write_temp path (fun oc -> output_string oc content)) path

@@ -150,21 +150,8 @@ val gc :
     [all:true] every entry and every temp file regardless of age.  Returns
     [(removed, kept)]. *)
 
-(** {1 Exclusive publish (claim files)} *)
-
-val publish_exclusive : string -> string -> bool
-(** [publish_exclusive path content] atomically creates [path] with
-    [content] and returns [true] iff no file existed there — the same
-    temp-file write discipline as {!Blob.write}, published with a hard link
-    (which fails on an existing destination) instead of a rename (which
-    silently replaces).  The test-and-set primitive for directory-based
-    claim files: of any number of concurrent callers exactly one wins.
-    Returns [false] to the losers; the temp file is always cleaned up. *)
-
 val replace_file : string -> string -> unit
 (** Atomic unconditional overwrite (temp + rename; parent directories are
-    created) — the companion of {!publish_exclusive} for refreshing a file
-    the caller already owns (renewing a claim's lease) and for publishing
-    an artifact other processes may be loading (a saved pNN or surrogate,
-    a result CSV): a reader sees the old bytes or the new, never a partial
-    write. *)
+    created), for publishing an artifact other processes may be loading (a
+    saved pNN or surrogate, a result CSV): a reader sees the old bytes or
+    the new, never a partial write. *)

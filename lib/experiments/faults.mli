@@ -35,21 +35,6 @@ val families : float -> (string * Pnn.Variation.model) list
 (** The four test families anchored at severity [epsilon]: uniform ε,
     gaussian ε/2, correlated ε/2+ε/2, defects 3 %+1 %. *)
 
-val jobs :
-  cache:Cache.t ->
-  ?checkpoint_every:int ->
-  dataset:string ->
-  epsilon:float ->
-  Setup.scale ->
-  Surrogate.Model.t ->
-  Seeds.job list
-(** Every (arm, seed) training cell of {!run} on benchmark [dataset], in the
-    order it trains them: ["nominal"], then one arm per {!families} entry,
-    each over every seed.  A job trained anywhere lands on exactly the
-    ["faultcell"] entry {!run} reads back.  [checkpoint_every] turns on
-    checkpoints at that cadence.  Raises [Invalid_argument] when [epsilon]
-    makes a family ill-formed (NaN included). *)
-
 val run :
   ?pool:Parallel.Pool.t ->
   ?cache:Cache.t ->
@@ -71,8 +56,7 @@ val run :
     and per-cell Monte-Carlo evaluations — keys cover the arm's fault model
     and both stream indices, so arms sharing a config never collide; hits
     are bit-identical to the computes they replace.  [checkpoints] as in
-    {!Table2.run}.  Training goes through {!jobs}: per arm, {!Seeds.train}
-    runs over the arm's per-seed jobs. *)
+    {!Table2.run}. *)
 
 val render : t -> string
 

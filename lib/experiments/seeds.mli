@@ -23,33 +23,20 @@ val train :
 
 val chosen : 'a t -> Pnn.Training.result * 'a
 
-type job = {
-  key : string;  (** the cache key the result is stored under *)
-  kind : string;  (** the cache kind: ["t2cell"] or ["faultcell"] *)
-  label : string;  (** a one-line human-readable name *)
-  train : ?interrupt_after:int -> unit -> Pnn.Training.result;
-      (** the cached result, or the training run and stored;
-          [interrupt_after] is {!Pnn.Training.checkpoint}'s crash-injection
-          hook, so it acts only on a job with checkpoints *)
-}
-(** One memoized training cell.  A runner's job list is the cells its [run]
-    trains, in order; any process holding the list can train any job and
-    land on exactly the entry [run] reads back. *)
-
-val job :
+val cell :
   cache:Cache.t ->
   ?checkpoint_every:int ->
   kind:string ->
   key:string ->
-  label:string ->
   Surrogate.Model.t ->
   (Pnn.Training.checkpoint option -> Pnn.Training.result) ->
-  job
-(** [job ~cache ~kind ~key ~label surrogate fit] trains with [fit] on a cache
-    miss and stores the result with the {!Pnn.Training.result_lines} codec.
-    With [checkpoint_every] and an enabled cache, [fit] gets a resumable
-    checkpoint at the ["ckpt"] member path of [key], written every
-    [checkpoint_every] epochs and deleted once the result lands. *)
+  Pnn.Training.result
+(** [cell ~cache ~kind ~key surrogate fit] is one memoized training cell:
+    the result stored under [key], or [fit]'s on a cache miss, stored with
+    the {!Pnn.Training.result_lines} codec.  With [checkpoint_every] and an
+    enabled cache, [fit] gets a resumable checkpoint at the ["ckpt"] member
+    path of [key], written every [checkpoint_every] epochs and deleted once
+    the result lands. *)
 
 val eval_cache :
   Cache.t ->

@@ -21,73 +21,6 @@ let run_seed ~dataset_seed ~arm ~eps ~seed =
   in
   Rng.create tag
 
-(* The training groups of one dataset, in the order [run] trains them: one
-   per (arm, train ε) — nominal arms once at ε = 0, variation-aware arms once
-   per test ε — each holding one job per seed with that seed's split.  A
-   split is shared by every arm, so the arm comparison is fair, and is a
-   function of (dataset identity, seed) only, so any process can reproduce
-   it. *)
-let groups ?pool ~cache ?checkpoint_every ~digest scale surrogate
-    (data : Datasets.Synth.t) =
-  let spec = data.Datasets.Synth.spec in
-  let dataset = spec.Datasets.Synth.name in
-  let dataset_seed = spec.Datasets.Synth.seed in
-  let splits =
-    List.map
-      (fun seed -> (seed, Datasets.Synth.split (Rng.create (dataset_seed + seed)) data))
-      scale.Setup.seeds
-  in
-  List.concat_map
-    (fun arm ->
-      let train_epsilons =
-        if arm.Setup.variation_aware then scale.Setup.test_epsilons else [ 0.0 ]
-      in
-      List.map
-        (fun eps ->
-          let config =
-            Pnn.Config.with_epsilon
-              (Pnn.Config.with_learnable scale.Setup.config arm.Setup.learnable)
-              eps
-          in
-          (* Content address of one (dataset, seed, arm) training cell:
-             everything the run reads — the frozen surrogate, the resolved
-             config (which encodes arm and ε), the dataset identity and both
-             seed layers.  [run_seed]'s stream tag is derived from the same
-             inputs, so the key covers it. *)
-          let job seed split =
-            Seeds.job ~cache ?checkpoint_every ~kind:"t2cell"
-              ~key:
-                (Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"t2cell"
-                   [
-                     digest;
-                     Pnn.Serialize.config_line config;
-                     dataset;
-                     string_of_int dataset_seed;
-                     string_of_int seed;
-                     Setup.init_name scale.Setup.init;
-                   ])
-              ~label:
-                (Printf.sprintf "t2cell %s seed=%d %s eps=%g" dataset seed
-                   (Setup.arm_name arm) eps)
-              surrogate
-              (fun checkpoint ->
-                Pnn.Training.train_fresh ?pool ~init:scale.Setup.init ?checkpoint
-                  (run_seed ~dataset_seed ~arm ~eps ~seed)
-                  config surrogate ~n_classes:spec.Datasets.Synth.classes split)
-          in
-          (arm, eps, List.map (fun (seed, split) -> (job seed split, split)) splits))
-        train_epsilons)
-    Setup.arms
-
-let jobs ~cache ?checkpoint_every ~datasets scale surrogate =
-  let digest = Setup.surrogate_digest surrogate in
-  List.concat_map
-    (fun data ->
-      List.concat_map
-        (fun (_, _, seeds) -> List.map fst seeds)
-        (groups ~cache ?checkpoint_every ~digest scale surrogate data))
-    datasets
-
 let evaluate ?pool ~cache scale ~dataset_seed network ~epsilon
     ~(split : Datasets.Synth.split) =
   let rng = Rng.create ((dataset_seed * 31) + int_of_float (epsilon *. 1e4) + 5) in
@@ -106,33 +39,69 @@ let evaluate ?pool ~cache scale ~dataset_seed network ~epsilon
   in
   { mean = r.Pnn.Evaluation.mean; std = r.Pnn.Evaluation.std }
 
-(* Per training group: every seed trains (fanned out over the pool), the
+(* Per dataset: one training group per (arm, train ε) — nominal arms once
+   at ε = 0, variation-aware arms once per test ε.  Every seed of a group
+   trains (fanned out over the pool) on that seed's split, the
    best-validation-loss network is chosen, and the chosen one is evaluated at
    each test ε it covers — every test ε for a nominal arm, its own for a
-   variation-aware one. *)
+   variation-aware one.  A split is shared by every arm, so the arm
+   comparison is fair, and is a function of (dataset identity, seed) only. *)
 let run_dataset ?pool ~cache ?checkpoint_every ~digest ~progress scale surrogate
     (data : Datasets.Synth.t) =
   let spec = data.Datasets.Synth.spec in
   let dataset = spec.Datasets.Synth.name in
+  let dataset_seed = spec.Datasets.Synth.seed in
+  let splits =
+    List.map
+      (fun seed -> (seed, Datasets.Synth.split (Rng.create (dataset_seed + seed)) data))
+      scale.Setup.seeds
+  in
   let cells =
     List.concat_map
-      (fun (arm, eps, seeds) ->
+      (fun arm ->
         let name = Printf.sprintf "%s %s" dataset (Setup.arm_name arm) in
         let va = arm.Setup.variation_aware in
-        progress (if va then Printf.sprintf "%s eps=%g" name eps else name);
-        let result, split =
-          Seeds.chosen
-            (Seeds.train ?pool
-               (fun (job, split) -> (job.Seeds.train (), split))
-               seeds)
-        in
-        List.map
+        List.concat_map
           (fun eps ->
-            ( (arm, eps),
-              evaluate ?pool ~cache scale ~dataset_seed:spec.Datasets.Synth.seed
-                result.Pnn.Training.network ~epsilon:eps ~split ))
-          (if va then [ eps ] else scale.Setup.test_epsilons))
-      (groups ?pool ~cache ?checkpoint_every ~digest scale surrogate data)
+            progress (if va then Printf.sprintf "%s eps=%g" name eps else name);
+            let config =
+              Pnn.Config.with_epsilon
+                (Pnn.Config.with_learnable scale.Setup.config arm.Setup.learnable)
+                eps
+            in
+            (* Content address of one (dataset, seed, arm) training cell:
+               everything the run reads — the frozen surrogate, the resolved
+               config (which encodes arm and ε), the dataset identity and both
+               seed layers.  [run_seed]'s stream tag is derived from the same
+               inputs, so the key covers it. *)
+            let train (seed, split) =
+              ( Seeds.cell ~cache ?checkpoint_every ~kind:"t2cell"
+                  ~key:
+                    (Cache.key ~schema:(Pnn.Serialize.cache_schema ()) ~kind:"t2cell"
+                       [
+                         digest;
+                         Pnn.Serialize.config_line config;
+                         dataset;
+                         string_of_int dataset_seed;
+                         string_of_int seed;
+                         Setup.init_name scale.Setup.init;
+                       ])
+                  surrogate
+                  (fun checkpoint ->
+                    Pnn.Training.train_fresh ?pool ~init:scale.Setup.init ?checkpoint
+                      (run_seed ~dataset_seed ~arm ~eps ~seed)
+                      config surrogate ~n_classes:spec.Datasets.Synth.classes split),
+                split )
+            in
+            let result, split = Seeds.chosen (Seeds.train ?pool train splits) in
+            List.map
+              (fun eps ->
+                ( (arm, eps),
+                  evaluate ?pool ~cache scale ~dataset_seed result.Pnn.Training.network
+                    ~epsilon:eps ~split ))
+              (if va then [ eps ] else scale.Setup.test_epsilons))
+          (if va then scale.Setup.test_epsilons else [ 0.0 ]))
+      Setup.arms
   in
   { dataset; cells }
 

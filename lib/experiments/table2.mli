@@ -42,22 +42,7 @@ val run :
     exactly.  With [checkpoints = true] (and an enabled cache) each in-flight
     training writes a {!Pnn.Training.checkpoint} every 50 epochs inside the
     cache tree and resumes from it after an interruption; a cell's
-    checkpoint is deleted once its result lands in the cache.  Training goes
-    through {!jobs}: per (dataset, arm, train ε), {!Seeds.train} runs over
-    the group's per-seed jobs. *)
-
-val jobs :
-  cache:Cache.t ->
-  ?checkpoint_every:int ->
-  datasets:Datasets.Synth.t list ->
-  Setup.scale ->
-  Surrogate.Model.t ->
-  Seeds.job list
-(** Every (dataset, arm, train ε, seed) training cell of {!run}, in the order
-    it trains them: per dataset, per arm, per train ε ([0] for nominal arms,
-    each test ε for variation-aware ones), per seed.  A job trained anywhere
-    lands on exactly the ["t2cell"] entry {!run} reads back.
-    [checkpoint_every] turns on checkpoints at that cadence. *)
+    checkpoint is deleted once its result lands in the cache. *)
 
 val average_of : t -> arm:Setup.arm -> epsilon:float -> cell
 

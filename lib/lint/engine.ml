@@ -15,7 +15,6 @@ type config = {
   exclude : string list;  (* path substrings to skip, e.g. fixture dirs *)
   r2_roots : string list;  (* units whose dep closure R2 applies to *)
   r7_seeds : string list;  (* module names whose referencers seed R7 *)
-  fork_allowed : string list;  (* units that may call Unix.fork (R7) *)
   cstub_pairs : (string * string * string) list;
       (* R8 stub pairs: C file, OCaml externals file, dune file — relative
          to the root *)
@@ -46,20 +45,11 @@ let default_config =
         "Serving";
         "Serve";
         "Loadgen";
-        (* the sharded orchestrator publishes cache entries and assembles
-           the committed tables, so its whole closure (library + CLI) is
-           result-producing; wall clocks there may only drive the lease
-           protocol or progress reporting, under reasoned allows *)
-        "Orchestration";
-        "Orchestrate";
       ];
     (* R7's closure is seeded by auto-detection: any scanned module that
        mentions one of these names spawns (or coordinates) domains, so
        everything reachable from it is shared-state territory. *)
-    r7_seeds = [ "Domain"; "Parallel"; "Coordinator"; "Thread" ];
-    (* the orchestrator's Coordinator forks workers behind a pre-domain
-       latch (Parallel.require_sequential); nobody else may fork *)
-    fork_allowed = [ "Coordinator" ];
+    r7_seeds = [ "Domain"; "Parallel"; "Thread" ];
     cstub_pairs =
       [
         ( "lib/tensor/pnn_kernels_stubs.c",
@@ -242,7 +232,6 @@ let run ?(config = default_config) ~root () =
           Rules.file = f;
           r2_applies = in_closure r2_closure f;
           r7_applies = in_closure r7_closure f;
-          fork_allowed = config.fork_allowed;
         }
       in
       all_findings := Rules.run ctx @ !all_findings;

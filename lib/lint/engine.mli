@@ -11,7 +11,6 @@ type config = {
   r2_roots : string list;  (** units whose dependency closure R2 covers *)
   r7_seeds : string list;
       (** module names whose referencers seed the R7 domain closure *)
-  fork_allowed : string list;  (** units that may call [Unix.fork] (R7) *)
   cstub_pairs : (string * string * string) list;
       (** R8 stub pairs — C file, OCaml externals file, dune file — given
           relative to the scan root *)
@@ -20,9 +19,8 @@ type config = {
 val default_config : config
 (** Scans [lib], [bin], [test]; excludes [lint_fixtures]; R2 roots
     are the cache-key and result-producing units (Cache, Serialize,
-    Checkpoint, Evaluation, Training, the experiment tables, serving and
-    orchestration); R7 seeds are Domain/Parallel/Coordinator/Thread with
-    only Coordinator allowed to fork; the registered stub pairs are
+    Checkpoint, Evaluation, Training, the experiment tables and serving);
+    R7 seeds are Domain/Parallel/Thread; the registered stub pairs are
     Kernels_c and Fmath with their C stubs. *)
 
 type report = {

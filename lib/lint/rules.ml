@@ -13,7 +13,6 @@ type ctx = {
   file : Source.file;
   r2_applies : bool;  (* file is in the dependency closure of the R2 roots *)
   r7_applies : bool;  (* file is in the dependency closure of domain users *)
-  fork_allowed : string list;  (* units that may call Unix.fork *)
 }
 
 (* {2 Helpers} *)
@@ -69,15 +68,10 @@ let check_ident ctx lid line =
          && not (String.ends_with ~suffix:"lib/tensor/fmath.ml" ctx.file.Source.path) ->
       f "R10"
         (String.concat "." p ^ " is libm's; use Fmath.tanh or Fmath.tanh_array")
-  | [ "Unix"; "fork" ]
-    when not (List.mem (Deps.unit_name ctx.file.Source.path) ctx.fork_allowed)
-    ->
+  | [ "Unix"; "fork" ] ->
       f "R7"
-        (Printf.sprintf
-           "Unix.fork outside the pre-domain latch (allowed unit(s): %s); \
-            forking a runtime that may have spawned domains duplicates \
-            locks in an undefined state"
-           (String.concat ", " ctx.fork_allowed))
+        "Unix.fork: forking a runtime that may have spawned domains \
+         duplicates locks in an undefined state"
   | _ -> (
       (* R4 candidates: any qualified unsafe_* access *)
       match (p, last p) with

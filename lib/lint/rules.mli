@@ -18,7 +18,8 @@
       [Buffer.create] at structure level, record types with [mutable]
       fields and no [Mutex.t] field) in the dependency closure of
       domain-spawning modules must be Atomic/Mutex-mediated or carry a
-      confinement proof; [Unix.fork] only in the allowed units.
+      confinement proof; every [Unix.fork] is a finding (a fork site is
+      waived with a reason, like any other).
     - R8 — C-stub pairs match their externals and the IEEE-strict float
       contract (checked by {!Cstub}, reported under this rule id).
     - R9 — no bare [int_of_string]/[float_of_string]/[bool_of_string] in
@@ -38,8 +39,6 @@ type ctx = {
       (** the file is in the dependency closure of the R2 roots *)
   r7_applies : bool;
       (** the file is in the dependency closure of domain-using modules *)
-  fork_allowed : string list;
-      (** compilation units that may call [Unix.fork] *)
 }
 
 val run : ctx -> finding list

@@ -186,11 +186,9 @@ let load path =
    same fixture tree many times; one parse per path per process keeps the
    whole-tree lint well under its latency budget.  Keyed by path only: the
    tool's lifetime is one scan of a static tree, so invalidation is not a
-   concern (clear_cache exists for long-lived embedders). *)
+   concern. *)
 
 let cache : (string, file) Hashtbl.t = Hashtbl.create 256
-
-let clear_cache () = Hashtbl.reset cache
 
 let load_cached path =
   match Hashtbl.find_opt cache path with

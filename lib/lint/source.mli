@@ -32,12 +32,5 @@ val load_cached : string -> file
     of a run (rules, reachability closures, stub pairing) and every engine
     run in a test harness shares one parse per file. *)
 
-val clear_cache : unit -> unit
-(** Drop the {!load_cached} memo table (for long-lived embedders that
-    rescan a changing tree). *)
-
-val scan_comments : string -> comment list
-(** Exposed for tests: extract every comment span from raw source text. *)
-
 val read_all : string -> string
 (** Read a whole file as bytes. *)

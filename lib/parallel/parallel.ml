@@ -34,8 +34,8 @@ module Pool = struct
         worker_loop pool
 
   (* OCaml 5's [Unix.fork] permanently refuses once any domain was ever
-     spawned in the process, so the fork-based orchestrator needs to know
-     whether the pool layer has ever spawned one (see [require_sequential]). *)
+     spawned in the process, so a process that forks needs to know whether
+     the pool layer has ever spawned one (see [require_sequential]). *)
   let ever_spawned = Atomic.make false
 
   let create ?jobs () =

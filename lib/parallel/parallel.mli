@@ -68,9 +68,9 @@ val require_sequential : unit -> bool
     is created with [jobs = 1] (spawning no domains), otherwise it is shut
     down (degrading it to sequential but leaving it usable).
 
-    This is the fork-safety latch for the multi-process orchestrator: OCaml 5
-    permanently refuses [Unix.fork] in any process that has {e ever} spawned
-    a domain, so a coordinator that intends to fork calls this before any
-    pool work.  Returns [true] iff the pool layer has never spawned a domain
+    This is the fork-safety latch: OCaml 5 permanently refuses [Unix.fork]
+    in any process that has {e ever} spawned a domain, so a process that
+    intends to fork (perfbench's serve workload forks its server) calls this
+    before any pool work.  Returns [true] iff the pool layer has never spawned a domain
     — i.e. the process is still fork-safe as far as this module knows.  By
     the pool's determinism contract, results are unaffected. *)

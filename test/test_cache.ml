@@ -319,25 +319,11 @@ let test_mkdir_p_race_tolerant () =
   Ca.mkdir_p dir;
   Alcotest.(check bool) "still a directory" true (Sys.is_directory deep)
 
-let test_publish_exclusive_single_winner () =
+let test_replace_file_overwrites () =
   let dir = fresh_dir () in
   Ca.mkdir_p dir;
-  let path = Filename.concat dir "claim" in
-  let wins = Atomic.make 0 in
-  let pool = P.create ~jobs:4 () in
-  Fun.protect
-    ~finally:(fun () -> P.shutdown pool)
-    (fun () ->
-      P.parallel_for pool ~n:16 (fun i ->
-          if Ca.publish_exclusive path (Printf.sprintf "owner %d\n" i) then
-            Atomic.incr wins));
-  Alcotest.(check int) "exactly one writer wins" 1 (Atomic.get wins);
-  Alcotest.(check bool) "loser content never published" true
-    (match read_file path with
-    | s -> String.length s > 6 && String.sub s 0 6 = "owner "
-    | exception Sys_error _ -> false);
-  Alcotest.(check (list string)) "losers' temps cleaned up" []
-    (tmp_litter dir);
+  let path = Filename.concat dir "artifact" in
+  Ca.replace_file path "first\n";
   (* replace_file overwrites unconditionally and atomically *)
   Ca.replace_file path "renewed\n";
   Alcotest.(check string) "replace_file overwrites" "renewed\n"
@@ -381,7 +367,7 @@ let () =
       ( "primitives",
         [
           Alcotest.test_case "mkdir_p race" `Quick test_mkdir_p_race_tolerant;
-          Alcotest.test_case "publish_exclusive single winner" `Quick
-            test_publish_exclusive_single_winner;
+          Alcotest.test_case "replace_file overwrites" `Quick
+            test_replace_file_overwrites;
         ] );
     ]

@@ -194,6 +194,84 @@ let test_mismatched_config_fresh_start () =
   check_same "stale checkpoint ignored" (Lazy.force baseline) (fingerprint res);
   Sys.remove path
 
+(* {1 Cells: the checkpoint wiring of Experiments.Seeds.cell}
+
+   A cell keeps its checkpoint at the store's ["ckpt"] member path of its
+   key, and only when it has both a cadence and an enabled store. *)
+
+let with_store f =
+  let dir = Filename.temp_dir "pnn_cell_ckpt" "" in
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) (fun () ->
+      f (Cache.create ~dir))
+
+let cell_key = Cache.key ~schema:"test" ~kind:"t2cell" [ "checkpoint cell" ]
+
+(* [fit] sees the checkpoint the cell hands it, optionally with a crash
+   injected, and trains on [pool]. *)
+let cell ?pool ?checkpoint_every ?interrupt_after ?(seen = ref []) cache =
+  Experiments.Seeds.cell ~cache ?checkpoint_every ~kind:"t2cell" ~key:cell_key
+    (Lazy.force surrogate) (fun checkpoint ->
+      seen := checkpoint :: !seen;
+      let checkpoint =
+        Option.map (fun c -> { c with Pnn.Training.interrupt_after }) checkpoint
+      in
+      Pnn.Training.train_fresh ?pool ?checkpoint (Rng.create 4) config
+        (Lazy.force surrogate) ~n_classes:2 (blob_split ()))
+
+let test_cell_checkpoint_wiring () =
+  let seen = ref [] in
+  let no_checkpoint what cache ?checkpoint_every () =
+    seen := [];
+    check_same what (Lazy.force baseline)
+      (fingerprint (cell ?checkpoint_every ~seen cache));
+    Alcotest.(check bool) (what ^ ": fit gets no checkpoint") true (!seen = [ None ])
+  in
+  no_checkpoint "disabled store with a cadence" (Cache.disabled ()) ~checkpoint_every:3 ();
+  with_store (fun cache -> no_checkpoint "enabled store without a cadence" cache ());
+  with_store (fun cache ->
+      seen := [];
+      check_same "checkpointed cell" (Lazy.force baseline)
+        (fingerprint (cell ~checkpoint_every:3 ~seen cache));
+      let path = Cache.member_path cache ~kind:"ckpt" ~key:cell_key in
+      (match !seen with
+      | [ Some c ] ->
+          Alcotest.(check (option string)) "at the ckpt member path" path
+            (Some c.Pnn.Training.ckpt_path);
+          Alcotest.(check int) "at the given cadence" 3 c.Pnn.Training.every;
+          Alcotest.(check bool) "with no crash hook" true (c.Pnn.Training.interrupt_after = None)
+      | _ -> Alcotest.fail "fit must run once, with a checkpoint");
+      Alcotest.(check bool) "no checkpoint left once the result lands" false
+        (Sys.file_exists (Option.get path)))
+
+let test_cell_hit_skips_fit () =
+  with_store (fun cache ->
+      let computed = fingerprint (cell ~checkpoint_every:3 cache) in
+      let seen = ref [] in
+      let hit = fingerprint (cell ~checkpoint_every:3 ~seen cache) in
+      Alcotest.(check int) "a stored cell never calls fit" 0 (List.length !seen);
+      check_same "hit vs compute" computed hit;
+      check_same "hit vs uninterrupted" (Lazy.force baseline) hit)
+
+(* The run that crashed and the run that resumes fan the Monte-Carlo loss
+   over pools of different widths. *)
+let test_cell_resumes_at_another_width () =
+  let pool1 = Parallel.Pool.create ~jobs:1 () in
+  let pool4 = Parallel.Pool.create ~jobs:4 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool1; Parallel.Pool.shutdown pool4)
+    (fun () ->
+      with_store (fun cache ->
+          (match cell ~pool:pool4 ~checkpoint_every:4 ~interrupt_after:11 cache with
+          | exception Pnn.Training.Interrupted -> ()
+          | _ -> Alcotest.fail "interrupt_after must raise");
+          let path = Option.get (Cache.member_path cache ~kind:"ckpt" ~key:cell_key) in
+          Alcotest.(check bool) "checkpoint written before the crash" true
+            (Sys.file_exists path);
+          check_same "resumed at width 1 vs uninterrupted" (Lazy.force baseline)
+            (fingerprint (cell ~pool:pool1 ~checkpoint_every:4 cache));
+          Alcotest.(check bool) "checkpoint deleted once the result lands" false
+            (Sys.file_exists path)))
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -213,5 +291,12 @@ let () =
             test_corrupt_checkpoint_fresh_start;
           Alcotest.test_case "mismatched config" `Quick
             test_mismatched_config_fresh_start;
+        ] );
+      ( "cell",
+        [
+          Alcotest.test_case "checkpoint wiring" `Quick test_cell_checkpoint_wiring;
+          Alcotest.test_case "hit skips fit" `Quick test_cell_hit_skips_fit;
+          Alcotest.test_case "resume at another width" `Quick
+            test_cell_resumes_at_another_width;
         ] );
     ]

@@ -339,20 +339,6 @@ let in_build_root f =
 (* the committed quick surrogate's content digest (pinned in test_lines) *)
 let quick_surrogate_digest = "1a904f4164ce9887d42b56a75f40e467"
 
-let test_cell_key_pins () =
-  let surrogate = in_build_root (fun () -> E.Setup.surrogate_of_scale E.Setup.quick) in
-  Alcotest.(check string) "quick surrogate" quick_surrogate_digest
-    (E.Setup.surrogate_digest surrogate);
-  let cache = Cache.disabled () in
-  let key label jobs = (List.find (fun j -> j.E.Seeds.label = label) jobs).E.Seeds.key in
-  Alcotest.(check string) "t2cell" "16cb1b15a984f8fe04332751c02d824d"
-    (key "t2cell iris seed=1 learnable/va eps=0.05"
-       (E.Table2.jobs ~cache ~datasets:[ Datasets.Bench13.load "iris" ] E.Setup.quick
-          surrogate));
-  Alcotest.(check string) "faultcell" "4fb32f33213448e28d5665dd94479a17"
-    (key "faultcell seeds uniform seed=2 eps=0.1"
-       (E.Faults.jobs ~cache ~dataset:"seeds" ~epsilon:0.1 E.Setup.quick surrogate))
-
 (* Runs [f] against a fresh store and returns its result with every entry
    the run wrote, as ["kind key"] lines in store order. *)
 let with_store f =
@@ -367,6 +353,64 @@ let check_keys what ~count ~digest ~has keys =
     (fun k -> Alcotest.(check bool) (what ^ ": has " ^ k) true (List.mem k keys))
     has;
   Alcotest.(check string) (what ^ ": every key") digest (Cache.digest_lines keys)
+
+(* The quick scale's cells, read from the store of a real quick run: the
+   iris Table II writes the learnable/va@5 % cell of seed 1, and the fault
+   sweep the uniform-arm cell of seed 2 at ε 0.1. *)
+let test_cell_key_pins () =
+  let surrogate = in_build_root (fun () -> E.Setup.surrogate_of_scale E.Setup.quick) in
+  Alcotest.(check string) "quick surrogate" quick_surrogate_digest
+    (E.Setup.surrogate_digest surrogate);
+  let _, keys =
+    with_store (fun cache ->
+        E.Table2.run ~cache ~datasets:[ Datasets.Bench13.load "iris" ] E.Setup.quick
+          surrogate)
+  in
+  check_keys "quick table2" ~count:20 ~digest:"deb729c26fb555afe8c6a9e95988a0b2"
+    ~has:[ "t2cell 16cb1b15a984f8fe04332751c02d824d" ] keys;
+  let _, keys = with_store (fun cache -> E.Faults.run ~cache E.Setup.quick surrogate) in
+  check_keys "quick faults" ~count:80 ~digest:"adffa12c402029e7e83512ba45eef77d"
+    ~has:[ "faultcell 4fb32f33213448e28d5665dd94479a17" ] keys
+
+(* A cell interrupted mid-training keeps its checkpoint at the cache's
+   ["ckpt"] member path; the rerun resumes from it, publishes the entry a
+   never-interrupted run publishes, and deletes the checkpoint.  The crash
+   is injected through the checkpoint record the cell hands its fit. *)
+let test_interrupted_cell_resumes () =
+  let surrogate = Lazy.force surrogate in
+  let split = Datasets.Synth.split (Rng.create 78) mini_dataset in
+  let config = Pnn.Config.with_epsilon mini_scale.E.Setup.config 0.05 in
+  let key = Cache.key ~schema:"test" ~kind:"t2cell" [ "interrupted cell" ] in
+  let cell ?interrupt_after cache =
+    E.Seeds.cell ~cache ~checkpoint_every:5 ~kind:"t2cell" ~key surrogate
+      (fun checkpoint ->
+        let checkpoint =
+          Option.map (fun c -> { c with Pnn.Training.interrupt_after }) checkpoint
+        in
+        Pnn.Training.train_fresh ~init:`Centered ?checkpoint (Rng.create 5) config
+          surrogate ~n_classes:2 split)
+  in
+  let published cache =
+    ignore (cell cache);
+    Cache.find cache ~kind:"t2cell" ~key
+  in
+  let clean, _ = with_store published in
+  let (recovered, ckpt_left), _ =
+    with_store (fun cache ->
+        (match cell ~interrupt_after:8 cache with
+        | exception Pnn.Training.Interrupted -> ()
+        | _ -> Alcotest.fail "interrupt_after must raise");
+        let ckpt = Option.get (Cache.member_path cache ~kind:"ckpt" ~key) in
+        Alcotest.(check bool) "checkpoint written before the crash" true
+          (Sys.file_exists ckpt);
+        Alcotest.(check bool) "nothing published before the crash" true
+          (Cache.find cache ~kind:"t2cell" ~key = None);
+        let recovered = published cache in
+        (recovered, Sys.file_exists ckpt))
+  in
+  Alcotest.(check bool) "recovered cell published" true (recovered <> None);
+  Alcotest.(check bool) "checkpoint deleted once the result lands" false ckpt_left;
+  Alcotest.(check bool) "resumed bit-identical to uninterrupted" true (recovered = clean)
 
 let test_table2_key_pins () =
   let _, keys =
@@ -386,6 +430,24 @@ let test_faults_key_pins () =
   check_keys "faults" ~count:80 ~digest:"0caf0e0c3725ba87b09767e10e7d82f6"
     ~has:[ "faultcell 49295001dc366c1a602919456c652155"; "mceval 0125633655dce771892bc1edf8e411ec" ]
     keys
+
+(* An ill-formed fault anchor is refused before any training starts or any
+   entry is written. *)
+let test_faults_nan_anchor_refused () =
+  let started = ref [] in
+  let raised, keys =
+    with_store (fun cache ->
+        match
+          E.Faults.run ~cache
+            ~progress:(fun m -> started := m :: !started)
+            ~epsilon:Float.nan faults_scale (Lazy.force surrogate)
+        with
+        | exception Invalid_argument _ -> true
+        | _ -> false)
+  in
+  Alcotest.(check bool) "Invalid_argument" true raised;
+  Alcotest.(check (list string)) "no arm started" [] !started;
+  Alcotest.(check (list string)) "nothing stored" [] keys
 
 let test_ablation_key_pins () =
   let text, keys =
@@ -489,5 +551,9 @@ let () =
           Alcotest.test_case "init ablation keys" `Quick test_ablation_key_pins;
           Alcotest.test_case "temperature ablation" `Quick test_temperature_ablation_pin;
           Alcotest.test_case "depth ablation" `Quick test_depth_ablation_pin;
+          Alcotest.test_case "NaN fault anchor refused" `Quick
+            test_faults_nan_anchor_refused;
+          Alcotest.test_case "interrupted cell resumes" `Quick
+            test_interrupted_cell_resumes;
         ] );
     ]

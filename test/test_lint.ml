@@ -9,14 +9,12 @@ let fixture_config =
   {
     E.scan_dirs = [ "lint_fixtures" ];
     exclude = [];
-    (* three root families, like the live config: the experiment stack,
-       the serving stack and the orchestration stack *)
-    r2_roots =
-      [ "Fixture_r2_root"; "Fixture_r2_serve"; "Fixture_r2_orchestrate" ];
+    (* two root families, like the live config: the experiment stack and
+       the serving stack *)
+    r2_roots = [ "Fixture_r2_root"; "Fixture_r2_serve" ];
     (* R7 seeds are the live defaults: fixture_r7 mentions Domain, so it is
        picked up by auto-detection like real spawning code *)
-    r7_seeds = [ "Domain"; "Parallel"; "Coordinator"; "Thread" ];
-    fork_allowed = [ "Coordinator" ];
+    r7_seeds = [ "Domain"; "Parallel"; "Thread" ];
     cstub_pairs =
       [
         ( "lint_fixtures/cstub/fixture_stubs.c",
@@ -43,7 +41,6 @@ let test_golden_diagnostics () =
       "R2 lint_fixtures/fixture_r2.ml:2";
       "R2 lint_fixtures/fixture_r2.ml:3";
       "R2 lint_fixtures/fixture_r2_serve.ml:4";
-      "R2 lint_fixtures/fixture_r2_orchestrate.ml:4";
       "R3 lint_fixtures/fixture_r3.ml:2";
       "R3 lint_fixtures/fixture_r3.ml:3";
       "R4 lint_fixtures/fixture_r4.ml:2";
@@ -62,7 +59,7 @@ let test_golden_diagnostics () =
       "R5 lint_fixtures/fixture_r5.ml:3";
       "S1 lint_fixtures/fixture_s1.ml:2";
       "R5 lint_fixtures/fixture_s1.ml:3";
-      (* R7: fork outside the latch + module-level mutable state in the
+      (* R7: an unwaived fork + module-level mutable state in the
          closure of the Domain-mentioning fixture *)
       "R7 lint_fixtures/fixture_r7.ml:5";
       "R7 lint_fixtures/fixture_r7_state.ml:3";
@@ -104,14 +101,13 @@ let test_golden_diagnostics () =
 
 let test_suppressions_absorb () =
   let report = run_fixtures () in
-  Alcotest.(check int) "twenty-one files scanned" 21 report.E.files_scanned;
+  Alcotest.(check int) "twenty files scanned" 20 report.E.files_scanned;
   Alcotest.(check (list string))
     "each valid allow absorbs the finding at its site"
     (List.sort String.compare
        [
          "R1 lint_fixtures/fixture_r1.ml:5";
          "R2 lint_fixtures/fixture_r2.ml:6";
-         "R2 lint_fixtures/fixture_r2_orchestrate.ml:8";
          "R2 lint_fixtures/fixture_r2_serve.ml:8";
          "R3 lint_fixtures/fixture_r3.ml:6";
          "R4 lint_fixtures/fixture_r4.ml:9";
@@ -190,8 +186,8 @@ let test_render_shapes () =
   let lines = String.split_on_char '\n' (E.render_report report) in
   Alcotest.(check (list string))
     "one line per finding, then the summary"
-    [ "pnnlint: 21 file(s), 40 finding(s), 15 suppressed"; "" ]
-    (List.filteri (fun i _ -> i >= 40) lines);
+    [ "pnnlint: 20 file(s), 39 finding(s), 14 suppressed"; "" ]
+    (List.filteri (fun i _ -> i >= 39) lines);
   Alcotest.(check string) "a finding line"
     "lint_fixtures/cstub/fixture_badflags.c:10: [R8]"
     (String.sub (List.hd lines) 0 47)

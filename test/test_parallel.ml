@@ -295,6 +295,90 @@ let test_lifetime_digest () =
   Alcotest.(check string) "aging-aware curve" "da0d53f64a5ba3d539cad540b60dc7f7"
     (hex_digest (curve t.Experiments.Lifetime.aware_curve))
 
+let table2_floats (t : Experiments.Table2.t) =
+  let cells l =
+    List.concat_map (fun (_, (c : Experiments.Table2.cell)) -> [ c.mean; c.std ]) l
+  in
+  List.concat_map (fun r -> cells r.Experiments.Table2.cells) t.Experiments.Table2.rows
+  @ cells t.Experiments.Table2.average
+
+(* Through the shared pool, so the determinism alias checks the same table
+   at every REPRO_JOBS width. *)
+let test_table2_digest () =
+  let t =
+    Experiments.Table2.run ~datasets:[ Lazy.force blob_data ] tiny_scale
+      (Lazy.force surrogate)
+  in
+  Alcotest.(check string) "every cell and column average" "40116122e111fc4567838ae7b44ad6fb"
+    (hex_digest (table2_floats t))
+
+(* {1 Resuming a crashed run}
+
+   A run that dies part-way leaves the cells it finished in the store; the
+   rerun on that store, at another pool width, trains only what is missing
+   and reports bit for bit what a run that never crashed reports. *)
+
+exception Crash
+
+let with_store f =
+  let dir = Filename.temp_dir "pnn_par_resume" "" in
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) (fun () ->
+      let keys () =
+        List.map (fun e -> e.Cache.kind ^ " " ^ e.Cache.key) (Cache.entries ~dir ())
+      in
+      f (Cache.create ~dir) keys)
+
+(* [progress] raising on its [n]th call stands in for the crash. *)
+let crash_at n =
+  let calls = ref 0 in
+  fun _ ->
+    incr calls;
+    if !calls = n then raise Crash
+
+let check_resume ~floats ~run =
+  let clean = floats (run ~pool:(Lazy.force pool1) ~cache:(Cache.disabled ()) ~progress:ignore) in
+  with_store (fun cache keys ->
+      (match run ~pool:(Lazy.force pool4) ~cache ~progress:(crash_at 3) with
+      | exception Crash -> ()
+      | _ -> Alcotest.fail "the crash must escape the run");
+      let partial = keys () in
+      Alcotest.(check bool) "the crashed run stored its finished cells" true
+        (partial <> []);
+      let resumed = floats (run ~pool:(Lazy.force pool1) ~cache ~progress:ignore) in
+      let all = keys () in
+      Alcotest.(check bool) "the rerun kept every stored entry" true
+        (List.for_all (fun k -> List.mem k all) partial);
+      Alcotest.(check bool) "the rerun stored the missing cells" true
+        (List.length all > List.length partial);
+      Alcotest.(check (list string))
+        "resumed bit-identical to a run that never crashed"
+        (List.map (Printf.sprintf "%h") clean)
+        (List.map (Printf.sprintf "%h") resumed);
+      ignore (run ~pool:(Lazy.force pool4) ~cache ~progress:ignore);
+      Alcotest.(check (list string)) "a finished store is all hits" all (keys ()))
+
+let test_table2_resume () =
+  check_resume ~floats:table2_floats ~run:(fun ~pool ~cache ~progress ->
+      Experiments.Table2.run ~pool ~cache ~checkpoints:true ~progress
+        ~datasets:[ Lazy.force blob_data ] tiny_scale (Lazy.force surrogate))
+
+let test_faults_resume () =
+  check_resume ~floats:faults_floats ~run:(fun ~pool ~cache ~progress ->
+      Experiments.Faults.run ~pool ~cache ~checkpoints:true ~progress tiny_scale
+        (Lazy.force surrogate))
+
+(* {1 Fork latch}
+
+   Runs last: [require_sequential] shuts the shared pool down. *)
+
+let test_fork_latch_after_spawn () =
+  let a = Array.init 100 (fun i -> i) in
+  ignore (P.map_array (Lazy.force pool4) succ a);
+  Alcotest.(check bool) "a process that spawned a domain may not fork" false
+    (Parallel.require_sequential ());
+  Alcotest.(check (array int)) "the pinned shared pool still maps" (Array.map succ a)
+    (P.map_array (Parallel.get_pool ()) succ a)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -322,5 +406,15 @@ let () =
           Alcotest.test_case "faults digest" `Quick test_faults_digest;
           Alcotest.test_case "faults bit-identical" `Quick test_faults_bit_identical;
           Alcotest.test_case "lifetime digest" `Quick test_lifetime_digest;
+          Alcotest.test_case "table2 digest" `Quick test_table2_digest;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "table2 after a crash" `Quick test_table2_resume;
+          Alcotest.test_case "faults after a crash" `Quick test_faults_resume;
+        ] );
+      ( "fork latch",
+        [
+          Alcotest.test_case "refused after a spawn" `Quick test_fork_latch_after_spawn;
         ] );
     ]
