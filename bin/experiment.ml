@@ -33,13 +33,13 @@ let run_table2 scale_name datasets_opt csv ~cache ~resume =
   let scale = Experiments.Setup.of_name scale_name in
   let surrogate = Experiments.Setup.surrogate_of_scale ~cache scale in
   let datasets = load_datasets datasets_opt in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let table =
     Experiments.Table2.run ~cache ~checkpoints:resume ~progress ~datasets scale
       surrogate
   in
   Printf.printf "%s" (Experiments.Table2.render table);
-  Printf.printf "(%.1fs)\n" (Unix.gettimeofday () -. t0);
+  Printf.printf "(%.1fs)\n" (Clock.now () -. t0);
   (match csv with
   | Some path ->
       let header, rows = Experiments.Table2.to_csv_rows table in
@@ -102,40 +102,37 @@ let cmd_fig4 seed verbose =
 
 let cmd_table1 () = print_string (Experiments.Figures.render_table1 ())
 
+let ablations =
+  [
+    ("sampler", fun ~cache:_ -> Experiments.Ablations.sampler_ablation ());
+    ("architecture", fun ~cache:_ -> Experiments.Ablations.architecture_ablation ());
+    ("init", fun ~cache -> Experiments.Ablations.initialization_ablation ~cache ());
+    ("temperature", fun ~cache:_ -> Experiments.Ablations.temperature_ablation ());
+    ("depth", fun ~cache:_ -> Experiments.Ablations.depth_ablation ());
+  ]
+
 let cmd_ablations which verbose cache_dir no_cache =
   setup_logs verbose;
   let cache = setup_cache ~cache_dir ~no_cache in
-  let all =
-    [
-      ("sampler", fun () -> Experiments.Ablations.sampler_ablation ());
-      ("architecture", fun () -> Experiments.Ablations.architecture_ablation ());
-      ("init", fun () -> Experiments.Ablations.initialization_ablation ~cache ());
-      ("temperature", fun () -> Experiments.Ablations.temperature_ablation ());
-      ("depth", fun () -> Experiments.Ablations.depth_ablation ());
-    ]
-  in
-  let selected =
-    match which with
-    | None -> all
-    | Some names ->
-        let wanted = String.split_on_char ',' names in
-        List.filter (fun (n, _) -> List.mem n wanted) all
-  in
   List.iter
-    (fun (_, run) ->
-      print_string (run ());
-      print_newline ())
-    selected;
+    (fun (name, run) ->
+      if List.mem name which then (
+        print_string (run ~cache);
+        print_newline ()))
+    ablations;
   report_schema ();
   report_cache cache
 
 let scale_arg =
-  Arg.(value & opt string "quick" & info [ "scale" ] ~doc:"quick | committed | paper")
+  Arg.(
+    value
+    & opt (Name_flag.one ~what:"scale" Experiments.Setup.names) "quick"
+    & info [ "scale" ] ~doc:(String.concat " | " Experiments.Setup.names))
 
 let datasets_arg =
   Arg.(
     value
-    & opt (some Dataset_flag.names) None
+    & opt (some Name_flag.datasets) None
     & info [ "datasets" ] ~doc:"comma-separated dataset names (default: all 13)")
 
 let csv_arg = Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"write CSV here")
@@ -196,7 +193,7 @@ let cmd_lifetime scale_name dataset verbose =
 
 let dataset_arg =
   Arg.(
-    value & opt (some Dataset_flag.name) None & info [ "dataset" ] ~doc:"benchmark dataset name")
+    value & opt (some Name_flag.dataset) None & info [ "dataset" ] ~doc:"benchmark dataset name")
 
 let lifetime_cmd =
   Cmd.v
@@ -210,13 +207,13 @@ let cmd_faults scale_name dataset epsilon csv verbose cache_dir no_cache
   let scale = Experiments.Setup.of_name scale_name in
   let surrogate = Experiments.Setup.surrogate_of_scale ~cache scale in
   let progress msg = Printf.eprintf "[faults] %s\n%!" msg in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let result =
     Experiments.Faults.run ~cache ~checkpoints:resume ~progress ?dataset
       ~epsilon scale surrogate
   in
   print_string (Experiments.Faults.render result);
-  Printf.printf "(%.1fs)\n" (Unix.gettimeofday () -. t0);
+  Printf.printf "(%.1fs)\n" (Clock.now () -. t0);
   (match csv with
   | Some path ->
       let header, rows = Experiments.Faults.to_csv_rows result in
@@ -240,10 +237,12 @@ let faults_cmd =
       $ csv_arg $ verbose_arg $ cache_dir_arg $ no_cache_arg $ resume_arg)
 
 let which_arg =
+  let names = List.map fst ablations in
   Arg.(
     value
-    & opt (some string) None
-    & info [ "only" ] ~doc:"comma-separated subset: sampler,architecture,init,temperature,depth")
+    & opt (Name_flag.list ~what:"ablation" names) names
+    & info [ "only" ]
+        ~doc:("comma-separated subset of " ^ String.concat "," names ^ ", or all"))
 
 let ablations_cmd =
   Cmd.v

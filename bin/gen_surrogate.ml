@@ -17,9 +17,9 @@ let run n seed max_epochs arch_small force dir =
   let arch_tag = String.concat "-" (List.map string_of_int arch) in
   let path = Printf.sprintf "%s/surrogate_n%d_%s_seed%d.txt" dir n arch_tag seed in
   if force && Sys.file_exists path then Sys.remove path;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let dataset = Surrogate.Pipeline.generate_dataset ~n () in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Clock.now () in
   Printf.printf "dataset: kept %d / %d samples (%d rejected) in %.1fs\n%!"
     (Array.length dataset.Surrogate.Pipeline.omegas)
     n dataset.Surrogate.Pipeline.rejected (t1 -. t0);
@@ -27,7 +27,7 @@ let run n seed max_epochs arch_small force dir =
     (Stats.mean dataset.Surrogate.Pipeline.fit_rmses);
   let rng = Rng.create seed in
   let model, report = Surrogate.Pipeline.train_surrogate ~arch ~max_epochs rng dataset in
-  let t2 = Unix.gettimeofday () in
+  let t2 = Clock.now () in
   Printf.printf
     "surrogate (%s): train MSE %.5f R2 %.4f | val MSE %.5f R2 %.4f | test MSE %.5f R2 %.4f\n"
     arch_tag report.Surrogate.Pipeline.train_mse report.Surrogate.Pipeline.train_r2

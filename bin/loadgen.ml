@@ -26,10 +26,6 @@
 open Cmdliner
 module P = Serving.Protocol
 
-(* pnnlint:allow R2 latency measurement only: loadgen timestamps requests to
-   report p50/p99 — the timings are printed, never fed into any result *)
-let now () = Unix.gettimeofday ()
-
 (* {1 Latency bookkeeping} *)
 
 let quantile_sorted sorted q =
@@ -157,7 +153,7 @@ let run_load addr w =
   let latencies = Array.make w.total 0.0 in
   let completed = ref 0 in
   let next_idx = ref 0 in
-  let t_start = now () in
+  let t_start = Clock.now () in
   (* Predict frames for a given feature vector differ only in the 4-byte id
      at offset 6 (len u32 | ver u8 | kind u8 | id u32 | ...), so cache one
      encoded frame per distinct vector and patch the id in place — the hot
@@ -181,7 +177,7 @@ let run_load addr w =
     let frames = Buffer.create 1024 in
     let issued = ref 0 in
     (* all requests of one send_many leave in the same write: stamp once *)
-    let sent_at = if w.rate = None then now () else 0.0 in
+    let sent_at = if w.rate = None then Clock.now () else 0.0 in
     while !issued < k && !next_idx < w.total do
       let idx = !next_idx in
       incr next_idx;
@@ -209,7 +205,7 @@ let run_load addr w =
     | Some stamp ->
         conn.inflight <- List.filter (fun (i, _) -> i <> id) conn.inflight;
         if !completed < w.total then begin
-          latencies.(!completed) <- now () -. stamp;
+          latencies.(!completed) <- Clock.now () -. stamp;
           incr completed
         end
   in
@@ -260,7 +256,7 @@ let run_load addr w =
     (match w.rate with
     | Some r ->
         (* release every request whose scheduled time has passed *)
-        let due = int_of_float ((now () -. t_start) *. r) in
+        let due = int_of_float ((Clock.now () -. t_start) *. r) in
         let cap = min (due + 1) w.total in
         while !next_idx < cap do
           let conn = conns.(!next_idx mod w.clients) in
@@ -274,13 +270,13 @@ let run_load addr w =
           if !next_idx >= w.total then 0.05
           else
             let next_due = t_start +. (float_of_int !next_idx /. r) in
-            Float.max 0.0 (Float.min 0.05 (next_due -. now ()))
+            Float.max 0.0 (Float.min 0.05 (next_due -. Clock.now ()))
     in
     match Unix.select fds [] [] timeout with
     | readable, _, _ -> List.iter (fun fd -> drain_conn (conn_of_fd fd)) readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
-  let elapsed_s = now () -. t_start in
+  let elapsed_s = Clock.now () -. t_start in
   let stats =
     let fd = conns.(0).fd in
     send_all fd (P.encode_request (P.Stats { id = 0l }));

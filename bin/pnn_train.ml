@@ -33,12 +33,12 @@ let run dataset_name epsilon learnable seed epochs patience n_mc n_test verbose 
     spec.Datasets.Synth.name spec.Datasets.Synth.features spec.Datasets.Synth.classes
     (Array.length dataset.Datasets.Synth.y)
     (Datasets.Synth.majority_fraction dataset);
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let result =
     Pnn.Training.train_fresh rng config surrogate
       ~n_classes:spec.Datasets.Synth.classes split
   in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Clock.now () in
   let net = result.Pnn.Training.network in
   let history = result.Pnn.Training.history in
   Printf.printf "trained %d epochs in %.1fs; best val loss %.4f @ epoch %d\n"
@@ -71,7 +71,7 @@ let run dataset_name epsilon learnable seed epochs patience n_mc n_test verbose 
     (Pnn.Network.layers net)
 
 let dataset_arg =
-  Arg.(value & opt Dataset_flag.name "iris" & info [ "dataset" ] ~doc:"benchmark dataset name")
+  Arg.(value & opt Name_flag.dataset "iris" & info [ "dataset" ] ~doc:"benchmark dataset name")
 
 let epsilon_arg =
   Arg.(

@@ -76,12 +76,15 @@ let fragile =
     surrogate_epochs = 3000;
   }
 
-let of_name = function
-  | "quick" -> quick
-  | "committed" -> committed
-  | "paper" -> paper
-  | "fragile" -> fragile
-  | s -> invalid_arg ("Setup.of_name: unknown scale " ^ s)
+let scales =
+  [ ("quick", quick); ("committed", committed); ("paper", paper); ("fragile", fragile) ]
+
+let names = List.map fst scales
+
+let of_name s =
+  match List.assoc_opt s scales with
+  | Some scale -> scale
+  | None -> invalid_arg ("Setup.of_name: unknown scale " ^ s)
 
 let surrogate_of_scale ?cache scale =
   Surrogate.Pipeline.ensure ?cache ~n:scale.surrogate_samples

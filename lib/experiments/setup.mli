@@ -38,9 +38,13 @@ val fragile : scale
     frequently under-trains — the regime in which the paper's relative
     improvements are largest (see EXPERIMENTS.md discussion). *)
 
+val names : string list
+(** ["quick"; "committed"; "paper"; "fragile"]: the names {!of_name}
+    accepts. *)
+
 val of_name : string -> scale
-(** ["quick" | "committed" | "paper" | "fragile"]. Raises
-    [Invalid_argument]. *)
+(** The scale of one of {!names}.  Raises [Invalid_argument] on any other
+    name. *)
 
 val surrogate_of_scale : ?cache:Cache.t -> scale -> Surrogate.Model.t
 (** {!Surrogate.Pipeline.ensure} for the scale; [cache] (default: disabled)

@@ -754,8 +754,7 @@ let analyze ~c_path ~c_file ~(ml : Source.file) ~dune_path ~dune_file () =
                   if depth <= 1 then tl else scan_attr (depth - 1) tl
               | { t; _ } :: tl ->
                   if
-                    Deps.find_substring t "optimize" <> None
-                    || Deps.find_substring t "fast" <> None
+                    Source.contains t "optimize" || Source.contains t "fast"
                   then
                     add c_path line
                       (Printf.sprintf
@@ -810,7 +809,7 @@ let analyze ~c_path ~c_file ~(ml : Source.file) ~dune_path ~dune_file () =
         | Some dt ->
             let missing =
               List.filter
-                (fun flag -> Deps.find_substring dt flag = None)
+                (fun flag -> not (Source.contains dt flag))
                 [ "-fno-fast-math"; "-ffp-contract=off" ]
             in
             List.iter

@@ -13,8 +13,6 @@
 type config = {
   scan_dirs : string list;  (* relative to the root *)
   exclude : string list;  (* path substrings to skip, e.g. fixture dirs *)
-  r2_roots : string list;  (* units whose dep closure R2 applies to *)
-  r7_seeds : string list;  (* module names whose referencers seed R7 *)
   cstub_pairs : (string * string * string) list;
       (* R8 stub pairs: C file, OCaml externals file, dune file — relative
          to the root *)
@@ -24,32 +22,6 @@ let default_config =
   {
     scan_dirs = [ "lib"; "bin"; "test" ];
     exclude = [ "lint_fixtures" ];
-    (* cache keys: Cache, Serialize, Checkpoint; results: the experiment and
-       evaluation stack.  The serving path is result-producing too — a
-       response payload is a result, and BENCH_5.json is committed — so the
-       Serving library and its CLIs are roots as well.  Everything those
-       units can reach inherits R2. *)
-    r2_roots =
-      [
-        "Cache";
-        "Serialize";
-        "Checkpoint";
-        "Evaluation";
-        "Training";
-        "Table2";
-        "Table3";
-        "Ablations";
-        "Faults";
-        "Lifetime";
-        "Report";
-        "Serving";
-        "Serve";
-        "Loadgen";
-      ];
-    (* R7's closure is seeded by auto-detection: any scanned module that
-       mentions one of these names spawns (or coordinates) domains, so
-       everything reachable from it is shared-state territory. *)
-    r7_seeds = [ "Domain"; "Parallel"; "Thread" ];
     cstub_pairs =
       [
         ( "lib/tensor/pnn_kernels_stubs.c",
@@ -96,7 +68,7 @@ let rec walk dir acc =
         acc entries
 
 let excluded config path =
-  List.exists (fun s -> Deps.find_substring path s <> None) config.exclude
+  List.exists (Source.contains path) config.exclude
 
 let source_files config root =
   let dirs = List.map (Filename.concat root) config.scan_dirs in
@@ -105,13 +77,6 @@ let source_files config root =
   |> List.filter (fun p ->
          (Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli")
          && not (excluded config p))
-  |> List.sort String.compare
-
-let dune_files config root =
-  let dirs = List.map (Filename.concat root) config.scan_dirs in
-  let all = List.concat_map (fun d -> walk d []) dirs in
-  all
-  |> List.filter (fun p -> Filename.basename p = "dune")
   |> List.sort String.compare
 
 (* {2 Suppressions} *)
@@ -171,31 +136,8 @@ let normalize path =
 let run ?(config = default_config) ~root () =
   let files =
     List.map
-      (fun p -> { (Source.load_cached p) with Source.path = normalize p })
+      (fun p -> { (Source.load p) with Source.path = normalize p })
       (source_files config root)
-  in
-  let libs = List.filter_map Deps.scan_dune_file (dune_files config root) in
-  let libs =
-    List.map (fun (l : Deps.lib) -> { l with Deps.dir = normalize l.Deps.dir }) libs
-  in
-  let graph = Deps.build_graph ~libs files in
-  let r2_closure = Deps.closure graph ~roots:config.r2_roots in
-  let r7_closure =
-    (* roots: every scanned unit that mentions a seed name, plus the seeds
-       themselves (so the Parallel/Coordinator libraries are covered even
-       when nothing in the scan set references them) *)
-    Deps.closure graph
-      ~roots:
-        (Deps.referencing_units graph ~names:config.r7_seeds
-        @ config.r7_seeds)
-  in
-  let module SS = Set.Make (String) in
-  let in_closure closure (f : Source.file) =
-    match f.Source.kind with
-    | Source.Ml -> SS.mem f.Source.path closure
-    | Source.Mli ->
-        (* an interface shares its implementation's obligations *)
-        SS.mem (Filename.remove_extension f.Source.path ^ ".ml") closure
   in
   let all_findings = ref [] in
   let all_sups = ref [] in
@@ -227,14 +169,7 @@ let run ?(config = default_config) ~root () =
             { Rules.rule = "P0"; path = f.Source.path; line; msg }
             :: !all_findings
       | None -> ());
-      let ctx =
-        {
-          Rules.file = f;
-          r2_applies = in_closure r2_closure f;
-          r7_applies = in_closure r7_closure f;
-        }
-      in
-      all_findings := Rules.run ctx @ !all_findings;
+      all_findings := Rules.run f @ !all_findings;
       take_suppressions f.Source.path f.Source.comments)
     files;
   (* R8: registered C-stub pairs (cross-language, so outside the per-file
@@ -251,7 +186,7 @@ let run ?(config = default_config) ~root () =
         with
         | Some f -> f
         | None ->
-            { (Source.load_cached (full ml_rel)) with Source.path = ml_path }
+            { (Source.load (full ml_rel)) with Source.path = ml_path }
       in
       let findings, c_comments =
         Cstub.analyze ~c_path ~c_file:(full c_rel) ~ml ~dune_path

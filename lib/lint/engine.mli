@@ -8,20 +8,15 @@
 type config = {
   scan_dirs : string list;  (** relative to the root *)
   exclude : string list;  (** path substrings to skip, e.g. fixture dirs *)
-  r2_roots : string list;  (** units whose dependency closure R2 covers *)
-  r7_seeds : string list;
-      (** module names whose referencers seed the R7 domain closure *)
   cstub_pairs : (string * string * string) list;
       (** R8 stub pairs — C file, OCaml externals file, dune file — given
           relative to the scan root *)
 }
 
 val default_config : config
-(** Scans [lib], [bin], [test]; excludes [lint_fixtures]; R2 roots
-    are the cache-key and result-producing units (Cache, Serialize,
-    Checkpoint, Evaluation, Training, the experiment tables and serving);
-    R7 seeds are Domain/Parallel/Thread; the registered stub pairs are
-    Kernels_c and Fmath with their C stubs. *)
+(** Scans [lib], [bin], [test]; excludes [lint_fixtures]; the registered
+    stub pairs are Kernels_c and Fmath with their C stubs.  Every rule
+    applies to every scanned file. *)
 
 type report = {
   findings : Rules.finding list;  (** unsuppressed: these fail the gate *)

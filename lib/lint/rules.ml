@@ -9,12 +9,6 @@
 
 type finding = { rule : string; path : string; line : int; msg : string }
 
-type ctx = {
-  file : Source.file;
-  r2_applies : bool;  (* file is in the dependency closure of the R2 roots *)
-  r7_applies : bool;  (* file is in the dependency closure of domain users *)
-}
-
 (* {2 Helpers} *)
 
 let line_of e = e.Parsetree.pexp_loc.Location.loc_start.Lexing.pos_lnum
@@ -29,21 +23,13 @@ let norm_path p = match p with "Stdlib" :: rest when rest <> [] -> rest | p -> p
 
 (* {2 The rules, as per-expression checks} *)
 
-let check_ident ctx lid line =
+let check_ident (file : Source.file) lid line =
   let p = norm_path (path_of lid) in
-  let f rule msg = Some { rule; path = ctx.file.Source.path; line; msg } in
+  let f rule msg = Some { rule; path = file.Source.path; line; msg } in
   match p with
-  | [ "Rng"; "copy" ] | [ "Tensor"; "Rng"; "copy" ] ->
-      f "R1" "Rng.copy aliases the stream; use Rng.split"
-  | "Random" :: _ ->
-      if ctx.r2_applies then
-        f "R2" "global Random in a result-reachable module"
-      else None
+  | "Random" :: _ -> f "R2" "global Random: draw from a seeded Rng stream"
   | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
-      if ctx.r2_applies then
-        f "R2"
-          (String.concat "." p ^ " (wall clock) in a result-reachable module")
-      else None
+      f "R2" (String.concat "." p ^ " reads the wall clock")
   | [ "Hashtbl"; "iter" ] | [ "Hashtbl"; "fold" ] ->
       f "R3"
         (String.concat "." p
@@ -54,18 +40,18 @@ let check_ident ctx lid line =
         "polymorphic compare; use Int.compare / Float.compare / \
          String.compare or a typed comparator"
   | "Kernels_c" :: _
-    when Deps.find_substring ctx.file.Source.path "lib/tensor" = None ->
+    when not (Source.contains file.Source.path "lib/tensor") ->
       f "R6"
         (String.concat "." p ^ " is a raw kernel; go through the Tensor API")
   | [ ("int_of_string" | "float_of_string" | "bool_of_string") ]
-    when Deps.find_substring ctx.file.Source.path "lib/" <> None
-         && not (String.ends_with ~suffix:"lib/tensor/lines.ml" ctx.file.Source.path) ->
+    when Source.contains file.Source.path "lib/"
+         && not (String.ends_with ~suffix:"lib/tensor/lines.ml" file.Source.path) ->
       f "R9"
         (String.concat "." p
         ^ " parses outside the line codec; read the word with a Lines field reader")
   | [ "tanh" ] | [ "Float"; "tanh" ]
-    when Deps.find_substring ctx.file.Source.path "lib/" <> None
-         && not (String.ends_with ~suffix:"lib/tensor/fmath.ml" ctx.file.Source.path) ->
+    when Source.contains file.Source.path "lib/"
+         && not (String.ends_with ~suffix:"lib/tensor/fmath.ml" file.Source.path) ->
       f "R10"
         (String.concat "." p ^ " is libm's; use Fmath.tanh or Fmath.tanh_array")
   | [ "Unix"; "fork" ] ->
@@ -93,7 +79,7 @@ let is_float_literal (e : Parsetree.expression) =
       true
   | _ -> false
 
-let check_apply ctx (fn : Parsetree.expression) args line =
+let check_apply (file : Source.file) (fn : Parsetree.expression) args line =
   match fn.pexp_desc with
   | Pexp_ident { txt = Longident.Lident (("=" | "<>" | "==" | "!=") as op); _ }
     -> (
@@ -102,7 +88,7 @@ let check_apply ctx (fn : Parsetree.expression) args line =
           Some
             {
               rule = "R5";
-              path = ctx.file.Source.path;
+              path = file.Source.path;
               line;
               msg =
                 Printf.sprintf
@@ -114,10 +100,10 @@ let check_apply ctx (fn : Parsetree.expression) args line =
       | _ -> None)
   | _ -> None
 
-(* {2 R7: module-level mutable state in the domain closure}
+(* {2 R7: module-level mutable state}
 
-   Two structure-level checks, both gated on [ctx.r7_applies] (the file is
-   reachable from a module that mentions Domain/Parallel/Coordinator/Thread):
+   Two structure-level checks, applied to every file (any module may end up
+   seen by more than one domain):
 
    - R7a: a structure-level [let] whose right-hand side *evaluates* a
      mutable-state constructor ([ref], [Hashtbl.create], [Buffer.create])
@@ -139,7 +125,8 @@ let mutable_creator p =
   | [ "Buffer"; "create" ] -> Some "Buffer.create"
   | _ -> None
 
-let scan_module_level_state ctx add (vb : Parsetree.value_binding) =
+let scan_module_level_state (file : Source.file) add
+    (vb : Parsetree.value_binding) =
   let open Ast_iterator in
   let it =
     {
@@ -155,14 +142,13 @@ let scan_module_level_state ctx add (vb : Parsetree.value_binding) =
                     (Some
                        {
                          rule = "R7";
-                         path = ctx.file.Source.path;
+                         path = file.Source.path;
                          line = line_of e;
                          msg =
                            Printf.sprintf
-                             "module-level %s in the domain-reachable \
-                              closure; every domain that sees this module \
-                              shares it — use Atomic.t / a Mutex, or \
-                              suppress with a confinement proof"
+                             "module-level %s; every domain that sees \
+                              this module shares it — use Atomic.t / a \
+                              Mutex, or suppress with a confinement proof"
                              what;
                        })
               | None -> ());
@@ -172,7 +158,7 @@ let scan_module_level_state ctx add (vb : Parsetree.value_binding) =
   in
   it.expr it vb.Parsetree.pvb_expr
 
-let check_mutable_type ctx (td : Parsetree.type_declaration) =
+let check_mutable_type (file : Source.file) (td : Parsetree.type_declaration) =
   match td.ptype_kind with
   | Ptype_record labels ->
       let mutables =
@@ -197,13 +183,13 @@ let check_mutable_type ctx (td : Parsetree.type_declaration) =
           Some
             {
               rule = "R7";
-              path = ctx.file.Source.path;
+              path = file.Source.path;
               line = first.pld_loc.Location.loc_start.Lexing.pos_lnum;
               msg =
                 Printf.sprintf
-                  "type %s has %d mutable field(s) and no Mutex.t field in \
-                   the domain-reachable closure; make the fields Atomic.t, \
-                   add a mutex, or suppress with a confinement proof"
+                  "type %s has %d mutable field(s) and no Mutex.t field; \
+                   make the fields Atomic.t, add a mutex, or suppress with \
+                   a confinement proof"
                   td.ptype_name.Asttypes.txt (List.length mutables);
             }
       | _ -> None)
@@ -237,18 +223,18 @@ let has_safety_comment (file : Source.file) line =
    bounds checking at all, so the declaration itself is an unsafe site and
    needs the same SAFETY justification.  Confined to lib/tensor — the only
    place stubs are allowed to live (R6 keeps callers out). *)
-let check_primitive ctx (vd : Parsetree.value_description) line =
+let check_primitive (file : Source.file) (vd : Parsetree.value_description) line =
   let is_c_stub =
     match vd.pval_prim with
     | name :: _ -> String.length name > 0 && name.[0] <> '%'
     | [] -> false
   in
-  if is_c_stub && Deps.find_substring ctx.file.Source.path "lib/tensor" <> None
+  if is_c_stub && Source.contains file.Source.path "lib/tensor"
   then
     Some
       {
         rule = "R4";
-        path = ctx.file.Source.path;
+        path = file.Source.path;
         line;
         msg =
           Printf.sprintf
@@ -260,7 +246,7 @@ let check_primitive ctx (vd : Parsetree.value_description) line =
 
 (* {2 Driver} *)
 
-let run ctx =
+let run (file : Source.file) =
   let findings = ref [] in
   let add = function None -> () | Some f -> findings := f :: !findings in
   let open Ast_iterator in
@@ -270,9 +256,9 @@ let run ctx =
       expr =
         (fun it e ->
           (match e.Parsetree.pexp_desc with
-          | Pexp_ident l -> add (check_ident ctx l.Location.txt (line_of e))
+          | Pexp_ident l -> add (check_ident file l.Location.txt (line_of e))
           | Pexp_apply (fn, args) ->
-              add (check_apply ctx fn args (line_of e))
+              add (check_apply file fn args (line_of e))
           | _ -> ());
           default_iterator.expr it e);
       structure_item =
@@ -280,12 +266,12 @@ let run ctx =
           (match si.Parsetree.pstr_desc with
           | Pstr_primitive vd ->
               add
-                (check_primitive ctx vd
+                (check_primitive file vd
                    si.Parsetree.pstr_loc.Location.loc_start.Lexing.pos_lnum)
-          | Pstr_value (_, vbs) when ctx.r7_applies ->
-              List.iter (scan_module_level_state ctx add) vbs
-          | Pstr_type (_, tds) when ctx.r7_applies ->
-              List.iter (fun td -> add (check_mutable_type ctx td)) tds
+          | Pstr_value (_, vbs) ->
+              List.iter (scan_module_level_state file add) vbs
+          | Pstr_type (_, tds) ->
+              List.iter (fun td -> add (check_mutable_type file td)) tds
           | _ -> ());
           default_iterator.structure_item it si);
       signature_item =
@@ -293,18 +279,18 @@ let run ctx =
           (match si.Parsetree.psig_desc with
           | Psig_value vd when vd.pval_prim <> [] ->
               add
-                (check_primitive ctx vd
+                (check_primitive file vd
                    si.Parsetree.psig_loc.Location.loc_start.Lexing.pos_lnum)
           | _ -> ());
           default_iterator.signature_item it si);
     }
   in
-  it.structure it ctx.file.Source.structure;
-  it.signature it ctx.file.Source.signature;
+  it.structure it file.Source.structure;
+  it.signature it file.Source.signature;
   let findings =
     (* R4 candidates covered by a SAFETY comment are satisfied, not findings *)
     List.filter
-      (fun f -> not (f.rule = "R4" && has_safety_comment ctx.file f.line))
+      (fun f -> not (f.rule = "R4" && has_safety_comment file f.line))
       !findings
   in
   List.sort

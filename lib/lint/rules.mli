@@ -1,10 +1,10 @@
 (** The pnnlint rule set: syntactic checks over the untyped AST.
 
-    - R1 — no [Rng.copy] stream aliasing; derive sub-streams with
-      [Rng.split].
+    Every rule applies to every scanned file unless its entry names a
+    narrower scope.
+
     - R2 — no wall clock ([Sys.time], [Unix.gettimeofday], [Unix.time]) or
-      global [Random] in modules reachable from cache-key / result-producing
-      roots.
+      global [Random]: results and cache keys come from seeded streams only.
     - R3 — no [Hashtbl.iter]/[Hashtbl.fold]: hash-order traversal must be
       replaced by a sorted or insertion-ordered view (or suppressed with a
       reason when the order provably cannot escape).
@@ -16,9 +16,8 @@
     - R6 — no raw kernel access outside [lib/tensor].
     - R7 — module-level mutable state ([ref]/[Hashtbl.create]/
       [Buffer.create] at structure level, record types with [mutable]
-      fields and no [Mutex.t] field) in the dependency closure of
-      domain-spawning modules must be Atomic/Mutex-mediated or carry a
-      confinement proof; every [Unix.fork] is a finding (a fork site is
+      fields and no [Mutex.t] field) must be Atomic/Mutex-mediated or carry
+      a confinement proof; every [Unix.fork] is a finding (a fork site is
       waived with a reason, like any other).
     - R8 — C-stub pairs match their externals and the IEEE-strict float
       contract (checked by {!Cstub}, reported under this rule id).
@@ -33,14 +32,6 @@
 
 type finding = { rule : string; path : string; line : int; msg : string }
 
-type ctx = {
-  file : Source.file;
-  r2_applies : bool;
-      (** the file is in the dependency closure of the R2 roots *)
-  r7_applies : bool;
-      (** the file is in the dependency closure of domain-using modules *)
-}
-
-val run : ctx -> finding list
+val run : Source.file -> finding list
 (** All rule findings for one file, sorted by line.  R4 candidates covered
     by a SAFETY comment are already filtered out. *)

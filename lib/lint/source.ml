@@ -27,6 +27,11 @@ let read_all path =
   close_in ic;
   b
 
+let contains text needle =
+  let m = String.length needle and n = String.length text in
+  let rec at i = i + m <= n && (String.sub text i m = needle || at (i + 1)) in
+  at 0
+
 (* {2 Comment scanner} *)
 
 let scan_comments text =
@@ -179,21 +184,3 @@ let load path =
       in
       { path; kind; structure; signature; comments = scan_comments text;
         parse_error }
-
-(* Process-level parse cache.  The engine asks for the same file once per
-   run, but a run consults each AST from several passes (rules, R2/R7
-   reachability, R8 stub pairing) and test harnesses run the engine over the
-   same fixture tree many times; one parse per path per process keeps the
-   whole-tree lint well under its latency budget.  Keyed by path only: the
-   tool's lifetime is one scan of a static tree, so invalidation is not a
-   concern. *)
-
-let cache : (string, file) Hashtbl.t = Hashtbl.create 256
-
-let load_cached path =
-  match Hashtbl.find_opt cache path with
-  | Some f -> f
-  | None ->
-      let f = load path in
-      Hashtbl.add cache path f;
-      f

@@ -27,10 +27,8 @@ val load : string -> file
     through [parse_error] rather than raised: an unreadable or unparseable
     file must fail the lint gate with a diagnostic, not crash the tool. *)
 
-val load_cached : string -> file
-(** Like {!load}, memoized by path for the life of the process: every pass
-    of a run (rules, reachability closures, stub pairing) and every engine
-    run in a test harness shares one parse per file. *)
-
 val read_all : string -> string
 (** Read a whole file as bytes. *)
+
+val contains : string -> string -> bool
+(** [contains text needle] is true when [needle] occurs in [text]. *)

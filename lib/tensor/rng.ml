@@ -37,8 +37,6 @@ let create seed =
   let s3 = splitmix64 state in
   of_words s0 s1 s2 s3
 
-let copy = Bytes.copy
-
 (* SAFETY: every t is a 32-byte buffer built by [of_words] *)
 let state t = [| get_word t 0; get_word t 8; get_word t 16; get_word t 24 |]
 

@@ -16,9 +16,6 @@ val split : t -> t
 (** [split rng] derives a fresh, statistically independent generator and
     advances [rng].  Useful to hand sub-streams to parallel experiment arms. *)
 
-val copy : t -> t
-(** Duplicate the current state (the two generators then evolve separately). *)
-
 val state : t -> int64 array
 (** The full xoshiro256** state as 4 words — everything needed to resume the
     stream bit-exactly (checkpoint/resume).  The generator is not advanced. *)

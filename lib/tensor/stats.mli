@@ -2,11 +2,15 @@
     aggregation: the paper reports mean ± std over variation samples). *)
 
 val mean : float array -> float
-(** Arithmetic mean. Raises [Invalid_argument] on empty input. *)
+(** Arithmetic mean, summed as deviations from the first element in array
+    order: n identical values give exactly that value.  The shift is 0
+    instead when the first element is not finite or a deviation from it
+    overflows.  Raises [Invalid_argument] on empty input. *)
 
 val variance : float array -> float
 (** Population variance (divides by [n], matching the Monte-Carlo estimator of
-    the paper's reported std over test samples). *)
+    the paper's reported std over test samples), summed as squared
+    deviations from {!mean}: exactly 0 on identical values. *)
 
 val std : float array -> float
 val min : float array -> float

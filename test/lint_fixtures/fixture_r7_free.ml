@@ -1,4 +1,4 @@
-(* R7 control: the same mutable state with no domain user in reach — must
-   stay silent (reachability-gated, like R2). *)
+(* R7 fixture: module-level state in a unit that nothing references and
+   that never mentions a domain. *)
 let lonely = ref 0
 let touch () = incr lonely

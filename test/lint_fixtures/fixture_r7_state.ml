@@ -1,5 +1,5 @@
-(* R7 fixture: module-level mutable state reachable from a domain spawner
-   (fixture_r7 references this unit). *)
+(* R7 fixture: module-level mutable state, bare and waived, in a unit a
+   domain spawner (fixture_r7) uses. *)
 let table = Hashtbl.create 16
 let hits = ref 0
 

@@ -217,7 +217,8 @@ let test_disabled_is_transparent () =
 (* {1 Maintenance} *)
 
 (* Backdate a file so gc's stale-age policy sees it as ancient. *)
-let age_file path = Unix.utimes path 1.0 1.0
+let aged_mtime = 1.0
+let age_file path = Unix.utimes path aged_mtime aged_mtime
 
 let test_gc_removes_damage_and_all () =
   let dir = fresh_dir () in
@@ -266,7 +267,8 @@ let test_gc_never_misreads_entries_as_temps () =
   age_file real_tmp;
   Alcotest.(check (list string)) "stale scan sees exactly the real temp"
     [ real_tmp ]
-    (Ca.stale_tmp_files ~now:(Unix.time ()) ~dir ());
+    (Ca.stale_tmp_files ~now:(aged_mtime +. 2.0 *. Ca.default_tmp_stale_age)
+       ~dir ());
   let removed, kept = Ca.gc ~dir () in
   Alcotest.(check (pair int int)) "only the real temp reclaimed" (1, 2)
     (removed, kept);

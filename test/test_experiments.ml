@@ -43,7 +43,7 @@ let test_setup_scales () =
       Alcotest.(check bool) (name ^ " has seeds") true (List.length s.E.Setup.seeds >= 1);
       Alcotest.(check (list (float 0.0)))
         (name ^ " epsilons") [ 0.05; 0.10 ] s.E.Setup.test_epsilons)
-    [ "quick"; "committed"; "paper" ];
+    E.Setup.names;
   match E.Setup.of_name "bogus" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected invalid scale"

@@ -9,12 +9,6 @@ let fixture_config =
   {
     E.scan_dirs = [ "lint_fixtures" ];
     exclude = [];
-    (* two root families, like the live config: the experiment stack and
-       the serving stack *)
-    r2_roots = [ "Fixture_r2_root"; "Fixture_r2_serve" ];
-    (* R7 seeds are the live defaults: fixture_r7 mentions Domain, so it is
-       picked up by auto-detection like real spawning code *)
-    r7_seeds = [ "Domain"; "Parallel"; "Thread" ];
     cstub_pairs =
       [
         ( "lint_fixtures/cstub/fixture_stubs.c",
@@ -37,10 +31,12 @@ let test_golden_diagnostics () =
   in
   let expected =
     [
-      "R1 lint_fixtures/fixture_r1.ml:2";
+      (* R2 and R7 apply to every scanned file: nothing references
+         fixture_r2 or fixture_r7_free, and fixture_r7_free names no
+         domain, yet their sites are found *)
       "R2 lint_fixtures/fixture_r2.ml:2";
       "R2 lint_fixtures/fixture_r2.ml:3";
-      "R2 lint_fixtures/fixture_r2_serve.ml:4";
+      "R2 lint_fixtures/fixture_r2.ml:4";
       "R3 lint_fixtures/fixture_r3.ml:2";
       "R3 lint_fixtures/fixture_r3.ml:3";
       "R4 lint_fixtures/fixture_r4.ml:2";
@@ -59,9 +55,10 @@ let test_golden_diagnostics () =
       "R5 lint_fixtures/fixture_r5.ml:3";
       "S1 lint_fixtures/fixture_s1.ml:2";
       "R5 lint_fixtures/fixture_s1.ml:3";
-      (* R7: an unwaived fork + module-level mutable state in the
-         closure of the Domain-mentioning fixture *)
+      (* R7: an unwaived fork, module-level mutable state and a mutable
+         record, whether or not a domain user references the unit *)
       "R7 lint_fixtures/fixture_r7.ml:5";
+      "R7 lint_fixtures/fixture_r7_free.ml:3";
       "R7 lint_fixtures/fixture_r7_state.ml:3";
       "R7 lint_fixtures/fixture_r7_state.ml:4";
       "R7 lint_fixtures/fixture_r7_state.ml:9";
@@ -101,14 +98,13 @@ let test_golden_diagnostics () =
 
 let test_suppressions_absorb () =
   let report = run_fixtures () in
-  Alcotest.(check int) "twenty files scanned" 20 report.E.files_scanned;
+  Alcotest.(check int) "seventeen files scanned" 17 report.E.files_scanned;
   Alcotest.(check (list string))
     "each valid allow absorbs the finding at its site"
     (List.sort String.compare
        [
-         "R1 lint_fixtures/fixture_r1.ml:5";
-         "R2 lint_fixtures/fixture_r2.ml:6";
-         "R2 lint_fixtures/fixture_r2_serve.ml:8";
+         "R2 lint_fixtures/fixture_r2.ml:7";
+         "R2 lint_fixtures/fixture_r2.ml:10";
          "R3 lint_fixtures/fixture_r3.ml:6";
          "R4 lint_fixtures/fixture_r4.ml:9";
          "R5 lint_fixtures/fixture_r5.ml:6";
@@ -158,35 +154,12 @@ let test_safety_covers_r4 () =
     ]
     (r4 report.E.suppressed)
 
-let test_r2_needs_reachability () =
-  (* with a root that cannot reach Fixture_r2, the wall-clock calls are not
-     in any result-producing closure and R2 must stay silent *)
-  let config = { fixture_config with E.r2_roots = [ "Fixture_r1" ] } in
-  let report = run_fixtures ~config () in
-  let r2 =
-    List.filter (fun (f : R.finding) -> f.R.rule = "R2") report.E.findings
-  in
-  Alcotest.(check int) "no R2 outside the closure" 0 (List.length r2)
-
-let test_r7_needs_reachability () =
-  (* with seeds nothing references, no module is in the domain closure and
-     only the closure-independent fork check may fire *)
-  let config = { fixture_config with E.r7_seeds = [ "Fixture_no_such" ] } in
-  let report = run_fixtures ~config () in
-  let r7 =
-    List.filter (fun (f : R.finding) -> f.R.rule = "R7") report.E.findings
-  in
-  Alcotest.(check (list string))
-    "only the fork finding survives without reachability"
-    [ "R7 lint_fixtures/fixture_r7.ml:5" ]
-    (List.map site r7)
-
 let test_render_shapes () =
   let report = run_fixtures () in
   let lines = String.split_on_char '\n' (E.render_report report) in
   Alcotest.(check (list string))
     "one line per finding, then the summary"
-    [ "pnnlint: 20 file(s), 39 finding(s), 14 suppressed"; "" ]
+    [ "pnnlint: 17 file(s), 39 finding(s), 13 suppressed"; "" ]
     (List.filteri (fun i _ -> i >= 39) lines);
   Alcotest.(check string) "a finding line"
     "lint_fixtures/cstub/fixture_badflags.c:10: [R8]"
@@ -253,10 +226,6 @@ let () =
           Alcotest.test_case "golden diagnostics" `Quick test_golden_diagnostics;
           Alcotest.test_case "suppressions absorb their sites" `Quick
             test_suppressions_absorb;
-          Alcotest.test_case "R2 needs reachability" `Quick
-            test_r2_needs_reachability;
-          Alcotest.test_case "R7 needs reachability" `Quick
-            test_r7_needs_reachability;
           Alcotest.test_case "SAFETY covers R4 sites" `Quick test_safety_covers_r4;
         ] );
       ( "surface",

@@ -116,15 +116,15 @@ let test_split_independence () =
   done;
   Alcotest.(check int) "split streams differ" 0 !same
 
-let test_copy_diverges_from_original () =
+(* A checkpoint resumes a stream through [state]/[of_state]: the restored
+   generator replays the original's draws and then evolves on its own. *)
+let test_of_state_replays () =
   let rng = Rng.create 31 in
-  (* pnnlint:allow R1 this test exercises Rng.copy's documented semantics *)
-  let dup = Rng.copy rng in
-  Alcotest.(check int64) "copies agree initially" (Rng.uint64 rng) (Rng.uint64 dup);
+  let replay = Rng.of_state (Rng.state rng) in
+  Alcotest.(check int64) "restored stream agrees" (Rng.uint64 rng) (Rng.uint64 replay);
   ignore (Rng.uint64 rng);
-  (* now streams are offset *)
-  let a = Rng.uint64 rng and b = Rng.uint64 dup in
-  Alcotest.(check bool) "offset copies differ" true (a <> b)
+  let a = Rng.uint64 rng and b = Rng.uint64 replay in
+  Alcotest.(check bool) "restored generator is independent" true (a <> b)
 
 let qcheck_int_bounds =
   QCheck.Test.make ~name:"Rng.int stays in bounds" ~count:500
@@ -153,10 +153,9 @@ let stream_words seed =
   let child = Rng.split rng in
   let st = Rng.state rng in
   let restored = Rng.of_state st in
-  (* pnnlint:allow R1 the golden streams cover every entry point, Rng.copy included *)
-  let copy = Rng.copy restored in
+  let replay = Rng.of_state (Rng.state restored) in
   words
-  @ [ Rng.uint64 child; Rng.uint64 copy ]
+  @ [ Rng.uint64 child; Rng.uint64 replay ]
   @ List.map Int64.bits_of_float
       [
         Rng.float restored;
@@ -217,7 +216,7 @@ let () =
           Alcotest.test_case "perm" `Quick test_perm_is_permutation;
           Alcotest.test_case "shuffle" `Quick test_shuffle_preserves_elements;
           Alcotest.test_case "split" `Quick test_split_independence;
-          Alcotest.test_case "copy" `Quick test_copy_diverges_from_original;
+          Alcotest.test_case "of_state replays" `Quick test_of_state_replays;
         ] );
       ( "properties",
         [
